@@ -1,12 +1,12 @@
 // Macro-benchmarks: one testing.B target per table/figure of the
-// paper's evaluation (see DESIGN.md §3 for the experiment index).
+// paper's evaluation (docs/ARCHITECTURE.md; `shark-bench -list` prints the experiment ids).
 // Each iteration runs the full experiment — data generation, Shark
 // and Hive/Hadoop executions — at SmallScale; per-series wall-clock
 // times are attached as custom benchmark metrics (suffix "_s").
 //
-// For the full-size numbers recorded in EXPERIMENTS.md run:
+// For the full-size numbers as a Markdown report run:
 //
-//	go run ./cmd/shark-bench -run all -scale default
+//	go run ./cmd/shark-bench -run all -scale default -markdown out.md
 package shark_test
 
 import (

@@ -6,7 +6,7 @@
 //	shark-bench -run fig7,fig8 -scale small
 //	shark-bench -run abl_storage -scale large -disk 1048576
 //	shark-bench -list
-//	shark-bench -run all -markdown out.md -json BENCH_point.json
+//	shark-bench -run all -markdown out.md
 package main
 
 import (
@@ -25,7 +25,6 @@ func main() {
 	scaleFlag := flag.String("scale", "default", "data scale: small | default | large")
 	listFlag := flag.Bool("list", false, "list experiment ids and exit")
 	markdownFlag := flag.String("markdown", "", "also write a Markdown report to this file")
-	jsonFlag := flag.String("json", "", "also write a JSON trajectory point (BENCH_*.json) to this file")
 	workersFlag := flag.Int("workers", 0, "override simulated worker count")
 	memoryFlag := flag.Int64("memory", 0, "per-worker block-store capacity in bytes (0 = unbounded)")
 	diskFlag := flag.Int64("disk", 0, "per-worker disk spill tier in bytes (0 = disabled, negative = unbounded)")
@@ -82,17 +81,6 @@ func main() {
 		}
 	}
 	report.Fprint(os.Stdout)
-	if *jsonFlag != "" {
-		f, ferr := os.Create(*jsonFlag)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, ferr)
-			os.Exit(1)
-		}
-		if ferr := harness.WriteJSON(f, *scaleFlag, report); ferr != nil {
-			fmt.Fprintln(os.Stderr, ferr)
-		}
-		f.Close()
-	}
 	if *markdownFlag != "" {
 		f, ferr := os.Create(*markdownFlag)
 		if ferr != nil {

@@ -28,9 +28,8 @@
 // nil, ints, float64, bool, string, []byte (bound as a string whose
 // bytes pass through verbatim) and time.Time, which binds as the
 // engine's DATE representation (days since the Unix epoch); DATE
-// result columns scan back as time.Time. Statements the native
-// binder cannot take fall back transparently to the legacy
-// interpolation path. Transactions are not supported.
+// result columns scan back as time.Time. `LIMIT ?` takes a
+// non-negative integer. Transactions are not supported.
 package driver
 
 import (
@@ -223,26 +222,18 @@ func (c *conn) Prepare(query string) (sqldriver.Stmt, error) {
 	return c.PrepareContext(context.Background(), query)
 }
 
-// PrepareContext creates a real server-side statement handle. When
-// the server's native grammar rejects the text (e.g. `LIMIT ?`, which
-// only the legacy interpolation path supports), it degrades to a
-// client-side statement whose executions ride the legacy Exec
-// message — preserving the old driver's behavior, where Prepare never
-// validated and errors surfaced at execution.
+// PrepareContext creates a server-side statement handle; text the
+// server cannot parse fails here, not at execution.
 func (c *conn) PrepareContext(ctx context.Context, query string) (sqldriver.Stmt, error) {
 	resp, err := c.c.RoundtripCtx(ctx, wire.Prepare{SQL: query})
 	if err != nil {
-		var remote *wire.RemoteError
-		if errors.As(err, &remote) && (remote.Code == wire.CodeSQL || remote.Code == wire.CodeBind) {
-			return &stmt{c: c, query: query, numInput: wire.CountPlaceholders(query)}, nil
-		}
 		return nil, c.mapErr(ctx, err)
 	}
 	ok, isOK := resp.(wire.PrepareOK)
 	if !isOK {
 		return nil, fmt.Errorf("shark driver: unexpected prepare response %T", resp)
 	}
-	return &stmt{c: c, query: query, handle: ok.Handle, numInput: int(ok.NumParams)}, nil
+	return &stmt{c: c, handle: ok.Handle, numInput: int(ok.NumParams)}, nil
 }
 
 func (c *conn) Close() error { return c.c.Close() }
@@ -262,10 +253,8 @@ func (c *conn) Ping(ctx context.Context) error {
 func (c *conn) IsValid() bool { return c.c.Alive() }
 
 // CheckNamedValue admits arguments the typed wire codec can carry.
-// []byte and time.Time pass through untouched — the old coercions to
-// string and int64 here were lossy (a []byte with quote or comment
-// bytes went through the interpolator as text) and are exactly what
-// native binding exists to kill.
+// []byte and time.Time pass through untouched: the codec has a tag
+// for each, so neither decays to text or a bare integer client-side.
 func (c *conn) CheckNamedValue(nv *sqldriver.NamedValue) error {
 	if nv.Name != "" {
 		return errors.New("shark driver: named parameters are not supported")
@@ -300,42 +289,10 @@ func wireArgs(args []sqldriver.NamedValue) []any {
 	return out
 }
 
-// exec runs one statement natively — by prepared handle, or one-shot
-// with inline text — and returns its open cursor. A one-shot the
-// server's native binder rejects retries on the legacy path.
+// exec runs one statement — by prepared handle, or one-shot with
+// inline text — and returns its open cursor.
 func (c *conn) exec(ctx context.Context, handle uint64, query string, args []sqldriver.NamedValue) (uint64, wire.ResultSet, error) {
 	id, resp, err := c.c.RoundtripID(ctx, wire.ExecPrepared{Handle: handle, SQL: query, Args: wireArgs(args)})
-	if err != nil {
-		var remote *wire.RemoteError
-		if handle == 0 && errors.As(err, &remote) && remote.Code == wire.CodeBind {
-			return c.execLegacy(ctx, query, args)
-		}
-		return 0, wire.ResultSet{}, c.mapErr(ctx, err)
-	}
-	rs, ok := resp.(wire.ResultSet)
-	if !ok {
-		return 0, wire.ResultSet{}, fmt.Errorf("shark driver: unexpected exec response %T", resp)
-	}
-	return id, rs, nil
-}
-
-// execLegacy is the compatibility path for statements the native
-// binder cannot take: the legacy Exec message, which the server
-// answers by interpolating. Arguments decay to the legacy value model
-// ([]byte to string, time.Time to epoch days).
-func (c *conn) execLegacy(ctx context.Context, query string, args []sqldriver.NamedValue) (uint64, wire.ResultSet, error) {
-	bound := make(row.Row, len(args))
-	for i, a := range args {
-		switch v := a.Value.(type) {
-		case []byte:
-			bound[i] = string(v)
-		case time.Time:
-			bound[i] = v.UTC().Unix() / 86400
-		default:
-			bound[i] = a.Value
-		}
-	}
-	id, resp, err := c.c.RoundtripID(ctx, wire.Exec{SQL: query, Args: bound})
 	if err != nil {
 		return 0, wire.ResultSet{}, c.mapErr(ctx, err)
 	}
@@ -370,15 +327,25 @@ func (c *conn) mapErr(ctx context.Context, err error) error {
 }
 
 func (c *conn) QueryContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	cursor, rs, err := c.exec(ctx, 0, query, args)
+	return c.query(ctx, 0, query, args)
+}
+
+func (c *conn) ExecContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
+	return c.execDiscard(ctx, 0, query, args)
+}
+
+// query is exec returning the cursor as driver rows.
+func (c *conn) query(ctx context.Context, handle uint64, text string, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
+	cursor, rs, err := c.exec(ctx, handle, text, args)
 	if err != nil {
 		return nil, err
 	}
 	return &rows{conn: c, ctx: ctx, cursor: cursor, schema: rs.Schema, remaining: rs.NumRows}, nil
 }
 
-func (c *conn) ExecContext(ctx context.Context, query string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	cursor, rs, err := c.exec(ctx, 0, query, args)
+// execDiscard is exec for callers that want only the row count.
+func (c *conn) execDiscard(ctx context.Context, handle uint64, text string, args []sqldriver.NamedValue) (sqldriver.Result, error) {
+	cursor, rs, err := c.exec(ctx, handle, text, args)
 	if err != nil {
 		return nil, err
 	}
@@ -399,13 +366,10 @@ func (result) LastInsertId() (int64, error) {
 }
 func (r result) RowsAffected() (int64, error) { return r.rows, nil }
 
-// stmt is a prepared statement. handle != 0 names a server-side
-// parsed statement executed with typed argument binding; handle == 0
-// is the legacy degradation for text the native grammar rejects,
-// where each execution rides the interpolating Exec message.
+// stmt is a prepared statement: handle names the server-side parsed
+// statement, executed with typed argument binding.
 type stmt struct {
 	c        *conn
-	query    string
 	handle   uint64
 	numInput int
 
@@ -425,8 +389,7 @@ var (
 func (s *stmt) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.handle == 0 {
-		s.closed = true
+	if s.closed {
 		return nil
 	}
 	s.closed = true
@@ -447,28 +410,11 @@ func (s *stmt) Query(args []sqldriver.Value) (sqldriver.Rows, error) {
 }
 
 func (s *stmt) ExecContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Result, error) {
-	if s.handle == 0 {
-		return s.c.ExecContext(ctx, s.query, args)
-	}
-	cursor, rs, err := s.c.exec(ctx, s.handle, "", args)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.c.c.Send(wire.CloseStmt{Cursor: cursor}); err != nil && !errors.Is(err, wire.ErrConnClosed) {
-		return nil, err
-	}
-	return result{rows: int64(rs.NumRows)}, nil
+	return s.c.execDiscard(ctx, s.handle, "", args)
 }
 
 func (s *stmt) QueryContext(ctx context.Context, args []sqldriver.NamedValue) (sqldriver.Rows, error) {
-	if s.handle == 0 {
-		return s.c.QueryContext(ctx, s.query, args)
-	}
-	cursor, rs, err := s.c.exec(ctx, s.handle, "", args)
-	if err != nil {
-		return nil, err
-	}
-	return &rows{conn: s.c, ctx: ctx, cursor: cursor, schema: rs.Schema, remaining: rs.NumRows}, nil
+	return s.c.query(ctx, s.handle, "", args)
 }
 
 func namedValues(args []sqldriver.Value) []sqldriver.NamedValue {

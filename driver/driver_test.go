@@ -380,10 +380,11 @@ func TestDriverBytesAndHostileArgs(t *testing.T) {
 	}
 }
 
-// TestDriverLegacyFallback: `LIMIT ?` is outside the native binder's
-// grammar; the driver must degrade transparently to the legacy
-// interpolation path, both one-shot and through Prepare.
-func TestDriverLegacyFallback(t *testing.T) {
+// TestDriverLimitParam: `LIMIT ?` binds natively through database/sql,
+// one-shot and through Prepare, and returns the rows of the literal
+// form; arguments the slot cannot take are bind errors that leave the
+// pooled connection usable.
+func TestDriverLimitParam(t *testing.T) {
 	_, addr := startServer(t, server.Config{}, 100)
 	db, err := sql.Open("shark", addr+"?catalog=shared")
 	if err != nil {
@@ -391,35 +392,79 @@ func TestDriverLegacyFallback(t *testing.T) {
 	}
 	defer db.Close()
 
-	countRows := func(rows *sql.Rows, err error) int {
+	urls := func(rows *sql.Rows, err error) []string {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer rows.Close()
-		n := 0
+		var out []string
 		for rows.Next() {
 			var url string
 			if err := rows.Scan(&url); err != nil {
 				t.Fatal(err)
 			}
-			n++
+			out = append(out, url)
 		}
 		if err := rows.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return n
+		return out
 	}
 
-	if n := countRows(db.Query(`SELECT url FROM logs_mem LIMIT ?`, 7)); n != 7 {
+	if n := len(urls(db.Query(`SELECT url FROM logs_mem LIMIT ?`, 7))); n != 7 {
 		t.Errorf("one-shot LIMIT ? returned %d rows, want 7", n)
 	}
 	stmt, err := db.Prepare(`SELECT url FROM logs_mem LIMIT ?`)
 	if err != nil {
-		t.Fatalf("Prepare must degrade to the legacy path, got %v", err)
+		t.Fatalf("Prepare(LIMIT ?): %v", err)
 	}
 	defer stmt.Close()
-	if n := countRows(stmt.Query(3)); n != 3 {
+	if n := len(urls(stmt.Query(3))); n != 3 {
 		t.Errorf("prepared LIMIT ? returned %d rows, want 3", n)
+	}
+
+	const tmpl = `SELECT url FROM logs_mem WHERE bytes >= ? ORDER BY url DESC LIMIT ?`
+	want := fmt.Sprint(urls(db.Query(`SELECT url FROM logs_mem WHERE bytes >= 10 ORDER BY url DESC LIMIT 5`)))
+	ordered, err := db.Prepare(tmpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ordered.Close()
+	if got := fmt.Sprint(urls(db.Query(tmpl, 10, 5))); got != want {
+		t.Errorf("one-shot: got %s, want %s", got, want)
+	}
+	if got := fmt.Sprint(urls(ordered.Query(10, 5))); got != want {
+		t.Errorf("prepared: got %s, want %s", got, want)
+	}
+
+	for name, args := range map[string][]any{
+		"negative": {10, -1},
+		"float64":  {10, 5.0},
+		"string":   {10, "1; DROP TABLE logs_mem"},
+		"nil":      {10, nil},
+		"missing":  {10},
+		"surplus":  {10, 5, 5},
+	} {
+		if rows, err := db.Query(tmpl, args...); err == nil {
+			rows.Close()
+			t.Errorf("%s one-shot: no error", name)
+		} else if !strings.Contains(err.Error(), "cannot bind") {
+			t.Errorf("%s one-shot: err = %v, want a bind error", name, err)
+		}
+		// database/sql itself refuses a wrong argument count on a
+		// prepared statement; the rest reach the server's binder.
+		if rows, err := ordered.Query(args...); err == nil {
+			rows.Close()
+			t.Errorf("%s prepared: no error", name)
+		} else if len(args) == 2 && !strings.Contains(err.Error(), "cannot bind") {
+			t.Errorf("%s prepared: err = %v, want a bind error", name, err)
+		}
+	}
+	if _, err := db.Prepare(`SELECT url FROM logs_mem LIMIT 'x'`); err == nil {
+		t.Error("Prepare of unparseable text must fail at Prepare")
+	}
+	if got := fmt.Sprint(urls(ordered.Query(10, 5))); got != want {
+		t.Errorf("after rejected binds: got %s, want %s", got, want)
 	}
 }

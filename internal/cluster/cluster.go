@@ -413,14 +413,8 @@ func New(cfg Config) *Cluster {
 // NumWorkers returns the configured worker count.
 func (c *Cluster) NumWorkers() int { return c.cfg.Workers }
 
-// Slots returns slots per worker.
-func (c *Cluster) Slots() int { return c.cfg.Slots }
-
 // TotalSlots returns cluster-wide slot count.
 func (c *Cluster) TotalSlots() int { return c.cfg.Workers * c.cfg.Slots }
-
-// Profile returns the active overhead profile.
-func (c *Cluster) Profile() Profile { return c.cfg.Profile }
 
 // Worker returns worker i.
 func (c *Cluster) Worker(i int) *Worker { return c.workers[i] }
@@ -450,14 +444,6 @@ func (c *Cluster) WorkerMemoryBytes() int64 { return c.cfg.WorkerMemoryBytes }
 func (c *Cluster) SetEvictionObserver(fn func(worker int, key string, sizeBytes int64, spilled bool)) {
 	c.evictObserver.Store(fn)
 }
-
-// WorkerDiskBytes returns the per-worker disk spill budget (0 = tier
-// disabled, negative = unbounded).
-func (c *Cluster) WorkerDiskBytes() int64 { return c.cfg.WorkerDiskBytes }
-
-// WorkerShuffleBytes returns the per-worker pinned-shuffle budget
-// (0 = shared with the cache budget).
-func (c *Cluster) WorkerShuffleBytes() int64 { return c.cfg.WorkerShuffleBytes }
 
 // TasksPerWorker snapshots how many tasks each worker has executed.
 func (c *Cluster) TasksPerWorker() []int64 {

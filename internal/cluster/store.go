@@ -98,10 +98,6 @@ func NewTieredBlockStore(capacityBytes, shuffleCapacityBytes int64, disk *DiskSt
 // Capacity returns the cache byte budget (0 = unbounded).
 func (s *BlockStore) Capacity() int64 { return s.capacity }
 
-// ShuffleCapacity returns the pinned byte budget (0 = shared with the
-// cache budget, the legacy accounting).
-func (s *BlockStore) ShuffleCapacity() int64 { return s.shuffleCapacity }
-
 // Disk returns the spill tier, or nil.
 func (s *BlockStore) Disk() *DiskStore { return s.disk }
 

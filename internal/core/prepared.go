@@ -10,13 +10,11 @@ import (
 	"shark/internal/sqlparse"
 )
 
-// ErrBind marks a statement the native binder cannot take: the text
-// does not parse under the native grammar, the argument count or
-// types do not match, or the statement class does not support
-// parameters. The server uses it to decide when the legacy
-// interpolation fallback (wire.Interpolate) is still allowed to run
-// for old clients.
-var ErrBind = errors.New("core: cannot bind natively")
+// ErrBind marks arguments sqlparse.Bind rejected: the count does not
+// match the statement's `?` slots, a value is outside the row value
+// model, or a `LIMIT ?` argument is not a non-negative integer. The
+// statement did not run; the server reports it as wire.CodeBind.
+var ErrBind = errors.New("core: cannot bind arguments")
 
 // Prepared is a statement parsed once and executable many times with
 // different argument values. The held AST is immutable: every
@@ -83,29 +81,16 @@ func (s *Session) ExecPreparedCtx(gctx context.Context, p *Prepared, args row.Ro
 	return s.execPrepared(gctx, p, args)
 }
 
-// ExecArgs parses (via the plan cache) and executes one statement
-// with native parameter binding.
-func (s *Session) ExecArgs(sql string, args row.Row) (*Result, error) {
-	return s.ExecArgsCtx(context.Background(), sql, args)
-}
-
 // ExecArgsCtx is the one-shot prepare-bind-execute path: parse via
-// the plan cache, bind args natively, run. A parse failure is
-// reported wrapped in ErrBind so the serving layer can decide whether
-// the legacy interpolation fallback applies.
+// the plan cache, bind args, run. Cancellation semantics match
+// ExecContext.
 func (s *Session) ExecArgsCtx(gctx context.Context, sql string, args row.Row) (*Result, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	tr := obs.FromContext(gctx)
-	psp := tr.StartSpan("parse")
-	norm := sqlparse.Normalize(sql)
-	stmt, err := s.parseCached(sql, norm)
+	psp := obs.FromContext(gctx).StartSpan("parse")
+	p, err := s.Prepare(sql)
 	psp.End()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBind, err)
+		return nil, err
 	}
-	p := &Prepared{SQL: sql, norm: norm, stmt: stmt, numParams: sqlparse.NumParams(stmt)}
 	return s.execPrepared(gctx, p, args)
 }
 

@@ -274,22 +274,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 // outputs it pinned in worker memory are unregistered unless a live
 // RDD (a cached table's lineage) still depends on them.
 func (s *Session) ExecContext(gctx context.Context, sql string) (*Result, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	tr := obs.FromContext(gctx)
-	psp := tr.StartSpan("parse")
-	norm := sqlparse.Normalize(sql)
-	stmt, err := s.parseCached(sql, norm)
-	psp.End()
-	if err != nil {
-		return nil, err
-	}
-	p := &Prepared{SQL: sql, norm: norm, stmt: stmt, numParams: sqlparse.NumParams(stmt)}
-	if p.numParams > 0 {
-		return nil, fmt.Errorf("core: statement has %d unbound parameter(s); use ExecArgsCtx or a prepared statement", p.numParams)
-	}
-	return s.execPrepared(gctx, p, nil)
+	return s.ExecArgsCtx(gctx, sql, nil)
 }
 
 // execStatement runs one fully bound statement as a scheduler job. p
@@ -747,6 +732,9 @@ func (s *Session) QueryContext(gctx context.Context, sql string) (*TableRDD, err
 	if !ok {
 		return nil, fmt.Errorf("core: sql2rdd requires a SELECT")
 	}
+	if n := sqlparse.NumParams(sel); n > 0 {
+		return nil, fmt.Errorf("%w: sql2rdd takes no arguments, statement has %d parameter(s)", ErrBind, n)
+	}
 	p, err := plan.Analyze(s.Cat, sel)
 	if err != nil {
 		return nil, err
@@ -772,18 +760,6 @@ func (s *Session) QueryContext(gctx context.Context, sql string) (*TableRDD, err
 func (s *Session) RegisterUDF(name string, ret row.Type, minArgs, maxArgs int, fn func(args []any) any) error {
 	return s.Cat.RegisterUDF(&expr.UDF{
 		Name: name, Ret: ret, MinArgs: minArgs, MaxArgs: maxArgs, RetFromArg: -1, Fn: fn,
-	})
-}
-
-// RegisterMemTable registers an already-loaded memstore table (used by
-// harness code that loads data programmatically).
-func (s *Session) RegisterMemTable(mem *memtable.Table, props map[string]string) error {
-	return s.register(&catalog.Table{
-		Name:    mem.Name,
-		Schema:  mem.Schema,
-		Mem:     mem,
-		Props:   props,
-		EstRows: mem.TotalRows(),
 	})
 }
 

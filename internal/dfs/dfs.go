@@ -121,9 +121,6 @@ func New(cfg Config) (*FS, error) {
 	return &FS{cfg: cfg, files: make(map[string]*FileMeta)}, nil
 }
 
-// BlockSize returns the configured split size.
-func (fs *FS) BlockSize() int { return fs.cfg.BlockSize }
-
 // PhysicalBytesWritten returns the total bytes written including replicas.
 func (fs *FS) PhysicalBytesWritten() int64 { return fs.physicalBytes.Load() }
 

@@ -58,14 +58,6 @@ func (ns *NodeStats) AddRows(n int64) {
 	ns.rows.Add(n)
 }
 
-// Rows returns the rows the node emitted.
-func (ns *NodeStats) Rows() int64 {
-	if ns == nil {
-		return 0
-	}
-	return ns.rows.Load()
-}
-
 // Wall returns the master-blocking wall time attributed to the node.
 func (ns *NodeStats) Wall() time.Duration {
 	if ns == nil {

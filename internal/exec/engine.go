@@ -63,8 +63,8 @@ type Options struct {
 	BroadcastThreshold int64
 	// JoinStrategy selects join planning. Default StrategyStaticAdaptive.
 	JoinStrategy StrategyMode
-	// CompileExprs uses closure-compiled expressions (default true via
-	// !DisableExprCompile).
+	// DisableExprCompile evaluates expressions with the tree-walking
+	// interpreter instead of closure-compiled code (ablation).
 	DisableExprCompile bool
 	// DisablePruning turns off map pruning (ablation).
 	DisablePruning bool
@@ -133,24 +133,14 @@ type Result struct {
 	Stats  QueryStats
 }
 
-// CompileToRDD lowers a plan to a row RDD without running the final
+// CompileToRDDCtx lowers a plan to a row RDD without running the final
 // collect — the sql2rdd path. Top-level Sort/Limit nodes are not
-// supported here (the session materializes those).
-func (e *Engine) CompileToRDD(n plan.Node) (*rdd.RDD, error) {
-	return e.CompileToRDDCtx(context.Background(), n)
-}
-
-// CompileToRDDCtx is CompileToRDD under a context: PDE pre-shuffles
+// supported here (the session materializes those). PDE pre-shuffles
 // run during compilation execute under the attached job and honor
 // cancellation.
 func (e *Engine) CompileToRDDCtx(gctx context.Context, n plan.Node) (*rdd.RDD, error) {
 	stats := &QueryStats{}
 	return e.compile(gctx, n, stats, nil)
-}
-
-// Run executes a logical plan to completion.
-func (e *Engine) Run(n plan.Node) (*Result, error) {
-	return e.RunCtx(context.Background(), n)
 }
 
 // RunCtx executes a logical plan to completion under a context: every

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"context"
-	"fmt"
+	"math"
 
 	"shark/internal/expr"
 	"shark/internal/obs"
@@ -41,19 +41,96 @@ func (e *Engine) compileJoin(gctx context.Context, j *plan.Join, stats *QuerySta
 	if err != nil {
 		return nil, err
 	}
-	lKey := e.evalFn(j.LeftKey)
-	rKey := e.evalFn(j.RightKey)
-
-	switch {
-	case e.opts.JoinStrategy == StrategyStatic || e.opts.DisableAdaptiveExec:
+	mode := e.opts.JoinStrategy
+	if e.opts.DisableAdaptiveExec {
 		// With adaptive execution disabled the strategy mode is moot:
 		// every join is planned purely from static estimates.
-		return e.staticJoin(gctx, j, left, right, lKey, rKey, stats, p.of(j))
-	case e.opts.JoinStrategy == StrategyAdaptive:
-		return e.adaptiveJoin(gctx, j, left, right, lKey, rKey, stats, p.of(j))
-	default:
-		return e.staticAdaptiveJoin(gctx, j, left, right, lKey, rKey, stats, p.of(j))
+		mode = StrategyStatic
 	}
+	l := &joinSide{name: "left", rdd: left, key: e.evalFn(j.LeftKey), est: estimateSide(j.Left)}
+	r := &joinSide{name: "right", rdd: right, key: e.evalFn(j.RightKey), est: estimateSide(j.Right)}
+	ns := p.of(j)
+
+	// The mode says which sides are pre-shuffled before deciding: none
+	// (static — the decision reads the estimates), the estimated-smaller
+	// one (static+adaptive — the big side is never shuffled when the
+	// observation confirms the prior, Fig. 8's best plan), or both
+	// (adaptive). A mode that observes broadcasts only a side it
+	// measured. The chosen strategy then reuses whatever map output
+	// already exists.
+	shuffled := func(sides ...*joinSide) (err error) {
+		for _, s := range sides {
+			if s.dep == nil {
+				if s.dep, s.stats, err = e.preShuffle(gctx, s.rdd, s.key, ns); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	switch {
+	case mode == StrategyAdaptive:
+		err = shuffled(l, r)
+	case mode == StrategyStaticAdaptive && l.est <= r.est:
+		err = shuffled(l)
+	case mode == StrategyStaticAdaptive:
+		err = shuffled(r)
+	}
+	if err != nil {
+		return nil, err
+	}
+	size := func(s *joinSide) int64 {
+		switch {
+		case s.stats != nil:
+			return s.stats.TotalBytes
+		case mode == StrategyStatic:
+			return s.est
+		}
+		return math.MaxInt64
+	}
+	choose := func(lBytes, rBytes int64) pde.JoinStrategy {
+		return pde.ChooseJoinStrategy(lBytes, rBytes, e.opts.BroadcastThreshold)
+	}
+	choice := choose(size(l), size(r))
+	if choice != pde.ShuffleJoin && choose(l.est, r.est) == pde.ShuffleJoin {
+		// A conversion is counted only when the static estimates would
+		// have kept the shuffle join — i.e. the observed statistics
+		// genuinely changed the plan at runtime.
+		e.noteBroadcastConversion(gctx)
+	}
+	label := func(strategy string) {
+		stats.JoinStrategies = append(stats.JoinStrategies, mode.String()+":"+strategy)
+		ns.Notef("%s:%s", mode, strategy)
+	}
+	small, big := l, r
+	switch choice {
+	case pde.MapJoinRight:
+		small, big = r, l
+		fallthrough
+	case pde.MapJoinLeft:
+		label("map-join(" + small.name + ")")
+		if small.dep != nil {
+			return e.broadcastJoinFromShuffle(gctx, small.dep, big.rdd, big.key, small == l, ns)
+		}
+		return e.broadcastJoin(gctx, small.rdd, big.rdd, small.key, big.key, small == l, ns)
+	}
+	label("shuffle-join")
+	if err := shuffled(l, r); err != nil {
+		return nil, err
+	}
+	return e.shuffleJoinRead(gctx, l.dep, r.dep, l.stats, r.stats, stats, ns), nil
+}
+
+// joinSide is one input of a join being planned: its rows and key, its
+// static size estimate, and — once pre-shuffled — its map output and
+// the statistics PDE observed on it.
+type joinSide struct {
+	name  string
+	rdd   *rdd.RDD
+	key   expr.EvalFn
+	est   int64
+	dep   *rdd.ShuffleDep
+	stats *pde.StageStats
 }
 
 // estimateSide statically estimates a child's output bytes: catalog
@@ -129,116 +206,6 @@ func containsCall(e expr.Expr) bool {
 		return t.Else != nil && containsCall(t.Else)
 	}
 	return false
-}
-
-// staticJoin decides from estimates only: broadcast if an estimated
-// side is under threshold, else full shuffle join.
-func (e *Engine) staticJoin(gctx context.Context, j *plan.Join, left, right *rdd.RDD, lKey, rKey expr.EvalFn, stats *QueryStats, ns *NodeStats) (*rdd.RDD, error) {
-	lEst, rEst := estimateSide(j.Left), estimateSide(j.Right)
-	switch pde.ChooseJoinStrategy(lEst, rEst, e.opts.BroadcastThreshold) {
-	case pde.MapJoinLeft:
-		stats.JoinStrategies = append(stats.JoinStrategies, "static:map-join(left)")
-		ns.Notef("static:map-join(left)")
-		return e.broadcastJoin(gctx, left, right, lKey, rKey, true, ns)
-	case pde.MapJoinRight:
-		stats.JoinStrategies = append(stats.JoinStrategies, "static:map-join(right)")
-		ns.Notef("static:map-join(right)")
-		return e.broadcastJoin(gctx, right, left, rKey, lKey, false, ns)
-	}
-	stats.JoinStrategies = append(stats.JoinStrategies, "static:shuffle-join")
-	ns.Notef("static:shuffle-join")
-	lDep, lStats, err := e.preShuffle(gctx, left, lKey, ns)
-	if err != nil {
-		return nil, err
-	}
-	rDep, rStats, err := e.preShuffle(gctx, right, rKey, ns)
-	if err != nil {
-		return nil, err
-	}
-	return e.shuffleJoinRead(gctx, lDep, rDep, lStats, rStats, stats, ns), nil
-}
-
-// adaptiveJoin pre-shuffles both sides, then decides from observed
-// sizes (the paper's "Adaptive" bar in Fig. 8).
-func (e *Engine) adaptiveJoin(gctx context.Context, j *plan.Join, left, right *rdd.RDD, lKey, rKey expr.EvalFn, stats *QueryStats, ns *NodeStats) (*rdd.RDD, error) {
-	lDep, lStats, err := e.preShuffle(gctx, left, lKey, ns)
-	if err != nil {
-		return nil, err
-	}
-	rDep, rStats, err := e.preShuffle(gctx, right, rKey, ns)
-	if err != nil {
-		return nil, err
-	}
-	choice := pde.ChooseJoinStrategy(lStats.TotalBytes, rStats.TotalBytes, e.opts.BroadcastThreshold)
-	if choice != pde.ShuffleJoin {
-		// A conversion is counted only when the static estimates would
-		// have kept the shuffle join — i.e. the observed statistics
-		// genuinely changed the plan at runtime.
-		lEst, rEst := estimateSide(j.Left), estimateSide(j.Right)
-		if pde.ChooseJoinStrategy(lEst, rEst, e.opts.BroadcastThreshold) == pde.ShuffleJoin {
-			e.noteBroadcastConversion(gctx)
-		}
-	}
-	switch choice {
-	case pde.MapJoinLeft:
-		stats.JoinStrategies = append(stats.JoinStrategies, "adaptive:map-join(left)")
-		ns.Notef("adaptive:map-join(left)")
-		return e.broadcastJoinFromShuffle(gctx, lDep, right, rKey, true, ns)
-	case pde.MapJoinRight:
-		stats.JoinStrategies = append(stats.JoinStrategies, "adaptive:map-join(right)")
-		ns.Notef("adaptive:map-join(right)")
-		return e.broadcastJoinFromShuffle(gctx, rDep, left, lKey, false, ns)
-	}
-	stats.JoinStrategies = append(stats.JoinStrategies, "adaptive:shuffle-join")
-	ns.Notef("adaptive:shuffle-join")
-	return e.shuffleJoinRead(gctx, lDep, rDep, lStats, rStats, stats, ns), nil
-}
-
-// staticAdaptiveJoin uses the static prior to pick the likely-small
-// side, pre-shuffles only that side, and avoids ever shuffling the big
-// side when the observation confirms the prior (Fig. 8's best plan).
-func (e *Engine) staticAdaptiveJoin(gctx context.Context, j *plan.Join, left, right *rdd.RDD, lKey, rKey expr.EvalFn, stats *QueryStats, ns *NodeStats) (*rdd.RDD, error) {
-	lEst, rEst := estimateSide(j.Left), estimateSide(j.Right)
-	probeLeft := lEst <= rEst // side more likely to be small
-	var smallSide, bigSide *rdd.RDD
-	var smallKey, bigKey expr.EvalFn
-	if probeLeft {
-		smallSide, bigSide, smallKey, bigKey = left, right, lKey, rKey
-	} else {
-		smallSide, bigSide, smallKey, bigKey = right, left, rKey, lKey
-	}
-	smallDep, smallStats, err := e.preShuffle(gctx, smallSide, smallKey, ns)
-	if err != nil {
-		return nil, err
-	}
-	if smallStats.TotalBytes <= e.opts.BroadcastThreshold {
-		side := "right"
-		smallEst := rEst
-		if probeLeft {
-			side = "left"
-			smallEst = lEst
-		}
-		if smallEst > e.opts.BroadcastThreshold {
-			// The estimate said "too big to broadcast" but the observed
-			// map output qualified: a runtime plan conversion.
-			e.noteBroadcastConversion(gctx)
-		}
-		stats.JoinStrategies = append(stats.JoinStrategies,
-			fmt.Sprintf("static+adaptive:map-join(%s)", side))
-		ns.Notef("static+adaptive:map-join(%s)", side)
-		return e.broadcastJoinFromShuffle(gctx, smallDep, bigSide, bigKey, probeLeft, ns)
-	}
-	// Prior was wrong: fall back to a full shuffle join.
-	stats.JoinStrategies = append(stats.JoinStrategies, "static+adaptive:shuffle-join")
-	ns.Notef("static+adaptive:shuffle-join")
-	bigDep, bigStats, err := e.preShuffle(gctx, bigSide, bigKey, ns)
-	if err != nil {
-		return nil, err
-	}
-	if probeLeft {
-		return e.shuffleJoinRead(gctx, smallDep, bigDep, smallStats, bigStats, stats, ns), nil
-	}
-	return e.shuffleJoinRead(gctx, bigDep, smallDep, bigStats, smallStats, stats, ns), nil
 }
 
 // preShuffle materializes the map side of a shuffle keyed by keyFn and

@@ -79,12 +79,6 @@ func (c *Call) Compile() EvalFn {
 	}
 }
 
-// Builtins returns the built-in scalar function table, keyed by
-// upper-case name.
-func Builtins() map[string]*UDF {
-	return builtins
-}
-
 // LookupBuiltin finds a built-in by name (case-insensitive).
 func LookupBuiltin(name string) (*UDF, bool) {
 	f, ok := builtins[strings.ToUpper(name)]

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -176,10 +175,8 @@ func concurrencyPoint(sc Scale, policy shark.SchedulingPolicy) (concurrencyResul
 		return out, err
 	}
 
-	sort.Float64s(lats)
 	out.queries = len(lats)
 	out.sessions = k
-	out.p50 = lats[len(lats)/2]
-	out.p95 = lats[(len(lats)-1)*95/100]
+	out.p50, out.p95 = quantiles(lats)
 	return out, nil
 }

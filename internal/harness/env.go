@@ -1,6 +1,6 @@
 // Package harness implements the experiment runners that regenerate
 // every table and figure of the paper's evaluation section (§6), plus
-// the ablation benchmarks DESIGN.md calls out. Each experiment sets up
+// the ablation benchmarks docs/ARCHITECTURE.md calls out. Each experiment sets up
 // a Shark environment (Spark-profiled cluster, memstore) and a Hive
 // environment (Hadoop-profiled cluster, MapReduce over DFS), both over
 // one shared simulated DFS, runs the paper's queries, and reports the
@@ -105,8 +105,47 @@ type Env struct {
 	ownsDir bool
 }
 
+// world is the Shark side of an experiment: a Spark-profiled cluster
+// with a shuffle service and an RDD context over it.
+type world struct {
+	cl  *cluster.Cluster
+	ctx *rdd.Context
+}
+
+// newWorld builds a cluster of the scale's shape with the given
+// per-worker memory and disk budgets. dir roots its spill and shuffle
+// files; "" leaves both to the defaults (temp dir, in-memory only).
+func newWorld(sc Scale, memBytes, diskBytes int64, mode shuffle.Mode, dir string) *world {
+	cfg := cluster.Config{
+		Workers:           sc.Workers,
+		Slots:             sc.Slots,
+		Profile:           cluster.SparkProfile(),
+		WorkerMemoryBytes: memBytes,
+		WorkerDiskBytes:   diskBytes,
+	}
+	shuffleDir := ""
+	if dir != "" {
+		cfg.SpillDir, shuffleDir = dir+"/spill", dir+"/shuffle"
+	}
+	cl := cluster.New(cfg)
+	return &world{cl: cl, ctx: rdd.NewContext(cl, shuffle.NewService(cl, mode, shuffleDir), rdd.Options{})}
+}
+
+// close tears the cluster down, snapshotting its dispatcher/cache
+// metrics into the running experiment's report under label.
+func (w *world) close(label string) {
+	noteClusterMetrics(label, w.ctx)
+	w.cl.Close()
+}
+
 // NewEnv builds an environment. opts tunes the Shark engine.
 func NewEnv(sc Scale, opts exec.Options) (*Env, error) {
+	return newEnv(sc, opts, shuffle.Memory)
+}
+
+// newEnv is NewEnv with the Shark side's shuffle mode chosen
+// (abl_shuffle runs it on disk).
+func newEnv(sc Scale, opts exec.Options, mode shuffle.Mode) (*Env, error) {
 	dir, err := os.MkdirTemp("", "shark-bench-*")
 	if err != nil {
 		return nil, err
@@ -117,17 +156,7 @@ func NewEnv(sc Scale, opts exec.Options) (*Env, error) {
 		return nil, err
 	}
 
-	sparkCl := cluster.New(cluster.Config{
-		Workers:           sc.Workers,
-		Slots:             sc.Slots,
-		Profile:           cluster.SparkProfile(),
-		WorkerMemoryBytes: sc.WorkerMemoryBytes,
-		WorkerDiskBytes:   sc.WorkerDiskBytes,
-		SpillDir:          dir + "/spill",
-	})
-	svc := shuffle.NewService(sparkCl, shuffle.Memory, dir+"/shuffle")
-	ctx := rdd.NewContext(sparkCl, svc, rdd.Options{})
-	shark := core.NewSession(ctx, fs, opts)
+	w := newWorld(sc, sc.WorkerMemoryBytes, sc.WorkerDiskBytes, mode, dir)
 
 	hadoopCl := cluster.New(cluster.Config{Workers: sc.Workers, Slots: sc.Slots, Profile: cluster.HadoopProfile()})
 	eng := mr.NewEngine(hadoopCl, fs, dir+"/mrshuffle")
@@ -135,8 +164,8 @@ func NewEnv(sc Scale, opts exec.Options) (*Env, error) {
 	return &Env{
 		Scale:         sc,
 		FS:            fs,
-		SharkCluster:  sparkCl,
-		Shark:         shark,
+		SharkCluster:  w.cl,
+		Shark:         core.NewSession(w.ctx, fs, opts),
 		HadoopCluster: hadoopCl,
 		MR:            eng,
 		HiveCat:       catalog.New(),

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"shark/internal/columnar"
-	"shark/internal/core"
 	"shark/internal/data"
 	"shark/internal/dfs"
 	"shark/internal/exec"
@@ -18,7 +17,7 @@ import (
 	"shark/internal/shuffle"
 )
 
-// experiments maps experiment ids (DESIGN.md §3) to runners. Every
+// experiments maps experiment ids (docs/ARCHITECTURE.md) to runners. Every
 // runner takes the harness context so a cancelled bench run (Ctrl-C
 // on shark-bench) aborts the in-flight distributed job rather than
 // running it to completion.
@@ -718,14 +717,10 @@ func runShuffleAblation(ctx context.Context, sc Scale, r *Report) error {
 		{"memory shuffle (Shark default)", shuffle.Memory},
 		{"disk shuffle (Hadoop-style)", shuffle.Disk},
 	} {
-		e, err := NewEnv(sc, exec.Options{})
+		e, err := newEnv(sc, exec.Options{}, variant.mode)
 		if err != nil {
 			return err
 		}
-		// Replace the shuffle service mode by rebuilding the context.
-		svc := shuffle.NewService(e.SharkCluster, variant.mode, e.dir+"/ablshuffle")
-		ctx := rdd.NewContext(e.SharkCluster, svc, rdd.Options{})
-		e.Shark = coreSessionWith(ctx, e)
 		if err := e.GenTable("uservisits", data.UserVisitsSchema, func(emit func(row.Row) error) error {
 			return data.UserVisits(sc.UserVisits, sc.Rankings, emit)
 		}); err != nil {
@@ -957,13 +952,4 @@ func runFig1(ctx context.Context, sc Scale, r *Report) error {
 	}
 	r.Add(exp, "Hadoop", timer.Durations[0].Seconds(), "")
 	return nil
-}
-
-// --------------------------------------------------------------------------
-// helpers
-
-// coreSessionWith rebuilds the Shark session over a replacement
-// execution context (used by the shuffle-mode ablation).
-func coreSessionWith(ctx *rdd.Context, e *Env) *core.Session {
-	return core.NewSession(ctx, e.FS, exec.Options{})
 }

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"shark/internal/cluster"
 	"shark/internal/memtable"
-	"shark/internal/rdd"
 	"shark/internal/row"
 	"shark/internal/shuffle"
 )
@@ -31,29 +29,6 @@ func memoryRows(n int) []any {
 	return out
 }
 
-// memoryWorld is a lean single-cluster environment for the sweep: no
-// DFS or Hive side, just a bounded cluster with a memstore on top.
-type memoryWorld struct {
-	cl  *cluster.Cluster
-	ctx *rdd.Context
-}
-
-func newMemoryWorld(sc Scale, workerMemoryBytes int64) *memoryWorld {
-	cl := cluster.New(cluster.Config{
-		Workers:           sc.Workers,
-		Slots:             sc.Slots,
-		Profile:           cluster.SparkProfile(),
-		WorkerMemoryBytes: workerMemoryBytes,
-	})
-	svc := shuffle.NewService(cl, shuffle.Memory, "")
-	return &memoryWorld{cl: cl, ctx: rdd.NewContext(cl, svc, rdd.Options{})}
-}
-
-func (w *memoryWorld) close(label string) {
-	noteClusterMetrics(label, w.ctx)
-	w.cl.Close()
-}
-
 // runMemory sweeps per-worker block-store capacity across a cached
 // table's footprint (unbounded, then 100% / 50% / 25% of the
 // per-worker share) and reports scan time plus hit / eviction /
@@ -65,7 +40,7 @@ func runMemory(ctx context.Context, sc Scale, r *Report) error {
 	parts := sc.Workers * 4
 
 	// Unbounded probe: learn the footprint and the reference results.
-	probe := newMemoryWorld(sc, 0)
+	probe := newWorld(sc, 0, 0, shuffle.Memory, "")
 	tbl, err := memtable.LoadCtx(ctx, "mem_sweep", memorySchema, probe.ctx.Parallelize(rows, parts))
 	if err != nil {
 		probe.close("unbounded probe")
@@ -106,7 +81,7 @@ func runMemory(ctx context.Context, sc Scale, r *Report) error {
 // runMemoryPoint loads and repeatedly scans the table under one
 // capacity setting, verifying results and the capacity invariant.
 func runMemoryPoint(ctx context.Context, sc Scale, r *Report, exp, label string, capBytes int64, rows []any, parts int, wantRows int64) error {
-	w := newMemoryWorld(sc, capBytes)
+	w := newWorld(sc, capBytes, 0, shuffle.Memory, "")
 	defer w.close(label)
 	tbl, err := memtable.LoadCtx(ctx, "mem_sweep", memorySchema, w.ctx.Parallelize(rows, parts))
 	if err != nil {

@@ -101,7 +101,8 @@ func runObs(ctx context.Context, sc Scale, r *Report) error {
 		}
 	}
 
-	p95Off, p95On := p95(off), p95(on)
+	medianOff, p95Off := quantiles(off)
+	_, p95On := quantiles(on)
 	overhead := p95On/p95Off - 1
 	// The gate: p95 is the reported SLO statistic, but a single-order
 	// statistic over ~60 samples swings with whichever series caught
@@ -112,15 +113,14 @@ func runObs(ctx context.Context, sc Scale, r *Report) error {
 	for i := range on {
 		deltas[i] = on[i] - off[i]
 	}
-	sort.Float64s(deltas)
-	medianDelta := deltas[len(deltas)/2]
+	medianDelta, _ := quantiles(deltas)
 	r.Add(exp, "tracing off p95", p95Off,
 		fmt.Sprintf("%d statements over %d rounds", len(off), rounds))
 	r.Add(exp, "tracing on p95", p95On,
 		fmt.Sprintf("p95 %+.1f%%, median paired delta %+.2fms (budget %.0f%% + %v); %d tasks attributed",
 			overhead*100, medianDelta*1000, obsOverheadGate*100, obsOverheadFloor, traced))
 	p95Exceeded := p95On > p95Off*(1+obsOverheadGate)+obsOverheadFloor.Seconds()
-	pairedExceeded := medianDelta > obsOverheadGate*median(off)+obsOverheadFloor.Seconds()/2
+	pairedExceeded := medianDelta > obsOverheadGate*medianOff+obsOverheadFloor.Seconds()/2
 	if p95Exceeded && pairedExceeded {
 		return fmt.Errorf("abl_obs: tracing p95 %.4fs vs untraced %.4fs (%+.1f%%, median paired delta %+.2fms) exceeds the %.0f%%+%v budget",
 			p95On, p95Off, overhead*100, medianDelta*1000, obsOverheadGate*100, obsOverheadFloor)
@@ -145,18 +145,12 @@ func runObs(ctx context.Context, sc Scale, r *Report) error {
 	return nil
 }
 
-// p95 returns the 95th-percentile of the samples.
-func p95(samples []float64) float64 {
+// quantiles returns the median and 95th-percentile samples; samples
+// itself is left in measurement order.
+func quantiles(samples []float64) (p50, p95 float64) {
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
-	return s[len(s)*95/100]
-}
-
-// median returns the middle sample.
-func median(samples []float64) float64 {
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return s[len(s)/2]
+	return s[len(s)/2], s[(len(s)-1)*95/100]
 }
 
 // writeArtifact drops one observability artifact into the CI upload

@@ -171,11 +171,11 @@ WHERE PDE_UDF(dim.grp)`
 		return nil, err
 	}
 
-	sort.Float64s(lats)
 	stats := e.Shark.Stats()
+	p50, p95 := quantiles(lats)
 	return &pdeResult{
-		p50:                  lats[len(lats)/2],
-		p95:                  lats[(len(lats)-1)*95/100],
+		p50:                  p50,
+		p95:                  p95,
 		queries:              len(lats),
 		skewSplits:           stats.SkewSplits,
 		broadcastConversions: stats.BroadcastConversions,

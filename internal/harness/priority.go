@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -163,14 +162,8 @@ func priorityPoint(sc Scale) ([]priorityResult, error) {
 
 	out := make([]priorityResult, len(weights))
 	for i, w := range weights {
-		ls := lats[i]
-		sort.Float64s(ls)
-		out[i] = priorityResult{
-			priority: w,
-			p50:      ls[len(ls)/2],
-			p95:      ls[(len(ls)-1)*95/100],
-			queries:  len(ls),
-		}
+		p50, p95 := quantiles(lats[i])
+		out[i] = priorityResult{priority: w, p50: p50, p95: p95, queries: len(lats[i])}
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"database/sql"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -167,8 +166,8 @@ func runQPS(ctx context.Context, sc Scale, r *Report) error {
 			db.Close()
 			return 0, 0, 0, nil, firstErr
 		}
-		sort.Float64s(lats)
-		return float64(completed) / elapsed, lats[len(lats)/2], lats[len(lats)*95/100], db, nil
+		p50, p95 = quantiles(lats)
+		return float64(completed) / elapsed, p50, p95, db, nil
 	}
 
 	// Phase A — uncached: plan cache off, no result cache. Every

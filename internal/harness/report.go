@@ -2,13 +2,11 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"shark/internal/rdd"
 )
@@ -132,7 +130,7 @@ func (r *Report) Fprint(w io.Writer) {
 	}
 }
 
-// Markdown renders the report as Markdown tables (EXPERIMENTS.md).
+// Markdown renders the report as Markdown tables (shark-bench -markdown).
 func (r *Report) Markdown(w io.Writer) {
 	byExp := map[string][]Entry{}
 	var order []string
@@ -167,28 +165,6 @@ func (r *Report) Markdown(w io.Writer) {
 			fmt.Fprintf(w, "| %s | %s | %s |\n", n.Experiment, n.Label, n.Notes)
 		}
 	}
-}
-
-// trajectoryPoint is the JSON shape of one recorded bench run — the
-// per-commit BENCH_*.json artifacts CI uploads so the perf trajectory
-// can be compared across commits (non-gating).
-type trajectoryPoint struct {
-	GeneratedAt  string        `json:"generated_at"`
-	Scale        string        `json:"scale"`
-	Entries      []Entry       `json:"entries"`
-	ClusterNotes []ClusterNote `json:"cluster_notes,omitempty"`
-}
-
-// WriteJSON renders the report as one trajectory point.
-func WriteJSON(w io.Writer, scaleName string, r *Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(trajectoryPoint{
-		GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
-		Scale:        scaleName,
-		Entries:      r.Entries,
-		ClusterNotes: r.ClusterNotes,
-	})
 }
 
 // ExperimentIDs lists the registered experiments, sorted.

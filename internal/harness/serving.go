@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -155,9 +154,7 @@ func runServing(ctx context.Context, sc Scale, r *Report) error {
 	if mismatch != nil {
 		return fmt.Errorf("serving fleet: %w", mismatch)
 	}
-	sort.Float64s(lats)
-	p50 := lats[len(lats)/2]
-	p95 := lats[len(lats)*95/100]
+	p50, p95 := quantiles(lats)
 	qps := float64(completed) / elapsed
 	r.Add(exp, fmt.Sprintf("driver query p95 (%d conns)", servingConns), p95,
 		fmt.Sprintf("p50 %.1fms over %d queries, all results identical to embedded execution", p50*1000, completed))
@@ -197,7 +194,7 @@ func runServing(ctx context.Context, sc Scale, r *Report) error {
 			return err
 		}
 		launched := srv.Cluster().TasksLaunched()
-		wc.Send(wire.Exec{SQL: killSQL})
+		wc.Send(wire.ExecPrepared{SQL: killSQL})
 		for srv.Cluster().TasksLaunched() == launched && time.Now().Before(killDeadline) {
 			time.Sleep(time.Millisecond)
 		}

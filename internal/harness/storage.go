@@ -5,35 +5,10 @@ import (
 	"fmt"
 	"reflect"
 
-	"shark/internal/cluster"
 	"shark/internal/memtable"
 	"shark/internal/rdd"
 	"shark/internal/shuffle"
 )
-
-// storageWorld is a lean single-cluster environment with a memory
-// budget and an optional disk spill tier.
-type storageWorld struct {
-	cl  *cluster.Cluster
-	ctx *rdd.Context
-}
-
-func newStorageWorld(sc Scale, memBytes, diskBytes int64) *storageWorld {
-	cl := cluster.New(cluster.Config{
-		Workers:           sc.Workers,
-		Slots:             sc.Slots,
-		Profile:           cluster.SparkProfile(),
-		WorkerMemoryBytes: memBytes,
-		WorkerDiskBytes:   diskBytes,
-	})
-	svc := shuffle.NewService(cl, shuffle.Memory, "")
-	return &storageWorld{cl: cl, ctx: rdd.NewContext(cl, svc, rdd.Options{})}
-}
-
-func (w *storageWorld) close(label string) {
-	noteClusterMetrics(label, w.ctx)
-	w.cl.Close()
-}
 
 // runStorage sweeps the storage hierarchy against the unbounded
 // baseline — the ROADMAP "spill before recomputing" item, after the
@@ -49,7 +24,7 @@ func runStorage(ctx context.Context, sc Scale, r *Report) error {
 	parts := sc.Workers * 4
 
 	// Unbounded probe: learn the footprint and the reference results.
-	probe := newStorageWorld(sc, 0, 0)
+	probe := newWorld(sc, 0, 0, shuffle.Memory, "")
 	tbl, err := memtable.LoadCtx(ctx, "store_sweep", memorySchema, probe.ctx.Parallelize(rows, parts))
 	if err != nil {
 		probe.close("unbounded probe")
@@ -89,7 +64,7 @@ func runStorage(ctx context.Context, sc Scale, r *Report) error {
 	}
 	recomputes := make(map[string]int64, len(sweep))
 	for _, pt := range sweep {
-		w := newStorageWorld(sc, pt.mem, pt.disk)
+		w := newWorld(sc, pt.mem, pt.disk, shuffle.Memory, "")
 		err := func() error {
 			tbl, err := memtable.LoadWith(ctx, "store_sweep", memorySchema,
 				w.ctx.Parallelize(rows, parts), memtable.LoadOptions{Level: pt.level})

@@ -143,18 +143,3 @@ func funcsOf(files []*ast.File, fn func(name string, decl *ast.FuncDecl, body *a
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
 }
-
-// mentionsObj reports whether expr references any of the given
-// objects.
-func mentionsObj(info *types.Info, expr ast.Expr, objs map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.Uses[id]; obj != nil && objs[obj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}

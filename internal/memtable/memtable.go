@@ -140,13 +140,8 @@ func LoadDistributed(name string, schema row.Schema, src *rdd.RDD, keyCol, numPa
 	return LoadDistributedWith(context.Background(), name, schema, src, keyCol, numParts, LoadOptions{})
 }
 
-// LoadDistributedCtx is LoadDistributed under a context, with the same
-// cleanup-on-failure semantics as LoadCtx.
-func LoadDistributedCtx(gctx context.Context, name string, schema row.Schema, src *rdd.RDD, keyCol, numParts int) (*Table, error) {
-	return LoadDistributedWith(gctx, name, schema, src, keyCol, numParts, LoadOptions{})
-}
-
-// LoadDistributedWith is LoadDistributedCtx with explicit options.
+// LoadDistributedWith is LoadDistributed under a context with explicit
+// options, with the same cleanup-on-failure semantics as LoadCtx.
 func LoadDistributedWith(gctx context.Context, name string, schema row.Schema, src *rdd.RDD, keyCol, numParts int, opts LoadOptions) (*Table, error) {
 	if keyCol < 0 || keyCol >= len(schema) {
 		return nil, fmt.Errorf("memtable: bad DISTRIBUTE BY column %d", keyCol)

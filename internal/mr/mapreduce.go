@@ -377,10 +377,3 @@ func (e *Engine) ReadOutput(res *JobResult) ([]row.Row, error) {
 	}
 	return out, nil
 }
-
-// CleanupOutput removes a job's output files.
-func (e *Engine) CleanupOutput(res *JobResult) {
-	for _, f := range res.OutputFiles {
-		e.FS.Delete(f)
-	}
-}

@@ -471,7 +471,6 @@ func buildAggregate(sel *sqlparse.SelectStmt, sc *scope, child Node) (*Aggregate
 		if err != nil {
 			return err
 		}
-		spec.key = key
 		aggIdx[key] = len(specs)
 		specs = append(specs, spec)
 		return nil

@@ -154,13 +154,7 @@ type AggSpec struct {
 	Arg expr.Expr
 	// Out is the result type.
 	Out row.Type
-	// key is the structural identity used to deduplicate aggregates
-	// across SELECT/HAVING/ORDER BY.
-	key string
 }
-
-// Key returns the structural identity of the aggregate.
-func (a AggSpec) Key() string { return a.key }
 
 // Aggregate groups by GroupBy and computes Aggs. Output schema is
 // group columns followed by aggregate columns.

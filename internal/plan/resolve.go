@@ -32,12 +32,6 @@ func (s *scope) add(name string, schema row.Schema) {
 	s.width += len(schema)
 }
 
-func (s *scope) clone() *scope {
-	out := &scope{cat: s.cat, width: s.width}
-	out.bindings = append(out.bindings, s.bindings...)
-	return out
-}
-
 // combined returns the full row schema of the scope.
 func (s *scope) combined() row.Schema {
 	out := make(row.Schema, 0, s.width)

@@ -104,23 +104,3 @@ func flatMapIter(in Iter, f func(any) []any) Iter {
 		}
 	})
 }
-
-func concatIters(make func(i int) Iter, n int) Iter {
-	i := 0
-	var cur Iter
-	return FuncIter(func() (any, bool) {
-		for {
-			if cur == nil {
-				if i >= n {
-					return nil, false
-				}
-				cur = make(i)
-				i++
-			}
-			if v, ok := cur.Next(); ok {
-				return v, true
-			}
-			cur = nil
-		}
-	})
-}

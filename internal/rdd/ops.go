@@ -357,12 +357,7 @@ func (r *RDD) CollectCtx(gctx context.Context) ([]any, error) {
 	return out, nil
 }
 
-// CollectPartitions gathers the listed partitions only.
-func (r *RDD) CollectPartitions(parts []int) ([][]any, error) {
-	return r.CollectPartitionsCtx(context.Background(), parts)
-}
-
-// CollectPartitionsCtx is CollectPartitions under a context.
+// CollectPartitionsCtx gathers the listed partitions only.
 func (r *RDD) CollectPartitionsCtx(gctx context.Context, parts []int) ([][]any, error) {
 	res, err := r.ctx.sched.RunJobCtx(gctx, r, parts, func(tc *TaskContext, part int, it Iter) (any, error) {
 		return Drain(it), nil
@@ -474,26 +469,6 @@ func (r *RDD) TakeCtx(gctx context.Context, n int) ([]any, error) {
 		}
 	}
 	return out, nil
-}
-
-// Foreach runs f over every element for its side effects (within
-// tasks; f must be thread-safe).
-func (r *RDD) Foreach(f func(any)) error {
-	return r.ForeachCtx(context.Background(), f)
-}
-
-// ForeachCtx is Foreach under a context.
-func (r *RDD) ForeachCtx(gctx context.Context, f func(any)) error {
-	_, err := r.ctx.sched.RunJobCtx(gctx, r, nil, func(tc *TaskContext, part int, it Iter) (any, error) {
-		for {
-			v, ok := it.Next()
-			if !ok {
-				return nil, nil
-			}
-			f(v)
-		}
-	})
-	return err
 }
 
 // SortedCollect collects all elements and sorts them with less — used

@@ -86,9 +86,6 @@ func (r *RDD) Context() *Context { return r.ctx }
 // NumPartitions returns the partition count.
 func (r *RDD) NumPartitions() int { return r.numParts }
 
-// Dependencies returns the lineage edges.
-func (r *RDD) Dependencies() []Dependency { return r.deps }
-
 // Partitioner returns the key partitioner the RDD is known to respect,
 // or nil.
 func (r *RDD) Partitioner() shuffle.Partitioner { return r.partitioner }
@@ -104,9 +101,6 @@ func (r *RDD) Persist(level StorageLevel) *RDD {
 	r.cached.Store(true)
 	return r
 }
-
-// IsCached reports whether Cache/Persist was called.
-func (r *RDD) IsCached() bool { return r.cached.Load() }
 
 // Level returns the storage level in effect while cached.
 func (r *RDD) Level() StorageLevel { return StorageLevel(r.level.Load()) }

@@ -277,8 +277,8 @@ type conn struct {
 	sess *shark.Session // nil until Attach
 
 	mu         sync.Mutex
-	stmts      map[uint64]context.CancelFunc // in-flight Execs by request id
-	cursors    map[uint64]*cursor            // fetchable results by Exec id
+	stmts      map[uint64]context.CancelFunc // in-flight statements by request id
+	cursors    map[uint64]*cursor            // fetchable results by statement request id
 	prepared   map[uint64]*core.Prepared     // statement handles by Prepare
 	nextHandle uint64
 	draining   bool
@@ -350,6 +350,12 @@ func (h *conn) handle() {
 
 	for {
 		id, msg, err := wire.ReadMessage(h.nc)
+		if errors.Is(err, wire.ErrUnknownType) {
+			// The frame was whole, so the stream is still in sync:
+			// refuse this request and keep serving the connection.
+			h.send(id, wire.Error{Code: wire.CodeProtocol, Msg: err.Error()})
+			continue
+		}
 		if err != nil {
 			// Disconnect, drain-forced close, or an unframeable/
 			// malformed stream: all end the connection the same way —
@@ -360,8 +366,6 @@ func (h *conn) handle() {
 		switch m := msg.(type) {
 		case wire.Attach:
 			h.onAttach(id, m)
-		case wire.Exec:
-			h.onExec(id, m)
 		case wire.Prepare:
 			h.onPrepare(id, m)
 		case wire.ExecPrepared:
@@ -480,27 +484,6 @@ func (h *conn) runStatement(id uint64, sqlText string, run func(context.Context)
 	}()
 }
 
-func (h *conn) onExec(id uint64, m wire.Exec) {
-	h.runStatement(id, m.SQL, func(ctx context.Context) (*core.Result, error) {
-		if len(m.Args) == 0 {
-			return h.sess.ExecContext(ctx, m.SQL)
-		}
-		res, err := h.sess.ExecArgsCtx(ctx, m.SQL, m.Args)
-		if err != nil && errors.Is(err, core.ErrBind) {
-			// Legacy fallback for old clients: statements the native
-			// binder cannot take (e.g. LIMIT ?) are interpolated the
-			// old way. New clients speak ExecPrepared and never land
-			// here.
-			sql, ierr := wire.Interpolate(m.SQL, m.Args)
-			if ierr != nil {
-				return nil, ierr
-			}
-			return h.sess.ExecContext(ctx, sql)
-		}
-		return res, err
-	})
-}
-
 // onPrepare parses a statement into a connection-scoped handle. Parse
 // is fast and touches no scheduler state, so it runs on the read loop.
 func (h *conn) onPrepare(id uint64, m wire.Prepare) {
@@ -527,8 +510,8 @@ func (h *conn) onPrepare(id uint64, m wire.Prepare) {
 }
 
 // onExecPrepared executes with typed arguments bound into the parsed
-// tree — no interpolation, ever. Handle != 0 names a prior Prepare;
-// Handle == 0 carries the text inline as a one-shot.
+// tree. Handle != 0 names a prior Prepare; Handle == 0 carries the
+// text inline as a one-shot.
 func (h *conn) onExecPrepared(id uint64, m wire.ExecPrepared) {
 	if h.sess == nil {
 		h.send(id, wire.Error{Code: wire.CodeProtocol, Msg: "attach a session first"})
@@ -683,9 +666,6 @@ func errCode(err error) uint64 {
 	case errors.Is(err, shark.ErrClosed) || errors.Is(err, cluster.ErrClosed):
 		return wire.CodeClosed
 	case errors.Is(err, core.ErrBind):
-		// Distinct code so the driver can tell "the native binder
-		// can't take this statement" from a plain SQL error and fall
-		// back to the legacy path.
 		return wire.CodeBind
 	default:
 		return wire.CodeSQL

@@ -145,7 +145,7 @@ func TestMalformedFramesDoNotKillServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var remote *wire.RemoteError
-	if _, err := c.Roundtrip(wire.Exec{SQL: "SELECT 1"}); !errors.As(err, &remote) || remote.Code != wire.CodeProtocol {
+	if _, err := c.Roundtrip(wire.ExecPrepared{SQL: "SELECT 1"}); !errors.As(err, &remote) || remote.Code != wire.CodeProtocol {
 		t.Errorf("exec before attach = %v, want CodeProtocol", err)
 	}
 	c.Close()
@@ -162,7 +162,7 @@ func TestMalformedFramesDoNotKillServer(t *testing.T) {
 	// After all that abuse the server still serves real queries.
 	c3 := attach(t, addr)
 	defer c3.Close()
-	id, resp, err := c3.RoundtripID(context.Background(), wire.Exec{SQL: "SELECT COUNT(*) FROM logs_mem"})
+	id, resp, err := c3.RoundtripID(context.Background(), wire.ExecPrepared{SQL: "SELECT COUNT(*) FROM logs_mem"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +187,21 @@ func TestAuthAndConnLimit(t *testing.T) {
 	}
 	c.Close()
 
-	// Hold the single slot...
-	held, err := wire.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := held.Roundtrip(wire.Hello{Version: wire.Version, Token: "hunter2"}); err != nil {
-		t.Fatal(err)
+	// Hold the single slot — once the server has released the one the
+	// refused connection above occupied, which races our Close.
+	var held *wire.Client
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if held, err = wire.Dial(addr, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if _, err = held.Roundtrip(wire.Hello{Version: wire.Version, Token: "hunter2"}); err == nil {
+			break
+		}
+		held.Close()
+		if !errors.As(err, &remote) || remote.Code != wire.CodeConnLimit || time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
 	}
 	// ...so the next connection is refused with CodeConnLimit before
 	// it sends anything (the client surfaces the unmatched Error as a
@@ -261,7 +269,7 @@ func TestKillConnMidQueryCancelsJob(t *testing.T) {
 		launched := srv.Cluster().TasksLaunched()
 		// Fire a heavy self-join and sever the connection once its
 		// tasks are actually on workers.
-		c.Send(wire.Exec{SQL: `SELECT a.url, COUNT(*) FROM logs_mem a JOIN logs_mem b ON a.url = b.url GROUP BY a.url`})
+		c.Send(wire.ExecPrepared{SQL: `SELECT a.url, COUNT(*) FROM logs_mem a JOIN logs_mem b ON a.url = b.url GROUP BY a.url`})
 		deadline := time.Now().Add(30 * time.Second)
 		for srv.Cluster().TasksLaunched() == launched && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
@@ -405,7 +413,7 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 			defer c.Close()
 			for j := 0; j < perClient; j++ {
 				id, _, err := c.RoundtripID(context.Background(),
-					wire.Exec{SQL: `SELECT status, COUNT(*) FROM logs_mem GROUP BY status`})
+					wire.ExecPrepared{SQL: `SELECT status, COUNT(*) FROM logs_mem GROUP BY status`})
 				if err != nil {
 					t.Errorf("exec: %v", err)
 					return
@@ -467,7 +475,7 @@ func TestGracefulDrain(t *testing.T) {
 	// Sessions that cache private data release it on disconnect.
 	for i := 0; i < 3; i++ {
 		c := attach(t, addr)
-		if _, err := c.Roundtrip(wire.Exec{SQL: fmt.Sprintf(
+		if _, err := c.Roundtrip(wire.ExecPrepared{SQL: fmt.Sprintf(
 			`CREATE TABLE scratch%d TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM logs_mem`, i)}); err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +508,7 @@ func TestGracefulDrain(t *testing.T) {
 			c := attach(t, addr)
 			defer c.Close()
 			for {
-				id, resp, err := c.RoundtripID(context.Background(), wire.Exec{SQL: `SELECT COUNT(*) FROM logs_mem`})
+				id, resp, err := c.RoundtripID(context.Background(), wire.ExecPrepared{SQL: `SELECT COUNT(*) FROM logs_mem`})
 				if err != nil {
 					mu.Lock()
 					interrupted++
@@ -560,7 +568,7 @@ func TestCursorBudgetEvictsIdleCursors(t *testing.T) {
 
 	ids := make([]uint64, 0, 8)
 	for i := 0; i < 8; i++ {
-		id, resp, err := c.RoundtripID(context.Background(), wire.Exec{SQL: `SELECT url, status FROM logs_mem`})
+		id, resp, err := c.RoundtripID(context.Background(), wire.ExecPrepared{SQL: `SELECT url, status FROM logs_mem`})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -597,7 +605,7 @@ func TestCursorIdleExpiry(t *testing.T) {
 	_, addr := start(t, server.Config{CursorIdleTimeout: 50 * time.Millisecond}, 10)
 	c := attach(t, addr)
 	defer c.Close()
-	id, _, err := c.RoundtripID(context.Background(), wire.Exec{SQL: `SELECT * FROM logs_mem`})
+	id, _, err := c.RoundtripID(context.Background(), wire.ExecPrepared{SQL: `SELECT * FROM logs_mem`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,5 +684,144 @@ func TestPreparedWire(t *testing.T) {
 	var re *wire.RemoteError
 	if !errors.As(err, &re) || re.Code != wire.CodeProtocol {
 		t.Fatalf("exec on closed handle = %v, want protocol error", err)
+	}
+}
+
+// TestLimitParamWire: `LIMIT ?` over the raw wire, one-shot and by
+// handle, returns the rows of the literal form; every argument the
+// slot cannot take comes back as CodeBind and the session keeps
+// serving. A statement with an unbound `?` is a bind error too, while
+// text that does not parse stays a SQL error.
+func TestLimitParamWire(t *testing.T) {
+	_, addr := start(t, server.Config{}, 200)
+	c := attach(t, addr)
+	defer c.Close()
+
+	const tmpl = `SELECT url, bytes FROM logs_mem WHERE bytes >= ? ORDER BY bytes DESC, url LIMIT ?`
+	run := func(m wire.ExecPrepared) ([]shark.Row, error) {
+		id, resp, err := c.RoundtripID(context.Background(), m)
+		if err != nil {
+			return nil, err
+		}
+		var rows []shark.Row
+		for {
+			resp, err = c.Roundtrip(wire.Fetch{Cursor: id})
+			if err != nil {
+				return nil, err
+			}
+			batch := resp.(wire.Rows)
+			rows = append(rows, batch.Rows...)
+			if batch.Done {
+				return rows, nil
+			}
+		}
+	}
+	want, err := run(wire.ExecPrepared{SQL: `SELECT url, bytes FROM logs_mem WHERE bytes >= 50 ORDER BY bytes DESC, url LIMIT 7`})
+	if err != nil || len(want) != 7 {
+		t.Fatalf("literal form: %d rows, err %v", len(want), err)
+	}
+	resp, err := c.Roundtrip(wire.Prepare{SQL: tmpl})
+	if err != nil {
+		t.Fatalf("Prepare(LIMIT ?): %v", err)
+	}
+	pok := resp.(wire.PrepareOK)
+	if pok.NumParams != 2 {
+		t.Fatalf("NumParams = %d, want 2", pok.NumParams)
+	}
+	good := []any{int64(50), int64(7)}
+	for name, m := range map[string]wire.ExecPrepared{
+		"one-shot": {SQL: tmpl, Args: good},
+		"handle":   {Handle: pok.Handle, Args: good},
+	} {
+		got, err := run(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s:\n got %v\nwant %v", name, got, want)
+		}
+	}
+
+	wantCode := func(name string, m wire.Msg, code uint64) {
+		t.Helper()
+		var re *wire.RemoteError
+		if _, err := c.Roundtrip(m); !errors.As(err, &re) || re.Code != code {
+			t.Errorf("%s: err = %v, want code %d", name, err, code)
+		}
+	}
+	for name, args := range map[string][]any{
+		"negative": {int64(50), int64(-1)},
+		"float64":  {int64(50), 7.0},
+		"string":   {int64(50), "1; DROP TABLE logs_mem"},
+		"bytes":    {int64(50), []byte("7")},
+		"nil":      {int64(50), nil},
+		"missing":  {int64(50)},
+		"surplus":  {int64(50), int64(7), int64(7)},
+	} {
+		wantCode(name+" one-shot", wire.ExecPrepared{SQL: tmpl, Args: args}, wire.CodeBind)
+		wantCode(name+" handle", wire.ExecPrepared{Handle: pok.Handle, Args: args}, wire.CodeBind)
+	}
+	wantCode("unbound", wire.ExecPrepared{SQL: tmpl}, wire.CodeBind)
+	wantCode("parse error", wire.ExecPrepared{SQL: `SELECT FROM LIMIT ?`, Args: []any{int64(1)}}, wire.CodeSQL)
+	wantCode("prepare parse error", wire.Prepare{SQL: `SELECT url FROM logs_mem LIMIT 'x'`}, wire.CodeSQL)
+
+	if got, err := run(wire.ExecPrepared{Handle: pok.Handle, Args: good}); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("session unusable after rejected binds: %v, err %v", got, err)
+	}
+}
+
+// TestRetiredExecAndStaleVersion: a version-1 client is refused at
+// Hello with CodeAuth; the retired Exec type byte (5) in a well-formed
+// frame mid-session is answered with CodeProtocol on its request id,
+// and the connection, its session and its prepared handle stay usable.
+func TestRetiredExecAndStaleVersion(t *testing.T) {
+	_, addr := start(t, server.Config{}, 20)
+
+	old, err := wire.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var re *wire.RemoteError
+	if _, err := old.Roundtrip(wire.Hello{Version: wire.Version - 1}); !errors.As(err, &re) || re.Code != wire.CodeAuth {
+		t.Fatalf("stale Hello = %v, want CodeAuth", err)
+	}
+	old.Close()
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	call := func(id uint64, payload []byte) wire.Msg {
+		t.Helper()
+		if err := wire.WriteFrame(nc, payload); err != nil {
+			t.Fatal(err)
+		}
+		gotID, m, err := wire.ReadMessage(nc)
+		if err != nil {
+			t.Fatalf("request %d: %v", id, err)
+		}
+		if gotID != id {
+			t.Fatalf("response id = %d, want %d", gotID, id)
+		}
+		return m
+	}
+	msg := func(id uint64, m wire.Msg) wire.Msg { return call(id, wire.AppendMessage(nil, id, m)) }
+
+	msg(1, wire.Hello{Version: wire.Version})
+	msg(2, wire.Attach{SharedCatalog: true})
+	pok, ok := msg(3, wire.Prepare{SQL: `SELECT url FROM logs_mem LIMIT ?`}).(wire.PrepareOK)
+	if !ok {
+		t.Fatal("Prepare failed")
+	}
+	// Exec as protocol version 1 framed it: type 5, id, SQL, one row of args.
+	exec := append([]byte{5, 4, 8}, "SELECT 1"...)
+	exec = append(exec, 0)
+	if e, ok := call(4, exec).(wire.Error); !ok || e.Code != wire.CodeProtocol {
+		t.Fatalf("retired Exec answered %#v, want CodeProtocol", e)
+	}
+	if rs, ok := msg(5, wire.ExecPrepared{Handle: pok.Handle, Args: []any{int64(3)}}).(wire.ResultSet); !ok || rs.NumRows != 3 {
+		t.Fatalf("handle after retired Exec: %#v", rs)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,9 +107,6 @@ func NewService(c *cluster.Cluster, mode Mode, dir string) *Service {
 
 // NewShuffleID allocates a fresh shuffle ID.
 func (s *Service) NewShuffleID() int { return int(s.nextID.Add(1)) }
-
-// Mode returns the configured storage mode.
-func (s *Service) Mode() Mode { return s.mode }
 
 func blockKey(shuffleID, mapPart, bucket int) string {
 	return fmt.Sprintf("shuf/%d/%d/%d", shuffleID, mapPart, bucket)
@@ -434,12 +430,5 @@ func EstimateSize(v any) int64 {
 		return x.SizeBytes()
 	default:
 		return 32
-	}
-}
-
-// CleanupDir removes all disk bucket files (test helper).
-func (s *Service) CleanupDir() {
-	if s.dir != "" {
-		os.RemoveAll(filepath.Clean(s.dir))
 	}
 }

@@ -25,7 +25,8 @@ type SelectStmt struct {
 	GroupBy      []Expr
 	Having       Expr
 	OrderBy      []OrderItem
-	Limit        int64 // -1 = none
+	Limit        int64      // -1 = none
+	LimitParam   *ParamExpr // `LIMIT ?` slot; Bind resolves it into Limit before plan.Analyze
 	DistributeBy string
 }
 

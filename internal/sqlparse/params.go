@@ -29,7 +29,8 @@ func NumParams(stmt Statement) int {
 
 // Bind returns a deep copy of stmt with every ParamExpr replaced by a
 // Literal holding the corresponding argument value. Arguments must
-// follow the row value model (nil, int64, float64, string, bool).
+// follow the row value model (nil, int64, float64, string, bool); a
+// `LIMIT ?` slot takes only a non-negative int64.
 // stmt itself is never mutated, so a cached AST can be bound
 // concurrently by many sessions.
 func Bind(stmt Statement, args row.Row) (Statement, error) {
@@ -99,7 +100,20 @@ func (b *binder) selectStmt(s *SelectStmt) *SelectStmt {
 	for i, o := range s.OrderBy {
 		cp.OrderBy[i] = OrderItem{Expr: b.expr(o.Expr), Desc: o.Desc}
 	}
+	if s.LimitParam != nil {
+		cp.Limit, cp.LimitParam = b.limit(s.LimitParam), nil
+	}
 	return &cp
+}
+
+// limit resolves a `LIMIT ?` slot to its row count.
+func (b *binder) limit(p *ParamExpr) int64 {
+	lit := b.expr(p).(*Literal)
+	n, ok := lit.Value.(int64)
+	if (!ok || n < 0) && b.err == nil {
+		b.err = fmt.Errorf("sql: LIMIT parameter must be a non-negative integer, got %s", lit)
+	}
+	return n
 }
 
 func (b *binder) tableRef(t *TableRef) *TableRef {
@@ -206,6 +220,9 @@ func walkSelect(s *SelectStmt, f func(Expr)) {
 	WalkExpr(s.Having, f)
 	for _, o := range s.OrderBy {
 		WalkExpr(o.Expr, f)
+	}
+	if s.LimitParam != nil {
+		f(s.LimitParam)
 	}
 }
 

@@ -120,3 +120,80 @@ func TestNormalize(t *testing.T) {
 		t.Fatalf("normalize not idempotent for escapes: %q -> %q", s, Normalize(s))
 	}
 }
+
+// TestBindLimitParam: `LIMIT ?` is a parameter slot like any other —
+// counted in lexical order, resolved by Bind into SelectStmt.Limit —
+// and takes only a non-negative int64.
+func TestBindLimitParam(t *testing.T) {
+	stmt, err := Parse("SELECT x FROM (SELECT a AS x FROM t WHERE a > ? LIMIT ?) s WHERE x < ? LIMIT ?")
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if n := NumParams(stmt); n != 4 {
+		t.Fatalf("NumParams = %d, want 4", n)
+	}
+	bound, err := Bind(stmt, row.Row{int64(1), int64(20), int64(10), int64(0)})
+	if err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	outer := bound.(*SelectStmt)
+	if inner := outer.From.Sub; outer.Limit != 0 || inner.Limit != 20 || outer.LimitParam != nil || inner.LimitParam != nil {
+		t.Fatalf("limits = outer %d / inner %d, want 0 / 20 with no slots left", outer.Limit, inner.Limit)
+	}
+	if n := NumParams(bound); n != 0 {
+		t.Fatalf("bound statement still has %d params", n)
+	}
+	if sel := stmt.(*SelectStmt); sel.LimitParam == nil || sel.Limit != -1 {
+		t.Fatal("original statement mutated by Bind")
+	}
+
+	one, err := Parse("SELECT a FROM t LIMIT ?")
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	for _, bad := range []row.Row{
+		{int64(-1)}, {2.0}, {"1; DROP TABLE t"}, {"3"}, {nil}, {true}, {}, {int64(1), int64(2)},
+	} {
+		if _, err := Bind(one, bad); err == nil {
+			t.Errorf("Bind(LIMIT ?, %v) succeeded, want an error", bad)
+		}
+	}
+	for _, src := range []string{"SELECT a FROM t LIMIT", "SELECT a FROM t LIMIT 'x'", "SELECT a FROM t LIMIT ? ?"} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded, want an error", src)
+		}
+	}
+}
+
+// FuzzBind: for any statement text and argument values, Parse+Bind
+// never panics and yields either an error or a tree with no parameter
+// slot left for the planner to trip over.
+func FuzzBind(f *testing.F) {
+	f.Add("SELECT a FROM t WHERE b = ? LIMIT ?", int64(3), "x", 1.5)
+	f.Add("SELECT a FROM t LIMIT ?", int64(-1), "1; DROP TABLE t", 0.0)
+	f.Add("SELECT x FROM (SELECT a AS x FROM t LIMIT ?) s WHERE x IN (?, ?)", int64(0), "", -2.5)
+	f.Add("EXPLAIN SELECT CASE WHEN a > ? THEN ? END FROM t ORDER BY a LIMIT ?", int64(1), "y", 2.0)
+	f.Add("CREATE TABLE c AS SELECT a FROM t WHERE a BETWEEN ? AND ? LIMIT ?", int64(9), "z", 3.0)
+	f.Fuzz(func(t *testing.T, sql string, i int64, s string, x float64) {
+		stmt, err := Parse(sql)
+		if err != nil {
+			return
+		}
+		pool := row.Row{i, s, x, nil, i >= 0}
+		n := NumParams(stmt)
+		args := make(row.Row, n)
+		for k := range args {
+			args[k] = pool[(k+int(uint64(i)%5))%len(pool)]
+		}
+		bound, err := Bind(stmt, args)
+		if err != nil {
+			return
+		}
+		if left := NumParams(bound); left != 0 {
+			t.Fatalf("Bind(%q) left %d parameter slot(s)", sql, left)
+		}
+		if n != NumParams(stmt) {
+			t.Fatalf("Bind(%q) mutated its input", sql)
+		}
+	})
+}

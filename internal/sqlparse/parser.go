@@ -250,14 +250,19 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	}
 	if p.accept("LIMIT") {
 		t := p.next()
-		if t.kind != tokNumber {
-			return nil, p.errf("expected number after LIMIT")
+		switch {
+		case t.kind == tokPunct && t.text == "?":
+			s.LimitParam = &ParamExpr{Idx: p.nparams}
+			p.nparams++
+		case t.kind == tokNumber:
+			n, err := strconv.ParseInt(t.text, 10, 64)
+			if err != nil {
+				return nil, p.errf("bad LIMIT: %v", err)
+			}
+			s.Limit = n
+		default:
+			return nil, p.errf("expected number or ? after LIMIT")
 		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad LIMIT: %v", err)
-		}
-		s.Limit = n
 	}
 	if p.peekKeyword("DISTRIBUTE") {
 		p.next()

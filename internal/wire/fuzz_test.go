@@ -15,7 +15,8 @@ func FuzzParseMessage(f *testing.F) {
 	}
 	// Hand-picked hostile shapes: truncations, huge counts, bad tags.
 	f.Add([]byte{})
-	f.Add([]byte{TypeExec})
+	f.Add([]byte{TypeExecPrepared})
+	f.Add([]byte{5, 0x01}) // the retired Exec type byte
 	f.Add([]byte{TypeRows, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{TypeResultSet, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -68,6 +69,10 @@ func FuzzPreparedMessages(f *testing.F) {
 			int64(-1), 0.5, "s", true, false, nil, []byte("'--\\"), Date(-7),
 		}},
 		ExecPrepared{SQL: "SELECT ?", Args: []any{[]byte{}}},
+		Prepare{SQL: "SELECT a FROM t ORDER BY a LIMIT ?"},
+		ExecPrepared{SQL: "SELECT a FROM t LIMIT ?", Args: []any{int64(3)}},
+		ExecPrepared{SQL: "SELECT a FROM t LIMIT ?", Args: []any{"1; DROP TABLE t"}},
+		ExecPrepared{Handle: 2, Args: []any{int64(-1)}},
 		ClosePrepared{Handle: 1},
 	}
 	for i, m := range seeds {

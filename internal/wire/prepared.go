@@ -10,8 +10,7 @@ import (
 // the parsed tree and executes. The statement text never gets
 // literals interpolated into it, so argument bytes can never be
 // confused with SQL syntax and types survive the wire exactly —
-// including []byte and DATE, which the legacy Exec path could only
-// carry lossily.
+// []byte and DATE included.
 
 // Date is a DATE argument: days since the Unix epoch. It exists as a
 // distinct wire type so a date survives a round trip as a date rather

@@ -30,8 +30,10 @@ import (
 )
 
 // Version is the protocol version spoken by this package. The server
-// rejects a Hello whose version it does not know.
-const Version = 1
+// rejects a Hello whose version it does not know. Version 2 retired
+// the Exec message (type 5): ExecPrepared with Handle 0 is the one-shot
+// form.
+const Version = 2
 
 // MaxFrame bounds one frame's payload. ReadFrame rejects larger
 // length prefixes without allocating; writers must batch rows to stay
@@ -44,17 +46,22 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 // ErrEmptyFrame reports a zero-length frame (no message type byte).
 var ErrEmptyFrame = errors.New("wire: empty frame")
 
+// ErrUnknownType reports a well-framed message whose type byte this
+// protocol version does not define (the retired Exec, 5, included).
+// ParseMessage still returns the request id, and the frame boundary is
+// intact, so a server can refuse that one request and keep reading.
+var ErrUnknownType = errors.New("wire: unknown message type")
+
 // Message type bytes.
 const (
 	TypeHello     byte = 1  // client → server: version + auth token
 	TypeHelloOK   byte = 2  // server → client
 	TypeAttach    byte = 3  // client → server: bind a session
 	TypeAttachOK  byte = 4  // server → client: assigned session name
-	TypeExec      byte = 5  // client → server: SQL + bound args
 	TypeResultSet byte = 6  // server → client: schema + message + row count
 	TypeFetch     byte = 7  // client → server: next row batch of a cursor
 	TypeRows      byte = 8  // server → client: row batch + done flag
-	TypeCancel    byte = 9  // client → server: cancel an in-flight Exec
+	TypeCancel    byte = 9  // client → server: cancel an in-flight statement
 	TypeCloseStmt byte = 10 // client → server: discard a cursor
 	TypePing      byte = 11 // client → server
 	TypePong      byte = 12 // server → client
@@ -119,15 +126,7 @@ type AttachOK struct {
 	Name string
 }
 
-// Exec runs one SQL statement with '?' placeholders bound to Args.
-// Arg values use the engine's value model (nil, int64, float64,
-// string, bool).
-type Exec struct {
-	SQL  string
-	Args row.Row
-}
-
-// ResultSet answers a successful Exec: the statement's schema (empty
+// ResultSet answers a successful ExecPrepared: the statement's schema (empty
 // for DDL), its informational message, and the total row count held
 // server-side for fetching.
 type ResultSet struct {
@@ -136,7 +135,7 @@ type ResultSet struct {
 	NumRows uint64
 }
 
-// Fetch requests the next batch of a cursor (the Exec's request id).
+// Fetch requests the next batch of a cursor (the ExecPrepared's request id).
 type Fetch struct {
 	Cursor  uint64
 	MaxRows uint64
@@ -149,9 +148,9 @@ type Rows struct {
 	Done bool
 }
 
-// Cancel asks the server to cancel the in-flight Exec with request id
-// Target. Fire-and-forget: the cancelled Exec itself answers with an
-// Error (CodeCancelled).
+// Cancel asks the server to cancel the in-flight statement with
+// request id Target. Fire-and-forget: the cancelled statement itself
+// answers with an Error (CodeCancelled).
 type Cancel struct {
 	Target uint64
 }
@@ -180,7 +179,6 @@ func (Hello) wireType() byte     { return TypeHello }
 func (HelloOK) wireType() byte   { return TypeHelloOK }
 func (Attach) wireType() byte    { return TypeAttach }
 func (AttachOK) wireType() byte  { return TypeAttachOK }
-func (Exec) wireType() byte      { return TypeExec }
 func (ResultSet) wireType() byte { return TypeResultSet }
 func (Fetch) wireType() byte     { return TypeFetch }
 func (Rows) wireType() byte      { return TypeRows }
@@ -299,11 +297,6 @@ func (m AttachOK) appendBody(buf []byte) []byte {
 	return appendString(buf, m.Name)
 }
 
-func (m Exec) appendBody(buf []byte) []byte {
-	buf = appendString(buf, m.SQL)
-	return row.EncodeBinary(buf, m.Args)
-}
-
 func (m ResultSet) appendBody(buf []byte) []byte {
 	buf = appendUvarint(buf, uint64(len(m.Schema)))
 	for _, f := range m.Schema {
@@ -375,10 +368,6 @@ func ParseMessage(payload []byte) (id uint64, m Msg, err error) {
 		m = msg
 	case TypeAttachOK:
 		m = AttachOK{Name: d.str()}
-	case TypeExec:
-		msg := Exec{SQL: d.str()}
-		msg.Args = d.row()
-		m = msg
 	case TypeResultSet:
 		msg := ResultSet{Schema: d.schema()}
 		msg.Message = d.str()
@@ -420,7 +409,7 @@ func ParseMessage(payload []byte) (id uint64, m Msg, err error) {
 	case TypeClosePrepared:
 		m = ClosePrepared{Handle: d.uvarint()}
 	default:
-		return 0, nil, fmt.Errorf("wire: unknown message type %d", typ)
+		return id, nil, fmt.Errorf("%w %d", ErrUnknownType, typ)
 	}
 	if err := d.done(); err != nil {
 		return 0, nil, err

@@ -21,7 +21,6 @@ func sampleMessages() []Msg {
 		Attach{Name: "dash", Priority: 4, MaxConcurrentJobs: 2, StorageLevel: 1, SharedCatalog: true,
 			ResultCacheBytes: 1 << 20, DisablePlanCache: true},
 		AttachOK{Name: "dash"},
-		Exec{SQL: "SELECT * FROM t WHERE a = ?", Args: row.Row{int64(7), "x", 1.5, true, nil}},
 		ResultSet{
 			Schema:  row.Schema{{Name: "grp", Type: row.TString}, {Name: "n", Type: row.TInt}},
 			Message: "ok",
@@ -91,7 +90,7 @@ func TestFrameRoundTripPartialReads(t *testing.T) {
 // TestTruncatedFramesError: every prefix of a valid frame stream
 // fails with an error instead of hanging or panicking.
 func TestTruncatedFramesError(t *testing.T) {
-	full := AppendFrame(nil, AppendMessage(nil, 5, Exec{SQL: "SELECT 1 FROM t", Args: row.Row{int64(1)}}))
+	full := AppendFrame(nil, AppendMessage(nil, 5, ExecPrepared{SQL: "SELECT 1 FROM t", Args: []any{int64(1)}}))
 	for n := 0; n < len(full); n++ {
 		_, err := ReadFrame(bytes.NewReader(full[:n]))
 		if err == nil {
