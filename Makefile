@@ -1,4 +1,4 @@
-.PHONY: build test race fmt vet lint bench bench-smoke ci
+.PHONY: build test race fmt vet lint loc bench bench-smoke ci
 
 GO ?= go
 
@@ -28,6 +28,17 @@ vet:
 # atomic metrics. Gating — a finding fails the build.
 lint:
 	$(GO) run ./cmd/shark-lint ./...
+
+# The deletion-pass line count: tracked non-test Go outside bench/ and
+# testdata/, as total lines and as code lines (non-blank, not a //
+# comment line), for the tree and for its largest package.
+loc:
+	@count() { \
+		files=$$(git ls-files "$$1" | grep -v -e _test.go -e '^bench/' -e /testdata/); \
+		printf '%-17s %6d lines %6d code\n' "$$2" \
+			$$(cat $$files | wc -l) $$(cat $$files | grep -cvE '^[[:space:]]*(//.*)?$$'); \
+	}; \
+	count '*.go' tree; count 'internal/harness/*.go' internal/harness
 
 # Bench smoke: one iteration of every benchmark (columnar, expr, and
 # the top-level suite) so they keep compiling and running (non-gating

@@ -71,8 +71,15 @@ func main() {
 		}
 		exec = func(stmt string) error { return runRemote(db, stmt) }
 	} else {
-		s, err := shark.NewSession(shark.Config{Workers: *workers, Priority: *priority})
+		cl, err := shark.NewCluster(shark.ClusterConfig{Workers: *workers})
 		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		defer cl.Close()
+		s, err := cl.NewSession(shark.SessionConfig{Priority: *priority})
+		if err != nil {
+			cl.Close() // os.Exit skips the deferred Close
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -15,7 +15,12 @@ import (
 )
 
 func main() {
-	s, err := shark.NewSession(shark.Config{Workers: 10})
+	cl, err := shark.NewCluster(shark.ClusterConfig{Workers: 10})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cl.Close()
+	s, err := cl.NewSession(shark.SessionConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func main() {
 	run("query, no failures:")
 
 	fmt.Println("\nkilling worker 3 (its cached partitions and shuffle outputs are gone)...")
-	s.KillWorker(3)
+	cl.Kill(3)
 
 	run("query during recovery:")
 	m := s.Ctx.Scheduler().Metrics()

@@ -16,7 +16,12 @@ import (
 )
 
 func main() {
-	s, err := shark.NewSession(shark.Config{Workers: 8})
+	cl, err := shark.NewCluster(shark.ClusterConfig{Workers: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cl.Close()
+	s, err := cl.NewSession(shark.SessionConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,12 @@ import (
 
 func main() {
 	// An 8-worker simulated cluster with 2 task slots per worker.
-	s, err := shark.NewSession(shark.Config{Workers: 8})
+	cl, err := shark.NewCluster(shark.ClusterConfig{Workers: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cl.Close()
+	s, err := cl.NewSession(shark.SessionConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

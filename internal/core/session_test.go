@@ -585,7 +585,7 @@ func TestReducerCoalescingRecorded(t *testing.T) {
 	if len(res.Stats.ReducerCounts) == 0 {
 		t.Fatal("no reducer count recorded")
 	}
-	fine := e.s.Ctx.Cluster.TotalSlots() * e.s.Engine.Options().FineBucketsPerSlot
+	fine := e.s.Ctx.Cluster.TotalSlots() * exec.FineBucketsPerSlot
 	if res.Stats.ReducerCounts[0] > fine {
 		t.Errorf("reducers %d > fine buckets %d", res.Stats.ReducerCounts[0], fine)
 	}

@@ -50,12 +50,13 @@ func (m StrategyMode) String() string {
 	return "static+adaptive"
 }
 
-// Options tunes the engine.
+// FineBucketsPerSlot fixes shuffle granularity: fine buckets = slots ×
+// this factor (PDE coalesces them into reduce tasks).
+const FineBucketsPerSlot = 4
+
+// Options tunes the engine. Every field is part of the plan-cache
+// fingerprint (core/plancache.go renders the struct with %+v).
 type Options struct {
-	// FineBucketsPerSlot controls shuffle granularity: fine buckets =
-	// slots × this factor (PDE coalesces them into reduce tasks).
-	// Default 4.
-	FineBucketsPerSlot int
 	// TargetPerReducerBytes sizes coalesced reduce partitions.
 	// Default 4 MiB.
 	TargetPerReducerBytes int64
@@ -68,9 +69,6 @@ type Options struct {
 	DisableExprCompile bool
 	// DisablePruning turns off map pruning (ablation).
 	DisablePruning bool
-	// DisableCoalesce turns off PDE reducer coalescing: one reduce
-	// task per fine bucket (the paper's "just run many tasks" mode).
-	DisableCoalesce bool
 	// DisableAdaptiveExec turns off every runtime re-planning decision
 	// made from PDE statistics (the "adaptive execution off" ablation
 	// knob): joins are planned purely from static estimates, hot reduce
@@ -85,9 +83,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FineBucketsPerSlot <= 0 {
-		o.FineBucketsPerSlot = 4
-	}
 	if o.TargetPerReducerBytes <= 0 {
 		o.TargetPerReducerBytes = 4 << 20
 	}
@@ -268,7 +263,7 @@ func (e *Engine) evalFn(x expr.Expr) expr.EvalFn {
 // fineBuckets returns the shuffle bucket count (finer than the reduce
 // parallelism; PDE coalesces).
 func (e *Engine) fineBuckets() int {
-	return e.Ctx.Cluster.TotalSlots() * e.opts.FineBucketsPerSlot
+	return e.Ctx.Cluster.TotalSlots() * FineBucketsPerSlot
 }
 
 // Adaptive-execution decision accounting: each runtime plan change is
@@ -550,7 +545,7 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 	endSeg()
 	stats.ShuffleBytes += shufStats.TotalBytes
 	var groups [][]int
-	if e.opts.DisableCoalesce || e.opts.DisableAdaptiveExec {
+	if e.opts.DisableAdaptiveExec {
 		groups = nil // identity: one reduce task per fine bucket
 		stats.ReducerCounts = append(stats.ReducerCounts, nBuckets)
 		ns.Notef("reducers=%d (static)", nBuckets)

@@ -251,7 +251,7 @@ func (e *Engine) shuffleJoinRead(gctx context.Context, lDep, rDep *rdd.ShuffleDe
 	// with more records; the build side is replicated to every slice.
 	probeIsLeft := func(b int) bool { return lRecs[b] > rRecs[b] }
 
-	if e.opts.DisableCoalesce || e.opts.DisableAdaptiveExec {
+	if e.opts.DisableAdaptiveExec {
 		// Static reduce side: one whole-bucket task per fine bucket.
 		tasks := make([][]joinSlice, n)
 		for i := range tasks {

@@ -3,11 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
-	"time"
 
 	"shark"
-	"shark/internal/row"
 )
 
 // runConcurrency exercises the multi-tenant API: one long-scan session
@@ -25,158 +22,76 @@ func runConcurrency(ctx context.Context, sc Scale, r *Report) error {
 		{"FIFO queues", shark.FIFOScheduling},
 		{"fair sharing (min-running-job-first)", shark.FairScheduling},
 	} {
-		res, err := concurrencyPoint(sc, pol.p)
+		// K interactive sessions each cache a small 2-partition table
+		// and stream their queries free-running.
+		lats, longScans, err := contend(sc, contendSpec{
+			policy:     pol.p,
+			heavy:      shark.SessionConfig{Name: "long-scan"},
+			lights:     []shark.SessionConfig{{Name: "dash-0"}, {Name: "dash-1"}, {Name: "dash-2"}},
+			lightParts: 2,
+			lightRows:  sc.Rankings / 8,
+			lightSQL:   `SELECT COUNT(*), SUM(val) FROM lookup_mem`,
+			rounds:     10,
+		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", pol.label, err)
 		}
-		r.Add(exp, "short-query p95 / "+pol.label, res.p95,
+		var pooled []float64
+		for _, l := range lats {
+			pooled = append(pooled, l...)
+		}
+		p50, p95 := quantiles(pooled)
+		r.Add(exp, "short-query p95 / "+pol.label, p95,
 			fmt.Sprintf("p50 %.1fms over %d queries from %d sessions; long scan completed %d passes",
-				res.p50*1000, res.queries, res.sessions, res.longScans))
+				p50*1000, len(pooled), len(lats), longScans))
 	}
 	return nil
 }
 
-type concurrencyResult struct {
-	p50, p95  float64
-	queries   int
-	sessions  int
-	longScans int
-}
-
-var concurrencySchema = shark.Schema{
-	{Name: "id", Type: row.TInt},
-	{Name: "grp", Type: row.TString},
-	{Name: "val", Type: row.TFloat},
-}
-
-func concurrencyRows(n int) []shark.Row {
-	groups := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	rows := make([]shark.Row, n)
-	for i := range rows {
-		rows[i] = shark.Row{int64(i), groups[i%len(groups)], float64(i) * 0.5}
+// runPriority exercises weighted fair scheduling: one heavy weight-1
+// session floods the shared cluster with long-scan task waves while
+// three light sessions at priorities 1, 2 and 4 issue the same short
+// query stream. Under weighted fair sharing a freed slot runs the job
+// with the smallest running/weight ratio, so the priority-4 session
+// should sustain ~4x the in-flight tasks of the priority-1 session and
+// see strictly lower tail latency. The experiment fails if the
+// weight-4 p95 is not strictly below the weight-1 p95 — the acceptance
+// signal for per-tenant priorities.
+func runPriority(ctx context.Context, sc Scale, r *Report) error {
+	exp := "abl_priority: 1 heavy + 3 light sessions at weights 1:2:4 (shared cluster)"
+	weights := []int{1, 2, 4}
+	lights := make([]shark.SessionConfig, len(weights))
+	for i, w := range weights {
+		lights[i] = shark.SessionConfig{Name: fmt.Sprintf("light-w%d", w), Priority: w}
 	}
-	return rows
-}
-
-// concurrencyPoint runs the contention scenario under one scheduling
-// policy and returns short-query latency percentiles.
-func concurrencyPoint(sc Scale, policy shark.SchedulingPolicy) (concurrencyResult, error) {
-	var out concurrencyResult
-	cl, err := shark.NewCluster(shark.ClusterConfig{
-		Workers:        sc.Workers,
-		SlotsPerWorker: sc.Slots,
-		Scheduling:     policy,
-		// Heavier-than-default per-task cost stands in for real scan
-		// work, so queue wait (the thing the policies differ on)
-		// dominates the measurement instead of Go-level row costs.
-		TaskLaunchOverhead: 500 * time.Microsecond,
+	// Identical multi-task tables: each light query carries 3x-slots
+	// tasks — more than the cluster can hold at once — so with the
+	// three query streams overlapping, the weighted running/weight
+	// ratio (how many slots a session sustains), not first-task FIFO
+	// order, decides each query's drain rate. Barrier rounds keep every
+	// measured latency contending against the other two weights.
+	lats, _, err := contend(sc, contendSpec{
+		heavy:      shark.SessionConfig{Name: "heavy", Priority: 1},
+		lights:     lights,
+		lightParts: sc.Workers * sc.Slots * 3,
+		lightRows:  sc.Rankings / 4,
+		lightSQL:   `SELECT grp, COUNT(*), SUM(val) FROM lookup_mem GROUP BY grp`,
+		rounds:     24,
+		barrier:    true,
 	})
 	if err != nil {
-		return out, err
+		return err
 	}
-	defer cl.Close()
-
-	// The long session scans a big cached table split into many
-	// partitions (12 × slots): every pass floods each worker queue
-	// with a full task wave.
-	long, err := cl.NewSession(shark.SessionConfig{Name: "long-scan"})
-	if err != nil {
-		return out, err
+	p95s := make([]float64, len(weights))
+	for i, w := range weights {
+		var p50 float64
+		p50, p95s[i] = quantiles(lats[i])
+		r.Add(exp, fmt.Sprintf("light session p95 / priority %d", w), p95s[i],
+			fmt.Sprintf("p50 %.1fms over %d queries", p50*1000, len(lats[i])))
 	}
-	long.DefaultCacheParts = cl.TotalSlots() * 12
-	if err := long.LoadRows("big", concurrencySchema, concurrencyRows(sc.UserVisits)); err != nil {
-		return out, err
+	if p95s[2] >= p95s[0] {
+		return fmt.Errorf("abl_priority: weighted fairness inverted: priority-4 p95 %.1fms >= priority-1 p95 %.1fms",
+			p95s[2]*1000, p95s[0]*1000)
 	}
-	if _, err := long.Exec(`CREATE TABLE big_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM big`); err != nil {
-		return out, err
-	}
-	const longSQL = `SELECT grp, SUM(val), COUNT(*) FROM big_mem GROUP BY grp`
-
-	// K interactive sessions each cache a small 2-partition table.
-	const k = 3
-	shorts := make([]*shark.Session, k)
-	for i := range shorts {
-		s, err := cl.NewSession(shark.SessionConfig{Name: fmt.Sprintf("dash-%d", i)})
-		if err != nil {
-			return out, err
-		}
-		s.DefaultCacheParts = 2
-		if err := s.LoadRows("lookup", concurrencySchema, concurrencyRows(sc.Rankings/8)); err != nil {
-			return out, err
-		}
-		if _, err := s.Exec(`CREATE TABLE lookup_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM lookup`); err != nil {
-			return out, err
-		}
-		shorts[i] = s
-	}
-	const shortSQL = `SELECT COUNT(*), SUM(val) FROM lookup_mem`
-
-	// Warm both sides once so measurement sees steady state.
-	if _, err := long.Exec(longSQL); err != nil {
-		return out, err
-	}
-	for _, s := range shorts {
-		if _, err := s.Exec(shortSQL); err != nil {
-			return out, err
-		}
-	}
-
-	// Long scan loops until the interactive sessions finish.
-	done := make(chan struct{})
-	longErr := make(chan error, 1)
-	go func() {
-		scans := 0
-		for {
-			select {
-			case <-done:
-				out.longScans = scans
-				longErr <- nil
-				return
-			default:
-			}
-			if _, err := long.Exec(longSQL); err != nil {
-				out.longScans = scans
-				longErr <- err
-				return
-			}
-			scans++
-		}
-	}()
-
-	const perSession = 10
-	var mu sync.Mutex
-	var lats []float64
-	var wg sync.WaitGroup
-	shortErrs := make(chan error, k)
-	for _, s := range shorts {
-		wg.Add(1)
-		go func(s *shark.Session) {
-			defer wg.Done()
-			for i := 0; i < perSession; i++ {
-				start := time.Now()
-				if _, err := s.Exec(shortSQL); err != nil {
-					shortErrs <- err
-					return
-				}
-				lat := time.Since(start).Seconds()
-				mu.Lock()
-				lats = append(lats, lat)
-				mu.Unlock()
-			}
-		}(s)
-	}
-	wg.Wait()
-	close(done)
-	if err := <-longErr; err != nil {
-		return out, err
-	}
-	close(shortErrs)
-	for err := range shortErrs {
-		return out, err
-	}
-
-	out.queries = len(lats)
-	out.sessions = k
-	out.p50, out.p95 = quantiles(lats)
-	return out, nil
+	return nil
 }

@@ -15,7 +15,7 @@ import (
 // dispatcher metrics alongside the runtimes.
 func runDispatch(ctx context.Context, sc Scale, r *Report) error {
 	exp := "abl_dispatch: locality/load-aware task dispatch"
-	e, err := NewEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ package harness
 import (
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"shark/internal/catalog"
@@ -101,8 +102,7 @@ type Env struct {
 	MR            *mr.Engine
 	HiveCat       *catalog.Catalog
 
-	dir     string
-	ownsDir bool
+	dir string
 }
 
 // world is the Shark side of an experiment: a Spark-profiled cluster
@@ -138,14 +138,40 @@ func (w *world) close(label string) {
 	w.cl.Close()
 }
 
-// NewEnv builds an environment. opts tunes the Shark engine.
-func NewEnv(sc Scale, opts exec.Options) (*Env, error) {
-	return newEnv(sc, opts, shuffle.Memory)
+// emitFunc receives a generator's rows one at a time.
+type emitFunc = func(row.Row) error
+
+// dataset is one generated table: its schema and its internal/data
+// generator, both sized from the Scale.
+type dataset struct {
+	schema func(Scale) row.Schema
+	gen    func(Scale, emitFunc) error
 }
 
-// newEnv is NewEnv with the Shark side's shuffle mode chosen
-// (abl_shuffle runs it on disk).
-func newEnv(sc Scale, opts exec.Options, mode shuffle.Mode) (*Env, error) {
+func fixedSchema(s row.Schema) func(Scale) row.Schema {
+	return func(Scale) row.Schema { return s }
+}
+
+// datasets is the one place a table name is tied to its shape. An
+// experiment that wants a table at another size adjusts its Scale
+// (fig7's 1 TB run sets Lineitem = LineitemBig) rather than writing
+// its own generator.
+var datasets = map[string]dataset{
+	"rankings":   {fixedSchema(data.RankingsSchema), func(sc Scale, emit emitFunc) error { return data.Rankings(sc.Rankings, emit) }},
+	"uservisits": {fixedSchema(data.UserVisitsSchema), func(sc Scale, emit emitFunc) error { return data.UserVisits(sc.UserVisits, sc.Rankings, emit) }},
+	"lineitem":   {fixedSchema(data.LineitemSchema), func(sc Scale, emit emitFunc) error { return data.Lineitem(sc.Lineitem, sc.Supplier, emit) }},
+	"supplier":   {fixedSchema(data.SupplierSchema), func(sc Scale, emit emitFunc) error { return data.Supplier(sc.Supplier, emit) }},
+	"sessions":   {fixedSchema(data.SessionsSchema), func(sc Scale, emit emitFunc) error { return data.Sessions(sc.Sessions, 30, 50, emit) }},
+	"points":     {func(sc Scale) row.Schema { return data.PointsSchema(sc.MLDim) }, func(sc Scale, emit emitFunc) error { return data.Points(sc.MLPoints, sc.MLDim, emit) }},
+	"fact":       {fixedSchema(pdeFactSchema), pdeFact},
+	"dim":        {fixedSchema(pdeDimSchema), pdeDim},
+}
+
+// newEnv builds an environment whose Shark side runs opts over the
+// given shuffle mode, then creates tables in order: each names a
+// dataset; a "_mem" suffix also caches it under that name. On any
+// error the half-built environment is torn down.
+func newEnv(sc Scale, opts exec.Options, mode shuffle.Mode, tables ...string) (*Env, error) {
 	dir, err := os.MkdirTemp("", "shark-bench-*")
 	if err != nil {
 		return nil, err
@@ -161,7 +187,7 @@ func newEnv(sc Scale, opts exec.Options, mode shuffle.Mode) (*Env, error) {
 	hadoopCl := cluster.New(cluster.Config{Workers: sc.Workers, Slots: sc.Slots, Profile: cluster.HadoopProfile()})
 	eng := mr.NewEngine(hadoopCl, fs, dir+"/mrshuffle")
 
-	return &Env{
+	e := &Env{
 		Scale:         sc,
 		FS:            fs,
 		SharkCluster:  w.cl,
@@ -170,8 +196,40 @@ func newEnv(sc Scale, opts exec.Options, mode shuffle.Mode) (*Env, error) {
 		MR:            eng,
 		HiveCat:       catalog.New(),
 		dir:           dir,
-		ownsDir:       true,
-	}, nil
+	}
+	for _, t := range tables {
+		if err := e.addTable(t); err != nil {
+			e.Close()
+			return nil, fmt.Errorf("harness: table %s: %w", t, err)
+		}
+	}
+	return e, nil
+}
+
+// addTable generates one dataset into the DFS (text format, like the
+// benchmarks' raw inputs), registers it in both catalogs and, for a
+// "_mem" name, caches it.
+func (e *Env) addTable(t string) error {
+	name, cache := strings.CutSuffix(t, "_mem")
+	ds, ok := datasets[name]
+	if !ok {
+		return fmt.Errorf("unknown dataset %q", name)
+	}
+	schema := ds.schema(e.Scale)
+	n, err := data.WriteFile(e.FS, "data/"+name, dfs.Text, schema, func(emit emitFunc) error { return ds.gen(e.Scale, emit) })
+	if err != nil {
+		return err
+	}
+	for _, cat := range []*catalog.Catalog{e.Shark.Cat, e.HiveCat} {
+		err := cat.Register(&catalog.Table{Name: name, Schema: schema, File: "data/" + name, Format: dfs.Text, EstRows: n})
+		if err != nil {
+			return err
+		}
+	}
+	if cache {
+		return e.CacheTable(name)
+	}
+	return nil
 }
 
 // Close tears the environment down, snapshotting the Shark cluster's
@@ -180,48 +238,25 @@ func (e *Env) Close() {
 	noteClusterMetrics("shark env", e.Shark.Ctx)
 	e.SharkCluster.Close()
 	e.HadoopCluster.Close()
-	if e.ownsDir {
-		os.RemoveAll(e.dir)
-	}
-}
-
-// GenTable writes a generated table to the DFS (text format, like the
-// benchmarks' raw inputs) and registers it in both catalogs.
-func (e *Env) GenTable(name string, schema row.Schema, gen func(func(row.Row) error) error) error {
-	n, err := data.WriteFile(e.FS, "data/"+name, dfs.Text, schema, gen)
-	if err != nil {
-		return err
-	}
-	t := &catalog.Table{Name: name, Schema: schema, File: "data/" + name, Format: dfs.Text, EstRows: n}
-	if err := e.Shark.Cat.Register(&catalog.Table{Name: t.Name, Schema: t.Schema, File: t.File, Format: t.Format, EstRows: t.EstRows}); err != nil {
-		return err
-	}
-	return e.HiveCat.Register(t)
+	os.RemoveAll(e.dir)
 }
 
 // CacheTable loads an external table into Shark's memstore under
-// name+"_mem" (optionally DISTRIBUTE BY a column).
-func (e *Env) CacheTable(name, distributeBy string, props map[string]string) error {
-	sql := fmt.Sprintf(`CREATE TABLE %s_mem TBLPROPERTIES ("shark.cache"="true"%s) AS SELECT * FROM %s`,
-		name, propsSQL(props), name)
-	if distributeBy != "" {
-		sql += " DISTRIBUTE BY " + distributeBy
-	}
-	_, err := e.Shark.Exec(sql)
+// name+"_mem".
+func (e *Env) CacheTable(name string) error {
+	_, err := e.Shark.Exec(fmt.Sprintf(
+		`CREATE TABLE %s_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM %[1]s`, name))
 	return err
 }
 
-func propsSQL(props map[string]string) string {
-	out := ""
-	for k, v := range props {
-		out += fmt.Sprintf(`, "%s"="%s"`, k, v)
-	}
-	return out
-}
-
-// SharkQuery runs a SQL query on the Shark session.
-func (e *Env) SharkQuery(sql string) (*core.Result, error) {
-	return e.Shark.Exec(sql)
+// registerSelectiveUDF registers name as a boolean UDF keeping 1
+// string in 100 (those ending in "77") — a selectivity no static
+// optimizer can see (paper §6.3.2: 1000 of 10M suppliers).
+func (e *Env) registerSelectiveUDF(name string) error {
+	return e.Shark.RegisterUDF(name, row.TBool, 1, 1, func(args []any) any {
+		s, _ := args[0].(string)
+		return strings.HasSuffix(s, "77")
+	})
 }
 
 // HiveQuery runs a SQL query through the Hive/MapReduce executor.
@@ -244,27 +279,38 @@ func (e *Env) HiveQuery(sql string, tunedReducers int) (*mr.Result, error) {
 	return h.Run(p)
 }
 
+// timeRounds is the §6.1 methodology: one discarded warm-up call of f,
+// then rounds timed calls, returned as seconds in call order.
+func timeRounds(rounds int, f func() error) ([]float64, error) {
+	if err := f(); err != nil {
+		return nil, err
+	}
+	secs := make([]float64, rounds)
+	for i := range secs {
+		var err error
+		if secs[i], err = timeIt(f); err != nil {
+			return nil, err
+		}
+	}
+	return secs, nil
+}
+
 // TimeShark times a Shark query: one discarded warm-up, then the mean
-// of Scale.Reps runs (§6.1 methodology).
+// of Scale.Reps runs.
 func (e *Env) TimeShark(sql string) (float64, *core.Result, error) {
-	res, err := e.SharkQuery(sql)
+	var res *core.Result
+	secs, err := timeRounds(max(e.Scale.Reps, 1), func() (err error) {
+		res, err = e.Shark.Exec(sql)
+		return err
+	})
 	if err != nil {
 		return 0, nil, err
 	}
-	reps := e.Scale.Reps
-	if reps < 1 {
-		reps = 1
+	var total float64
+	for _, s := range secs {
+		total += s
 	}
-	var total time.Duration
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		res, err = e.SharkQuery(sql)
-		if err != nil {
-			return 0, nil, err
-		}
-		total += time.Since(start)
-	}
-	return total.Seconds() / float64(reps), res, nil
+	return total / float64(len(secs)), res, nil
 }
 
 // TimeHive times a Hive query (single run — MR jobs are slow and

@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"shark/internal/columnar"
+	"shark/internal/core"
 	"shark/internal/data"
 	"shark/internal/dfs"
 	"shark/internal/exec"
 	"shark/internal/ml"
+	"shark/internal/mr"
 	"shark/internal/pde"
 	"shark/internal/rdd"
 	"shark/internal/row"
@@ -50,89 +52,95 @@ var experiments = map[string]func(context.Context, Scale, *Report) error{
 	"pruning":         runPruning,
 }
 
-// pavloEnv generates rankings + uservisits and caches them in Shark.
-func pavloEnv(sc Scale, opts exec.Options) (*Env, error) {
-	e, err := NewEnv(sc, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.GenTable("rankings", data.RankingsSchema, func(emit func(row.Row) error) error {
-		return data.Rankings(sc.Rankings, emit)
-	}); err != nil {
-		e.Close()
-		return nil, err
-	}
-	if err := e.GenTable("uservisits", data.UserVisitsSchema, func(emit func(row.Row) error) error {
-		return data.UserVisits(sc.UserVisits, sc.Rankings, emit)
-	}); err != nil {
-		e.Close()
-		return nil, err
-	}
-	if err := e.CacheTable("rankings", "", nil); err != nil {
-		e.Close()
-		return nil, err
-	}
-	if err := e.CacheTable("uservisits", "", nil); err != nil {
-		e.Close()
-		return nil, err
-	}
-	return e, nil
+// system is one series of a cross-system comparison: the engine that
+// runs the query, the variant of its tables it reads, and how its
+// result is summarised in the notes column.
+type system struct {
+	label    string
+	suffix   string // appended to each table name: "_mem" reads the memstore, "" the DFS text file
+	hive     bool   // Hive/MR, timed as a single run, instead of Shark (warm-up + mean of Reps)
+	reducers int    // hive only: fixed reduce count ("tuned"); 0 = Hive's auto estimate
+	note     func(*core.Result, *mr.Result) string
 }
 
-// threeWay times a query on Shark (memstore), Shark (disk) and Hive,
-// appending the three series.
-func threeWay(e *Env, r *Report, exp, memSQL, diskSQL string, tunedReducers int) error {
-	secs, res, err := e.TimeShark(memSQL)
-	if err != nil {
-		return fmt.Errorf("shark mem: %w", err)
+// compare times one query template on every system and appends one
+// series per system. The template's verbs take the table names, each
+// with the system's suffix.
+func compare(e *Env, r *Report, exp, tmpl string, systems []system, tables ...string) error {
+	for _, sys := range systems {
+		names := make([]any, len(tables))
+		for i, t := range tables {
+			names[i] = t + sys.suffix
+		}
+		sql := fmt.Sprintf(tmpl, names...)
+		var (
+			secs float64
+			sres *core.Result
+			hres *mr.Result
+			err  error
+		)
+		if sys.hive {
+			secs, hres, err = e.TimeHive(sql, sys.reducers)
+		} else {
+			secs, sres, err = e.TimeShark(sql)
+		}
+		if err != nil {
+			return fmt.Errorf("%s / %s: %w", exp, sys.label, err)
+		}
+		note := ""
+		if sys.note != nil {
+			note = sys.note(sres, hres)
+		}
+		r.Add(exp, sys.label, secs, note)
 	}
-	r.Add(exp, "Shark", secs, fmt.Sprintf("%d rows", len(res.Rows)))
-	secs, _, err = e.TimeShark(diskSQL)
-	if err != nil {
-		return fmt.Errorf("shark disk: %w", err)
-	}
-	r.Add(exp, "Shark (disk)", secs, "")
-	secs, hres, err := e.TimeHive(diskSQL, tunedReducers)
-	if err != nil {
-		return fmt.Errorf("hive: %w", err)
-	}
-	r.Add(exp, "Hive", secs, fmt.Sprintf("%d MR jobs", hres.Jobs))
 	return nil
+}
+
+// pavloTables is the §6.2 benchmark's data, both tables cached.
+var pavloTables = []string{"rankings_mem", "uservisits_mem"}
+
+// pavloSystems is Figure 5/6's Shark / Shark (disk) / Hive comparison.
+func pavloSystems(hiveReducers int) []system {
+	return []system{
+		{label: "Shark", suffix: "_mem", note: func(s *core.Result, _ *mr.Result) string {
+			return fmt.Sprintf("%d rows", len(s.Rows))
+		}},
+		{label: "Shark (disk)"},
+		{label: "Hive", hive: true, reducers: hiveReducers, note: func(_ *core.Result, h *mr.Result) string {
+			return fmt.Sprintf("%d MR jobs", h.Jobs)
+		}},
+	}
 }
 
 // --------------------------------------------------------------------------
 // §6.2.1 / Figure 5: selection.
 
 func runFig5Selection(ctx context.Context, sc Scale, r *Report) error {
-	e, err := pavloEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory, pavloTables...)
 	if err != nil {
 		return err
 	}
 	defer e.Close()
-	const pred = "pageRank > 9000"
-	return threeWay(e, r, "fig5_selection: SELECT pageURL,pageRank WHERE "+pred,
-		"SELECT pageURL, pageRank FROM rankings_mem WHERE "+pred,
-		"SELECT pageURL, pageRank FROM rankings WHERE "+pred, 0)
+	return compare(e, r, "fig5_selection: SELECT pageURL,pageRank WHERE pageRank > 9000",
+		"SELECT pageURL, pageRank FROM %s WHERE pageRank > 9000", pavloSystems(0), "rankings")
 }
 
 // --------------------------------------------------------------------------
 // §6.2.2 / Figure 5: the two aggregation queries.
 
 func runFig5Agg(ctx context.Context, sc Scale, r *Report) error {
-	e, err := pavloEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory, pavloTables...)
 	if err != nil {
 		return err
 	}
 	defer e.Close()
-	tuned := sc.Workers * sc.Slots
-	if err := threeWay(e, r, "fig5_agg: GROUP BY sourceIP (many groups)",
-		"SELECT sourceIP, SUM(adRevenue) FROM uservisits_mem GROUP BY sourceIP",
-		"SELECT sourceIP, SUM(adRevenue) FROM uservisits GROUP BY sourceIP", tuned); err != nil {
+	systems := pavloSystems(sc.Workers * sc.Slots)
+	if err := compare(e, r, "fig5_agg: GROUP BY sourceIP (many groups)",
+		"SELECT sourceIP, SUM(adRevenue) FROM %s GROUP BY sourceIP", systems, "uservisits"); err != nil {
 		return err
 	}
-	return threeWay(e, r, "fig5_agg: GROUP BY SUBSTR(sourceIP,1,7) (~1K groups)",
-		"SELECT SUBSTR(sourceIP, 1, 7), SUM(adRevenue) FROM uservisits_mem GROUP BY SUBSTR(sourceIP, 1, 7)",
-		"SELECT SUBSTR(sourceIP, 1, 7), SUM(adRevenue) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 7)", tuned)
+	return compare(e, r, "fig5_agg: GROUP BY SUBSTR(sourceIP,1,7) (~1K groups)",
+		"SELECT SUBSTR(sourceIP, 1, 7), SUM(adRevenue) FROM %s GROUP BY SUBSTR(sourceIP, 1, 7)", systems, "uservisits")
 }
 
 // --------------------------------------------------------------------------
@@ -146,7 +154,7 @@ AND %[1]s.visitDate BETWEEN Date('2000-01-15') AND Date('2000-01-22')
 GROUP BY %[1]s.sourceIP`
 
 func runFig6Join(ctx context.Context, sc Scale, r *Report) error {
-	e, err := pavloEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory, pavloTables...)
 	if err != nil {
 		return err
 	}
@@ -162,33 +170,24 @@ func runFig6Join(ctx context.Context, sc Scale, r *Report) error {
 		SELECT * FROM uservisits DISTRIBUTE BY destURL`); err != nil {
 		return err
 	}
-	secs, res, err := e.TimeShark(fmt.Sprintf(pavloJoinTemplate, "v_cop", "r_cop"))
-	if err != nil {
-		return fmt.Errorf("copartitioned: %w", err)
+	copartitioned := []system{{label: "Copartitioned", suffix: "_cop", note: func(s *core.Result, _ *mr.Result) string {
+		return strings.Join(s.Stats.JoinStrategies, ",")
+	}}}
+	if err := compare(e, r, exp, pavloJoinTemplate, copartitioned, "v", "r"); err != nil {
+		return err
 	}
-	strategy := strings.Join(res.Stats.JoinStrategies, ",")
-	r.Add(exp, "Copartitioned", secs, strategy)
-
-	return threeWay(e, r, exp,
-		fmt.Sprintf(pavloJoinTemplate, "uservisits_mem", "rankings_mem"),
-		fmt.Sprintf(pavloJoinTemplate, "uservisits", "rankings"),
-		sc.Workers*sc.Slots)
+	return compare(e, r, exp, pavloJoinTemplate, pavloSystems(sc.Workers*sc.Slots), "uservisits", "rankings")
 }
 
 // --------------------------------------------------------------------------
 // §6.2.4 / §3.3: data loading throughput, DFS vs memstore.
 
 func runLoading(ctx context.Context, sc Scale, r *Report) error {
-	e, err := NewEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory, "uservisits")
 	if err != nil {
 		return err
 	}
 	defer e.Close()
-	if err := e.GenTable("uservisits", data.UserVisitsSchema, func(emit func(row.Row) error) error {
-		return data.UserVisits(sc.UserVisits, sc.Rankings, emit)
-	}); err != nil {
-		return err
-	}
 	meta, err := e.FS.Stat("data/uservisits")
 	if err != nil {
 		return err
@@ -204,16 +203,13 @@ func runLoading(ctx context.Context, sc Scale, r *Report) error {
 		return err
 	}
 	// (b) load into the memstore: read + columnarize in memory.
-	memSecs, err := timeIt(func() error {
-		return e.CacheTable("uservisits", "", nil)
-	})
+	memSecs, err := timeIt(func() error { return e.CacheTable("uservisits") })
 	if err != nil {
 		return err
 	}
-	r.Add("loading: ingest uservisits ("+fmt.Sprintf("%.1f MB", mb)+")", "into DFS (3x replicated)", dfsSecs,
-		fmt.Sprintf("%.1f MB/s", mb/dfsSecs))
-	r.Add("loading: ingest uservisits ("+fmt.Sprintf("%.1f MB", mb)+")", "into memstore (columnar)", memSecs,
-		fmt.Sprintf("%.1f MB/s", mb/memSecs))
+	exp := fmt.Sprintf("loading: ingest uservisits (%.1f MB)", mb)
+	r.Add(exp, "into DFS (3x replicated)", dfsSecs, fmt.Sprintf("%.1f MB/s", mb/dfsSecs))
+	r.Add(exp, "into memstore (columnar)", memSecs, fmt.Sprintf("%.1f MB/s", mb/memSecs))
 	return nil
 }
 
@@ -222,68 +218,42 @@ func runLoading(ctx context.Context, sc Scale, r *Report) error {
 // lineitem, both dataset scales, with tuned and untuned Hive.
 
 func runFig7(ctx context.Context, sc Scale, r *Report) error {
-	for _, ds := range []struct {
-		label string
-		rows  int
-	}{
-		{"100GB-scale", sc.Lineitem},
-		{"1TB-scale", sc.LineitemBig},
-	} {
-		if err := runFig7One(ctx, sc, r, ds.label, ds.rows); err != nil {
-			return err
-		}
+	tuned := sc.Workers * sc.Slots
+	systems := []system{
+		{label: "Shark", suffix: "_mem"},
+		{label: "Shark (disk)"},
+		{label: "Hive (tuned)", hive: true, reducers: tuned, note: func(*core.Result, *mr.Result) string {
+			return fmt.Sprintf("%d reducers", tuned)
+		}},
+		{label: "Hive", hive: true, note: func(_ *core.Result, h *mr.Result) string {
+			return fmt.Sprintf("%d reducers (auto)", h.ReduceTasks)
+		}},
 	}
-	return nil
-}
-
-func runFig7One(ctx context.Context, sc Scale, r *Report, label string, rows int) error {
-	e, err := NewEnv(sc, exec.Options{})
-	if err != nil {
-		return err
-	}
-	defer e.Close()
-	if err := e.GenTable("lineitem", data.LineitemSchema, func(emit func(row.Row) error) error {
-		return data.Lineitem(rows, sc.Supplier, emit)
-	}); err != nil {
-		return err
-	}
-	if err := e.CacheTable("lineitem", "", nil); err != nil {
-		return err
-	}
-	queries := []struct {
-		groups string
-		sql    string
-	}{
+	queries := []struct{ groups, sql string }{
 		{"1 group", "SELECT COUNT(*) FROM %s"},
 		{"7 groups", "SELECT L_SHIPMODE, COUNT(*) FROM %s GROUP BY L_SHIPMODE"},
 		{"2.5K groups", "SELECT L_RECEIPTDATE, COUNT(*) FROM %s GROUP BY L_RECEIPTDATE"},
 		{"high-card groups", "SELECT L_ORDERKEY, COUNT(*) FROM %s GROUP BY L_ORDERKEY"},
 	}
-	tuned := sc.Workers * sc.Slots
-	for _, q := range queries {
-		exp := fmt.Sprintf("fig7 %s: %s", label, q.groups)
-		secs, _, err := e.TimeShark(fmt.Sprintf(q.sql, "lineitem_mem"))
+	one := func(label string, rows int) error {
+		sized := sc
+		sized.Lineitem = rows
+		e, err := newEnv(sized, exec.Options{}, shuffle.Memory, "lineitem_mem")
 		if err != nil {
 			return err
 		}
-		r.Add(exp, "Shark", secs, "")
-		secs, _, err = e.TimeShark(fmt.Sprintf(q.sql, "lineitem"))
-		if err != nil {
-			return err
+		defer e.Close()
+		for _, q := range queries {
+			if err := compare(e, r, fmt.Sprintf("fig7 %s: %s", label, q.groups), q.sql, systems, "lineitem"); err != nil {
+				return err
+			}
 		}
-		r.Add(exp, "Shark (disk)", secs, "")
-		secs, _, err = e.TimeHive(fmt.Sprintf(q.sql, "lineitem"), tuned)
-		if err != nil {
-			return err
-		}
-		r.Add(exp, "Hive (tuned)", secs, fmt.Sprintf("%d reducers", tuned))
-		secs, hres, err := e.TimeHive(fmt.Sprintf(q.sql, "lineitem"), 0)
-		if err != nil {
-			return err
-		}
-		r.Add(exp, "Hive", secs, fmt.Sprintf("%d reducers (auto)", hres.ReduceTasks))
+		return nil
 	}
-	return nil
+	if err := one("100GB-scale", sc.Lineitem); err != nil {
+		return err
+	}
+	return one("1TB-scale", sc.LineitemBig)
 }
 
 // --------------------------------------------------------------------------
@@ -301,82 +271,33 @@ WHERE SOME_UDF(supplier_mem.S_ADDRESS)`
 	// (so the adaptive optimizer switches to a map join). Scale it
 	// with the data, as deployments configure it relative to memory.
 	threshold := int64(sc.Supplier) * 8
-	for _, mode := range []struct {
-		label string
-		mode  exec.StrategyMode
-	}{
-		{"Static", exec.StrategyStatic},
-		{"Adaptive", exec.StrategyAdaptive},
-		{"Static + Adaptive", exec.StrategyStaticAdaptive},
-	} {
-		e, err := NewEnv(sc, exec.Options{JoinStrategy: mode.mode, BroadcastThreshold: threshold})
-		if err != nil {
-			return err
-		}
-		if err := e.GenTable("lineitem", data.LineitemSchema, func(emit func(row.Row) error) error {
-			return data.Lineitem(sc.LineitemBig, sc.Supplier, emit)
-		}); err != nil {
-			e.Close()
-			return err
-		}
-		if err := e.GenTable("supplier", data.SupplierSchema, func(emit func(row.Row) error) error {
-			return data.Supplier(sc.Supplier, emit)
-		}); err != nil {
-			e.Close()
-			return err
-		}
-		if err := e.CacheTable("lineitem", "", nil); err != nil {
-			e.Close()
-			return err
-		}
-		if err := e.CacheTable("supplier", "", nil); err != nil {
-			e.Close()
-			return err
-		}
-		// The UDF selects 1 in 1000 suppliers (paper: 1000 of 10M),
-		// invisible to the static optimizer.
-		err = e.Shark.RegisterUDF("SOME_UDF", row.TBool, 1, 1, func(args []any) any {
-			s, _ := args[0].(string)
-			return strings.HasSuffix(s, "77")
-		})
-		if err != nil {
-			e.Close()
-			return err
-		}
-		secs, res, err := e.TimeShark(query)
-		if err != nil {
-			e.Close()
-			return err
-		}
-		r.Add(exp, mode.label, secs, strings.Join(res.Stats.JoinStrategies, ","))
-		e.Close()
-	}
-	return nil
+	big := sc
+	big.Lineitem = sc.LineitemBig
+	return ablate(big, r, exp, query, []variant{
+		{label: "Static", opts: exec.Options{JoinStrategy: exec.StrategyStatic, BroadcastThreshold: threshold}},
+		{label: "Adaptive", opts: exec.Options{JoinStrategy: exec.StrategyAdaptive, BroadcastThreshold: threshold}},
+		{label: "Static + Adaptive", opts: exec.Options{JoinStrategy: exec.StrategyStaticAdaptive, BroadcastThreshold: threshold}},
+	}, "SOME_UDF", "lineitem_mem", "supplier_mem")
 }
 
 // --------------------------------------------------------------------------
 // §6.3.3 / Figure 9: mid-query fault tolerance.
 
 func runFig9(ctx context.Context, sc Scale, r *Report) error {
-	e, err := NewEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory, "lineitem")
 	if err != nil {
 		return err
 	}
 	defer e.Close()
 	exp := "fig9: group-by on cached lineitem with a worker failure"
-	if err := e.GenTable("lineitem", data.LineitemSchema, func(emit func(row.Row) error) error {
-		return data.Lineitem(sc.Lineitem, sc.Supplier, emit)
-	}); err != nil {
-		return err
-	}
 	const query = "SELECT L_SHIPMODE, COUNT(*), SUM(L_EXTENDEDPRICE) FROM lineitem_mem GROUP BY L_SHIPMODE"
 
 	// Full reload: cache load + query.
 	reload, err := timeIt(func() error {
-		if err := e.CacheTable("lineitem", "", nil); err != nil {
+		if err := e.CacheTable("lineitem"); err != nil {
 			return err
 		}
-		_, err := e.SharkQuery(query)
+		_, err := e.Shark.Exec(query)
 		return err
 	})
 	if err != nil {
@@ -396,7 +317,7 @@ func runFig9(ctx context.Context, sc Scale, r *Report) error {
 	e.SharkCluster.Kill(victim)
 	e.Shark.Ctx.NotifyWorkerLost(victim)
 	failSecs, err := timeIt(func() error {
-		_, err := e.SharkQuery(query)
+		_, err := e.Shark.Exec(query)
 		return err
 	})
 	if err != nil {
@@ -443,52 +364,27 @@ var warehouseQueries = []struct {
 		GROUP BY device ORDER BY sessions DESC LIMIT 10`},
 }
 
-func warehouseEnv(sc Scale, opts exec.Options) (*Env, error) {
-	e, err := NewEnv(sc, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.GenTable("sessions", data.SessionsSchema, func(emit func(row.Row) error) error {
-		return data.Sessions(sc.Sessions, 30, 50, emit)
-	}); err != nil {
-		e.Close()
-		return nil, err
-	}
-	if err := e.CacheTable("sessions", "", nil); err != nil {
-		e.Close()
-		return nil, err
-	}
-	return e, nil
-}
-
 func runFig10(ctx context.Context, sc Scale, r *Report) error {
-	e, err := warehouseEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory, "sessions_mem")
 	if err != nil {
 		return err
 	}
 	defer e.Close()
+	systems := []system{
+		{label: "Shark", suffix: "_mem", note: func(s *core.Result, _ *mr.Result) string {
+			if s.Stats.PrunedPartitions == 0 {
+				return ""
+			}
+			return fmt.Sprintf("scanned %d/%d parts", s.Stats.ScannedPartitions,
+				s.Stats.PrunedPartitions+s.Stats.ScannedPartitions)
+		}},
+		{label: "Shark (disk)"},
+		{label: "Hive", hive: true, reducers: sc.Workers * sc.Slots},
+	}
 	for _, q := range warehouseQueries {
-		exp := "fig10 " + q.name
-		secs, res, err := e.TimeShark(fmt.Sprintf(q.sql, "sessions_mem"))
-		if err != nil {
-			return fmt.Errorf("%s shark: %w", q.name, err)
-		}
-		prune := ""
-		if res.Stats.PrunedPartitions > 0 {
-			total := res.Stats.PrunedPartitions + res.Stats.ScannedPartitions
-			prune = fmt.Sprintf("scanned %d/%d parts", res.Stats.ScannedPartitions, total)
-		}
-		r.Add(exp, "Shark", secs, prune)
-		secs, _, err = e.TimeShark(fmt.Sprintf(q.sql, "sessions"))
-		if err != nil {
+		if err := compare(e, r, "fig10 "+q.name, q.sql, systems, "sessions"); err != nil {
 			return err
 		}
-		r.Add(exp, "Shark (disk)", secs, "")
-		secs, _, err = e.TimeHive(fmt.Sprintf(q.sql, "sessions"), sc.Workers*sc.Slots)
-		if err != nil {
-			return fmt.Errorf("%s hive: %w", q.name, err)
-		}
-		r.Add(exp, "Hive", secs, "")
 	}
 	return nil
 }
@@ -496,26 +392,17 @@ func runFig10(ctx context.Context, sc Scale, r *Report) error {
 // --------------------------------------------------------------------------
 // §6.5 / Figures 11 & 12: machine learning per-iteration runtimes.
 
+// mlEnv holds the points in every form the §6.5 baselines read: text
+// in the DFS (Hadoop-text), cached in Shark's memstore and pulled out
+// via sql2rdd (§4.1), and binary in the DFS (Hadoop-binary).
 func mlEnv(sc Scale) (*Env, *rdd.RDD, error) {
-	e, err := NewEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory, "points_mem")
 	if err != nil {
 		return nil, nil, err
 	}
-	// Relational form in DFS: text (the Hadoop-text baseline input)...
-	if err := e.GenTable("points", data.PointsSchema(sc.MLDim), func(emit func(row.Row) error) error {
-		return data.Points(sc.MLPoints, sc.MLDim, emit)
-	}); err != nil {
-		e.Close()
-		return nil, nil, err
-	}
-	// ...binary for the Hadoop-binary baseline...
-	if _, err := data.WriteFile(e.FS, "data/points_bin", dfs.Binary, data.PointsSchema(sc.MLDim),
-		func(emit func(row.Row) error) error { return data.Points(sc.MLPoints, sc.MLDim, emit) }); err != nil {
-		e.Close()
-		return nil, nil, err
-	}
-	// ...and cached in Shark's memstore, pulled out via sql2rdd (§4.1).
-	if err := e.CacheTable("points", "", nil); err != nil {
+	points := datasets["points"]
+	if _, err := data.WriteFile(e.FS, "data/points_bin", dfs.Binary, points.schema(sc),
+		func(emit emitFunc) error { return points.gen(sc, emit) }); err != nil {
 		e.Close()
 		return nil, nil, err
 	}
@@ -561,17 +448,16 @@ func runFig11(ctx context.Context, sc Scale, r *Report) error {
 	r.Add(exp, "Shark", avgSeconds(timer.Durations[1:]),
 		fmt.Sprintf("first iter (load) %.3fs", timer.Durations[0].Seconds()))
 
-	timer = &ml.IterTimer{}
-	if _, err := ml.LogisticRegressionMR(e.MR, "data/points_bin", sc.MLDim, sc.MLIters, 1e-4, timer); err != nil {
-		return err
+	for _, hadoop := range []struct{ label, file string }{
+		{"Hadoop (binary)", "data/points_bin"},
+		{"Hadoop (text)", "data/points"},
+	} {
+		timer := &ml.IterTimer{}
+		if _, err := ml.LogisticRegressionMR(e.MR, hadoop.file, sc.MLDim, sc.MLIters, 1e-4, timer); err != nil {
+			return err
+		}
+		r.Add(exp, hadoop.label, avgSeconds(timer.Durations), "")
 	}
-	r.Add(exp, "Hadoop (binary)", avgSeconds(timer.Durations), "")
-
-	timer = &ml.IterTimer{}
-	if _, err := ml.LogisticRegressionMR(e.MR, "data/points", sc.MLDim, sc.MLIters, 1e-4, timer); err != nil {
-		return err
-	}
-	r.Add(exp, "Hadoop (text)", avgSeconds(timer.Durations), "")
 	return nil
 }
 
@@ -603,7 +489,7 @@ func runFig12(ctx context.Context, sc Scale, r *Report) error {
 		{"Hadoop (text)", "data/feats_txt", dfs.Text},
 	} {
 		if _, err := data.WriteFile(e.FS, variant.file, variant.format, featSchema,
-			func(emit func(row.Row) error) error {
+			func(emit emitFunc) error {
 				return data.Points(sc.MLPoints, sc.MLDim, func(r row.Row) error { return emit(r[1:]) })
 			}); err != nil {
 			return err
@@ -621,16 +507,13 @@ func runFig12(ctx context.Context, sc Scale, r *Report) error {
 // §7.1 / Figure 13: job time vs number of reduce tasks.
 
 func runFig13(ctx context.Context, sc Scale, r *Report) error {
-	e, err := NewEnv(sc, exec.Options{})
+	half := sc
+	half.UserVisits /= 2
+	e, err := newEnv(half, exec.Options{}, shuffle.Memory, "uservisits")
 	if err != nil {
 		return err
 	}
 	defer e.Close()
-	if err := e.GenTable("uservisits", data.UserVisitsSchema, func(emit func(row.Row) error) error {
-		return data.UserVisits(sc.UserVisits/2, sc.Rankings, emit)
-	}); err != nil {
-		return err
-	}
 
 	taskCounts := []int{1, 2, 4, 8, 16, 32, 64}
 
@@ -681,7 +564,7 @@ func runFig13(ctx context.Context, sc Scale, r *Report) error {
 
 func runColumnarFootprint(ctx context.Context, sc Scale, r *Report) error {
 	exp := "tbl_columnar: lineitem in-memory footprint"
-	rows := data.Collect(func(emit func(row.Row) error) error {
+	rows := data.Collect(func(emit emitFunc) error {
 		return data.Lineitem(sc.Lineitem, sc.Supplier, emit)
 	})
 
@@ -708,42 +591,50 @@ func runColumnarFootprint(ctx context.Context, sc Scale, r *Report) error {
 // --------------------------------------------------------------------------
 // §5 ablations.
 
-func runShuffleAblation(ctx context.Context, sc Scale, r *Report) error {
-	exp := "abl_shuffle: group-by with memory vs disk shuffle"
-	for _, variant := range []struct {
-		label string
-		mode  shuffle.Mode
-	}{
-		{"memory shuffle (Shark default)", shuffle.Memory},
-		{"disk shuffle (Hadoop-style)", shuffle.Disk},
-	} {
-		e, err := newEnv(sc, exec.Options{}, variant.mode)
+// variant is one engine configuration of a Shark-only ablation.
+type variant struct {
+	label string
+	opts  exec.Options
+	mode  shuffle.Mode
+}
+
+// ablate times one query under each variant, every variant on a fresh
+// environment of its own holding tables (and the selective UDF udf,
+// unless ""), and notes the join strategies the engine chose — none
+// for a join-free query.
+func ablate(sc Scale, r *Report, exp, query string, variants []variant, udf string, tables ...string) error {
+	for _, v := range variants {
+		e, err := newEnv(sc, v.opts, v.mode, tables...)
 		if err != nil {
 			return err
 		}
-		if err := e.GenTable("uservisits", data.UserVisitsSchema, func(emit func(row.Row) error) error {
-			return data.UserVisits(sc.UserVisits, sc.Rankings, emit)
-		}); err != nil {
-			e.Close()
-			return err
+		if udf != "" {
+			err = e.registerSelectiveUDF(udf)
 		}
-		if err := e.CacheTable("uservisits", "", nil); err != nil {
-			e.Close()
-			return err
+		var secs float64
+		var res *core.Result
+		if err == nil {
+			secs, res, err = e.TimeShark(query)
 		}
-		secs, _, err := e.TimeShark("SELECT sourceIP, SUM(adRevenue) FROM uservisits_mem GROUP BY sourceIP")
-		if err != nil {
-			e.Close()
-			return err
-		}
-		r.Add(exp, variant.label, secs, "")
 		e.Close()
+		if err != nil {
+			return err
+		}
+		r.Add(exp, v.label, secs, strings.Join(res.Stats.JoinStrategies, ","))
 	}
 	return nil
 }
 
+func runShuffleAblation(ctx context.Context, sc Scale, r *Report) error {
+	return ablate(sc, r, "abl_shuffle: group-by with memory vs disk shuffle",
+		"SELECT sourceIP, SUM(adRevenue) FROM uservisits_mem GROUP BY sourceIP",
+		[]variant{
+			{label: "memory shuffle (Shark default)", mode: shuffle.Memory},
+			{label: "disk shuffle (Hadoop-style)", mode: shuffle.Disk},
+		}, "", "uservisits_mem")
+}
+
 func runExprCompileAblation(ctx context.Context, sc Scale, r *Report) error {
-	exp := "abl_compile: compiled closures vs interpreted evaluators"
 	// Deliberately expression-heavy (dozens of operator nodes per
 	// row) so evaluator dispatch, not scanning, dominates — the §5
 	// profile of memstore-served queries.
@@ -755,36 +646,13 @@ func runExprCompileAblation(ctx context.Context, sc Scale, r *Report) error {
 	FROM lineitem_mem
 	WHERE L_QUANTITY * 3 + L_QUANTITY * 2 > 25 AND L_DISCOUNT * 10.0 < 0.9
 	AND L_EXTENDEDPRICE * 1.0001 > L_QUANTITY * 2.0`
-	for _, variant := range []struct {
-		label   string
-		disable bool
-	}{
-		{"compiled (Shark §5 optimization)", false},
-		{"interpreted (Hive-style)", true},
-	} {
-		e, err := NewEnv(sc, exec.Options{DisableExprCompile: variant.disable})
-		if err != nil {
-			return err
-		}
-		if err := e.GenTable("lineitem", data.LineitemSchema, func(emit func(row.Row) error) error {
-			return data.Lineitem(sc.LineitemBig, sc.Supplier, emit)
-		}); err != nil {
-			e.Close()
-			return err
-		}
-		if err := e.CacheTable("lineitem", "", nil); err != nil {
-			e.Close()
-			return err
-		}
-		secs, _, err := e.TimeShark(query)
-		if err != nil {
-			e.Close()
-			return err
-		}
-		r.Add(exp, variant.label, secs, "")
-		e.Close()
-	}
-	return nil
+	big := sc
+	big.Lineitem = sc.LineitemBig
+	return ablate(big, r, "abl_compile: compiled closures vs interpreted evaluators", query,
+		[]variant{
+			{label: "compiled (Shark §5 optimization)"},
+			{label: "interpreted (Hive-style)", opts: exec.Options{DisableExprCompile: true}},
+		}, "", "lineitem_mem")
 }
 
 func runSkewAblation(ctx context.Context, sc Scale, r *Report) error {
@@ -792,7 +660,7 @@ func runSkewAblation(ctx context.Context, sc Scale, r *Report) error {
 	// A combiner-less GroupByKey over zipf-skewed keys: reduce tasks
 	// must materialize every value, so an unlucky coarse partition
 	// that concentrates hot keys bounds the job (§3.1.2).
-	e, err := NewEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory)
 	if err != nil {
 		return err
 	}
@@ -879,34 +747,30 @@ func runSkewAblation(ctx context.Context, sc Scale, r *Report) error {
 
 func runPruning(ctx context.Context, sc Scale, r *Report) error {
 	exp := "pruning: warehouse queries, partitions scanned"
-	for _, variant := range []struct {
-		label   string
-		disable bool
-	}{
-		{"map pruning on", false},
-		{"map pruning off", true},
-	} {
-		e, err := warehouseEnv(sc, exec.Options{DisablePruning: variant.disable})
+	one := func(label string, disable bool) error {
+		e, err := newEnv(sc, exec.Options{DisablePruning: disable}, shuffle.Memory, "sessions_mem")
 		if err != nil {
 			return err
 		}
+		defer e.Close()
 		var total float64
 		scanned, totalParts := 0, 0
 		for _, q := range warehouseQueries {
 			secs, res, err := e.TimeShark(fmt.Sprintf(q.sql, "sessions_mem"))
 			if err != nil {
-				e.Close()
 				return err
 			}
 			total += secs
 			scanned += res.Stats.ScannedPartitions
 			totalParts += res.Stats.ScannedPartitions + res.Stats.PrunedPartitions
 		}
-		note := fmt.Sprintf("scanned %d/%d partitions over Q1-Q4", scanned, totalParts)
-		r.Add(exp, variant.label, total, note)
-		e.Close()
+		r.Add(exp, label, total, fmt.Sprintf("scanned %d/%d partitions over Q1-Q4", scanned, totalParts))
+		return nil
 	}
-	return nil
+	if err := one("map pruning on", false); err != nil {
+		return err
+	}
+	return one("map pruning off", true)
 }
 
 // --------------------------------------------------------------------------
@@ -914,32 +778,14 @@ func runPruning(ctx context.Context, sc Scale, r *Report) error {
 // logistic regression iteration, Shark vs Hive/Hadoop.
 
 func runFig1(ctx context.Context, sc Scale, r *Report) error {
-	e, err := warehouseEnv(sc, exec.Options{})
+	if err := fig1Queries(sc, r); err != nil {
+		return err
+	}
+	e, points, err := mlEnv(sc)
 	if err != nil {
 		return err
 	}
-	for i, q := range warehouseQueries[:2] {
-		exp := fmt.Sprintf("fig1: user query %d", i+1)
-		secs, _, err := e.TimeShark(fmt.Sprintf(q.sql, "sessions_mem"))
-		if err != nil {
-			e.Close()
-			return err
-		}
-		r.Add(exp, "Shark", secs, "")
-		secs, _, err = e.TimeHive(fmt.Sprintf(q.sql, "sessions"), sc.Workers*sc.Slots)
-		if err != nil {
-			e.Close()
-			return err
-		}
-		r.Add(exp, "Hive", secs, "")
-	}
-	e.Close()
-
-	e2, points, err := mlEnv(sc)
-	if err != nil {
-		return err
-	}
-	defer e2.Close()
+	defer e.Close()
 	exp := "fig1: logistic regression (1 iteration)"
 	timer := &ml.IterTimer{}
 	if _, err := ml.LogisticRegressionCtx(ctx, points, sc.MLDim, 2, 1e-4, timer); err != nil {
@@ -947,9 +793,27 @@ func runFig1(ctx context.Context, sc Scale, r *Report) error {
 	}
 	r.Add(exp, "Shark", timer.Durations[1].Seconds(), "")
 	timer = &ml.IterTimer{}
-	if _, err := ml.LogisticRegressionMR(e2.MR, "data/points", sc.MLDim, 1, 1e-4, timer); err != nil {
+	if _, err := ml.LogisticRegressionMR(e.MR, "data/points", sc.MLDim, 1, 1e-4, timer); err != nil {
 		return err
 	}
 	r.Add(exp, "Hadoop", timer.Durations[0].Seconds(), "")
+	return nil
+}
+
+func fig1Queries(sc Scale, r *Report) error {
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory, "sessions_mem")
+	if err != nil {
+		return err
+	}
+	defer e.Close()
+	systems := []system{
+		{label: "Shark", suffix: "_mem"},
+		{label: "Hive", hive: true, reducers: sc.Workers * sc.Slots},
+	}
+	for i, q := range warehouseQueries[:2] {
+		if err := compare(e, r, fmt.Sprintf("fig1: user query %d", i+1), q.sql, systems, "sessions"); err != nil {
+			return err
+		}
+	}
 	return nil
 }

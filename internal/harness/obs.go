@@ -11,6 +11,7 @@ import (
 
 	"shark/internal/exec"
 	"shark/internal/obs"
+	"shark/internal/shuffle"
 )
 
 // obsOverheadGate is the tracing-tax budget: the traced p95 may not
@@ -29,7 +30,7 @@ const (
 // experiment fails if the traced p95 regresses past the budget.
 func runObs(ctx context.Context, sc Scale, r *Report) error {
 	exp := "abl_obs: statement tracing overhead (off vs on)"
-	e, err := pavloEnv(sc, exec.Options{})
+	e, err := newEnv(sc, exec.Options{}, shuffle.Memory, pavloTables...)
 	if err != nil {
 		return err
 	}

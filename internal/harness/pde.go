@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
-	"time"
 
 	"shark/internal/core"
 	"shark/internal/exec"
 	"shark/internal/row"
+	"shark/internal/shuffle"
 )
 
 // runPDE measures the adaptive-execution layer (§3.1) end to end on a
@@ -76,74 +75,32 @@ type pdeResult struct {
 // pdePoint runs the skewed-join workload under one engine config and
 // returns latency percentiles plus the adaptive-decision counters.
 func pdePoint(sc Scale, disableAdaptive bool) (*pdeResult, error) {
-	nDim := sc.Supplier
-	if nDim < 2000 {
-		nDim = 2000
-	}
 	// The broadcast threshold sits between the observed dimension table
 	// (so the plain join keeps its shuffle plan) and the UDF-filtered
 	// dimension table (so the filtered join converts to a map join).
 	// The static optimizer, blind to the UDF, estimates the full table
 	// either way.
-	thr := int64(nDim) * 18
 	opts := exec.Options{
-		BroadcastThreshold:    thr,
+		BroadcastThreshold:    int64(pdeDimRows(sc)) * 18,
 		TargetPerReducerBytes: 256 << 10,
 	}
 	if disableAdaptive {
 		opts.DisableAdaptiveExec = true
 		opts.JoinStrategy = exec.StrategyStatic
 	}
-	e, err := NewEnv(sc, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-
-	// Fact: ~three quarters of the rows on hot key 0, the rest spread
-	// over the
-	// dimension keys, with a per-row payload (incompressible, so the
-	// cached columnar size stays honest) that makes the hot shuffle
-	// bucket several times TargetPerReducerBytes.
-	if err := e.GenTable("fact", pdeFactSchema, func(emit func(row.Row) error) error {
-		for i := 0; i < sc.UserVisits; i++ {
-			k := int64(0)
-			if i%4 == 3 {
-				k = 1 + int64((i*2654435761)%(nDim-1))
-			}
-			pad := fmt.Sprintf("%096d", i*2654435761)
-			if err := emit(row.Row{k, int64(i % 1000), pad}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
 	// Cache the fact table so the timed rounds measure shuffle + reduce
 	// (where the adaptations act) rather than re-parsing text from DFS.
 	// The dimension table stays external: its size estimate must come
 	// from table statistics, not exact cached bytes, for the broadcast
 	// threshold to behave as it does on a warehouse catalog.
-	if err := e.CacheTable("fact", "", nil); err != nil {
+	e, err := newEnv(sc, opts, shuffle.Memory, "fact_mem", "dim")
+	if err != nil {
 		return nil, err
 	}
-	if err := e.GenTable("dim", pdeDimSchema, func(emit func(row.Row) error) error {
-		for k := 0; k < nDim; k++ {
-			if err := emit(row.Row{int64(k), fmt.Sprintf("addr-%d", k)}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	// The UDF selects ~1% of dimension rows, invisible to the static
-	// optimizer (the fig8 scenario folded into the PDE ablation).
-	if err := e.Shark.RegisterUDF("PDE_UDF", row.TBool, 1, 1, func(args []any) any {
-		s, _ := args[0].(string)
-		return strings.HasSuffix(s, "77")
-	}); err != nil {
+	defer e.Close()
+	// The fig8 scenario folded into the PDE ablation: the UDF selects
+	// ~1% of dimension rows, invisible to the static optimizer.
+	if err := e.registerSelectiveUDF("PDE_UDF"); err != nil {
 		return nil, err
 	}
 
@@ -152,21 +109,15 @@ FROM fact_mem JOIN dim ON fact_mem.k = dim.k GROUP BY dim.grp`
 	const convSQL = `SELECT COUNT(*) FROM fact_mem JOIN dim ON fact_mem.k = dim.k
 WHERE PDE_UDF(dim.grp)`
 
-	// Warm-up, then timed rounds of the skewed join.
-	joinRes, err := e.SharkQuery(joinSQL)
+	var joinRes *core.Result
+	lats, err := timeRounds(12, func() (err error) {
+		joinRes, err = e.Shark.Exec(joinSQL)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	const rounds = 12
-	lats := make([]float64, 0, rounds)
-	for q := 0; q < rounds; q++ {
-		start := time.Now()
-		if _, err := e.SharkQuery(joinSQL); err != nil {
-			return nil, err
-		}
-		lats = append(lats, time.Since(start).Seconds())
-	}
-	convRes, err := e.SharkQuery(convSQL)
+	convRes, err := e.Shark.Exec(convSQL)
 	if err != nil {
 		return nil, err
 	}
@@ -195,17 +146,40 @@ var pdeDimSchema = row.Schema{
 	{Name: "grp", Type: row.TString},
 }
 
+func pdeDimRows(sc Scale) int { return max(sc.Supplier, 2000) }
+
+// pdeFact generates the fact table: ~three quarters of the rows on hot
+// key 0, the rest spread over the dimension keys, with a per-row
+// payload (incompressible, so the cached columnar size stays honest)
+// that makes the hot shuffle bucket several times TargetPerReducerBytes.
+func pdeFact(sc Scale, emit emitFunc) error {
+	nDim := pdeDimRows(sc)
+	for i := 0; i < sc.UserVisits; i++ {
+		k := int64(0)
+		if i%4 == 3 {
+			k = 1 + int64((i*2654435761)%(nDim-1))
+		}
+		pad := fmt.Sprintf("%096d", i*2654435761)
+		if err := emit(row.Row{k, int64(i % 1000), pad}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func pdeDim(sc Scale, emit emitFunc) error {
+	for k := 0; k < pdeDimRows(sc); k++ {
+		if err := emit(row.Row{int64(k), fmt.Sprintf("addr-%d", k)}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // sortedRows renders a result's rows as a sorted string multiset so
 // two runs can be compared independent of row order.
 func sortedRows(res *core.Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		parts := make([]string, len(r))
-		for j, v := range r {
-			parts[j] = fmt.Sprint(v)
-		}
-		out[i] = strings.Join(parts, "|")
-	}
+	out := rowsToTuples(res)
 	sort.Strings(out)
 	return out
 }

@@ -85,18 +85,24 @@ func noteClusterMetrics(label string, ctx *rdd.Context) {
 		cm.CancelledTasks.Load()))
 }
 
-// Fprint renders the report as an aligned text table grouped by
-// experiment, with speedup ratios versus the slowest series in each
-// experiment.
-func (r *Report) Fprint(w io.Writer) {
-	byExp := map[string][]Entry{}
-	var order []string
+// byExperiment groups the entries by experiment title, titles in
+// first-appearance order.
+func (r *Report) byExperiment() (byExp map[string][]Entry, order []string) {
+	byExp = map[string][]Entry{}
 	for _, e := range r.Entries {
 		if _, ok := byExp[e.Experiment]; !ok {
 			order = append(order, e.Experiment)
 		}
 		byExp[e.Experiment] = append(byExp[e.Experiment], e)
 	}
+	return byExp, order
+}
+
+// Fprint renders the report as an aligned text table grouped by
+// experiment, with speedup ratios versus the slowest series in each
+// experiment.
+func (r *Report) Fprint(w io.Writer) {
+	byExp, order := r.byExperiment()
 	for _, exp := range order {
 		entries := byExp[exp]
 		fmt.Fprintf(w, "\n== %s ==\n", exp)
@@ -132,14 +138,7 @@ func (r *Report) Fprint(w io.Writer) {
 
 // Markdown renders the report as Markdown tables (shark-bench -markdown).
 func (r *Report) Markdown(w io.Writer) {
-	byExp := map[string][]Entry{}
-	var order []string
-	for _, e := range r.Entries {
-		if _, ok := byExp[e.Experiment]; !ok {
-			order = append(order, e.Experiment)
-		}
-		byExp[e.Experiment] = append(byExp[e.Experiment], e)
-	}
+	byExp, order := r.byExperiment()
 	for _, exp := range order {
 		entries := byExp[exp]
 		fmt.Fprintf(w, "\n### %s\n\n", exp)

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"database/sql"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,13 +13,8 @@ import (
 	"sync"
 	"time"
 
-	"shark"
 	"shark/internal/obs"
-	"shark/internal/row"
-	"shark/internal/server"
 	"shark/internal/wire"
-
-	_ "shark/driver" // registers the "shark" database/sql driver
 )
 
 // servingConns is the client fleet size: the serving layer must hold
@@ -38,57 +32,17 @@ const servingConns = 100
 func runServing(ctx context.Context, sc Scale, r *Report) error {
 	exp := "abl_serving: concurrent driver clients vs shark-server"
 
-	srv, err := server.New(server.Config{Cluster: shark.ClusterConfig{
-		Workers:           sc.Workers,
-		SlotsPerWorker:    sc.Slots,
-		WorkerMemoryBytes: sc.WorkerMemoryBytes,
-		WorkerDiskBytes:   sc.WorkerDiskBytes,
-	}})
+	fs, err := newFleetServer(sc, "serving")
 	if err != nil {
 		return err
 	}
-	drained := false
-	defer func() {
-		if !drained {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			srv.Shutdown(ctx)
-		}
-	}()
-
-	// Shared-catalog data every client queries, plus an embedded
-	// reference session on the same cluster.
-	loader, err := srv.Cluster().NewSession(shark.SessionConfig{Name: "serving-loader", SharedCatalog: true})
+	defer fs.close()
+	srv, addr := fs.srv, fs.addr
+	refs, err := fs.references(ctx, []int64{0})
 	if err != nil {
 		return err
 	}
-	schema := shark.Schema{
-		{Name: "grp", Type: row.TString},
-		{Name: "val", Type: row.TInt},
-	}
-	n := sc.Sessions
-	rows := make([]shark.Row, n)
-	for i := range rows {
-		rows[i] = shark.Row{fmt.Sprintf("g%02d", i%20), int64(i % 1000)}
-	}
-	if err := loader.LoadRows("events", schema, rows); err != nil {
-		return err
-	}
-	if _, err := loader.Exec(`CREATE TABLE events_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM events`); err != nil {
-		return err
-	}
-	const query = `SELECT grp, COUNT(*), SUM(val) FROM events_mem WHERE val >= ? GROUP BY grp ORDER BY grp`
-	embedded, err := loader.Exec(`SELECT grp, COUNT(*), SUM(val) FROM events_mem WHERE val >= 0 GROUP BY grp ORDER BY grp`)
-	if err != nil {
-		return err
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go srv.Serve(ln)
-	addr := ln.Addr().String()
+	embedded := refs[0]
 
 	// The observability sidecar, exactly as shark-server -obs-addr
 	// serves it: Phase B reads the statement counters and the query
@@ -101,64 +55,21 @@ func runServing(ctx context.Context, sc Scale, r *Report) error {
 	go http.Serve(obsLn, srv.ObsHandler())
 	obsURL := "http://" + obsLn.Addr().String()
 
-	db, err := sql.Open("shark", addr+"?catalog=shared&session=bench")
+	// Phase A: the fleet, each round sending the statement text.
+	rounds := sc.Reps * 3
+	lats, elapsed, db, err := fleet(ctx, fleetSpec{
+		dsn:   addr + "?catalog=shared&session=bench",
+		conns: servingConns, rounds: rounds,
+		query: fleetQuery, params: []int64{0}, refs: refs,
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("serving fleet: %w", err)
 	}
 	defer db.Close()
-	db.SetMaxOpenConns(servingConns)
-	db.SetMaxIdleConns(servingConns)
-
-	// Phase A: the fleet. Each goroutine pins one pooled connection
-	// (one cluster session) and runs timed rounds of the group-by.
-	rounds := sc.Reps * 3
-	var (
-		mu        sync.Mutex
-		lats      []float64
-		mismatch  error
-		completed int
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < servingConns; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := db.Conn(context.Background())
-			if err != nil {
-				mu.Lock()
-				mismatch = fmt.Errorf("conn: %w", err)
-				mu.Unlock()
-				return
-			}
-			defer conn.Close()
-			for round := 0; round < rounds; round++ {
-				t0 := time.Now()
-				got, err := fetchGroups(conn, query, 0)
-				lat := time.Since(t0).Seconds()
-				if err == nil {
-					err = sameAsEmbedded(got, embedded)
-				}
-				mu.Lock()
-				if err != nil && mismatch == nil {
-					mismatch = err
-				}
-				lats = append(lats, lat)
-				completed++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	if mismatch != nil {
-		return fmt.Errorf("serving fleet: %w", mismatch)
-	}
 	p50, p95 := quantiles(lats)
-	qps := float64(completed) / elapsed
 	r.Add(exp, fmt.Sprintf("driver query p95 (%d conns)", servingConns), p95,
-		fmt.Sprintf("p50 %.1fms over %d queries, all results identical to embedded execution", p50*1000, completed))
-	r.AddValue(exp, "serving QPS", qps,
+		fmt.Sprintf("p50 %.1fms over %d queries, all results identical to embedded execution", p50*1000, len(lats)))
+	r.AddValue(exp, "serving QPS", float64(len(lats))/elapsed,
 		fmt.Sprintf("%d concurrent connections x %d rounds in %.2fs", servingConns, rounds, elapsed))
 
 	// Phase B: abrupt client death mid-query cancels cluster-side
@@ -256,7 +167,7 @@ func runServing(ctx context.Context, sc Scale, r *Report) error {
 		go func() {
 			defer dwg.Done()
 			for {
-				got, err := fetchGroupsDB(db, query, 0)
+				got, err := scanGroups(db.QueryContext(ctx, fleetQuery, int64(0)))
 				if err != nil {
 					return // drain interrupted this statement: fine
 				}
@@ -274,7 +185,6 @@ func runServing(ctx context.Context, sc Scale, r *Report) error {
 	if err := srv.Shutdown(drainCtx); err != nil {
 		return fmt.Errorf("serving: drain missed its deadline: %w", err)
 	}
-	drained = true
 	dwg.Wait()
 	close(errs)
 	for err := range errs {
@@ -283,44 +193,6 @@ func runServing(ctx context.Context, sc Scale, r *Report) error {
 	r.Add(exp, "graceful drain", time.Since(t0).Seconds(),
 		fmt.Sprintf("SIGTERM-style drain under %d querying clients; completed statements all correct", servingConns/4))
 	return nil
-}
-
-// fetchGroups runs the parameterized group-by on one pinned
-// connection and returns rows as printable tuples.
-func fetchGroups(conn *sql.Conn, query string, minVal int64) ([]string, error) {
-	rows, err := conn.QueryContext(context.Background(), query, minVal)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []string
-	for rows.Next() {
-		var grp string
-		var cnt, sum int64
-		if err := rows.Scan(&grp, &cnt, &sum); err != nil {
-			return nil, err
-		}
-		out = append(out, fmt.Sprintf("%s|%d|%d", grp, cnt, sum))
-	}
-	return out, rows.Err()
-}
-
-func fetchGroupsDB(db *sql.DB, query string, minVal int64) ([]string, error) {
-	rows, err := db.Query(query, minVal)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []string
-	for rows.Next() {
-		var grp string
-		var cnt, sum int64
-		if err := rows.Scan(&grp, &cnt, &sum); err != nil {
-			return nil, err
-		}
-		out = append(out, fmt.Sprintf("%s|%d|%d", grp, cnt, sum))
-	}
-	return out, rows.Err()
 }
 
 // scrapeObs fetches one observability endpoint's body.
@@ -368,19 +240,4 @@ func latestObsTrace(baseURL string) (obs.TraceSnapshot, error) {
 		return obs.TraceSnapshot{}, fmt.Errorf("/queries returned no traces")
 	}
 	return snaps[0], nil
-}
-
-// sameAsEmbedded checks a driver-fetched result against the embedded
-// session's rows for the same query.
-func sameAsEmbedded(got []string, ref *shark.Result) error {
-	if len(got) != len(ref.Rows) {
-		return fmt.Errorf("driver returned %d groups, embedded %d", len(got), len(ref.Rows))
-	}
-	for i, r := range ref.Rows {
-		want := fmt.Sprintf("%v|%v|%v", r[0], r[1], r[2])
-		if got[i] != want {
-			return fmt.Errorf("group %d: driver %q, embedded %q", i, got[i], want)
-		}
-	}
-	return nil
 }

@@ -28,7 +28,8 @@ import (
 	"shark/internal/wire"
 )
 
-// Config shapes a server.
+// Config shapes a server. Limits nobody has needed to vary are
+// constants below (handshakeTimeout, maxPreparedPerConn), not fields.
 type Config struct {
 	// Cluster sizes the shared substrate every connection attaches to.
 	Cluster shark.ClusterConfig
@@ -39,9 +40,6 @@ type Config struct {
 	MaxConns int
 	// BatchRows caps rows per Fetch response (default 512).
 	BatchRows int
-	// HandshakeTimeout bounds how long a fresh connection may sit
-	// without completing its Hello (default 10s).
-	HandshakeTimeout time.Duration
 	// Logf receives serving-layer events (nil = silent).
 	Logf func(format string, args ...any)
 	// SlowQueryThreshold admits only statements at least this slow to
@@ -100,13 +98,6 @@ func (s *Server) batchRows() int {
 		return s.cfg.BatchRows
 	}
 	return 512
-}
-
-func (s *Server) handshakeTimeout() time.Duration {
-	if s.cfg.HandshakeTimeout > 0 {
-		return s.cfg.HandshakeTimeout
-	}
-	return 10 * time.Second
 }
 
 func (s *Server) maxCursors() int {
@@ -290,6 +281,10 @@ type conn struct {
 // client needing more is leaking them.
 const maxPreparedPerConn = 256
 
+// handshakeTimeout bounds how long a fresh connection may sit without
+// completing its Hello.
+const handshakeTimeout = 10 * time.Second
+
 // cursor is a materialized statement result mid-fetch. lastUsed
 // drives the idle-expiry and at-cap eviction that keep a misbehaving
 // client from pinning results forever.
@@ -327,7 +322,7 @@ func (h *conn) handle() {
 
 	// Handshake: Hello must arrive promptly and carry the right
 	// version and token.
-	h.nc.SetReadDeadline(time.Now().Add(h.srv.handshakeTimeout()))
+	h.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	id, msg, err := wire.ReadMessage(h.nc)
 	if err != nil {
 		return

@@ -12,22 +12,15 @@
 // that fair-share the cluster, and every statement is cancellable via
 // ExecContext / QueryContext.
 //
-// Single-tenant quick start (a private cluster per session, the
-// original API shape):
-//
-//	s, _ := shark.NewSession(shark.Config{})
-//	defer s.Close()
-//	s.LoadRows("logs", schema, rows)
-//	s.Exec(`CREATE TABLE logs_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM logs`)
-//	res, _ := s.Exec(`SELECT status, COUNT(*) FROM logs_mem GROUP BY status`)
-//
-// Multi-tenant quick start (one cluster, many sessions):
+// Quick start (one cluster, any number of sessions):
 //
 //	cl, _ := shark.NewCluster(shark.ClusterConfig{Workers: 8})
 //	defer cl.Close()
 //	etl, _ := cl.NewSession(shark.SessionConfig{Name: "etl"})
-//	dash, _ := cl.NewSession(shark.SessionConfig{Name: "dash"})
 //	defer etl.Close() // releases only etl's tables, not the cluster
+//	etl.LoadRows("logs", schema, rows)
+//	etl.Exec(`CREATE TABLE logs_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM logs`)
+//	dash, _ := cl.NewSession(shark.SessionConfig{Name: "dash"})
 //	go etl.Exec(longScanSQL)
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 //	defer cancel()
@@ -452,107 +445,23 @@ func (c *Cluster) Kill(id int) {
 // Restart brings a failed node back (empty, as a fresh node).
 func (c *Cluster) Restart(id int) { c.cl.Restart(id) }
 
-// Config sizes the embedded simulated cluster of the single-tenant
-// NewSession wrapper.
-type Config struct {
-	// Workers is the number of simulated nodes (default 8).
-	Workers int
-	// SlotsPerWorker is concurrent tasks per node (default 2).
-	SlotsPerWorker int
-	// DataDir backs the simulated DFS and shuffle spills; a temp
-	// directory is created when empty.
-	DataDir string
-	// Engine tunes the Shark execution engine.
-	Engine EngineOptions
-	// TaskLaunchOverhead overrides the per-task scheduling cost
-	// (default: Spark profile, 50µs).
-	TaskLaunchOverhead time.Duration
-	// DiskShuffle stores shuffle map outputs on disk instead of in
-	// worker memory (ablation; default memory).
-	DiskShuffle bool
-	// Speculation enables backup tasks for stragglers.
-	Speculation bool
-	// WorkerMemoryBytes bounds each simulated worker's block store:
-	// cached table partitions are LRU-evicted under pressure and
-	// recovered from the disk tier, remote cache reads or lineage
-	// recomputation. 0 = unbounded.
-	WorkerMemoryBytes int64
-	// WorkerDiskBytes sizes each worker's local-disk spill tier
-	// (0 disables it; negative = unbounded disk).
-	WorkerDiskBytes int64
-	// WorkerShuffleBytes gives pinned shuffle outputs a separate
-	// budget (0 keeps the shared accounting).
-	WorkerShuffleBytes int64
-	// StorageLevel is the default storage level for cached tables
-	// (per-table TBLPROPERTIES levels override it).
-	StorageLevel StorageLevel
-	// Priority is the session's fair-share weight (<=0 reads as 1);
-	// meaningful when several contexts share the embedded cluster's
-	// slots (e.g. concurrent statements), and carried by every task
-	// the session launches.
-	Priority int
-	// MaxConcurrentJobs caps the session's concurrently executing
-	// statements (0 = unlimited); excess statements queue FIFO for
-	// admission.
-	MaxConcurrentJobs int
-}
-
 // Session is a connected Shark client attached to a Cluster. Exec /
 // ExecContext run SQL; Query / QueryContext bridge to RDDs; Stats
 // reports the session's share of cluster activity.
 type Session struct {
 	*core.Session
-	// Cluster is the substrate the session runs on (shared unless the
-	// session came from the single-tenant NewSession wrapper).
+	// Cluster is the substrate the session runs on.
 	Cluster *Cluster
-	// owned marks a session whose Close also shuts its private
-	// cluster down (the back-compat NewSession shape).
-	owned bool
 	// closed latches the first Close: a second Close (a connection
 	// handler racing a server drain) must not free the session's name
 	// again — another session may have claimed it in between.
 	closed atomic.Bool
 }
 
-// NewSession boots a private cluster and connects a single session to
-// it — the original single-tenant API, now a thin wrapper over
-// NewCluster + Cluster.NewSession. Closing the session closes the
-// private cluster too.
-func NewSession(cfg Config) (*Session, error) {
-	cl, err := NewCluster(ClusterConfig{
-		Workers:            cfg.Workers,
-		SlotsPerWorker:     cfg.SlotsPerWorker,
-		DataDir:            cfg.DataDir,
-		TaskLaunchOverhead: cfg.TaskLaunchOverhead,
-		DiskShuffle:        cfg.DiskShuffle,
-		Speculation:        cfg.Speculation,
-		WorkerMemoryBytes:  cfg.WorkerMemoryBytes,
-		WorkerDiskBytes:    cfg.WorkerDiskBytes,
-		WorkerShuffleBytes: cfg.WorkerShuffleBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s, err := cl.NewSession(SessionConfig{
-		Engine:            cfg.Engine,
-		StorageLevel:      cfg.StorageLevel,
-		Priority:          cfg.Priority,
-		MaxConcurrentJobs: cfg.MaxConcurrentJobs,
-	})
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
-	s.owned = true
-	return s, nil
-}
-
 // Close releases the session's tables (evicting its memstore blocks)
-// and frees its name for reuse. A session that owns a private cluster
-// (shark.NewSession) also shuts the cluster down; a session on a
-// shared cluster leaves the cluster and other sessions untouched.
-// Closing is idempotent and safe to race with Cluster.Close and with
-// in-flight statements (which fail with ErrClosed).
+// and frees its name for reuse; the cluster and its other sessions are
+// untouched. Closing is idempotent and safe to race with Cluster.Close
+// and with in-flight statements (which fail with ErrClosed).
 func (s *Session) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -567,9 +476,6 @@ func (s *Session) Close() {
 	s.Cluster.mu.Lock()
 	delete(s.Cluster.sessionNames, strings.ToLower(s.Tag))
 	s.Cluster.mu.Unlock()
-	if s.owned {
-		s.Cluster.Close()
-	}
 }
 
 // LoadRows writes rows into the DFS as a text table and registers it
@@ -592,9 +498,3 @@ func (s *Session) LoadRows(table string, schema Schema, rows []Row) error {
 	}
 	return s.RegisterExternal(table, file, schema)
 }
-
-// KillWorker simulates a node failure (fault-tolerance demos).
-func (s *Session) KillWorker(id int) { s.Cluster.Kill(id) }
-
-// RestartWorker brings a failed node back (empty, as a fresh node).
-func (s *Session) RestartWorker(id int) { s.Cluster.Restart(id) }

@@ -9,12 +9,17 @@ import (
 	"shark/ml"
 )
 
-func newSession(t *testing.T, cfg shark.Config) *shark.Session {
+func newSession(t *testing.T, cc shark.ClusterConfig, sc shark.SessionConfig) *shark.Session {
 	t.Helper()
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
+	if cc.Workers == 0 {
+		cc.Workers = 4
 	}
-	s, err := shark.NewSession(cfg)
+	cl, err := shark.NewCluster(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	s, err := cl.NewSession(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +55,7 @@ func loadLogs(t *testing.T, s *shark.Session, n int) {
 }
 
 func TestPublicAPIEndToEnd(t *testing.T) {
-	s := newSession(t, shark.Config{})
+	s := newSession(t, shark.ClusterConfig{}, shark.SessionConfig{})
 	loadLogs(t, s, 5000)
 
 	if _, err := s.Exec(`CREATE TABLE logs_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM logs`); err != nil {
@@ -75,7 +80,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 // worker's store ever exceeds its bound.
 func TestPublicWorkerMemoryBytesOption(t *testing.T) {
 	const capBytes = 20 << 10
-	s := newSession(t, shark.Config{WorkerMemoryBytes: capBytes})
+	s := newSession(t, shark.ClusterConfig{WorkerMemoryBytes: capBytes}, shark.SessionConfig{})
 	loadLogs(t, s, 5000)
 	if _, err := s.Exec(`CREATE TABLE logs_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM logs`); err != nil {
 		t.Fatal(err)
@@ -108,11 +113,10 @@ func TestPublicWorkerMemoryBytesOption(t *testing.T) {
 // baseline never sees and the eviction-only path pays in recomputes.
 func TestPublicStorageLevels(t *testing.T) {
 	const capBytes = 20 << 10
-	s := newSession(t, shark.Config{
+	s := newSession(t, shark.ClusterConfig{
 		WorkerMemoryBytes: capBytes,
 		WorkerDiskBytes:   -1, // unbounded local disk
-		StorageLevel:      shark.StorageMemoryAndDisk,
-	})
+	}, shark.SessionConfig{StorageLevel: shark.StorageMemoryAndDisk})
 	loadLogs(t, s, 5000)
 	if _, err := s.Exec(`CREATE TABLE logs_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM logs`); err != nil {
 		t.Fatal(err)
@@ -148,11 +152,11 @@ func TestPublicStorageLevels(t *testing.T) {
 // shuffle-heavy query beside a cached table does not evict the
 // table's partitions under the cache budget.
 func TestPublicShuffleBudget(t *testing.T) {
-	s := newSession(t, shark.Config{
+	s := newSession(t, shark.ClusterConfig{
 		WorkerMemoryBytes:  256 << 10,
 		WorkerShuffleBytes: 1 << 10,
 		WorkerDiskBytes:    -1,
-	})
+	}, shark.SessionConfig{})
 	loadLogs(t, s, 4000)
 	if _, err := s.Exec(`CREATE TABLE logs_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM logs`); err != nil {
 		t.Fatal(err)
@@ -177,7 +181,7 @@ func TestPublicShuffleBudget(t *testing.T) {
 }
 
 func TestPublicSql2RddAndML(t *testing.T) {
-	s := newSession(t, shark.Config{})
+	s := newSession(t, shark.ClusterConfig{}, shark.SessionConfig{})
 	loadLogs(t, s, 3000)
 	tr, err := s.Query(`SELECT bytes, status FROM logs`)
 	if err != nil {
@@ -200,7 +204,7 @@ func TestPublicSql2RddAndML(t *testing.T) {
 }
 
 func TestPublicFaultInjection(t *testing.T) {
-	s := newSession(t, shark.Config{Workers: 5})
+	s := newSession(t, shark.ClusterConfig{Workers: 5}, shark.SessionConfig{})
 	loadLogs(t, s, 4000)
 	if _, err := s.Exec(`CREATE TABLE logs_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM logs`); err != nil {
 		t.Fatal(err)
@@ -209,7 +213,7 @@ func TestPublicFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.KillWorker(2)
+	s.Cluster.Kill(2)
 	after, err := s.Exec(`SELECT COUNT(*) FROM logs_mem`)
 	if err != nil {
 		t.Fatal(err)
@@ -217,14 +221,14 @@ func TestPublicFaultInjection(t *testing.T) {
 	if before.Rows[0][0] != after.Rows[0][0] {
 		t.Errorf("count changed after failure: %v vs %v", before.Rows[0][0], after.Rows[0][0])
 	}
-	s.RestartWorker(2)
+	s.Cluster.Restart(2)
 	if _, err := s.Exec(`SELECT COUNT(*) FROM logs_mem`); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPublicUDF(t *testing.T) {
-	s := newSession(t, shark.Config{})
+	s := newSession(t, shark.ClusterConfig{}, shark.SessionConfig{})
 	loadLogs(t, s, 1000)
 	err := s.RegisterUDF("IS_API", shark.TBool, 1, 1, func(args []any) any {
 		u, _ := args[0].(string)
@@ -243,7 +247,7 @@ func TestPublicUDF(t *testing.T) {
 }
 
 func TestPublicDiskShuffleOption(t *testing.T) {
-	s := newSession(t, shark.Config{DiskShuffle: true})
+	s := newSession(t, shark.ClusterConfig{DiskShuffle: true}, shark.SessionConfig{})
 	loadLogs(t, s, 2000)
 	res, err := s.Exec(`SELECT url, COUNT(*), COUNT(DISTINCT bytes) FROM logs GROUP BY url`)
 	if err != nil {
@@ -255,7 +259,7 @@ func TestPublicDiskShuffleOption(t *testing.T) {
 }
 
 func TestPublicSpeculationOption(t *testing.T) {
-	s := newSession(t, shark.Config{Workers: 4, Speculation: true})
+	s := newSession(t, shark.ClusterConfig{Workers: 4, Speculation: true}, shark.SessionConfig{})
 	loadLogs(t, s, 2000)
 	if _, err := s.Exec(`SELECT COUNT(*) FROM logs`); err != nil {
 		t.Fatal(err)
@@ -263,7 +267,7 @@ func TestPublicSpeculationOption(t *testing.T) {
 }
 
 func TestPublicExplain(t *testing.T) {
-	s := newSession(t, shark.Config{})
+	s := newSession(t, shark.ClusterConfig{}, shark.SessionConfig{})
 	loadLogs(t, s, 100)
 	res, err := s.Exec(`EXPLAIN SELECT url, COUNT(*) FROM logs WHERE status = 200 GROUP BY url`)
 	if err != nil {
