@@ -31,14 +31,21 @@ lint:
 
 # The deletion-pass line count: tracked non-test Go outside bench/ and
 # testdata/, as total lines and as code lines (non-blank, not a //
-# comment line), for the tree and for its largest package.
+# comment line), for the tree and for its five largest packages
+# (directories, ranked by total lines — computed, so a PR never edits
+# this target to show its own number).
 loc:
-	@count() { \
-		files=$$(git ls-files "$$1" | grep -v -e _test.go -e '^bench/' -e /testdata/); \
-		printf '%-17s %6d lines %6d code\n' "$$2" \
-			$$(cat $$files | wc -l) $$(cat $$files | grep -cvE '^[[:space:]]*(//.*)?$$'); \
+	@files=$$(git ls-files '*.go' | grep -v -e _test.go -e '^bench/' -e /testdata/); \
+	count() { \
+		printf '%-17s %6d lines %6d code\n' "$$1" \
+			$$(cat $$2 | wc -l) $$(cat $$2 | grep -cvE '^[[:space:]]*(//.*)?$$'); \
 	}; \
-	count '*.go' tree; count 'internal/harness/*.go' internal/harness
+	count tree "$$files"; \
+	for d in $$(for f in $$files; do echo "$$(wc -l < $$f) $$(dirname $$f)"; done | \
+		awk '{n[$$2] += $$1} END {for (d in n) print n[d], d}' | sort -k1,1nr -k2 | head -5 | cut -d' ' -f2); do \
+		case $$d in .) in='^[^/]*$$';; *) in="^$$d/[^/]*$$";; esac; \
+		count $$d "$$(echo "$$files" | grep "$$in")"; \
+	done
 
 # Bench smoke: one iteration of every benchmark (columnar, expr, and
 # the top-level suite) so they keep compiling and running (non-gating

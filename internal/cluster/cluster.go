@@ -331,11 +331,10 @@ type Cluster struct {
 	backlog atomic.Int64
 	metrics DispatchMetrics
 
-	// evictObserver, when set, hears every capacity eviction on any
-	// worker (the RDD layer prunes cache-tracker locations with it —
-	// except for spilled blocks, which remain valid disk-resident
-	// locations).
-	evictObserver atomic.Value // func(worker int, key string, sizeBytes int64, spilled bool)
+	// evictSubs hear every capacity eviction on any worker's store
+	// (OnEviction appends; the slice is replaced, never mutated).
+	evictMu   sync.RWMutex
+	evictSubs []func(Eviction)
 
 	// spillRoot is the directory under the per-worker spill dirs;
 	// ownsSpillRoot marks a temp dir the cluster created (removed
@@ -376,25 +375,11 @@ func New(cfg Config) *Cluster {
 		if cfg.WorkerDiskBytes != 0 && c.spillRoot != "" {
 			disk = NewDiskStore(filepath.Join(c.spillRoot, fmt.Sprintf("w%d", i)), cfg.WorkerDiskBytes)
 		}
-		w := &Worker{ID: i, store: NewTieredBlockStore(cfg.WorkerMemoryBytes, cfg.WorkerShuffleBytes, disk)}
+		w := &Worker{ID: i, store: NewBlockStore(cfg.WorkerMemoryBytes, cfg.WorkerShuffleBytes, disk)}
 		wid := i
-		w.store.SetOnEvict(func(key string, sizeBytes int64, spilled bool) {
-			if spilled {
-				c.metrics.SpilledBlocks.Add(1)
-				c.metrics.BytesSpilled.Add(sizeBytes)
-			} else {
-				c.metrics.CacheEvictions.Add(1)
-				c.metrics.BytesEvicted.Add(sizeBytes)
-			}
-			if fn, ok := c.evictObserver.Load().(func(int, string, int64, bool)); ok {
-				fn(wid, key, sizeBytes, spilled)
-			}
-		})
-		w.store.SetOnDiskEvict(func(key string, sizeBytes int64) {
-			c.metrics.DiskEvictions.Add(1)
-			if fn, ok := c.evictObserver.Load().(func(int, string, int64, bool)); ok {
-				fn(wid, key, sizeBytes, false)
-			}
+		w.store.SetOnEvict(func(ev Eviction) {
+			ev.Worker = wid
+			c.noteEviction(ev)
 		})
 		w.alive.Store(true)
 		c.workers = append(c.workers, w)
@@ -434,15 +419,38 @@ func (c *Cluster) Backlog() int64 { return c.backlog.Load() }
 // (0 = unbounded).
 func (c *Cluster) WorkerMemoryBytes() int64 { return c.cfg.WorkerMemoryBytes }
 
-// SetEvictionObserver installs a single cluster-wide listener for
-// capacity evictions (worker ID, block key, accounted bytes, and
-// whether the block survived on the worker's disk tier). The RDD layer
-// uses it to prune cache-tracker locations promptly — only for
-// non-spilled losses, since a disk-resident block is still a valid
-// location. The tracker stays correct without it (a remote-read miss
-// also prunes), so the single slot is not a correctness constraint.
-func (c *Cluster) SetEvictionObserver(fn func(worker int, key string, sizeBytes int64, spilled bool)) {
-	c.evictObserver.Store(fn)
+// OnEviction registers fn to hear every block a worker's store loses
+// from a tier to capacity pressure. Registration is additive — every
+// subscriber hears every event, so the RDD layer's session attribution
+// and the result caches' quota release coexist on one cluster — and
+// lasts for the cluster's lifetime. fn runs on the evicting task's
+// goroutine, outside the store lock; an event with Spilled set is not a
+// loss (the block still reads back from the worker's disk tier).
+func (c *Cluster) OnEviction(fn func(Eviction)) {
+	c.evictMu.Lock()
+	c.evictSubs = append(c.evictSubs[:len(c.evictSubs):len(c.evictSubs)], fn)
+	c.evictMu.Unlock()
+}
+
+// noteEviction counts one store eviction in the dispatch metrics and
+// fans it out to the subscribers.
+func (c *Cluster) noteEviction(ev Eviction) {
+	switch {
+	case ev.FromDisk:
+		c.metrics.DiskEvictions.Add(1)
+	case ev.Spilled:
+		c.metrics.SpilledBlocks.Add(1)
+		c.metrics.BytesSpilled.Add(ev.Size)
+	default:
+		c.metrics.CacheEvictions.Add(1)
+		c.metrics.BytesEvicted.Add(ev.Size)
+	}
+	c.evictMu.RLock()
+	subs := c.evictSubs
+	c.evictMu.RUnlock()
+	for _, fn := range subs {
+		fn(ev)
+	}
 }
 
 // TasksPerWorker snapshots how many tasks each worker has executed.
@@ -526,7 +534,7 @@ func (c *Cluster) Submit(t *Task) <-chan Result {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		t.result <- Result{Err: ErrClosed}
+		t.result <- Result{Worker: -1, Err: ErrClosed}
 		return t.result
 	}
 	t.deadline = time.Now().Add(c.cfg.LocalityWait)
@@ -904,6 +912,9 @@ func (c *Cluster) runTask(w *Worker, t *Task) {
 	// Scheduling overheads.
 	if c.cfg.Profile.Mode == Heartbeat {
 		if !c.waitTick() {
+			// Closed while waiting for a tick: the submitter still gets
+			// its one Result.
+			t.result <- Result{Worker: -1, Err: ErrClosed}
 			return
 		}
 	}
@@ -1006,8 +1017,10 @@ func (c *Cluster) Closed() bool {
 	return c.closed
 }
 
-// Close shuts the cluster down. Outstanding tasks are abandoned.
-// Closing is idempotent.
+// Close shuts the cluster down. Tasks no slot has taken yet receive
+// ErrClosed — every Submit delivers exactly one Result, so a scheduler
+// blocked on a task queued at this instant wakes instead of hanging;
+// tasks already executing finish normally. Closing is idempotent.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -1015,9 +1028,19 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
+	abandoned := c.pending
 	c.pending = nil
+	for _, w := range c.workers {
+		abandoned = append(abandoned, w.queue...)
+		w.queue = nil
+	}
+	c.backlog.Store(0)
+	clear(c.jobQueued)
 	c.cond.Broadcast()
 	c.mu.Unlock()
+	for _, t := range abandoned {
+		t.result <- Result{Worker: -1, Err: ErrClosed}
+	}
 	close(c.stopTick)
 	// Spill files are never durable: remove the whole temp root when
 	// the cluster created it, else just the per-worker dirs it wrote

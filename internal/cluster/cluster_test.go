@@ -128,14 +128,10 @@ func TestKillFailsInFlightTasks(t *testing.T) {
 func TestKillWipesStore(t *testing.T) {
 	c := newTest(t, Config{Workers: 2, Slots: 1})
 	w := c.Worker(0)
-	w.Store().Put("blk", 42, 8)
-	epoch := w.Store().Epoch()
+	w.Store().Put("blk", 42, 8, Class{Pinned: true})
 	c.Kill(0)
-	if _, ok := w.Store().Get("blk"); ok {
+	if _, tier := w.Store().Get("blk"); tier != Miss {
 		t.Error("store should be wiped on kill")
-	}
-	if w.Store().Epoch() == epoch {
-		t.Error("epoch should bump on wipe")
 	}
 	if w.Alive() {
 		t.Error("worker should be dead")
@@ -201,7 +197,7 @@ func TestStragglerDelay(t *testing.T) {
 }
 
 func TestBlockStoreConcurrency(t *testing.T) {
-	s := NewBlockStore()
+	s := NewBlockStore(0, 0, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -209,7 +205,7 @@ func TestBlockStoreConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				key := string(rune('a'+g)) + "-block"
-				s.Put(key, i, 8)
+				s.Put(key, i, 8, Class{Pinned: true})
 				s.Get(key)
 			}
 		}(g)
@@ -226,5 +222,63 @@ func TestSubmitAfterClose(t *testing.T) {
 	r := <-c.Submit(&Task{Fn: func(w *Worker) (any, error) { return nil, nil }})
 	if r.Err == nil {
 		t.Error("submit after close must error")
+	}
+}
+
+// TestCloseFailsQueuedTasks: every Submit delivers exactly one Result,
+// Close included — tasks sitting in a worker queue or on the pending
+// list behind a blocked slot all receive ErrClosed promptly. A
+// scheduler blocked on such a task with no deadline would otherwise
+// hang forever.
+func TestCloseFailsQueuedTasks(t *testing.T) {
+	c := New(Config{Workers: 1, Slots: 1, QueueDepth: 2})
+	started, release := make(chan struct{}), make(chan struct{})
+	blocker := c.Submit(&Task{Fn: func(*Worker) (any, error) {
+		close(started)
+		<-release
+		return "done", nil
+	}})
+	<-started
+	// QueueDepth 2: two land in the worker queue, the rest on the
+	// pending list.
+	var queued []<-chan Result
+	for i := 0; i < 6; i++ {
+		queued = append(queued, c.Submit(&Task{Fn: func(*Worker) (any, error) { return nil, nil }}))
+	}
+	c.Close()
+	deadline := time.After(5 * time.Second)
+	for i, ch := range queued {
+		select {
+		case r := <-ch:
+			if !errors.Is(r.Err, ErrClosed) || r.Worker != -1 {
+				t.Errorf("queued task %d: got %+v, want ErrClosed from worker -1", i, r)
+			}
+		case <-deadline:
+			t.Fatalf("queued task %d never received a Result after Close", i)
+		}
+	}
+	if got := c.Backlog(); got != 0 {
+		t.Errorf("Backlog after Close = %d, want 0", got)
+	}
+	close(release)
+	if r := <-blocker; r.Err != nil || r.Value != "done" {
+		t.Errorf("running task must finish normally, got %+v", r)
+	}
+}
+
+// TestCloseFailsTaskAwaitingHeartbeat: in Heartbeat mode a task its
+// slot already took is parked waiting for a tick; Close stops the
+// ticks, so that wait must end in a Result too.
+func TestCloseFailsTaskAwaitingHeartbeat(t *testing.T) {
+	c := New(Config{Workers: 1, Slots: 1, Profile: HadoopProfile()})
+	ch := c.Submit(&Task{Fn: func(*Worker) (any, error) { return nil, nil }})
+	c.Close() // microseconds after Submit: the 30ms tick has not come
+	select {
+	case r := <-ch:
+		if !errors.Is(r.Err, ErrClosed) {
+			t.Errorf("got %+v, want ErrClosed", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("task parked on the heartbeat never received a Result after Close")
 	}
 }

@@ -68,6 +68,10 @@ type diskEntry struct {
 	path string
 	size int64
 	elem *list.Element
+	// promote: a read may move the block back up into free memory room
+	// (a MEMORY_AND_DISK cache block — not a DISK_ONLY block or a
+	// spilled shuffle bucket).
+	promote bool
 }
 
 // NewDiskStore creates a spill tier rooted at dir, holding at most
@@ -87,13 +91,13 @@ func (d *DiskStore) Dir() string { return d.dir }
 // Capacity returns the byte bound (negative = unbounded).
 func (d *DiskStore) Capacity() int64 { return d.capacity }
 
-// Spill encodes and writes a block to disk, evicting
+// spill encodes and writes a block to disk, evicting
 // least-recently-used spilled blocks until it fits. It reports whether
 // the block landed on disk (false: codec cannot encode the value, the
 // block alone exceeds the disk budget, or the write failed) plus the
 // blocks the admission pushed out of the tier — those are gone for
-// good and the caller must notify its eviction observers.
-func (d *DiskStore) Spill(key string, value any, sizeBytes int64) (bool, []evictedBlock) {
+// good and the owning BlockStore announces them.
+func (d *DiskStore) spill(key string, value any, sizeBytes int64, promote bool) (bool, []Eviction) {
 	codec := loadSpillCodec()
 	if codec == nil {
 		d.encodeFailures.Add(1)
@@ -113,7 +117,7 @@ func (d *DiskStore) Spill(key string, value any, sizeBytes int64) (bool, []evict
 	// Overwrite semantics: a same-key entry is replaced, never
 	// double-accounted (the spilled-then-overwritten regression).
 	d.removeLocked(key)
-	var dropped []evictedBlock
+	var dropped []Eviction
 	for d.capacity > 0 && d.bytes+sizeBytes > d.capacity {
 		back := d.lru.Back()
 		if back == nil {
@@ -124,7 +128,7 @@ func (d *DiskStore) Spill(key string, value any, sizeBytes int64) (bool, []evict
 		d.removeLocked(victim)
 		d.evictions.Add(1)
 		d.bytesEvicted.Add(e.size)
-		dropped = append(dropped, evictedBlock{key: victim, size: e.size, fromDisk: true})
+		dropped = append(dropped, Eviction{Key: victim, Size: e.size, FromDisk: true})
 	}
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return false, dropped
@@ -134,7 +138,7 @@ func (d *DiskStore) Spill(key string, value any, sizeBytes int64) (bool, []evict
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return false, dropped
 	}
-	e := &diskEntry{path: path, size: sizeBytes}
+	e := &diskEntry{path: path, size: sizeBytes, promote: promote}
 	e.elem = d.lru.PushFront(key)
 	d.blocks[key] = e
 	d.bytes += sizeBytes
@@ -143,34 +147,36 @@ func (d *DiskStore) Spill(key string, value any, sizeBytes int64) (bool, []evict
 	return true, dropped
 }
 
-// Get reads a spilled block back, refreshing its LRU recency. A block
-// whose file can no longer be read or decoded is dropped and reported
-// as a miss — the reader falls back to remote copies or lineage.
-func (d *DiskStore) Get(key string) (any, bool) {
+// read decodes a spilled block, refreshing its LRU recency, and
+// returns it with its entry (size and promote are immutable); a nil
+// entry is a miss. A block whose file can no longer be read or decoded
+// is dropped and reported as a miss — the reader falls back to remote
+// copies or lineage.
+func (d *DiskStore) read(key string) (any, *diskEntry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	e, ok := d.blocks[key]
 	if !ok {
-		return nil, false
+		return nil, nil
 	}
 	data, err := os.ReadFile(e.path)
 	if err != nil {
 		d.removeLocked(key)
-		return nil, false
+		return nil, nil
 	}
 	codec := loadSpillCodec()
 	if codec == nil {
 		d.removeLocked(key)
-		return nil, false
+		return nil, nil
 	}
 	v, err := codec.DecodeSpill(data)
 	if err != nil {
 		d.removeLocked(key)
-		return nil, false
+		return nil, nil
 	}
 	d.lru.MoveToFront(e.elem)
 	d.hits.Add(1)
-	return v, true
+	return v, e
 }
 
 // Contains reports presence without touching recency.

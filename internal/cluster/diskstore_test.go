@@ -61,18 +61,19 @@ func block(vals ...int64) []any {
 
 func newSpillStore(t *testing.T, capacity, shuffleCapacity, diskCapacity int64) *BlockStore {
 	t.Helper()
-	return NewTieredBlockStore(capacity, shuffleCapacity, NewDiskStore(t.TempDir(), diskCapacity))
+	return NewBlockStore(capacity, shuffleCapacity, NewDiskStore(t.TempDir(), diskCapacity))
 }
 
 // TestSpillOnEviction: a spillable LRU victim lands on the disk tier
 // instead of being dropped, stays visible to Contains, and comes back
-// through GetSpilled with the original value.
+// through Get — served by the disk tier — with the original value.
 func TestSpillOnEviction(t *testing.T) {
 	s := newSpillStore(t, 100, 0, -1)
-	if !s.PutEvictableSpillable("a", block(1, 2), 60) {
+	log := watchEvictions(s)
+	if !s.Put("a", block(1, 2), 60, Class{Level: MemoryAndDisk}) {
 		t.Fatal("a rejected")
 	}
-	if !s.PutEvictableSpillable("b", block(3), 60) { // evicts a → disk
+	if !s.Put("b", block(3), 60, Class{Level: MemoryAndDisk}) { // evicts a → disk
 		t.Fatal("b rejected")
 	}
 	if s.InMemory("a") {
@@ -81,15 +82,16 @@ func TestSpillOnEviction(t *testing.T) {
 	if !s.Contains("a") {
 		t.Error("spilled block invisible to Contains")
 	}
-	v, ok := s.GetSpilled("a")
-	if !ok {
-		t.Fatal("spilled block unreadable")
+	v, tier := s.Get("a")
+	if tier != DiskTier {
+		t.Fatalf("spilled block served by tier %v, want the disk tier", tier)
 	}
 	if got := v.([]any); len(got) != 2 || got[0].(int64) != 1 || got[1].(int64) != 2 {
 		t.Errorf("spilled value corrupted: %v", got)
 	}
-	if s.Spills() != 1 || s.Evictions() != 0 {
-		t.Errorf("spills=%d evictions=%d, want 1/0", s.Spills(), s.Evictions())
+	spills, _ := log.memoryVictims(true)
+	if drops, _ := log.memoryVictims(false); spills != 1 || drops != 0 {
+		t.Errorf("spills=%d evictions=%d, want 1/0", spills, drops)
 	}
 	if s.Disk().SpilledBlocks() != 1 || s.Disk().ApproxBytes() != 60 {
 		t.Errorf("disk accounts %d blocks/%d bytes, want 1/60", s.Disk().SpilledBlocks(), s.Disk().ApproxBytes())
@@ -100,17 +102,19 @@ func TestSpillOnEviction(t *testing.T) {
 // dropped like a plain eviction (counted as such), never corrupted.
 func TestUnspillableVictimDrops(t *testing.T) {
 	s := newSpillStore(t, 100, 0, -1)
-	if !s.PutEvictableSpillable("a", "not-a-slice", 60) {
+	log := watchEvictions(s)
+	if !s.Put("a", "not-a-slice", 60, Class{Level: MemoryAndDisk}) {
 		t.Fatal("a rejected")
 	}
-	if !s.PutEvictableSpillable("b", block(1), 60) {
+	if !s.Put("b", block(1), 60, Class{Level: MemoryAndDisk}) {
 		t.Fatal("b rejected")
 	}
 	if s.Contains("a") {
 		t.Error("unspillable victim still present")
 	}
-	if s.Evictions() != 1 || s.Spills() != 0 {
-		t.Errorf("evictions=%d spills=%d, want 1/0", s.Evictions(), s.Spills())
+	spills, _ := log.memoryVictims(true)
+	if drops, _ := log.memoryVictims(false); drops != 1 || spills != 0 {
+		t.Errorf("evictions=%d spills=%d, want 1/0", drops, spills)
 	}
 	if s.Disk().EncodeFailures() == 0 {
 		t.Error("encode failure not counted")
@@ -118,26 +122,32 @@ func TestUnspillableVictimDrops(t *testing.T) {
 }
 
 // TestDiskTierLRUEviction: the disk tier has its own budget and LRU;
-// overflowing it drops the least-recently-read spilled block and fires
-// the disk-evict callback (the tracker's cue that the block is gone).
+// overflowing it drops the least-recently-read spilled block and
+// announces it as a from-disk eviction (the block is gone for good).
 func TestDiskTierLRUEviction(t *testing.T) {
 	s := newSpillStore(t, 50, 0, 100)
 	var mu sync.Mutex
 	var gone []string
-	s.SetOnDiskEvict(func(key string, size int64) {
+	s.SetOnEvict(func(ev Eviction) {
+		if !ev.FromDisk {
+			return
+		}
+		if ev.Spilled {
+			t.Errorf("disk eviction of %s announced as spilled", ev.Key)
+		}
 		mu.Lock()
-		gone = append(gone, key)
+		gone = append(gone, ev.Key)
 		mu.Unlock()
 	})
 	// Three spillable blocks through a 50-byte memory tier: each new
 	// put evicts (spills) the previous one.
-	s.PutEvictableSpillable("a", block(1), 50)
-	s.PutEvictableSpillable("b", block(2), 50) // a → disk
-	s.PutEvictableSpillable("c", block(3), 50) // b → disk
-	if _, ok := s.GetSpilled("a"); !ok {       // refresh a: b is now disk-LRU
+	s.Put("a", block(1), 50, Class{Level: MemoryAndDisk})
+	s.Put("b", block(2), 50, Class{Level: MemoryAndDisk}) // a → disk
+	s.Put("c", block(3), 50, Class{Level: MemoryAndDisk}) // b → disk
+	if _, tier := s.Get("a"); tier != DiskTier {          // refresh a: b is now disk-LRU
 		t.Fatal("a missing from disk")
 	}
-	s.PutEvictableSpillable("d", block(4), 50) // c → disk, disk over budget → b dropped
+	s.Put("d", block(4), 50, Class{Level: MemoryAndDisk}) // c → disk, disk over budget → b dropped
 	if s.Contains("b") {
 		t.Error("disk-LRU victim b still present")
 	}
@@ -150,7 +160,7 @@ func TestDiskTierLRUEviction(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(gone) != 1 || gone[0] != "b" {
-		t.Errorf("disk-evict callback saw %v, want [b]", gone)
+		t.Errorf("from-disk evictions announced: %v, want [b]", gone)
 	}
 	if got := s.Disk().ApproxBytes(); got > 100 {
 		t.Errorf("disk tier accounts %d bytes over its 100 budget", got)
@@ -163,13 +173,13 @@ func TestDiskTierLRUEviction(t *testing.T) {
 // and a later disk read resurrects the stale value.
 func TestOverwriteWhileSpilledPurgesDiskCopy(t *testing.T) {
 	s := newSpillStore(t, 100, 0, -1)
-	s.PutEvictableSpillable("k", block(1), 60)
-	s.PutEvictableSpillable("fill", block(9), 60) // k → disk
+	s.Put("k", block(1), 60, Class{Level: MemoryAndDisk})
+	s.Put("fill", block(9), 60, Class{Level: MemoryAndDisk}) // k → disk
 	if !s.Disk().Contains("k") {
 		t.Fatal("k not spilled")
 	}
 	// Overwrite k in memory (a recompute re-cached it).
-	if !s.PutEvictableSpillable("k", block(2), 30) {
+	if !s.Put("k", block(2), 30, Class{Level: MemoryAndDisk}) {
 		t.Fatal("overwrite rejected")
 	}
 	if s.Disk().Contains("k") {
@@ -178,20 +188,17 @@ func TestOverwriteWhileSpilledPurgesDiskCopy(t *testing.T) {
 	if got := s.Disk().ApproxBytes(); got != 0 {
 		t.Errorf("disk still accounts %d bytes after the overwrite purge", got)
 	}
-	if v, ok := s.Get("k"); !ok || v.([]any)[0].(int64) != 2 {
-		t.Errorf("memory copy wrong after overwrite: %v %v", v, ok)
-	}
-	if _, ok := s.GetSpilled("k"); ok {
-		t.Error("GetSpilled served a stale overwritten value")
+	if v, tier := s.Get("k"); tier != MemoryTier || v.([]any)[0].(int64) != 2 {
+		t.Errorf("memory copy wrong after overwrite: %v %v", v, tier)
 	}
 	// Pinned overwrite purges too.
 	s2 := newSpillStore(t, 100, 0, -1)
-	s2.PutEvictableSpillable("p", block(3), 60)
-	s2.PutEvictableSpillable("fill", block(8), 60) // p → disk
+	s2.Put("p", block(3), 60, Class{Level: MemoryAndDisk})
+	s2.Put("fill", block(8), 60, Class{Level: MemoryAndDisk}) // p → disk
 	if !s2.Disk().Contains("p") {
 		t.Fatal("p not spilled")
 	}
-	s2.Put("p", "pinned-now", 10)
+	s2.Put("p", "pinned-now", 10, Class{Pinned: true})
 	if s2.Disk().Contains("p") {
 		t.Error("pinned overwrite left a stale disk copy")
 	}
@@ -203,8 +210,8 @@ func TestOverwriteWhileSpilledPurgesDiskCopy(t *testing.T) {
 func TestDeletePurgesBothTiers(t *testing.T) {
 	s := newSpillStore(t, 100, 0, -1)
 	dir := s.Disk().Dir()
-	s.PutEvictableSpillable("a", block(1), 60)
-	s.PutEvictableSpillable("b", block(2), 60) // a → disk
+	s.Put("a", block(1), 60, Class{Level: MemoryAndDisk})
+	s.Put("b", block(2), 60, Class{Level: MemoryAndDisk}) // a → disk
 	s.Delete("a")
 	s.Delete("b")
 	if s.Contains("a") || s.Contains("b") {
@@ -223,8 +230,8 @@ func TestDeletePurgesBothTiers(t *testing.T) {
 // (shuffle Unregister) reach them.
 func TestKeysSpansTiers(t *testing.T) {
 	s := newSpillStore(t, 60, 0, -1)
-	s.PutEvictableSpillable("x", block(1), 50)
-	s.PutEvictableSpillable("y", block(2), 50) // x → disk
+	s.Put("x", block(1), 50, Class{Level: MemoryAndDisk})
+	s.Put("y", block(2), 50, Class{Level: MemoryAndDisk}) // x → disk
 	keys := map[string]bool{}
 	for _, k := range s.Keys() {
 		keys[k] = true
@@ -239,8 +246,8 @@ func TestKeysSpansTiers(t *testing.T) {
 func TestWipeClearsDiskFiles(t *testing.T) {
 	s := newSpillStore(t, 60, 0, -1)
 	dir := s.Disk().Dir()
-	s.PutEvictableSpillable("x", block(1), 50)
-	s.PutEvictableSpillable("y", block(2), 50)
+	s.Put("x", block(1), 50, Class{Level: MemoryAndDisk})
+	s.Put("y", block(2), 50, Class{Level: MemoryAndDisk})
 	s.Wipe()
 	if s.Len() != 0 || s.Disk().Len() != 0 || s.Disk().ApproxBytes() != 0 {
 		t.Errorf("state survives Wipe: len=%d disk=%d", s.Len(), s.Disk().Len())
@@ -255,24 +262,27 @@ func TestWipeClearsDiskFiles(t *testing.T) {
 // pinned bytes over the budget spill the coldest bucket to disk.
 func TestShuffleBudgetSplit(t *testing.T) {
 	s := newSpillStore(t, 100, 120, -1)
-	if !s.PutEvictableSpillable("cache/a", block(1), 80) {
+	if !s.Put("cache/a", block(1), 80, Class{Level: MemoryAndDisk}) {
 		t.Fatal("cache block rejected")
 	}
 	// Pinned puts: 3 × 50 = 150 > 120 budget → the oldest spills.
-	s.Put("shuf/1", block(10), 50)
-	s.Put("shuf/2", block(11), 50)
+	s.Put("shuf/1", block(10), 50, Class{Pinned: true})
+	s.Put("shuf/2", block(11), 50, Class{Pinned: true})
 	if !s.InMemory("cache/a") {
 		t.Fatal("pinned put under its own budget evicted a cache block")
 	}
-	s.Put("shuf/3", block(12), 50)
+	s.Put("shuf/3", block(12), 50, Class{Pinned: true})
 	if !s.InMemory("cache/a") {
 		t.Error("pinned overflow evicted a cache block despite the split budget")
 	}
 	if s.InMemory("shuf/1") {
 		t.Error("coldest pinned bucket not spilled")
 	}
-	if v, ok := s.GetSpilled("shuf/1"); !ok || v.([]any)[0].(int64) != 10 {
-		t.Errorf("spilled bucket unreadable: %v %v", v, ok)
+	if v, tier := s.Get("shuf/1"); tier != DiskTier || v.([]any)[0].(int64) != 10 {
+		t.Errorf("spilled bucket unreadable: %v %v", v, tier)
+	}
+	if s.InMemory("shuf/1") {
+		t.Error("reading a spilled pinned bucket promoted it")
 	}
 	if got := s.PinnedBytes(); got > 120 {
 		t.Errorf("pinned bytes %d over the 120 budget", got)
@@ -280,7 +290,7 @@ func TestShuffleBudgetSplit(t *testing.T) {
 	// Cache admissions ignore the pinned footprint entirely: a second
 	// 80-byte cache block is feasible (evicting the first), even with
 	// 100 pinned bytes resident.
-	if !s.PutEvictableSpillable("cache/b", block(2), 80) {
+	if !s.Put("cache/b", block(2), 80, Class{Level: MemoryAndDisk}) {
 		t.Error("cache admission blocked by pinned bytes under the split budget")
 	}
 	if got := s.EvictableBytes(); got > 100 {
@@ -292,8 +302,8 @@ func TestShuffleBudgetSplit(t *testing.T) {
 // spill stay resident over budget — correctness over the bound.
 func TestShuffleBudgetUnspillableStays(t *testing.T) {
 	s := newSpillStore(t, 100, 60, -1)
-	s.Put("shuf/1", "path-string", 50) // unspillable by the test codec
-	s.Put("shuf/2", "path-string", 50)
+	s.Put("shuf/1", "path-string", 50, Class{Pinned: true}) // unspillable by the test codec
+	s.Put("shuf/2", "path-string", 50, Class{Pinned: true})
 	if !s.InMemory("shuf/1") || !s.InMemory("shuf/2") {
 		t.Error("unspillable pinned block dropped")
 	}
@@ -302,32 +312,85 @@ func TestShuffleBudgetUnspillableStays(t *testing.T) {
 	}
 }
 
-// TestPutDisk: the DISK_ONLY write path stores straight to disk,
-// replaces any memory copy on success, and leaves the store unchanged
-// on failure so callers can fall back.
-func TestPutDisk(t *testing.T) {
+// TestDiskOnlyPut: a DISK_ONLY put stores straight to disk and replaces
+// any memory copy; a value the disk tier cannot take, or a store with
+// no disk tier at all, degrades to the memory path so the table still
+// caches somewhere; and a put neither tier admits leaves the old copy
+// alone.
+func TestDiskOnlyPut(t *testing.T) {
 	s := newSpillStore(t, 100, 0, -1)
-	if !s.PutDisk("k", block(7), 40) {
-		t.Fatal("PutDisk failed")
+	s.Put("k", block(6), 40, Class{})
+	if !s.Put("k", block(7), 40, Class{Level: DiskOnly}) {
+		t.Fatal("DISK_ONLY put failed")
 	}
 	if s.InMemory("k") {
 		t.Error("DISK_ONLY block resident in memory")
 	}
-	if v, ok := s.GetSpilled("k"); !ok || v.([]any)[0].(int64) != 7 {
-		t.Errorf("disk read = %v %v", v, ok)
+	if v, tier := s.Get("k"); tier != DiskTier || v.([]any)[0].(int64) != 7 {
+		t.Errorf("disk read = %v %v", v, tier)
 	}
-	// Failure leaves an existing memory copy alone.
-	s.PutEvictable("m", 42, 10)
-	if s.PutDisk("m", "unencodable", 10) {
-		t.Error("unspillable PutDisk reported success")
+	if s.InMemory("k") {
+		t.Error("reading a DISK_ONLY block promoted it into memory")
 	}
-	if v, ok := s.Get("m"); !ok || v.(int) != 42 {
-		t.Errorf("failed PutDisk destroyed the memory copy: %v %v", v, ok)
+	// Unencodable value: the disk tier refuses, memory takes it.
+	if !s.Put("m", "unencodable", 10, Class{Level: DiskOnly}) {
+		t.Error("unspillable DISK_ONLY put not degraded to memory")
 	}
-	// No disk tier at all: PutDisk reports failure.
-	bare := NewBoundedBlockStore(100)
-	if bare.PutDisk("x", block(1), 10) {
-		t.Error("PutDisk without a disk tier reported success")
+	if v, tier := s.Get("m"); tier != MemoryTier || v.(string) != "unencodable" {
+		t.Errorf("degraded DISK_ONLY block = %v %v, want it in memory", v, tier)
+	}
+	// Neither tier can take it (unencodable, and infeasible beside the
+	// pinned footprint): rejected, and the live copy survives.
+	s.Put("pin", 0, 60, Class{Pinned: true})
+	if s.Put("m", "also-unencodable", 50, Class{Level: DiskOnly}) {
+		t.Error("put no tier can hold reported success")
+	}
+	if v, tier := s.Get("m"); tier != MemoryTier || v.(string) != "unencodable" {
+		t.Errorf("rejected DISK_ONLY put destroyed the live copy: %v %v", v, tier)
+	}
+	// No disk tier at all: DISK_ONLY still caches, in memory.
+	bare := NewBlockStore(100, 0, nil)
+	if !bare.Put("x", block(1), 10, Class{Level: DiskOnly}) || !bare.InMemory("x") {
+		t.Error("DISK_ONLY without a disk tier did not cache in memory")
+	}
+}
+
+// TestMemoryAndDiskPut: a MEMORY_AND_DISK block infeasible beside the
+// pinned footprint is left on disk rather than rejected, a rejected
+// free-room put leaves the old copy on the disk tier alone, and a disk
+// read promotes the block back into free room only.
+func TestMemoryAndDiskPut(t *testing.T) {
+	s := newSpillStore(t, 100, 0, -1)
+	s.Put("pin", 0, 70, Class{Pinned: true})
+	if !s.Put("a", block(1), 50, Class{Level: MemoryAndDisk}) { // 70+50 > 100
+		t.Fatal("infeasible MEMORY_AND_DISK put left no disk copy")
+	}
+	if s.InMemory("a") || !s.Disk().Contains("a") {
+		t.Fatal("infeasible MEMORY_AND_DISK block not on the disk tier")
+	}
+	if s.Put("a", block(2), 50, Class{Level: MemoryAndDisk, IfRoom: true}) {
+		t.Error("free-room put admitted without room")
+	}
+	if v, tier := s.Get("a"); tier != DiskTier || v.([]any)[0].(int64) != 1 {
+		t.Errorf("rejected free-room put destroyed the disk copy: %v %v", v, tier)
+	}
+	if s.InMemory("a") {
+		t.Error("promotion displaced residents (no free room)")
+	}
+	s.Delete("pin")
+	s.Put("b", block(3), 60, Class{})
+	if _, tier := s.Get("a"); tier != DiskTier || s.InMemory("a") || !s.InMemory("b") {
+		t.Errorf("promotion without room: tier=%v a-in-memory=%v b-in-memory=%v", tier, s.InMemory("a"), s.InMemory("b"))
+	}
+	s.Delete("b")
+	if _, tier := s.Get("a"); tier != DiskTier {
+		t.Fatalf("a served by tier %v, want the disk tier", tier)
+	}
+	if !s.InMemory("a") || s.Disk().Contains("a") || s.Disk().ApproxBytes() != 0 {
+		t.Error("disk hit with free room did not move the block to memory (one tier only)")
+	}
+	if _, tier := s.Get("a"); tier != MemoryTier {
+		t.Errorf("promoted block served by tier %v", tier)
 	}
 }
 
@@ -336,8 +399,7 @@ func TestPutDisk(t *testing.T) {
 // the disk-tier race suite.
 func TestDiskStoreConcurrent(t *testing.T) {
 	s := newSpillStore(t, 2048, 512, 4096)
-	s.SetOnEvict(func(string, int64, bool) {})
-	s.SetOnDiskEvict(func(string, int64) {})
+	s.SetOnEvict(func(Eviction) {})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -347,17 +409,17 @@ func TestDiskStoreConcurrent(t *testing.T) {
 				key := fmt.Sprintf("k%d", (g*29+i)%48)
 				switch i % 8 {
 				case 0:
-					s.PutEvictableSpillable(key, block(int64(i)), int64(96+(g*i)%128))
+					s.Put(key, block(int64(i)), int64(96+(g*i)%128), Class{Level: MemoryAndDisk})
 				case 1:
 					s.Get(key)
 				case 2:
-					s.GetSpilled(key)
+					s.Get("d/" + key)
 				case 3:
 					s.Delete(key)
 				case 4:
-					s.Put("shuf/"+key, block(int64(g)), 64)
+					s.Put("shuf/"+key, block(int64(g)), 64, Class{Pinned: true})
 				case 5:
-					s.PutDisk("d/"+key, block(int64(i)), 80)
+					s.Put("d/"+key, block(int64(i)), 80, Class{Level: DiskOnly})
 				case 6:
 					s.Contains(key)
 					s.ApproxBytes()
@@ -367,7 +429,7 @@ func TestDiskStoreConcurrent(t *testing.T) {
 					if i%200 == 0 {
 						s.Wipe()
 					} else {
-						s.PutEvictableIfRoomSpillable(key, block(int64(i)), 64)
+						s.Put(key, block(int64(i)), 64, Class{Level: MemoryAndDisk, IfRoom: true})
 					}
 				}
 			}
@@ -382,8 +444,8 @@ func TestDiskStoreConcurrent(t *testing.T) {
 }
 
 // TestClusterSpillMetricsAndObserver: spills are visible in the
-// dispatch metrics and the eviction observer reports spilled=true, so
-// the RDD tracker keeps the location.
+// dispatch metrics and the eviction event reports Spilled, so
+// subscribers do not count it as a loss.
 func TestClusterSpillMetricsAndObserver(t *testing.T) {
 	c := newTest(t, Config{Workers: 1, Slots: 1, WorkerMemoryBytes: 256, WorkerDiskBytes: -1})
 	var mu sync.Mutex
@@ -392,14 +454,14 @@ func TestClusterSpillMetricsAndObserver(t *testing.T) {
 		spilled bool
 	}
 	var seen []ev
-	c.SetEvictionObserver(func(worker int, key string, size int64, spilled bool) {
+	c.OnEviction(func(e Eviction) {
 		mu.Lock()
-		seen = append(seen, ev{key, spilled})
+		seen = append(seen, ev{e.Key, e.Spilled})
 		mu.Unlock()
 	})
 	r := <-c.Submit(&Task{Fn: func(w *Worker) (any, error) {
-		w.Store().PutEvictableSpillable("cache/a", block(1), 200)
-		w.Store().PutEvictableSpillable("cache/b", block(2), 200)
+		w.Store().Put("cache/a", block(1), 200, Class{Level: MemoryAndDisk})
+		w.Store().Put("cache/b", block(2), 200, Class{Level: MemoryAndDisk})
 		return nil, nil
 	}})
 	if r.Err != nil {
@@ -427,8 +489,8 @@ func TestClusterSpillMetricsAndObserver(t *testing.T) {
 func TestClusterCloseRemovesSpillDirs(t *testing.T) {
 	c := New(Config{Workers: 2, Slots: 1, WorkerMemoryBytes: 64, WorkerDiskBytes: -1})
 	r := <-c.Submit(&Task{Fn: func(w *Worker) (any, error) {
-		w.Store().PutEvictableSpillable("a", block(1), 60)
-		w.Store().PutEvictableSpillable("b", block(2), 60)
+		w.Store().Put("a", block(1), 60, Class{Level: MemoryAndDisk})
+		w.Store().Put("b", block(2), 60, Class{Level: MemoryAndDisk})
 		return nil, nil
 	}})
 	if r.Err != nil {

@@ -9,8 +9,11 @@ import (
 	"time"
 )
 
-// submitJobTasks queues n quick tasks tagged with jobID that append
-// their job to order as they execute.
+// submitJobTasks queues n short tasks tagged with jobID that append
+// their job to order as they execute. Each then holds its slot for
+// two milliseconds: fair sharing reads running-task counts, so with
+// microsecond bodies one slot descheduled mid-task (-race on a loaded
+// box) lets the other drain a whole wave against a stale count.
 func submitJobTasks(c *Cluster, jobID int64, n int, mu *sync.Mutex, order *[]int64) []<-chan Result {
 	var chans []<-chan Result
 	for i := 0; i < n; i++ {
@@ -20,6 +23,7 @@ func submitJobTasks(c *Cluster, jobID int64, n int, mu *sync.Mutex, order *[]int
 				mu.Lock()
 				*order = append(*order, jobID)
 				mu.Unlock()
+				time.Sleep(2 * time.Millisecond)
 				return nil, nil
 			},
 		}))

@@ -24,8 +24,8 @@ import (
 // how much of the cluster a session's results may occupy; the session
 // evicts its own least-recently-used results past the quota, and
 // blocks the store's LRU claims are reconciled back into the
-// accounting (promptly via the cluster eviction observer, or lazily
-// at the next lookup).
+// accounting (promptly via the cluster's eviction feed, or lazily at
+// the next lookup).
 type ResultCache struct {
 	cl    *cluster.Cluster
 	owner string // session tag; namespaces the block keys
@@ -71,8 +71,8 @@ func NewResultCache(cl *cluster.Cluster, owner string, quota int64) *ResultCache
 }
 
 // BlockKeyPrefix returns the prefix of every block this cache owns in
-// the cluster stores — the cluster-level eviction observer dispatches
-// on it.
+// the cluster stores — the cluster's eviction subscriber dispatches on
+// it.
 func (c *ResultCache) BlockKeyPrefix() string {
 	return resultKeyPrefix + c.owner + "/"
 }
@@ -80,6 +80,13 @@ func (c *ResultCache) BlockKeyPrefix() string {
 // Stats reports cumulative hits and misses.
 func (c *ResultCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
+}
+
+// Bytes returns the bytes currently charged against the quota.
+func (c *ResultCache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }
 
 // get returns the cached result for the key, or nil. A key whose
@@ -97,15 +104,9 @@ func (c *ResultCache) get(key string) *Result {
 	c.lru.MoveToFront(el)
 	c.mu.Unlock()
 
-	store := c.cl.Worker(e.worker).Store()
-	v, ok := store.Get(e.blockKey)
-	if !ok {
-		// Spilled results are still servable: the read path falls
-		// through to the disk tier like any spilled partition.
-		v, ok = store.GetSpilled(e.blockKey)
-	}
+	v, _ := c.cl.Worker(e.worker).Store().Get(e.blockKey)
 	cr, _ := v.(*cachedResult)
-	if !ok || cr == nil || cr.key != key {
+	if cr == nil || cr.key != key {
 		c.drop(key)
 		c.misses.Add(1)
 		return nil
@@ -124,8 +125,7 @@ func (c *ResultCache) put(key string, res *Result) {
 	}
 	worker := int(fnvHash(key) % uint64(c.cl.NumWorkers()))
 	blockKey := c.BlockKeyPrefix() + fmt.Sprintf("%016x", fnvHash(key))
-	store := c.cl.Worker(worker).Store()
-	if !store.PutEvictable(blockKey, &cachedResult{key: key, schema: res.Schema, rows: res.Rows}, size) {
+	if !c.cl.Worker(worker).Store().Put(blockKey, &cachedResult{key: key, schema: res.Schema, rows: res.Rows}, size, cluster.Class{}) {
 		return
 	}
 

@@ -344,7 +344,7 @@ func joinSource(ctx *rdd.Context, lDep, rDep *rdd.ShuffleDep, tasks [][]joinSlic
 }
 
 func fetchBucket(tc *rdd.TaskContext, dep *rdd.ShuffleDep, bucket int) []shuffle.Pair {
-	locs := tc.Ctx.Tracker().Locations(dep.ID)
+	locs := tc.Ctx.MapOutputLocations(dep)
 	pairs, err := tc.Ctx.Shuffle.Fetch(dep.ID, bucket, locs)
 	if err != nil {
 		rdd.Fail(err)

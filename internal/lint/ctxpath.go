@@ -8,7 +8,7 @@ import (
 
 // CtxPath reports calls to the context-free variant of an operation
 // that also ships a ...Ctx variant (RunJob vs RunJobCtx, Collect vs
-// CollectCtx, Load vs LoadCtx, ...). The context-free wrappers exist
+// CollectCtx, ...). The context-free wrappers exist
 // for process-owning entry points only; library code calling them
 // silently detaches the work from job cancellation — the class of bug
 // the multi-tenant and serving PRs kept re-fixing.

@@ -114,15 +114,10 @@ func Load(name string, schema row.Schema, src *rdd.RDD) (*Table, error) {
 	return LoadWith(context.Background(), name, schema, src, LoadOptions{})
 }
 
-// LoadCtx is Load under a context: the load job runs under the
-// attached scheduler job, and on failure (including cancellation) any
-// partitions already cached are evicted so no orphaned blocks survive
-// the aborted load.
-func LoadCtx(gctx context.Context, name string, schema row.Schema, src *rdd.RDD) (*Table, error) {
-	return LoadWith(gctx, name, schema, src, LoadOptions{})
-}
-
-// LoadWith is LoadCtx with explicit options (storage level).
+// LoadWith is Load under a context and with explicit options (storage
+// level): the load job runs under the attached scheduler job, and on
+// failure (including cancellation) any partitions already cached are
+// evicted so no orphaned blocks survive the aborted load.
 func LoadWith(gctx context.Context, name string, schema row.Schema, src *rdd.RDD, opts LoadOptions) (*Table, error) {
 	t := &Table{Name: name, Schema: schema.Clone(), DistKeyCol: -1, Level: opts.Level}
 	t.RDD = columnarize(src, schema).Persist(opts.Level)
@@ -141,7 +136,7 @@ func LoadDistributed(name string, schema row.Schema, src *rdd.RDD, keyCol, numPa
 }
 
 // LoadDistributedWith is LoadDistributed under a context with explicit
-// options, with the same cleanup-on-failure semantics as LoadCtx.
+// options, with the same cleanup-on-failure semantics as LoadWith.
 func LoadDistributedWith(gctx context.Context, name string, schema row.Schema, src *rdd.RDD, keyCol, numParts int, opts LoadOptions) (*Table, error) {
 	if keyCol < 0 || keyCol >= len(schema) {
 		return nil, fmt.Errorf("memtable: bad DISTRIBUTE BY column %d", keyCol)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"shark/internal/cluster"
 	"shark/internal/shuffle"
 )
 
@@ -319,5 +320,20 @@ func TestActiveJobsRegistry(t *testing.T) {
 	}
 	if got := ctx.ActiveJobs(); len(got) != 0 {
 		t.Errorf("ActiveJobs after anonymous run = %v", got)
+	}
+}
+
+// TestClosedClusterFailsFast: a task set submitted to a closed cluster
+// fails with cluster.ErrClosed at the first result instead of spending
+// its retry budget resubmitting.
+func TestClosedClusterFailsFast(t *testing.T) {
+	ctx := newTestCtx(t, 2, Options{})
+	src := ctx.Parallelize(ints(100), 4)
+	ctx.Cluster.Close()
+	if _, err := src.Count(); !errors.Is(err, cluster.ErrClosed) {
+		t.Fatalf("Count on a closed cluster: %v, want cluster.ErrClosed", err)
+	}
+	if n := ctx.Scheduler().Metrics().TaskRetries.Load(); n != 0 {
+		t.Errorf("%d task retries against a closed cluster", n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Context owns the pieces a job needs: the cluster, the shuffle
-// service, the map-output tracker, and the cache tracker. It plays the
+// service, the map-output tracker, and the cache ledger. It plays the
 // role of SparkContext.
 type Context struct {
 	Cluster *cluster.Cluster
@@ -22,12 +22,18 @@ type Context struct {
 	cache   *cacheTracker
 	sched   *Scheduler
 	jobs    *jobRegistry
+
+	// deps finds a ShuffleDep by ID so a fetch failure can rebuild its
+	// map outputs. Per Context because shuffle IDs are allocated per
+	// shuffle.Service: a process-wide registry would let two contexts'
+	// equal IDs recover each other's shuffles.
+	deps sync.Map // shuffleID → *ShuffleDep
 }
 
 // nextRDDID allocates RDD IDs process-wide, not per Context: cache
 // block keys ("rdd/<id>/<part>") live in cluster-shared worker block
-// stores and the cluster's single eviction-observer slot resolves
-// them back to IDs, so per-Context counters would let two Contexts
+// stores and every Context on a cluster hears every eviction, resolving
+// keys back to IDs, so per-Context counters would let two Contexts
 // sharing one cluster collide on keys (serving each other's cached
 // bytes) and misattribute each other's evictions.
 var nextRDDID atomic.Int64
@@ -69,23 +75,15 @@ func NewContext(c *cluster.Cluster, svc *shuffle.Service, opts Options) *Context
 		jobs:    newJobRegistry(),
 	}
 	ctx.sched = NewScheduler(ctx, opts.withDefaults())
-	// Hear capacity evictions so cache-tracker locations are pruned
-	// the moment a block store drops a partition, and so the eviction
-	// is charged to the session whose table lost it. A block that was
-	// spilled to the worker's disk tier is NOT pruned: disk-resident
-	// is still a valid location — the worker serves it locally and
-	// remote readers fetch it — and pruning it would turn every spill
-	// into a recompute. The tracker is also self-healing
-	// (remoteCacheRead prunes entries it finds stale), so a Context
-	// that loses this single observer slot to a newer Context on the
-	// same cluster stays correct.
-	c.SetEvictionObserver(func(worker int, key string, sizeBytes int64, spilled bool) {
-		if spilled {
+	// Charge each capacity eviction to the session whose table lost the
+	// partition. A block spilled to the worker's disk tier is not a
+	// loss: the worker still serves it locally and to remote readers.
+	c.OnEviction(func(ev cluster.Eviction) {
+		if ev.Spilled {
 			return
 		}
-		if rddID, part, ok := parseCacheKey(key); ok {
-			ctx.cache.RemoveLocation(rddID, part, worker, ctx)
-			ctx.noteEviction(rddID, sizeBytes)
+		if rddID, ok := parseCacheKey(ev.Key); ok {
+			ctx.noteEviction(rddID, ev.Size)
 		}
 	})
 	return ctx
@@ -111,16 +109,15 @@ func (c *Context) NewShuffleDep(parent *RDD, part shuffle.Partitioner, combiner 
 		f(dep)
 	}
 	c.tracker.RegisterShuffle(dep.ID, part.NumPartitions(), parent.NumPartitions())
-	RegisterDepForRecovery(dep)
+	c.deps.Store(dep.ID, dep)
 	return dep
 }
 
 // TaskContext is handed to compute functions running inside a task.
 type TaskContext struct {
-	Worker  *cluster.Worker
-	Ctx     *Context
-	StageID int
-	Part    int
+	Worker *cluster.Worker
+	Ctx    *Context
+	Part   int
 	// Job is the scheduler job the task runs under (nil for work
 	// executed outside any job); cache traffic is attributed to it.
 	Job *Job
@@ -173,69 +170,24 @@ type Broadcast struct{ Value any }
 // NewBroadcast wraps a value for task-side use.
 func (c *Context) NewBroadcast(v any) *Broadcast { return &Broadcast{Value: v} }
 
-// cacheTracker records which workers hold cached copies of RDD
-// partitions (master-side metadata, like Spark's BlockManagerMaster).
-// Entries are stamped with the block store's wipe epoch at caching
-// time, so bookkeeping cannot outlive the worker state it describes:
-// a location whose worker died (or was wiped and restarted) is stale
-// and never reported, which is what forces the next Iterator call to
-// recompute the partition from lineage.
+// cacheTracker is the ledger recompute accounting needs: which cached
+// partitions were ever materialized, and which losses already counted
+// their recompute. It holds no locations — where a partition is cached
+// is read off the live workers' block stores (PreferredLocations,
+// remoteCacheRead), so bookkeeping cannot outlive the worker state it
+// describes: an evicted block or a dead or restarted worker is simply
+// not found.
 type cacheTracker struct {
 	mu   sync.Mutex
-	locs map[int]map[int][]cacheEntry // rddID → part → entries
-	ever map[int]map[int]bool         // rddID → part → was ever materialized
-	lost map[int]map[int]bool         // rddID → part → recompute already counted
-}
-
-// cacheEntry is one recorded cached copy.
-type cacheEntry struct {
-	worker int
-	epoch  int64 // block-store wipe epoch when cached
+	ever map[int]map[int]bool // rddID → part → was ever materialized
+	lost map[int]map[int]bool // rddID → part → recompute already counted
 }
 
 func newCacheTracker() *cacheTracker {
 	return &cacheTracker{
-		locs: make(map[int]map[int][]cacheEntry),
 		ever: make(map[int]map[int]bool),
 		lost: make(map[int]map[int]bool),
 	}
-}
-
-// Add records a cached copy — unless the worker has already died, its
-// store was wiped since epoch was snapshotted, or the block has been
-// evicted again already (the copy never became observable / is gone),
-// in which case recording it would both report a phantom location and
-// falsely mark the partition materialized / recovered.
-func (t *cacheTracker) Add(rddID, part, worker int, epoch int64, ctx *Context) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	w := ctx.Cluster.Worker(worker)
-	if !w.Alive() || w.Store().Epoch() != epoch {
-		return
-	}
-	if !w.Store().Contains(cacheKey(rddID, part)) {
-		// Evicted between the Put and this Add: the eviction observer
-		// fired before the entry existed, so skipping the Add is what
-		// keeps the phantom location out.
-		return
-	}
-	m, ok := t.locs[rddID]
-	if !ok {
-		m = make(map[int][]cacheEntry)
-		t.locs[rddID] = m
-	}
-	if lm, ok := t.lost[rddID]; ok {
-		delete(lm, part) // a live copy exists again
-	}
-	for i, e := range m[part] {
-		if e.worker == worker {
-			m[part][i].epoch = epoch
-			t.markEver(rddID, part)
-			return
-		}
-	}
-	m[part] = append(m[part], cacheEntry{worker: worker, epoch: epoch})
-	t.markEver(rddID, part)
 }
 
 // NoteMaterialized records that a partition of a cached RDD was
@@ -248,17 +200,20 @@ func (t *cacheTracker) Add(rddID, part, worker int, epoch int64, ctx *Context) {
 func (t *cacheTracker) NoteMaterialized(rddID, part int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.markEver(rddID, part)
-	if m, ok := t.lost[rddID]; ok {
-		delete(m, part)
+	m, ok := t.ever[rddID]
+	if !ok {
+		m = make(map[int]bool)
+		t.ever[rddID] = m
 	}
+	m[part] = true
+	delete(t.lost[rddID], part)
 }
 
 // NoteRecompute records that a lost partition's recompute is underway
 // and reports whether this is the first attempt since the partition
-// was last live — so retries and speculative duplicates of one
-// recovery count as one recomputed partition. Re-armed by Add (a live
-// copy exists again).
+// was last materialized — so retries and speculative duplicates of one
+// recovery count as one recomputed partition. Re-armed by
+// NoteMaterialized.
 func (t *cacheTracker) NoteRecompute(rddID, part int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -274,17 +229,6 @@ func (t *cacheTracker) NoteRecompute(rddID, part int) bool {
 	return true
 }
 
-// markEver records the partition as materialized at least once.
-// Caller holds t.mu.
-func (t *cacheTracker) markEver(rddID, part int) {
-	m, ok := t.ever[rddID]
-	if !ok {
-		m = make(map[int]bool)
-		t.ever[rddID] = m
-	}
-	m[part] = true
-}
-
 // WasMaterialized reports whether the partition was ever cached (so a
 // cache-miss compute is lineage recovery, not first materialization).
 func (t *cacheTracker) WasMaterialized(rddID, part int) bool {
@@ -293,100 +237,25 @@ func (t *cacheTracker) WasMaterialized(rddID, part int) bool {
 	return t.ever[rddID][part]
 }
 
-// Locations returns live workers still holding the partition,
-// dropping stale entries (dead workers, or stores wiped since the
-// copy was recorded) as a side effect.
-func (t *cacheTracker) Locations(rddID, part int, ctx *Context) []int {
+// Forget drops an uncached RDD's ledger entries.
+func (t *cacheTracker) Forget(rddID int) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	entries := t.locs[rddID][part]
-	keep := entries[:0]
-	var out []int
-	for _, e := range entries {
-		w := ctx.Cluster.Worker(e.worker)
-		if !w.Alive() || w.Store().Epoch() != e.epoch {
-			continue // stale: the cached copy is gone
-		}
-		keep = append(keep, e)
-		out = append(out, e.worker)
-	}
-	if m := t.locs[rddID]; m != nil {
-		m[part] = keep
-	}
-	return out
-}
-
-func (t *cacheTracker) Evict(rddID int, ctx *Context) {
-	t.mu.Lock()
-	parts := t.locs[rddID]
-	delete(t.locs, rddID)
 	delete(t.ever, rddID)
 	delete(t.lost, rddID)
 	t.mu.Unlock()
-	for part, entries := range parts {
-		for _, e := range entries {
-			ctx.Cluster.Worker(e.worker).Store().Delete(cacheKey(rddID, part))
-		}
-	}
 }
 
-// RemoveLocation forgets one worker's copy of one partition (LRU
-// eviction). The partition stays marked ever-materialized: a later
-// cache-miss compute is a recompute of evicted state, which is exactly
-// what the memory-pressure metrics must count.
-//
-// Eviction notifications and miss-driven prunes arrive outside the
-// store lock, so by the time one lands the worker may have re-cached
-// the partition; the Contains re-check under the tracker lock keeps a
-// stale notification from dropping a live location (the symmetric
-// guard to cacheTracker.Add's evicted-before-Add check).
-func (t *cacheTracker) RemoveLocation(rddID, part, worker int, ctx *Context) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ctx.Cluster.Worker(worker).Store().Contains(cacheKey(rddID, part)) {
-		return // re-cached since the eviction/miss was observed
-	}
-	parts := t.locs[rddID]
-	if parts == nil {
-		return
-	}
-	entries := parts[part]
-	keep := entries[:0]
-	for _, e := range entries {
-		if e.worker != worker {
-			keep = append(keep, e)
-		}
-	}
-	parts[part] = keep
-}
-
-// parseCacheKey inverts cacheKey; non-cache block keys (shuffle
-// buckets) report ok=false.
-func parseCacheKey(key string) (rddID, part int, ok bool) {
+// parseCacheKey inverts cacheKey's RDD ID; non-cache block keys
+// (shuffle buckets, cached results) report ok=false.
+func parseCacheKey(key string) (rddID int, ok bool) {
+	var part int
 	n, err := fmt.Sscanf(key, "rdd/%d/%d", &rddID, &part)
-	return rddID, part, err == nil && n == 2
-}
-
-// DropWorker forgets every cache location on a dead worker.
-func (t *cacheTracker) DropWorker(worker int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, parts := range t.locs {
-		for p, es := range parts {
-			keep := es[:0]
-			for _, e := range es {
-				if e.worker != worker {
-					keep = append(keep, e)
-				}
-			}
-			parts[p] = keep
-		}
-	}
+	return rddID, err == nil && n == 2
 }
 
 // NotifyWorkerLost clears master metadata referring to a dead worker:
-// cache locations and shuffle output registrations.
+// its shuffle output registrations. (Cache locations need no clearing —
+// they are read off live stores.)
 func (c *Context) NotifyWorkerLost(worker int) {
-	c.cache.DropWorker(worker)
 	c.tracker.DropWorker(worker)
 }

@@ -129,10 +129,10 @@ func TestCacheRecoveryObservableInMetrics(t *testing.T) {
 	}
 }
 
-// TestStaleCacheEpochNotReported: cache bookkeeping must not survive
-// the worker state it describes. A kill+restart cycle (without any
-// NotifyWorkerLost call) wipes the store; epoch validation keeps the
-// tracker from routing tasks to copies that no longer exist.
+// TestStaleCacheEpochNotReported: cache locations must not survive the
+// worker state they describe. A kill+restart cycle (without any
+// NotifyWorkerLost call) wipes the store; locations are read off the
+// live stores, so no task is routed to copies that no longer exist.
 func TestStaleCacheEpochNotReported(t *testing.T) {
 	ctx := newTestCtx(t, 4, Options{})
 	src := ctx.Parallelize(ints(400), 8).Cache()

@@ -246,9 +246,12 @@ type SessionStats struct {
 	// Cache traffic of the session's tasks (DiskHits: partitions read
 	// back from a worker's local spill tier).
 	CacheHits, RemoteCacheHits, DiskHits, CacheRecomputes int64
-	// Evictions / BytesEvicted count memory-pressure evictions of
-	// cache partitions this session materialized (wherever the
-	// evicting put came from).
+	// Evictions / BytesEvicted count cache partitions this session
+	// materialized that capacity pressure took away for good — dropped
+	// from a worker's memory without a disk copy, or dropped by its
+	// disk budget — whichever session's put displaced them. A spill is
+	// not counted (the partition still reads back from disk). Fed by
+	// the cluster's eviction events.
 	Evictions    int64
 	BytesEvicted int64
 	// AdmissionWaits counts jobs that had to queue for admission

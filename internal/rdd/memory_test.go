@@ -19,10 +19,10 @@ func newBoundedCtx(t *testing.T, workers int, memBytes int64) *Context {
 	return NewContext(c, svc, Options{})
 }
 
-// TestEvictionPrunesTrackerLocations: under memory pressure the cache
-// tracker must never advertise a location whose block was evicted —
-// every preferred location has to actually hold the block, and the
-// eviction itself must be visible in the cluster metrics.
+// TestEvictionPrunesTrackerLocations: under memory pressure no
+// location whose block was evicted may be advertised — every preferred
+// location has to actually hold the block, and the eviction itself must
+// be visible in the cluster metrics.
 func TestEvictionPrunesTrackerLocations(t *testing.T) {
 	// 16 partitions × ~2000B over 4 workers with 3000B each: at most
 	// one partition fits per worker, so most cache puts evict.
@@ -37,7 +37,7 @@ func TestEvictionPrunesTrackerLocations(t *testing.T) {
 	for p := 0; p < src.NumPartitions(); p++ {
 		for _, w := range src.PreferredLocations(p) {
 			if !ctx.Cluster.Worker(w).Store().Contains(cacheKey(src.ID, p)) {
-				t.Errorf("partition %d: tracker lists worker %d which no longer holds the block", p, w)
+				t.Errorf("partition %d: worker %d is listed but no longer holds the block", p, w)
 			}
 		}
 	}
@@ -88,11 +88,10 @@ func TestRemoteCacheRead(t *testing.T) {
 	}
 }
 
-// TestRemoteCacheReadPrunesStaleLocation: when the advertised holder
-// no longer has the block (eviction that bypassed the observer — e.g.
-// a second Context on the same cluster), the reader falls back to
-// lineage recomputation and prunes the stale entry so nobody else
-// chases it.
+// TestRemoteCacheReadPrunesStaleLocation: when the only holder no
+// longer has the block (dropped without any eviction event), the
+// reader falls back to lineage recomputation and nobody is pointed at
+// the former holder again.
 func TestRemoteCacheReadPrunesStaleLocation(t *testing.T) {
 	ctx := newBoundedCtx(t, 2, 0)
 	src := ctx.Parallelize(ints(200), 2).Cache()
@@ -105,8 +104,8 @@ func TestRemoteCacheReadPrunesStaleLocation(t *testing.T) {
 	}
 	holder := locs[0]
 	other := 1 - holder
-	// Simulate an unobserved eviction: drop the block behind the
-	// tracker's back.
+	// Simulate an unannounced loss: drop the block with no eviction
+	// event.
 	ctx.Cluster.Worker(holder).Store().Delete(cacheKey(src.ID, 0))
 
 	m := ctx.Scheduler().Metrics()

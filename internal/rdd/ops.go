@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"shark/internal/pde"
 	"shark/internal/shuffle"
 )
 
@@ -209,56 +208,35 @@ func (c *Context) Shuffled(dep *ShuffleDep, groups [][]int, kind ReadKind) *RDD 
 	}
 }
 
-// ShuffledSlices is Shuffled with slice-level task assignment, the
-// skew-split read path: each reduce task consumes a list of
-// pde.BucketSlices, where a slice covers a whole fine bucket or only
-// the contributions of a subset of map partitions (a split hot
-// bucket). For ReadRaw the union of all tasks' outputs is exactly the
-// whole-bucket read. For ReadCombine/ReadGroup, keys of a bucket split
-// across tasks merge per task, not globally — callers that need one
-// output pair per key must not split buckets.
-func (c *Context) ShuffledSlices(dep *ShuffleDep, tasks [][]pde.BucketSlice, kind ReadKind) *RDD {
-	return &RDD{
-		ID:       c.newRDDID(),
-		Name:     fmt.Sprintf("shuffled-slices(%d)", dep.ID),
-		ctx:      c,
-		numParts: len(tasks),
-		deps:     []Dependency{dep},
-		prefLocs: func(part int) []int {
-			buckets := make([]int, 0, len(tasks[part]))
-			for _, s := range tasks[part] {
-				buckets = append(buckets, s.Bucket)
+// MapOutputLocations snapshots which worker holds each of dep's map
+// outputs, for a task about to read its buckets. Fetch reads exactly
+// the map partitions the snapshot lists, so one taken while a
+// concurrent fetch-failure recovery has outputs marked lost would
+// silently drop their rows; an incomplete snapshot fails the task with
+// a FetchError instead, and the scheduler regenerates what is missing
+// and retries it.
+func (c *Context) MapOutputLocations(dep *ShuffleDep) map[int]int {
+	locations := c.tracker.Locations(dep.ID)
+	if n := dep.Parent.NumPartitions(); len(locations) < n {
+		var missing []int
+		for p := 0; p < n; p++ {
+			if _, ok := locations[p]; !ok {
+				missing = append(missing, p)
 			}
-			return c.tracker.PreferredReduceWorkers(dep.ID, buckets, 2)
-		},
-		compute: func(tc *TaskContext, part int) Iter {
-			return c.readShuffleSlices(tc, dep, tasks[part], kind)
-		},
+		}
+		Fail(&shuffle.FetchError{ShuffleID: dep.ID, MapParts: missing})
 	}
+	return locations
 }
 
 func (c *Context) readShuffle(tc *TaskContext, dep *ShuffleDep, buckets []int, kind ReadKind) Iter {
-	slices := make([]pde.BucketSlice, len(buckets))
-	for i, b := range buckets {
-		slices[i] = pde.BucketSlice{Bucket: b}
-	}
-	return c.readShuffleSlices(tc, dep, slices, kind)
-}
-
-func (c *Context) readShuffleSlices(tc *TaskContext, dep *ShuffleDep, slices []pde.BucketSlice, kind ReadKind) Iter {
-	locations := c.tracker.Locations(dep.ID)
+	locations := c.MapOutputLocations(dep)
 	// Polled between buckets and every cancelCheckRows merged pairs, so
 	// a cancelled job stops paying for a large reduce input
 	// mid-partition instead of merging it to completion.
 	checkCancel := tc.FailIfCancelled
-	fetch := func(s pde.BucketSlice) []shuffle.Pair {
-		var pairs []shuffle.Pair
-		var err error
-		if s.Whole() {
-			pairs, err = c.Shuffle.Fetch(dep.ID, s.Bucket, locations)
-		} else {
-			pairs, err = c.Shuffle.FetchPartial(dep.ID, s.Bucket, locations, s.Maps)
-		}
+	fetch := func(bucket int) []shuffle.Pair {
+		pairs, err := c.Shuffle.Fetch(dep.ID, bucket, locations)
 		if err != nil {
 			Fail(err)
 		}
@@ -267,9 +245,9 @@ func (c *Context) readShuffleSlices(tc *TaskContext, dep *ShuffleDep, slices []p
 	switch kind {
 	case ReadCombine:
 		merged := make(map[any]any)
-		for _, s := range slices {
+		for _, b := range buckets {
 			checkCancel()
-			for i, p := range fetch(s) {
+			for i, p := range fetch(b) {
 				if i%cancelCheckRows == cancelCheckRows-1 {
 					checkCancel()
 				}
@@ -287,9 +265,9 @@ func (c *Context) readShuffleSlices(tc *TaskContext, dep *ShuffleDep, slices []p
 		return SliceIter(out)
 	case ReadGroup:
 		grouped := make(map[any][]any)
-		for _, s := range slices {
+		for _, b := range buckets {
 			checkCancel()
-			for i, p := range fetch(s) {
+			for i, p := range fetch(b) {
 				if i%cancelCheckRows == cancelCheckRows-1 {
 					checkCancel()
 				}
@@ -303,9 +281,9 @@ func (c *Context) readShuffleSlices(tc *TaskContext, dep *ShuffleDep, slices []p
 		return SliceIter(out)
 	default:
 		var out []any
-		for _, s := range slices {
+		for _, b := range buckets {
 			checkCancel()
-			for _, p := range fetch(s) {
+			for _, p := range fetch(b) {
 				out = append(out, p)
 			}
 		}

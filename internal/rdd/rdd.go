@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"shark/internal/cluster"
 	"shark/internal/pde"
 	"shark/internal/shuffle"
 )
@@ -105,10 +106,17 @@ func (r *RDD) Persist(level StorageLevel) *RDD {
 // Level returns the storage level in effect while cached.
 func (r *RDD) Level() StorageLevel { return StorageLevel(r.level.Load()) }
 
-// Uncache drops the cache flag and evicts materialized partitions.
+// Uncache drops the cache flag and deletes materialized partitions
+// from every worker's store, both tiers.
 func (r *RDD) Uncache() {
 	r.cached.Store(false)
-	r.ctx.cache.Evict(r.ID, r.ctx)
+	for part := 0; part < r.numParts; part++ {
+		key := cacheKey(r.ID, part)
+		for w := 0; w < r.ctx.Cluster.NumWorkers(); w++ {
+			r.ctx.Cluster.Worker(w).Store().Delete(key)
+		}
+	}
+	r.ctx.cache.Forget(r.ID)
 	r.ctx.forgetRDDOwner(r.ID)
 }
 
@@ -147,102 +155,73 @@ func (r *RDD) wrapCancel(tc *TaskContext, it Iter) Iter {
 	})
 }
 
-// Iterator returns the partition's elements, serving from the local
-// block-store cache when the RDD is cached. A local memory miss
-// resolves down the storage hierarchy: the worker's own disk tier
-// (promoting the partition back into free memory room), then a remote
-// cache read — fetching the partition from another live worker that
-// still holds it on either tier — and only then recomputation from
-// lineage (recompute-on-miss is lineage recovery). The materialized
-// partition is cached at the RDD's storage level: under memory
-// pressure the block store may refuse, spill or later evict it, and
-// the table still answers queries by reading back or recomputing cold
-// partitions (§3.2 partial caching).
+// Iterator returns the partition's elements, serving from the block
+// stores when the RDD is cached. The worker's own store is asked first
+// — it walks memory then its disk tier, promoting a spilled partition
+// back into free memory room — then the other live workers' stores (a
+// remote cache read, cheaper than recomputing when the local copy was
+// evicted or the task landed off-holder), and only then is the
+// partition recomputed from lineage (recompute-on-miss is lineage
+// recovery). The materialized partition is put at the RDD's storage
+// level: under memory pressure the store may refuse, spill or later
+// evict it, and the table still answers queries by reading back or
+// recomputing cold partitions (§3.2 partial caching).
 func (r *RDD) Iterator(tc *TaskContext, part int) Iter {
 	if !r.cached.Load() {
 		return r.wrapCancel(tc, r.compute(tc, part))
 	}
 	key := cacheKey(r.ID, part)
-	if v, ok := tc.Worker.Store().Get(key); ok {
-		r.ctx.sched.metrics.CacheHits.Add(1)
+	m := &r.ctx.sched.metrics
+	switch v, tier := tc.Worker.Store().Get(key); tier {
+	case cluster.MemoryTier:
+		m.CacheHits.Add(1)
 		tc.Job.noteCacheHit()
 		return r.wrapCancel(tc, SliceIter(v.([]any)))
+	case cluster.DiskTier:
+		m.DiskHits.Add(1)
+		tc.Job.noteDiskHit()
+		return r.wrapCancel(tc, SliceIter(v.([]any)))
 	}
-	if data, ok := r.diskRead(tc, key); ok {
-		return r.wrapCancel(tc, SliceIter(data))
-	}
-	if data, ok := r.remoteCacheRead(tc, part, key); ok {
-		return r.wrapCancel(tc, SliceIter(data))
-	}
-	if r.ctx.cache.WasMaterialized(r.ID, part) && len(r.ctx.cache.Locations(r.ID, part, r.ctx)) == 0 &&
-		r.ctx.cache.NoteRecompute(r.ID, part) {
-		// The partition was cached and no live copy remains anywhere
-		// (worker loss or eviction): this compute is lineage recovery,
-		// visible in the scheduler metrics the fault-tolerance
-		// experiments read. A miss while another worker still holds a
-		// copy is served by remoteCacheRead above, not a recovery;
-		// retries and speculative duplicates of one recovery count
-		// once.
-		r.ctx.sched.metrics.CacheRecomputes.Add(1)
-		tc.Job.noteRecompute()
+	if r.ctx.cache.WasMaterialized(r.ID, part) {
+		// Only a partition materialized before can have a copy on
+		// another worker; a first materialization skips the probes.
+		if data, ok := r.remoteCacheRead(tc, key); ok {
+			return r.wrapCancel(tc, SliceIter(data))
+		}
+		if r.ctx.cache.NoteRecompute(r.ID, part) {
+			// The partition was cached and no live copy remains
+			// anywhere (worker loss or eviction): this compute is
+			// lineage recovery, visible in the scheduler metrics the
+			// fault-tolerance experiments read. Retries and speculative
+			// duplicates of one recovery count once.
+			m.CacheRecomputes.Add(1)
+			tc.Job.noteRecompute()
+		}
 	}
 	// The materializing Drain is itself cancellable: compute's own
 	// child iterators are wrapped, and wrapping here too covers
 	// source RDDs with no children (their compute yields rows
 	// directly).
 	data := Drain(r.wrapCancel(tc, r.compute(tc, part)))
-	r.cacheLocally(tc, part, key, data, true)
+	r.cacheLocally(tc, key, data, false)
 	// Even if the bounded store rejected the copy, the partition was
 	// materialized: the next miss is a recompute, and must count.
 	r.ctx.cache.NoteMaterialized(r.ID, part)
 	return r.wrapCancel(tc, SliceIter(data))
 }
 
-// diskRead tries to serve a memory miss from the worker's own disk
-// spill tier — the partition was evicted (or DISK_ONLY-materialized)
-// here and reading it back is far cheaper than a remote fetch or a
-// lineage recompute. Unless the RDD is DISK_ONLY, the partition is
-// promoted back into free memory room (admission replaces the spilled
-// copy, so the bytes are charged to exactly one tier; it re-spills on
-// the next eviction).
-func (r *RDD) diskRead(tc *TaskContext, key string) ([]any, bool) {
-	v, ok := tc.Worker.Store().GetSpilled(key)
-	if !ok {
-		return nil, false
-	}
-	data := v.([]any)
-	r.ctx.sched.metrics.DiskHits.Add(1)
-	tc.Job.noteDiskHit()
-	if r.Level() != DiskOnly {
-		tc.Worker.Store().PutEvictableIfRoomSpillable(key, data, sliceSize(data))
-	}
-	return data, true
-}
-
 // remoteCacheRead tries to serve a cache miss from another live worker
 // still holding the partition on either tier — cheaper than
 // recomputing the lineage when the local copy was evicted or the task
-// landed off-holder. Locations it finds stale (the block vanished
-// since the tracker entry) are pruned so later readers stop chasing
-// them.
-func (r *RDD) remoteCacheRead(tc *TaskContext, part int, key string) ([]any, bool) {
-	for _, loc := range r.ctx.cache.Locations(r.ID, part, r.ctx) {
+// landed off-holder. The holders are whoever's store answers: there is
+// no location record to go stale.
+func (r *RDD) remoteCacheRead(tc *TaskContext, key string) ([]any, bool) {
+	for _, loc := range r.ctx.Cluster.AliveWorkers() {
 		if loc == tc.Worker.ID {
-			// Locations validated the epoch, yet the local lookups
-			// missed both tiers: the block is gone here. Prune the
-			// entry.
-			r.ctx.cache.RemoveLocation(r.ID, part, loc, r.ctx)
 			continue
 		}
-		st := r.ctx.Cluster.Worker(loc).Store()
-		v, ok := st.Get(key)
-		if !ok {
-			// The holder may have spilled the partition: its disk tier
-			// is still a valid place to read from.
-			v, ok = st.GetSpilled(key)
-		}
-		if !ok {
-			r.ctx.cache.RemoveLocation(r.ID, part, loc, r.ctx)
+		v, tier := r.ctx.Cluster.Worker(loc).Store().Get(key)
+		if tier == cluster.Miss {
 			continue
 		}
 		r.ctx.sched.metrics.RemoteCacheHits.Add(1)
@@ -251,52 +230,18 @@ func (r *RDD) remoteCacheRead(tc *TaskContext, part int, key string) ([]any, boo
 		// Replicate only into free room: evicting residents for a
 		// partition another worker already holds would trade a cheap
 		// future fetch for someone else's recompute (cache thrash).
-		r.cacheLocally(tc, part, key, data, false)
+		r.cacheLocally(tc, key, data, true)
 		return data, true
 	}
 	return nil, false
 }
 
-// cacheLocally stores a materialized partition at the RDD's storage
-// level and records the location if any tier admitted it. evictOthers
-// allows the put to displace LRU residents (the compute path — this is
-// the only copy); without it admission is opportunistic (the
-// replication path).
-func (r *RDD) cacheLocally(tc *TaskContext, part int, key string, data []any, evictOthers bool) {
-	// Snapshot the wipe epoch before storing: if the worker dies
-	// around the Put the entry registers as stale rather than claiming
-	// a wiped store still holds the partition.
-	epoch := tc.Worker.Store().Epoch()
-	store := tc.Worker.Store()
-	size := sliceSize(data)
-	var admitted bool
-	switch level := r.Level(); {
-	case level == DiskOnly:
-		// Straight to disk, leaving memory to hotter tables. If the
-		// disk tier is absent or cannot take the value, degrade to the
-		// memory path so the table still caches somewhere.
-		admitted = store.PutDisk(key, data, size)
-		if !admitted && evictOthers {
-			admitted = store.PutEvictable(key, data, size)
-		} else if !admitted {
-			admitted = store.PutEvictableIfRoom(key, data, size)
-		}
-	case level == MemoryAndDisk && evictOthers:
-		admitted = store.PutEvictableSpillable(key, data, size)
-		if !admitted {
-			// Infeasible beside the pinned footprint: at least leave a
-			// disk-resident copy so the next read is not a recompute.
-			admitted = store.PutDisk(key, data, size)
-		}
-	case level == MemoryAndDisk:
-		admitted = store.PutEvictableIfRoomSpillable(key, data, size)
-	case evictOthers:
-		admitted = store.PutEvictable(key, data, size)
-	default:
-		admitted = store.PutEvictableIfRoom(key, data, size)
-	}
-	if admitted {
-		r.ctx.cache.Add(r.ID, part, tc.Worker.ID, epoch, r.ctx)
+// cacheLocally puts a materialized partition into the task's worker
+// store at the RDD's storage level. ifRoom makes admission
+// opportunistic (the replication path); without it the put may
+// displace LRU residents (the compute path — this is the only copy).
+func (r *RDD) cacheLocally(tc *TaskContext, key string, data []any, ifRoom bool) {
+	if tc.Worker.Store().Put(key, data, sliceSize(data), cluster.Class{Level: r.Level(), IfRoom: ifRoom}) {
 		// Attribute this RDD's cached partitions (and their future
 		// evictions) to the session that materialized them.
 		r.ctx.noteRDDOwner(r.ID, tc.Job)
@@ -317,7 +262,14 @@ func sliceSize(data []any) int64 {
 func (r *RDD) PreferredLocations(part int) []int {
 	var locs []int
 	if r.cached.Load() {
-		locs = append(locs, r.ctx.cache.Locations(r.ID, part, r.ctx)...)
+		// Read off the live stores (one probe per worker, either tier):
+		// an evicted block or a dead worker is simply not listed.
+		key := cacheKey(r.ID, part)
+		for _, w := range r.ctx.Cluster.AliveWorkers() {
+			if r.ctx.Cluster.Worker(w).Store().Contains(key) {
+				locs = append(locs, w)
+			}
+		}
 	}
 	if r.prefLocs != nil {
 		locs = append(locs, r.prefLocs(part)...)

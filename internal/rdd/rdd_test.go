@@ -217,9 +217,11 @@ func TestCacheLossRecoveredByLineage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill a worker: its cached partitions vanish.
-	ctx.Cluster.Kill(1)
-	ctx.NotifyWorkerLost(1)
+	// Kill a worker that holds cached partitions (under load one worker
+	// may have run no task at all): they vanish.
+	victim := src.PreferredLocations(0)[0]
+	ctx.Cluster.Kill(victim)
+	ctx.NotifyWorkerLost(victim)
 	n2, err := src.Count()
 	if err != nil {
 		t.Fatal(err)
@@ -266,6 +268,53 @@ func TestShuffleFetchFailureRecovery(t *testing.T) {
 	}
 	if len(got) != 37 {
 		t.Errorf("keys = %d", len(got))
+	}
+}
+
+// TestFetchRecoveryStaysInItsContext: shuffle IDs are allocated per
+// shuffle.Service, so two contexts in one process hand out the same
+// numbers; a fetch failure in one must rebuild its own dependency, not
+// the other context's that happens to share the ID (which used to
+// "recover" foreign map output into the shuffle and return wrong sums).
+func TestFetchRecoveryStaysInItsContext(t *testing.T) {
+	a, b := newTestCtx(t, 4, Options{}), newTestCtx(t, 4, Options{})
+	sum := func(x, y any) any { return x.(int64) + y.(int64) }
+	ones := make([]any, 1000)
+	for i := range ones {
+		ones[i] = shuffle.Pair{K: int64(i % 10), V: int64(1)}
+	}
+	reducedA := a.Parallelize(ones, 8).ReduceByKey(sum, 4)
+	if n, err := reducedA.Count(); err != nil || n != 10 {
+		t.Fatalf("count = %d, %v; want 10 keys", n, err)
+	}
+	// B builds its first shuffle second: same numeric ID as A's.
+	var bMapCalls atomic.Int64
+	reducedB := b.Parallelize(ones, 8).Map(func(v any) any {
+		bMapCalls.Add(1)
+		return v
+	}).ReduceByKey(sum, 4)
+	if idA, idB := LineageShuffleIDs(reducedA), LineageShuffleIDs(reducedB); len(idA) != 1 || len(idB) != 1 || idA[0] != idB[0] {
+		t.Fatalf("shuffle IDs %v / %v: the probe needs them to collide", idA, idB)
+	}
+	// Lose some of A's map outputs behind the tracker's back, so the
+	// reduce hits a fetch failure and recovers by shuffle ID.
+	a.Cluster.Kill(a.Tracker().Locations(LineageShuffleIDs(reducedA)[0])[0])
+	got, err := reducedA.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, v := range got {
+		total += v.(shuffle.Pair).V.(int64)
+	}
+	if total != 1000 || len(got) != 10 {
+		t.Errorf("after recovery: sum %d over %d keys, want 1000 over 10", total, len(got))
+	}
+	if a.Scheduler().Metrics().FetchFailures.Load() == 0 {
+		t.Error("no fetch failure: the probe did not exercise recovery")
+	}
+	if n := bMapCalls.Load(); n != 0 {
+		t.Errorf("context B's map function ran %d times on context A's recovery", n)
 	}
 }
 

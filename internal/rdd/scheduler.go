@@ -213,7 +213,7 @@ func (s *Scheduler) ensureShuffle(gctx context.Context, job *Job, dep *ShuffleDe
 	// of panicking on unknown state, and a later fetch failure can
 	// still find the dep to rebuild it.
 	s.ctx.tracker.RegisterShuffle(dep.ID, dep.Partitioner.NumPartitions(), dep.Parent.NumPartitions())
-	RegisterDepForRecovery(dep)
+	s.ctx.deps.Store(dep.ID, dep)
 	missing := s.ctx.tracker.MissingParts(dep.ID)
 	if len(missing) == 0 {
 		return nil
@@ -401,6 +401,11 @@ func (s *Scheduler) runTaskSet(gctx context.Context, job *Job, stage string, par
 				continue
 			}
 			// Failure handling.
+			if errors.Is(ev.res.Err, cluster.ErrClosed) {
+				// No retry can succeed on a closed cluster: fail now
+				// instead of spending the retry budget resubmitting.
+				return fmt.Errorf("rdd: job %d: %w", job.ID, ev.res.Err)
+			}
 			if errors.Is(ev.res.Err, cluster.ErrJobCancelled) {
 				// Another task set of the same job (a parallel stage)
 				// hit the cancellation first.
@@ -487,27 +492,12 @@ func (s *Scheduler) runTaskSet(gctx context.Context, job *Job, stage string, par
 // re-running the corresponding map tasks (lineage recovery, §2.3).
 func (s *Scheduler) recoverFetchFailure(gctx context.Context, job *Job, fe *shuffle.FetchError) error {
 	s.ctx.tracker.MarkLost(fe.ShuffleID, fe.MapParts)
-	dep := s.lookupDep(fe.ShuffleID)
-	if dep == nil {
+	v, ok := s.ctx.deps.Load(fe.ShuffleID)
+	if !ok {
 		return fmt.Errorf("rdd: cannot recover unknown shuffle %d", fe.ShuffleID)
 	}
 	s.metrics.MapStageReruns.Add(int64(len(fe.MapParts)))
-	return s.ensureShuffle(gctx, job, dep)
-}
-
-// depRegistry lets the scheduler find a ShuffleDep by ID for recovery.
-var depRegistry sync.Map // shuffleID → *ShuffleDep
-
-// RegisterDepForRecovery records dep so fetch failures can rebuild it.
-// Context.NewShuffleDep calls this automatically.
-func RegisterDepForRecovery(dep *ShuffleDep) { depRegistry.Store(dep.ID, dep) }
-
-func (s *Scheduler) lookupDep(id int) *ShuffleDep {
-	v, ok := depRegistry.Load(id)
-	if !ok {
-		return nil
-	}
-	return v.(*ShuffleDep)
+	return s.ensureShuffle(gctx, job, v.(*ShuffleDep))
 }
 
 // ReleaseJobShuffles unregisters the map outputs of every shuffle the
@@ -529,10 +519,7 @@ func (c *Context) ReleaseJobShuffles(j *Job, keep map[int]bool) {
 		}
 		c.tracker.Unregister(dep.ID)
 		c.Shuffle.Unregister(dep.ID)
-		// Drop the recovery entry only if it is still this dep:
-		// shuffle IDs are per-service, so another cluster in the same
-		// process may have registered the same numeric ID since.
-		depRegistry.CompareAndDelete(dep.ID, dep)
+		c.deps.Delete(dep.ID)
 	}
 }
 

@@ -1,15 +1,14 @@
 package rdd
 
 import (
-	"sort"
 	"testing"
 
 	"shark/internal/pde"
 	"shark/internal/shuffle"
 )
 
-// shuffledPairs materializes a shuffle of n keyed pairs and returns
-// its dep plus the observed stage stats.
+// materializeTestShuffle materializes a shuffle of n keyed pairs and
+// returns its dep plus the observed stage stats.
 func materializeTestShuffle(t *testing.T, ctx *Context, n, buckets int) (*ShuffleDep, *pde.StageStats) {
 	t.Helper()
 	data := make([]any, n)
@@ -23,48 +22,6 @@ func materializeTestShuffle(t *testing.T, ctx *Context, n, buckets int) (*Shuffl
 		t.Fatal(err)
 	}
 	return dep, stats
-}
-
-func collectValues(t *testing.T, r *RDD) []int64 {
-	t.Helper()
-	raw, err := r.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]int64, len(raw))
-	for i, v := range raw {
-		out[i] = v.(shuffle.Pair).V.(int64)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func TestShuffledSlicesRawEqualsWholeBucketRead(t *testing.T) {
-	ctx := newTestCtx(t, 4, Options{})
-	dep, _ := materializeTestShuffle(t, ctx, 500, 8)
-
-	whole := collectValues(t, ctx.Shuffled(dep, nil, ReadRaw))
-
-	// Split every bucket's fetch into two disjoint map subsets across
-	// two tasks, plus one task reading two whole buckets.
-	half1, half2 := []int{0, 2, 4}, []int{1, 3, 5}
-	var tasks [][]pde.BucketSlice
-	for b := 0; b < 6; b++ {
-		tasks = append(tasks,
-			[]pde.BucketSlice{{Bucket: b, Maps: half1}},
-			[]pde.BucketSlice{{Bucket: b, Maps: half2}})
-	}
-	tasks = append(tasks, []pde.BucketSlice{{Bucket: 6}, {Bucket: 7}})
-
-	sliced := collectValues(t, ctx.ShuffledSlices(dep, tasks, ReadRaw))
-	if len(sliced) != len(whole) {
-		t.Fatalf("sliced read has %d pairs, whole read %d", len(sliced), len(whole))
-	}
-	for i := range whole {
-		if sliced[i] != whole[i] {
-			t.Fatalf("value %d: sliced %d != whole %d", i, sliced[i], whole[i])
-		}
-	}
 }
 
 func TestPerMapBucketBytes(t *testing.T) {

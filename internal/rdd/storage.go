@@ -1,49 +1,19 @@
 package rdd
 
-import "strings"
+import "shark/internal/cluster"
 
 // StorageLevel selects which block-store tiers a cached RDD's
-// partitions may occupy — the paper's RDD storage levels (§3.2): a
-// cached partition that no longer fits in RAM should fall to local
-// disk and be read back far cheaper than recomputing it from lineage.
-type StorageLevel int32
+// partitions may occupy — the paper's RDD storage levels (§3.2). The
+// type lives with the tiers it names, in the worker block store.
+type StorageLevel = cluster.StorageLevel
 
+// The storage levels, re-exported.
 const (
-	// MemoryOnly keeps cached partitions in worker memory only; LRU
-	// victims are dropped and rebuilt by remote reads or lineage (the
-	// pre-spill behavior, and the default).
-	MemoryOnly StorageLevel = iota
-	// MemoryAndDisk serves from memory but drains LRU victims into the
-	// worker's disk tier, promoting them back on read when free room
-	// exists.
-	MemoryAndDisk
-	// DiskOnly materializes straight to the disk tier, leaving worker
-	// memory to other tables — for large, rarely-read tables that
-	// should never pressure the hot working set.
-	DiskOnly
+	MemoryOnly    = cluster.MemoryOnly
+	MemoryAndDisk = cluster.MemoryAndDisk
+	DiskOnly      = cluster.DiskOnly
 )
-
-// String names the level in SQL/TBLPROPERTIES spelling.
-func (l StorageLevel) String() string {
-	switch l {
-	case MemoryAndDisk:
-		return "MEMORY_AND_DISK"
-	case DiskOnly:
-		return "DISK_ONLY"
-	}
-	return "MEMORY_ONLY"
-}
 
 // ParseStorageLevel resolves a level name (case-insensitive, with the
 // common aliases), reporting whether it was recognized.
-func ParseStorageLevel(s string) (StorageLevel, bool) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "MEMORY", "MEMORY_ONLY":
-		return MemoryOnly, true
-	case "MEMORY_AND_DISK":
-		return MemoryAndDisk, true
-	case "DISK", "DISK_ONLY":
-		return DiskOnly, true
-	}
-	return MemoryOnly, false
-}
+var ParseStorageLevel = cluster.ParseStorageLevel

@@ -34,8 +34,8 @@ func spillableInts(n int) []any {
 
 // TestMemoryAndDiskServesFromSpill: under memory pressure a
 // MEMORY_AND_DISK RDD's evicted partitions come back from the local
-// disk tier — DiskHits count, recomputes stay zero, and the tracker
-// keeps advertising the spilled partitions' locations.
+// disk tier — DiskHits count, recomputes stay zero, and the spilled
+// partitions' holders are still listed as locations.
 func TestMemoryAndDiskServesFromSpill(t *testing.T) {
 	// 16 partitions × ~2000B over 4 workers with 3000B each: most
 	// cache puts evict, and every victim spills.
@@ -126,13 +126,13 @@ func TestRemoteDiskRead(t *testing.T) {
 	other := 1 - holder
 	key := cacheKey(src.ID, 0)
 	// Push the holder's copy to its disk tier by hand (as eviction
-	// would), keeping the tracker entry intact.
+	// would).
 	hs := ctx.Cluster.Worker(holder).Store()
-	v, ok := hs.Get(key)
-	if !ok {
+	v, tier := hs.Get(key)
+	if tier != cluster.MemoryTier {
 		t.Fatal("holder lost the block")
 	}
-	if !hs.PutDisk(key, v, 100) {
+	if !hs.Put(key, v, 100, cluster.Class{Level: DiskOnly}) {
 		t.Fatal("manual spill failed")
 	}
 	if hs.InMemory(key) {

@@ -154,14 +154,14 @@ func (w *Writer) Commit() (BucketStats, error) {
 	for b, pairs := range w.buckets {
 		key := blockKey(w.shuffleID, w.mapPart, b)
 		if w.svc.mode == Memory {
-			w.worker.Store().Put(key, pairs, w.stats.Bytes[b])
+			w.worker.Store().Put(key, pairs, w.stats.Bytes[b], cluster.Class{Pinned: true})
 			continue
 		}
 		path, err := w.svc.writeDiskBucket(key, pairs)
 		if err != nil {
 			return BucketStats{}, err
 		}
-		w.worker.Store().Put(key, path, int64(len(path)))
+		w.worker.Store().Put(key, path, int64(len(path)), cluster.Class{Pinned: true})
 	}
 	return w.stats, nil
 }
@@ -248,17 +248,15 @@ func (s *Service) fetchParts(shuffleID, bucket int, locations map[int]int, parts
 		}
 		w := s.cluster.Worker(wid)
 		key := blockKey(shuffleID, mapPart, bucket)
-		v, ok := w.Store().Get(key)
-		if !ok {
-			// A bucket the shuffle budget pushed to the producer's disk
-			// tier is still that worker's output — read it back.
-			if v, ok = w.Store().GetSpilled(key); ok {
-				s.metrics.SpilledReads.Add(1)
-			}
-		}
-		if !ok || !w.Alive() {
+		// A bucket the shuffle budget pushed to the producer's disk tier
+		// is still that worker's output: the store reads it back.
+		v, tier := w.Store().Get(key)
+		if tier == cluster.Miss || !w.Alive() {
 			missing = append(missing, mapPart)
 			continue
+		}
+		if tier == cluster.DiskTier {
+			s.metrics.SpilledReads.Add(1)
 		}
 		if s.mode == Memory {
 			out = append(out, v.([]Pair)...)
@@ -372,7 +370,7 @@ func rowToValue(r row.Row) any {
 // Unregister drops all trace of a shuffle (cleanup between queries).
 // Store Keys/Delete span both tiers, so buckets the shuffle budget
 // spilled to a worker's disk are deleted — files included — along
-// with the in-memory ones: epoch pruning must not leak spill-dir
+// with the in-memory ones: shuffle cleanup must not leak spill-dir
 // space on a long-lived cluster.
 func (s *Service) Unregister(shuffleID int) {
 	prefix := fmt.Sprintf("shuf/%d/", shuffleID)

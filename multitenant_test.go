@@ -254,3 +254,80 @@ func TestPublicPriorityAndAdmission(t *testing.T) {
 		t.Error("AdmissionWaits = 0: four concurrent statements under a cap of 1 never waited")
 	}
 }
+
+// TestEvictionsReachSessionStatsAndResultCache: the cluster's eviction
+// feed has two subscribers on every public cluster — the RDD layer,
+// which charges each lost partition to the session that cached the
+// table, and the result caches, which credit a store-reclaimed result
+// back to its session's quota. Both must hear every event.
+func TestEvictionsReachSessionStatsAndResultCache(t *testing.T) {
+	// The shuffle budget keeps the repartitioning CTAS's pinned map
+	// outputs (retained as the table's lineage) out of the cache budget,
+	// so both workers cache.
+	cl := newTestCluster(t, shark.ClusterConfig{Workers: 2, WorkerMemoryBytes: 32 << 10, WorkerShuffleBytes: 8 << 20})
+	etl, err := cl.NewSession(shark.SessionConfig{Name: "etl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 16 partitions of ~9KB over 2 workers × 32KB: the table is larger
+	// than memory, so loading and every scan evict.
+	etl.DefaultCacheParts = 16
+	loadLogs(t, etl, 20000)
+	scan := func() {
+		t.Helper()
+		res, err := etl.Exec(`SELECT COUNT(*) FROM logs_mem`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Rows[0][0].(int64); n != 20000 {
+			t.Fatalf("COUNT(*) under pressure = %d, want 20000", n)
+		}
+	}
+	if _, err := etl.Exec(`CREATE TABLE logs_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM logs`); err != nil {
+		t.Fatal(err)
+	}
+	scan()
+	scan()
+	tableEvictions := etl.Stats().Evictions
+	if tableEvictions == 0 {
+		t.Fatal("Session.Stats().Evictions = 0 for a cached table larger than memory")
+	}
+	if got := cl.Metrics().CacheEvictions.Load(); got != tableEvictions {
+		t.Errorf("cluster counts %d evictions, the only caching session %d", got, tableEvictions)
+	}
+
+	dash, err := cl.NewSession(shark.SessionConfig{Name: "dash", ResultCacheBytes: 8 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadLogs(t, dash, 100)
+	const q = `SELECT status, COUNT(*) FROM logs GROUP BY status`
+	if _, err := dash.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	if dash.Results.Bytes() == 0 {
+		t.Fatal("result not cached")
+	}
+	// The table's scans churn both workers' LRUs past the small result
+	// block: the store reclaims it.
+	scan()
+	scan()
+	if got := dash.Results.Bytes(); got != 0 {
+		t.Errorf("result cache still charges %d bytes for a block the store reclaimed", got)
+	}
+	if got := dash.Stats().Evictions; got != 0 {
+		t.Errorf("dash charged %d evictions; it caches no table", got)
+	}
+	// Every eviction is either one of etl's partitions or dash's one
+	// result block.
+	if cluster, table := cl.Metrics().CacheEvictions.Load(), etl.Stats().Evictions; cluster != table+1 {
+		t.Errorf("cluster counts %d evictions, want etl's %d partitions + 1 result block", cluster, table)
+	}
+	_, missesBefore := dash.Results.Stats()
+	if _, err := dash.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := dash.Results.Stats(); misses != missesBefore+1 {
+		t.Errorf("reclaimed result served as a hit (misses %d → %d)", missesBefore, misses)
+	}
+}

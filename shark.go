@@ -72,15 +72,15 @@ type (
 	// QueryStats describes what the engine did for a query.
 	QueryStats = exec.QueryStats
 	// SessionStats snapshots a session's cluster activity: jobs,
-	// tasks, task-time, cache hits / remote hits / recomputes, and
-	// evictions attributed to the session.
+	// tasks, task-time, cache hits / remote hits / disk hits /
+	// recomputes, and the evictions of partitions the session cached.
 	SessionStats = rdd.SessionStats
 	// SchedulingPolicy selects how freed slots pick among queued
 	// tasks of concurrent jobs.
 	SchedulingPolicy = cluster.Policy
 	// StorageLevel selects which tiers (memory / local disk) a cached
 	// table's partitions may occupy.
-	StorageLevel = rdd.StorageLevel
+	StorageLevel = cluster.StorageLevel
 	// DiskTierStats aggregates the per-worker disk spill tiers.
 	DiskTierStats = cluster.DiskTierStats
 )
@@ -98,13 +98,13 @@ const (
 	// StorageMemoryOnly keeps cached partitions in worker memory;
 	// eviction victims are dropped and rebuilt from remote copies or
 	// lineage (the default).
-	StorageMemoryOnly = rdd.MemoryOnly
+	StorageMemoryOnly = cluster.MemoryOnly
 	// StorageMemoryAndDisk spills eviction victims to the worker's
 	// local disk tier and reads them back on a miss.
-	StorageMemoryAndDisk = rdd.MemoryAndDisk
+	StorageMemoryAndDisk = cluster.MemoryAndDisk
 	// StorageDiskOnly materializes cached partitions straight to the
 	// disk tier, leaving worker memory to hotter tables.
-	StorageDiskOnly = rdd.DiskOnly
+	StorageDiskOnly = cluster.DiskOnly
 )
 
 // Column types.
@@ -152,9 +152,12 @@ type ClusterConfig struct {
 	// Speculation enables backup tasks for stragglers.
 	Speculation bool
 	// WorkerMemoryBytes bounds each simulated worker's block store:
-	// cached table partitions are LRU-evicted under pressure and
-	// recovered from the disk tier, remote cache reads or lineage
-	// recomputation. 0 = unbounded.
+	// cached table partitions (and cached results) are LRU-evicted
+	// under pressure and recovered from the disk tier, remote cache
+	// reads or lineage recomputation. Each lost partition is charged to
+	// the session that cached the table (SessionStats.Evictions), and a
+	// reclaimed result is credited back to its session's
+	// ResultCacheBytes quota. 0 = unbounded.
 	WorkerMemoryBytes int64
 	// WorkerDiskBytes sizes each worker's local-disk spill tier:
 	// MEMORY_AND_DISK eviction victims (and over-budget shuffle
@@ -259,19 +262,21 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		sessionNames: make(map[string]bool),
 	}
 	// When the store LRU reclaims a session's cached result for
-	// hotter data, credit the bytes back to that session's quota.
-	cl.SetEvictionObserver(func(_ int, key string, _ int64, spilled bool) {
+	// hotter data, credit the bytes back to that session's quota. The
+	// RDD context subscribed above for session eviction attribution;
+	// registration is additive, so both hear every event.
+	cl.OnEviction(func(ev cluster.Eviction) {
 		c.rcMu.RLock()
 		var rc *core.ResultCache
 		for prefix, cache := range c.resultCaches {
-			if strings.HasPrefix(key, prefix) {
+			if strings.HasPrefix(ev.Key, prefix) {
 				rc = cache
 				break
 			}
 		}
 		c.rcMu.RUnlock()
 		if rc != nil {
-			rc.ReleaseEvicted(key, spilled)
+			rc.ReleaseEvicted(ev.Key, ev.Spilled)
 		}
 	})
 	return c, nil
