@@ -2,7 +2,9 @@ package columnar
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -268,17 +270,235 @@ func TestEmptyPartition(t *testing.T) {
 	}
 }
 
+// TestDateColumn: a DATE column keeps its type — typed decode keys off
+// Column.Type() — whichever int encoding it gets, and through the disk
+// round-trip that rebuilds it.
 func TestDateColumn(t *testing.T) {
 	d1, _ := row.ParseDate("2000-01-15")
 	schema := row.Schema{{Name: "d", Type: row.TDate}}
-	var rows []row.Row
-	for i := int64(0); i < 100; i++ {
-		rows = append(rows, row.Row{d1 + i%10})
+	rng := rand.New(rand.NewSource(3))
+	const n = 2048
+	for enc, gen := range map[string]func(i int64) int64{
+		"raw":     func(i int64) int64 { return rng.Int63() },          // wide range
+		"rle":     func(i int64) int64 { return d1 + i/100 },           // long runs
+		"dict":    func(i int64) int64 { return d1 + rng.Int63n(10) },  // few values
+		"bitpack": func(i int64) int64 { return d1 + rng.Int63n(900) }, // narrow range, many values
+	} {
+		rows := make([]row.Row, n)
+		lo := int64(math.MaxInt64)
+		for i := range rows {
+			v := gen(int64(i))
+			rows[i], lo = row.Row{v}, min(lo, v)
+		}
+		p := buildPartition(t, schema, rows)
+		checkRoundTrip(t, p, rows)
+		if p.Stats[0].Min.(int64) != lo {
+			t.Errorf("%s: date min = %v, want %d", enc, p.Stats[0].Min, lo)
+		}
+		_, fields := p.MarshalShuffle()
+		q, err := UnmarshalPartition(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, part := range []*Partition{p, q} {
+			if got := part.Cols[0].Encoding(); got != enc {
+				t.Errorf("date column is %s-encoded, want %s", got, enc)
+			}
+			if got := part.Cols[0].Type(); got != row.TDate {
+				t.Errorf("%s date column: Type() = %v, want DATE", enc, got)
+			}
+		}
+	}
+}
+
+// allEncodings builds a partition with one column per encoding (named
+// for it), every column about one-fifth NULL, spanning several batches
+// with a short last one.
+func allEncodings(tb testing.TB, n int) (*Partition, []row.Row) {
+	schema := row.Schema{
+		{Name: "raw", Type: row.TInt}, {Name: "rle", Type: row.TInt},
+		{Name: "bitpack", Type: row.TInt}, {Name: "dict", Type: row.TInt},
+		{Name: "raw", Type: row.TFloat}, {Name: "rle", Type: row.TFloat},
+		{Name: "raw", Type: row.TString}, {Name: "dict", Type: row.TString},
+		{Name: "bitmap", Type: row.TBool}, {Name: "dict", Type: row.TDate},
+		{Name: "rle", Type: row.TInt}, // all NULL
+	}
+	rng := rand.New(rand.NewSource(11))
+	maybe := func(v any) any {
+		if rng.Intn(5) == 0 {
+			return nil
+		}
+		return v
+	}
+	rows := make([]row.Row, n)
+	for i := range rows {
+		var runI, runF any // NULL by whole runs, or the runs would not survive
+		if run := i / 50; run%5 != 0 {
+			runI, runF = int64(run), float64(run)/4
+		}
+		rows[i] = row.Row{
+			maybe(rng.Int63() - 1<<62), runI, maybe(int64(rng.Intn(1000) - 500)), maybe(int64(rng.Intn(5) * 1000003)),
+			maybe(rng.NormFloat64()), runF,
+			maybe(fmt.Sprintf("u%d", rng.Int63())), maybe(fmt.Sprintf("k%d", rng.Intn(7))),
+			maybe(rng.Intn(2) == 0), maybe(int64(11000 + rng.Intn(20))),
+			nil,
+		}
+	}
+	b := NewBuilder(schema)
+	for _, r := range rows {
+		if err := b.Append(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	p := b.Seal()
+	for c, f := range schema {
+		if got := p.Cols[c].Encoding(); got != f.Name {
+			tb.Fatalf("column %d (%v) is %s-encoded, want %s", c, f.Type, got, f.Name)
+		}
+	}
+	return p, rows
+}
+
+// TestBatchDecodeMatchesGet: every typed vector, Value, Box and Rows
+// agree with the cell-at-a-time Get, for every encoding, across batch
+// boundaries, under dense and sparse selections.
+func TestBatchDecodeMatchesGet(t *testing.T) {
+	p, rows := allEncodings(t, 2*BatchSize+300)
+	b := NewBatch(p)
+	allCols := make([]int, len(p.Cols))
+	for c := range allCols {
+		allCols[c] = c
+	}
+	base := 0
+	for b.Next() {
+		var sparse []int32
+		for _, i := range b.All() {
+			if i%7 == 3 {
+				sparse = append(sparse, i)
+			}
+		}
+		for c, col := range p.Cols {
+			nulls := b.Nulls(c)
+			for _, i := range b.All() {
+				want := rows[base+int(i)][c]
+				if nulls.Has(int(i)) != (want == nil) {
+					t.Fatalf("col %d row %d: null bit %v, value %v", c, base+int(i), nulls.Has(int(i)), want)
+				}
+				if got := b.Value(c, int(i)); got != want {
+					t.Fatalf("col %d row %d: Value = %v, want %v", c, base+int(i), got, want)
+				}
+				if want == nil {
+					continue
+				}
+				var got any
+				switch col.Type() {
+				case row.TInt, row.TDate:
+					got = b.Ints(c)[i]
+				case row.TFloat:
+					got = b.Floats(c)[i]
+				case row.TString:
+					got = b.Strings(c)[i]
+				case row.TBool:
+					got = b.Bools(c).Has(int(i))
+				}
+				if got != want {
+					t.Fatalf("col %d (%s) row %d: vector holds %v, want %v", c, col.Encoding(), base+int(i), got, want)
+				}
+				if d := b.Dict(c); d != nil {
+					if got := d.DictValue(int(b.Codes(c)[i])); got != want {
+						t.Fatalf("col %d row %d: dictionary code decodes to %v, want %v", c, base+int(i), got, want)
+					}
+				}
+			}
+		}
+		for _, sel := range [][]int32{b.All(), sparse, nil} {
+			got := b.Rows(allCols, sel)
+			if len(got) != len(sel) {
+				t.Fatalf("Rows returned %d rows for %d selected", len(got), len(sel))
+			}
+			for j, i := range sel {
+				if !reflect.DeepEqual(got[j], rows[base+int(i)]) {
+					t.Fatalf("Rows[%d] = %v, want row %d = %v", j, got[j], base+int(i), rows[base+int(i)])
+				}
+			}
+		}
+		base += b.Len()
+	}
+	if base != p.N {
+		t.Fatalf("batches covered %d rows of %d", base, p.N)
+	}
+}
+
+// TestFullDictionaryCodesFitAByte: a dictionary column at the
+// threshold — 256 distinct values — that also holds NULLs still has at
+// most 256 entries, so no code is truncated by the byte-wide Codes
+// vector. (A NULL row's placeholder must not take an entry of its own:
+// with the NULL first, the 256th real value would get code 256 and
+// read back as entry 0.)
+func TestFullDictionaryCodesFitAByte(t *testing.T) {
+	schema := row.Schema{{Name: "s", Type: row.TString}, {Name: "k", Type: row.TInt}}
+	const n = 5 * dictionaryThreshold
+	rows := make([]row.Row, n)
+	for i := range rows {
+		if i%5 == 0 {
+			rows[i] = row.Row{nil, nil}
+			continue
+		}
+		v := (i * 7) % dictionaryThreshold
+		rows[i] = row.Row{fmt.Sprintf("v%03d", v), int64(v) * 1000003}
 	}
 	p := buildPartition(t, schema, rows)
 	checkRoundTrip(t, p, rows)
-	if p.Stats[0].Min.(int64) != d1 {
-		t.Errorf("date min = %v", p.Stats[0].Min)
+	b := NewBatch(p)
+	for c := range p.Cols {
+		d := b.Dict(c)
+		if d == nil {
+			t.Fatalf("column %d is %s-encoded, want dict", c, p.Cols[c].Encoding())
+		}
+		if d.DictLen() != dictionaryThreshold {
+			t.Fatalf("column %d: dictionary has %d entries, want %d", c, d.DictLen(), dictionaryThreshold)
+		}
+	}
+	base := 0
+	for b.Next() {
+		got := b.Rows([]int{0, 1}, b.All())
+		for _, i := range b.All() {
+			want := rows[base+int(i)]
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("Rows[%d] = %v, want %v", base+int(i), got[i], want)
+			}
+			for c := range p.Cols {
+				if want[c] == nil {
+					continue
+				}
+				if v := b.Dict(c).DictValue(int(b.Codes(c)[i])); v != want[c] {
+					t.Fatalf("col %d row %d: code decodes to %v, want %v", c, base+int(i), v, want[c])
+				}
+				if v := b.Value(c, int(i)); v != want[c] {
+					t.Fatalf("col %d row %d: Value = %v, want %v", c, base+int(i), v, want[c])
+				}
+			}
+		}
+		base += b.Len()
+	}
+}
+
+// TestRowsCarvedFromSlab: rows of one batch share a slab sized to the
+// selection, and appending to a row never writes into its neighbour.
+func TestRowsCarvedFromSlab(t *testing.T) {
+	p, rows := allEncodings(t, 600)
+	b := NewBatch(p)
+	b.Next()
+	sel := []int32{5, 6, 7}
+	got := b.Rows([]int{2, 3}, sel)
+	for _, r := range got {
+		if len(r) != 2 || cap(r) != 2 {
+			t.Fatalf("row has len %d cap %d, want 2 and 2", len(r), cap(r))
+		}
+	}
+	_ = append(got[0], "overflow")
+	if want := rows[6][2]; got[1][0] != want {
+		t.Errorf("append to row 0 overwrote row 1: %v, want %v", got[1][0], want)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strings"
 
 	"shark/internal/row"
 )
@@ -34,16 +35,16 @@ type Column interface {
 
 // nullable wraps the common null-bitmap behaviour.
 type nullable struct {
-	nulls []uint64 // nil when there are no NULLs
+	nulls Bitmap // nil when there are no NULLs
 }
 
-func (n *nullable) isNull(i int) bool {
-	return n.nulls != nil && n.nulls[i>>6]&(1<<(uint(i)&63)) != 0
-}
+func (n *nullable) isNull(i int) bool { return n.nulls.Has(i) }
+
+func (n *nullable) nullBits() Bitmap { return n.nulls }
 
 func (n *nullable) nullsSize() int64 { return int64(len(n.nulls)) * 8 }
 
-func newNulls(isNull []bool) []uint64 {
+func newNulls(isNull []bool) Bitmap {
 	any := false
 	for _, b := range isNull {
 		if b {
@@ -54,26 +55,27 @@ func newNulls(isNull []bool) []uint64 {
 	if !any {
 		return nil
 	}
-	words := make([]uint64, (len(isNull)+63)/64)
-	for i, b := range isNull {
-		if b {
-			words[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-	return words
+	return newBitmap(isNull)
 }
 
 // ---------------------------------------------------------------------------
 // Int64 columns
 
+// intKind is the logical type of an int64-backed column: TInt or
+// TDate. Every layer above keys typed decode off Type(), so the schema
+// type travels with the column instead of collapsing to TInt.
+type intKind struct{ typ row.Type }
+
+func (k intKind) Type() row.Type { return k.typ }
+
 // rawInt64 stores values verbatim.
 type rawInt64 struct {
 	nullable
+	intKind
 	v []int64
 }
 
-func (c *rawInt64) Type() row.Type { return row.TInt }
-func (c *rawInt64) Len() int       { return len(c.v) }
+func (c *rawInt64) Len() int { return len(c.v) }
 func (c *rawInt64) Get(i int) any {
 	if c.isNull(i) {
 		return nil
@@ -87,13 +89,13 @@ func (c *rawInt64) Encoding() string { return "raw" }
 // ends[r-1] <= i < ends[r].
 type rleInt64 struct {
 	nullable
+	intKind
 	vals []int64
 	ends []uint32 // cumulative run end indices
 	n    int
 }
 
-func (c *rleInt64) Type() row.Type { return row.TInt }
-func (c *rleInt64) Len() int       { return c.n }
+func (c *rleInt64) Len() int { return c.n }
 func (c *rleInt64) Get(i int) any {
 	if c.isNull(i) {
 		return nil
@@ -109,14 +111,14 @@ func (c *rleInt64) Encoding() string { return "rle" }
 // packedInt64 bit-packs (v - base) into width-bit lanes.
 type packedInt64 struct {
 	nullable
+	intKind
 	words []uint64
 	base  int64
 	width uint // bits per value, 1..63
 	n     int
 }
 
-func (c *packedInt64) Type() row.Type { return row.TInt }
-func (c *packedInt64) Len() int       { return c.n }
+func (c *packedInt64) Len() int { return c.n }
 func (c *packedInt64) Get(i int) any {
 	if c.isNull(i) {
 		return nil
@@ -130,19 +132,20 @@ func (c *packedInt64) Encoding() string { return "bitpack" }
 // number of distinct values is small relative to the row count.
 type dictInt64 struct {
 	nullable
+	intKind
 	dict  []int64
+	boxed []any // dict, boxed once at seal: reads of a dictionary cell never allocate
 	words []uint64
 	width uint
 	n     int
 }
 
-func (c *dictInt64) Type() row.Type { return row.TInt }
-func (c *dictInt64) Len() int       { return c.n }
+func (c *dictInt64) Len() int { return c.n }
 func (c *dictInt64) Get(i int) any {
 	if c.isNull(i) {
 		return nil
 	}
-	return c.dict[unpack(c.words, uint(i), c.width)]
+	return c.boxed[unpack(c.words, uint(i), c.width)]
 }
 func (c *dictInt64) SizeBytes() int64 {
 	return int64(len(c.dict))*8 + int64(len(c.words))*8 + c.nullsSize()
@@ -192,12 +195,14 @@ func (c *rleFloat64) Encoding() string { return "rle" }
 // ---------------------------------------------------------------------------
 // String columns
 
-// rawString concatenates all bytes with an offsets array — two Go
-// objects total regardless of row count.
+// rawString concatenates all values into one string with an offsets
+// array — two Go objects total regardless of row count. Holding the
+// bytes as a string lets a batch read values as sub-strings of data,
+// without copying; Get, whose caller may keep the value, copies.
 type rawString struct {
 	nullable
 	offsets []uint32 // len n+1
-	bytes   []byte
+	data    string
 }
 
 func (c *rawString) Type() row.Type { return row.TString }
@@ -206,10 +211,13 @@ func (c *rawString) Get(i int) any {
 	if c.isNull(i) {
 		return nil
 	}
-	return string(c.bytes[c.offsets[i]:c.offsets[i+1]])
+	return strings.Clone(c.at(i))
 }
+
+// at returns value i as a sub-string of the column's data.
+func (c *rawString) at(i int) string { return c.data[c.offsets[i]:c.offsets[i+1]] }
 func (c *rawString) SizeBytes() int64 {
-	return int64(len(c.offsets))*4 + int64(len(c.bytes)) + c.nullsSize()
+	return int64(len(c.offsets))*4 + int64(len(c.data)) + c.nullsSize()
 }
 func (c *rawString) Encoding() string { return "raw" }
 
@@ -217,6 +225,7 @@ func (c *rawString) Encoding() string { return "raw" }
 type dictString struct {
 	nullable
 	dict  []string
+	boxed []any // dict, boxed once at seal
 	words []uint64
 	width uint
 	n     int
@@ -228,7 +237,7 @@ func (c *dictString) Get(i int) any {
 	if c.isNull(i) {
 		return nil
 	}
-	return c.dict[unpack(c.words, uint(i), c.width)]
+	return c.boxed[unpack(c.words, uint(i), c.width)]
 }
 func (c *dictString) SizeBytes() int64 {
 	var d int64
@@ -244,7 +253,7 @@ func (c *dictString) Encoding() string { return "dict" }
 
 type boolColumn struct {
 	nullable
-	bitsv []uint64
+	bitsv Bitmap
 	n     int
 }
 
@@ -254,7 +263,7 @@ func (c *boolColumn) Get(i int) any {
 	if c.isNull(i) {
 		return nil
 	}
-	return c.bitsv[i>>6]&(1<<(uint(i)&63)) != 0
+	return c.bitsv.Has(i)
 }
 func (c *boolColumn) SizeBytes() int64 { return int64(len(c.bitsv))*8 + c.nullsSize() }
 func (c *boolColumn) Encoding() string { return "bitmap" }

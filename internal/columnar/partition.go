@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"strings"
 
 	"shark/internal/row"
 )
@@ -82,8 +83,8 @@ func (p *Partition) SizeBytes() int64 {
 	return n
 }
 
-// Row materializes row i (boxed). Mostly for tests and small results;
-// scans should use per-column Get through the projection fast path.
+// Row materializes row i (boxed). For tests and point reads; scans
+// decode ranges through a Batch.
 func (p *Partition) Row(i int) row.Row {
 	out := make(row.Row, len(p.Cols))
 	for c, col := range p.Cols {
@@ -270,21 +271,16 @@ func (cb *colBuilder) seal(n int) (Column, ColumnStats) {
 		}
 		return sealRawString(cb.strs, nulls), stats
 	case row.TBool:
-		words := make([]uint64, (n+63)/64)
-		for i, b := range cb.bools {
-			if b {
-				words[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		return &boolColumn{nullable: nulls, bitsv: words, n: n}, stats
+		return &boolColumn{nullable: nulls, bitsv: newBitmap(cb.bools), n: n}, stats
 	}
 	panic("columnar: unreachable")
 }
 
 func (cb *colBuilder) sealInt(n int, nulls nullable, avgRunOK bool) Column {
+	kind := intKind{cb.typ}
 	if avgRunOK {
 		vals, ends := rleEncodeInt(cb.ints)
-		return &rleInt64{nullable: nulls, vals: vals, ends: ends, n: n}
+		return &rleInt64{nullable: nulls, intKind: kind, vals: vals, ends: ends, n: n}
 	}
 	if cb.distinct != nil && len(cb.distinct) > 0 && len(cb.distinct) <= dictionaryThreshold && n >= 4*len(cb.distinct) {
 		dict := make([]int64, 0, len(cb.distinct))
@@ -301,7 +297,7 @@ func (cb *colBuilder) sealInt(n int, nulls nullable, avgRunOK bool) Column {
 		for i, v := range cb.ints {
 			codes[i] = idx[v]
 		}
-		return &dictInt64{nullable: nulls, dict: dict, words: pack(codes, width), width: width, n: n}
+		return &dictInt64{nullable: nulls, intKind: kind, dict: dict, boxed: boxAll(dict), words: pack(codes, width), width: width, n: n}
 	}
 	// bit packing when the value range is narrow
 	if mn, ok := cb.min.(int64); ok {
@@ -314,11 +310,19 @@ func (cb *colBuilder) sealInt(n int, nulls nullable, avgRunOK bool) Column {
 				for i, v := range cb.ints {
 					codes[i] = uint64(v) - uint64(mn)
 				}
-				return &packedInt64{nullable: nulls, words: pack(codes, width), base: mn, width: width, n: n}
+				return &packedInt64{nullable: nulls, intKind: kind, words: pack(codes, width), base: mn, width: width, n: n}
 			}
 		}
 	}
-	return &rawInt64{nullable: nulls, v: cb.ints}
+	return &rawInt64{nullable: nulls, intKind: kind, v: cb.ints}
+}
+
+func boxAll[T any](vals []T) []any {
+	out := make([]any, len(vals))
+	for i, v := range vals {
+		out[i] = v
+	}
+	return out
 }
 
 func sortInt64s(v []int64) {
@@ -357,21 +361,29 @@ func rleEncodeFloat(v []float64) ([]float64, []uint32) {
 	return vals, ends
 }
 
+// sealDictString builds the dictionary from the non-NULL cells only, in
+// first-seen order. A NULL row's "" placeholder gets code 0 (as in
+// sealInt) instead of an entry of its own, so the dictionary never has
+// more entries than the column has distinct values — which is what
+// keeps every code inside a byte.
 func sealDictString(strs []string, nulls nullable, n int) Column {
 	seen := make(map[string]uint64)
 	var dict []string
-	for _, s := range strs {
-		if _, ok := seen[s]; !ok {
-			seen[s] = uint64(len(dict))
-			dict = append(dict, s)
-		}
-	}
-	width := widthFor(uint64(len(dict) - 1))
 	codes := make([]uint64, n)
 	for i, s := range strs {
-		codes[i] = seen[s]
+		if nulls.isNull(i) {
+			continue
+		}
+		code, ok := seen[s]
+		if !ok {
+			code = uint64(len(dict))
+			seen[s] = code
+			dict = append(dict, s)
+		}
+		codes[i] = code
 	}
-	return &dictString{nullable: nulls, dict: dict, words: pack(codes, width), width: width, n: n}
+	width := widthFor(uint64(len(dict) - 1))
+	return &dictString{nullable: nulls, dict: dict, boxed: boxAll(dict), words: pack(codes, width), width: width, n: n}
 }
 
 func sealRawString(strs []string, nulls nullable) Column {
@@ -380,10 +392,11 @@ func sealRawString(strs []string, nulls nullable) Column {
 	for _, s := range strs {
 		total += len(s)
 	}
-	bytes := make([]byte, 0, total)
+	var data strings.Builder
+	data.Grow(total)
 	for i, s := range strs {
-		bytes = append(bytes, s...)
-		offsets[i+1] = uint32(len(bytes))
+		data.WriteString(s)
+		offsets[i+1] = uint32(data.Len())
 	}
-	return &rawString{nullable: nulls, offsets: offsets, bytes: bytes}
+	return &rawString{nullable: nulls, offsets: offsets, data: data.String()}
 }

@@ -1,11 +1,19 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"shark/internal/columnar"
 	"shark/internal/exec"
+	"shark/internal/expr"
+	"shark/internal/plan"
+	"shark/internal/row"
+	"shark/internal/sqlparse"
 )
 
 // extractDur pulls the duration following marker out of a summary line
@@ -109,4 +117,104 @@ func TestExplainAnalyzeSkewedJoin(t *testing.T) {
 	if _, err := e.s.Exec(`EXPLAIN ANALYZE DROP TABLE fact`); err == nil {
 		t.Errorf("EXPLAIN ANALYZE DROP succeeded, want error")
 	}
+}
+
+// TestExplainAnalyzeRowsUnderFusion: operators fused onto a cached scan
+// run in one task body with no iterator between them, and still every
+// plan node reports exactly the rows it emitted — the counts a
+// row-at-a-time pipeline of the same plan reports.
+func TestExplainAnalyzeRowsUnderFusion(t *testing.T) {
+	w := newSharedWorld(t)
+	s := w.session("analyst", false)
+	defer s.Close()
+	const n = 3000 // k = 0..n-1, grp cycles over four values
+	loadTenantTable(t, s, "t", n, 0)
+
+	// explain runs EXPLAIN ANALYZE and returns the rendered lines.
+	explain := func(sql string) []string {
+		t.Helper()
+		res, err := s.Exec("EXPLAIN ANALYZE " + sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := make([]string, len(res.Rows))
+		for i, r := range res.Rows {
+			lines[i] = r[0].(string)
+		}
+		return lines
+	}
+	// rowsOf maps each plan line's operator ("Scan", "Project", …) to
+	// its rows= annotation.
+	rowsOf := func(lines []string) map[string]int64 {
+		got := map[string]int64{}
+		for _, l := range lines {
+			op, rest, ok := strings.Cut(strings.TrimSpace(l), "(")
+			i := strings.Index(rest, " rows=")
+			if !ok || i < 0 || strings.HasPrefix(op, "--") {
+				continue
+			}
+			var rows int64
+			if _, err := fmt.Sscanf(rest[i:], " rows=%d", &rows); err != nil {
+				t.Fatalf("bad rows= in %q: %v", l, err)
+			}
+			got[op] = rows
+		}
+		return got
+	}
+	check := func(name string, got, want map[string]int64) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rows per operator = %v, want %v", name, got, want)
+		}
+	}
+
+	for _, c := range []struct {
+		sql  string
+		want map[string]int64
+	}{
+		{`SELECT k, v FROM t_mem WHERE k < 750`, // filter pushed into the scan, projection fused
+			map[string]int64{"Scan": 750, "Project": 750}},
+		{`SELECT * FROM t_mem WHERE k >= 10 AND grp = 'a'`, // identity projection
+			map[string]int64{"Scan": 747, "Project": 747}},
+		{`SELECT grp, COUNT(*), AVG(v) FROM t_mem WHERE k < 750 GROUP BY grp`, // fused partial aggregation
+			map[string]int64{"Scan": 750, "Aggregate": 4, "Project": 4}},
+		{`SELECT k + 1 FROM t_mem WHERE k < 750 LIMIT 5000`,
+			map[string]int64{"Scan": 750, "Project": 750, "Limit": 750}},
+	} {
+		check(c.sql, rowsOf(explain(c.sql)), c.want)
+	}
+
+	// Rows are materialized as the consumer pulls, a batch at a time: a
+	// LIMIT satisfied by the first batch of a one-partition table never
+	// decodes the other two.
+	s.DefaultCacheParts = 1
+	loadTenantTable(t, s, "single", n, 0)
+	check("LIMIT 10 of one partition", rowsOf(explain(`SELECT k, v FROM single_mem LIMIT 10`)),
+		map[string]int64{"Scan": columnar.BatchSize, "Project": columnar.BatchSize, "Limit": 10})
+
+	// A Filter node sitting directly on a cached scan — the optimizer
+	// pushes every WHERE into the scan, so build the plan by hand —
+	// fuses too, and counts apart from the scan below it.
+	st, err := sqlparse.Parse(`SELECT k, v FROM t_mem WHERE k < 1500`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Analyze(s.Cat, st.(*sqlparse.SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	project := p.(*plan.Project)
+	filter := &plan.Filter{
+		Cond:  &expr.Cmp{Op: expr.Ge, L: &expr.Col{Idx: 0, Name: "k", T: row.TInt}, R: expr.NewConst(int64(1000))},
+		Child: project.Child,
+	}
+	project.Child = filter
+	out, ns, err := s.Engine.RunAnalyzeCtx(context.Background(), project)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Rows) != 500 {
+		t.Errorf("hand-built Filter plan returned %d rows, want 500", len(out.Rows))
+	}
+	check("Project(Filter(Scan))", rowsOf(ns.Render()), map[string]int64{"Scan": 1500, "Filter": 500, "Project": 500})
 }

@@ -329,6 +329,56 @@ func TestCooperativeCancelMidPartitionScan(t *testing.T) {
 	}
 }
 
+// TestCooperativeCancelMidPartitionGroupBy is the scan test's twin with
+// the slow UDF in the GROUP BY expression: the fused aggregation never
+// pulls a row iterator, so the abort has to come from the batch
+// kernels' own polls (the row adapter's, every rdd.CancelCheckRows
+// rows).
+func TestCooperativeCancelMidPartitionGroupBy(t *testing.T) {
+	w := newSharedWorld(t)
+	s := w.session("slowkey", false)
+	defer s.Close()
+	s.DefaultCacheParts = 1
+	const rows = 40000
+	loadTenantTable(t, s, "big", rows, 0)
+	err := s.RegisterUDF("SLOWKEY", row.TInt, 1, 1, func(args []any) any {
+		time.Sleep(100 * time.Microsecond) // full scan ≈ 4s
+		return args[0].(int64) % 8
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	gctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	_, err = s.ExecContext(gctx, `SELECT SLOWKEY(k), COUNT(*) FROM big_mem GROUP BY SLOWKEY(k)`)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if elapsed > 1500*time.Millisecond {
+		t.Errorf("cancel took %v; the aggregation ran its partition to the boundary", elapsed)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for s.Stats().CancelledMidPartition == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("CancelledMidPartition stayed 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	res, err := s.Exec(`SELECT k % 8, COUNT(*) FROM big_mem GROUP BY k % 8`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 8 || res.Rows[0][1].(int64) != rows/8 {
+		t.Errorf("post-abort group-by = %v", res.Rows)
+	}
+}
+
 // gateUDF installs a blocking UDF over a one-row table: the single
 // evaluation per statement signals entered and holds until the gate
 // channel yields. Used to park statements mid-execution

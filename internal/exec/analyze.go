@@ -19,7 +19,9 @@ import (
 //
 //   - rows: a counting iterator wrapped around every compiled
 //     operator counts the rows it emits, inside whatever task
-//     executes the pipeline;
+//     executes the pipeline; operators fused onto a cached-table scan
+//     have no iterator between them and add their selection-vector
+//     lengths per batch instead (memscan.go);
 //   - wall time: the master blocks at well-defined points — PDE
 //     pre-shuffle materializations, aggregate map stages, mid-plan
 //     Sort/Limit collects, the final collect — and each blocking

@@ -12,11 +12,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"shark/internal/catalog"
 	"shark/internal/dfs"
 	"shark/internal/expr"
-	"shark/internal/memtable"
 	"shark/internal/obs"
 	"shark/internal/pde"
 	"shark/internal/plan"
@@ -297,6 +297,12 @@ func (e *Engine) noteAdaptiveCoalesce(gctx context.Context) {
 // subquery materializations). p is the EXPLAIN ANALYZE profile being
 // filled in, or nil (the untraced path: no wrapping, no counting).
 func (e *Engine) compile(gctx context.Context, n plan.Node, stats *QueryStats, p *prof) (*rdd.RDD, error) {
+	// A row-producing chain over a cached table runs fused and counts
+	// its own rows. (An Aggregate on such a chain fuses its map side in
+	// compileAggregate; what it returns is an ordinary row RDD.)
+	if m := matchMemScan(n); m != nil && m.agg == nil {
+		return e.compileMemScan(m, e.prune(m.scan, stats), p), nil
+	}
 	r, err := e.compileNode(gctx, n, stats, p)
 	if err != nil {
 		return nil, err
@@ -310,7 +316,7 @@ func (e *Engine) compile(gctx context.Context, n plan.Node, stats *QueryStats, p
 func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStats, p *prof) (*rdd.RDD, error) {
 	switch t := n.(type) {
 	case *plan.Scan:
-		return e.compileScan(t, stats)
+		return e.dfsScan(t, stats)
 	case *plan.Filter:
 		child, err := e.compile(gctx, t.Child, stats, p)
 		if err != nil {
@@ -320,8 +326,11 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 		return child.Filter(func(v any) bool { return row.Truth(pred(v.(row.Row))) }), nil
 	case *plan.Project:
 		child, err := e.compile(gctx, t.Child, stats, p)
-		if err != nil {
-			return nil, err
+		if err != nil || isIdentityProject(t) {
+			// An identity projection (SELECT *, the projection over an
+			// Aggregate) only renames: the result schema is the
+			// Project's, the rows are the child's.
+			return child, err
 		}
 		fns := make([]expr.EvalFn, len(t.Exprs))
 		for i, x := range t.Exprs {
@@ -390,47 +399,8 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 }
 
 // ---------------------------------------------------------------------------
-// Scans
-
-func (e *Engine) compileScan(s *plan.Scan, stats *QueryStats) (*rdd.RDD, error) {
-	var r *rdd.RDD
-	if s.Table.Cached() {
-		mem := s.Table.Mem
-		parts := make([]int, mem.NumPartitions())
-		for i := range parts {
-			parts[i] = i
-		}
-		if !e.opts.DisablePruning && len(s.Pruning) > 0 {
-			// Pruning predicates use scan-projected column positions;
-			// the table statistics use full-schema positions. Remap.
-			preds := make([]memtable.ColPredicate, 0, len(s.Pruning))
-			for _, p := range s.Pruning {
-				if p.Col < 0 || p.Col >= len(s.NeededCols) {
-					continue
-				}
-				p.Col = s.NeededCols[p.Col]
-				preds = append(preds, p)
-			}
-			surviving := mem.Prune(preds)
-			stats.PrunedPartitions += len(parts) - len(surviving)
-			parts = surviving
-		}
-		stats.ScannedPartitions += len(parts)
-		r = mem.Scan(parts, s.NeededCols)
-	} else {
-		var err error
-		r, err = e.dfsScan(s)
-		if err != nil {
-			return nil, err
-		}
-		stats.ScannedPartitions += r.NumPartitions()
-	}
-	if len(s.Filters) > 0 {
-		pred := e.evalFn(conjoinAll(s.Filters))
-		r = r.Filter(func(v any) bool { return row.Truth(pred(v.(row.Row))) })
-	}
-	return r, nil
-}
+// Scans. Cached tables are read by memscan.go; this is the row path
+// for external tables.
 
 func conjoinAll(es []expr.Expr) expr.Expr {
 	out := es[0]
@@ -441,8 +411,9 @@ func conjoinAll(es []expr.Expr) expr.Expr {
 }
 
 // dfsScan reads an external table: one partition per DFS block, each
-// task re-reading and re-parsing from disk (schema-on-read cost).
-func (e *Engine) dfsScan(s *plan.Scan) (*rdd.RDD, error) {
+// task re-reading and re-parsing from disk (schema-on-read cost), then
+// applies the scan's pushed-down filters row by row.
+func (e *Engine) dfsScan(s *plan.Scan, stats *QueryStats) (*rdd.RDD, error) {
 	meta, err := e.FS.Stat(s.Table.File)
 	if err != nil {
 		return nil, err
@@ -450,7 +421,8 @@ func (e *Engine) dfsScan(s *plan.Scan) (*rdd.RDD, error) {
 	file := s.Table.File
 	fs := e.FS
 	needed := append([]int(nil), s.NeededCols...)
-	return e.Ctx.Source(
+	stats.ScannedPartitions += len(meta.Blocks)
+	r := e.Ctx.Source(
 		fmt.Sprintf("dfsscan(%s)", s.Table.Name),
 		len(meta.Blocks),
 		func(tc *rdd.TaskContext, part int) rdd.Iter {
@@ -476,7 +448,12 @@ func (e *Engine) dfsScan(s *plan.Scan) (*rdd.RDD, error) {
 			})
 		},
 		nil,
-	), nil
+	)
+	if len(s.Filters) > 0 {
+		pred := e.evalFn(conjoinAll(s.Filters))
+		r = r.Filter(func(v any) bool { return row.Truth(pred(v.(row.Row))) })
+	}
+	return r, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -487,50 +464,17 @@ func (e *Engine) dfsScan(s *plan.Scan) (*rdd.RDD, error) {
 
 func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats *QueryStats, p *prof) (*rdd.RDD, error) {
 	ns := p.of(a)
-	child, err := e.compile(gctx, a.Child, stats, p)
-	if err != nil {
-		return nil, err
-	}
-	groupFns := make([]expr.EvalFn, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		groupFns[i] = e.evalFn(g)
-	}
-	argFns := make([]expr.EvalFn, len(a.Aggs))
-	for i, spec := range a.Aggs {
-		if spec.Arg != nil {
-			argFns[i] = e.evalFn(spec.Arg)
-		}
-	}
 	specs := a.Aggs
-
-	// Partial aggregation per input partition.
-	partial := child.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
-		groups := make(map[any]*aggState)
-		for {
-			v, ok := in.Next()
-			if !ok {
-				break
-			}
-			r := v.(row.Row)
-			key, groupVals := groupKey(groupFns, r)
-			st := groups[key]
-			if st == nil {
-				st = newAggState(groupVals, specs)
-				groups[key] = st
-			}
-			st.update(specs, argFns, r)
+	var partial *rdd.RDD
+	if m := matchMemScan(a); m != nil {
+		partial = e.compileMemScan(m, e.prune(m.scan, stats), p)
+	} else {
+		child, err := e.compile(gctx, a.Child, stats, p)
+		if err != nil {
+			return nil, err
 		}
-		// Global aggregation must produce a row even over empty input
-		// (COUNT(*) = 0, SUM = NULL), so emit an identity state.
-		if len(groupFns) == 0 && len(groups) == 0 {
-			groups[""] = newAggState(nil, specs)
-		}
-		out := make([]any, 0, len(groups))
-		for key, st := range groups {
-			out = append(out, shuffle.Pair{K: key, V: st})
-		}
-		return rdd.SliceIter(out)
-	})
+		partial = e.partialAggregateRows(a, child)
+	}
 
 	nBuckets := e.fineBuckets()
 	dep := e.Ctx.NewShuffleDep(partial, shuffle.HashPartitioner{N: nBuckets},
@@ -585,21 +529,57 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 	}), nil
 }
 
-// groupKey derives the shuffle key and the group values for a row.
-// Single scalar keys are used directly; composite keys are encoded to
-// a string (comparable, hashable).
-func groupKey(groupFns []expr.EvalFn, r row.Row) (any, row.Row) {
-	if len(groupFns) == 0 {
-		return "", nil
+// partialAggregateRows is the map side over a row RDD (external
+// tables, joins, subqueries): per input partition, one pass folding
+// each row into its group's state.
+func (e *Engine) partialAggregateRows(a *plan.Aggregate, child *rdd.RDD) *rdd.RDD {
+	groupFns := make([]expr.EvalFn, len(a.GroupBy))
+	for i, g := range a.GroupBy {
+		groupFns[i] = e.evalFn(g)
 	}
-	vals := make(row.Row, len(groupFns))
-	for i, f := range groupFns {
-		vals[i] = f(r)
+	argFns := make([]expr.EvalFn, len(a.Aggs))
+	for i, spec := range a.Aggs {
+		if spec.Arg != nil {
+			argFns[i] = e.evalFn(spec.Arg)
+		}
 	}
-	if len(vals) == 1 {
-		return normalizeGroupKey(vals[0]), vals
-	}
-	return string(row.EncodeBinary(nil, vals)), vals
+	specs := a.Aggs
+	return child.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
+		g := newGroupTable(specs)
+		var enc row.BinaryEncoder
+		vals := make(row.Row, len(groupFns))
+		for {
+			v, ok := in.Next()
+			if !ok {
+				break
+			}
+			r := v.(row.Row)
+			var st *aggState
+			switch len(groupFns) {
+			case 0:
+				st = g.global()
+			case 1:
+				st = g.byValue(groupFns[0](r))
+			default:
+				enc.Reset(len(groupFns))
+				for i, f := range groupFns {
+					vals[i] = f(r)
+					enc.Value(vals[i])
+				}
+				key := enc.Bytes()
+				if st = g.composite(key); st == nil {
+					st = g.addComposite(key, vals.Clone())
+				}
+			}
+			st.update(specs, argFns, r)
+		}
+		// Global aggregation must produce a row even over empty input
+		// (COUNT(*) = 0, SUM = NULL), so emit an identity state.
+		if len(groupFns) == 0 {
+			g.global()
+		}
+		return rdd.SliceIter(g.pairs)
+	})
 }
 
 func normalizeGroupKey(v any) any {
@@ -638,46 +618,114 @@ func newAggState(groupVals row.Row, specs []plan.AggSpec) *aggState {
 
 func (st *aggState) update(specs []plan.AggSpec, argFns []expr.EvalFn, r row.Row) {
 	for i, spec := range specs {
-		acc := &st.accs[i]
-		switch spec.Kind {
-		case plan.AggCount:
-			if argFns[i] == nil {
-				acc.count++
-			} else if argFns[i](r) != nil {
-				acc.count++
-			}
-		case plan.AggCountDistinct:
-			if v := argFns[i](r); v != nil {
-				acc.distinct[normalizeGroupKey(v)] = struct{}{}
-			}
-		case plan.AggSum, plan.AggAvg:
-			v := argFns[i](r)
-			if v == nil {
-				continue
-			}
-			acc.seen = true
-			acc.count++
-			switch x := v.(type) {
-			case int64:
-				acc.sumI += x
-				acc.sumF += float64(x)
-			case float64:
-				acc.sumF += x
-			}
-		case plan.AggMin:
-			if v := argFns[i](r); v != nil {
-				if acc.min == nil || row.Compare(v, acc.min) < 0 {
-					acc.min = v
-				}
-			}
-		case plan.AggMax:
-			if v := argFns[i](r); v != nil {
-				if acc.max == nil || row.Compare(v, acc.max) > 0 {
-					acc.max = v
-				}
-			}
+		if argFns[i] == nil { // COUNT(*)
+			st.accs[i].count++
+		} else {
+			st.accs[i].add(spec.Kind, argFns[i](r))
 		}
 	}
+}
+
+// add folds one boxed argument value into the accumulator; every
+// aggregate ignores NULL. A value it keeps is kept as it is: the rows
+// of the row path own their strings (a batch's do not: addString).
+func (acc *aggAcc) add(kind plan.AggKind, v any) {
+	if v != nil {
+		acc.fold(kind, v)
+	}
+}
+
+// fold is add for a non-NULL value the accumulator may keep.
+func (acc *aggAcc) fold(kind plan.AggKind, v any) {
+	switch kind {
+	case plan.AggCount:
+		acc.count++
+	case plan.AggCountDistinct:
+		acc.distinct[v] = struct{}{}
+	case plan.AggSum, plan.AggAvg:
+		acc.seen = true
+		acc.count++
+		switch x := v.(type) {
+		case int64:
+			acc.sumI += x
+			acc.sumF += float64(x)
+		case float64:
+			acc.sumF += x
+		}
+	case plan.AggMin:
+		if acc.min == nil || row.Compare(v, acc.min) < 0 {
+			acc.min = v
+		}
+	case plan.AggMax:
+		if acc.max == nil || row.Compare(v, acc.max) > 0 {
+			acc.max = v
+		}
+	}
+}
+
+// addInt, addFloat and addString are add for a value held unboxed (the
+// batch aggregator reads them straight off a vector): they do the
+// arithmetic in place and box only a value the accumulator keeps — a
+// new MIN or MAX, a new distinct value.
+
+func (acc *aggAcc) addInt(kind plan.AggKind, x int64) {
+	switch kind {
+	case plan.AggCount:
+		acc.count++
+	case plan.AggSum, plan.AggAvg:
+		acc.seen = true
+		acc.count++
+		acc.sumI += x
+		acc.sumF += float64(x)
+	default:
+		if keeps(acc, kind, x) {
+			acc.fold(kind, x)
+		}
+	}
+}
+
+func (acc *aggAcc) addFloat(kind plan.AggKind, x float64) {
+	switch kind {
+	case plan.AggCount:
+		acc.count++
+	case plan.AggSum, plan.AggAvg:
+		acc.seen = true
+		acc.count++
+		acc.sumF += x
+	default:
+		if keeps(acc, kind, x) {
+			acc.fold(kind, x)
+		}
+	}
+}
+
+// addString copies the string it keeps: x may be a sub-string of a
+// cached partition's column data, and the accumulator outlives the
+// scan.
+func (acc *aggAcc) addString(kind plan.AggKind, x string) {
+	if kind == plan.AggCount {
+		acc.count++
+	} else if keeps(acc, kind, x) {
+		acc.fold(kind, strings.Clone(x))
+	}
+}
+
+// keeps reports whether a MIN, MAX or COUNT(DISTINCT) accumulator
+// would retain x. It errs towards true — add decides — whenever the
+// kept value is not of x's own type.
+func keeps[T int64 | float64 | string](acc *aggAcc, kind plan.AggKind, x T) bool {
+	switch kind {
+	case plan.AggMin:
+		cur, ok := acc.min.(T)
+		return !ok || x < cur
+	case plan.AggMax:
+		cur, ok := acc.max.(T)
+		return !ok || x > cur
+	case plan.AggCountDistinct:
+		_, seen := acc.distinct[x]
+		return !seen
+	}
+	return true
 }
 
 // clone deep-copies the state. Merging never mutates its inputs:

@@ -147,32 +147,60 @@ func TestAggStateDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGroupKeyForms pins the shuffle keys the group table emits — the
+// reduce side merges partial states on them, so every partial
+// aggregator (and every engine version in one job) must agree.
 func TestGroupKeyForms(t *testing.T) {
-	single := []expr.EvalFn{(&expr.Col{Idx: 0, T: row.TInt}).Compile()}
-	k, vals := groupKey(single, row.Row{int64(5)})
-	if k.(int64) != 5 || vals[0].(int64) != 5 {
-		t.Errorf("single key = %v", k)
+	g := newGroupTable(nil)
+	key := func(i int) any { return g.pairs[i].(shuffle.Pair).K }
+	vals := func(i int) row.Row { return g.pairs[i].(shuffle.Pair).V.(*aggState).groupVals }
+
+	five := g.byValue(int64(5))
+	if key(0).(int64) != 5 || vals(0)[0].(int64) != 5 {
+		t.Errorf("single key = %v", key(0))
+	}
+	if g.byInt(5) != five || len(g.pairs) != 1 {
+		t.Error("typed and boxed lookups of one key must find one group")
 	}
 	// nil single key distinct from empty-string key
-	kNil, _ := groupKey(single, row.Row{nil})
-	if kNil == "" {
+	null, empty := g.byValue(nil), g.byValue("")
+	if null == empty || key(1) == key(2) || vals(1)[0] != nil {
 		t.Error("nil key must not collide with empty string")
 	}
-	double := []expr.EvalFn{
-		(&expr.Col{Idx: 0, T: row.TInt}).Compile(),
-		(&expr.Col{Idx: 1, T: row.TString}).Compile(),
+	if g.byString("") != empty || g.byNull() != null {
+		t.Error("typed and boxed lookups of one key must find one group")
 	}
-	k1, _ := groupKey(double, row.Row{int64(1), "a"})
-	k2, _ := groupKey(double, row.Row{int64(1), "b"})
-	if k1 == k2 {
+	// int64(1), float64(1) and true are three groups, as in map[any].
+	if g.byValue(int64(1)) == g.byValue(float64(1)) || g.byValue(true) == g.byValue(float64(1)) {
+		t.Error("keys of different types must not collide")
+	}
+
+	g = newGroupTable(nil)
+	var enc row.BinaryEncoder
+	composite := func(r row.Row) *aggState {
+		enc.Reset(len(r))
+		for _, v := range r {
+			enc.Value(v)
+		}
+		if st := g.composite(enc.Bytes()); st != nil {
+			return st
+		}
+		return g.addComposite(enc.Bytes(), r)
+	}
+	a := composite(row.Row{int64(1), "a"})
+	if composite(row.Row{int64(1), "b"}) == a {
 		t.Error("composite keys must differ")
 	}
-	k3, _ := groupKey(double, row.Row{int64(1), "a"})
-	if k1 != k3 {
+	if composite(row.Row{int64(1), "a"}) != a {
 		t.Error("composite keys must be stable")
 	}
-	empty, vals := groupKey(nil, row.Row{int64(9)})
-	if empty.(string) != "" || vals != nil {
+	if want := string(row.EncodeBinary(nil, row.Row{int64(1), "a"})); key(0) != want {
+		t.Errorf("composite key = %q, want row.EncodeBinary's %q", key(0), want)
+	}
+
+	g = newGroupTable(nil)
+	g.global()
+	if key(0).(string) != "" || vals(0) != nil {
 		t.Error("no group-by → constant key")
 	}
 }

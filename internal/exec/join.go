@@ -28,7 +28,7 @@ import (
 // running pre-shuffle map stages.
 func (e *Engine) compileJoin(gctx context.Context, j *plan.Join, stats *QueryStats, p *prof) (*rdd.RDD, error) {
 	// Co-partitioned fast path.
-	if r, ok, err := e.tryCopartitionedJoin(j, stats); err != nil || ok {
+	if r, ok, err := e.tryCopartitionedJoin(j, stats, p); err != nil || ok {
 		p.of(j).Notef("copartitioned map join")
 		return r, err
 	}
@@ -166,46 +166,13 @@ func estimateSide(n plan.Node) int64 {
 // containsCall reports whether an expression tree invokes any function
 // (built-in or UDF) — treated as unestimatable by the static planner.
 func containsCall(e expr.Expr) bool {
-	switch t := e.(type) {
-	case *expr.Call:
-		return true
-	case *expr.Arith:
-		return containsCall(t.L) || containsCall(t.R)
-	case *expr.Cmp:
-		return containsCall(t.L) || containsCall(t.R)
-	case *expr.And:
-		return containsCall(t.L) || containsCall(t.R)
-	case *expr.Or:
-		return containsCall(t.L) || containsCall(t.R)
-	case *expr.Not:
-		return containsCall(t.E)
-	case *expr.Neg:
-		return containsCall(t.E)
-	case *expr.In:
-		if containsCall(t.E) {
-			return true
+	found := false
+	expr.Walk(e, func(x expr.Expr) {
+		if _, ok := x.(*expr.Call); ok {
+			found = true
 		}
-		for _, item := range t.List {
-			if containsCall(item) {
-				return true
-			}
-		}
-		return false
-	case *expr.Like:
-		return containsCall(t.E)
-	case *expr.IsNull:
-		return containsCall(t.E)
-	case *expr.Cast:
-		return containsCall(t.E)
-	case *expr.Case:
-		for _, w := range t.Whens {
-			if containsCall(w.Cond) || containsCall(w.Then) {
-				return true
-			}
-		}
-		return t.Else != nil && containsCall(t.Else)
-	}
-	return false
+	})
+	return found
 }
 
 // preShuffle materializes the map side of a shuffle keyed by keyFn and
@@ -460,7 +427,7 @@ func (e *Engine) probeBroadcast(ht map[any][]row.Row, big *rdd.RDD, bigKey expr.
 // tryCopartitionedJoin detects the §3.4 case: both children are scans
 // of cached tables DISTRIBUTEd BY the join keys with identical
 // partitioning. The join then runs as map tasks only.
-func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats) (*rdd.RDD, bool, error) {
+func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats, p *prof) (*rdd.RDD, bool, error) {
 	ls, lok := j.Left.(*plan.Scan)
 	rs, rok := j.Right.(*plan.Scan)
 	if !lok || !rok || !ls.Table.Cached() || !rs.Table.Cached() {
@@ -482,12 +449,12 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats) (*rdd.RDD
 	stats.JoinStrategies = append(stats.JoinStrategies, "copartitioned:map-join")
 	stats.ScannedPartitions += lm.NumPartitions() + rm.NumPartitions()
 
-	leftScan := lm.Scan(nil, ls.NeededCols)
-	rightScan := rm.Scan(nil, rs.NeededCols)
+	// Both sides scan every partition — pruning one would misalign the
+	// zip — with their pushed-down filters applied by the scan itself.
+	leftScan := e.compileMemScan(&memScan{scan: ls}, nil, p)
+	rightScan := e.compileMemScan(&memScan{scan: rs}, nil, p)
 	lKey := e.evalFn(j.LeftKey)
 	rKey := e.evalFn(j.RightKey)
-	lFilter := scanFilterFn(e, ls)
-	rFilter := scanFilterFn(e, rs)
 
 	joined := leftScan.ZipPartitions(rightScan, func(part int, a, b rdd.Iter) rdd.Iter {
 		ht := make(map[any][]row.Row)
@@ -497,9 +464,6 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats) (*rdd.RDD
 				break
 			}
 			r := v.(row.Row)
-			if lFilter != nil && !lFilter(r) {
-				continue
-			}
 			k := normalizeGroupKey(lKey(r))
 			ht[k] = append(ht[k], r)
 		}
@@ -510,9 +474,6 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats) (*rdd.RDD
 				break
 			}
 			r := v.(row.Row)
-			if rFilter != nil && !rFilter(r) {
-				continue
-			}
 			k := normalizeGroupKey(rKey(r))
 			for _, m := range ht[k] {
 				out = append(out, concatRows(m, r))
@@ -521,14 +482,6 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats) (*rdd.RDD
 		return rdd.SliceIter(out)
 	})
 	return joined, true, nil
-}
-
-func scanFilterFn(e *Engine, s *plan.Scan) func(row.Row) bool {
-	if len(s.Filters) == 0 {
-		return nil
-	}
-	pred := e.evalFn(conjoinAll(s.Filters))
-	return func(r row.Row) bool { return row.Truth(pred(r)) }
 }
 
 // keyIsDistCol reports whether key is a bare column reference to the

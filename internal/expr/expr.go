@@ -36,6 +36,52 @@ type Expr interface {
 	String() string
 }
 
+// Walk calls visit on e and every expression below it, parents first.
+func Walk(e Expr, visit func(Expr)) {
+	visit(e)
+	switch n := e.(type) {
+	case *Arith:
+		Walk(n.L, visit)
+		Walk(n.R, visit)
+	case *Neg:
+		Walk(n.E, visit)
+	case *Cmp:
+		Walk(n.L, visit)
+		Walk(n.R, visit)
+	case *And:
+		Walk(n.L, visit)
+		Walk(n.R, visit)
+	case *Or:
+		Walk(n.L, visit)
+		Walk(n.R, visit)
+	case *Not:
+		Walk(n.E, visit)
+	case *In:
+		Walk(n.E, visit)
+		for _, item := range n.List {
+			Walk(item, visit)
+		}
+	case *Like:
+		Walk(n.E, visit)
+	case *IsNull:
+		Walk(n.E, visit)
+	case *Case:
+		for _, w := range n.Whens {
+			Walk(w.Cond, visit)
+			Walk(w.Then, visit)
+		}
+		if n.Else != nil {
+			Walk(n.Else, visit)
+		}
+	case *Cast:
+		Walk(n.E, visit)
+	case *Call:
+		for _, a := range n.Args {
+			Walk(a, visit)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 
 // Col reads column Idx from the input row.
@@ -517,16 +563,15 @@ func (l *Like) Eval(r row.Row) any { return l.Compile()(r) }
 // Compile implements Expr.
 func (l *Like) Compile() EvalFn {
 	e := l.E.Compile()
-	re, inv := l.re, l.Invert
 	return func(r row.Row) any {
-		v := e(r)
-		s, ok := v.(string)
-		if !ok {
-			return false
-		}
-		return re.MatchString(s) != inv
+		s, ok := e(r).(string)
+		return ok && l.Match(s)
 	}
 }
+
+// Match applies the predicate (pattern and inversion) to a non-NULL
+// operand.
+func (l *Like) Match(s string) bool { return l.re.MatchString(s) != l.Invert }
 
 // ---------------------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -230,6 +231,34 @@ func TestBuiltins(t *testing.T) {
 	}
 	if got := call("SUBSTR", "hi", int64(10)); got.(string) != "" {
 		t.Errorf("SUBSTR past end = %v", got)
+	}
+	// SUBSTR's edges, pinned by value: Fn and the vector form share the
+	// scalar code, so comparing them with each other cannot see a bug in
+	// it. 1-based, 0 ≡ 1, negatives from the end, clamped at both ends.
+	for _, c := range []struct {
+		args []any
+		want any
+	}{
+		{[]any{"hello", int64(0)}, "hello"},
+		{[]any{"hello", int64(0), int64(2)}, "he"},
+		{[]any{"hello", int64(-9), int64(2)}, "he"},
+		{[]any{"hello", int64(-2), int64(9)}, "lo"},
+		{[]any{"hello", int64(5)}, "o"},
+		{[]any{"hello", int64(6)}, ""},
+		{[]any{"hello", int64(2), int64(0)}, ""},
+		{[]any{"hello", int64(2), int64(-1)}, ""},
+		{[]any{"hello", int64(2), int64(math.MaxInt64)}, "ello"},
+		{[]any{"hello", int64(math.MinInt64), int64(1)}, "h"},
+		{[]any{"", int64(1), int64(1)}, ""},
+		{[]any{"hello", 2.9, 1.9}, "e"}, // float arguments truncate
+		{[]any{nil, int64(1)}, nil},
+		{[]any{"hello", nil}, nil},
+		{[]any{"hello", int64(2), nil}, nil},
+		{[]any{"hello", int64(9), nil}, ""}, // past the end wins over a NULL length
+	} {
+		if got := call("SUBSTR", c.args...); got != c.want {
+			t.Errorf("SUBSTR%v = %#v, want %#v", c.args, got, c.want)
+		}
 	}
 	if got := call("CONCAT", "a", int64(1), "b"); got.(string) != "a1b" {
 		t.Errorf("CONCAT = %v", got)

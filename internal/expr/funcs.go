@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"shark/internal/columnar"
 	"shark/internal/row"
 )
 
@@ -21,6 +22,14 @@ type UDF struct {
 	// RetFromArg, when >= 0, makes the return type follow the type of
 	// that argument (e.g. ABS, ROUND on ints).
 	RetFromArg int
+	// Vec, when non-nil, is the function's vector form, used by scans of
+	// cached tables when every argument of a call is a typed vector or a
+	// literal. It is called once per task with the kind of each argument
+	// (VecInt, VecFloat or VecStr) and returns a kernel for them and the
+	// kind of its result — or nil when it has none for those kinds, and
+	// the call then goes through Fn row by row. For every row the kernel
+	// must yield exactly what Fn returns on that row's boxed arguments.
+	Vec func(kinds []columnar.VecKind) (columnar.VecFn, columnar.VecKind)
 }
 
 // Call invokes a UDF over argument expressions.
@@ -97,36 +106,20 @@ var builtins = map[string]*UDF{
 			if !ok {
 				return nil
 			}
-			// Hive SUBSTR is 1-based; 0 behaves like 1; negatives count
-			// from the end.
-			n := int64(len(s))
-			switch {
-			case start > 0:
-				start--
-			case start < 0:
-				start = n + start
-				if start < 0 {
-					start = 0
-				}
-			}
-			if start >= n {
+			from, end := substrStart(s, start), int64(len(s))
+			if from >= end {
 				return ""
 			}
-			end := n
 			if len(args) == 3 {
 				l, ok := row.AsInt(args[2])
 				if !ok {
 					return nil
 				}
-				if l < 0 {
-					l = 0
-				}
-				if start+l < end {
-					end = start + l
-				}
+				end = substrEnd(s, from, l)
 			}
-			return s[start:end]
+			return s[from:end]
 		},
+		Vec: substrVec,
 	},
 	"CONCAT": {
 		Name: "CONCAT", Ret: row.TString, MinArgs: 1, MaxArgs: -1, RetFromArg: -1,
@@ -158,21 +151,20 @@ var builtins = map[string]*UDF{
 			}
 			return int64(len(s))
 		},
+		Vec: lengthVec,
 	},
 	"ABS": {
 		Name: "ABS", Ret: row.TFloat, MinArgs: 1, MaxArgs: 1, RetFromArg: 0,
 		Fn: func(args []any) any {
 			switch x := args[0].(type) {
 			case int64:
-				if x < 0 {
-					return -x
-				}
-				return x
+				return absInt(x)
 			case float64:
 				return math.Abs(x)
 			}
 			return nil
 		},
+		Vec: absVec,
 	},
 	"ROUND": {
 		Name: "ROUND", Ret: row.TFloat, MinArgs: 1, MaxArgs: 2, RetFromArg: -1,
@@ -276,7 +268,47 @@ func dateField(name string, f func(time.Time) int64) *UDF {
 			if !ok {
 				return nil
 			}
-			return f(time.Unix(d*86400, 0).UTC())
+			return f(dateOf(d))
 		},
+		Vec: dateFieldVec(f),
 	}
 }
+
+// The scalar code Fn and Vec share.
+
+// substrStart maps SUBSTR's start argument to a byte offset into s:
+// Hive SUBSTR is 1-based; 0 behaves like 1; negatives count from the
+// end. An offset at or past len(s) selects the empty string.
+func substrStart(s string, start int64) int64 {
+	switch n := int64(len(s)); {
+	case start > 0:
+		return start - 1
+	case start < -n:
+		return 0
+	case start < 0:
+		return n + start
+	}
+	return 0
+}
+
+// substrEnd is the end offset of the at most l bytes from offset
+// from < len(s); a negative length selects none.
+func substrEnd(s string, from, l int64) int64 {
+	if l < 0 {
+		l = 0
+	}
+	if n := int64(len(s)); l < n-from {
+		return from + l
+	}
+	return int64(len(s))
+}
+
+func absInt(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// dateOf converts a DATE (days since the Unix epoch) to a time.
+func dateOf(day int64) time.Time { return time.Unix(day*86400, 0).UTC() }

@@ -240,12 +240,6 @@ func (t *Table) partitionMayMatch(p int, preds []ColPredicate) bool {
 // the given columns (nil = all). Partition indices refer to the
 // table's own numbering (use Prune to obtain them).
 func (t *Table) Scan(parts []int, cols []int) *rdd.RDD {
-	if parts == nil {
-		parts = make([]int, t.NumPartitions())
-		for i := range parts {
-			parts[i] = i
-		}
-	}
 	if cols == nil {
 		cols = make([]int, len(t.Schema))
 		for i := range cols {
@@ -253,45 +247,60 @@ func (t *Table) Scan(parts []int, cols []int) *rdd.RDD {
 		}
 	}
 	colsCopy := append([]int(nil), cols...)
+	return t.ScanPartitions(fmt.Sprintf("memscan(%s)", t.Name), parts,
+		func(_ *rdd.TaskContext, p *columnar.Partition) rdd.Iter {
+			b := columnar.NewBatch(p)
+			return BatchRows(func() []row.Row {
+				if !b.Next() {
+					return nil
+				}
+				return b.Rows(colsCopy, b.All())
+			})
+		})
+}
+
+// ScanPartitions returns an RDD with one task per listed partition
+// (nil = all) whose elements are whatever compute yields for the
+// task's cached columnar partition. The task reads the partition as
+// the single element of the table's cached RDD — from the block store,
+// a remote holder, or lineage recompute — and prefers its holders.
+// Every reader of a cached table goes through here.
+func (t *Table) ScanPartitions(name string, parts []int, compute func(tc *rdd.TaskContext, p *columnar.Partition) rdd.Iter) *rdd.RDD {
+	if parts == nil {
+		parts = make([]int, t.NumPartitions())
+		for i := range parts {
+			parts[i] = i
+		}
+	}
 	partsCopy := append([]int(nil), parts...)
-	tbl := t
-	ctx := t.RDD.Context()
-	return ctx.Source(
-		fmt.Sprintf("memscan(%s)", t.Name),
-		len(partsCopy),
+	return t.RDD.Context().Source(name, len(partsCopy),
 		func(tc *rdd.TaskContext, i int) rdd.Iter {
-			it := tbl.RDD.Iterator(tc, partsCopy[i])
-			v, ok := it.Next()
+			v, ok := t.RDD.Iterator(tc, partsCopy[i]).Next()
 			if !ok {
 				return rdd.EmptyIter()
 			}
-			p := v.(*columnar.Partition)
-			return partitionRowIter(p, colsCopy)
+			return compute(tc, v.(*columnar.Partition))
 		},
-		func(i int) []int {
-			return tbl.RDD.PreferredLocations(partsCopy[i])
-		},
+		func(i int) []int { return t.RDD.PreferredLocations(partsCopy[i]) },
 	)
 }
 
-// partitionRowIter yields projected rows from a columnar partition.
-func partitionRowIter(p *columnar.Partition, cols []int) rdd.Iter {
-	i := 0
-	n := p.N
-	selected := make([]columnar.Column, len(cols))
-	for j, c := range cols {
-		selected[j] = p.Cols[c]
-	}
+// BatchRows adapts a pull of row batches to a row iterator: next
+// returns the following batch's rows (possibly none) or nil at the
+// end. Rows are materialized only as the consumer pulls, a batch at a
+// time, so a LIMIT that stops early never decodes the rest of the
+// partition.
+func BatchRows(next func() []row.Row) rdd.Iter {
+	var rows []row.Row
 	return rdd.FuncIter(func() (any, bool) {
-		if i >= n {
-			return nil, false
+		for len(rows) == 0 {
+			if rows = next(); rows == nil {
+				return nil, false
+			}
 		}
-		out := make(row.Row, len(selected))
-		for j, col := range selected {
-			out[j] = col.Get(i)
-		}
-		i++
-		return out, true
+		r := rows[0]
+		rows = rows[1:]
+		return r, true
 	})
 }
 

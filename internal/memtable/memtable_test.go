@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"shark/internal/cluster"
+	"shark/internal/columnar"
 	"shark/internal/rdd"
 	"shark/internal/row"
 	"shark/internal/shuffle"
@@ -303,5 +304,40 @@ func TestLargeValueRoundTrip(t *testing.T) {
 	}
 	if len(got) != 50 || len(got[0].(row.Row)[0].(string)) != 207 {
 		t.Errorf("wide strings mangled")
+	}
+}
+
+// TestScanSpansBatches: a partition larger than one decode batch comes
+// back whole and in order, and a consumer that stops early pulls only
+// the batches it needs.
+func TestScanSpansBatches(t *testing.T) {
+	ctx := newCtx(t)
+	const n = 3*columnar.BatchSize + 17
+	tbl := loadTable(t, ctx, n, 1)
+	got, err := tbl.Scan(nil, []int{2, 0}).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("scanned %d rows, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if r := v.(row.Row); len(r) != 2 || r[0].(int64) != int64(i) || r[1].(int64) != int64(i) {
+			t.Fatalf("row %d = %v", i, r)
+		}
+	}
+
+	batches := 0
+	it := BatchRows(func() []row.Row {
+		batches++
+		return make([]row.Row, columnar.BatchSize)
+	})
+	for i := 0; i < columnar.BatchSize+1; i++ {
+		if _, ok := it.Next(); !ok {
+			t.Fatal("iterator ended early")
+		}
+	}
+	if batches != 2 {
+		t.Errorf("pulling %d rows materialized %d batches, want 2", columnar.BatchSize+1, batches)
 	}
 }

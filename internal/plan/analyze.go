@@ -736,11 +736,41 @@ func canon(e sqlparse.Expr) string {
 	return e.String()
 }
 
+// compactName names an unaliased SELECT item after its expression:
+// the rendered AST without the parentheses that wrap the whole of it
+// — "(a + b)" is "a + b", while "COUNT(*)" and "(a + b) * (c + d)" end
+// in a parenthesis that closes something else and keep it — cut to 40
+// bytes.
 func compactName(s string) string {
-	s = strings.TrimPrefix(s, "(")
-	s = strings.TrimSuffix(s, ")")
+	if wrappedInParens(s) {
+		s = s[1 : len(s)-1]
+	}
 	if len(s) > 40 {
 		s = s[:40]
 	}
 	return s
+}
+
+// wrappedInParens reports whether s opens with a parenthesis whose
+// match is its last byte. Parentheses inside quoted literals do not
+// count.
+func wrappedInParens(s string) bool {
+	if len(s) < 2 || s[0] != '(' {
+		return false
+	}
+	depth, quoted := 0, false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\'':
+			quoted = !quoted
+		case quoted:
+		case c == '(':
+			depth++
+		case c == ')':
+			if depth--; depth == 0 {
+				return i == len(s)-1
+			}
+		}
+	}
+	return false
 }

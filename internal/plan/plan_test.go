@@ -380,3 +380,29 @@ func TestDedupAggsAcrossClauses(t *testing.T) {
 		t.Errorf("COUNT(*) duplicated: %d specs", len(agg.Aggs))
 	}
 }
+
+// TestUnaliasedColumnNames: an unaliased item is named after its
+// expression, losing only parentheses that wrap the whole expression —
+// never the one that closes a call.
+func TestUnaliasedColumnNames(t *testing.T) {
+	cat := testCatalog(t)
+	for sql, want := range map[string][]string{
+		"SELECT COUNT(*), SUM(adRevenue) FROM uservisits":                                         {"COUNT(*)", "SUM(adRevenue)"},
+		"SELECT SUBSTR(sourceIP, 1, 7), COUNT(*) FROM uservisits GROUP BY SUBSTR(sourceIP, 1, 7)": {"SUBSTR(sourceIP, 1, 7)", "COUNT(*)"},
+		"SELECT (pageRank + avgDuration), pageRank FROM rankings":                                 {"pageRank + avgDuration", "pageRank"},
+		"SELECT (pageRank + 1) * (avgDuration + 2) FROM rankings":                                 {"(pageRank + 1) * (avgDuration + 2)"},
+		"SELECT 1 + 2": {"1 + 2"},
+	} {
+		got := analyze(t, cat, sql).Schema().Names()
+		if strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("%s\n  column names %q, want %q", sql, got, want)
+		}
+	}
+	for in, want := range map[string]string{
+		"(a + b)": "a + b", "COUNT(*)": "COUNT(*)", "(a) + (b)": "(a) + (b)", "(f(')'))": "f(')')", "()": "", "(": "(", "": "",
+	} {
+		if got := compactName(in); got != want {
+			t.Errorf("compactName(%q) = %q, want %q", in, got, want)
+		}
+	}
+}

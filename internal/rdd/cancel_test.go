@@ -64,7 +64,7 @@ func TestRunJobCtxCancelMidJob(t *testing.T) {
 // TestCancelAbortsMidPartition: a single-partition task body that
 // would run for seconds must abort cooperatively within a bounded
 // wall-clock once its context is cancelled — the iterator polls the
-// context every cancelCheckRows rows instead of finishing the
+// context every CancelCheckRows rows instead of finishing the
 // partition — and the context stays usable.
 func TestCancelAbortsMidPartition(t *testing.T) {
 	ctx := newTestCtx(t, 2, Options{})

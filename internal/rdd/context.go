@@ -123,7 +123,7 @@ type TaskContext struct {
 	Job *Job
 	// Gctx is the governing context of the job's current task set (nil
 	// for work executed outside a cancellable job). Iterators returned
-	// by RDD.Iterator poll it every cancelCheckRows elements, so a
+	// by RDD.Iterator poll it every CancelCheckRows elements, so a
 	// cancelled statement aborts long task bodies mid-partition
 	// instead of running each partition to completion.
 	Gctx context.Context
@@ -146,9 +146,11 @@ func (tc *TaskContext) CancelErr() error {
 
 // FailIfCancelled aborts the task body when the governing context has
 // been cancelled, counting the abort in the mid-partition cancellation
-// metrics (scheduler, job, session). Long non-iterator loops in task
-// bodies call it at natural checkpoints — shuffle bucket boundaries,
-// hash-join builds — so every cooperative abort path reports alike.
+// metrics (scheduler, job, session). It is the one cooperative abort:
+// RDD iterators poll it every CancelCheckRows elements, and long
+// non-iterator loops in task bodies call it at natural checkpoints —
+// shuffle bucket boundaries, hash-join builds, the scan kernels' batch
+// and row-chunk boundaries — so every abort path reports alike.
 func (tc *TaskContext) FailIfCancelled() {
 	err := tc.CancelErr()
 	if err == nil {

@@ -231,7 +231,7 @@ func (c *Context) MapOutputLocations(dep *ShuffleDep) map[int]int {
 
 func (c *Context) readShuffle(tc *TaskContext, dep *ShuffleDep, buckets []int, kind ReadKind) Iter {
 	locations := c.MapOutputLocations(dep)
-	// Polled between buckets and every cancelCheckRows merged pairs, so
+	// Polled between buckets and every CancelCheckRows merged pairs, so
 	// a cancelled job stops paying for a large reduce input
 	// mid-partition instead of merging it to completion.
 	checkCancel := tc.FailIfCancelled
@@ -248,7 +248,7 @@ func (c *Context) readShuffle(tc *TaskContext, dep *ShuffleDep, buckets []int, k
 		for _, b := range buckets {
 			checkCancel()
 			for i, p := range fetch(b) {
-				if i%cancelCheckRows == cancelCheckRows-1 {
+				if i%CancelCheckRows == CancelCheckRows-1 {
 					checkCancel()
 				}
 				if prev, ok := merged[p.K]; ok {
@@ -268,7 +268,7 @@ func (c *Context) readShuffle(tc *TaskContext, dep *ShuffleDep, buckets []int, k
 		for _, b := range buckets {
 			checkCancel()
 			for i, p := range fetch(b) {
-				if i%cancelCheckRows == cancelCheckRows-1 {
+				if i%CancelCheckRows == CancelCheckRows-1 {
 					checkCancel()
 				}
 				grouped[p.K] = append(grouped[p.K], p.V)

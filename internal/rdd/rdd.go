@@ -122,34 +122,29 @@ func (r *RDD) Uncache() {
 
 func cacheKey(rddID, part int) string { return fmt.Sprintf("rdd/%d/%d", rddID, part) }
 
-// cancelCheckRows is how many elements an iterator yields between
+// CancelCheckRows is how many elements an iterator yields between
 // polls of the task's governing context. Small enough that a cancelled
 // statement stops paying for row-at-a-time work within milliseconds,
 // large enough that the poll is invisible next to per-row compute.
-const cancelCheckRows = 128
+// Task bodies that loop over rows without pulling an RDD iterator
+// (the engine's batch kernels) poll TaskContext.FailIfCancelled at the
+// same interval.
+const CancelCheckRows = 128
 
-// wrapCancel makes an iterator cooperative: every cancelCheckRows
-// elements it polls the task's governing context and, once cancelled,
-// aborts the task body mid-partition by panicking with an error that
-// wraps the cancellation cause (recovered by the cluster's task
-// wrapper, recognized by the scheduler as the abort landing). Tasks
-// without a cancellable context get the iterator back unchanged.
+// wrapCancel makes an iterator cooperative: every CancelCheckRows
+// elements it polls the task's governing context through
+// TaskContext.FailIfCancelled, which aborts the task body
+// mid-partition once the statement is cancelled. Tasks without a
+// cancellable context get the iterator back unchanged.
 func (r *RDD) wrapCancel(tc *TaskContext, it Iter) Iter {
 	if tc == nil || tc.Gctx == nil || tc.Gctx.Done() == nil {
 		return it
 	}
-	gctx := tc.Gctx
 	n := 0
 	return FuncIter(func() (any, bool) {
 		n++
-		if n%cancelCheckRows == 0 {
-			select {
-			case <-gctx.Done():
-				r.ctx.sched.metrics.CancelledMidPartition.Add(1)
-				tc.Job.noteCancelledMidPartition()
-				panic(fmt.Errorf("rdd: task body aborted mid-partition: %w", gctx.Err()))
-			default:
-			}
+		if n%CancelCheckRows == 0 {
+			tc.FailIfCancelled()
 		}
 		return it.Next()
 	})

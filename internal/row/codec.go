@@ -146,30 +146,77 @@ func EncodeBinary(buf []byte, r Row) []byte {
 func appendBinaryBody(buf []byte, r Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r)))
 	for _, v := range r {
-		switch x := v.(type) {
-		case nil:
-			buf = append(buf, tagNull)
-		case int64:
-			buf = append(buf, tagInt)
-			buf = binary.AppendVarint(buf, x)
-		case float64:
-			buf = append(buf, tagFloat)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-		case string:
-			buf = append(buf, tagStr)
-			buf = binary.AppendUvarint(buf, uint64(len(x)))
-			buf = append(buf, x...)
-		case bool:
-			if x {
-				buf = append(buf, tagTrue)
-			} else {
-				buf = append(buf, tagFalse)
-			}
-		default:
-			panic(fmt.Sprintf("row: cannot encode %T", v))
-		}
+		buf = appendBinaryValue(buf, v)
 	}
 	return buf
+}
+
+func appendBinaryValue(buf []byte, v any) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(buf, tagNull)
+	case int64:
+		return appendBinaryInt(buf, x)
+	case float64:
+		return appendBinaryFloat(buf, x)
+	case string:
+		return appendBinaryString(buf, x)
+	case bool:
+		if x {
+			return append(buf, tagTrue)
+		}
+		return append(buf, tagFalse)
+	}
+	panic(fmt.Sprintf("row: cannot encode %T", v))
+}
+
+func appendBinaryInt(buf []byte, x int64) []byte {
+	return binary.AppendVarint(append(buf, tagInt), x)
+}
+
+func appendBinaryFloat(buf []byte, x float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(buf, tagFloat), math.Float64bits(x))
+}
+
+func appendBinaryString(buf []byte, x string) []byte {
+	buf = binary.AppendUvarint(append(buf, tagStr), uint64(len(x)))
+	return append(buf, x...)
+}
+
+// BinaryEncoder builds the bytes EncodeBinary(nil, r) would, one field
+// at a time from typed values, reusing its buffers: callers that hold
+// columns rather than rows (composite group keys) get the identical
+// encoding without building or boxing r. The zero value is ready.
+type BinaryEncoder struct {
+	body, out []byte
+}
+
+// Reset starts a row of n fields.
+func (e *BinaryEncoder) Reset(n int) {
+	e.body = binary.AppendUvarint(e.body[:0], uint64(n))
+}
+
+// Null appends a NULL field.
+func (e *BinaryEncoder) Null() { e.body = append(e.body, tagNull) }
+
+// Int appends an int64 (or DATE) field.
+func (e *BinaryEncoder) Int(x int64) { e.body = appendBinaryInt(e.body, x) }
+
+// Float appends a float64 field.
+func (e *BinaryEncoder) Float(x float64) { e.body = appendBinaryFloat(e.body, x) }
+
+// String appends a string field.
+func (e *BinaryEncoder) String(x string) { e.body = appendBinaryString(e.body, x) }
+
+// Value appends a field of any type in the value model.
+func (e *BinaryEncoder) Value(v any) { e.body = appendBinaryValue(e.body, v) }
+
+// Bytes returns the encoded row; the slice is valid until the next
+// Reset.
+func (e *BinaryEncoder) Bytes() []byte {
+	e.out = binary.AppendUvarint(e.out[:0], uint64(len(e.body)))
+	e.out = append(e.out, e.body...)
+	return e.out
 }
 
 // DecodeBinary decodes one row from buf, returning the row and the

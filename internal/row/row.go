@@ -134,6 +134,17 @@ func (r Row) Clone() Row {
 	return out
 }
 
+// OwnString returns v, with a string value copied into memory of its
+// own. Inside a scan task strings are sub-strings of a whole cached
+// column's bytes; whatever outlives the task (a group's values, a
+// result row) copies them so as not to keep the column reachable.
+func OwnString(v any) any {
+	if s, ok := v.(string); ok {
+		return strings.Clone(s)
+	}
+	return v
+}
+
 // TypeOf returns the runtime Type of a value.
 func TypeOf(v any) Type {
 	switch v.(type) {

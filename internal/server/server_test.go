@@ -502,10 +502,13 @@ func TestGracefulDrain(t *testing.T) {
 	firstDone := make(chan struct{})
 	var once sync.Once
 	for i := 0; i < clients; i++ {
+		// Attach before any client queries: a statement can complete —
+		// and the drain below begin — before a goroutine that attaches
+		// for itself has connected.
+		c := attach(t, addr)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := attach(t, addr)
 			defer c.Close()
 			for {
 				id, resp, err := c.RoundtripID(context.Background(), wire.ExecPrepared{SQL: `SELECT COUNT(*) FROM logs_mem`})

@@ -3,6 +3,7 @@ package shark_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"shark"
@@ -215,5 +216,53 @@ func TestPreparedStatementsCore(t *testing.T) {
 	// Unbound parameters are an error on the plain exec path.
 	if _, err := s.Exec(`SELECT COUNT(*) FROM ev WHERE status = ?`); err == nil {
 		t.Fatal("executing a parameterized statement without args must fail")
+	}
+}
+
+// TestResultOutlivesDroppedTable: a scan reads strings as sub-strings
+// of a cached partition's bytes, and copies every one that leaves the
+// task — so a small result (computed, or held by the result cache)
+// stays intact, and owes nothing to the table, after the table is
+// dropped and its partitions collected.
+func TestResultOutlivesDroppedTable(t *testing.T) {
+	cl := newTestCluster(t, shark.ClusterConfig{})
+	s, err := cl.NewSession(shark.SessionConfig{Name: "rc", ResultCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5000
+	loadTiny(t, s, "ev", n) // url = /p/<i>: unique, so stored raw
+	if _, err := s.Exec(`CREATE TABLE ev_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM ev`); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		sel = `SELECT bytes, url, SUBSTR(url, 4) FROM ev_mem WHERE bytes < 500 ORDER BY bytes`
+		agg = `SELECT SUBSTR(url, 1, 5) AS prefix, MAX(url) AS last FROM ev_mem WHERE bytes >= 49000 GROUP BY SUBSTR(url, 1, 5) ORDER BY prefix`
+	)
+	var held []*shark.Result
+	for _, q := range []string{sel, agg, sel, agg} { // the repeats come from the result cache
+		res, err := s.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, res)
+	}
+	if hits, _ := s.Results.Stats(); hits != 2 {
+		t.Fatalf("result cache hits = %d, want 2", hits)
+	}
+	if _, err := s.Exec(`DROP TABLE ev_mem`); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+
+	wantSel := make([]shark.Row, 50) // bytes = 10 i < 500
+	for i := range wantSel {
+		wantSel[i] = shark.Row{int64(10 * i), fmt.Sprintf("/p/%d", i), fmt.Sprint(i)}
+	}
+	wantAgg := []shark.Row{{"/p/49", "/p/4999"}} // i ≥ 4900
+	for i, want := range [][]shark.Row{wantSel, wantAgg, wantSel, wantAgg} {
+		if !reflect.DeepEqual(held[i].Rows, want) {
+			t.Errorf("result %d after DROP TABLE = %v, want %v", i, held[i].Rows, want)
+		}
 	}
 }
