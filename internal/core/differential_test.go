@@ -25,8 +25,8 @@ import (
 )
 
 // The differential test for the cached-table scan path: a seeded
-// generator of select / filter / project / group-by / LIMIT statements
-// over one table whose columns cover every column encoding, each
+// generator of select / filter / project / group-by / HAVING / LIMIT
+// statements over one table whose columns cover every column encoding, each
 // statement executed under every configuration that changes how a
 // cached scan runs and against the Hive/MapReduce baseline, and the
 // results bag-compared. The typed batch kernels, the row adapter
@@ -38,6 +38,7 @@ const (
 	diffSeed    = 20131
 	diffRows    = 2400
 	diffQueries = 340 // generated, after diffFixed
+	diffPostAgg = 90  // post-aggregation statements, generated after those
 )
 
 // diffSchema: one column per encoding the builder can choose, named
@@ -384,6 +385,330 @@ func (g *diffGen) statement() (sql string, limit int) {
 	return sql, 0
 }
 
+// Post-aggregation statements: a SELECT list and a HAVING built from
+// IN / NOT IN / LIKE / IS [NOT] NULL / BETWEEN / CASE / unary minus /
+// comparisons over the group key, aggregates of every kind and
+// literals — everything plan resolves against an Aggregate's output.
+// Every executor shares that resolver and evaluates its result with
+// expr's Eval, so comparing them with each other would find nothing;
+// each expression is therefore generated twice, as SQL and as a Go
+// function of the row the aggregation alone returns (postExpr), and the
+// statement's reference is that function applied to the rows of
+//
+//	SELECT key, aggregates... FROM t [WHERE ...] GROUP BY key
+//
+// a statement of the kind the rest of this test checks. Predicates read
+// only aggregates that are exact whatever order partial states merge
+// in (counts, integer sums, MIN / MAX, sums and averages of f_rle's
+// half-integers), so a comparison cannot flip on the last bit of a
+// float; SUM(f_raw) and AVG(f_raw) appear as values only.
+
+// postExpr is one post-aggregation expression: its SQL, and its value
+// over a row of the aggregation's own output.
+type postExpr struct {
+	sql  string
+	eval func(base row.Row) any
+}
+
+func postLit(sql string, v any) postExpr {
+	return postExpr{sql, func(row.Row) any { return v }}
+}
+
+// The reference semantics, written out: a comparison with NULL is
+// false, only true is true, NOT of anything else is true.
+
+func postTruth(v any) bool { b, ok := v.(bool); return ok && b }
+
+func postCompare(op string, a, b any) bool {
+	if a == nil || b == nil {
+		return false
+	}
+	c := row.Compare(a, b)
+	switch op {
+	case "=":
+		return c == 0
+	case "<>":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	}
+	return c >= 0
+}
+
+// postLike matches s against a LIKE pattern (% any run, _ any one byte;
+// the data is ASCII).
+func postLike(s, pattern string) bool {
+	if pattern == "" {
+		return s == ""
+	}
+	switch pattern[0] {
+	case '%':
+		return postLike(s, pattern[1:]) || (s != "" && postLike(s[1:], pattern))
+	case '_':
+		return s != "" && postLike(s[1:], pattern[1:])
+	}
+	return s != "" && s[0] == pattern[0] && postLike(s[1:], pattern[1:])
+}
+
+func (g *diffGen) postKey() (key string, isStr bool) {
+	if g.rng.Intn(2) == 0 {
+		return g.pick("s_dict", "SUBSTR(s_raw, 1, 2)", "SUBSTR(s_dict, 1, 1)"), true
+	}
+	return g.pick("i_dict", "i_rle", "(i_pack % 10)", "LENGTH(s_dict)", "allnull"), false
+}
+
+func (g *diffGen) postNumAgg() string {
+	return g.pick("COUNT(*)", "COUNT(s_raw)", "COUNT(allnull)", "COUNT(DISTINCT i_dict)", "COUNT(DISTINCT s_dict)",
+		"SUM(i_pack)", "SUM(i_dict)", "SUM(allnull)", "SUM(f_rle)", "AVG(f_rle)", "AVG(i_pack)", "AVG(allnull)",
+		"MIN(i_raw)", "MAX(i_dict)", "MIN(f_raw)", "MAX(f_rle)", "MAX(LENGTH(s_raw))")
+}
+
+func (g *diffGen) postStrAgg() string {
+	return g.pick("MIN(s_raw)", "MAX(s_raw)", "MIN(s_dict)", "MAX(s_dict)", "MIN(SUBSTR(s_raw, 7))")
+}
+
+// postGen generates the expressions of one statement over its
+// operands: the columns of the aggregation's own output.
+type postGen struct {
+	*diffGen
+	base     []string   // the aggregation's select list: [key,] aggregates...
+	key      *postExpr  // nil for a global aggregate
+	num, str []postExpr // operands a predicate may read, by type (the key among them)
+	inexact  postExpr   // SUM or AVG(f_raw): a value, never compared
+}
+
+// newPostGen picks the statement's group key (one time in eight, none:
+// a global aggregate) and aggregates.
+func (g *diffGen) newPostGen() *postGen {
+	p := &postGen{diffGen: g}
+	operand := func(sql string) postExpr {
+		i := len(p.base)
+		p.base = append(p.base, sql)
+		return postExpr{sql, func(base row.Row) any { return base[i] }}
+	}
+	if g.rng.Intn(8) > 0 {
+		sql, isStr := g.postKey()
+		key := operand(sql)
+		if p.key = &key; isStr {
+			p.str = append(p.str, key)
+		} else {
+			p.num = append(p.num, key)
+		}
+	}
+	for range 3 {
+		p.num = append(p.num, operand(g.postNumAgg()))
+	}
+	for range 2 {
+		p.str = append(p.str, operand(g.postStrAgg()))
+	}
+	p.inexact = operand(g.pick("SUM(f_raw)", "AVG(f_raw)"))
+	return p
+}
+
+// value yields any operand.
+func (p *postGen) value() postExpr {
+	switch p.rng.Intn(5) {
+	case 0:
+		return p.inexact
+	case 1, 2:
+		return p.of(p.str)
+	}
+	return p.of(p.num)
+}
+
+func (p *postGen) of(xs []postExpr) postExpr { return xs[p.rng.Intn(len(xs))] }
+
+func (p *postGen) numLit() postExpr {
+	if p.rng.Intn(4) == 0 {
+		f := float64(p.rng.Intn(16)) / 2 // 7.0 must equal an integer 7; 2.5 must not
+		return postLit(fmt.Sprintf("%.1f", f), f)
+	}
+	n := []int64{0, 1, 2, 4, 5, 6, 7, 42, 64, -3, 1000000007, 300 + p.rng.Int63n(300)}[p.rng.Intn(12)]
+	return postLit(fmt.Sprint(n), n)
+}
+
+func (p *postGen) strLit() postExpr {
+	s := fmt.Sprintf("u%04d", p.rng.Intn(3000))
+	if p.rng.Intn(3) > 0 {
+		s = p.pick(append([]string{"u0", "a", "u1"}, diffDictStrs...)...)
+	}
+	return postLit("'"+s+"'", s)
+}
+
+func (p *postGen) pred(depth int) postExpr {
+	if depth > 0 {
+		l, r := p.pred(depth-1), p.pred(depth-1)
+		switch p.rng.Intn(4) {
+		case 0:
+			return postExpr{"(" + l.sql + " AND " + r.sql + ")", func(b row.Row) any { return postTruth(l.eval(b)) && postTruth(r.eval(b)) }}
+		case 1:
+			return postExpr{"(" + l.sql + " OR " + r.sql + ")", func(b row.Row) any { return postTruth(l.eval(b)) || postTruth(r.eval(b)) }}
+		case 2:
+			return postExpr{"(NOT " + l.sql + ")", func(b row.Row) any { return !postTruth(l.eval(b)) }}
+		}
+	}
+	not := p.rng.Intn(2) == 0
+	word := map[bool]string{false: "", true: "NOT "}[not]
+	num, str := p.of(p.num), p.of(p.str)
+	switch p.rng.Intn(9) {
+	case 8: // literals only: the planner folds it
+		op, x, y := p.pick("=", "<>", "<", ">="), p.numLit(), p.numLit()
+		return postExpr{fmt.Sprintf("(%s %s %s)", x.sql, op, y.sql), func(b row.Row) any { return postCompare(op, x.eval(b), y.eval(b)) }}
+	case 0, 1: // a literal set, or — one member an operand — a list
+		x, lit, other := num, p.numLit, p.num
+		if p.rng.Intn(2) == 0 {
+			x, lit, other = str, p.strLit, p.str
+		}
+		list := []postExpr{lit(), lit(), lit()}
+		if p.rng.Intn(2) == 0 {
+			list[2] = p.of(other)
+		}
+		return postExpr{fmt.Sprintf("(%s %sIN (%s, %s, %s))", x.sql, word, list[0].sql, list[1].sql, list[2].sql), func(b row.Row) any {
+			v := x.eval(b)
+			if v == nil {
+				return false
+			}
+			for _, m := range list {
+				if postCompare("=", v, m.eval(b)) {
+					return !not
+				}
+			}
+			return not
+		}}
+	case 2:
+		pattern := p.pick("%a%", "u0%", "u1%", "_e%", "%-beta", "Gamma", "%", "a%", "u_", "")
+		return postExpr{fmt.Sprintf("(%s %sLIKE '%s')", str.sql, word, pattern), func(b row.Row) any {
+			s, ok := str.eval(b).(string)
+			return ok && postLike(s, pattern) != not
+		}}
+	case 3:
+		x := p.value()
+		return postExpr{fmt.Sprintf("(%s IS %sNULL)", x.sql, word), func(b row.Row) any { return (x.eval(b) == nil) != not }}
+	case 4:
+		lo := p.rng.Int63n(400)
+		hi := lo + p.rng.Int63n(600)
+		return postExpr{fmt.Sprintf("(%s %sBETWEEN %d AND %d)", num.sql, word, lo, hi), func(b row.Row) any {
+			v := num.eval(b)
+			return (postCompare(">=", v, lo) && postCompare("<=", v, hi)) != not
+		}}
+	case 5:
+		op, lit := p.pick("<", ">=", "="), p.numLit()
+		return postExpr{fmt.Sprintf("(-%s %s %s)", num.sql, op, lit.sql), func(b row.Row) any {
+			return postCompare(op, postNeg(num.eval(b)), lit.eval(b))
+		}}
+	case 6:
+		op, y := p.pick("<", ">=", "=", "<>"), p.strLit()
+		if p.rng.Intn(2) == 0 {
+			y = p.of(p.str)
+		}
+		return postExpr{fmt.Sprintf("(%s %s %s)", str.sql, op, y.sql), func(b row.Row) any { return postCompare(op, str.eval(b), y.eval(b)) }}
+	}
+	op, y := p.pick("=", "<>", "<", "<=", ">", ">="), p.numLit()
+	if p.rng.Intn(2) == 0 {
+		y = p.of(p.num)
+	}
+	return postExpr{fmt.Sprintf("(%s %s %s)", num.sql, op, y.sql), func(b row.Row) any { return postCompare(op, num.eval(b), y.eval(b)) }}
+}
+
+func postNeg(v any) any {
+	switch x := v.(type) {
+	case int64:
+		return -x
+	case float64:
+		return -x
+	}
+	return nil
+}
+
+func (p *postGen) item() postExpr {
+	switch p.rng.Intn(6) {
+	case 0: // CASE with an ELSE; the arms need not be of one numeric type
+		when, then, els := p.pred(1), p.of(p.num), p.numLit()
+		if p.rng.Intn(2) == 0 {
+			then, els = p.of(p.str), p.of(p.str)
+		}
+		return postExpr{fmt.Sprintf("CASE WHEN %s THEN %s ELSE %s END", when.sql, then.sql, els.sql), func(b row.Row) any {
+			if postTruth(when.eval(b)) {
+				return then.eval(b)
+			}
+			return els.eval(b)
+		}}
+	case 1: // two arms, no ELSE: NULL when neither holds
+		w1, t1, w2, t2 := p.pred(0), p.of(p.num), p.pred(0), p.numLit()
+		if p.rng.Intn(2) == 0 {
+			t1, t2 = p.of(p.str), p.strLit()
+		}
+		return postExpr{fmt.Sprintf("CASE WHEN %s THEN %s WHEN %s THEN %s END", w1.sql, t1.sql, w2.sql, t2.sql), func(b row.Row) any {
+			if postTruth(w1.eval(b)) {
+				return t1.eval(b)
+			}
+			if postTruth(w2.eval(b)) {
+				return t2.eval(b)
+			}
+			return nil
+		}}
+	case 2:
+		x := p.of(p.num)
+		if p.rng.Intn(4) == 0 {
+			x = p.inexact
+		}
+		return postExpr{"-" + x.sql, func(b row.Row) any { return postNeg(x.eval(b)) }}
+	case 3:
+		return p.pred(1) // a boolean column
+	}
+	return p.value()
+}
+
+// postAggStatement yields a statement whose SELECT list and HAVING are
+// post-aggregation expressions, the aggregation it is built on, and the
+// function from that aggregation's rows to the rows the statement must
+// return.
+func (g *diffGen) postAggStatement() (sql, baseSQL string, expect func(base []row.Row) []row.Row) {
+	p := g.newPostGen()
+	var items []postExpr
+	if p.key != nil {
+		items = append(items, *p.key)
+	}
+	for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
+		items = append(items, p.item())
+	}
+	var having *postExpr
+	if g.rng.Intn(5) > 0 {
+		h := p.pred(1)
+		having = &h
+	}
+	from := " FROM t" + g.where()
+	if p.key != nil {
+		from += " GROUP BY " + p.key.sql
+	}
+	list := make([]string, len(items))
+	for i, it := range items {
+		list[i] = it.sql
+	}
+	sql = "SELECT " + strings.Join(list, ", ") + from
+	if having != nil {
+		sql += " HAVING " + having.sql
+	}
+	return sql, "SELECT " + strings.Join(p.base, ", ") + from, func(base []row.Row) []row.Row {
+		var out []row.Row
+		for _, b := range base {
+			if having != nil && !postTruth(having.eval(b)) {
+				continue
+			}
+			r := make(row.Row, len(items))
+			for i, it := range items {
+				r[i] = it.eval(b)
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+}
+
 // diffFixed are statements every run includes ahead of the generated
 // ones: corners the generator reaches only rarely.
 var diffFixed = []string{
@@ -393,6 +718,13 @@ var diffFixed = []string{
 	`SELECT SUBSTR(s_raw, 1, 2), COUNT(*), SUM(f_raw), MIN(SUBSTR(s_raw, 3)), MAX(LENGTH(s_dict)) FROM t GROUP BY SUBSTR(s_raw, 1, 2)`,
 	`SELECT MONTH(d + id), COUNT(*), COUNT(DISTINCT DAY(d + id)) FROM t WHERE LENGTH(s_raw) > 9 OR ABS(i_dict) = 3 GROUP BY MONTH(d + id)`,
 	`SELECT i_pack, COUNT(*) FROM t WHERE i_pack < 0 OR i_pack > 900 GROUP BY i_pack`,
+	// Post-aggregation shapes the planner used to refuse.
+	`SELECT i_dict, SUM(f_raw) FROM t GROUP BY i_dict HAVING SUM(f_raw) IS NOT NULL`,
+	`SELECT i_dict, COUNT(*) FROM t GROUP BY i_dict HAVING i_dict IN (7, 42)`,
+	`SELECT i_rle, COUNT(*) FROM t GROUP BY i_rle HAVING COUNT(i_dict) NOT IN (50, 51, 52)`,
+	`SELECT s_dict, COUNT(*) FROM t GROUP BY s_dict HAVING s_dict LIKE 'a%'`,
+	`SELECT i_rle, MIN(s_raw) FROM t GROUP BY i_rle HAVING MIN(s_raw) LIKE 'u00%'`,
+	`SELECT i_dict, CASE WHEN SUM(allnull) IS NULL THEN 0.0 ELSE SUM(allnull) END, -COUNT(*), i_dict IN (0, MAX(i_dict)) FROM t GROUP BY i_dict`,
 }
 
 // ---------------------------------------------------------------------------
@@ -652,18 +984,28 @@ func TestDifferentialCachedScan(t *testing.T) {
 	type query struct {
 		sql, unlimited string
 		limit          int
+		// expect, when set, maps the rows of unlimited to the rows sql
+		// must return (post-aggregation statements); otherwise they are
+		// those rows themselves, or for a LIMIT any limit of them.
+		expect func([]row.Row) []row.Row
 	}
-	queries := make([]query, 0, len(diffFixed)+diffQueries)
+	queries := make([]query, 0, len(diffFixed)+diffQueries+diffPostAgg)
 	for _, sql := range diffFixed {
 		queries = append(queries, query{sql: sql, unlimited: sql})
 	}
-	for len(queries) < cap(queries) {
+	for range diffQueries {
 		sql, limit := g.statement()
 		q := query{sql: sql, unlimited: sql, limit: limit}
 		if limit > 0 {
 			q.unlimited = sql[:strings.LastIndex(sql, " LIMIT ")]
 		}
 		queries = append(queries, q)
+	}
+	// After the rest, so the statements above are the ones this seed has
+	// always generated.
+	for range diffPostAgg {
+		sql, base, expect := g.postAggStatement()
+		queries = append(queries, query{sql: sql, unlimited: base, expect: expect})
 	}
 
 	// Reference results: the default configuration, without LIMIT.
@@ -672,6 +1014,9 @@ func TestDifferentialCachedScan(t *testing.T) {
 		rows, err := execs[0].run(q.unlimited)
 		if err != nil {
 			t.Fatalf("seed %d query %d on %s: %v\n%s", diffSeed, i, execs[0].name, err, q.unlimited)
+		}
+		if q.expect != nil {
+			rows = q.expect(rows)
 		}
 		want[i] = diffSorted(rows)
 	}
@@ -682,7 +1027,7 @@ func TestDifferentialCachedScan(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i, q := range queries {
-				if ex.name == "default" && q.limit == 0 {
+				if ex.name == "default" && q.limit == 0 && q.expect == nil {
 					continue // the reference itself
 				}
 				got, err := ex.run(q.sql)

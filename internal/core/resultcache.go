@@ -11,6 +11,7 @@ import (
 
 	"shark/internal/cluster"
 	"shark/internal/expr"
+	"shark/internal/plan"
 	"shark/internal/row"
 	"shark/internal/sqlparse"
 )
@@ -227,13 +228,6 @@ func estimateResultSize(res *Result) int64 {
 	return size
 }
 
-// aggregateNames are the aggregate functions the planner accepts;
-// they resolve in plan.Analyze, not the scalar builtin registry, and
-// all of them are deterministic.
-var aggregateNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
-
 // cacheableSelect reports whether a bound statement is eligible for
 // the result cache: a SELECT whose every function call resolves to a
 // deterministic built-in (scalar or aggregate). Statements calling
@@ -242,47 +236,17 @@ var aggregateNames = map[string]bool{
 // here with rows anyway).
 func cacheableSelect(sel *sqlparse.SelectStmt) bool {
 	ok := true
-	var walk func(*sqlparse.SelectStmt)
-	walk = func(s *sqlparse.SelectStmt) {
-		if s == nil || !ok {
-			return
-		}
-		check := func(e sqlparse.Expr) {
-			if f, isCall := e.(*sqlparse.FuncCall); isCall {
-				name := strings.ToUpper(f.Name)
-				if _, builtin := expr.LookupBuiltin(name); !builtin && !aggregateNames[name] {
+	sqlparse.WalkSelect(sel, true, nil, func(e *sqlparse.Expr) {
+		sqlparse.WalkExpr(*e, func(x sqlparse.Expr) bool {
+			if f, isCall := x.(*sqlparse.FuncCall); isCall && !plan.IsAggregate(f.Name) {
+				if _, builtin := expr.LookupBuiltin(f.Name); !builtin {
 					ok = false
 				}
 			}
-		}
-		for _, it := range s.Items {
-			walkExprs(it.Expr, check)
-		}
-		if s.From != nil {
-			walk(s.From.Sub)
-		}
-		for _, j := range s.Joins {
-			if j.Ref != nil {
-				walk(j.Ref.Sub)
-			}
-			walkExprs(j.On, check)
-		}
-		walkExprs(s.Where, check)
-		for _, e := range s.GroupBy {
-			walkExprs(e, check)
-		}
-		walkExprs(s.Having, check)
-		for _, o := range s.OrderBy {
-			walkExprs(o.Expr, check)
-		}
-	}
-	walk(sel)
+			return ok
+		})
+	})
 	return ok
-}
-
-// walkExprs applies f to e and every sub-expression.
-func walkExprs(e sqlparse.Expr, f func(sqlparse.Expr)) {
-	sqlparse.WalkExpr(e, f)
 }
 
 // inputTables collects the base tables a bound SELECT reads,
@@ -290,27 +254,11 @@ func walkExprs(e sqlparse.Expr, f func(sqlparse.Expr)) {
 // invalidation component.
 func inputTables(sel *sqlparse.SelectStmt) []string {
 	seen := map[string]bool{}
-	var walk func(*sqlparse.SelectStmt)
-	walk = func(s *sqlparse.SelectStmt) {
-		if s == nil {
-			return
+	sqlparse.WalkSelect(sel, true, func(r *sqlparse.TableRef) {
+		if r.Sub == nil && r.Name != "" {
+			seen[strings.ToLower(r.Name)] = true
 		}
-		refs := []*sqlparse.TableRef{s.From}
-		for _, j := range s.Joins {
-			refs = append(refs, j.Ref)
-		}
-		for _, r := range refs {
-			if r == nil {
-				continue
-			}
-			if r.Sub != nil {
-				walk(r.Sub)
-			} else if r.Name != "" {
-				seen[strings.ToLower(r.Name)] = true
-			}
-		}
-	}
-	walk(sel)
+	}, nil)
 	out := make([]string, 0, len(seen))
 	for n := range seen {
 		out = append(out, n)

@@ -64,8 +64,10 @@ type Options struct {
 	BroadcastThreshold int64
 	// JoinStrategy selects join planning. Default StrategyStaticAdaptive.
 	JoinStrategy StrategyMode
-	// DisableExprCompile evaluates expressions with the tree-walking
-	// interpreter instead of closure-compiled code (ablation).
+	// DisableExprCompile binds no typed column kernel and no vector
+	// form on scans of cached tables: every expression runs row by row
+	// through expr's Eval (the row adapter). It is the ablation knob
+	// for the paper's compiled evaluators (§5) and the kernels' oracle.
 	DisableExprCompile bool
 	// DisablePruning turns off map pruning (ablation).
 	DisablePruning bool
@@ -204,38 +206,43 @@ func (e *Engine) runCtx(gctx context.Context, n plan.Node, p *prof) (*Result, er
 		return nil, err
 	}
 	endCollect()
-	rows := make([]row.Row, len(raw))
-	for i, v := range raw {
-		rows[i] = v.(row.Row)
-	}
 
 	if sortKeys != nil {
 		endSort := sortNS.beginSegment(gctx)
-		keyFns := make([]expr.EvalFn, len(sortKeys))
-		for i, k := range sortKeys {
-			keyFns[i] = e.evalFn(k.Expr)
-		}
-		sort.SliceStable(rows, func(i, j int) bool {
-			for k, fn := range keyFns {
-				c := compareNullable(fn(rows[i]), fn(rows[j]))
-				if c == 0 {
-					continue
-				}
-				if sortKeys[k].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+		sortRows(raw, sortKeys)
 		endSort()
-		sortNS.AddRows(int64(len(rows)))
+		sortNS.AddRows(int64(len(raw)))
+	}
+	rows := make([]row.Row, len(raw))
+	for i, v := range raw {
+		rows[i] = v.(row.Row)
 	}
 	if limit >= 0 && int64(len(rows)) > limit {
 		rows = rows[:limit]
 	}
 	limNS.AddRows(int64(len(rows)))
 	return &Result{Schema: schema, Rows: rows, Stats: *stats}, nil
+}
+
+// sortRows orders collected rows (each a row.Row) by keys: stable, NULLs
+// first, and last under DESC. Both places a plan can sort — the root
+// of a statement and a Sort below it — collect to the master and come
+// here.
+func sortRows(rows []any, keys []plan.SortKey) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i].(row.Row), rows[j].(row.Row)
+		for _, k := range keys {
+			c := compareNullable(k.Expr.Eval(a), k.Expr.Eval(b))
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
 }
 
 func compareNullable(a, b any) int {
@@ -250,14 +257,6 @@ func compareNullable(a, b any) int {
 		}
 	}
 	return row.Compare(a, b)
-}
-
-// evalFn compiles or wraps an expression per engine options.
-func (e *Engine) evalFn(x expr.Expr) expr.EvalFn {
-	if e.opts.DisableExprCompile {
-		return x.Eval
-	}
-	return x.Compile()
 }
 
 // fineBuckets returns the shuffle bucket count (finer than the reduce
@@ -322,7 +321,7 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 		if err != nil {
 			return nil, err
 		}
-		pred := e.evalFn(t.Cond)
+		pred := t.Cond.Eval
 		return child.Filter(func(v any) bool { return row.Truth(pred(v.(row.Row))) }), nil
 	case *plan.Project:
 		child, err := e.compile(gctx, t.Child, stats, p)
@@ -334,7 +333,7 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 		}
 		fns := make([]expr.EvalFn, len(t.Exprs))
 		for i, x := range t.Exprs {
-			fns[i] = e.evalFn(x)
+			fns[i] = x.Eval
 		}
 		return child.Map(func(v any) any {
 			in := v.(row.Row)
@@ -361,23 +360,7 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 		if err != nil {
 			return nil, err
 		}
-		keyFns := make([]expr.EvalFn, len(t.Keys))
-		for i, k := range t.Keys {
-			keyFns[i] = e.evalFn(k.Expr)
-		}
-		sort.SliceStable(raw, func(i, j int) bool {
-			for k, fn := range keyFns {
-				c := compareNullable(fn(raw[i].(row.Row)), fn(raw[j].(row.Row)))
-				if c == 0 {
-					continue
-				}
-				if t.Keys[k].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+		sortRows(raw, t.Keys)
 		endSeg()
 		return e.Ctx.Parallelize(raw, e.Ctx.Cluster.TotalSlots()), nil
 	case *plan.Limit:
@@ -401,14 +384,6 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 // ---------------------------------------------------------------------------
 // Scans. Cached tables are read by memscan.go; this is the row path
 // for external tables.
-
-func conjoinAll(es []expr.Expr) expr.Expr {
-	out := es[0]
-	for _, x := range es[1:] {
-		out = &expr.And{L: out, R: x}
-	}
-	return out
-}
 
 // dfsScan reads an external table: one partition per DFS block, each
 // task re-reading and re-parsing from disk (schema-on-read cost), then
@@ -450,7 +425,7 @@ func (e *Engine) dfsScan(s *plan.Scan, stats *QueryStats) (*rdd.RDD, error) {
 		nil,
 	)
 	if len(s.Filters) > 0 {
-		pred := e.evalFn(conjoinAll(s.Filters))
+		pred := plan.Conjoin(s.Filters).Eval
 		r = r.Filter(func(v any) bool { return row.Truth(pred(v.(row.Row))) })
 	}
 	return r, nil
@@ -535,12 +510,12 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 func (e *Engine) partialAggregateRows(a *plan.Aggregate, child *rdd.RDD) *rdd.RDD {
 	groupFns := make([]expr.EvalFn, len(a.GroupBy))
 	for i, g := range a.GroupBy {
-		groupFns[i] = e.evalFn(g)
+		groupFns[i] = g.Eval
 	}
 	argFns := make([]expr.EvalFn, len(a.Aggs))
 	for i, spec := range a.Aggs {
 		if spec.Arg != nil {
-			argFns[i] = e.evalFn(spec.Arg)
+			argFns[i] = spec.Arg.Eval
 		}
 	}
 	specs := a.Aggs

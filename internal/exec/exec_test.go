@@ -27,7 +27,7 @@ func argFnsFor(specs []plan.AggSpec) []expr.EvalFn {
 	fns := make([]expr.EvalFn, len(specs))
 	for i, s := range specs {
 		if s.Arg != nil {
-			fns[i] = s.Arg.Compile()
+			fns[i] = s.Arg.Eval
 		}
 	}
 	return fns

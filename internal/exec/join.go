@@ -47,8 +47,8 @@ func (e *Engine) compileJoin(gctx context.Context, j *plan.Join, stats *QuerySta
 		// every join is planned purely from static estimates.
 		mode = StrategyStatic
 	}
-	l := &joinSide{name: "left", rdd: left, key: e.evalFn(j.LeftKey), est: estimateSide(j.Left)}
-	r := &joinSide{name: "right", rdd: right, key: e.evalFn(j.RightKey), est: estimateSide(j.Right)}
+	l := &joinSide{name: "left", rdd: left, key: j.LeftKey.Eval, est: estimateSide(j.Left)}
+	r := &joinSide{name: "right", rdd: right, key: j.RightKey.Eval, est: estimateSide(j.Right)}
 	ns := p.of(j)
 
 	// The mode says which sides are pre-shuffled before deciding: none
@@ -453,8 +453,7 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats, p *prof) 
 	// zip — with their pushed-down filters applied by the scan itself.
 	leftScan := e.compileMemScan(&memScan{scan: ls}, nil, p)
 	rightScan := e.compileMemScan(&memScan{scan: rs}, nil, p)
-	lKey := e.evalFn(j.LeftKey)
-	rKey := e.evalFn(j.RightKey)
+	lKey, rKey := j.LeftKey.Eval, j.RightKey.Eval
 
 	joined := leftScan.ZipPartitions(rightScan, func(part int, a, b rdd.Iter) rdd.Iter {
 		ht := make(map[any][]row.Row)

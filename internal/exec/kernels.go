@@ -27,10 +27,10 @@ import (
 // AND / OR / NOT over any filters (filters); and any call-free
 // predicate over a single dictionary-encoded column, which is
 // evaluated once per dictionary entry. Every other expression runs
-// through the row adapter: the row-at-a-time evaluator (Compile's
-// closures, or Eval under DisableExprCompile — which sends every
-// expression this way and so doubles as the kernels' oracle) applied
-// to a scratch row holding just the columns the expression reads.
+// through the row adapter: expr's row-at-a-time evaluator, Eval,
+// applied to a scratch row holding just the columns the expression
+// reads. DisableExprCompile sends every expression this way and so
+// doubles as the kernels' oracle.
 //
 // Semantics are the row evaluators': a comparison with NULL is false,
 // arithmetic with NULL is NULL, integer % and any / by zero are NULL,
@@ -63,7 +63,7 @@ type scanTask struct {
 }
 
 // interpret is DisableExprCompile: no typed kernels at all, every
-// expression through the row adapter (whose evaluator is then Eval).
+// expression through the row adapter.
 func (t *scanTask) interpret() bool { return t.e.opts.DisableExprCompile }
 
 // ---------------------------------------------------------------------------
@@ -76,23 +76,7 @@ type rowExpr struct {
 }
 
 func (t *scanTask) rowExpr(x expr.Expr) *rowExpr {
-	return &rowExpr{fn: t.e.evalFn(x), refs: colRefs(x)}
-}
-
-// colRefs lists the distinct columns an expression reads.
-func colRefs(x expr.Expr) []int {
-	var refs []int
-	expr.Walk(x, func(n expr.Expr) {
-		if c, ok := n.(*expr.Col); ok {
-			for _, r := range refs {
-				if r == c.Idx {
-					return
-				}
-			}
-			refs = append(refs, c.Idx)
-		}
-	})
-	return refs
+	return &rowExpr{fn: x.Eval, refs: expr.Cols(x)}
 }
 
 // evalAt evaluates x against window row i.
@@ -453,7 +437,7 @@ func union(dst, a, b []int32) []int32 {
 // no function (a UDF may be stateful or slow on purpose; it runs per
 // row as written).
 func (t *scanTask) bindDictFilter(x expr.Expr) selFn {
-	refs := colRefs(x)
+	refs := expr.Cols(x)
 	if len(refs) != 1 || containsCall(x) {
 		return nil
 	}
@@ -463,7 +447,7 @@ func (t *scanTask) bindDictFilter(x expr.Expr) selFn {
 	if d == nil {
 		return nil
 	}
-	fn := t.e.evalFn(x)
+	fn := x.Eval
 	pass := make([]bool, d.DictLen())
 	for code := range pass {
 		t.scratch[ref] = d.DictValue(code)

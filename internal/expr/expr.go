@@ -1,11 +1,15 @@
-// Package expr implements typed, analyzed expressions and their
-// evaluation. Every expression supports two execution modes:
+// Package expr implements typed, analyzed expressions and the engine's
+// one row-at-a-time evaluator, Eval: it serves every operator that
+// works on row.Row (joins, external scans, sorts, the Hive baseline in
+// internal/mr, constant folding in the planner) and, on scans of cached
+// tables, the expressions that have no typed kernel (exec's row
+// adapter), where it is also the kernels' oracle. The compiled
+// evaluators the paper plans (§5) are, in this engine, those typed
+// column kernels and the vector forms of built-ins (UDF.Vec) — not a
+// second way to run a row.
 //
-//   - Compile() returns a closure tree evaluated without re-walking
-//     the AST — the Go analog of Shark's plan to compile Hive's
-//     interpreted expression evaluators to JVM bytecode (§5).
-//   - Eval() interprets the tree node by node; it exists for the
-//     ablation benchmark comparing the two.
+// The shape of an expression tree is written down once, in
+// mapChildren; Walk, Rewrite and Cols are derived from it.
 //
 // NULL semantics follow Hive's practical behaviour: arithmetic over
 // NULL yields NULL; comparisons and predicates over NULL yield false
@@ -16,70 +20,146 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"strings"
 
 	"shark/internal/row"
 )
 
-// EvalFn is a compiled expression evaluator.
+// EvalFn evaluates a bound expression against a row: an Expr's Eval
+// method value.
 type EvalFn func(row.Row) any
 
 // Expr is an analyzed, typed expression.
 type Expr interface {
 	// Type returns the static result type.
 	Type() row.Type
-	// Eval interprets the node against a row (slow path).
+	// Eval evaluates the node against a row.
 	Eval(r row.Row) any
-	// Compile builds the closure-tree evaluator (fast path).
+	// Compile returns Eval. Nothing in the engine calls it; every node
+	// keeps the method only because bench/layers.go:457 does, and bench/
+	// is frozen (ROADMAP item 10).
 	Compile() EvalFn
 	// String renders for EXPLAIN output.
 	String() string
 }
 
-// Walk calls visit on e and every expression below it, parents first.
-func Walk(e Expr, visit func(Expr)) {
-	visit(e)
+// mapChildren returns e with each child c replaced by f(c), children
+// visited in source order. e is never modified: when f changes a child
+// the node is copied, otherwise e itself comes back.
+func mapChildren(e Expr, f func(Expr) Expr) Expr {
 	switch n := e.(type) {
 	case *Arith:
-		Walk(n.L, visit)
-		Walk(n.R, visit)
+		if l, r := f(n.L), f(n.R); l != n.L || r != n.R {
+			return &Arith{Op: n.Op, L: l, R: r, T: n.T}
+		}
 	case *Neg:
-		Walk(n.E, visit)
+		if c := f(n.E); c != n.E {
+			return &Neg{E: c, T: n.T}
+		}
 	case *Cmp:
-		Walk(n.L, visit)
-		Walk(n.R, visit)
+		if l, r := f(n.L), f(n.R); l != n.L || r != n.R {
+			return &Cmp{Op: n.Op, L: l, R: r}
+		}
 	case *And:
-		Walk(n.L, visit)
-		Walk(n.R, visit)
+		if l, r := f(n.L), f(n.R); l != n.L || r != n.R {
+			return &And{L: l, R: r}
+		}
 	case *Or:
-		Walk(n.L, visit)
-		Walk(n.R, visit)
+		if l, r := f(n.L), f(n.R); l != n.L || r != n.R {
+			return &Or{L: l, R: r}
+		}
 	case *Not:
-		Walk(n.E, visit)
+		if c := f(n.E); c != n.E {
+			return &Not{E: c}
+		}
 	case *In:
-		Walk(n.E, visit)
-		for _, item := range n.List {
-			Walk(item, visit)
+		c := f(n.E)
+		if list, changed := mapList(n.List, f); changed || c != n.E {
+			return &In{E: c, Set: n.Set, List: list, Invert: n.Invert}
 		}
 	case *Like:
-		Walk(n.E, visit)
-	case *IsNull:
-		Walk(n.E, visit)
-	case *Case:
-		for _, w := range n.Whens {
-			Walk(w.Cond, visit)
-			Walk(w.Then, visit)
+		if c := f(n.E); c != n.E {
+			cp := *n // keeps the compiled pattern
+			cp.E = c
+			return &cp
 		}
-		if n.Else != nil {
-			Walk(n.Else, visit)
+	case *IsNull:
+		if c := f(n.E); c != n.E {
+			return &IsNull{E: c, Invert: n.Invert}
+		}
+	case *Case:
+		whens, changed := n.Whens, false
+		for i, w := range n.Whens {
+			if m := (When{Cond: f(w.Cond), Then: f(w.Then)}); m != w {
+				if !changed {
+					whens, changed = slices.Clone(n.Whens), true
+				}
+				whens[i] = m
+			}
+		}
+		els := n.Else
+		if els != nil {
+			els = f(els)
+		}
+		if changed || els != n.Else {
+			return &Case{Whens: whens, Else: els, T: n.T}
 		}
 	case *Cast:
-		Walk(n.E, visit)
+		if c := f(n.E); c != n.E {
+			return &Cast{E: c, To: n.To}
+		}
 	case *Call:
-		for _, a := range n.Args {
-			Walk(a, visit)
+		if args, changed := mapList(n.Args, f); changed {
+			return &Call{F: n.F, Args: args, T: n.T}
 		}
 	}
+	return e // a leaf (Col, Const), or nothing changed
+}
+
+// mapList is mapChildren for a slice of children: es itself when f
+// changed none of them.
+func mapList(es []Expr, f func(Expr) Expr) (out []Expr, changed bool) {
+	out = es
+	for i, e := range es {
+		if c := f(e); c != e {
+			if !changed {
+				out, changed = slices.Clone(es), true
+			}
+			out[i] = c
+		}
+	}
+	return out, changed
+}
+
+// Walk calls visit on e and every expression below it, parents first,
+// in source order.
+func Walk(e Expr, visit func(Expr)) {
+	var down func(Expr) Expr
+	down = func(c Expr) Expr {
+		visit(c)
+		mapChildren(c, down)
+		return c
+	}
+	down(e)
+}
+
+// Rewrite returns e with f applied to every node, children before
+// their parent. Sub-trees f leaves alone are shared with e.
+func Rewrite(e Expr, f func(Expr) Expr) Expr {
+	return f(mapChildren(e, func(c Expr) Expr { return Rewrite(c, f) }))
+}
+
+// Cols lists the distinct columns e reads, in the order it first
+// mentions them.
+func Cols(e Expr) []int {
+	var cols []int
+	Walk(e, func(n Expr) {
+		if c, ok := n.(*Col); ok && !slices.Contains(cols, c.Idx) {
+			cols = append(cols, c.Idx)
+		}
+	})
+	return cols
 }
 
 // ---------------------------------------------------------------------------
@@ -97,11 +177,8 @@ func (c *Col) Type() row.Type { return c.T }
 // Eval implements Expr.
 func (c *Col) Eval(r row.Row) any { return r[c.Idx] }
 
-// Compile implements Expr.
-func (c *Col) Compile() EvalFn {
-	idx := c.Idx
-	return func(r row.Row) any { return r[idx] }
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (c *Col) Compile() EvalFn { return c.Eval }
 
 // String implements Expr.
 func (c *Col) String() string { return fmt.Sprintf("%s#%d", c.Name, c.Idx) }
@@ -123,11 +200,8 @@ func (c *Const) Type() row.Type { return c.T }
 // Eval implements Expr.
 func (c *Const) Eval(row.Row) any { return c.V }
 
-// Compile implements Expr.
-func (c *Const) Compile() EvalFn {
-	v := c.V
-	return func(row.Row) any { return v }
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (c *Const) Compile() EvalFn { return c.Eval }
 
 // String implements Expr.
 func (c *Const) String() string { return row.FormatValue(c.V) }
@@ -167,44 +241,20 @@ func (a *Arith) String() string {
 
 // Eval implements Expr.
 func (a *Arith) Eval(r row.Row) any {
-	return applyArith(a.Op, a.T, a.L.Eval(r), a.R.Eval(r))
-}
-
-// Compile implements Expr.
-func (a *Arith) Compile() EvalFn {
-	l, rr := a.L.Compile(), a.R.Compile()
-	op, t := a.Op, a.T
-	if t == row.TInt {
-		return func(r row.Row) any {
-			lv, rv := l(r), rr(r)
-			if lv == nil || rv == nil {
-				return nil
-			}
-			return intArith(op, lv.(int64), rv.(int64))
-		}
-	}
-	return func(r row.Row) any {
-		lv, rv := l(r), rr(r)
-		if lv == nil || rv == nil {
-			return nil
-		}
-		lf, _ := row.AsFloat(lv)
-		rf, _ := row.AsFloat(rv)
-		return floatArith(op, lf, rf)
-	}
-}
-
-func applyArith(op ArithOp, t row.Type, lv, rv any) any {
+	lv, rv := a.L.Eval(r), a.R.Eval(r)
 	if lv == nil || rv == nil {
 		return nil
 	}
-	if t == row.TInt {
-		return intArith(op, lv.(int64), rv.(int64))
+	if a.T == row.TInt {
+		return intArith(a.Op, lv.(int64), rv.(int64))
 	}
 	lf, _ := row.AsFloat(lv)
 	rf, _ := row.AsFloat(rv)
-	return floatArith(op, lf, rf)
+	return floatArith(a.Op, lf, rf)
 }
+
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (a *Arith) Compile() EvalFn { return a.Eval }
 
 func intArith(op ArithOp, a, b int64) any {
 	switch op {
@@ -265,11 +315,8 @@ func (n *Neg) String() string { return "-" + n.E.String() }
 // Eval implements Expr.
 func (n *Neg) Eval(r row.Row) any { return negate(n.E.Eval(r)) }
 
-// Compile implements Expr.
-func (n *Neg) Compile() EvalFn {
-	e := n.E.Compile()
-	return func(r row.Row) any { return negate(e(r)) }
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (n *Neg) Compile() EvalFn { return n.Eval }
 
 func negate(v any) any {
 	switch x := v.(type) {
@@ -316,68 +363,30 @@ func (c *Cmp) String() string {
 
 // Eval implements Expr.
 func (c *Cmp) Eval(r row.Row) any {
-	return applyCmp(c.Op, c.L.Eval(r), c.R.Eval(r))
-}
-
-// Compile implements Expr.
-func (c *Cmp) Compile() EvalFn {
-	l, rr := c.L.Compile(), c.R.Compile()
-	op := c.Op
-	// Fast path: both sides statically integer.
-	if c.L.Type() == row.TInt && c.R.Type() == row.TInt ||
-		c.L.Type() == row.TDate && c.R.Type() == row.TDate ||
-		c.L.Type() == row.TDate && c.R.Type() == row.TInt ||
-		c.L.Type() == row.TInt && c.R.Type() == row.TDate {
-		return func(r row.Row) any {
-			lv, rv := l(r), rr(r)
-			if lv == nil || rv == nil {
-				return false
-			}
-			return intCmp(op, lv.(int64), rv.(int64))
-		}
-	}
-	return func(r row.Row) any { return applyCmp(op, l(r), rr(r)) }
-}
-
-func intCmp(op CmpOp, a, b int64) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	case Ge:
-		return a >= b
-	}
-	panic("expr: bad cmp op")
-}
-
-func applyCmp(op CmpOp, lv, rv any) bool {
+	lv, rv := c.L.Eval(r), c.R.Eval(r)
 	if lv == nil || rv == nil {
 		return false
 	}
-	c := row.Compare(lv, rv)
-	switch op {
+	d := row.Compare(lv, rv)
+	switch c.Op {
 	case Eq:
-		return c == 0
+		return d == 0
 	case Ne:
-		return c != 0
+		return d != 0
 	case Lt:
-		return c < 0
+		return d < 0
 	case Le:
-		return c <= 0
+		return d <= 0
 	case Gt:
-		return c > 0
+		return d > 0
 	case Ge:
-		return c >= 0
+		return d >= 0
 	}
 	panic("expr: bad cmp op")
 }
+
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (c *Cmp) Compile() EvalFn { return c.Eval }
 
 // ---------------------------------------------------------------------------
 
@@ -395,11 +404,8 @@ func (a *And) Eval(r row.Row) any {
 	return row.Truth(a.L.Eval(r)) && row.Truth(a.R.Eval(r))
 }
 
-// Compile implements Expr.
-func (a *And) Compile() EvalFn {
-	l, rr := a.L.Compile(), a.R.Compile()
-	return func(r row.Row) any { return row.Truth(l(r)) && row.Truth(rr(r)) }
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (a *And) Compile() EvalFn { return a.Eval }
 
 // Or is logical disjunction.
 type Or struct{ L, R Expr }
@@ -415,11 +421,8 @@ func (o *Or) Eval(r row.Row) any {
 	return row.Truth(o.L.Eval(r)) || row.Truth(o.R.Eval(r))
 }
 
-// Compile implements Expr.
-func (o *Or) Compile() EvalFn {
-	l, rr := o.L.Compile(), o.R.Compile()
-	return func(r row.Row) any { return row.Truth(l(r)) || row.Truth(rr(r)) }
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (o *Or) Compile() EvalFn { return o.Eval }
 
 // Not is logical negation.
 type Not struct{ E Expr }
@@ -433,11 +436,8 @@ func (n *Not) String() string { return "NOT " + n.E.String() }
 // Eval implements Expr.
 func (n *Not) Eval(r row.Row) any { return !row.Truth(n.E.Eval(r)) }
 
-// Compile implements Expr.
-func (n *Not) Compile() EvalFn {
-	e := n.E.Compile()
-	return func(r row.Row) any { return !row.Truth(e(r)) }
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (n *Not) Compile() EvalFn { return n.Eval }
 
 // ---------------------------------------------------------------------------
 
@@ -462,41 +462,25 @@ func (i *In) String() string {
 }
 
 // Eval implements Expr.
-func (i *In) Eval(r row.Row) any { return i.Compile()(r) }
-
-// Compile implements Expr.
-func (i *In) Compile() EvalFn {
-	e := i.E.Compile()
-	inv := i.Invert
+func (i *In) Eval(r row.Row) any {
+	v := i.E.Eval(r)
+	if v == nil {
+		return false
+	}
 	if i.Set != nil {
-		set := i.Set
-		return func(r row.Row) any {
-			v := e(r)
-			if v == nil {
-				return false
-			}
-			v = normalizeKey(v)
-			_, ok := set[v]
-			return ok != inv
+		_, ok := i.Set[normalizeKey(v)]
+		return ok != i.Invert
+	}
+	for _, item := range i.List {
+		if iv := item.Eval(r); iv != nil && row.Compare(v, iv) == 0 {
+			return !i.Invert
 		}
 	}
-	items := make([]EvalFn, len(i.List))
-	for j, it := range i.List {
-		items[j] = it.Compile()
-	}
-	return func(r row.Row) any {
-		v := e(r)
-		if v == nil {
-			return false
-		}
-		for _, f := range items {
-			if iv := f(r); iv != nil && row.Compare(v, iv) == 0 {
-				return !inv
-			}
-		}
-		return inv
-	}
+	return i.Invert
 }
+
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (i *In) Compile() EvalFn { return i.Eval }
 
 // normalizeKey folds integral floats to int64 so set probes agree with
 // row.Compare semantics.
@@ -558,16 +542,13 @@ func (l *Like) String() string {
 }
 
 // Eval implements Expr.
-func (l *Like) Eval(r row.Row) any { return l.Compile()(r) }
-
-// Compile implements Expr.
-func (l *Like) Compile() EvalFn {
-	e := l.E.Compile()
-	return func(r row.Row) any {
-		s, ok := e(r).(string)
-		return ok && l.Match(s)
-	}
+func (l *Like) Eval(r row.Row) any {
+	s, ok := l.E.Eval(r).(string)
+	return ok && l.Match(s)
 }
+
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (l *Like) Compile() EvalFn { return l.Eval }
 
 // Match applies the predicate (pattern and inversion) to a non-NULL
 // operand.
@@ -595,12 +576,8 @@ func (i *IsNull) String() string {
 // Eval implements Expr.
 func (i *IsNull) Eval(r row.Row) any { return (i.E.Eval(r) == nil) != i.Invert }
 
-// Compile implements Expr.
-func (i *IsNull) Compile() EvalFn {
-	e := i.E.Compile()
-	inv := i.Invert
-	return func(r row.Row) any { return (e(r) == nil) != inv }
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (i *IsNull) Compile() EvalFn { return i.Eval }
 
 // ---------------------------------------------------------------------------
 
@@ -633,29 +610,8 @@ func (c *Case) Eval(r row.Row) any {
 	return nil
 }
 
-// Compile implements Expr.
-func (c *Case) Compile() EvalFn {
-	type branch struct{ cond, then EvalFn }
-	branches := make([]branch, len(c.Whens))
-	for i, w := range c.Whens {
-		branches[i] = branch{w.Cond.Compile(), w.Then.Compile()}
-	}
-	var els EvalFn
-	if c.Else != nil {
-		els = c.Else.Compile()
-	}
-	return func(r row.Row) any {
-		for _, b := range branches {
-			if row.Truth(b.cond(r)) {
-				return b.then(r)
-			}
-		}
-		if els != nil {
-			return els(r)
-		}
-		return nil
-	}
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (c *Case) Compile() EvalFn { return c.Eval }
 
 // ---------------------------------------------------------------------------
 
@@ -674,12 +630,8 @@ func (c *Cast) String() string { return fmt.Sprintf("CAST(%s AS %s)", c.E, c.To)
 // Eval implements Expr.
 func (c *Cast) Eval(r row.Row) any { return castValue(c.E.Eval(r), c.To) }
 
-// Compile implements Expr.
-func (c *Cast) Compile() EvalFn {
-	e := c.E.Compile()
-	to := c.To
-	return func(r row.Row) any { return castValue(e(r), to) }
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (c *Cast) Compile() EvalFn { return c.Eval }
 
 func castValue(v any, to row.Type) any {
 	if v == nil {

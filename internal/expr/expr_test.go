@@ -9,28 +9,18 @@ import (
 	"shark/internal/row"
 )
 
-// evalBoth checks that the interpreter and the compiled closure agree,
-// then returns the value.
-func evalBoth(t *testing.T, e Expr, r row.Row) any {
+// check evaluates e against r and pins the value it must produce.
+func check(t *testing.T, e Expr, r row.Row, want any) {
 	t.Helper()
-	a := e.Eval(r)
-	b := e.Compile()(r)
-	if (a == nil) != (b == nil) || (a != nil && !row.Equal(a, b)) {
-		t.Fatalf("interpreted %v != compiled %v for %s", a, b, e)
+	if got := e.Eval(r); got != want {
+		t.Errorf("%s over %v = %#v, want %#v", e, r, got, want)
 	}
-	return a
 }
 
 func TestColAndConst(t *testing.T) {
 	r := row.Row{int64(42), "hi"}
-	c := &Col{Idx: 0, Name: "a", T: row.TInt}
-	if evalBoth(t, c, r).(int64) != 42 {
-		t.Error("col")
-	}
-	k := NewConst("x")
-	if evalBoth(t, k, r).(string) != "x" {
-		t.Error("const")
-	}
+	check(t, &Col{Idx: 0, Name: "a", T: row.TInt}, r, int64(42))
+	check(t, NewConst("x"), r, "x")
 }
 
 func TestArithInt(t *testing.T) {
@@ -41,39 +31,24 @@ func TestArithInt(t *testing.T) {
 		op   ArithOp
 		want int64
 	}{{Add, 22}, {Sub, 12}, {Mul, 85}, {Div, 3}, {Mod, 2}} {
-		e := &Arith{Op: tc.op, L: a, R: b, T: row.TInt}
-		if got := evalBoth(t, e, r).(int64); got != tc.want {
-			t.Errorf("op %v = %d, want %d", tc.op, got, tc.want)
-		}
+		check(t, &Arith{Op: tc.op, L: a, R: b, T: row.TInt}, r, tc.want)
 	}
 }
 
 func TestArithFloatAndMixed(t *testing.T) {
 	a := &Col{Idx: 0, T: row.TFloat}
 	b := &Col{Idx: 1, T: row.TInt}
-	r := row.Row{2.5, int64(2)}
-	e := &Arith{Op: Mul, L: a, R: b, T: row.TFloat}
-	if got := evalBoth(t, e, r).(float64); got != 5.0 {
-		t.Errorf("mixed mul = %v", got)
-	}
+	check(t, &Arith{Op: Mul, L: a, R: b, T: row.TFloat}, row.Row{2.5, int64(2)}, 5.0)
 }
 
 func TestArithNullPropagation(t *testing.T) {
 	e := &Arith{Op: Add, L: &Col{Idx: 0, T: row.TInt}, R: NewConst(int64(1)), T: row.TInt}
-	if evalBoth(t, e, row.Row{nil}) != nil {
-		t.Error("NULL + 1 must be NULL")
-	}
+	check(t, e, row.Row{nil}, nil) // NULL + 1 is NULL
 }
 
 func TestDivByZero(t *testing.T) {
-	e := &Arith{Op: Div, L: NewConst(int64(1)), R: NewConst(int64(0)), T: row.TInt}
-	if evalBoth(t, e, nil) != nil {
-		t.Error("x/0 must be NULL")
-	}
-	f := &Arith{Op: Mod, L: NewConst(2.0), R: NewConst(0.0), T: row.TFloat}
-	if evalBoth(t, f, nil) != nil {
-		t.Error("x%0.0 must be NULL")
-	}
+	check(t, &Arith{Op: Div, L: NewConst(int64(1)), R: NewConst(int64(0)), T: row.TInt}, nil, nil)
+	check(t, &Arith{Op: Mod, L: NewConst(2.0), R: NewConst(0.0), T: row.TFloat}, nil, nil)
 }
 
 func TestCmp(t *testing.T) {
@@ -84,87 +59,85 @@ func TestCmp(t *testing.T) {
 		op   CmpOp
 		want bool
 	}{{Lt, true}, {Le, true}, {Gt, false}, {Ge, false}, {Eq, false}, {Ne, true}} {
-		e := &Cmp{Op: tc.op, L: a, R: b}
-		if got := evalBoth(t, e, r).(bool); got != tc.want {
-			t.Errorf("10 %v 20 = %v", tc.op, got)
-		}
+		check(t, &Cmp{Op: tc.op, L: a, R: b}, r, tc.want)
 	}
 	// NULL comparisons are false
-	n := &Cmp{Op: Eq, L: &Col{Idx: 3, T: row.TInt}, R: a}
-	if evalBoth(t, n, r).(bool) {
-		t.Error("NULL = x must be false")
-	}
+	check(t, &Cmp{Op: Eq, L: &Col{Idx: 3, T: row.TInt}, R: a}, r, false)
 	// cross numeric
-	x := &Cmp{Op: Eq, L: NewConst(int64(2)), R: NewConst(2.0)}
-	if !evalBoth(t, x, r).(bool) {
-		t.Error("2 = 2.0")
-	}
+	check(t, &Cmp{Op: Eq, L: NewConst(int64(2)), R: NewConst(2.0)}, r, true)
 }
 
 func TestLogic(t *testing.T) {
 	tr, fa := NewConst(true), NewConst(false)
-	if !evalBoth(t, &And{tr, tr}, nil).(bool) || evalBoth(t, &And{tr, fa}, nil).(bool) {
-		t.Error("AND")
-	}
-	if !evalBoth(t, &Or{fa, tr}, nil).(bool) || evalBoth(t, &Or{fa, fa}, nil).(bool) {
-		t.Error("OR")
-	}
-	if evalBoth(t, &Not{tr}, nil).(bool) || !evalBoth(t, &Not{fa}, nil).(bool) {
-		t.Error("NOT")
-	}
+	check(t, &And{tr, tr}, nil, true)
+	check(t, &And{tr, fa}, nil, false)
+	check(t, &Or{fa, tr}, nil, true)
+	check(t, &Or{fa, fa}, nil, false)
+	check(t, &Not{tr}, nil, false)
+	check(t, &Not{fa}, nil, true)
 }
 
 func TestInSet(t *testing.T) {
 	e := &In{E: &Col{Idx: 0, T: row.TString}, Set: NewInSet([]any{"US", "CA"})}
-	if !evalBoth(t, e, row.Row{"US"}).(bool) {
-		t.Error("US in set")
-	}
-	if evalBoth(t, e, row.Row{"VN"}).(bool) {
-		t.Error("VN not in set")
-	}
+	check(t, e, row.Row{"US"}, true)
+	check(t, e, row.Row{"VN"}, false)
 	inv := &In{E: &Col{Idx: 0, T: row.TString}, Set: NewInSet([]any{"US"}), Invert: true}
-	if !evalBoth(t, inv, row.Row{"VN"}).(bool) {
-		t.Error("NOT IN")
-	}
-	if evalBoth(t, inv, row.Row{nil}).(bool) {
-		t.Error("NULL NOT IN (...) is false (unknown)")
-	}
+	check(t, inv, row.Row{"VN"}, true)
+	check(t, inv, row.Row{"US"}, false)
+	check(t, inv, row.Row{nil}, false) // NULL NOT IN (...) is unknown
 }
 
 func TestInSetNumericCrossType(t *testing.T) {
 	e := &In{E: &Col{Idx: 0, T: row.TFloat}, Set: NewInSet([]any{int64(5)})}
-	if !evalBoth(t, e, row.Row{5.0}).(bool) {
-		t.Error("5.0 IN (5)")
+	check(t, e, row.Row{5.0}, true)
+	check(t, e, row.Row{5.5}, false)
+}
+
+// TestInList: a list with a non-literal member is probed member by
+// member; a NULL member matches nothing, a NULL operand is unknown.
+func TestInList(t *testing.T) {
+	list := []Expr{&Col{Idx: 1, T: row.TInt}, NewConst(nil), NewConst(7.0)}
+	e := &In{E: &Col{Idx: 0, T: row.TInt}, List: list}
+	inv := &In{E: &Col{Idx: 0, T: row.TInt}, List: list, Invert: true}
+	for _, tc := range []struct {
+		r    row.Row
+		want bool
+	}{
+		{row.Row{int64(3), int64(3)}, true},
+		{row.Row{int64(7), int64(3)}, true}, // 7 = 7.0
+		{row.Row{int64(4), int64(3)}, false},
+		{row.Row{int64(4), nil}, false},
+	} {
+		check(t, e, tc.r, tc.want)
+		check(t, inv, tc.r, !tc.want)
 	}
+	check(t, e, row.Row{nil, int64(3)}, false)
+	check(t, inv, row.Row{nil, int64(3)}, false)
 }
 
 func TestLike(t *testing.T) {
 	e := NewLike(&Col{Idx: 0, T: row.TString}, "http%", false)
-	if !evalBoth(t, e, row.Row{"http://x"}).(bool) {
-		t.Error("prefix match")
-	}
-	if evalBoth(t, e, row.Row{"ftp://x"}).(bool) {
-		t.Error("no match")
-	}
+	check(t, e, row.Row{"http://x"}, true)
+	check(t, e, row.Row{"ftp://x"}, false)
+	check(t, e, row.Row{nil}, false)
 	u := NewLike(&Col{Idx: 0, T: row.TString}, "a_c", false)
-	if !evalBoth(t, u, row.Row{"abc"}).(bool) || evalBoth(t, u, row.Row{"abbc"}).(bool) {
-		t.Error("underscore")
-	}
-	dot := NewLike(&Col{Idx: 0, T: row.TString}, "a.c", false)
-	if evalBoth(t, dot, row.Row{"axc"}).(bool) {
-		t.Error("regex metachars must be quoted")
-	}
+	check(t, u, row.Row{"abc"}, true)
+	check(t, u, row.Row{"abbc"}, false)
+	// regex metacharacters are quoted
+	check(t, NewLike(&Col{Idx: 0, T: row.TString}, "a.c", false), row.Row{"axc"}, false)
+	not := NewLike(&Col{Idx: 0, T: row.TString}, "http%", true)
+	check(t, not, row.Row{"ftp://x"}, true)
+	check(t, not, row.Row{"http://x"}, false)
+	check(t, not, row.Row{nil}, false)
 }
 
 func TestIsNull(t *testing.T) {
 	e := &IsNull{E: &Col{Idx: 0, T: row.TInt}}
-	if !evalBoth(t, e, row.Row{nil}).(bool) || evalBoth(t, e, row.Row{int64(1)}).(bool) {
-		t.Error("IS NULL")
-	}
+	check(t, e, row.Row{nil}, true)
+	check(t, e, row.Row{int64(1)}, false)
 	n := &IsNull{E: &Col{Idx: 0, T: row.TInt}, Invert: true}
-	if evalBoth(t, n, row.Row{nil}).(bool) || !evalBoth(t, n, row.Row{int64(1)}).(bool) {
-		t.Error("IS NOT NULL")
-	}
+	check(t, n, row.Row{nil}, false)
+	check(t, n, row.Row{int64(1)}, true)
 }
 
 func TestCase(t *testing.T) {
@@ -176,40 +149,36 @@ func TestCase(t *testing.T) {
 		Else: NewConst("neg"),
 		T:    row.TString,
 	}
-	for _, tc := range []struct {
-		in   int64
-		want string
-	}{{100, "big"}, {5, "small"}, {-1, "neg"}} {
-		if got := evalBoth(t, e, row.Row{tc.in}).(string); got != tc.want {
-			t.Errorf("case(%d) = %q", tc.in, got)
-		}
-	}
-	noElse := &Case{Whens: e.Whens, T: row.TString}
-	if evalBoth(t, noElse, row.Row{int64(-5)}) != nil {
-		t.Error("missing ELSE yields NULL")
-	}
+	check(t, e, row.Row{int64(100)}, "big")
+	check(t, e, row.Row{int64(5)}, "small")
+	check(t, e, row.Row{int64(-1)}, "neg")
+	check(t, &Case{Whens: e.Whens, T: row.TString}, row.Row{int64(-5)}, nil) // no ELSE: NULL
 }
 
 func TestCast(t *testing.T) {
 	r := row.Row{int64(42), "3.5", 2.9, true}
-	if evalBoth(t, &Cast{E: &Col{Idx: 0, T: row.TInt}, To: row.TFloat}, r).(float64) != 42.0 {
-		t.Error("int→float")
+	check(t, &Cast{E: &Col{Idx: 0, T: row.TInt}, To: row.TFloat}, r, 42.0)
+	check(t, &Cast{E: &Col{Idx: 1, T: row.TString}, To: row.TFloat}, r, 3.5)
+	check(t, &Cast{E: &Col{Idx: 2, T: row.TFloat}, To: row.TInt}, r, int64(2)) // truncates
+	check(t, &Cast{E: &Col{Idx: 0, T: row.TInt}, To: row.TString}, r, "42")
+	check(t, &Cast{E: &Col{Idx: 3, T: row.TBool}, To: row.TInt}, r, int64(1))
+	check(t, &Cast{E: NewConst("junk"), To: row.TInt}, r, nil)
+}
+
+func TestNeg(t *testing.T) {
+	check(t, &Neg{E: &Col{Idx: 0, T: row.TInt}, T: row.TInt}, row.Row{int64(5)}, int64(-5))
+	check(t, &Neg{E: &Col{Idx: 0, T: row.TFloat}, T: row.TFloat}, row.Row{2.5}, -2.5)
+	check(t, &Neg{E: &Col{Idx: 0, T: row.TInt}, T: row.TInt}, row.Row{nil}, nil)
+}
+
+func TestCallEval(t *testing.T) {
+	f, _ := LookupBuiltin("SUBSTR")
+	c, err := NewCall(f, []Expr{&Col{Idx: 0, T: row.TString}, NewConst(int64(1)), &Col{Idx: 1, T: row.TInt}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if evalBoth(t, &Cast{E: &Col{Idx: 1, T: row.TString}, To: row.TFloat}, r).(float64) != 3.5 {
-		t.Error("string→float")
-	}
-	if evalBoth(t, &Cast{E: &Col{Idx: 2, T: row.TFloat}, To: row.TInt}, r).(int64) != 2 {
-		t.Error("float→int truncates")
-	}
-	if evalBoth(t, &Cast{E: &Col{Idx: 0, T: row.TInt}, To: row.TString}, r).(string) != "42" {
-		t.Error("int→string")
-	}
-	if evalBoth(t, &Cast{E: &Col{Idx: 3, T: row.TBool}, To: row.TInt}, r).(int64) != 1 {
-		t.Error("bool→int")
-	}
-	if evalBoth(t, &Cast{E: NewConst("junk"), To: row.TInt}, r) != nil {
-		t.Error("bad cast yields NULL")
-	}
+	check(t, c, row.Row{"10.20.30.40", int64(5)}, "10.20")
+	check(t, c, row.Row{nil, int64(5)}, nil)
 }
 
 func TestBuiltins(t *testing.T) {
@@ -303,21 +272,18 @@ func TestCallArity(t *testing.T) {
 	}
 }
 
-func TestCompiledMatchesInterpretedProperty(t *testing.T) {
-	// Random arithmetic/comparison trees over random rows must agree
-	// between the two evaluators.
+// TestEvalMatchesReferenceFold: over random integer arithmetic trees
+// and random rows, Eval agrees with refFold, a fold of the same tree
+// written without it.
+func TestEvalMatchesReferenceFold(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := randomExpr(rng, 3)
-		compiled := e.Compile()
 		for i := 0; i < 20; i++ {
 			r := row.Row{int64(rng.Intn(100) - 50), rng.Float64() * 100}
-			a := e.Eval(r)
-			b := compiled(r)
-			if (a == nil) != (b == nil) {
-				return false
-			}
-			if a != nil && !row.Equal(a, b) {
+			want, null := refFold(e, r)
+			if got := e.Eval(r); null != (got == nil) || (!null && got != want) {
+				t.Logf("%s over %v = %v, reference %v (null %v)", e, r, got, want, null)
 				return false
 			}
 		}
@@ -326,6 +292,35 @@ func TestCompiledMatchesInterpretedProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// refFold evaluates the trees randomExpr builds: int64 columns,
+// literals and arithmetic, NULL from % or / by zero and from a NULL
+// operand.
+func refFold(e Expr, r row.Row) (v int64, null bool) {
+	switch n := e.(type) {
+	case *Col:
+		return r[n.Idx].(int64), false
+	case *Const:
+		return n.V.(int64), false
+	}
+	a := e.(*Arith)
+	x, xn := refFold(a.L, r)
+	y, yn := refFold(a.R, r)
+	if xn || yn || (y == 0 && (a.Op == Div || a.Op == Mod)) {
+		return 0, true
+	}
+	switch a.Op {
+	case Add:
+		return x + y, false
+	case Sub:
+		return x - y, false
+	case Mul:
+		return x * y, false
+	case Div:
+		return x / y, false
+	}
+	return x % y, false
 }
 
 // randomExpr builds a random int-typed expression over columns
@@ -345,23 +340,48 @@ func randomExpr(rng *rand.Rand, depth int) Expr {
 	return &Arith{Op: ArithOp(rng.Intn(5)), L: l, R: r, T: row.TInt}
 }
 
-func BenchmarkCompiledVsInterpreted(b *testing.B) {
-	// the §5 "bytecode compilation" ablation in micro form
-	e := &And{
+// rowEvalCases are the shapes the row evaluator still serves per row:
+// a conjunction of comparisons, an IN probe of a literal set and of an
+// expression list, and a LIKE.
+var rowEvalCases = []struct {
+	name string
+	e    Expr
+}{
+	{"and_cmp", &And{
 		L: &Cmp{Op: Gt, L: &Col{Idx: 0, T: row.TInt}, R: NewConst(int64(10))},
 		R: &Cmp{Op: Lt, L: &Col{Idx: 1, T: row.TFloat}, R: NewConst(99.5)},
+	}},
+	{"in_set", &In{E: &Col{Idx: 2, T: row.TString}, Set: NewInSet([]any{"US", "CA", "VN"})}},
+	{"in_list", &In{E: &Col{Idx: 0, T: row.TInt}, List: []Expr{&Col{Idx: 3, T: row.TInt}, NewConst(int64(50))}}},
+	{"like", NewLike(&Col{Idx: 4, T: row.TString}, "http://%.com", false)},
+}
+
+var rowEvalRow = row.Row{int64(50), 42.0, "VN", int64(7), "http://example.com"}
+
+// TestEvalDoesNotAllocate: evaluating a predicate builds nothing per
+// row — no closure tree, no boxed intermediate.
+func TestEvalDoesNotAllocate(t *testing.T) {
+	for _, c := range rowEvalCases {
+		if c.e.Eval(rowEvalRow) != true {
+			t.Errorf("%s: %s over %v is not true", c.name, c.e, rowEvalRow)
+		}
+		if n := testing.AllocsPerRun(200, func() { sink = c.e.Eval(rowEvalRow) }); n != 0 {
+			t.Errorf("%s: %v allocations per row, want 0", c.name, n)
+		}
 	}
-	r := row.Row{int64(50), 42.0}
-	b.Run("interpreted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = e.Eval(r)
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		f := e.Compile()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = f(r)
-		}
-	})
+}
+
+var sink any
+
+// BenchmarkRowEval times Eval, the engine's one row-at-a-time
+// evaluator, on each of rowEvalCases.
+func BenchmarkRowEval(b *testing.B) {
+	for _, c := range rowEvalCases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = c.e.Eval(rowEvalRow)
+			}
+		})
+	}
 }

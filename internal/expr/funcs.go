@@ -72,21 +72,8 @@ func (c *Call) Eval(r row.Row) any {
 	return c.F.Fn(args)
 }
 
-// Compile implements Expr.
-func (c *Call) Compile() EvalFn {
-	compiled := make([]EvalFn, len(c.Args))
-	for i, a := range c.Args {
-		compiled[i] = a.Compile()
-	}
-	fn := c.F.Fn
-	return func(r row.Row) any {
-		args := make([]any, len(compiled))
-		for i, f := range compiled {
-			args[i] = f(r)
-		}
-		return fn(args)
-	}
-}
+// Compile implements Expr: it is Eval, kept for bench/layers.go:457.
+func (c *Call) Compile() EvalFn { return c.Eval }
 
 // LookupBuiltin finds a built-in by name (case-insensitive).
 func LookupBuiltin(name string) (*UDF, bool) {

@@ -636,8 +636,11 @@ func runShuffleAblation(ctx context.Context, sc Scale, r *Report) error {
 
 func runExprCompileAblation(ctx context.Context, sc Scale, r *Report) error {
 	// Deliberately expression-heavy (dozens of operator nodes per
-	// row) so evaluator dispatch, not scanning, dominates — the §5
-	// profile of memstore-served queries.
+	// row) so expression evaluation, not scanning, dominates — the §5
+	// profile of memstore-served queries. What §5 plans to win by
+	// compiling evaluators to bytecode, this engine wins with typed
+	// column kernels; the ablation runs the same scan through the row
+	// adapter (expr's Eval on a scratch row) instead.
 	const query = `SELECT
 	SUM(L_EXTENDEDPRICE * (1.0 - L_DISCOUNT) * (1.0 + L_DISCOUNT * 0.5) - L_QUANTITY * 1.5),
 	AVG((L_QUANTITY * 2 + 1) * (L_QUANTITY * 3 + 2) - (L_QUANTITY * 5 - 4) * 1.01),
@@ -648,10 +651,10 @@ func runExprCompileAblation(ctx context.Context, sc Scale, r *Report) error {
 	AND L_EXTENDEDPRICE * 1.0001 > L_QUANTITY * 2.0`
 	big := sc
 	big.Lineitem = sc.LineitemBig
-	return ablate(big, r, "abl_compile: compiled closures vs interpreted evaluators", query,
+	return ablate(big, r, "abl_compile: typed kernels vs row adapter", query,
 		[]variant{
-			{label: "compiled (Shark §5 optimization)"},
-			{label: "interpreted (Hive-style)", opts: exec.Options{DisableExprCompile: true}},
+			{label: "typed kernels (default)"},
+			{label: "row adapter (DisableExprCompile)", opts: exec.Options{DisableExprCompile: true}},
 		}, "", "lineitem_mem")
 }
 

@@ -20,11 +20,6 @@ type HiveOptions struct {
 	// PerReducerBytes drives the auto estimate (default 8 MiB, the
 	// paper's 1 GB/reducer scaled by SimScale).
 	PerReducerBytes int64
-	// DisableExprCompile evaluates expressions by tree-walking, the
-	// cost §5 attributes to Hive's interpreted evaluators. Default
-	// true-like behaviour: Hive interprets, so the *default here is
-	// interpretation*; set CompileExprs to give Hive the optimization.
-	CompileExprs bool
 }
 
 // Hive compiles logical plans into chains of MapReduce jobs — the
@@ -129,7 +124,7 @@ func (h *Hive) Run(p plan.Node) (*Result, error) {
 	if sortKeys != nil {
 		keyFns := make([]expr.EvalFn, len(sortKeys))
 		for i, k := range sortKeys {
-			keyFns[i] = h.evalFn(k.Expr)
+			keyFns[i] = k.Expr.Eval
 		}
 		sort.SliceStable(rows, func(i, j int) bool {
 			for k, fn := range keyFns {
@@ -167,13 +162,6 @@ func compareNullable(a, b any) int {
 		}
 	}
 	return row.Compare(a, b)
-}
-
-func (h *Hive) evalFn(x expr.Expr) expr.EvalFn {
-	if h.Opts.CompileExprs {
-		return x.Compile()
-	}
-	return x.Eval
 }
 
 func (h *Hive) tmpName() string {
@@ -215,7 +203,7 @@ func (h *Hive) compile(n plan.Node, st *runState) (*pipe, error) {
 		if err != nil {
 			return nil, err
 		}
-		pred := h.evalFn(t.Cond)
+		pred := t.Cond.Eval
 		inner := child.fn(h)
 		child.transform = func(r row.Row) []row.Row {
 			rows := inner(r)
@@ -235,7 +223,7 @@ func (h *Hive) compile(n plan.Node, st *runState) (*pipe, error) {
 		}
 		fns := make([]expr.EvalFn, len(t.Exprs))
 		for i, x := range t.Exprs {
-			fns[i] = h.evalFn(x)
+			fns[i] = x.Eval
 		}
 		inner := child.fn(h)
 		child.transform = func(r row.Row) []row.Row {
@@ -269,11 +257,7 @@ func (h *Hive) compileScan(s *plan.Scan) (*pipe, error) {
 	needed := append([]int(nil), s.NeededCols...)
 	var pred expr.EvalFn
 	if len(s.Filters) > 0 {
-		c := s.Filters[0]
-		for _, f := range s.Filters[1:] {
-			c = &expr.And{L: c, R: f}
-		}
-		pred = h.evalFn(c)
+		pred = plan.Conjoin(s.Filters).Eval
 	}
 	return &pipe{
 		files:    []string{s.Table.File},

@@ -34,12 +34,12 @@ func (h *Hive) compileAggregate(a *plan.Aggregate, st *runState) (*pipe, error) 
 	}
 	groupFns := make([]expr.EvalFn, len(a.GroupBy))
 	for i, g := range a.GroupBy {
-		groupFns[i] = h.evalFn(g)
+		groupFns[i] = g.Eval
 	}
 	argFns := make([]expr.EvalFn, len(a.Aggs))
 	for i, s := range a.Aggs {
 		if s.Arg != nil {
-			argFns[i] = h.evalFn(s.Arg)
+			argFns[i] = s.Arg.Eval
 		}
 	}
 	specs := a.Aggs
@@ -355,8 +355,7 @@ func (h *Hive) compileJoin(j *plan.Join, st *runState) (*pipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	lKey := h.evalFn(j.LeftKey)
-	rKey := h.evalFn(j.RightKey)
+	lKey, rKey := j.LeftKey.Eval, j.RightKey.Eval
 	lFn, rFn := left.fn(h), right.fn(h)
 	nL := len(j.Left.Schema())
 

@@ -91,21 +91,22 @@ func analyzeSelect(cat *catalog.Catalog, sel *sqlparse.SelectStmt) (Node, error)
 			}
 			resolved = append(resolved, e)
 		}
-		node = &Filter{Cond: conjoin(resolved), Child: node}
+		node = &Filter{Cond: Conjoin(resolved), Child: node}
 	}
 
-	// Aggregation.
-	hasAgg := len(sel.GroupBy) > 0 || selectHasAgg(sel)
-	var rewrite func(sqlparse.Expr) (expr.Expr, error)
+	// Aggregation. post resolves what comes after it — HAVING and the
+	// SELECT list — against the Aggregate's output; without aggregation
+	// that is the FROM scope itself.
+	post := sc
+	calls := aggregateCalls(sel)
+	hasAgg := len(sel.GroupBy) > 0 || len(calls) > 0
 	if hasAgg {
-		agg, rw, err := buildAggregate(sel, sc, node)
-		if err != nil {
+		var err error
+		if node, post, err = buildAggregate(sel, calls, sc, node); err != nil {
 			return nil, err
 		}
-		node = agg
-		rewrite = rw
 		if sel.Having != nil {
-			h, err := rewrite(sel.Having)
+			h, err := post.resolve(sel.Having)
 			if err != nil {
 				return nil, err
 			}
@@ -133,13 +134,7 @@ func analyzeSelect(cat *catalog.Catalog, sel *sqlparse.SelectStmt) (Node, error)
 			}
 			continue
 		}
-		var re expr.Expr
-		var err error
-		if hasAgg {
-			re, err = rewrite(item.Expr)
-		} else {
-			re, err = sc.resolve(item.Expr)
-		}
+		re, err := post.resolve(item.Expr)
 		if err != nil {
 			return nil, err
 		}
@@ -269,34 +264,18 @@ func collectUsage(sel *sqlparse.SelectStmt) *usage {
 		unqualified: map[string]bool{},
 	}
 	for _, item := range sel.Items {
-		if item.Star {
-			u.all = true
-			continue
-		}
-		u.walk(item.Expr)
+		u.all = u.all || item.Star
 	}
-	u.walk(sel.Where)
-	for _, g := range sel.GroupBy {
-		u.walk(g)
-	}
-	u.walk(sel.Having)
-	for _, o := range sel.OrderBy {
-		u.walk(o.Expr)
-	}
-	for _, j := range sel.Joins {
-		u.walk(j.On)
-	}
+	sqlparse.WalkSelect(sel, false, nil, func(e *sqlparse.Expr) { sqlparse.WalkExpr(*e, u.see) })
 	if sel.DistributeBy != "" {
 		u.unqualified[strings.ToLower(sel.DistributeBy)] = true
 	}
 	return u
 }
 
-func (u *usage) walk(e sqlparse.Expr) {
-	switch n := e.(type) {
-	case nil:
-	case *sqlparse.Literal:
-	case *sqlparse.ColRef:
+// see records a column reference; it is a sqlparse.WalkExpr visitor.
+func (u *usage) see(e sqlparse.Expr) bool {
+	if n, ok := e.(*sqlparse.ColRef); ok {
 		if n.Table != "" {
 			k := strings.ToLower(n.Table)
 			if u.qualified[k] == nil {
@@ -306,39 +285,8 @@ func (u *usage) walk(e sqlparse.Expr) {
 		} else {
 			u.unqualified[strings.ToLower(n.Name)] = true
 		}
-	case *sqlparse.BinaryExpr:
-		u.walk(n.L)
-		u.walk(n.R)
-	case *sqlparse.NotExpr:
-		u.walk(n.E)
-	case *sqlparse.NegExpr:
-		u.walk(n.E)
-	case *sqlparse.BetweenExpr:
-		u.walk(n.E)
-		u.walk(n.Lo)
-		u.walk(n.Hi)
-	case *sqlparse.InExpr:
-		u.walk(n.E)
-		for _, item := range n.List {
-			u.walk(item)
-		}
-	case *sqlparse.LikeExpr:
-		u.walk(n.E)
-	case *sqlparse.IsNullExpr:
-		u.walk(n.E)
-	case *sqlparse.CaseExpr:
-		for _, w := range n.Whens {
-			u.walk(w.Cond)
-			u.walk(w.Then)
-		}
-		u.walk(n.Else)
-	case *sqlparse.CastExpr:
-		u.walk(n.E)
-	case *sqlparse.FuncCall:
-		for _, a := range n.Args {
-			u.walk(a)
-		}
 	}
+	return true
 }
 
 // neededCols returns the table columns (by index) this query block can
@@ -368,73 +316,30 @@ func (u *usage) neededCols(binding string, schema row.Schema) []int {
 // ---------------------------------------------------------------------------
 // Aggregation planning.
 
-func selectHasAgg(sel *sqlparse.SelectStmt) bool {
-	found := false
-	var check func(sqlparse.Expr)
-	check = func(e sqlparse.Expr) {
-		if e == nil || found {
-			return
-		}
-		if fc, ok := e.(*sqlparse.FuncCall); ok {
-			if aggFuncNames[strings.ToUpper(fc.Name)] {
-				found = true
-				return
+// aggregateCalls lists the aggregate calls of a query block in source
+// order, outermost only: an aggregate's argument is resolved below the
+// Aggregate node, where another aggregate is an error.
+func aggregateCalls(sel *sqlparse.SelectStmt) []*sqlparse.FuncCall {
+	var calls []*sqlparse.FuncCall
+	sqlparse.WalkSelect(sel, false, nil, func(e *sqlparse.Expr) {
+		sqlparse.WalkExpr(*e, func(x sqlparse.Expr) bool {
+			fc, ok := x.(*sqlparse.FuncCall)
+			if ok && IsAggregate(fc.Name) {
+				calls = append(calls, fc)
+				return false
 			}
-		}
-		walkChildren(e, check)
-	}
-	for _, item := range sel.Items {
-		check(item.Expr)
-	}
-	check(sel.Having)
-	for _, o := range sel.OrderBy {
-		check(o.Expr)
-	}
-	return found
+			return true
+		})
+	})
+	return calls
 }
 
-func walkChildren(e sqlparse.Expr, f func(sqlparse.Expr)) {
-	switch n := e.(type) {
-	case *sqlparse.BinaryExpr:
-		f(n.L)
-		f(n.R)
-	case *sqlparse.NotExpr:
-		f(n.E)
-	case *sqlparse.NegExpr:
-		f(n.E)
-	case *sqlparse.BetweenExpr:
-		f(n.E)
-		f(n.Lo)
-		f(n.Hi)
-	case *sqlparse.InExpr:
-		f(n.E)
-		for _, item := range n.List {
-			f(item)
-		}
-	case *sqlparse.LikeExpr:
-		f(n.E)
-	case *sqlparse.IsNullExpr:
-		f(n.E)
-	case *sqlparse.CaseExpr:
-		for _, w := range n.Whens {
-			f(w.Cond)
-			f(w.Then)
-		}
-		if n.Else != nil {
-			f(n.Else)
-		}
-	case *sqlparse.CastExpr:
-		f(n.E)
-	case *sqlparse.FuncCall:
-		for _, a := range n.Args {
-			f(a)
-		}
-	}
-}
-
-// buildAggregate plans the Aggregate node and returns a rewriter that
-// maps post-aggregation AST expressions onto its output schema.
-func buildAggregate(sel *sqlparse.SelectStmt, sc *scope, child Node) (*Aggregate, func(sqlparse.Expr) (expr.Expr, error), error) {
+// buildAggregate plans the Aggregate node computing calls and returns
+// the scope that resolves post-aggregation expressions (HAVING, the
+// SELECT list) against its output: an expression that is a GROUP BY
+// key or an aggregate call is that output column, and a column that is
+// neither is an error, wherever in the expression it stands.
+func buildAggregate(sel *sqlparse.SelectStmt, calls []*sqlparse.FuncCall, sc *scope, child Node) (Node, *scope, error) {
 	groupIdx := map[string]int{}
 	var groupExprs []expr.Expr
 	var groupNames []string
@@ -462,158 +367,36 @@ func buildAggregate(sel *sqlparse.SelectStmt, sc *scope, child Node) (*Aggregate
 
 	aggIdx := map[string]int{}
 	var specs []AggSpec
-	addAgg := func(fc *sqlparse.FuncCall) error {
+	for _, fc := range calls {
 		key := canonicalKey(fc)
 		if _, ok := aggIdx[key]; ok {
-			return nil
+			continue
 		}
 		spec, err := buildAggSpec(fc, sc)
 		if err != nil {
-			return err
-		}
-		aggIdx[key] = len(specs)
-		specs = append(specs, spec)
-		return nil
-	}
-	var scanAggs func(sqlparse.Expr) error
-	scanAggs = func(e sqlparse.Expr) error {
-		if e == nil {
-			return nil
-		}
-		if fc, ok := e.(*sqlparse.FuncCall); ok && aggFuncNames[strings.ToUpper(fc.Name)] {
-			return addAgg(fc)
-		}
-		var inner error
-		walkChildren(e, func(c sqlparse.Expr) {
-			if inner == nil {
-				inner = scanAggs(c)
-			}
-		})
-		return inner
-	}
-	for _, item := range sel.Items {
-		if !item.Star {
-			if err := scanAggs(item.Expr); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	if err := scanAggs(sel.Having); err != nil {
-		return nil, nil, err
-	}
-	for _, o := range sel.OrderBy {
-		if err := scanAggs(o.Expr); err != nil {
 			return nil, nil, err
 		}
+		aggIdx[key] = len(groupExprs) + len(specs)
+		specs = append(specs, spec)
 	}
 
 	agg := NewAggregate(groupExprs, groupNames, specs, child)
 	out := agg.Schema()
-
-	var rewrite func(sqlparse.Expr) (expr.Expr, error)
-	rewrite = func(e sqlparse.Expr) (expr.Expr, error) {
+	post := &scope{cat: sc.cat, hook: func(e sqlparse.Expr) (expr.Expr, error) {
 		key := canonicalKey(e)
-		if i, ok := groupIdx[key]; ok {
+		i, ok := groupIdx[key]
+		if !ok {
+			i, ok = aggIdx[key]
+		}
+		if ok {
 			return &expr.Col{Idx: i, Name: out[i].Name, T: out[i].Type}, nil
 		}
-		if i, ok := aggIdx[key]; ok {
-			j := len(groupExprs) + i
-			return &expr.Col{Idx: j, Name: out[j].Name, T: out[j].Type}, nil
+		if cr, isCol := e.(*sqlparse.ColRef); isCol {
+			return nil, fmt.Errorf("plan: column %s must appear in GROUP BY or inside an aggregate", cr)
 		}
-		switch n := e.(type) {
-		case *sqlparse.Literal:
-			return expr.NewConst(n.Value), nil
-		case *sqlparse.ColRef:
-			return nil, fmt.Errorf("plan: column %s must appear in GROUP BY or inside an aggregate", n)
-		case *sqlparse.BinaryExpr:
-			l, err := rewrite(n.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := rewrite(n.R)
-			if err != nil {
-				return nil, err
-			}
-			return buildBinary(n.Op, l, r)
-		case *sqlparse.NotExpr:
-			inner, err := rewrite(n.E)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Not{E: inner}, nil
-		case *sqlparse.NegExpr:
-			inner, err := rewrite(n.E)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Neg{E: inner, T: inner.Type()}, nil
-		case *sqlparse.BetweenExpr:
-			v, err := rewrite(n.E)
-			if err != nil {
-				return nil, err
-			}
-			lo, err := rewrite(n.Lo)
-			if err != nil {
-				return nil, err
-			}
-			hi, err := rewrite(n.Hi)
-			if err != nil {
-				return nil, err
-			}
-			var b expr.Expr = &expr.And{
-				L: &expr.Cmp{Op: expr.Ge, L: v, R: lo},
-				R: &expr.Cmp{Op: expr.Le, L: v, R: hi},
-			}
-			if n.Not {
-				b = &expr.Not{E: b}
-			}
-			return b, nil
-		case *sqlparse.CaseExpr:
-			c := &expr.Case{}
-			for _, w := range n.Whens {
-				cond, err := rewrite(w.Cond)
-				if err != nil {
-					return nil, err
-				}
-				then, err := rewrite(w.Then)
-				if err != nil {
-					return nil, err
-				}
-				c.Whens = append(c.Whens, expr.When{Cond: cond, Then: then})
-			}
-			if n.Else != nil {
-				els, err := rewrite(n.Else)
-				if err != nil {
-					return nil, err
-				}
-				c.Else = els
-			}
-			c.T = c.Whens[0].Then.Type()
-			return c, nil
-		case *sqlparse.CastExpr:
-			v, err := rewrite(n.E)
-			if err != nil {
-				return nil, err
-			}
-			return &expr.Cast{E: v, To: n.To}, nil
-		case *sqlparse.FuncCall:
-			f, ok := sc.cat.LookupFunc(n.Name)
-			if !ok {
-				return nil, fmt.Errorf("plan: unknown function %q", n.Name)
-			}
-			args := make([]expr.Expr, len(n.Args))
-			for i, a := range n.Args {
-				re, err := rewrite(a)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = re
-			}
-			return expr.NewCall(f, args)
-		}
-		return nil, fmt.Errorf("plan: unsupported post-aggregation expression %T", e)
-	}
-	return agg, rewrite, nil
+		return nil, nil
+	}}
+	return agg, post, nil
 }
 
 func buildAggSpec(fc *sqlparse.FuncCall, sc *scope) (AggSpec, error) {
@@ -711,14 +494,11 @@ func resolvable(e sqlparse.Expr, sc *scope) bool {
 
 func hasColumns(e sqlparse.Expr) bool {
 	found := false
-	var check func(sqlparse.Expr)
-	check = func(x sqlparse.Expr) {
-		if _, ok := x.(*sqlparse.ColRef); ok {
-			found = true
-		}
-		walkChildren(x, check)
-	}
-	check(e)
+	sqlparse.WalkExpr(e, func(x sqlparse.Expr) bool {
+		_, isCol := x.(*sqlparse.ColRef)
+		found = found || isCol
+		return !found
+	})
 	return found
 }
 

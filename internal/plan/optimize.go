@@ -31,7 +31,7 @@ func pushFilters(n Node) Node {
 		if len(remaining) == 0 {
 			return t.Child
 		}
-		t.Cond = conjoin(remaining)
+		t.Cond = Conjoin(remaining)
 		return t
 	case *Project:
 		t.Child = pushFilters(t.Child)
@@ -63,7 +63,7 @@ func tryPush(c expr.Expr, n Node) bool {
 		return true
 	case *Join:
 		nl := len(t.Left.Schema())
-		cols := colsOf(c)
+		cols := expr.Cols(c)
 		allLeft, allRight := true, true
 		for _, idx := range cols {
 			if idx >= nl {

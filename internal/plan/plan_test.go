@@ -148,7 +148,7 @@ func TestPushdownThroughJoin(t *testing.T) {
 		t.Fatal("join missing")
 	}
 	// filter cols shifted to right-side local indices
-	cols := colsOf(uv.Filters[0])
+	cols := expr.Cols(uv.Filters[0])
 	if len(cols) != 1 || cols[0] >= len(uv.Schema()) {
 		t.Errorf("right filter cols = %v (schema %d wide)", cols, len(uv.Schema()))
 	}

@@ -23,6 +23,10 @@ type scope struct {
 	cat      *catalog.Catalog
 	bindings []scopeBinding
 	width    int
+	// hook, when set, sees every node before resolve does and may
+	// resolve it itself (or refuse it); (nil, nil) leaves it to resolve.
+	// The post-aggregation scope is a hook over no bindings.
+	hook func(sqlparse.Expr) (expr.Expr, error)
 }
 
 func newScope(cat *catalog.Catalog) *scope { return &scope{cat: cat} }
@@ -65,15 +69,27 @@ func (s *scope) resolveCol(table, name string) (*expr.Col, error) {
 	return found, nil
 }
 
-// aggFuncNames are the aggregate functions handled by Aggregate nodes.
-var aggFuncNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
+// IsAggregate reports whether name (in any case) is an aggregate
+// function: one an Aggregate node computes (buildAggSpec), not a scalar
+// the catalog resolves.
+func IsAggregate(name string) bool {
+	switch strings.ToUpper(name) {
+	case "COUNT", "SUM", "AVG", "MIN", "MAX":
+		return true
+	}
+	return false
 }
 
 // resolve converts an AST expression to a typed expression against the
-// scope. Aggregate calls are rejected — the analyzer extracts them
-// before calling resolve.
+// scope: the one AST→expr resolver. Aggregate calls are rejected — the
+// analyzer extracts them first, and after aggregation the scope's hook
+// answers for them.
 func (s *scope) resolve(e sqlparse.Expr) (expr.Expr, error) {
+	if s.hook != nil {
+		if out, err := s.hook(e); out != nil || err != nil {
+			return out, err
+		}
+	}
 	switch n := e.(type) {
 	case *sqlparse.Literal:
 		return expr.NewConst(n.Value), nil
@@ -203,7 +219,7 @@ func (s *scope) resolve(e sqlparse.Expr) (expr.Expr, error) {
 		return fold(&expr.Cast{E: v, To: n.To}), nil
 
 	case *sqlparse.FuncCall:
-		if aggFuncNames[strings.ToUpper(n.Name)] {
+		if IsAggregate(n.Name) {
 			return nil, fmt.Errorf("plan: aggregate %s not allowed here", n.Name)
 		}
 		f, ok := s.cat.LookupFunc(n.Name)
@@ -276,105 +292,33 @@ func checkComparable(a, b row.Type) error {
 	return fmt.Errorf("plan: cannot compare %s with %s", a, b)
 }
 
-// fold collapses constant subtrees (constant folding).
+// fold replaces a node all of whose operands are literals by its value
+// (constant folding). Operands are resolved, and folded, before their
+// parent, so a constant operand is a *expr.Const by now.
 func fold(e expr.Expr) expr.Expr {
-	if isConstTree(e) {
+	constant := true
+	expr.Walk(e, func(n expr.Expr) {
+		if _, ok := n.(*expr.Const); !ok && n != e {
+			constant = false
+		}
+	})
+	if constant {
 		return &expr.Const{V: e.Eval(nil), T: e.Type()}
 	}
 	return e
 }
 
-func isConstTree(e expr.Expr) bool {
-	switch n := e.(type) {
-	case *expr.Const:
-		return true
-	case *expr.Arith:
-		return isConstTree(n.L) && isConstTree(n.R)
-	case *expr.Cmp:
-		return isConstTree(n.L) && isConstTree(n.R)
-	case *expr.Neg:
-		return isConstTree(n.E)
-	case *expr.Cast:
-		return isConstTree(n.E)
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
-// Expression rewriting utilities shared by the optimizer.
-
-// rewriteCols clones e, replacing every column reference through fn.
-func rewriteCols(e expr.Expr, fn func(*expr.Col) expr.Expr) expr.Expr {
-	switch n := e.(type) {
-	case *expr.Col:
-		return fn(n)
-	case *expr.Const:
-		return n
-	case *expr.Arith:
-		return &expr.Arith{Op: n.Op, L: rewriteCols(n.L, fn), R: rewriteCols(n.R, fn), T: n.T}
-	case *expr.Neg:
-		return &expr.Neg{E: rewriteCols(n.E, fn), T: n.T}
-	case *expr.Cmp:
-		return &expr.Cmp{Op: n.Op, L: rewriteCols(n.L, fn), R: rewriteCols(n.R, fn)}
-	case *expr.And:
-		return &expr.And{L: rewriteCols(n.L, fn), R: rewriteCols(n.R, fn)}
-	case *expr.Or:
-		return &expr.Or{L: rewriteCols(n.L, fn), R: rewriteCols(n.R, fn)}
-	case *expr.Not:
-		return &expr.Not{E: rewriteCols(n.E, fn)}
-	case *expr.In:
-		out := &expr.In{E: rewriteCols(n.E, fn), Set: n.Set, Invert: n.Invert}
-		for _, item := range n.List {
-			out.List = append(out.List, rewriteCols(item, fn))
-		}
-		return out
-	case *expr.Like:
-		return expr.NewLike(rewriteCols(n.E, fn), n.Pattern, n.Invert)
-	case *expr.IsNull:
-		return &expr.IsNull{E: rewriteCols(n.E, fn), Invert: n.Invert}
-	case *expr.Case:
-		out := &expr.Case{T: n.T}
-		for _, w := range n.Whens {
-			out.Whens = append(out.Whens, expr.When{
-				Cond: rewriteCols(w.Cond, fn),
-				Then: rewriteCols(w.Then, fn),
-			})
-		}
-		if n.Else != nil {
-			out.Else = rewriteCols(n.Else, fn)
-		}
-		return out
-	case *expr.Cast:
-		return &expr.Cast{E: rewriteCols(n.E, fn), To: n.To}
-	case *expr.Call:
-		out := &expr.Call{F: n.F, T: n.T}
-		for _, a := range n.Args {
-			out.Args = append(out.Args, rewriteCols(a, fn))
-		}
-		return out
-	}
-	panic(fmt.Sprintf("plan: rewriteCols: unhandled %T", e))
-}
+// Expression utilities shared by the optimizer.
 
 // shiftCols returns e with every column index shifted by delta.
 func shiftCols(e expr.Expr, delta int) expr.Expr {
-	return rewriteCols(e, func(c *expr.Col) expr.Expr {
-		return &expr.Col{Idx: c.Idx + delta, Name: c.Name, T: c.T}
-	})
-}
-
-// colsOf returns the distinct column indices referenced by e.
-func colsOf(e expr.Expr) []int {
-	seen := map[int]bool{}
-	var out []int
-	rewriteCols(e, func(c *expr.Col) expr.Expr {
-		if !seen[c.Idx] {
-			seen[c.Idx] = true
-			out = append(out, c.Idx)
+	return expr.Rewrite(e, func(n expr.Expr) expr.Expr {
+		if c, ok := n.(*expr.Col); ok {
+			return &expr.Col{Idx: c.Idx + delta, Name: c.Name, T: c.T}
 		}
-		return c
+		return n
 	})
-	return out
 }
 
 // splitConjuncts flattens a chain of ANDs.
@@ -385,8 +329,8 @@ func splitConjuncts(e expr.Expr) []expr.Expr {
 	return []expr.Expr{e}
 }
 
-// conjoin rebuilds a conjunction (nil for empty).
-func conjoin(es []expr.Expr) expr.Expr {
+// Conjoin rebuilds a conjunction (nil for empty).
+func Conjoin(es []expr.Expr) expr.Expr {
 	if len(es) == 0 {
 		return nil
 	}

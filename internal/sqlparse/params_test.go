@@ -167,13 +167,16 @@ func TestBindLimitParam(t *testing.T) {
 
 // FuzzBind: for any statement text and argument values, Parse+Bind
 // never panics and yields either an error or a tree with no parameter
-// slot left for the planner to trip over.
+// slot left for the planner to trip over — none that NumParams counts,
+// none that a walk of the bound tree meets — and the statement it was
+// given unchanged.
 func FuzzBind(f *testing.F) {
 	f.Add("SELECT a FROM t WHERE b = ? LIMIT ?", int64(3), "x", 1.5)
 	f.Add("SELECT a FROM t LIMIT ?", int64(-1), "1; DROP TABLE t", 0.0)
 	f.Add("SELECT x FROM (SELECT a AS x FROM t LIMIT ?) s WHERE x IN (?, ?)", int64(0), "", -2.5)
 	f.Add("EXPLAIN SELECT CASE WHEN a > ? THEN ? END FROM t ORDER BY a LIMIT ?", int64(1), "y", 2.0)
 	f.Add("CREATE TABLE c AS SELECT a FROM t WHERE a BETWEEN ? AND ? LIMIT ?", int64(9), "z", 3.0)
+	f.Add("SELECT -a, COUNT(?) FROM t JOIN (SELECT b FROM u WHERE b LIKE 'x%' AND c IS NOT NULL) s ON t.a = s.b GROUP BY a HAVING SUM(a) > ? ORDER BY 1", int64(4), "w", 0.5)
 	f.Fuzz(func(t *testing.T, sql string, i int64, s string, x float64) {
 		stmt, err := Parse(sql)
 		if err != nil {
@@ -185,15 +188,28 @@ func FuzzBind(f *testing.F) {
 		for k := range args {
 			args[k] = pool[(k+int(uint64(i)%5))%len(pool)]
 		}
+		source := renderStatement(stmt)
 		bound, err := Bind(stmt, args)
+		if got := renderStatement(stmt); got != source || n != NumParams(stmt) {
+			t.Fatalf("Bind(%q) mutated its input:\n  %s\n  was %s", sql, got, source)
+		}
 		if err != nil {
 			return
 		}
 		if left := NumParams(bound); left != 0 {
 			t.Fatalf("Bind(%q) left %d parameter slot(s)", sql, left)
 		}
-		if n != NumParams(stmt) {
-			t.Fatalf("Bind(%q) mutated its input", sql)
-		}
+		walkStatement(bound, func(q *SelectStmt) {
+			if q.LimitParam != nil {
+				t.Fatalf("Bind(%q) left a LIMIT placeholder", sql)
+			}
+		}, func(e *Expr) {
+			WalkExpr(*e, func(x Expr) bool {
+				if _, ok := x.(*ParamExpr); ok {
+					t.Fatalf("Bind(%q) left a placeholder in %s", sql, *e)
+				}
+				return true
+			})
+		})
 	})
 }
