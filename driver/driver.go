@@ -437,7 +437,7 @@ type rows struct {
 	remaining uint64
 
 	mu     sync.Mutex
-	batch  []row.Row
+	batch  wire.Columns
 	pos    int
 	done   bool
 	closed bool
@@ -495,7 +495,7 @@ func (r *rows) Next(dest []sqldriver.Value) error {
 	if r.closed {
 		return io.EOF
 	}
-	for r.pos >= len(r.batch) {
+	for r.pos >= r.batch.Len() {
 		if r.done {
 			return io.EOF
 		}
@@ -507,21 +507,22 @@ func (r *rows) Next(dest []sqldriver.Value) error {
 		if !ok {
 			return fmt.Errorf("shark driver: unexpected fetch response %T", resp)
 		}
-		r.batch, r.pos, r.done = batch.Rows, 0, batch.Done
+		r.batch, r.pos, r.done = batch.Cols, 0, batch.Done
 	}
-	src := r.batch[r.pos]
-	r.pos++
-	if len(src) != len(dest) {
-		return fmt.Errorf("shark driver: row has %d columns, want %d", len(src), len(dest))
+	if r.batch.Width() != len(dest) {
+		return fmt.Errorf("shark driver: row has %d columns, want %d", r.batch.Width(), len(dest))
 	}
-	for i, v := range src {
-		if r.schema[i].Type == row.TDate {
-			if days, ok := v.(int64); ok {
-				dest[i] = time.Unix(days*86400, 0).UTC()
-				continue
-			}
+	// The frame decoded into typed columns once; a row is an index into
+	// them, and the only allocations left are the boxes database/sql's
+	// Value demands.
+	for i := range dest {
+		col := r.batch.Col(i)
+		if r.schema[i].Type == row.TDate && col.Kind == wire.KindInt && !col.Null(r.pos) {
+			dest[i] = time.Unix(col.Int(r.pos)*86400, 0).UTC()
+		} else {
+			dest[i] = col.Value(r.pos)
 		}
-		dest[i] = v
 	}
+	r.pos++
 	return nil
 }

@@ -5,7 +5,10 @@ import (
 	"database/sql"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"net"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -466,5 +469,164 @@ func TestDriverLimitParam(t *testing.T) {
 	}
 	if got := fmt.Sprint(urls(ordered.Query(10, 5))); got != want {
 		t.Errorf("after rejected binds: got %s, want %s", got, want)
+	}
+}
+
+// encSchema has one column per encoding the memstore chooses — raw /
+// RLE / bit-packed / dictionary ints, raw / RLE floats, raw /
+// dictionary strings, a bool bitmap, DATE and an all-NULL column — so
+// a result built from it carries every value kind, with NULLs, into
+// the wire's column-major frames. (The schema of core's differential
+// test, re-declared: that one is internal to its package.)
+var encSchema = shark.Schema{
+	{Name: "id", Type: shark.TInt},
+	{Name: "i_raw", Type: shark.TInt},
+	{Name: "i_rle", Type: shark.TInt},
+	{Name: "i_pack", Type: shark.TInt},
+	{Name: "i_dict", Type: shark.TInt},
+	{Name: "f_raw", Type: shark.TFloat},
+	{Name: "f_rle", Type: shark.TFloat},
+	{Name: "s_raw", Type: shark.TString},
+	{Name: "s_dict", Type: shark.TString},
+	{Name: "b", Type: shark.TBool},
+	{Name: "d", Type: shark.TDate},
+	{Name: "allnull", Type: shark.TInt},
+}
+
+func encRows(n int) []shark.Row {
+	rng := rand.New(rand.NewSource(24))
+	maybe := func(v any) any {
+		if rng.Intn(5) == 0 {
+			return nil
+		}
+		return v
+	}
+	dictInts := []int64{-3, 0, 7, 42, 1000000007}
+	dictStrs := []string{"", "alpha", "beta", "Gamma", "delta%", "e_f"}
+	out := make([]shark.Row, n)
+	for i := range out {
+		var rleI, rleF any // NULLs come in runs too, or the runs would not survive
+		if run := i / 64; run%5 != 4 {
+			rleI, rleF = int64(run-20), float64(run)/2
+		}
+		out[i] = shark.Row{
+			int64(i),
+			maybe(rng.Int63n(2e10) - 1e10),
+			rleI,
+			maybe(int64(rng.Intn(1000)) - 60),
+			maybe(dictInts[rng.Intn(len(dictInts))]),
+			maybe(rng.Float64() * 1000),
+			rleF,
+			maybe(fmt.Sprintf("u%04d-%s", rng.Intn(3000), dictStrs[rng.Intn(len(dictStrs))])),
+			maybe(dictStrs[rng.Intn(len(dictStrs))]),
+			maybe(rng.Intn(2) == 0),
+			maybe(int64(10957 + rng.Intn(30))),
+			nil,
+		}
+	}
+	return out
+}
+
+// bag renders rows as a sorted multiset of exact cell renderings
+// (floats by bits), DATEs as epoch days whichever side they came from.
+func bag(rows [][]any) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		var b strings.Builder
+		for _, v := range r {
+			switch x := v.(type) {
+			case time.Time:
+				v = x.Unix() / 86400
+			case float64:
+				v = fmt.Sprintf("f%x", math.Float64bits(x))
+			}
+			fmt.Fprintf(&b, "%T:%v|", v, v)
+		}
+		out[i] = b.String()
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestDriverMatchesEmbedded sets the wire against the engine: over a
+// table of every column encoding, SELECT *, a filter, a projection, an
+// aggregate and LIMIT ? read through database/sql are bag-equal to
+// Session.Exec on the same cluster — every value kind, NULL, the empty
+// string, DATE and BOOL — at row counts that leave the last frame with
+// one row, exactly full, one over, and many frames deep.
+func TestDriverMatchesEmbedded(t *testing.T) {
+	srv, addr := startServer(t, server.Config{}, 1)
+	loader, err := srv.Cluster().NewSession(shark.SessionConfig{Name: "enc", SharedCatalog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := sql.Open("shark", "shark://"+addr+"?catalog=shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	for _, n := range []int{1, 512, 513, 5000} {
+		base, mem := fmt.Sprintf("enc%d", n), fmt.Sprintf("enc%d_mem", n)
+		if err := loader.LoadRows(base, encSchema, encRows(n)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loader.Exec(`CREATE TABLE ` + mem + ` TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM ` + base); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []struct {
+			sql  string
+			args []any
+		}{
+			{`SELECT * FROM ` + mem, nil},
+			{`SELECT * FROM ` + mem + ` WHERE i_pack > 400 OR s_dict = 'alpha' OR b`, nil},
+			{`SELECT d, s_raw, allnull, b, f_rle, id FROM ` + mem + ` WHERE id >= ?`, []any{int64(n / 3)}},
+			{`SELECT s_dict, b, COUNT(*), SUM(i_raw), SUM(f_rle), MIN(d), MAX(s_raw), MAX(allnull) FROM ` + mem + ` GROUP BY s_dict, b`, nil},
+			{`SELECT * FROM ` + mem + ` ORDER BY id LIMIT ?`, []any{int64(n/2 + 1)}},
+		} {
+			embedded, err := loader.ExecArgsCtx(context.Background(), q.sql, q.args)
+			if err != nil {
+				t.Fatalf("%d rows, embedded %s: %v", n, q.sql, err)
+			}
+			want := make([][]any, len(embedded.Rows))
+			for i, r := range embedded.Rows {
+				want[i] = r
+			}
+
+			rows, err := db.Query(q.sql, q.args...)
+			if err != nil {
+				t.Fatalf("%d rows, driver %s: %v", n, q.sql, err)
+			}
+			cols, _ := rows.Columns()
+			var got [][]any
+			for rows.Next() {
+				vals := make([]any, len(cols))
+				ptrs := make([]any, len(cols))
+				for i := range vals {
+					ptrs[i] = &vals[i]
+				}
+				if err := rows.Scan(ptrs...); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, vals)
+			}
+			if err := rows.Err(); err != nil {
+				t.Fatalf("%d rows, driver %s: %v", n, q.sql, err)
+			}
+			rows.Close()
+
+			if len(want) == 0 {
+				t.Fatalf("%d rows, %s: the embedded result is empty, so the comparison says nothing", n, q.sql)
+			}
+			wb, gb := bag(want), bag(got)
+			if len(wb) != len(gb) {
+				t.Fatalf("%d rows, %s: driver returned %d rows, embedded %d", n, q.sql, len(gb), len(wb))
+			}
+			for i := range wb {
+				if wb[i] != gb[i] {
+					t.Fatalf("%d rows, %s: results differ, first at sorted row %d:\n driver   %s\n embedded %s", n, q.sql, i, gb[i], wb[i])
+				}
+			}
+		}
 	}
 }

@@ -137,10 +137,23 @@ const (
 
 // EncodeBinary appends the binary encoding of r to buf. The row is
 // length-prefixed so a reader can skip rows without decoding fields.
+// The body is encoded in place behind one reserved prefix byte and
+// shifted only when its length needs a longer prefix (128 bytes and
+// up), so appending to a buffer with capacity allocates nothing.
 func EncodeBinary(buf []byte, r Row) []byte {
-	body := appendBinaryBody(nil, r)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	return append(buf, body...)
+	start := len(buf)
+	buf = appendBinaryBody(append(buf, 0), r)
+	n := len(buf) - start - 1
+	if n < 0x80 {
+		buf[start] = byte(n)
+		return buf
+	}
+	var prefix [binary.MaxVarintLen64]byte
+	pl := binary.PutUvarint(prefix[:], uint64(n))
+	buf = append(buf, prefix[:pl-1]...) // grow by the extra prefix bytes
+	copy(buf[start+pl:], buf[start+1:start+1+n])
+	copy(buf[start:], prefix[:pl])
+	return buf
 }
 
 func appendBinaryBody(buf []byte, r Row) []byte {

@@ -2,9 +2,11 @@ package row
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -372,5 +374,54 @@ func TestBinaryEncoderMatchesEncodeBinary(t *testing.T) {
 		if want := EncodeBinary(nil, r); !bytes.Equal(enc.Bytes(), want) {
 			t.Errorf("row %v through Value: encoder = %x, EncodeBinary = %x", r, enc.Bytes(), want)
 		}
+	}
+}
+
+// TestEncodeBinaryInPlace: EncodeBinary builds the body behind its
+// length prefix in the caller's buffer — no scratch body — so with
+// capacity it allocates nothing, and on both sides of every prefix
+// width (bodies around 127 | 128 and 16383 | 16384 bytes) the bytes
+// equal BinaryEncoder's, which assembles prefix and body separately.
+func TestEncodeBinaryInPlace(t *testing.T) {
+	if got, want := EncodeBinary([]byte{0xAA}, Row{int64(-3), "ab", nil, true}),
+		[]byte{0xAA, 9, 4, tagInt, 5, tagStr, 2, 'a', 'b', tagNull, tagTrue}; !bytes.Equal(got, want) {
+		t.Fatalf("golden bytes: got %x, want %x", got, want)
+	}
+	var enc BinaryEncoder
+	buf := make([]byte, 0, 1<<16)
+	lens := []int{0, 1}
+	for n := 120; n <= 130; n++ { // body crosses 127 | 128: prefix 1 → 2 bytes
+		lens = append(lens, n)
+	}
+	for n := 16370; n <= 16390; n++ { // body crosses 16383 | 16384: prefix 2 → 3 bytes
+		lens = append(lens, n)
+	}
+	prefixWidths := map[int]bool{}
+	for _, n := range lens {
+		r := Row{strings.Repeat("x", n)}
+		enc.Reset(len(r))
+		enc.Value(r[0])
+		want := append([]byte("prefix"), enc.Bytes()...)
+		got := EncodeBinary(append(buf[:0], "prefix"...), r)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("string of %d bytes: in-place encoding differs from BinaryEncoder's", n)
+		}
+		dec, used, err := DecodeBinary(got[len("prefix"):])
+		if err != nil || used != len(got)-len("prefix") {
+			t.Fatalf("string of %d bytes: decode consumed %d of %d, err=%v", n, used, len(got)-len("prefix"), err)
+		}
+		assertRowEqual(t, r, dec)
+		_, pl := binary.Uvarint(got[len("prefix"):])
+		prefixWidths[pl] = true
+		if allocs := testing.AllocsPerRun(20, func() { EncodeBinary(buf[:0], r) }); allocs != 0 {
+			t.Errorf("string of %d bytes: EncodeBinary into spare capacity allocated %.0f times", n, allocs)
+		}
+	}
+	if !prefixWidths[1] || !prefixWidths[2] || !prefixWidths[3] {
+		t.Fatalf("prefix widths exercised: %v, want 1, 2 and 3 bytes", prefixWidths)
+	}
+	wide := Row{int64(1) << 40, 3.5, "a string field", nil, false, int64(-7)}
+	if allocs := testing.AllocsPerRun(100, func() { EncodeBinary(buf[:0], wide) }); allocs != 0 {
+		t.Errorf("EncodeBinary into spare capacity allocated %.0f times per row", allocs)
 	}
 }

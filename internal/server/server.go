@@ -161,7 +161,7 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // startConn admits or refuses one accepted connection.
 func (s *Server) startConn(nc net.Conn) {
-	h := &conn{srv: s, nc: nc}
+	h := &conn{srv: s, nc: nc, rd: wire.NewReader(nc), wr: wire.NewWriter(nc)}
 	h.ctx, h.cancel = context.WithCancel(context.Background())
 	h.stmts = make(map[uint64]context.CancelFunc)
 	h.cursors = make(map[uint64]*cursor)
@@ -192,7 +192,7 @@ func (s *Server) startConn(nc net.Conn) {
 // clean refusal into a broken-pipe race.
 func refuse(nc net.Conn, code uint64, msg string) {
 	nc.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	wire.WriteMessage(nc, 0, wire.Error{Code: code, Msg: msg})
+	wire.NewWriter(nc).WriteMessage(0, wire.Error{Code: code, Msg: msg})
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
 	buf := make([]byte, 256)
 	for {
@@ -263,7 +263,10 @@ type conn struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	wmu sync.Mutex // serializes frame writes (reader vs exec goroutines)
+	rd *wire.Reader // read loop only
+
+	wmu sync.Mutex   // serializes frame writes (reader vs exec goroutines)
+	wr  *wire.Writer // its encode buffer is reused across frames; under wmu
 
 	sess *shark.Session // nil until Attach
 
@@ -299,7 +302,7 @@ type cursor struct {
 func (h *conn) send(id uint64, m wire.Msg) {
 	h.wmu.Lock()
 	defer h.wmu.Unlock()
-	if err := wire.WriteFrame(h.nc, wire.AppendMessage(nil, id, m)); err != nil {
+	if err := h.wr.WriteMessage(id, m); err != nil {
 		h.nc.Close()
 	}
 }
@@ -323,7 +326,7 @@ func (h *conn) handle() {
 	// Handshake: Hello must arrive promptly and carry the right
 	// version and token.
 	h.nc.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	id, msg, err := wire.ReadMessage(h.nc)
+	id, msg, err := h.rd.ReadMessage()
 	if err != nil {
 		return
 	}
@@ -344,7 +347,7 @@ func (h *conn) handle() {
 	h.send(id, wire.HelloOK{Version: wire.Version})
 
 	for {
-		id, msg, err := wire.ReadMessage(h.nc)
+		id, msg, err := h.rd.ReadMessage()
 		if errors.Is(err, wire.ErrUnknownType) {
 			// The frame was whole, so the stream is still in sync:
 			// refuse this request and keep serving the connection.
@@ -441,9 +444,11 @@ func (h *conn) runStatement(id uint64, sqlText string, run func(context.Context)
 	}
 	sctx, cancel := context.WithCancel(h.ctx)
 	h.stmts[id] = cancel
+	// Under h.mu, so the Add is ordered before beginDrain's Wait (which
+	// starts only after it set draining under the same lock).
+	h.execWG.Add(1)
 	h.mu.Unlock()
 
-	h.execWG.Add(1)
 	go func() {
 		defer h.execWG.Done()
 		defer cancel()
@@ -590,8 +595,10 @@ func (h *conn) pruneCursorsLocked(now time.Time) {
 	}
 }
 
-// onFetch streams the next batch of a cursor, bounded by row count
-// and a soft byte budget so one batch stays well under MaxFrame.
+// onFetch streams the next window of a cursor, bounded by row count
+// and a soft byte budget so one frame stays well under MaxFrame. The
+// window is a slice of the result — send transposes it straight into
+// the connection's encode buffer.
 func (h *conn) onFetch(id uint64, m wire.Fetch) {
 	now := time.Now()
 	h.mu.Lock()
@@ -606,25 +613,25 @@ func (h *conn) onFetch(id uint64, m wire.Fetch) {
 		return
 	}
 	cur.lastUsed = now
-	maxRows := h.srv.batchRows()
-	if m.MaxRows > 0 && int(m.MaxRows) < maxRows {
-		maxRows = int(m.MaxRows)
+	// Compared as uint64: a client's MaxRows above the int range must
+	// not turn negative on the way to a row count.
+	maxRows := uint64(min(h.srv.batchRows(), wire.MaxFrameRows))
+	if m.MaxRows > 0 && m.MaxRows < maxRows {
+		maxRows = m.MaxRows
 	}
-	rows := cur.res.Rows
-	batch := make([]row.Row, 0, min(maxRows, len(rows)-cur.off))
-	budget := wire.MaxFrame / 4
-	for cur.off < len(rows) && len(batch) < maxRows && budget > 0 {
-		r := rows[cur.off]
-		batch = append(batch, r)
-		budget -= approxRowBytes(r)
-		cur.off++
+	rows := cur.res.Rows[cur.off:]
+	n, budget := 0, wire.MaxFrame/4
+	for n < len(rows) && uint64(n) < maxRows && budget > 0 {
+		budget -= approxRowBytes(rows[n])
+		n++
 	}
-	done := cur.off >= len(rows)
+	cur.off += n
+	done := n == len(rows)
 	if done {
 		delete(h.cursors, m.Cursor)
 	}
 	h.mu.Unlock()
-	h.send(id, wire.Rows{Rows: batch, Done: done})
+	h.send(id, wire.Rows{Rows: rows[:n], Done: done})
 }
 
 // beginDrain is the per-connection half of Shutdown: refuse new

@@ -6,12 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,11 +96,20 @@ func fetchAll(c *wire.Client, cursor uint64) (int, error) {
 		if !ok {
 			return total, fmt.Errorf("unexpected fetch response %T", resp)
 		}
-		total += len(batch.Rows)
+		total += batch.Cols.Len()
 		if batch.Done {
 			return total, nil
 		}
 	}
+}
+
+// rowsOf boxes a decoded Rows frame back into rows.
+func rowsOf(batch wire.Rows) []shark.Row {
+	rows := make([]shark.Row, batch.Cols.Len())
+	for i := range rows {
+		rows[i] = batch.Cols.Row(i)
+	}
+	return rows
 }
 
 // TestMalformedFramesDoNotKillServer throws hostile bytes at the
@@ -529,9 +540,9 @@ func TestGracefulDrain(t *testing.T) {
 					mu.Unlock()
 					return
 				}
-				rows := resp.(wire.Rows)
-				if len(rows.Rows) != 1 || rows.Rows[0][0].(int64) != 5000 {
-					t.Errorf("completed statement returned wrong rows: %#v", rows.Rows)
+				rows := rowsOf(resp.(wire.Rows))
+				if len(rows) != 1 || rows[0][0].(int64) != 5000 {
+					t.Errorf("completed statement returned wrong rows: %#v", rows)
 					return
 				}
 				mu.Lock()
@@ -646,11 +657,11 @@ func TestPreparedWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := resp.(wire.Rows)
-		if len(rows.Rows) != 1 {
-			t.Fatalf("want one count row, got %#v", rows.Rows)
+		rows := rowsOf(resp.(wire.Rows))
+		if len(rows) != 1 {
+			t.Fatalf("want one count row, got %#v", rows)
 		}
-		return rows.Rows[0][0].(int64)
+		return rows[0][0].(int64)
 	}
 
 	id, resp, err := c.RoundtripID(context.Background(), wire.ExecPrepared{Handle: pok.Handle, Args: []any{int64(200)}})
@@ -713,7 +724,7 @@ func TestLimitParamWire(t *testing.T) {
 				return nil, err
 			}
 			batch := resp.(wire.Rows)
-			rows = append(rows, batch.Rows...)
+			rows = append(rows, rowsOf(batch)...)
 			if batch.Done {
 				return rows, nil
 			}
@@ -773,22 +784,27 @@ func TestLimitParamWire(t *testing.T) {
 	}
 }
 
-// TestRetiredExecAndStaleVersion: a version-1 client is refused at
-// Hello with CodeAuth; the retired Exec type byte (5) in a well-formed
+// TestRetiredExecAndStaleVersion: a client of any other protocol
+// version — 1, 2 (row-major Rows frames) or one not written yet — is
+// refused at Hello with CodeAuth and a message naming its version,
+// nothing is negotiated; the retired Exec type byte (5) in a well-formed
 // frame mid-session is answered with CodeProtocol on its request id,
 // and the connection, its session and its prepared handle stay usable.
 func TestRetiredExecAndStaleVersion(t *testing.T) {
 	_, addr := start(t, server.Config{}, 20)
 
-	old, err := wire.Dial(addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	for _, v := range []uint64{1, 2, wire.Version + 1} {
+		old, err := wire.Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var re *wire.RemoteError
+		_, err = old.Roundtrip(wire.Hello{Version: v})
+		if !errors.As(err, &re) || re.Code != wire.CodeAuth || !strings.Contains(re.Msg, fmt.Sprintf("version %d", v)) {
+			t.Fatalf("Hello{Version: %d} = %v, want CodeAuth naming the version", v, err)
+		}
+		old.Close()
 	}
-	var re *wire.RemoteError
-	if _, err := old.Roundtrip(wire.Hello{Version: wire.Version - 1}); !errors.As(err, &re) || re.Code != wire.CodeAuth {
-		t.Fatalf("stale Hello = %v, want CodeAuth", err)
-	}
-	old.Close()
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -796,12 +812,13 @@ func TestRetiredExecAndStaleVersion(t *testing.T) {
 	}
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	rd := wire.NewReader(nc)
 	call := func(id uint64, payload []byte) wire.Msg {
 		t.Helper()
-		if err := wire.WriteFrame(nc, payload); err != nil {
+		if _, err := nc.Write(wire.AppendFrame(nil, payload)); err != nil {
 			t.Fatal(err)
 		}
-		gotID, m, err := wire.ReadMessage(nc)
+		gotID, m, err := rd.ReadMessage()
 		if err != nil {
 			t.Fatalf("request %d: %v", id, err)
 		}
@@ -826,5 +843,145 @@ func TestRetiredExecAndStaleVersion(t *testing.T) {
 	}
 	if rs, ok := msg(5, wire.ExecPrepared{Handle: pok.Handle, Args: []any{int64(3)}}).(wire.ResultSet); !ok || rs.NumRows != 3 {
 		t.Fatalf("handle after retired Exec: %#v", rs)
+	}
+}
+
+// TestFetchMaxRowsBounds: Fetch.MaxRows is a client-chosen uint64. A
+// value above the int range used to turn negative on conversion and
+// panic the connection (makeslice: cap out of range) with its mutex
+// held; every value must instead clamp to the server's batch size,
+// rows must come back, the cursor must finish, and the same connection
+// must still answer a Ping.
+func TestFetchMaxRowsBounds(t *testing.T) {
+	_, addr := start(t, server.Config{BatchRows: 100}, 250)
+	c := attach(t, addr)
+	defer c.Close()
+	for _, maxRows := range []uint64{1 << 63, math.MaxUint64, 1, 0} {
+		id, resp, err := c.RoundtripID(context.Background(), wire.ExecPrepared{SQL: `SELECT url, bytes FROM logs_mem`})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs, ok := resp.(wire.ResultSet); !ok || rs.NumRows != 250 {
+			t.Fatalf("result set %#v", resp)
+		}
+		total, frames, done := 0, 0, false
+		for !done {
+			resp, err := c.Roundtrip(wire.Fetch{Cursor: id, MaxRows: maxRows})
+			if err != nil {
+				t.Fatalf("Fetch{MaxRows: %d}: %v", maxRows, err)
+			}
+			batch := resp.(wire.Rows)
+			want := 100
+			if maxRows == 1 {
+				want = 1
+			}
+			if n := batch.Cols.Len(); n == 0 || n > want {
+				t.Fatalf("Fetch{MaxRows: %d} returned %d rows, want 1..%d", maxRows, n, want)
+			}
+			total += batch.Cols.Len()
+			frames++
+			done = batch.Done
+		}
+		if total != 250 {
+			t.Errorf("Fetch{MaxRows: %d} drained %d rows in %d frames, want 250", maxRows, total, frames)
+		}
+		if _, err := c.Roundtrip(wire.Ping{}); err != nil {
+			t.Fatalf("connection dead after Fetch{MaxRows: %d}: %v", maxRows, err)
+		}
+	}
+}
+
+// countingListener wraps accepted connections to count their Writes.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{nc, l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestOneWritePerMessage: in both directions a message is one Write on
+// the socket — header and payload in one buffer — from the handshake
+// through a multi-frame fetch.
+func TestOneWritePerMessage(t *testing.T) {
+	srv, err := server.New(server.Config{Cluster: shark.ClusterConfig{Workers: 2}, BatchRows: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	loader, err := srv.Cluster().NewSession(shark.SessionConfig{Name: "loader", SharedCatalog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]shark.Row, 20)
+	for i := range rows {
+		rows[i] = shark.Row{int64(i), "r" + strconv.Itoa(i)}
+	}
+	if err := loader.LoadRows("t", shark.Schema{{Name: "a", Type: shark.TInt}, {Name: "s", Type: shark.TString}}, rows); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serverWrites, clientWrites atomic.Int64
+	go srv.Serve(countingListener{ln, &serverWrites})
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wire.NewClient(countingConn{nc, &clientWrites})
+	defer c.Kill()
+	requests := int64(0)
+	call := func(m wire.Msg) wire.Msg {
+		t.Helper()
+		requests++
+		resp, err := c.Roundtrip(m)
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		return resp
+	}
+	call(wire.Hello{Version: wire.Version})
+	call(wire.Attach{SharedCatalog: true})
+	requests++
+	id, _, err := c.RoundtripID(context.Background(), wire.ExecPrepared{SQL: `SELECT * FROM t`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for done := false; !done; frames++ {
+		done = call(wire.Fetch{Cursor: id}).(wire.Rows).Done
+	}
+	if frames != 3 {
+		t.Errorf("20 rows at 7 a frame took %d frames, want 3", frames)
+	}
+	call(wire.Ping{})
+	if got := clientWrites.Load(); got != requests {
+		t.Errorf("client issued %d Writes for %d requests", got, requests)
+	}
+	// Every request above got exactly one response.
+	if got := serverWrites.Load(); got != requests {
+		t.Errorf("server issued %d Writes for %d responses", got, requests)
 	}
 }

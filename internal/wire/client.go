@@ -29,6 +29,7 @@ type Client struct {
 	conn net.Conn
 
 	wmu sync.Mutex // serializes frame writes
+	wr  *Writer    // under wmu
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -47,6 +48,7 @@ type response struct {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
+		wr:      NewWriter(conn),
 		pending: make(map[uint64]chan response),
 		done:    make(chan struct{}),
 	}
@@ -64,8 +66,9 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 }
 
 func (c *Client) readLoop() {
+	rd := NewReader(c.conn)
 	for {
-		id, msg, err := ReadMessage(c.conn)
+		id, msg, err := rd.ReadMessage()
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrConnClosed, err))
 			return
@@ -129,7 +132,7 @@ func (c *Client) register() (uint64, chan response, error) {
 func (c *Client) write(id uint64, m Msg) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return WriteMessage(c.conn, id, m)
+	return c.wr.WriteMessage(id, m)
 }
 
 // Send writes a fire-and-forget message (Cancel, CloseStmt, Close)

@@ -87,43 +87,42 @@ func floatBits(f float64) uint64     { return math.Float64bits(f) }
 func floatFromBits(u uint64) float64 { return math.Float64frombits(u) }
 
 // appendArgs encodes a typed argument list: uvarint count, then one
-// tagged value per argument. Unsupported Go types encode as an
-// explicit poison tag that fails decode — callers are expected to
-// have validated types, and a silent coercion here would defeat the
-// whole point of the typed path.
+// tagged value per argument.
 func appendArgs(buf []byte, args []any) []byte {
 	buf = appendUvarint(buf, uint64(len(args)))
 	for _, a := range args {
-		switch v := a.(type) {
-		case nil:
-			buf = append(buf, argNull)
-		case int64:
-			buf = append(buf, argInt)
-			buf = appendUvarint(buf, zigzag(v))
-		case float64:
-			buf = append(buf, argFloat)
-			buf = appendUvarint(buf, floatBits(v))
-		case string:
-			buf = append(buf, argStr)
-			buf = appendString(buf, v)
-		case bool:
-			if v {
-				buf = append(buf, argTrue)
-			} else {
-				buf = append(buf, argFalse)
-			}
-		case []byte:
-			buf = append(buf, argBytes)
-			buf = appendUvarint(buf, uint64(len(v)))
-			buf = append(buf, v...)
-		case Date:
-			buf = append(buf, argDate)
-			buf = appendUvarint(buf, zigzag(int64(v)))
-		default:
-			buf = append(buf, 0xFF)
-		}
+		buf = appendValue(buf, a)
 	}
 	return buf
+}
+
+// appendValue encodes one tagged value — an argument, or a cell of a
+// Rows column whose cells disagree on type. An unsupported Go type
+// encodes as an explicit poison tag that fails decode — callers are
+// expected to have validated types, and a silent coercion here would
+// defeat the whole point of the typed path.
+func appendValue(buf []byte, a any) []byte {
+	switch v := a.(type) {
+	case nil:
+		return append(buf, argNull)
+	case int64:
+		return appendUvarint(append(buf, argInt), zigzag(v))
+	case float64:
+		return appendUvarint(append(buf, argFloat), floatBits(v))
+	case string:
+		return appendString(append(buf, argStr), v)
+	case bool:
+		if v {
+			return append(buf, argTrue)
+		}
+		return append(buf, argFalse)
+	case []byte:
+		buf = appendUvarint(append(buf, argBytes), uint64(len(v)))
+		return append(buf, v...)
+	case Date:
+		return appendUvarint(append(buf, argDate), zigzag(int64(v)))
+	}
+	return append(buf, 0xFF)
 }
 
 // args decodes a typed argument list, bounding the count by the
@@ -133,6 +132,12 @@ func (d *decoder) args() []any {
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	return d.values(n)
+}
+
+// values decodes n tagged values, bounding n by the remaining bytes
+// (each value costs at least its tag byte) before allocating.
+func (d *decoder) values(n uint64) []any {
 	if n > uint64(len(d.b)) {
 		d.fail()
 		return nil
@@ -153,25 +158,13 @@ func (d *decoder) args() []any {
 		case argFalse:
 			out[i] = false
 		case argBytes:
-			ln := d.uvarint()
-			if d.err != nil {
-				return nil
-			}
-			if ln > uint64(len(d.b)) {
-				d.fail()
-				return nil
-			}
-			b := make([]byte, ln)
-			copy(b, d.b[:ln])
-			d.b = d.b[ln:]
-			out[i] = b
+			out[i] = []byte(d.str()) // non-nil even when empty
 		case argDate:
 			out[i] = Date(unzigzag(d.uvarint()))
 		default:
 			if d.err == nil {
-				d.err = fmt.Errorf("wire: unknown argument tag %d", tag)
+				d.err = fmt.Errorf("wire: unknown value tag %d", tag)
 			}
-			return nil
 		}
 		if d.err != nil {
 			return nil

@@ -18,9 +18,38 @@
 // fire-and-forget and names its target statement in the body. Length
 // prefixes above MaxFrame are rejected before any allocation — a
 // malformed or hostile peer cannot make the server reserve memory.
+//
+// A Rows body is column-major — one kind byte, one null bitmap and one
+// typed payload per column — so a result window crosses the socket
+// without a per-cell type tag and decodes once into typed column
+// slices. Protocol version 3 retired the row-major body (one
+// length-prefixed, per-cell tagged row after another). The body, for n
+// rows by c columns (a row shorter than the widest is padded with
+// NULLs; the server never sends one):
+//
+//	1 byte   Done
+//	uvarint  n, at most MaxFrameRows
+//	uvarint  c, zero when n is zero
+//	c times:
+//	  1 byte      kind
+//	  ⌈n/8⌉ bytes null bitmap: bit i%8 of byte i/8 set = row i is NULL
+//	  payload     n entries; a NULL row's entry is present and zero
+//
+// Payload by kind:
+//
+//	KindInt     n zig-zag varints (BIGINT and DATE; an all-NULL column too)
+//	KindFloat   n × 8 bytes, little-endian IEEE-754 bits
+//	KindBool    n bytes, 1 = true
+//	KindString  n uvarint lengths, then the cells' bytes back to back
+//	KindDict    n one-byte codes, uvarint d, then d × (uvarint length,
+//	            bytes): chosen over KindString when the window's d
+//	            distinct values number at most 255 and fewer than n/2
+//	KindAny     n tagged values in ExecPrepared's argument encoding: the
+//	            fallback for a column whose cells disagree on type
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,10 +59,11 @@ import (
 )
 
 // Version is the protocol version spoken by this package. The server
-// rejects a Hello whose version it does not know. Version 2 retired
-// the Exec message (type 5): ExecPrepared with Handle 0 is the one-shot
-// form.
-const Version = 2
+// rejects a Hello carrying any other version: server and driver ship
+// from one tree, so nothing is negotiated. Version 2 retired the Exec
+// message (type 5): ExecPrepared with Handle 0 is the one-shot form.
+// Version 3 made the Rows body column-major (rows.go).
+const Version = 3
 
 // MaxFrame bounds one frame's payload. ReadFrame rejects larger
 // length prefixes without allocating; writers must batch rows to stay
@@ -141,13 +171,6 @@ type Fetch struct {
 	MaxRows uint64
 }
 
-// Rows carries one row batch. Done marks the cursor exhausted (and
-// discarded server-side).
-type Rows struct {
-	Rows []row.Row
-	Done bool
-}
-
 // Cancel asks the server to cancel the in-flight statement with
 // request id Target. Fire-and-forget: the cancelled statement itself
 // answers with an Error (CodeCancelled).
@@ -231,10 +254,12 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
-// str decodes a length-prefixed string, bounding the length by the
+// str decodes a length-prefixed string.
+func (d *decoder) str() string { return d.text(d.uvarint()) }
+
+// text copies the next n bytes out as a string, bounding n by the
 // remaining bytes before allocating.
-func (d *decoder) str() string {
-	n := d.uvarint()
+func (d *decoder) text(n uint64) string {
 	if d.err != nil {
 		return ""
 	}
@@ -312,15 +337,6 @@ func (m Fetch) appendBody(buf []byte) []byte {
 	return appendUvarint(buf, m.MaxRows)
 }
 
-func (m Rows) appendBody(buf []byte) []byte {
-	buf = appendBool(buf, m.Done)
-	buf = appendUvarint(buf, uint64(len(m.Rows)))
-	for _, r := range m.Rows {
-		buf = row.EncodeBinary(buf, r)
-	}
-	return buf
-}
-
 func (m Cancel) appendBody(buf []byte) []byte    { return appendUvarint(buf, m.Target) }
 func (m CloseStmt) appendBody(buf []byte) []byte { return appendUvarint(buf, m.Cursor) }
 func (Ping) appendBody(buf []byte) []byte        { return buf }
@@ -379,7 +395,7 @@ func ParseMessage(payload []byte) (id uint64, m Msg, err error) {
 		m = msg
 	case TypeRows:
 		msg := Rows{Done: d.bool()}
-		msg.Rows = d.rows()
+		msg.Cols = d.columns()
 		m = msg
 	case TypeCancel:
 		m = Cancel{Target: d.uvarint()}
@@ -417,21 +433,6 @@ func ParseMessage(payload []byte) (id uint64, m Msg, err error) {
 	return id, m, nil
 }
 
-// row decodes one binary-encoded row (length-prefixed, like the DFS
-// binary format).
-func (d *decoder) row() row.Row {
-	if d.err != nil {
-		return nil
-	}
-	r, n, err := row.DecodeBinary(d.b)
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	d.b = d.b[n:]
-	return r
-}
-
 // schema decodes a field list, bounding the count by the remaining
 // bytes (each field costs at least two bytes) before allocating.
 func (d *decoder) schema() row.Schema {
@@ -454,27 +455,6 @@ func (d *decoder) schema() row.Schema {
 	return sch
 }
 
-// rows decodes a row batch, bounding the count by the remaining bytes
-// (each row costs at least one byte) before allocating.
-func (d *decoder) rows() []row.Row {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.b)) {
-		d.fail()
-		return nil
-	}
-	out := make([]row.Row, n)
-	for i := range out {
-		out[i] = d.row()
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
 // --- framing ---
 
 // AppendFrame appends the length prefix and payload to buf.
@@ -483,30 +463,51 @@ func AppendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// WriteFrame writes one frame. Payloads above MaxFrame are refused —
-// the writer must batch smaller.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
+// keep returns buf's storage for the next frame of a Reader or Writer,
+// unless one unusually large frame grew it past what an idle connection
+// should pin.
+func keep(buf []byte) []byte {
+	if cap(buf) > 1<<20 {
+		return nil
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	return buf[:0]
 }
 
-// WriteMessage frames and writes one message.
-func WriteMessage(w io.Writer, id uint64, m Msg) error {
-	return WriteFrame(w, AppendMessage(nil, id, m))
+// Writer frames messages onto one connection. Each message is encoded
+// behind its length prefix in a buffer the Writer reuses and leaves in
+// exactly one Write — header and payload as two Writes on an
+// unbuffered net.Conn are two segments. Not safe for concurrent use:
+// both ends serialize their writers under a mutex.
+type Writer struct {
+	w   io.Writer
+	buf []byte
+}
+
+// NewWriter returns a Writer on w.
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
+
+// WriteMessage frames and writes one message. A message that encodes
+// above MaxFrame is refused with nothing written.
+func (fw *Writer) WriteMessage(id uint64, m Msg) error {
+	buf := AppendMessage(append(fw.buf[:0], 0, 0, 0, 0), id, m)
+	fw.buf = keep(buf)
+	if len(buf)-4 > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	_, err := fw.w.Write(buf)
+	return err
 }
 
 // ReadFrame reads one frame's payload, tolerating partial reads. A
 // length prefix above MaxFrame is rejected before allocating anything;
 // a zero length is rejected as an empty frame.
 func ReadFrame(r io.Reader) ([]byte, error) {
+	return readFrame(r, nil)
+}
+
+// readFrame is ReadFrame into buf's storage when the payload fits it.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -518,21 +519,38 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if n == 0 {
 		return nil, ErrEmptyFrame
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	return payload, nil
+	return buf, nil
 }
 
-// ReadMessage reads and parses one frame.
-func ReadMessage(r io.Reader) (uint64, Msg, error) {
-	payload, err := ReadFrame(r)
+// Reader reads messages off one connection: through a bufio.Reader, so
+// a frame costs one read rather than one for its header and one for
+// its payload, and into a payload buffer it reuses — legal only
+// because no decoded message aliases its payload (ParseMessage copies
+// every string and byte slice out).
+type Reader struct {
+	r   *bufio.Reader
+	buf []byte
+}
+
+// NewReader returns a Reader on r.
+func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
+
+// ReadMessage reads and parses the next frame.
+func (fr *Reader) ReadMessage() (uint64, Msg, error) {
+	payload, err := readFrame(fr.r, fr.buf)
 	if err != nil {
 		return 0, nil, err
 	}
+	fr.buf = keep(payload)
 	return ParseMessage(payload)
 }
