@@ -17,22 +17,21 @@ const BatchSize = 1024
 // Bitmap is a bit set over row positions.
 type Bitmap []uint64
 
-// Has reports whether bit i is set; a nil Bitmap has no bits set.
+// Has reports whether bit i is set; bits past the end (all of a nil
+// Bitmap's) are not.
 func (b Bitmap) Has(i int) bool {
-	return b != nil && b[i>>6]&(1<<(uint(i)&63)) != 0
+	return i>>6 < len(b) && b[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-func newBitmap(set []bool) Bitmap {
-	words := make(Bitmap, (len(set)+63)/64)
-	for i, b := range set {
-		if b {
-			words.Set(i)
-		}
+// cover returns b grown with zero words to cover rows [0, n).
+func (b Bitmap) cover(n int) Bitmap {
+	for len(b) < (n+63)/64 {
+		b = append(b, 0)
 	}
-	return words
+	return b
 }
 
 // window returns the words covering rows [lo, hi); lo is a multiple of
@@ -190,7 +189,7 @@ func NewBatch(p *Partition) *Batch {
 		bc := &b.cols[i]
 		bc.col, bc.typ = col, col.Type()
 		bc.dict, _ = col.(Dict)
-		bc.allNulls = col.(interface{ nullBits() Bitmap }).nullBits()
+		bc.allNulls = *col.(encoded).nullMap()
 	}
 	return b
 }

@@ -8,6 +8,37 @@
 // Each column is a single Go object holding primitive slices — the
 // analog of Shark's "one JVM object per column" design that removes
 // per-field object overhead and GC pressure.
+//
+// # Spill layout
+//
+// A sealed partition crosses a disk boundary (spill tier, DISK_ONLY,
+// disk shuffles) as the scalar row Partition.MarshalShuffle returns,
+// and UnmarshalPartition rebuilds the same encodings, with no re-seal:
+//
+//	C int64 (columns); C × (name string, type int64); N int64 (rows,
+//	≤ 2^32-1); then per column: min, max (NULL or a value of the
+//	column's type), NULL count int64, d int64 (-1: distinct values not
+//	tracked), d distinct values, and a blob string:
+//
+// A blob is little-endian: an encoding byte; a NULL-bitmap byte, 1 if
+// ⌈N/64⌉ u64 words follow (bit i set: row i is NULL), else 0; then
+//
+//	1 raw int      N i64
+//	2 RLE int      u32 r; r i64 run values; r u32 run ends rising to N
+//	3 bit-packed   i64 base; u8 width w (1–64); ⌈N·w/64⌉ u64 words,
+//	               row i's value less base in bits [i·w, i·w+w)
+//	4 dict int     u32 d (1–256); d i64 entries; u8 w; packed codes < d
+//	5 raw float    N f64
+//	6 RLE float    as 2, with f64 values
+//	7 raw string   N+1 u32 offsets rising from 0; offsets[N] bytes
+//	8 dict string  u32 d; d+1 u32 offsets; bytes; u8 w; packed codes < d
+//	9 bool bitmap  ⌈N/64⌉ u64 words
+//
+// BIGINT, DATE (epoch days) and a NULL-typed column take the int
+// encodings. A NULL row holds a placeholder value or code 0. Every
+// count is checked against the bytes or fields left before anything is
+// allocated for it, every code, offset and run end against what it
+// indexes, and a blob must be used up exactly.
 package columnar
 
 import (
@@ -40,23 +71,9 @@ type nullable struct {
 
 func (n *nullable) isNull(i int) bool { return n.nulls.Has(i) }
 
-func (n *nullable) nullBits() Bitmap { return n.nulls }
+func (n *nullable) nullMap() *Bitmap { return &n.nulls }
 
 func (n *nullable) nullsSize() int64 { return int64(len(n.nulls)) * 8 }
-
-func newNulls(isNull []bool) Bitmap {
-	any := false
-	for _, b := range isNull {
-		if b {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	return newBitmap(isNull)
-}
 
 // ---------------------------------------------------------------------------
 // Int64 columns
@@ -279,14 +296,15 @@ func widthFor(maxVal uint64) uint {
 	return w
 }
 
-func pack(values []uint64, width uint) []uint64 {
+// pack bit-packs values[i]-base into width-bit lanes.
+func pack[T uint8 | int64](values []T, base T, width uint) []uint64 {
 	words := make([]uint64, (uint(len(values))*width+63)/64)
 	mask := uint64(1)<<width - 1
-	for i, v := range values {
-		// Mask defensively: NULL positions carry placeholder codes
-		// that may exceed the width; stray high bits would corrupt
-		// neighbouring lanes.
-		v &= mask
+	for i, x := range values {
+		// Mask defensively: NULL positions carry placeholder values
+		// that may lie outside the range; stray high bits would
+		// corrupt neighbouring lanes.
+		v := uint64(x-base) & mask
 		bitPos := uint(i) * width
 		word, off := bitPos/64, bitPos%64
 		words[word] |= v << off

@@ -1,7 +1,10 @@
 package columnar
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"strings"
 
 	"shark/internal/row"
 )
@@ -11,63 +14,365 @@ import (
 // of columnar cache partitions).
 const PartitionTag = "columnar.Partition"
 
-// MarshalShuffle flattens the partition into one scalar row — schema
-// header, row count, then the values row-major — implementing the
-// shuffle package's DiskMarshaler structurally. This is what lets a
-// cached columnar partition cross a disk boundary: disk-mode shuffles
-// and the block stores' spill tier both serialize engine values
-// through it.
+// MarshalShuffle flattens the partition into one scalar row — schema,
+// row count, then per column its statistics and one blob holding its
+// sealed encoding verbatim (the layout is in the package comment) —
+// implementing the shuffle package's DiskMarshaler structurally. This
+// is what lets a cached columnar partition cross a disk boundary:
+// disk-mode shuffles and the block stores' spill tier both serialize
+// engine values through it.
 func (p *Partition) MarshalShuffle() (string, row.Row) {
-	fields := make(row.Row, 0, 2+2*len(p.Schema)+p.N*len(p.Cols))
+	fields := make(row.Row, 0, 2+2*len(p.Schema)+5*len(p.Cols))
 	fields = append(fields, int64(len(p.Schema)))
 	for _, f := range p.Schema {
 		fields = append(fields, f.Name, int64(f.Type))
 	}
 	fields = append(fields, int64(p.N))
-	for i := 0; i < p.N; i++ {
-		for _, c := range p.Cols {
-			fields = append(fields, c.Get(i))
+	x := &blobCodec{n: p.N, out: make([]byte, 0, p.SizeBytes()+int64(16*len(p.Cols)))}
+	ends := make([]int, len(p.Cols))
+	for c, col := range p.Cols {
+		at := len(x.out)
+		x.out = append(x.out, 0)
+		x.bitmap(col.(encoded).nullMap())
+		x.out[at] = col.(encoded).blob(x)
+		ends[c] = len(x.out)
+	}
+	blobs, start := string(x.out), 0
+	for c, st := range p.Stats {
+		d := int64(len(st.Distinct))
+		if st.Distinct == nil {
+			d = -1
 		}
+		fields = append(append(fields, st.Min, st.Max, st.NullCount, d), st.Distinct...)
+		fields = append(fields, blobs[start:ends[c]])
+		start = ends[c]
 	}
 	return PartitionTag, fields
 }
 
-// UnmarshalPartition inverts MarshalShuffle, rebuilding the partition
-// through a Builder so each column re-picks its compression (and its
-// stats) from the restored values.
+// UnmarshalPartition inverts MarshalShuffle: each column comes back as
+// the encoding it was sealed with, straight from its blob — no Builder,
+// no re-seal. Every count is checked against the bytes (or fields) left
+// before it sizes an allocation, and every code, offset and run end
+// against what it indexes, so a malformed row is an error, never a
+// panic or a partition that panics when read.
 func UnmarshalPartition(fields row.Row) (*Partition, error) {
-	fail := func() (*Partition, error) {
-		return nil, fmt.Errorf("columnar: malformed marshalled partition (%d fields)", len(fields))
+	r := &fieldReader{f: fields}
+	ncols := take[int64](r)
+	if r.bad || ncols < 0 || ncols > int64(len(r.f))/2 {
+		return nil, malformed(fields)
 	}
-	if len(fields) < 1 {
-		return fail()
-	}
-	ncols, ok := fields[0].(int64)
-	if !ok || ncols < 0 || len(fields) < int(1+2*ncols+1) {
-		return fail()
-	}
-	schema := make(row.Schema, ncols)
-	i := 1
-	for c := range schema {
-		name, nok := fields[i].(string)
-		typ, tok := fields[i+1].(int64)
-		if !nok || !tok {
-			return fail()
+	p := &Partition{Schema: make(row.Schema, ncols), Cols: make([]Column, ncols), Stats: make([]ColumnStats, ncols)}
+	for c := range p.Schema {
+		name, typ := take[string](r), take[int64](r)
+		if typ < int64(row.TNull) || typ > int64(row.TDate) {
+			r.bad = true
 		}
-		schema[c] = row.Field{Name: name, Type: row.Type(typ)}
-		i += 2
+		p.Schema[c] = row.Field{Name: name, Type: row.Type(typ)}
 	}
-	n, ok := fields[i].(int64)
-	if !ok || n < 0 || len(fields)-(i+1) != int(n*ncols) {
-		return fail()
+	n := take[int64](r)
+	if r.bad || n < 0 || n > math.MaxUint32 {
+		return nil, malformed(fields)
 	}
-	i++
-	b := NewBuilder(schema)
-	for r := int64(0); r < n; r++ {
-		if err := b.Append(row.Row(fields[i : i+int(ncols)])); err != nil {
-			return nil, err
+	p.N = int(n)
+	for c, f := range p.Schema {
+		st := &p.Stats[c]
+		st.Min, st.Max, st.NullCount = r.value(f.Type), r.value(f.Type), take[int64](r)
+		if nd := take[int64](r); nd >= 0 && nd <= maxDistinctTracked && nd <= int64(len(r.f)) {
+			st.Distinct = make([]any, nd)
+			for i := range st.Distinct {
+				if st.Distinct[i] = r.value(f.Type); st.Distinct[i] == nil {
+					r.bad = true
+				}
+			}
+		} else if nd != -1 {
+			r.bad = true
 		}
-		i += int(ncols)
+		blob := take[string](r)
+		if r.bad || st.NullCount < 0 || st.NullCount > n {
+			return nil, malformed(fields)
+		}
+		col, err := decodeColumn(f.Type, p.N, blob)
+		if err != nil {
+			return nil, fmt.Errorf("columnar: marshalled column %d (%s %v): %w", c, f.Name, f.Type, err)
+		}
+		p.Cols[c] = col
 	}
-	return b.Seal(), nil
+	if len(r.f) != 0 {
+		return nil, malformed(fields)
+	}
+	return p, nil
+}
+
+// fieldReader takes a marshalled partition's fields in order; a
+// missing or mistyped field sets bad.
+type fieldReader struct {
+	f   row.Row
+	bad bool
+}
+
+// take returns the next field as a T.
+func take[T any](r *fieldReader) T {
+	var v T
+	ok := len(r.f) > 0
+	if ok {
+		v, ok = r.f[0].(T)
+		r.f = r.f[1:]
+	}
+	r.bad = r.bad || !ok
+	return v
+}
+
+// value takes a statistic: NULL, or a value of the column's type (a
+// mistyped one would panic the pruning that compares it).
+func (r *fieldReader) value(t row.Type) any {
+	if len(r.f) == 0 {
+		r.bad = true
+		return nil
+	}
+	v := r.f[0]
+	r.f = r.f[1:]
+	switch v.(type) {
+	case nil:
+	case int64, float64, string, bool:
+		r.bad = r.bad || row.TypeOf(v) != storedAs(t)
+	default:
+		r.bad = true
+	}
+	return v
+}
+
+func malformed(fields row.Row) error {
+	return fmt.Errorf("columnar: malformed marshalled partition (%d fields)", len(fields))
+}
+
+// storedAs is the value type a column of type t holds: int64 for every
+// type but DOUBLE, STRING and BOOLEAN.
+func storedAs(t row.Type) row.Type {
+	switch t {
+	case row.TFloat, row.TString, row.TBool:
+		return t
+	}
+	return row.TInt
+}
+
+// Blob encoding tags.
+const (
+	encRawInt = 1 + iota
+	encRLEInt
+	encPackedInt
+	encDictInt
+	encRawFloat
+	encRLEFloat
+	encRawString
+	encDictString
+	encBitmap
+)
+
+// encodings lists, by blob tag, the value type each encoding stores and
+// an empty n-row column of it, of type t, for a blob to fill.
+var encodings = [...]struct {
+	stores row.Type
+	empty  func(t row.Type, n int) encoded
+}{
+	encRawInt:     {row.TInt, func(t row.Type, n int) encoded { return &rawInt64{intKind: intKind{t}} }},
+	encRLEInt:     {row.TInt, func(t row.Type, n int) encoded { return &rleInt64{intKind: intKind{t}, n: n} }},
+	encPackedInt:  {row.TInt, func(t row.Type, n int) encoded { return &packedInt64{intKind: intKind{t}, n: n} }},
+	encDictInt:    {row.TInt, func(t row.Type, n int) encoded { return &dictInt64{intKind: intKind{t}, n: n} }},
+	encRawFloat:   {row.TFloat, func(row.Type, int) encoded { return &rawFloat64{} }},
+	encRLEFloat:   {row.TFloat, func(_ row.Type, n int) encoded { return &rleFloat64{n: n} }},
+	encRawString:  {row.TString, func(row.Type, int) encoded { return &rawString{} }},
+	encDictString: {row.TString, func(_ row.Type, n int) encoded { return &dictString{n: n} }},
+	encBitmap:     {row.TBool, func(_ row.Type, n int) encoded { return &boolColumn{n: n} }},
+}
+
+// encoded is a sealed column as the spill codec sees it: a NULL bitmap
+// and a blob.
+type encoded interface {
+	Column
+	nullMap() *Bitmap
+	// blob moves the encoding's fields through x, in blob order, and
+	// returns its tag.
+	blob(x *blobCodec) byte
+}
+
+// decodeColumn rebuilds one n-row column of type t from its blob.
+func decodeColumn(t row.Type, n int, blob string) (Column, error) {
+	x := &blobCodec{n: n, read: true, in: blob}
+	var tag byte
+	x.u8(&tag)
+	if int(tag) >= len(encodings) || encodings[tag].empty == nil || encodings[tag].stores != storedAs(t) {
+		return nil, fmt.Errorf("encoding tag %d", tag)
+	}
+	col := encodings[tag].empty(t, n)
+	x.bitmap(col.nullMap())
+	col.blob(x)
+	if x.bad || len(x.in) != 0 {
+		return nil, fmt.Errorf("malformed %s blob (%d bytes)", col.Encoding(), len(blob))
+	}
+	return col, nil
+}
+
+func (c *rawInt64) blob(x *blobCodec) byte   { fixed(x, &c.v, x.n); return encRawInt }
+func (c *rleInt64) blob(x *blobCodec) byte   { runs(x, &c.vals, &c.ends); return encRLEInt }
+func (c *rawFloat64) blob(x *blobCodec) byte { fixed(x, &c.v, x.n); return encRawFloat }
+func (c *rleFloat64) blob(x *blobCodec) byte { runs(x, &c.vals, &c.ends); return encRLEFloat }
+func (c *rawString) blob(x *blobCodec) byte  { x.texts(&c.offsets, &c.data, x.n); return encRawString }
+func (c *boolColumn) blob(x *blobCodec) byte {
+	fixed(x, (*[]uint64)(&c.bitsv), (x.n+63)/64)
+	return encBitmap
+}
+
+func (c *packedInt64) blob(x *blobCodec) byte {
+	base := []int64{c.base}
+	fixed(x, &base, 1)
+	if !x.bad {
+		c.base = base[0]
+	}
+	x.packed(&c.words, &c.width, 0)
+	return encPackedInt
+}
+
+func (c *dictInt64) blob(x *blobCodec) byte {
+	d := x.entries(len(c.dict))
+	fixed(x, &c.dict, d)
+	x.packed(&c.words, &c.width, d)
+	if x.read {
+		c.boxed = boxAll(c.dict)
+	}
+	return encDictInt
+}
+
+func (c *dictString) blob(x *blobCodec) byte {
+	d := x.entries(len(c.dict))
+	offsets, data := []uint32{0}, strings.Join(c.dict, "")
+	for _, s := range c.dict {
+		offsets = append(offsets, offsets[len(offsets)-1]+uint32(len(s)))
+	}
+	x.texts(&offsets, &data, d)
+	if x.read && !x.bad {
+		c.dict = make([]string, d)
+		for i := range c.dict {
+			c.dict[i] = data[offsets[i]:offsets[i+1]]
+		}
+		c.boxed = boxAll(c.dict)
+	}
+	x.packed(&c.words, &c.width, d)
+	return encDictString
+}
+
+// blobCodec writes a column blob (out), or reads one back (in): each
+// encoding lists its fields once, in its blob method, for both. A read
+// that does not fit what is left sets bad and leaves its field empty,
+// so a decoder checks once, at the end; every count is checked against
+// the bytes left before it sizes an allocation.
+type blobCodec struct {
+	n    int // the column's rows
+	read bool
+	in   string
+	out  []byte
+	bad  bool
+}
+
+// fixed moves *v: n little-endian values.
+func fixed[T int64 | uint64 | uint32 | float64](x *blobCodec, v *[]T, n int) {
+	if !x.read {
+		x.out, _ = binary.Append(x.out, binary.LittleEndian, *v)
+		return
+	}
+	size := binary.Size(T(0))
+	if x.bad || n < 0 || n > len(x.in)/size {
+		x.bad = true
+		return
+	}
+	*v = make([]T, n)
+	binary.Decode([]byte(x.in[:n*size]), binary.LittleEndian, *v)
+	x.in = x.in[n*size:]
+}
+
+func (x *blobCodec) u8(v *byte) {
+	switch {
+	case !x.read:
+		x.out = append(x.out, *v)
+	case len(x.in) == 0:
+		x.bad = true
+	default:
+		*v, x.in = x.in[0], x.in[1:]
+	}
+}
+
+// bitmap moves an n-bit bitmap that may be nil: a 0 byte for nil, or a
+// 1 byte and its ⌈n/64⌉ words.
+func (x *blobCodec) bitmap(b *Bitmap) {
+	var has byte
+	if *b != nil {
+		has = 1
+	}
+	x.u8(&has)
+	if has == 1 {
+		fixed(x, (*[]uint64)(b), (x.n+63)/64)
+	}
+	x.bad = x.bad || has > 1
+}
+
+// entries moves a dictionary's size, 1 to dictionaryThreshold.
+func (x *blobCodec) entries(d int) int {
+	v := []uint32{uint32(d)}
+	fixed(x, &v, 1)
+	if x.bad || v[0] < 1 || v[0] > dictionaryThreshold {
+		x.bad = true
+		return 0
+	}
+	return int(v[0])
+}
+
+// packed moves n lanes of width (1 to 64) bits: the width, then the
+// words. With d > 0 the lanes are dictionary codes, each below d.
+func (x *blobCodec) packed(words *[]uint64, width *uint, d int) {
+	w := byte(*width)
+	x.u8(&w)
+	if x.bad || w < 1 || w > 64 {
+		x.bad = true
+		return
+	}
+	*width = uint(w)
+	fixed(x, words, (x.n*int(w)+63)/64)
+	for i := 0; x.read && d > 0 && !x.bad && i < x.n; i++ {
+		x.bad = unpack(*words, uint(i), *width) >= uint64(d)
+	}
+}
+
+// runs moves an RLE column: the run count, the run values, and the
+// cumulative run ends, which rise strictly to n.
+func runs[T int64 | float64](x *blobCodec, vals *[]T, ends *[]uint32) {
+	r := []uint32{uint32(len(*vals))}
+	fixed(x, &r, 1)
+	fixed(x, vals, int(r[0]))
+	fixed(x, ends, int(r[0]))
+	var last uint32
+	for _, e := range *ends {
+		x.bad = x.bad || e <= last
+		last = e
+	}
+	x.bad = x.bad || int(last) != x.n
+}
+
+// texts moves k strings: k+1 offsets rising from 0, then the bytes
+// they index (copied out of the blob when read).
+func (x *blobCodec) texts(offsets *[]uint32, data *string, k int) {
+	fixed(x, offsets, k+1)
+	if x.bad {
+		return
+	}
+	o := *offsets
+	x.bad = o[0] != 0 || int(o[k]) > len(x.in) && x.read
+	for i := 1; i <= k; i++ {
+		x.bad = x.bad || o[i] < o[i-1]
+	}
+	switch {
+	case !x.read:
+		x.out = append(x.out, *data...)
+	case !x.bad:
+		*data, x.in = strings.Clone(x.in[:o[k]]), x.in[o[k]:]
+	}
 }

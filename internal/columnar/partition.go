@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"shark/internal/row"
@@ -96,225 +97,413 @@ func (p *Partition) Row(i int) row.Row {
 // Builder accumulates rows and seals them into a Partition, choosing a
 // compression scheme per column from locally collected metadata — no
 // cross-partition coordination, exactly as in §3.3.
+//
+// Rows arrive boxed through Append, or a field at a time through the
+// typed appenders — one AppendInt, AppendFloat, AppendString,
+// AppendBool or AppendNull per column, then EndRow — which makes a
+// Builder the row.TextSink a text split parses straight into. Either
+// way each value lands in its column's typed slice, and what the
+// encoding choice reads (NULLs, runs, range, distinct values in
+// first-seen order) is tracked typed as it arrives.
 type Builder struct {
 	schema row.Schema
-	cols   []*colBuilder
+	cols   []colBuilder
 	n      int
 }
 
 // NewBuilder creates a Builder for the schema.
 func NewBuilder(schema row.Schema) *Builder {
-	b := &Builder{schema: schema.Clone()}
-	for _, f := range schema {
-		b.cols = append(b.cols, newColBuilder(f.Type))
+	b := &Builder{schema: schema.Clone(), cols: make([]colBuilder, len(schema))}
+	for i, f := range schema {
+		b.cols[i].typ = f.Type
+		if f.Type == row.TString {
+			b.cols[i].offsets = []uint32{0}
+		}
 	}
 	return b
 }
 
-// Append adds one row.
+// Grow reserves room for n more rows (a DFS block knows its count).
+func (b *Builder) Grow(n int) {
+	for i := range b.cols {
+		cb := &b.cols[i]
+		cb.want = cb.n + n
+		switch cb.typ {
+		case row.TFloat:
+			cb.floats = slices.Grow(cb.floats, n)
+		case row.TInt, row.TDate:
+			cb.ints = slices.Grow(cb.ints, n)
+		}
+	}
+}
+
+// Append adds one row: a type switch onto the typed appenders.
 func (b *Builder) Append(r row.Row) error {
 	if len(r) != len(b.cols) {
 		return fmt.Errorf("columnar: row has %d fields, schema %d", len(r), len(b.cols))
 	}
 	for i, v := range r {
-		if err := b.cols[i].append(v); err != nil {
-			return err
+		cb := &b.cols[i]
+		switch x := v.(type) {
+		case nil:
+			cb.appendNull()
+			continue
+		case int64:
+			if cb.typ == row.TInt || cb.typ == row.TDate {
+				cb.appendInt(x)
+				continue
+			}
+		case float64:
+			if cb.typ == row.TFloat {
+				cb.appendFloat(x)
+				continue
+			}
+		case string:
+			if cb.typ == row.TString {
+				appendString(cb, x)
+				continue
+			}
+		case bool:
+			if cb.typ == row.TBool {
+				cb.appendBool(x)
+				continue
+			}
 		}
+		return errType(cb.typ, v)
 	}
 	b.n++
 	return nil
 }
+
+// AppendNull, AppendInt (BIGINT and DATE), AppendFloat, AppendString
+// and AppendBool add column col's value for the current row; the
+// caller matches the appender to the column's type. AppendString
+// copies s.
+
+func (b *Builder) AppendNull(col int)             { b.cols[col].appendNull() }
+func (b *Builder) AppendInt(col int, v int64)     { b.cols[col].appendInt(v) }
+func (b *Builder) AppendFloat(col int, v float64) { b.cols[col].appendFloat(v) }
+func (b *Builder) AppendBool(col int, v bool)     { b.cols[col].appendBool(v) }
+func (b *Builder) AppendString(col int, s []byte) { appendString(&b.cols[col], s) }
+
+// EndRow completes a row of typed appends.
+func (b *Builder) EndRow() { b.n++ }
 
 // Len returns the number of buffered rows.
 func (b *Builder) Len() int { return b.n }
 
 // Seal freezes the builder into an immutable Partition.
 func (b *Builder) Seal() *Partition {
-	p := &Partition{Schema: b.schema, N: b.n}
-	for _, cb := range b.cols {
-		col, stats := cb.seal(b.n)
-		p.Cols = append(p.Cols, col)
-		p.Stats = append(p.Stats, stats)
+	p := &Partition{Schema: b.schema, N: b.n, Cols: make([]Column, len(b.cols)), Stats: make([]ColumnStats, len(b.cols))}
+	for i := range b.cols {
+		if cb := &b.cols[i]; cb.n != b.n {
+			panic(fmt.Sprintf("columnar: column %d has %d values for %d rows", i, cb.n, b.n))
+		}
+		p.Cols[i], p.Stats[i] = b.cols[i].seal()
 	}
 	return p
 }
 
-// colBuilder buffers one column's values plus the metadata needed to
-// pick an encoding.
+// colBuilder buffers one column's values, typed, plus what picking its
+// encoding needs. A NULL stores its type's zero as a placeholder, so
+// positions stay aligned. Every type that is not a float, string or
+// bool is int64-backed: DATE as epoch days, and a NULL-typed column
+// (SELECT NULL) holds nothing but NULLs.
 type colBuilder struct {
-	typ    row.Type
-	isNull []bool
+	typ       row.Type
+	n         int    // values appended
+	want      int    // rows expected (Grow)
+	nulls     Bitmap // covers the rows up to the last NULL; nil before the first
+	nullCount int64
+	runs      int     // runs of equal adjacent values, placeholders included (ints, floats)
+	lastRun   float64 // floats: the value that opened the current run
 
 	ints    []int64
 	floats  []float64
-	strs    []string
-	bools   []bool
-	anyNull bool
+	bools   Bitmap
+	data    []byte   // strings, back to back:
+	offsets []uint32 // value i is data[offsets[i]:offsets[i+1]]
 
-	distinct map[any]struct{} // nil once cardinality exceeded the cap
-	runs     int              // number of value runs (for RLE decision)
-	lastSet  bool
-	last     any
-
-	min, max  any
-	nullCount int64
+	intCodes   codeTable[int64]
+	floatCodes codeTable[float64]
+	strCodes   codeTable[string]
+	sawBool    [2]bool // false, true
 }
 
-func newColBuilder(t row.Type) *colBuilder {
-	return &colBuilder{typ: t, distinct: make(map[any]struct{})}
+// codeTable numbers a column's distinct non-NULL values in first-seen
+// order and records each row's number (0 for a NULL row) — the
+// dictionary, should the column get one — until a value would be
+// number maxDistinctTracked+1: then it is full, and records no more.
+type codeTable[T comparable] struct {
+	index map[T]uint8
+	vals  []T
+	codes []uint8
+	full  bool
 }
 
-func (cb *colBuilder) append(v any) error {
-	isNull := v == nil
-	cb.isNull = append(cb.isNull, isNull)
-	if isNull {
-		cb.anyNull = true
-		cb.nullCount++
-		// store a zero placeholder to keep positions aligned
-		v = zeroFor(cb.typ)
-	} else {
-		if !matches(cb.typ, v) {
-			return errType(cb.typ, v)
-		}
-		if cb.min == nil || row.Compare(v, cb.min) < 0 {
-			cb.min = v
-		}
-		if cb.max == nil || row.Compare(v, cb.max) > 0 {
-			cb.max = v
-		}
-		if cb.distinct != nil {
-			cb.distinct[v] = struct{}{}
-			if len(cb.distinct) > maxDistinctTracked {
-				cb.distinct = nil
-			}
-		}
+// add records v for the next row. Of values that compare equal, vals
+// keeps the last, as a map keeps the key last assigned (0 then -0
+// keeps -0).
+func (t *codeTable[T]) add(v T) {
+	if t.full {
+		return
 	}
-	if !cb.lastSet || !row.Equal(cb.last, v) {
-		cb.runs++
-		cb.last, cb.lastSet = v, true
-	}
-	switch cb.typ {
-	case row.TInt, row.TDate:
-		cb.ints = append(cb.ints, v.(int64))
-	case row.TFloat:
-		cb.floats = append(cb.floats, v.(float64))
-	case row.TString:
-		cb.strs = append(cb.strs, v.(string))
-	case row.TBool:
-		cb.bools = append(cb.bools, v.(bool))
+	c, ok := t.index[v]
+	switch {
+	case ok:
+		t.vals[c] = v
+	case len(t.vals) == maxDistinctTracked:
+		t.full, t.index = true, nil
+		return
 	default:
-		return fmt.Errorf("columnar: unsupported column type %v", cb.typ)
+		if t.index == nil {
+			t.index = make(map[T]uint8)
+		}
+		c = uint8(len(t.vals))
+		t.index[v] = c
+		t.vals = append(t.vals, v)
 	}
-	return nil
+	t.codes = append(t.codes, c)
 }
 
-func zeroFor(t row.Type) any {
-	switch t {
-	case row.TInt, row.TDate:
-		return int64(0)
+func (t *codeTable[T]) skip() {
+	if !t.full {
+		t.codes = append(t.codes, 0)
+	}
+}
+
+// distinct is the values, boxed, or nil once the table is full.
+func (t *codeTable[T]) distinct() []any {
+	if t.full {
+		return nil
+	}
+	return boxAll(t.vals)
+}
+
+func (cb *colBuilder) appendNull() {
+	cb.nulls = cb.nulls.cover(cb.n + 1)
+	cb.nulls.Set(cb.n)
+	cb.nullCount++
+	switch cb.typ {
 	case row.TFloat:
-		return float64(0)
+		cb.floatCodes.skip()
+		cb.pushFloat(0)
 	case row.TString:
-		return ""
+		if cb.strCodes.skip(); cb.strCodes.full {
+			cb.offsets = append(cb.offsets, uint32(len(cb.data)))
+		}
+		cb.n++
 	case row.TBool:
-		return false
+		cb.pushBool(false)
+	default:
+		cb.intCodes.skip()
+		cb.pushInt(0)
 	}
-	return int64(0)
 }
 
-func matches(t row.Type, v any) bool {
-	switch t {
-	case row.TInt, row.TDate:
-		_, ok := v.(int64)
-		return ok
-	case row.TFloat:
-		_, ok := v.(float64)
-		return ok
-	case row.TString:
-		_, ok := v.(string)
-		return ok
-	case row.TBool:
-		_, ok := v.(bool)
-		return ok
-	}
-	return false
+func (cb *colBuilder) appendInt(v int64) {
+	cb.intCodes.add(v)
+	cb.pushInt(v)
 }
 
-func (cb *colBuilder) stats() ColumnStats {
-	s := ColumnStats{Min: cb.min, Max: cb.max, NullCount: cb.nullCount}
-	if cb.distinct != nil {
-		s.Distinct = make([]any, 0, len(cb.distinct))
-		for v := range cb.distinct {
-			s.Distinct = append(s.Distinct, v)
+func (cb *colBuilder) pushInt(v int64) {
+	if cb.n == 0 || cb.ints[cb.n-1] != v {
+		cb.runs++
+	}
+	cb.ints = append(cb.ints, v)
+	cb.n++
+}
+
+func (cb *colBuilder) appendFloat(v float64) {
+	cb.floatCodes.add(v)
+	cb.pushFloat(v)
+}
+
+// pushFloat counts runs the way row.Compare sees floats: a NaN equals
+// everything, so it never opens a run of its own.
+func (cb *colBuilder) pushFloat(v float64) {
+	if cb.n == 0 || v < cb.lastRun || v > cb.lastRun {
+		cb.runs++
+		cb.lastRun = v
+	}
+	cb.floats = append(cb.floats, v)
+	cb.n++
+}
+
+func (cb *colBuilder) appendBool(v bool) {
+	cb.sawBool[b2i(v)] = true
+	cb.pushBool(v)
+}
+
+func (cb *colBuilder) pushBool(v bool) {
+	cb.bools = cb.bools.cover(cb.n + 1)
+	if v {
+		cb.bools.Set(cb.n)
+	}
+	cb.n++
+}
+
+func b2i(v bool) int {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// appendString keeps a string column's rows as codes while it has few
+// distinct values, and as bytes once it has outgrown a dictionary.
+func appendString[T string | []byte](cb *colBuilder, s T) {
+	if t := &cb.strCodes; !t.full {
+		if c, ok := t.index[string(s)]; ok {
+			t.codes = append(t.codes, c) // a hit converts nothing
+		} else if t.add(string(s)); t.full {
+			cb.spell()
+		}
+		if !t.full {
+			cb.n++
+			return
 		}
 	}
-	return s
+	cb.data = append(cb.data, s...)
+	cb.offsets = append(cb.offsets, uint32(len(cb.data)))
+	cb.n++
 }
 
-func (cb *colBuilder) seal(n int) (Column, ColumnStats) {
-	stats := cb.stats()
-	nulls := nullable{nulls: newNulls(cb.isNull)}
-	avgRunOK := cb.runs > 0 && n/cb.runs >= minAvgRunForRLE
+// spell writes out the rows held as codes as bytes, reserving for the
+// rows still expected at the length they average so far.
+func (cb *colBuilder) spell() {
+	t := &cb.strCodes
+	cb.offsets = slices.Grow(cb.offsets, max(cb.want, cb.n))
+	for i, c := range t.codes {
+		if !cb.nulls.Has(i) {
+			cb.data = append(cb.data, t.vals[c]...)
+		}
+		cb.offsets = append(cb.offsets, uint32(len(cb.data)))
+	}
+	if cb.n > 0 && cb.want > cb.n {
+		cb.data = slices.Grow(cb.data, len(cb.data)*(cb.want-cb.n)/cb.n)
+	}
+	t.vals, t.codes = nil, nil
+}
 
+func (cb *colBuilder) seal() (Column, ColumnStats) {
+	n := cb.n
+	stats := ColumnStats{NullCount: cb.nullCount}
+	var nulls nullable
+	if cb.nullCount > 0 {
+		cb.nulls = cb.nulls.cover(n)
+		nulls.nulls = cb.nulls
+	}
+	avgRunOK := cb.runs > 0 && n/cb.runs >= minAvgRunForRLE
 	switch cb.typ {
-	case row.TInt, row.TDate:
-		return cb.sealInt(n, nulls, avgRunOK), stats
 	case row.TFloat:
+		stats.Min, stats.Max = bounds(n, cb.nulls, func(i int) float64 { return cb.floats[i] })
+		stats.Distinct = cb.floatCodes.distinct()
 		if avgRunOK {
-			vals, ends := rleEncodeFloat(cb.floats)
+			vals, ends := rleEncode(cb.floats)
 			return &rleFloat64{nullable: nulls, vals: vals, ends: ends, n: n}, stats
 		}
 		return &rawFloat64{nullable: nulls, v: cb.floats}, stats
 	case row.TString:
-		if cb.distinct != nil && len(cb.distinct) > 0 && len(cb.distinct) <= dictionaryThreshold && n >= 2*len(cb.distinct) {
-			return sealDictString(cb.strs, nulls, n), stats
-		}
-		return sealRawString(cb.strs, nulls), stats
+		return cb.sealString(nulls, &stats), stats
 	case row.TBool:
-		return &boolColumn{nullable: nulls, bitsv: newBitmap(cb.bools), n: n}, stats
+		stats.Distinct = []any{}
+		for v, saw := range cb.sawBool {
+			if saw {
+				stats.Distinct = append(stats.Distinct, v == 1)
+			}
+		}
+		if len(stats.Distinct) > 0 {
+			stats.Min, stats.Max = stats.Distinct[0], stats.Distinct[len(stats.Distinct)-1]
+		}
+		return &boolColumn{nullable: nulls, bitsv: cb.bools.cover(n), n: n}, stats
 	}
-	panic("columnar: unreachable")
+	stats.Min, stats.Max = bounds(n, cb.nulls, func(i int) int64 { return cb.ints[i] })
+	return cb.sealInt(nulls, avgRunOK, &stats), stats
 }
 
-func (cb *colBuilder) sealInt(n int, nulls nullable, avgRunOK bool) Column {
-	kind := intKind{cb.typ}
+// bounds returns the least and the greatest of the n values at(i) that
+// are not NULL, boxed (nil, nil for none). They are taken in row order,
+// as row.Compare would: a NaN met first stays both, nothing being below
+// or above it.
+func bounds[T int64 | float64 | string](n int, nulls Bitmap, at func(i int) T) (any, any) {
+	var lo, hi T
+	seen := false
+	for i := range n {
+		if nulls.Has(i) {
+			continue
+		}
+		v := at(i)
+		if !seen || v < lo {
+			lo = v
+		}
+		if !seen || v > hi {
+			hi = v
+		}
+		seen = true
+	}
+	if !seen {
+		return nil, nil
+	}
+	return lo, hi
+}
+
+func (cb *colBuilder) sealInt(nulls nullable, avgRunOK bool, stats *ColumnStats) Column {
+	n, kind, t := cb.n, intKind{cb.typ}, &cb.intCodes
+	stats.Distinct = t.distinct()
 	if avgRunOK {
-		vals, ends := rleEncodeInt(cb.ints)
+		vals, ends := rleEncode(cb.ints)
 		return &rleInt64{nullable: nulls, intKind: kind, vals: vals, ends: ends, n: n}
 	}
-	if cb.distinct != nil && len(cb.distinct) > 0 && len(cb.distinct) <= dictionaryThreshold && n >= 4*len(cb.distinct) {
-		dict := make([]int64, 0, len(cb.distinct))
-		for v := range cb.distinct {
-			dict = append(dict, v.(int64))
-		}
-		sortInt64s(dict)
-		idx := make(map[int64]uint64, len(dict))
+	if d := len(t.vals); !t.full && d > 0 && n >= 4*d {
+		// The dictionary is sorted; recode the first-seen codes to it.
+		dict := slices.Clone(t.vals)
+		slices.Sort(dict)
+		rank := make([]uint8, d)
 		for i, v := range dict {
-			idx[v] = uint64(i)
+			rank[t.index[v]] = uint8(i)
 		}
-		width := widthFor(uint64(len(dict) - 1))
-		codes := make([]uint64, n)
-		for i, v := range cb.ints {
-			codes[i] = idx[v]
+		for i, c := range t.codes {
+			t.codes[i] = rank[c]
 		}
-		return &dictInt64{nullable: nulls, intKind: kind, dict: dict, boxed: boxAll(dict), words: pack(codes, width), width: width, n: n}
+		width := widthFor(uint64(d - 1))
+		stats.Distinct = boxAll(dict)
+		return &dictInt64{nullable: nulls, intKind: kind, dict: dict, boxed: stats.Distinct, words: pack(t.codes, 0, width), width: width, n: n}
 	}
 	// bit packing when the value range is narrow
-	if mn, ok := cb.min.(int64); ok {
-		mx := cb.max.(int64)
-		rng := uint64(mx) - uint64(mn)
-		if rng < 1<<32 {
+	if stats.Min != nil {
+		mn := stats.Min.(int64)
+		if rng := uint64(stats.Max.(int64)) - uint64(mn); rng < 1<<32 {
 			width := widthFor(rng)
 			if int(width)*n < 64*n/2 { // only if it actually halves the footprint
-				codes := make([]uint64, n)
-				for i, v := range cb.ints {
-					codes[i] = uint64(v) - uint64(mn)
-				}
-				return &packedInt64{nullable: nulls, intKind: kind, words: pack(codes, width), base: mn, width: width, n: n}
+				return &packedInt64{nullable: nulls, intKind: kind, words: pack(cb.ints, mn, width), base: mn, width: width, n: n}
 			}
 		}
 	}
 	return &rawInt64{nullable: nulls, intKind: kind, v: cb.ints}
+}
+
+// sealString dictionary-encodes a column with few distinct values
+// relative to its rows, the dictionary in first-seen order and built
+// from the non-NULL cells only (a NULL row takes code 0, not an entry
+// of its own: the dictionary never outgrows the column's distinct
+// values, which keeps every code inside a byte).
+func (cb *colBuilder) sealString(nulls nullable, stats *ColumnStats) Column {
+	if t := &cb.strCodes; !t.full {
+		stats.Distinct = t.distinct()
+		if d := len(t.vals); d > 0 && cb.n >= 2*d {
+			stats.Min, stats.Max = bounds(d, nil, func(i int) string { return t.vals[i] })
+			width := widthFor(uint64(d - 1))
+			return &dictString{nullable: nulls, dict: t.vals, boxed: stats.Distinct, words: pack(t.codes, 0, width), width: width, n: cb.n}
+		}
+		cb.spell()
+	}
+	c := &rawString{nullable: nulls, offsets: cb.offsets, data: string(cb.data)}
+	// Statistics outlive the column's bytes in memory: copy them out.
+	if lo, hi := bounds(cb.n, cb.nulls, c.at); lo != nil {
+		stats.Min, stats.Max = strings.Clone(lo.(string)), strings.Clone(hi.(string))
+	}
+	return c
 }
 
 func boxAll[T any](vals []T) []any {
@@ -325,16 +514,8 @@ func boxAll[T any](vals []T) []any {
 	return out
 }
 
-func sortInt64s(v []int64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
-func rleEncodeInt(v []int64) ([]int64, []uint32) {
-	var vals []int64
+func rleEncode[T int64 | float64](v []T) ([]T, []uint32) {
+	var vals []T
 	var ends []uint32
 	for i := 0; i < len(v); i++ {
 		if len(vals) == 0 || vals[len(vals)-1] != v[i] {
@@ -345,58 +526,4 @@ func rleEncodeInt(v []int64) ([]int64, []uint32) {
 		}
 	}
 	return vals, ends
-}
-
-func rleEncodeFloat(v []float64) ([]float64, []uint32) {
-	var vals []float64
-	var ends []uint32
-	for i := 0; i < len(v); i++ {
-		if len(vals) == 0 || vals[len(vals)-1] != v[i] {
-			vals = append(vals, v[i])
-			ends = append(ends, uint32(i+1))
-		} else {
-			ends[len(ends)-1] = uint32(i + 1)
-		}
-	}
-	return vals, ends
-}
-
-// sealDictString builds the dictionary from the non-NULL cells only, in
-// first-seen order. A NULL row's "" placeholder gets code 0 (as in
-// sealInt) instead of an entry of its own, so the dictionary never has
-// more entries than the column has distinct values — which is what
-// keeps every code inside a byte.
-func sealDictString(strs []string, nulls nullable, n int) Column {
-	seen := make(map[string]uint64)
-	var dict []string
-	codes := make([]uint64, n)
-	for i, s := range strs {
-		if nulls.isNull(i) {
-			continue
-		}
-		code, ok := seen[s]
-		if !ok {
-			code = uint64(len(dict))
-			seen[s] = code
-			dict = append(dict, s)
-		}
-		codes[i] = code
-	}
-	width := widthFor(uint64(len(dict) - 1))
-	return &dictString{nullable: nulls, dict: dict, boxed: boxAll(dict), words: pack(codes, width), width: width, n: n}
-}
-
-func sealRawString(strs []string, nulls nullable) Column {
-	offsets := make([]uint32, len(strs)+1)
-	var total int
-	for _, s := range strs {
-		total += len(s)
-	}
-	var data strings.Builder
-	data.Grow(total)
-	for i, s := range strs {
-		data.WriteString(s)
-		offsets[i+1] = uint32(data.Len())
-	}
-	return &rawString{nullable: nulls, offsets: offsets, data: data.String()}
 }

@@ -30,9 +30,11 @@ import (
 // statement executed under every configuration that changes how a
 // cached scan runs and against the Hive/MapReduce baseline, and the
 // results bag-compared. The typed batch kernels, the row adapter
-// (DisableExprCompile sends every expression through it), the row path
-// (the DFS twin) and an independent executor (internal/mr) must agree
-// on every statement. A failure prints the seed and the SQL.
+// (DisableExprCompile sends every expression through it), the external
+// table's text blocks parsed straight into columns (the DFS twin; the
+// file's cells are text-hostile, see diffTextRow) and an independent
+// executor (internal/mr, which boxes every line through DecodeText)
+// must agree on every statement. A failure prints the seed and the SQL.
 
 const (
 	diffSeed    = 20131
@@ -103,6 +105,35 @@ func diffRowsData() []row.Row {
 			maybe(diffBaseDay + int64(rng.Intn(30))),
 			nil,
 		}
+	}
+	return out
+}
+
+// diffHostile are suffixes of s_raw values the text format must
+// escape, or that look like its NULL.
+var diffHostile = []string{"", "|", `\`, "\n", `\N`, `a|b\c` + "\nd"}
+
+// diffTextRow dresses row i for the DFS file every executor reads: its
+// strings hold the separator, a backslash, a newline, the two
+// characters \N, or nothing; some NULL numbers, dates and bools are
+// spelled as empty fields; half the dates are written YYYY-MM-DD. Each
+// cell still reads back as one value, so the row is the table's.
+func diffTextRow(i int, r row.Row) row.Row {
+	out := r.Clone()
+	col := diffSchema.Index
+	if s, ok := out[col("s_raw")].(string); ok {
+		out[col("s_raw")] = s + diffHostile[i%len(diffHostile)]
+	}
+	if out[col("s_dict")] != nil && i%53 == 0 {
+		out[col("s_dict")] = `\N`
+	}
+	for c, f := range diffSchema {
+		if out[c] == nil && f.Type != row.TString && i%3 == 0 {
+			out[c] = "" // an empty field: NULL
+		}
+	}
+	if d, ok := out[col("d")].(int64); ok && i%2 == 0 {
+		out[col("d")] = row.FormatDate(d)
 	}
 	return out
 }
@@ -759,8 +790,8 @@ func diffExecutors(t *testing.T) []diffExecutor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range diffRowsData() {
-		if err := w.Write(r); err != nil {
+	for i, r := range diffRowsData() {
+		if err := w.Write(diffTextRow(i, r)); err != nil {
 			t.Fatal(err)
 		}
 	}

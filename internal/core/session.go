@@ -517,38 +517,7 @@ func (s *Session) createAsSelect(gctx context.Context, ct *sqlparse.CreateTableS
 		return s.ctasToDFS(gctx, ct, p, schema)
 	}
 
-	// Build the row RDD for loading. Sort/Limit at the top of a CTAS
-	// is unusual; run through the engine and parallelize when present.
-	srcRDD, err := s.planToRDD(gctx, p)
-	if err != nil {
-		return nil, err
-	}
-
-	var mem *memtable.Table
-	if sel.DistributeBy != "" {
-		keyCol := schema.Index(sel.DistributeBy)
-		if keyCol < 0 {
-			return nil, fmt.Errorf("core: DISTRIBUTE BY column %q not in result", sel.DistributeBy)
-		}
-		numParts := s.cacheParts()
-		if other := ct.Props["copartition"]; other != "" {
-			ot, err := s.Cat.Get(other)
-			if err != nil {
-				return nil, fmt.Errorf("core: copartition target: %w", err)
-			}
-			if ot.Mem == nil || ot.Mem.Partitioner == nil {
-				return nil, fmt.Errorf("core: copartition target %q is not a distributed cached table", other)
-			}
-			numParts = ot.Mem.NumPartitions()
-		}
-		mem, err = memtable.LoadDistributedWith(gctx, ct.Name, schema, srcRDD, keyCol, numParts,
-			memtable.LoadOptions{Level: level})
-	} else {
-		if n := s.DefaultCacheParts; n > 0 && srcRDD.NumPartitions() != n {
-			srcRDD = repartitionRows(srcRDD, n)
-		}
-		mem, err = memtable.LoadWith(gctx, ct.Name, schema, srcRDD, memtable.LoadOptions{Level: level})
-	}
+	mem, err := s.loadCached(gctx, ct, p, level)
 	if err != nil {
 		return nil, err
 	}
@@ -567,6 +536,51 @@ func (s *Session) createAsSelect(gctx context.Context, ct *sqlparse.CreateTableS
 	}
 	return &Result{Message: fmt.Sprintf("cached table %s (%d rows, %d partitions, %d bytes, %s)",
 		ct.Name, mem.TotalRows(), mem.NumPartitions(), mem.TotalBytes(), level)}, nil
+}
+
+// loadCached loads a cached CTAS's result into the memstore. SELECT *
+// of an external table stores the table's blocks, each parsed straight
+// into columns, as its partitions; any other result is loaded from its
+// rows, DISTRIBUTEd BY a column when asked.
+func (s *Session) loadCached(gctx context.Context, ct *sqlparse.CreateTableStmt, p plan.Node, level rdd.StorageLevel) (*memtable.Table, error) {
+	sel, schema, opts := ct.As, p.Schema(), memtable.LoadOptions{Level: level}
+	if sel.DistributeBy == "" {
+		blocks, err := s.Engine.BlockPartitions(p)
+		if err != nil {
+			return nil, err
+		}
+		if n := s.DefaultCacheParts; blocks != nil && (n <= 0 || blocks.NumPartitions() == n) {
+			return memtable.LoadColumnar(gctx, ct.Name, schema, blocks, opts)
+		}
+	}
+	// Build the row RDD for loading. Sort/Limit at the top of a CTAS
+	// is unusual; run through the engine and parallelize when present.
+	srcRDD, err := s.planToRDD(gctx, p)
+	if err != nil {
+		return nil, err
+	}
+	if sel.DistributeBy == "" {
+		if n := s.DefaultCacheParts; n > 0 && srcRDD.NumPartitions() != n {
+			srcRDD = repartitionRows(srcRDD, n)
+		}
+		return memtable.LoadWith(gctx, ct.Name, schema, srcRDD, opts)
+	}
+	keyCol := schema.Index(sel.DistributeBy)
+	if keyCol < 0 {
+		return nil, fmt.Errorf("core: DISTRIBUTE BY column %q not in result", sel.DistributeBy)
+	}
+	numParts := s.cacheParts()
+	if other := ct.Props["copartition"]; other != "" {
+		ot, err := s.Cat.Get(other)
+		if err != nil {
+			return nil, fmt.Errorf("core: copartition target: %w", err)
+		}
+		if ot.Mem == nil || ot.Mem.Partitioner == nil {
+			return nil, fmt.Errorf("core: copartition target %q is not a distributed cached table", other)
+		}
+		numParts = ot.Mem.NumPartitions()
+	}
+	return memtable.LoadDistributedWith(gctx, ct.Name, schema, srcRDD, keyCol, numParts, opts)
 }
 
 func (s *Session) ctasToDFS(gctx context.Context, ct *sqlparse.CreateTableStmt, p plan.Node, schema row.Schema) (*Result, error) {

@@ -338,16 +338,9 @@ func (b *blockReader) Close() error           { return b.f.Close() }
 // re-parses from disk, reproducing the per-read deserialization cost
 // of schema-on-read systems.
 func (fs *FS) OpenBlock(name string, idx int) (RowReader, error) {
-	m, err := fs.Stat(name)
+	m, f, err := fs.openBlock(name, idx)
 	if err != nil {
 		return nil, err
-	}
-	if idx < 0 || idx >= len(m.Blocks) {
-		return nil, fmt.Errorf("dfs: %s has no block %d", name, idx)
-	}
-	f, err := os.Open(m.Blocks[idx].Path)
-	if err != nil {
-		return nil, fmt.Errorf("dfs: %w", err)
 	}
 	if m.Format == Binary {
 		r := row.NewBinaryReader(f)
@@ -355,6 +348,44 @@ func (fs *FS) OpenBlock(name string, idx int) (RowReader, error) {
 	}
 	r := row.NewTextReader(f, m.Schema)
 	return &blockReader{f: f, next: r.Next}, nil
+}
+
+// ScanText calls fn with each line of text block idx of the named file,
+// without its line end, and stops at fn's first error. The bytes are
+// the block's own, read in place: a line is valid only until fn
+// returns, so a caller that parses it straight into typed columns
+// never copies it.
+func (fs *FS) ScanText(name string, idx int, fn func(line []byte) error) error {
+	m, f, err := fs.openBlock(name, idx)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if m.Format != Text {
+		return fmt.Errorf("dfs: %s is not a text file", name)
+	}
+	s := row.NewLineScanner(f)
+	for s.Scan() {
+		if err := fn(s.Bytes()); err != nil {
+			return err
+		}
+	}
+	return s.Err()
+}
+
+func (fs *FS) openBlock(name string, idx int) (*FileMeta, *os.File, error) {
+	m, err := fs.Stat(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if idx < 0 || idx >= len(m.Blocks) {
+		return nil, nil, fmt.Errorf("dfs: %s has no block %d", name, idx)
+	}
+	f, err := os.Open(m.Blocks[idx].Path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dfs: %w", err)
+	}
+	return m, f, nil
 }
 
 // ReadAll reads every row of a file (test/debug helper).

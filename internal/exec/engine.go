@@ -10,7 +10,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -296,11 +295,11 @@ func (e *Engine) noteAdaptiveCoalesce(gctx context.Context) {
 // subquery materializations). p is the EXPLAIN ANALYZE profile being
 // filled in, or nil (the untraced path: no wrapping, no counting).
 func (e *Engine) compile(gctx context.Context, n plan.Node, stats *QueryStats, p *prof) (*rdd.RDD, error) {
-	// A row-producing chain over a cached table runs fused and counts
-	// its own rows. (An Aggregate on such a chain fuses its map side in
+	// A row-producing chain over a table scan runs fused and counts its
+	// own rows. (An Aggregate on such a chain fuses its map side in
 	// compileAggregate; what it returns is an ordinary row RDD.)
 	if m := matchMemScan(n); m != nil && m.agg == nil {
-		return e.compileMemScan(m, e.prune(m.scan, stats), p), nil
+		return e.compileMemScan(m, stats, p)
 	}
 	r, err := e.compileNode(gctx, n, stats, p)
 	if err != nil {
@@ -314,8 +313,6 @@ func (e *Engine) compile(gctx context.Context, n plan.Node, stats *QueryStats, p
 
 func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStats, p *prof) (*rdd.RDD, error) {
 	switch t := n.(type) {
-	case *plan.Scan:
-		return e.dfsScan(t, stats)
 	case *plan.Filter:
 		child, err := e.compile(gctx, t.Child, stats, p)
 		if err != nil {
@@ -382,56 +379,6 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 }
 
 // ---------------------------------------------------------------------------
-// Scans. Cached tables are read by memscan.go; this is the row path
-// for external tables.
-
-// dfsScan reads an external table: one partition per DFS block, each
-// task re-reading and re-parsing from disk (schema-on-read cost), then
-// applies the scan's pushed-down filters row by row.
-func (e *Engine) dfsScan(s *plan.Scan, stats *QueryStats) (*rdd.RDD, error) {
-	meta, err := e.FS.Stat(s.Table.File)
-	if err != nil {
-		return nil, err
-	}
-	file := s.Table.File
-	fs := e.FS
-	needed := append([]int(nil), s.NeededCols...)
-	stats.ScannedPartitions += len(meta.Blocks)
-	r := e.Ctx.Source(
-		fmt.Sprintf("dfsscan(%s)", s.Table.Name),
-		len(meta.Blocks),
-		func(tc *rdd.TaskContext, part int) rdd.Iter {
-			rd, err := fs.OpenBlock(file, part)
-			if err != nil {
-				rdd.Fail(err)
-			}
-			return rdd.FuncIter(func() (any, bool) {
-				rr, err := rd.Next()
-				if err == io.EOF {
-					rd.Close()
-					return nil, false
-				}
-				if err != nil {
-					rd.Close()
-					rdd.Fail(err)
-				}
-				out := make(row.Row, len(needed))
-				for i, c := range needed {
-					out[i] = rr[c]
-				}
-				return out, true
-			})
-		},
-		nil,
-	)
-	if len(s.Filters) > 0 {
-		pred := plan.Conjoin(s.Filters).Eval
-		r = r.Filter(func(v any) bool { return row.Truth(pred(v.(row.Row))) })
-	}
-	return r, nil
-}
-
-// ---------------------------------------------------------------------------
 // Aggregation: two-phase hash aggregation. Map tasks pre-aggregate
 // locally (the map-side combine), shuffle partial states by group key,
 // and PDE picks the reduce parallelism by bin-packing observed bucket
@@ -442,7 +389,10 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 	specs := a.Aggs
 	var partial *rdd.RDD
 	if m := matchMemScan(a); m != nil {
-		partial = e.compileMemScan(m, e.prune(m.scan, stats), p)
+		var err error
+		if partial, err = e.compileMemScan(m, stats, p); err != nil {
+			return nil, err
+		}
 	} else {
 		child, err := e.compile(gctx, a.Child, stats, p)
 		if err != nil {
@@ -504,9 +454,9 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 	}), nil
 }
 
-// partialAggregateRows is the map side over a row RDD (external
-// tables, joins, subqueries): per input partition, one pass folding
-// each row into its group's state.
+// partialAggregateRows is the map side over a row RDD (joins,
+// subqueries): per input partition, one pass folding each row into its
+// group's state.
 func (e *Engine) partialAggregateRows(a *plan.Aggregate, child *rdd.RDD) *rdd.RDD {
 	groupFns := make([]expr.EvalFn, len(a.GroupBy))
 	for i, g := range a.GroupBy {

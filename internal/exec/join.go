@@ -451,8 +451,8 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats, p *prof) 
 
 	// Both sides scan every partition — pruning one would misalign the
 	// zip — with their pushed-down filters applied by the scan itself.
-	leftScan := e.compileMemScan(&memScan{scan: ls}, nil, p)
-	rightScan := e.compileMemScan(&memScan{scan: rs}, nil, p)
+	leftScan := e.memScanParts(&memScan{scan: ls}, nil, p)
+	rightScan := e.memScanParts(&memScan{scan: rs}, nil, p)
 	lKey, rKey := j.LeftKey.Eval, j.RightKey.Eval
 
 	joined := leftScan.ZipPartitions(rightScan, func(part int, a, b rdd.Iter) rdd.Iter {

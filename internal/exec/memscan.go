@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"io"
 
 	"shark/internal/columnar"
+	"shark/internal/dfs"
 	"shark/internal/expr"
 	"shark/internal/memtable"
 	"shark/internal/plan"
@@ -11,14 +13,16 @@ import (
 	"shark/internal/row"
 )
 
-// memScan is a cached-table scan with the operators fused onto it: the
-// plan chain Scan → Filter* → (Project | Aggregate)?, run as one pass
-// over typed column batches (kernels.go). Its tasks read a partition a
-// batch at a time, narrow a selection vector through the filters, and
-// only then produce output: row.Rows for the surviving rows — the one
-// place a scanned row is born — or partial-aggregation states straight
-// off the vectors (vecagg.go). A batch never leaves its task, so the
-// RDD layer sees an ordinary source RDD of rows or shuffle pairs.
+// memScan is a table scan with the operators fused onto it: the plan
+// chain Scan → Filter* → (Project | Aggregate)?, run as one pass over
+// typed column batches (kernels.go). Its tasks read a columnar
+// partition — a cached one, or an external table's DFS block parsed
+// straight into columns — a batch at a time, narrow a selection vector
+// through the filters, and only then produce output: row.Rows for the
+// surviving rows — the one place a scanned row is born — or
+// partial-aggregation states straight off the vectors (vecagg.go). A
+// batch never leaves its task, so the RDD layer sees an ordinary source
+// RDD of rows or shuffle pairs.
 type memScan struct {
 	scan    *plan.Scan
 	filters []*plan.Filter // directly above the scan, bottom-up
@@ -44,7 +48,7 @@ func matchMemScan(n plan.Node) *memScan {
 		n = f.Child
 	}
 	s, ok := n.(*plan.Scan)
-	if !ok || !s.Table.Cached() {
+	if !ok {
 		return nil
 	}
 	m.scan = s
@@ -77,12 +81,46 @@ func (e *Engine) prune(s *plan.Scan, stats *QueryStats) []int {
 	return parts
 }
 
-// compileMemScan lowers the chain over the listed partitions. With an
+// compileMemScan lowers the chain: over the cached partitions map
+// pruning keeps, or over every block of an external table. With an
 // Aggregate on top the RDD's elements are the partial aggregation's
 // shuffle pairs; otherwise they are the chain's output rows. Row
 // counts for EXPLAIN ANALYZE come from the kernels — selection-vector
 // lengths per stage, rows emitted — so no counting iterator wraps it.
-func (e *Engine) compileMemScan(m *memScan, parts []int, p *prof) *rdd.RDD {
+func (e *Engine) compileMemScan(m *memScan, stats *QueryStats, p *prof) (*rdd.RDD, error) {
+	s := m.scan
+	if s.Table.Cached() {
+		return e.memScanParts(m, e.prune(s, stats), p), nil
+	}
+	meta, err := e.FS.Stat(s.Table.File)
+	if err != nil {
+		return nil, err
+	}
+	stats.ScannedPartitions += len(meta.Blocks)
+	// A block's partition holds just the scan's columns, in scan order.
+	cols := make([]int, len(s.NeededCols))
+	for i := range cols {
+		cols[i] = i
+	}
+	run := e.bindChain(m, p)
+	return e.blockScan(s, meta, func(tc *rdd.TaskContext, part *columnar.Partition) rdd.Iter {
+		return run(tc, part, cols)
+	}), nil
+}
+
+// memScanParts lowers the chain over the listed partitions of a cached
+// table (nil: all of them).
+func (e *Engine) memScanParts(m *memScan, parts []int, p *prof) *rdd.RDD {
+	s, run := m.scan, e.bindChain(m, p)
+	return s.Table.Mem.ScanPartitions(fmt.Sprintf("memscan(%s)", s.Table.Name), parts,
+		func(tc *rdd.TaskContext, part *columnar.Partition) rdd.Iter {
+			return run(tc, part, s.NeededCols)
+		})
+}
+
+// bindChain returns the chain as a task body: it reads one partition,
+// whose columns cols are the scan's (by scan position).
+func (e *Engine) bindChain(m *memScan, p *prof) func(tc *rdd.TaskContext, part *columnar.Partition, cols []int) rdd.Iter {
 	stages := []*NodeStats{p.of(m.scan)}
 	for _, f := range m.filters {
 		stages = append(stages, p.of(f))
@@ -91,9 +129,8 @@ func (e *Engine) compileMemScan(m *memScan, parts []int, p *prof) *rdd.RDD {
 	if m.project != nil {
 		projectNS = p.of(m.project)
 	}
-	name := fmt.Sprintf("memscan(%s)", m.scan.Table.Name)
-	return m.scan.Table.Mem.ScanPartitions(name, parts, func(tc *rdd.TaskContext, part *columnar.Partition) rdd.Iter {
-		t := e.newScanTask(tc, m.scan, part)
+	return func(tc *rdd.TaskContext, part *columnar.Partition, cols []int) rdd.Iter {
+		t := e.newScanTask(tc, cols, part)
 		src := t.bindStages(m, stages)
 		if m.agg != nil {
 			return rdd.SliceIter(t.partialAggregate(m.agg, src))
@@ -107,16 +144,101 @@ func (e *Engine) compileMemScan(m *memScan, parts []int, p *prof) *rdd.RDD {
 			projectNS.AddRows(int64(len(sel)))
 			return emit(sel)
 		})
-	})
+	}
 }
 
-func (e *Engine) newScanTask(tc *rdd.TaskContext, s *plan.Scan, part *columnar.Partition) *scanTask {
+// BlockPartitions returns, when n scans every column of an external
+// table in file order with nothing filtered (SELECT * FROM it), one
+// sealed partition per DFS block, as an RDD — what a cached CTAS stores
+// as it is. It returns nil for any other plan.
+func (e *Engine) BlockPartitions(n plan.Node) (*rdd.RDD, error) {
+	if pr, ok := n.(*plan.Project); ok && isIdentityProject(pr) {
+		n = pr.Child
+	}
+	s, ok := n.(*plan.Scan)
+	if !ok || s.Table.Cached() || len(s.Filters) > 0 || len(s.NeededCols) != len(s.Table.Schema) {
+		return nil, nil
+	}
+	meta, err := e.FS.Stat(s.Table.File)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range s.NeededCols {
+		if c != i || meta.Schema[i].Type != s.Table.Schema[i].Type {
+			return nil, nil
+		}
+	}
+	return e.blockScan(s, meta, func(_ *rdd.TaskContext, part *columnar.Partition) rdd.Iter {
+		return rdd.SliceIter([]any{part})
+	}), nil
+}
+
+// blockScan reads an external table: one task per DFS block, each
+// re-reading and re-parsing its block from disk (the schema-on-read
+// cost) into a sealed partition of the scan's columns for compute.
+func (e *Engine) blockScan(s *plan.Scan, meta *dfs.FileMeta, compute func(*rdd.TaskContext, *columnar.Partition) rdd.Iter) *rdd.RDD {
+	fs, cols := e.FS, append([]int(nil), s.NeededCols...)
+	return e.Ctx.Source(fmt.Sprintf("dfsscan(%s)", s.Table.Name), len(meta.Blocks),
+		func(tc *rdd.TaskContext, i int) rdd.Iter {
+			part, err := readBlock(fs, meta, i, cols)
+			if err != nil {
+				rdd.Fail(err)
+			}
+			return compute(tc, part)
+		}, nil)
+}
+
+// readBlock parses block i of a file into a partition of the columns
+// cols (file positions, in scan order). Text goes field by field into
+// typed columns, skipping the fields not scanned; binary goes through
+// boxed rows.
+func readBlock(fs *dfs.FS, meta *dfs.FileMeta, i int, cols []int) (*columnar.Partition, error) {
+	schema := make(row.Schema, len(cols))
+	for j, c := range cols {
+		schema[j] = meta.Schema[c]
+	}
+	b := columnar.NewBuilder(schema)
+	b.Grow(int(meta.Blocks[i].Rows))
+	if meta.Format == dfs.Text {
+		tok := row.NewTextTokenizer(meta.Schema, cols)
+		err := fs.ScanText(meta.Name, i, func(line []byte) error {
+			return row.TokenizeText(tok, line, row.TextSink[[]byte](b))
+		})
+		if err != nil {
+			return nil, err
+		}
+		return b.Seal(), nil
+	}
+	rd, err := fs.OpenBlock(meta.Name, i)
+	if err != nil {
+		return nil, err
+	}
+	defer rd.Close()
+	proj := make(row.Row, len(cols))
+	for {
+		r, err := rd.Next()
+		if err == io.EOF {
+			return b.Seal(), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		for j, c := range cols {
+			proj[j] = r[c]
+		}
+		if err := b.Append(proj); err != nil {
+			return nil, err
+		}
+	}
+}
+
+func (e *Engine) newScanTask(tc *rdd.TaskContext, cols []int, part *columnar.Partition) *scanTask {
 	return &scanTask{
 		e:       e,
 		tc:      tc,
 		b:       columnar.NewBatch(part),
-		cols:    s.NeededCols,
-		scratch: make(row.Row, len(s.NeededCols)),
+		cols:    cols,
+		scratch: make(row.Row, len(cols)),
 	}
 }
 

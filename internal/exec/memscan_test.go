@@ -65,7 +65,7 @@ func fusedChain(tb testing.TB, schema row.Schema, sql string) *memScan {
 // runChain executes the chain over part as one task: the partial
 // aggregation's pairs, or the rows emitted.
 func runChain(e *Engine, m *memScan, part *columnar.Partition) (pairs []any, rows []row.Row) {
-	t := e.newScanTask(nil, m.scan, part)
+	t := e.newScanTask(nil, m.scan.NeededCols, part)
 	src := t.bindStages(m, make([]*NodeStats, 1+len(m.filters)))
 	if m.agg != nil {
 		return t.partialAggregate(m.agg, src), nil
@@ -355,11 +355,11 @@ func TestCallBinding(t *testing.T) {
 	} {
 		m := fusedChain(t, mixedSchema, "SELECT "+item+" FROM t")
 		x := m.project.Exprs[0]
-		task := (&Engine{}).newScanTask(nil, m.scan, part)
+		task := (&Engine{}).newScanTask(nil, m.scan.NeededCols, part)
 		if f, kind := task.bindTyped(x); kind != want || (f == nil) != (want == columnar.VecAny) {
 			t.Errorf("%s binds as kind %v (typed: %v), want %v", item, kind, f != nil, want)
 		}
-		task = (&Engine{opts: Options{DisableExprCompile: true}}).newScanTask(nil, m.scan, part)
+		task = (&Engine{opts: Options{DisableExprCompile: true}}).newScanTask(nil, m.scan.NeededCols, part)
 		if f, _ := task.bindTyped(x); f != nil {
 			t.Errorf("%s binds a typed kernel under DisableExprCompile", item)
 		}

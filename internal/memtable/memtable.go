@@ -119,8 +119,16 @@ func Load(name string, schema row.Schema, src *rdd.RDD) (*Table, error) {
 // failure (including cancellation) any partitions already cached are
 // evicted so no orphaned blocks survive the aborted load.
 func LoadWith(gctx context.Context, name string, schema row.Schema, src *rdd.RDD, opts LoadOptions) (*Table, error) {
+	return LoadColumnar(gctx, name, schema, columnarize(src, schema), opts)
+}
+
+// LoadColumnar is LoadWith for a source whose partitions are already
+// sealed, one *columnar.Partition of the schema per RDD partition — an
+// external table's blocks, each parsed straight into columns — stored
+// as they are.
+func LoadColumnar(gctx context.Context, name string, schema row.Schema, parts *rdd.RDD, opts LoadOptions) (*Table, error) {
 	t := &Table{Name: name, Schema: schema.Clone(), DistKeyCol: -1, Level: opts.Level}
-	t.RDD = columnarize(src, schema).Persist(opts.Level)
+	t.RDD = parts.Persist(opts.Level)
 	if err := t.materialize(gctx); err != nil {
 		t.RDD.Uncache()
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -66,63 +67,176 @@ func appendEscaped(buf []byte, s string) []byte {
 	return buf
 }
 
-func unescape(s string) string {
-	if !strings.ContainsRune(s, '\\') {
-		return s
+// TextSink receives text lines parsed field by field: for each line,
+// one call per field the tokenizer was asked for, in the order asked
+// (col numbers them from 0), then EndRow. A DATE arrives as AppendInt,
+// NULL (`\N`, or an empty non-string field) as AppendNull. A string is
+// a sub-slice of the line or of the tokenizer's scratch, valid only
+// during the call. DecodeText boxes into a Row; columnar.Builder
+// appends to typed columns.
+type TextSink[T string | []byte] interface {
+	AppendNull(col int)
+	AppendInt(col int, v int64)
+	AppendFloat(col int, v float64)
+	AppendBool(col int, v bool)
+	AppendString(col int, s T)
+	EndRow()
+}
+
+// TextTokenizer splits text lines into fields and parses the fields a
+// sink needs by the schema's types; the others are counted, never
+// converted. It keeps unescaping scratch, so it serves one goroutine.
+type TextTokenizer struct {
+	schema Schema
+	to     []int // schema column → sink column, -1 to skip; nil: every column, in order (DecodeText)
+	buf    []byte
+}
+
+// NewTextTokenizer returns a tokenizer for lines of schema that hands
+// its sink the fields cols (schema positions, in sink order).
+func NewTextTokenizer(schema Schema, cols []int) *TextTokenizer {
+	t := &TextTokenizer{schema: schema, to: make([]int, len(schema))}
+	for i := range t.to {
+		t.to[i] = -1
 	}
-	var b strings.Builder
+	for j, c := range cols {
+		t.to[c] = j
+	}
+	return t
+}
+
+// TokenizeText parses one line (without its newline) into sink. It
+// fails, before EndRow, on a line with the wrong number of fields or
+// a needed field that does not parse as its type.
+func TokenizeText[T string | []byte](t *TextTokenizer, line T, sink TextSink[T]) error {
+	field, start, escaped := 0, 0, false
+	for pos := 0; pos <= len(line); pos++ {
+		if pos < len(line) {
+			if line[pos] == '\\' {
+				pos++ // the escaped byte is not a separator
+				escaped = true
+				continue
+			}
+			if line[pos] != textSep {
+				continue
+			}
+		}
+		if field >= len(t.schema) {
+			return fmt.Errorf("row: too many fields (schema has %d): %q", len(t.schema), line)
+		}
+		col := field
+		if t.to != nil {
+			col = t.to[field]
+		}
+		if col >= 0 {
+			raw := line[start:pos]
+			if string(raw) == textNull {
+				sink.AppendNull(col)
+			} else {
+				if escaped {
+					t.buf = unescape(t.buf[:0], raw)
+					raw = T(t.buf)
+				}
+				if err := parseField(raw, t.schema[field].Type, col, sink); err != nil {
+					return err
+				}
+			}
+		}
+		field, start, escaped = field+1, pos+1, false
+	}
+	if field != len(t.schema) {
+		return fmt.Errorf("row: got %d fields, schema has %d: %q", field, len(t.schema), line)
+	}
+	sink.EndRow()
+	return nil
+}
+
+// unescape appends s with its backslash escapes resolved to buf.
+func unescape[T string | []byte](buf []byte, s T) []byte {
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' && i+1 < len(s) {
 			i++
 			switch s[i] {
 			case 'p':
-				b.WriteByte(textSep)
+				buf = append(buf, textSep)
 			case 'n':
-				b.WriteByte('\n')
+				buf = append(buf, '\n')
 			default:
-				b.WriteByte(s[i])
+				buf = append(buf, s[i])
 			}
 			continue
 		}
-		b.WriteByte(s[i])
+		buf = append(buf, s[i])
 	}
-	return b.String()
+	return buf
 }
+
+// parseField hands one unescaped field of type typ to sink as column
+// col: the text rules every reader of the format shares.
+func parseField[T string | []byte](s T, typ Type, col int, sink TextSink[T]) error {
+	if len(s) == 0 && typ != TString {
+		sink.AppendNull(col)
+		return nil
+	}
+	switch typ {
+	case TInt:
+		v, err := strconv.ParseInt(string(s), 10, 64)
+		if err != nil {
+			return fmt.Errorf("row: bad int %q: %w", s, err)
+		}
+		sink.AppendInt(col, v)
+	case TFloat:
+		v, err := strconv.ParseFloat(string(s), 64)
+		if err != nil {
+			return fmt.Errorf("row: bad float %q: %w", s, err)
+		}
+		sink.AppendFloat(col, v)
+	case TString:
+		sink.AppendString(col, s)
+	case TBool:
+		v, err := strconv.ParseBool(string(s))
+		if err != nil {
+			return fmt.Errorf("row: bad bool %q: %w", s, err)
+		}
+		sink.AppendBool(col, v)
+	case TDate:
+		// Accept both the epoch-day integer form (what the codecs
+		// emit) and the human YYYY-MM-DD form (what generators and
+		// SQL literals use).
+		v, err := strconv.ParseInt(string(s), 10, 64)
+		if err != nil {
+			if v, err = ParseDate(string(s)); err != nil {
+				return err
+			}
+		}
+		sink.AppendInt(col, v)
+	case TNull:
+		sink.AppendNull(col)
+	default:
+		return fmt.Errorf("row: cannot parse type %v", typ)
+	}
+	return nil
+}
+
+// rowSink is the boxing TextSink: fields into the cells of a Row.
+type rowSink[T string | []byte] struct{ r Row }
+
+func (s *rowSink[T]) AppendNull(c int)             { s.r[c] = nil }
+func (s *rowSink[T]) AppendInt(c int, v int64)     { s.r[c] = v }
+func (s *rowSink[T]) AppendFloat(c int, v float64) { s.r[c] = v }
+func (s *rowSink[T]) AppendBool(c int, v bool)     { s.r[c] = v }
+func (s *rowSink[T]) AppendString(c int, v T)      { s.r[c] = string(v) }
+func (s *rowSink[T]) EndRow()                      {}
 
 // DecodeText parses one text line (no trailing newline) into a row
 // using the schema for types.
 func DecodeText(line string, schema Schema) (Row, error) {
-	out := make(Row, len(schema))
-	i := 0
-	start := 0
-	for pos := 0; pos <= len(line); pos++ {
-		atEnd := pos == len(line)
-		if !atEnd && line[pos] == '\\' {
-			pos++ // skip escaped char
-			continue
-		}
-		if atEnd || line[pos] == textSep {
-			if i >= len(schema) {
-				return nil, fmt.Errorf("row: too many fields (schema has %d): %q", len(schema), line)
-			}
-			raw := line[start:pos]
-			if raw == textNull {
-				out[i] = nil
-			} else {
-				v, err := ParseValue(unescape(raw), schema[i].Type)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			i++
-			start = pos + 1
-		}
+	t := TextTokenizer{schema: schema}
+	sink := rowSink[string]{r: make(Row, len(schema))}
+	if err := TokenizeText(&t, line, &sink); err != nil {
+		return nil, err
 	}
-	if i != len(schema) {
-		return nil, fmt.Errorf("row: got %d fields, schema has %d: %q", i, len(schema), line)
-	}
-	return out, nil
+	return sink.r, nil
 }
 
 // Binary tags.
@@ -337,9 +451,15 @@ type TextReader struct {
 
 // NewTextReader wraps r with the given schema.
 func NewTextReader(r io.Reader, schema Schema) *TextReader {
+	return &TextReader{s: NewLineScanner(r), schema: schema}
+}
+
+// NewLineScanner splits text-format input into lines, as TextReader
+// reads them.
+func NewLineScanner(r io.Reader) *bufio.Scanner {
 	s := bufio.NewScanner(r)
 	s.Buffer(make([]byte, 1<<16), 1<<24)
-	return &TextReader{s: s, schema: schema}
+	return s
 }
 
 // Next returns the next row, io.EOF at end.

@@ -357,43 +357,12 @@ func ParseDate(s string) (int64, error) {
 	return t.Unix() / 86400, nil
 }
 
-// ParseValue parses the text form of a value with the given type.
-// Empty string parses to NULL for non-string types.
+// ParseValue parses the text form of a value with the given type, by
+// the rules of a text field: empty parses to NULL for non-string types.
 func ParseValue(s string, t Type) (any, error) {
-	if s == "" && t != TString {
-		return nil, nil
+	sink := rowSink[string]{r: make(Row, 1)}
+	if err := parseField(s, t, 0, &sink); err != nil {
+		return nil, err
 	}
-	switch t {
-	case TInt:
-		v, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("row: bad int %q: %w", s, err)
-		}
-		return v, nil
-	case TFloat:
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("row: bad float %q: %w", s, err)
-		}
-		return v, nil
-	case TString:
-		return s, nil
-	case TBool:
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			return nil, fmt.Errorf("row: bad bool %q: %w", s, err)
-		}
-		return v, nil
-	case TDate:
-		// Accept both the epoch-day integer form (what the codecs
-		// emit) and the human YYYY-MM-DD form (what generators and
-		// SQL literals use).
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v, nil
-		}
-		return ParseDate(s)
-	case TNull:
-		return nil, nil
-	}
-	return nil, fmt.Errorf("row: cannot parse type %v", t)
+	return sink.r[0], nil
 }
