@@ -28,12 +28,12 @@ func (p *Partition) MarshalShuffle() (string, row.Row) {
 		fields = append(fields, f.Name, int64(f.Type))
 	}
 	fields = append(fields, int64(p.N))
-	x := &blobCodec{n: p.N, out: make([]byte, 0, p.SizeBytes()+int64(16*len(p.Cols)))}
+	x := &BlobCodec{n: p.N, out: make([]byte, 0, p.SizeBytes()+int64(16*len(p.Cols)))}
 	ends := make([]int, len(p.Cols))
 	for c, col := range p.Cols {
 		at := len(x.out)
 		x.out = append(x.out, 0)
-		x.bitmap(col.(encoded).nullMap())
+		x.Bitmap(col.(encoded).nullMap())
 		x.out[at] = col.(encoded).blob(x)
 		ends[c] = len(x.out)
 	}
@@ -193,19 +193,19 @@ type encoded interface {
 	nullMap() *Bitmap
 	// blob moves the encoding's fields through x, in blob order, and
 	// returns its tag.
-	blob(x *blobCodec) byte
+	blob(x *BlobCodec) byte
 }
 
 // decodeColumn rebuilds one n-row column of type t from its blob.
 func decodeColumn(t row.Type, n int, blob string) (Column, error) {
-	x := &blobCodec{n: n, read: true, in: blob}
+	x := &BlobCodec{n: n, read: true, in: blob}
 	var tag byte
-	x.u8(&tag)
+	x.U8(&tag)
 	if int(tag) >= len(encodings) || encodings[tag].empty == nil || encodings[tag].stores != storedAs(t) {
 		return nil, fmt.Errorf("encoding tag %d", tag)
 	}
 	col := encodings[tag].empty(t, n)
-	x.bitmap(col.nullMap())
+	x.Bitmap(col.nullMap())
 	col.blob(x)
 	if x.bad || len(x.in) != 0 {
 		return nil, fmt.Errorf("malformed %s blob (%d bytes)", col.Encoding(), len(blob))
@@ -213,19 +213,19 @@ func decodeColumn(t row.Type, n int, blob string) (Column, error) {
 	return col, nil
 }
 
-func (c *rawInt64) blob(x *blobCodec) byte   { fixed(x, &c.v, x.n); return encRawInt }
-func (c *rleInt64) blob(x *blobCodec) byte   { runs(x, &c.vals, &c.ends); return encRLEInt }
-func (c *rawFloat64) blob(x *blobCodec) byte { fixed(x, &c.v, x.n); return encRawFloat }
-func (c *rleFloat64) blob(x *blobCodec) byte { runs(x, &c.vals, &c.ends); return encRLEFloat }
-func (c *rawString) blob(x *blobCodec) byte  { x.texts(&c.offsets, &c.data, x.n); return encRawString }
-func (c *boolColumn) blob(x *blobCodec) byte {
-	fixed(x, (*[]uint64)(&c.bitsv), (x.n+63)/64)
+func (c *rawInt64) blob(x *BlobCodec) byte   { Fixed(x, &c.v, x.n); return encRawInt }
+func (c *rleInt64) blob(x *BlobCodec) byte   { runs(x, &c.vals, &c.ends); return encRLEInt }
+func (c *rawFloat64) blob(x *BlobCodec) byte { Fixed(x, &c.v, x.n); return encRawFloat }
+func (c *rleFloat64) blob(x *BlobCodec) byte { runs(x, &c.vals, &c.ends); return encRLEFloat }
+func (c *rawString) blob(x *BlobCodec) byte  { x.texts(&c.offsets, &c.data, x.n); return encRawString }
+func (c *boolColumn) blob(x *BlobCodec) byte {
+	Fixed(x, (*[]uint64)(&c.bitsv), (x.n+63)/64)
 	return encBitmap
 }
 
-func (c *packedInt64) blob(x *blobCodec) byte {
+func (c *packedInt64) blob(x *BlobCodec) byte {
 	base := []int64{c.base}
-	fixed(x, &base, 1)
+	Fixed(x, &base, 1)
 	if !x.bad {
 		c.base = base[0]
 	}
@@ -233,9 +233,9 @@ func (c *packedInt64) blob(x *blobCodec) byte {
 	return encPackedInt
 }
 
-func (c *dictInt64) blob(x *blobCodec) byte {
+func (c *dictInt64) blob(x *BlobCodec) byte {
 	d := x.entries(len(c.dict))
-	fixed(x, &c.dict, d)
+	Fixed(x, &c.dict, d)
 	x.packed(&c.words, &c.width, d)
 	if x.read {
 		c.boxed = boxAll(c.dict)
@@ -243,30 +243,24 @@ func (c *dictInt64) blob(x *blobCodec) byte {
 	return encDictInt
 }
 
-func (c *dictString) blob(x *blobCodec) byte {
+func (c *dictString) blob(x *BlobCodec) byte {
 	d := x.entries(len(c.dict))
-	offsets, data := []uint32{0}, strings.Join(c.dict, "")
-	for _, s := range c.dict {
-		offsets = append(offsets, offsets[len(offsets)-1]+uint32(len(s)))
-	}
-	x.texts(&offsets, &data, d)
+	x.Strings(&c.dict, d)
 	if x.read && !x.bad {
-		c.dict = make([]string, d)
-		for i := range c.dict {
-			c.dict[i] = data[offsets[i]:offsets[i+1]]
-		}
 		c.boxed = boxAll(c.dict)
 	}
 	x.packed(&c.words, &c.width, d)
 	return encDictString
 }
 
-// blobCodec writes a column blob (out), or reads one back (in): each
+// BlobCodec writes a column blob (out), or reads one back (in): each
 // encoding lists its fields once, in its blob method, for both. A read
 // that does not fit what is left sets bad and leaves its field empty,
 // so a decoder checks once, at the end; every count is checked against
-// the bytes left before it sizes an allocation.
-type blobCodec struct {
+// the bytes left before it sizes an allocation. Other engine values
+// that cross a disk boundary as typed vectors describe themselves with
+// it the same way.
+type BlobCodec struct {
 	n    int // the column's rows
 	read bool
 	in   string
@@ -274,8 +268,30 @@ type blobCodec struct {
 	bad  bool
 }
 
-// fixed moves *v: n little-endian values.
-func fixed[T int64 | uint64 | uint32 | float64](x *blobCodec, v *[]T, n int) {
+// NewBlobWriter starts a blob for vectors of n rows.
+func NewBlobWriter(n int) *BlobCodec { return &BlobCodec{n: n} }
+
+// NewBlobReader reads back a blob of vectors of n rows.
+func NewBlobReader(n int, blob string) *BlobCodec { return &BlobCodec{n: n, read: true, in: blob} }
+
+// Reading reports whether x reads a blob (rather than writing one).
+func (x *BlobCodec) Reading() bool { return x.read }
+
+// Check fails a read whose value is outside the model, and reports
+// whether the read is still good.
+func (x *BlobCodec) Check(ok bool) bool {
+	x.bad = x.bad || !ok
+	return !x.bad
+}
+
+// Blob returns what a writer wrote.
+func (x *BlobCodec) Blob() string { return string(x.out) }
+
+// Done reports whether a read fit its blob exactly, every check passing.
+func (x *BlobCodec) Done() bool { return !x.bad && len(x.in) == 0 }
+
+// Fixed moves *v: n little-endian values.
+func Fixed[T int64 | uint64 | uint32 | float64](x *BlobCodec, v *[]T, n int) {
 	if !x.read {
 		x.out, _ = binary.Append(x.out, binary.LittleEndian, *v)
 		return
@@ -290,7 +306,8 @@ func fixed[T int64 | uint64 | uint32 | float64](x *blobCodec, v *[]T, n int) {
 	x.in = x.in[n*size:]
 }
 
-func (x *blobCodec) u8(v *byte) {
+// U8 moves one byte.
+func (x *BlobCodec) U8(v *byte) {
 	switch {
 	case !x.read:
 		x.out = append(x.out, *v)
@@ -301,24 +318,24 @@ func (x *blobCodec) u8(v *byte) {
 	}
 }
 
-// bitmap moves an n-bit bitmap that may be nil: a 0 byte for nil, or a
+// Bitmap moves an n-bit bitmap that may be nil: a 0 byte for nil, or a
 // 1 byte and its ⌈n/64⌉ words.
-func (x *blobCodec) bitmap(b *Bitmap) {
+func (x *BlobCodec) Bitmap(b *Bitmap) {
 	var has byte
 	if *b != nil {
 		has = 1
 	}
-	x.u8(&has)
+	x.U8(&has)
 	if has == 1 {
-		fixed(x, (*[]uint64)(b), (x.n+63)/64)
+		Fixed(x, (*[]uint64)(b), (x.n+63)/64)
 	}
 	x.bad = x.bad || has > 1
 }
 
 // entries moves a dictionary's size, 1 to dictionaryThreshold.
-func (x *blobCodec) entries(d int) int {
+func (x *BlobCodec) entries(d int) int {
 	v := []uint32{uint32(d)}
-	fixed(x, &v, 1)
+	Fixed(x, &v, 1)
 	if x.bad || v[0] < 1 || v[0] > dictionaryThreshold {
 		x.bad = true
 		return 0
@@ -328,15 +345,15 @@ func (x *blobCodec) entries(d int) int {
 
 // packed moves n lanes of width (1 to 64) bits: the width, then the
 // words. With d > 0 the lanes are dictionary codes, each below d.
-func (x *blobCodec) packed(words *[]uint64, width *uint, d int) {
+func (x *BlobCodec) packed(words *[]uint64, width *uint, d int) {
 	w := byte(*width)
-	x.u8(&w)
+	x.U8(&w)
 	if x.bad || w < 1 || w > 64 {
 		x.bad = true
 		return
 	}
 	*width = uint(w)
-	fixed(x, words, (x.n*int(w)+63)/64)
+	Fixed(x, words, (x.n*int(w)+63)/64)
 	for i := 0; x.read && d > 0 && !x.bad && i < x.n; i++ {
 		x.bad = unpack(*words, uint(i), *width) >= uint64(d)
 	}
@@ -344,11 +361,11 @@ func (x *blobCodec) packed(words *[]uint64, width *uint, d int) {
 
 // runs moves an RLE column: the run count, the run values, and the
 // cumulative run ends, which rise strictly to n.
-func runs[T int64 | float64](x *blobCodec, vals *[]T, ends *[]uint32) {
+func runs[T int64 | float64](x *BlobCodec, vals *[]T, ends *[]uint32) {
 	r := []uint32{uint32(len(*vals))}
-	fixed(x, &r, 1)
-	fixed(x, vals, int(r[0]))
-	fixed(x, ends, int(r[0]))
+	Fixed(x, &r, 1)
+	Fixed(x, vals, int(r[0]))
+	Fixed(x, ends, int(r[0]))
 	var last uint32
 	for _, e := range *ends {
 		x.bad = x.bad || e <= last
@@ -359,8 +376,8 @@ func runs[T int64 | float64](x *blobCodec, vals *[]T, ends *[]uint32) {
 
 // texts moves k strings: k+1 offsets rising from 0, then the bytes
 // they index (copied out of the blob when read).
-func (x *blobCodec) texts(offsets *[]uint32, data *string, k int) {
-	fixed(x, offsets, k+1)
+func (x *BlobCodec) texts(offsets *[]uint32, data *string, k int) {
+	Fixed(x, offsets, k+1)
 	if x.bad {
 		return
 	}
@@ -375,4 +392,39 @@ func (x *blobCodec) texts(offsets *[]uint32, data *string, k int) {
 	case !x.bad:
 		*data, x.in = strings.Clone(x.in[:o[k]]), x.in[o[k]:]
 	}
+}
+
+// Strings moves k strings, as texts does: read back, they share one
+// copy of the blob's bytes.
+func (x *BlobCodec) Strings(v *[]string, k int) {
+	offsets, data := []uint32{0}, strings.Join(*v, "")
+	for _, s := range *v {
+		offsets = append(offsets, offsets[len(offsets)-1]+uint32(len(s)))
+	}
+	x.texts(&offsets, &data, k)
+	if x.read && !x.bad {
+		*v = make([]string, k)
+		for i := range *v {
+			(*v)[i] = data[offsets[i]:offsets[i+1]]
+		}
+	}
+}
+
+// Values moves k row values as one binary row. A read must hold exactly
+// k values, encoded as EncodeBinary encodes them.
+func (x *BlobCodec) Values(v *[]any, k int) {
+	if !x.read {
+		x.out = row.EncodeBinary(x.out, *v)
+		return
+	}
+	if x.bad {
+		return
+	}
+	in := []byte(x.in)
+	r, used, err := row.DecodeBinary(in)
+	if err != nil || len(r) != k || string(row.EncodeBinary(nil, r)) != x.in[:used] {
+		x.bad = true
+		return
+	}
+	*v, x.in = r, x.in[used:]
 }

@@ -41,6 +41,7 @@ const (
 	diffRows    = 2400
 	diffQueries = 340 // generated, after diffFixed
 	diffPostAgg = 90  // post-aggregation statements, generated after those
+	diffGroupBy = 60  // exchange-heavy group-bys, generated after those
 )
 
 // diffSchema: one column per encoding the builder can choose, named
@@ -368,6 +369,23 @@ func (g *diffGen) aggregate() string {
 		return "SUM(allnull)"
 	}
 	return fmt.Sprintf("AVG(%s)", g.numExpr(1))
+}
+
+// groupBy yields a group-by aimed at the partial-aggregate exchange:
+// one group per row (id), composite keys over NULL-bearing columns, the
+// all-NULL column alone and in composites, and MIN/MAX of strings and
+// floats beside the other aggregates.
+func (g *diffGen) groupBy() string {
+	keys := [][]string{
+		{"id"}, {"id", "s_dict"}, {"s_raw", "i_pack"}, {"f_raw", "b"}, {"d", "s_dict", "i_dict"},
+		{"allnull"}, {"allnull", "s_dict"}, {"i_rle", "allnull", "f_rle"}, {"s_raw"}, {"f_raw"},
+	}[g.rng.Intn(10)]
+	items := append([]string(nil), keys...)
+	for i, n := 0, 1+g.rng.Intn(3); i < n; i++ {
+		minMax := fmt.Sprintf("%s(%s)", g.pick("MIN", "MAX"), g.pick("s_raw", "s_dict", "f_raw", "f_rle", "SUBSTR(s_raw, 2, 4)", "(f_raw - i_pack)"))
+		items = append(items, g.pick(minMax, minMax, g.aggregate()))
+	}
+	return "SELECT " + strings.Join(items, ", ") + " FROM t" + g.where() + " GROUP BY " + strings.Join(keys, ", ")
 }
 
 // statement yields the SQL and whether it carries a LIMIT (whose rows
@@ -761,10 +779,13 @@ var diffFixed = []string{
 // ---------------------------------------------------------------------------
 // Executors
 
-// diffExecutor runs one statement somewhere and returns its rows.
+// diffExecutor runs one statement somewhere and returns its rows;
+// done, when set, checks the executor did what it is there for once
+// every statement has run.
 type diffExecutor struct {
 	name string
 	run  func(sql string) ([]row.Row, error)
+	done func() error
 }
 
 func evenish(args []any) any {
@@ -784,6 +805,13 @@ func diffExecutors(t *testing.T) []diffExecutor {
 		t.Fatal(err)
 	}
 	ctx := rdd.NewContext(cl, svc, rdd.Options{})
+	// A second cluster whose shuffle budget holds almost nothing, so
+	// partial-aggregate blocks spill through their codec and are read
+	// back from disk.
+	spillCl := cluster.New(cluster.Config{Workers: 3, Slots: 2, WorkerDiskBytes: -1, WorkerShuffleBytes: 2 << 10})
+	t.Cleanup(spillCl.Close)
+	spillSvc := shuffle.NewService(spillCl, shuffle.Memory, t.TempDir())
+	spillCtx := rdd.NewContext(spillCl, spillSvc, rdd.Options{})
 
 	const file = "data/diff/src"
 	w, err := fs.Create(file, dfs.Text, diffSchema)
@@ -801,7 +829,7 @@ func diffExecutors(t *testing.T) []diffExecutor {
 
 	// session builds a private-catalog session whose table t is the
 	// source cached at level, or the DFS file itself when level is "".
-	session := func(name, level string, opts exec.Options) *Session {
+	session := func(ctx *rdd.Context, name, level string, opts exec.Options) *Session {
 		s := NewSessionNamed(ctx, fs, catalog.New(), name, opts)
 		t.Cleanup(s.Close)
 		if err := s.RegisterUDF("EVENISH", row.TBool, 1, 1, evenish); err != nil {
@@ -821,18 +849,26 @@ func diffExecutors(t *testing.T) []diffExecutor {
 		}
 		return s
 	}
-	on := func(name, level string, opts exec.Options) diffExecutor {
-		s := session(name, level, opts)
+	onCtx := func(ctx *rdd.Context, name, level string, opts exec.Options) diffExecutor {
+		s := session(ctx, name, level, opts)
 		if name == "default" {
 			checkDiffEncodings(t, s)
 		}
-		return diffExecutor{name, func(sql string) ([]row.Row, error) {
+		return diffExecutor{name: name, run: func(sql string) ([]row.Row, error) {
 			res, err := s.Exec(sql)
 			if err != nil {
 				return nil, err
 			}
 			return res.Rows, nil
 		}}
+	}
+	on := func(name, level string, opts exec.Options) diffExecutor { return onCtx(ctx, name, level, opts) }
+	spilled := onCtx(spillCtx, "spilled-shuffle", "MEMORY_ONLY", exec.Options{})
+	spilled.done = func() error {
+		if spillSvc.Metrics().SpilledReads.Load() == 0 {
+			return fmt.Errorf("no shuffle bucket was read back from disk")
+		}
+		return nil
 	}
 
 	// The oracle: Hive on MapReduce over the DFS file, on a catalog of
@@ -856,7 +892,9 @@ func diffExecutors(t *testing.T) []diffExecutor {
 		on("unpruned", "MEMORY_ONLY", exec.Options{DisablePruning: true}),
 		on("disk-only", "DISK_ONLY", exec.Options{}),
 		on("dfs-twin", "", exec.Options{}),
-		{"hive", func(sql string) ([]row.Row, error) {
+		on("static", "MEMORY_ONLY", exec.Options{DisableAdaptiveExec: true}),
+		spilled,
+		{name: "hive", run: func(sql string) ([]row.Row, error) {
 			st, err := sqlparse.Parse(sql)
 			if err != nil {
 				return nil, err
@@ -1020,7 +1058,7 @@ func TestDifferentialCachedScan(t *testing.T) {
 		// those rows themselves, or for a LIMIT any limit of them.
 		expect func([]row.Row) []row.Row
 	}
-	queries := make([]query, 0, len(diffFixed)+diffQueries+diffPostAgg)
+	queries := make([]query, 0, len(diffFixed)+diffQueries+diffPostAgg+diffGroupBy)
 	for _, sql := range diffFixed {
 		queries = append(queries, query{sql: sql, unlimited: sql})
 	}
@@ -1037,6 +1075,10 @@ func TestDifferentialCachedScan(t *testing.T) {
 	for range diffPostAgg {
 		sql, base, expect := g.postAggStatement()
 		queries = append(queries, query{sql: sql, unlimited: base, expect: expect})
+	}
+	for range diffGroupBy {
+		sql := g.groupBy()
+		queries = append(queries, query{sql: sql, unlimited: sql})
 	}
 
 	// Reference results: the default configuration, without LIMIT.
@@ -1069,6 +1111,11 @@ func TestDifferentialCachedScan(t *testing.T) {
 				}
 				if err != nil {
 					t.Errorf("seed %d query %d: %s disagrees with %s: %v\n%s", diffSeed, i, ex.name, execs[0].name, err, q.sql)
+				}
+			}
+			if ex.done != nil {
+				if err := ex.done(); err != nil {
+					t.Errorf("%s: %v", ex.name, err)
 				}
 			}
 		}()

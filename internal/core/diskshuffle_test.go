@@ -1,17 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"shark/internal/cluster"
 	"shark/internal/dfs"
 	"shark/internal/exec"
 	"shark/internal/rdd"
+	"shark/internal/row"
 	"shark/internal/shuffle"
 )
 
-// TestDiskShuffleQueries runs SQL (including aggregation states and
-// COUNT DISTINCT) over a disk-mode shuffle: partial aggregation states
+// TestDiskShuffleQueries runs SQL (including aggregates and
+// COUNT DISTINCT) over a disk-mode shuffle: partial-aggregate blocks
 // must round-trip the on-disk bucket format.
 func TestDiskShuffleQueries(t *testing.T) {
 	c := cluster.New(cluster.Config{Workers: 4, Slots: 2})
@@ -48,5 +50,56 @@ func TestDiskShuffleQueries(t *testing.T) {
 	res = e.mustExec(t, `SELECT COUNT(*) FROM rankings JOIN uservisits ON rankings.pageURL = uservisits.destURL`)
 	if res.Rows[0][0].(int64) <= 0 {
 		t.Errorf("join count = %v", res.Rows[0][0])
+	}
+}
+
+// TestAggregateEmptyMapTasks: a map task that finds no group — a WHERE
+// matching nothing in its partition, an empty join partition — shuffles
+// no block, so a disk shuffle and a spilling memory shuffle read back
+// only blocks of at least one group, and agree with a memory shuffle.
+func TestAggregateEmptyMapTasks(t *testing.T) {
+	schema := row.Schema{{Name: "k", Type: row.TInt}, {Name: "g", Type: row.TString}, {Name: "v", Type: row.TFloat}}
+	rows := make([]row.Row, 3000)
+	for i := range rows {
+		rows[i] = row.Row{int64(i / 600), fmt.Sprintf("g%d", i%37), float64(i)}
+	}
+	env := func(cfg cluster.Config, mode shuffle.Mode) (*testEnv, *shuffle.Service) {
+		c := cluster.New(cfg)
+		t.Cleanup(c.Close)
+		svc := shuffle.NewService(c, mode, t.TempDir())
+		fs, err := dfs.New(dfs.Config{Dir: t.TempDir(), BlockSize: 16 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := &testEnv{s: NewSession(rdd.NewContext(c, svc, rdd.Options{}), fs, exec.Options{}), fs: fs}
+		e.writeDFS(t, "t_ext", schema, rows)
+		e.mustExec(t, `CREATE TABLE t TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM t_ext`)
+		return e, svc
+	}
+	ref, _ := env(cluster.Config{Workers: 4, Slots: 2}, shuffle.Memory)
+	disk, _ := env(cluster.Config{Workers: 4, Slots: 2}, shuffle.Disk)
+	spill, spillSvc := env(cluster.Config{Workers: 4, Slots: 2, WorkerDiskBytes: -1, WorkerShuffleBytes: 1 << 10}, shuffle.Memory)
+	for _, sql := range []string{
+		`SELECT g, COUNT(*), SUM(v), MIN(g), COUNT(DISTINCT k) FROM t WHERE k = 0 GROUP BY g`,
+		`SELECT g, COUNT(*) FROM t_ext WHERE k = 4 GROUP BY g`,
+		`SELECT g, COUNT(*) FROM t WHERE k < 0 GROUP BY g`,
+		`SELECT COUNT(*), SUM(v) FROM t WHERE k < 0`,
+		`SELECT a.g, COUNT(*), MAX(b.v) FROM t a JOIN t b ON a.g = b.g WHERE a.k = 0 AND b.k = 1 GROUP BY a.g`,
+		`SELECT a.g, COUNT(*) FROM t a JOIN t b ON a.g = b.g WHERE a.k < 0 GROUP BY a.g`,
+	} {
+		want := diffSorted(ref.mustExec(t, sql).Rows)
+		for name, e := range map[string]*testEnv{"disk shuffle": disk, "spilled shuffle": spill} {
+			res, err := e.s.Exec(sql)
+			if err != nil {
+				t.Errorf("%s: %v\n%s", name, err, sql)
+				continue
+			}
+			if err := diffSameBag(res.Rows, want); err != nil {
+				t.Errorf("%s: %v\n%s", name, err, sql)
+			}
+		}
+	}
+	if spillSvc.Metrics().SpilledReads.Load() == 0 {
+		t.Error("no shuffle bucket was read back from disk")
 	}
 }

@@ -1,0 +1,372 @@
+package exec
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+
+	"shark/internal/columnar"
+	"shark/internal/plan"
+	"shark/internal/row"
+	"shark/internal/shuffle"
+)
+
+// aggBlock is a hash aggregate's partial state as it crosses the
+// shuffle: groups as columns, a slot per group in a vector per GROUP BY
+// column and in each aggregate's accumulators. A group table
+// (vecagg.go) is a block that grows; a map task cuts its table into a
+// block per shuffle bucket, and a reduce task folds the blocks it
+// fetches into a fresh table, only reading them, so a retried or
+// speculative reduce re-reads them safely.
+//
+// A key column, and an aggregate's values, are a columnar.Vec over
+// slots (Mask -1), typed by the plan's type for the column, boxed for
+// any other type or once a value of another type arrives (an
+// adapter's). A set bit of Nulls is a NULL key, or an aggregate that
+// has seen no value yet.
+type aggBlock struct {
+	n    int // groups
+	keys []columnar.Vec
+	accs []accum
+}
+
+// accum is one aggregate's accumulators: COUNT and AVG count values,
+// SUM and AVG add them into val, MIN and MAX keep one there, and
+// COUNT(DISTINCT) keeps a set.
+type accum struct {
+	count    []int64
+	val      columnar.Vec
+	distinct []map[any]struct{}
+}
+
+// slotsFor returns an empty column for values of type t.
+func slotsFor(t row.Type) columnar.Vec {
+	v := columnar.Vec{Mask: -1}
+	switch t {
+	case row.TInt, row.TDate:
+		v.Kind = columnar.VecInt
+	case row.TFloat:
+		v.Kind = columnar.VecFloat
+	case row.TString:
+		v.Kind = columnar.VecStr
+	}
+	return v
+}
+
+// slots returns a pointer to v's values when v holds T, else nil.
+func slots[T int64 | float64 | string](v *columnar.Vec) *[]T {
+	var p any
+	switch v.Kind {
+	case columnar.VecInt:
+		p = &v.Ints
+	case columnar.VecFloat:
+		p = &v.Floats
+	case columnar.VecStr:
+		p = &v.Strs
+	}
+	xs, _ := p.(*[]T)
+	return xs
+}
+
+// at reads back slot i of a column holding T values.
+func at[T int64 | float64 | string](v *columnar.Vec, i int32) T {
+	if xs := slots[T](v); xs != nil {
+		return (*xs)[i]
+	}
+	return v.Anys[i].(T)
+}
+
+// grow appends slot n, NULL, to v.
+func grow(v *columnar.Vec, n int) {
+	if n&63 == 0 {
+		v.Nulls = push(v.Nulls)
+	}
+	v.Nulls.Set(n)
+	switch v.Kind {
+	case columnar.VecInt:
+		v.Ints = push(v.Ints)
+	case columnar.VecFloat:
+		v.Floats = push(v.Floats)
+	case columnar.VecStr:
+		v.Strs = push(v.Strs)
+	default:
+		v.Anys = push(v.Anys)
+	}
+}
+
+// push appends a zero slot, doubling a full slice: append's 1.25×
+// growth of a large slice allocates several times its final size.
+func push[T any](s []T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 4))
+	}
+	var zero T
+	return append(s, zero)
+}
+
+// box turns v, of n slots, into a boxed column.
+func box(v *columnar.Vec, n int) {
+	if v.Kind != columnar.VecAny {
+		anys := make([]any, n)
+		for i := range anys {
+			anys[i] = v.At(int32(i))
+		}
+		*v = columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: anys, Nulls: v.Nulls}
+	}
+}
+
+// valid clears slot i's null bit.
+func valid(v *columnar.Vec, i int32) { v.Nulls[i>>6] &^= 1 << (uint(i) & 63) }
+
+// grow appends slot n, empty, to the vectors s uses.
+func (a *accum) grow(s plan.AggSpec, n int) {
+	if s.Kind == plan.AggCount || s.Kind == plan.AggAvg {
+		a.count = push(a.count)
+	}
+	if s.Kind == plan.AggCountDistinct {
+		a.distinct = push(a.distinct)
+	} else if s.Kind != plan.AggCount {
+		grow(&a.val, n)
+	}
+}
+
+// Records implements the shuffle's record count: a group is a record.
+func (b *aggBlock) Records() int64 { return int64(b.n) }
+
+// SizeBytes is the block's footprint: PDE's bucket sizes are exact.
+func (b *aggBlock) SizeBytes() int64 {
+	var n int64
+	for k := range b.keys {
+		n += vecBytes(&b.keys[k])
+	}
+	for _, a := range b.accs {
+		n += 8*int64(len(a.count)) + vecBytes(&a.val)
+		for _, set := range a.distinct {
+			n += 48 + 16*int64(len(set))
+		}
+	}
+	return n
+}
+
+func vecBytes(v *columnar.Vec) int64 {
+	n := 8 * int64(len(v.Nulls)+len(v.Ints)+len(v.Floats))
+	for _, s := range v.Strs {
+		n += 16 + int64(len(s))
+	}
+	for _, x := range v.Anys {
+		n += shuffle.EstimateSize(x)
+	}
+	return n
+}
+
+// gather returns groups ids of b, in that order, as a block of their own.
+func (b *aggBlock) gather(ids []int32) *aggBlock {
+	out := &aggBlock{n: len(ids), keys: make([]columnar.Vec, len(b.keys)), accs: make([]accum, len(b.accs))}
+	for k := range b.keys {
+		out.keys[k] = gatherVec(&b.keys[k], ids)
+	}
+	for k, a := range b.accs {
+		out.accs[k] = accum{gather(a.count, ids), gatherVec(&a.val, ids), gather(a.distinct, ids)}
+	}
+	return out
+}
+
+func gatherVec(v *columnar.Vec, ids []int32) columnar.Vec {
+	out := columnar.Vec{Kind: v.Kind, Mask: -1, Ints: gather(v.Ints, ids), Floats: gather(v.Floats, ids),
+		Strs: gather(v.Strs, ids), Anys: gather(v.Anys, ids)}
+	for j, id := range ids {
+		if v.Nulls.Has(int(id)) {
+			if out.Nulls == nil {
+				out.Nulls = make(columnar.Bitmap, (len(ids)+63)/64)
+			}
+			out.Nulls.Set(j)
+		}
+	}
+	return out
+}
+
+// used reports whether v has slots.
+func used(v *columnar.Vec) bool {
+	return v.Ints != nil || v.Floats != nil || v.Strs != nil || v.Anys != nil
+}
+
+func gather[T any](xs []T, ids []int32) []T {
+	if xs == nil {
+		return nil
+	}
+	out := make([]T, len(ids))
+	for j, id := range ids {
+		out[j] = xs[id]
+	}
+	return out
+}
+
+// ---------------------------------------------------------------------------
+// Spill and disk-shuffle form
+
+const aggBlockTag = "exec.aggBlock"
+
+func init() {
+	shuffle.RegisterDiskDecoder(aggBlockTag, func(fields row.Row) any {
+		b, err := unmarshalAggBlock(fields)
+		if err != nil {
+			panic(err) // the spill codec and the disk shuffle fail the read
+		}
+		return b
+	})
+}
+
+// blob is one of a block's blobs: whether the block has it, and the
+// function moving it through a codec.
+type blob struct {
+	has  bool
+	move func(x *columnar.BlobCodec)
+}
+
+// blobs lists the block's blobs: one per key column, then three per
+// aggregate, one per accumulator vector.
+func (b *aggBlock) blobs() []blob {
+	var out []blob
+	for k := range b.keys {
+		out = append(out, blob{true, func(x *columnar.BlobCodec) { vecBlob(x, &b.keys[k], b.n) }})
+	}
+	for k := range b.accs {
+		a := &b.accs[k]
+		out = append(out,
+			blob{a.count != nil, func(x *columnar.BlobCodec) { columnar.Fixed(x, &a.count, b.n) }},
+			blob{used(&a.val), func(x *columnar.BlobCodec) { vecBlob(x, &a.val, b.n) }},
+			blob{a.distinct != nil, func(x *columnar.BlobCodec) { sets(x, &a.distinct, b.n) }})
+	}
+	return out
+}
+
+// MarshalShuffle implements shuffle.DiskMarshaler: the group count, the
+// number of key columns, then the blobs, "" for one the block has not.
+func (b *aggBlock) MarshalShuffle() (string, row.Row) {
+	fields := row.Row{int64(b.n), int64(len(b.keys))}
+	for _, blob := range b.blobs() {
+		x := columnar.NewBlobWriter(b.n)
+		if blob.has {
+			blob.move(x)
+		}
+		fields = append(fields, x.Blob())
+	}
+	return aggBlockTag, fields
+}
+
+// unmarshalAggBlock inverts MarshalShuffle. Every count is checked
+// against the bytes left before it sizes an allocation, and a block
+// that would marshal back to other bytes is an error.
+func unmarshalAggBlock(fields row.Row) (*aggBlock, error) {
+	bad := fmt.Errorf("exec: malformed partial-aggregate block (%d fields)", len(fields))
+	if len(fields) < 2 {
+		return nil, bad
+	}
+	n, ok := fields[0].(int64)
+	nk, ok2 := fields[1].(int64)
+	blobs := fields[2:]
+	// A block holds at least one group; without GROUP BY, exactly one.
+	if !ok || !ok2 || n < 1 || n > math.MaxInt32 || nk < 0 || nk > int64(len(blobs)) || nk == 0 && n != 1 || (int64(len(blobs))-nk)%3 != 0 {
+		return nil, bad
+	}
+	b := &aggBlock{n: int(n), keys: make([]columnar.Vec, nk), accs: make([]accum, (len(blobs)-int(nk))/3)}
+	for i, blob := range b.blobs() {
+		s, ok := blobs[i].(string)
+		if !ok || s == "" && i < len(b.keys) {
+			return nil, bad
+		}
+		x := columnar.NewBlobReader(b.n, s)
+		if s != "" {
+			blob.move(x)
+		}
+		if !x.Done() {
+			return nil, bad
+		}
+	}
+	return b, nil
+}
+
+// vecBlob moves v's n slots through x: the kind, the NULL bitmap, then
+// the values (a boxed column's as one binary row, NULL exactly where
+// the bitmap says).
+func vecBlob(x *columnar.BlobCodec, v *columnar.Vec, n int) {
+	kind := byte(v.Kind)
+	x.U8(&kind)
+	if !x.Check(kind <= byte(columnar.VecStr)) {
+		return
+	}
+	if x.Reading() { // a block being written may be folded meanwhile: only read it
+		v.Kind, v.Mask = columnar.VecKind(kind), -1
+	}
+	x.Bitmap(&v.Nulls)
+	switch v.Kind {
+	case columnar.VecInt:
+		columnar.Fixed(x, &v.Ints, n)
+	case columnar.VecFloat:
+		columnar.Fixed(x, &v.Floats, n)
+	case columnar.VecStr:
+		x.Strings(&v.Strs, n)
+	default:
+		x.Values(&v.Anys, n)
+		for i, a := range v.Anys {
+			x.Check((a == nil) == v.Nulls.Has(i))
+		}
+	}
+}
+
+// sets moves n COUNT(DISTINCT) sets: their sizes, then their members as
+// one binary row, each set's in orderValues order, so that a set
+// marshals the same however its map iterates.
+func sets(x *columnar.BlobCodec, v *[]map[any]struct{}, n int) {
+	sizes := make([]int64, len(*v))
+	var members []any
+	for i, set := range *v {
+		sizes[i] = int64(len(set))
+		at := len(members)
+		for m := range set {
+			members = append(members, m)
+		}
+		slices.SortFunc(members[at:], orderValues)
+	}
+	columnar.Fixed(x, &sizes, n)
+	var total int64
+	for _, k := range sizes {
+		total += k
+		x.Check(k >= 0 && total <= math.MaxInt32)
+	}
+	if !x.Check(true) {
+		return
+	}
+	x.Values(&members, int(total))
+	if !x.Reading() || !x.Check(int64(len(members)) == total) {
+		return
+	}
+	*v = make([]map[any]struct{}, n)
+	for i, k := range sizes {
+		if k == 0 {
+			continue
+		}
+		mine := members[:k]
+		members = members[k:]
+		set := make(map[any]struct{}, k)
+		for j, m := range mine {
+			x.Check(m != nil && (j == 0 || orderValues(mine[j-1], m) <= 0))
+			set[m] = struct{}{}
+		}
+		x.Check(int64(len(set)) == k) // no member twice
+		(*v)[i] = set
+	}
+}
+
+// orderValues is a total order on row values: by type, then by value,
+// floats by their bits.
+func orderValues(a, b any) int {
+	if ta, tb := row.TypeOf(a), row.TypeOf(b); ta != tb {
+		return cmp.Compare(ta, tb)
+	}
+	if x, ok := a.(float64); ok {
+		return cmp.Compare(math.Float64bits(x), math.Float64bits(b.(float64)))
+	}
+	return row.Compare(a, b)
+}

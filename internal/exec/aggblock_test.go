@@ -1,0 +1,92 @@
+package exec
+
+import (
+	"runtime"
+	"testing"
+
+	"shark/internal/columnar"
+	"shark/internal/expr"
+	"shark/internal/plan"
+	"shark/internal/row"
+	"shark/internal/shuffle"
+)
+
+// aggBlockSeeds marshals blocks holding every vector kind: typed and
+// boxed keys with NULLs, composite keys, and every accumulator, MIN and
+// MAX over strings and floats and COUNT(DISTINCT) sets among them.
+func aggBlockSeeds() [][]byte {
+	specs := append(specAll(),
+		plan.AggSpec{Kind: plan.AggMin, Arg: &expr.Col{Idx: 2, T: row.TString}, Out: row.TString},
+		plan.AggSpec{Kind: plan.AggMax, Arg: &expr.Col{Idx: 1, T: row.TFloat}, Out: row.TFloat},
+		plan.AggSpec{Kind: plan.AggCountDistinct, Arg: &expr.Col{Idx: 2, T: row.TString}, Out: row.TInt})
+	var out [][]byte
+	for _, groupBy := range [][]expr.Expr{
+		nil,
+		{&expr.Col{Idx: 2, T: row.TString}},
+		{&expr.Col{Idx: 3, T: row.TBool}},
+		{&expr.Col{Idx: 0, T: row.TInt}, &expr.Col{Idx: 3, T: row.TBool}},
+	} {
+		a := &plan.Aggregate{GroupBy: groupBy, Aggs: specs}
+		g := newGroupTable(a)
+		for i := range 40 {
+			r := row.Row{int64(i % 6), float64(i) / 3, []any{"x", nil, "yy", ""}[i%4], []any{true, false, nil}[i%3]}
+			if i%5 == 0 {
+				r[0], r[1] = nil, nil
+			}
+			keys := make([]columnar.Vec, len(groupBy))
+			for k, x := range groupBy {
+				keys[k] = columnar.Vec{Kind: columnar.VecAny, Anys: []any{x.Eval(r)}}
+			}
+			ids := []int32{0}
+			g.resolve(keys, []int32{0}, ids)
+			feed(g, ids[0], r)
+		}
+		for _, p := range g.blocks(3) {
+			out = append(out, []byte(marshalled(p.(shuffle.Pair).V.(*aggBlock))))
+		}
+	}
+	return out
+}
+
+// FuzzAggBlock: the block decoder never panics, allocates within a small
+// multiple of its input, and whatever it accepts marshals back to the
+// same bytes and reads back slot by slot.
+func FuzzAggBlock(f *testing.F) {
+	for _, seed := range aggBlockSeeds() {
+		f.Add(seed)
+	}
+	f.Add(row.EncodeBinary(nil, row.Row{int64(1 << 40), int64(1), "\x01"}))
+	f.Add(row.EncodeBinary(nil, row.Row{int64(3), int64(0), "\x20"}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fields, _, err := row.DecodeBinary(data)
+		if err != nil {
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := unmarshalAggBlock(fields)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 48*uint64(len(data))+8<<10 {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		if again := marshalled(b); again != string(row.EncodeBinary(nil, fields)) {
+			t.Fatalf("re-marshalling changed the fields:\n%q\n%q", row.EncodeBinary(nil, fields), again)
+		}
+		for i := range int32(b.n) {
+			for k := range b.keys {
+				b.keys[k].At(i)
+			}
+			for _, a := range b.accs {
+				if used(&a.val) {
+					a.val.At(i)
+				}
+			}
+		}
+		if b.Records() != int64(b.n) || b.SizeBytes() < 0 {
+			t.Fatalf("a block of %d groups reports %d records, %d bytes", b.n, b.Records(), b.SizeBytes())
+		}
+	})
+}

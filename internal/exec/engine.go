@@ -11,9 +11,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
 	"shark/internal/catalog"
+	"shark/internal/columnar"
 	"shark/internal/dfs"
 	"shark/internal/expr"
 	"shark/internal/obs"
@@ -380,15 +380,17 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 
 // ---------------------------------------------------------------------------
 // Aggregation: two-phase hash aggregation. Map tasks pre-aggregate
-// locally (the map-side combine), shuffle partial states by group key,
-// and PDE picks the reduce parallelism by bin-packing observed bucket
-// sizes.
+// locally into a group table and shuffle its groups as one block per
+// bucket (aggblock.go); PDE picks the reduce parallelism by bin-packing
+// the observed bucket sizes; each reduce task folds its buckets' blocks
+// into a table of its own.
 
 func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats *QueryStats, p *prof) (*rdd.RDD, error) {
 	ns := p.of(a)
-	specs := a.Aggs
+	nBuckets := e.fineBuckets()
 	var partial *rdd.RDD
 	if m := matchMemScan(a); m != nil {
+		m.buckets = nBuckets
 		var err error
 		if partial, err = e.compileMemScan(m, stats, p); err != nil {
 			return nil, err
@@ -398,12 +400,9 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 		if err != nil {
 			return nil, err
 		}
-		partial = e.partialAggregateRows(a, child)
+		partial = e.partialAggregateRows(a, child, nBuckets)
 	}
-
-	nBuckets := e.fineBuckets()
-	dep := e.Ctx.NewShuffleDep(partial, shuffle.HashPartitioner{N: nBuckets},
-		func(x, y any) any { return x.(*aggState).merge(y.(*aggState), specs) })
+	dep := e.Ctx.NewShuffleDep(partial, blockBuckets(nBuckets), nil)
 
 	// PDE: materialize the map side, observe bucket sizes, coalesce.
 	endSeg := ns.beginSegment(gctx)
@@ -421,7 +420,7 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 	} else {
 		// Adaptive reduce parallelism: the task count follows the
 		// observed map-output volume, not a static default. Aggregate
-		// buckets are never skew-split — a group's partial states must
+		// buckets are never skew-split — a group's partial aggregates must
 		// finalize in exactly one task.
 		target := pde.TargetReducers(shufStats.TotalBytes, e.opts.TargetPerReducerBytes,
 			1, nBuckets)
@@ -435,295 +434,48 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 			len(groups), nBuckets, shufStats.TotalBytes)
 	}
 
-	merged := e.Ctx.Shuffled(dep, groups, rdd.ReadCombine)
-	nGroupCols := len(a.GroupBy)
-	return merged.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
-		return rdd.FuncIter(func() (any, bool) {
-			v, ok := in.Next()
-			if !ok {
-				return nil, false
-			}
-			st := v.(shuffle.Pair).V.(*aggState)
-			out := make(row.Row, nGroupCols+len(specs))
-			copy(out, st.groupVals)
-			for i, spec := range specs {
-				out[nGroupCols+i] = st.finalize(i, spec)
-			}
-			return out, true
-		})
-	}), nil
-}
-
-// partialAggregateRows is the map side over a row RDD (joins,
-// subqueries): per input partition, one pass folding each row into its
-// group's state.
-func (e *Engine) partialAggregateRows(a *plan.Aggregate, child *rdd.RDD) *rdd.RDD {
-	groupFns := make([]expr.EvalFn, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		groupFns[i] = g.Eval
-	}
-	argFns := make([]expr.EvalFn, len(a.Aggs))
-	for i, spec := range a.Aggs {
-		if spec.Arg != nil {
-			argFns[i] = spec.Arg.Eval
-		}
-	}
-	specs := a.Aggs
-	return child.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
-		g := newGroupTable(specs)
-		var enc row.BinaryEncoder
-		vals := make(row.Row, len(groupFns))
+	merged := e.Ctx.Shuffled(dep, groups, rdd.ReadRaw)
+	return merged.MapPartitions(func(_ int, in rdd.Iter) rdd.Iter {
+		g := newGroupTable(a)
+		g.borrow = true
 		for {
 			v, ok := in.Next()
 			if !ok {
-				break
+				return rdd.SliceIter(g.rows())
 			}
-			r := v.(row.Row)
-			var st *aggState
-			switch len(groupFns) {
-			case 0:
-				st = g.global()
-			case 1:
-				st = g.byValue(groupFns[0](r))
-			default:
-				enc.Reset(len(groupFns))
-				for i, f := range groupFns {
-					vals[i] = f(r)
-					enc.Value(vals[i])
-				}
-				key := enc.Bytes()
-				if st = g.composite(key); st == nil {
-					st = g.addComposite(key, vals.Clone())
-				}
+			g.fold(v.(shuffle.Pair).V.(*aggBlock))
+		}
+	}), nil
+}
+
+// blockBuckets partitions a partial aggregate's shuffle: its map tasks
+// have already cut their groups into one block per bucket, and a
+// pair's key is its block's bucket.
+type blockBuckets int
+
+func (n blockBuckets) NumPartitions() int     { return int(n) }
+func (blockBuckets) PartitionFor(key any) int { return int(key.(int64)) }
+
+// partialAggregateRows is the map side over a row RDD (joins,
+// subqueries): the batch kernels' group table, fed one row at a time
+// as one-slot boxed vectors.
+func (e *Engine) partialAggregateRows(a *plan.Aggregate, child *rdd.RDD, buckets int) *rdd.RDD {
+	return child.MapPartitions(func(_ int, in rdd.Iter) rdd.Iter {
+		var r row.Row
+		one := []int32{0}
+		next := func() ([]int32, bool) {
+			v, ok := in.Next()
+			r, _ = v.(row.Row)
+			return one, ok
+		}
+		eval := func(x expr.Expr) valFn {
+			cell := make([]any, 1)
+			return func([]int32) columnar.Vec {
+				cell[0] = x.Eval(r)
+				return columnar.Vec{Kind: columnar.VecAny, Anys: cell}
 			}
-			st.update(specs, argFns, r)
 		}
-		// Global aggregation must produce a row even over empty input
-		// (COUNT(*) = 0, SUM = NULL), so emit an identity state.
-		if len(groupFns) == 0 {
-			g.global()
-		}
-		return rdd.SliceIter(g.pairs)
+		g := newGroupTable(a)
+		return rdd.SliceIter(g.partial(next, g.resolver(a.GroupBy, eval), eval, buckets))
 	})
-}
-
-func normalizeGroupKey(v any) any {
-	if v == nil {
-		return "\x00null\x00" // map keys must be comparable; nil is, but keep it distinct from ""
-	}
-	return v
-}
-
-// aggState is the partial-aggregation accumulator shipped through the
-// shuffle (memory mode keeps it as a pointer; the MR baseline uses its
-// own row-encodable states).
-type aggState struct {
-	groupVals row.Row
-	accs      []aggAcc
-}
-
-type aggAcc struct {
-	count    int64
-	sumI     int64
-	sumF     float64
-	seen     bool
-	min, max any
-	distinct map[any]struct{}
-}
-
-func newAggState(groupVals row.Row, specs []plan.AggSpec) *aggState {
-	st := &aggState{groupVals: groupVals, accs: make([]aggAcc, len(specs))}
-	for i, s := range specs {
-		if s.Kind == plan.AggCountDistinct {
-			st.accs[i].distinct = make(map[any]struct{})
-		}
-	}
-	return st
-}
-
-func (st *aggState) update(specs []plan.AggSpec, argFns []expr.EvalFn, r row.Row) {
-	for i, spec := range specs {
-		if argFns[i] == nil { // COUNT(*)
-			st.accs[i].count++
-		} else {
-			st.accs[i].add(spec.Kind, argFns[i](r))
-		}
-	}
-}
-
-// add folds one boxed argument value into the accumulator; every
-// aggregate ignores NULL. A value it keeps is kept as it is: the rows
-// of the row path own their strings (a batch's do not: addString).
-func (acc *aggAcc) add(kind plan.AggKind, v any) {
-	if v != nil {
-		acc.fold(kind, v)
-	}
-}
-
-// fold is add for a non-NULL value the accumulator may keep.
-func (acc *aggAcc) fold(kind plan.AggKind, v any) {
-	switch kind {
-	case plan.AggCount:
-		acc.count++
-	case plan.AggCountDistinct:
-		acc.distinct[v] = struct{}{}
-	case plan.AggSum, plan.AggAvg:
-		acc.seen = true
-		acc.count++
-		switch x := v.(type) {
-		case int64:
-			acc.sumI += x
-			acc.sumF += float64(x)
-		case float64:
-			acc.sumF += x
-		}
-	case plan.AggMin:
-		if acc.min == nil || row.Compare(v, acc.min) < 0 {
-			acc.min = v
-		}
-	case plan.AggMax:
-		if acc.max == nil || row.Compare(v, acc.max) > 0 {
-			acc.max = v
-		}
-	}
-}
-
-// addInt, addFloat and addString are add for a value held unboxed (the
-// batch aggregator reads them straight off a vector): they do the
-// arithmetic in place and box only a value the accumulator keeps — a
-// new MIN or MAX, a new distinct value.
-
-func (acc *aggAcc) addInt(kind plan.AggKind, x int64) {
-	switch kind {
-	case plan.AggCount:
-		acc.count++
-	case plan.AggSum, plan.AggAvg:
-		acc.seen = true
-		acc.count++
-		acc.sumI += x
-		acc.sumF += float64(x)
-	default:
-		if keeps(acc, kind, x) {
-			acc.fold(kind, x)
-		}
-	}
-}
-
-func (acc *aggAcc) addFloat(kind plan.AggKind, x float64) {
-	switch kind {
-	case plan.AggCount:
-		acc.count++
-	case plan.AggSum, plan.AggAvg:
-		acc.seen = true
-		acc.count++
-		acc.sumF += x
-	default:
-		if keeps(acc, kind, x) {
-			acc.fold(kind, x)
-		}
-	}
-}
-
-// addString copies the string it keeps: x may be a sub-string of a
-// cached partition's column data, and the accumulator outlives the
-// scan.
-func (acc *aggAcc) addString(kind plan.AggKind, x string) {
-	if kind == plan.AggCount {
-		acc.count++
-	} else if keeps(acc, kind, x) {
-		acc.fold(kind, strings.Clone(x))
-	}
-}
-
-// keeps reports whether a MIN, MAX or COUNT(DISTINCT) accumulator
-// would retain x. It errs towards true — add decides — whenever the
-// kept value is not of x's own type.
-func keeps[T int64 | float64 | string](acc *aggAcc, kind plan.AggKind, x T) bool {
-	switch kind {
-	case plan.AggMin:
-		cur, ok := acc.min.(T)
-		return !ok || x < cur
-	case plan.AggMax:
-		cur, ok := acc.max.(T)
-		return !ok || x > cur
-	case plan.AggCountDistinct:
-		_, seen := acc.distinct[x]
-		return !seen
-	}
-	return true
-}
-
-// clone deep-copies the state. Merging never mutates its inputs:
-// states live in shuffle buckets that retried or speculative reduce
-// tasks may re-read, so in-place merging would double-count.
-func (st *aggState) clone(specs []plan.AggSpec) *aggState {
-	out := &aggState{groupVals: st.groupVals, accs: append([]aggAcc(nil), st.accs...)}
-	for i, s := range specs {
-		if s.Kind == plan.AggCountDistinct {
-			m := make(map[any]struct{}, len(st.accs[i].distinct))
-			for v := range st.accs[i].distinct {
-				m[v] = struct{}{}
-			}
-			out.accs[i].distinct = m
-		}
-	}
-	return out
-}
-
-// merge returns a fresh state holding st ⊕ other.
-func (st *aggState) merge(other *aggState, specs []plan.AggSpec) *aggState {
-	st = st.clone(specs)
-	for i, spec := range specs {
-		a, b := &st.accs[i], &other.accs[i]
-		switch spec.Kind {
-		case plan.AggCount:
-			a.count += b.count
-		case plan.AggCountDistinct:
-			for v := range b.distinct {
-				a.distinct[v] = struct{}{}
-			}
-		case plan.AggSum, plan.AggAvg:
-			a.count += b.count
-			a.sumI += b.sumI
-			a.sumF += b.sumF
-			a.seen = a.seen || b.seen
-		case plan.AggMin:
-			if b.min != nil && (a.min == nil || row.Compare(b.min, a.min) < 0) {
-				a.min = b.min
-			}
-		case plan.AggMax:
-			if b.max != nil && (a.max == nil || row.Compare(b.max, a.max) > 0) {
-				a.max = b.max
-			}
-		}
-	}
-	return st
-}
-
-func (st *aggState) finalize(i int, spec plan.AggSpec) any {
-	acc := &st.accs[i]
-	switch spec.Kind {
-	case plan.AggCount:
-		return acc.count
-	case plan.AggCountDistinct:
-		return int64(len(acc.distinct))
-	case plan.AggSum:
-		if !acc.seen {
-			return nil
-		}
-		if spec.Out == row.TInt {
-			return acc.sumI
-		}
-		return acc.sumF
-	case plan.AggAvg:
-		if acc.count == 0 {
-			return nil
-		}
-		return acc.sumF / float64(acc.count)
-	case plan.AggMin:
-		return acc.min
-	case plan.AggMax:
-		return acc.max
-	}
-	return nil
 }

@@ -1,12 +1,18 @@
 package exec
 
 import (
+	"context"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"shark/internal/catalog"
+	"shark/internal/cluster"
+	"shark/internal/columnar"
 	"shark/internal/expr"
 	"shark/internal/plan"
+	"shark/internal/rdd"
 	"shark/internal/row"
 	"shark/internal/shuffle"
 )
@@ -23,96 +29,141 @@ func specAll() []plan.AggSpec {
 	}
 }
 
-func argFnsFor(specs []plan.AggSpec) []expr.EvalFn {
-	fns := make([]expr.EvalFn, len(specs))
-	for i, s := range specs {
-		if s.Arg != nil {
-			fns[i] = s.Arg.Eval
+// groupOf returns a table over specs (grouped by column 2 of the fed
+// rows, a string) and the id of its group "g".
+func groupOf(specs []plan.AggSpec) (*groupTable, int32) {
+	g := newGroupTable(&plan.Aggregate{GroupBy: []expr.Expr{&expr.Col{Idx: 2, T: row.TString}}, Aggs: specs})
+	return g, g.byValue("g")
+}
+
+// feed folds row r into group id, as the row path does.
+func feed(g *groupTable, id int32, r row.Row) {
+	sel, ids := []int32{0}, []int32{id}
+	for k, s := range g.specs {
+		if s.Arg == nil {
+			g.accumulate(k, nil, sel, ids)
+			continue
 		}
+		arg := columnar.Vec{Kind: columnar.VecAny, Anys: []any{s.Arg.Eval(r)}}
+		g.accumulate(k, &arg, sel, ids)
 	}
-	return fns
+}
+
+// results returns every aggregate of group id.
+func results(g *groupTable, id int32) row.Row {
+	out := make(row.Row, len(g.specs))
+	for k := range g.specs {
+		out[k] = g.result(k, id)
+	}
+	return out
+}
+
+// folded folds blocks into a fresh table over specs and returns the
+// results of its one group.
+func folded(specs []plan.AggSpec, blocks ...*aggBlock) row.Row {
+	g, _ := groupOf(specs)
+	for _, b := range blocks {
+		g.fold(b)
+	}
+	return results(g, 0)
 }
 
 func TestAggStateUpdateFinalize(t *testing.T) {
 	specs := specAll()
-	fns := argFnsFor(specs)
-	st := newAggState(row.Row{"g"}, specs)
+	g, id := groupOf(specs)
 	for i := int64(1); i <= 4; i++ {
-		st.update(specs, fns, row.Row{i, float64(i) * 2})
+		feed(g, id, row.Row{i, float64(i) * 2})
 	}
-	st.update(specs, fns, row.Row{int64(2), nil}) // duplicate + NULL float
+	feed(g, id, row.Row{int64(2), nil}) // duplicate + NULL float
 
-	if st.finalize(0, specs[0]).(int64) != 5 {
-		t.Errorf("count = %v", st.finalize(0, specs[0]))
+	want := row.Row{
+		int64(5),  // count
+		int64(12), // sumI: 1+2+3+4+2
+		20.0,      // sumF: 2+4+6+8
+		5.0,       // avg: 20/4 non-null
+		int64(1), int64(4),
+		int64(4), // distinct {1,2,3,4}
 	}
-	if st.finalize(1, specs[1]).(int64) != 12 { // 1+2+3+4+2
-		t.Errorf("sumI = %v", st.finalize(1, specs[1]))
+	if got := results(g, id); !reflect.DeepEqual(got, want) {
+		t.Errorf("results = %v, want %v", got, want)
 	}
-	if st.finalize(2, specs[2]).(float64) != 20 { // 2+4+6+8
-		t.Errorf("sumF = %v", st.finalize(2, specs[2]))
-	}
-	if st.finalize(3, specs[3]).(float64) != 5 { // 20/4 non-null
-		t.Errorf("avg = %v", st.finalize(3, specs[3]))
-	}
-	if st.finalize(4, specs[4]).(int64) != 1 || st.finalize(5, specs[5]).(int64) != 4 {
-		t.Errorf("min/max = %v %v", st.finalize(4, specs[4]), st.finalize(5, specs[5]))
-	}
-	if st.finalize(6, specs[6]).(int64) != 4 { // distinct {1,2,3,4}
-		t.Errorf("distinct = %v", st.finalize(6, specs[6]))
+	// An untouched group: COUNT 0, every other aggregate NULL but COUNT(DISTINCT)'s 0.
+	empty := g.byValue("h")
+	if got := results(g, empty); !reflect.DeepEqual(got, row.Row{int64(0), nil, nil, nil, nil, nil, int64(0)}) {
+		t.Errorf("empty group = %v", got)
 	}
 }
 
+// TestAggStateMergeDoesNotMutate: folding reads a block and never
+// writes it — retried and speculative reduce tasks re-read the same
+// blocks — so folding the same blocks twice gives the same answer.
 func TestAggStateMergeDoesNotMutate(t *testing.T) {
 	specs := specAll()
-	fns := argFnsFor(specs)
-	a := newAggState(row.Row{"g"}, specs)
-	b := newAggState(row.Row{"g"}, specs)
-	a.update(specs, fns, row.Row{int64(1), 1.0})
-	b.update(specs, fns, row.Row{int64(2), 2.0})
+	a, ida := groupOf(specs)
+	b, idb := groupOf(specs)
+	feed(a, ida, row.Row{int64(1), 1.0})
+	feed(b, idb, row.Row{int64(2), 2.0})
+	before := [2]string{marshalled(&a.aggBlock), marshalled(&b.aggBlock)}
 
-	merged := a.merge(b, specs)
-	// inputs unchanged (retried reduce tasks re-read them)
-	if a.accs[0].count != 1 || b.accs[0].count != 1 {
-		t.Fatal("merge mutated an input state")
+	merged := folded(specs, &a.aggBlock, &b.aggBlock)
+	if after := [2]string{marshalled(&a.aggBlock), marshalled(&b.aggBlock)}; after != before {
+		t.Fatal("fold mutated a block")
 	}
-	if merged.finalize(0, specs[0]).(int64) != 2 {
-		t.Errorf("merged count = %v", merged.finalize(0, specs[0]))
+	if merged[0].(int64) != 2 {
+		t.Errorf("merged count = %v", merged[0])
 	}
-	// merging twice must give identical results (idempotent inputs)
-	again := a.merge(b, specs)
-	if again.finalize(1, specs[1]).(int64) != merged.finalize(1, specs[1]).(int64) {
-		t.Error("re-merge differs")
+	if again := folded(specs, &a.aggBlock, &b.aggBlock); !reflect.DeepEqual(again, merged) {
+		t.Errorf("re-fold differs: %v vs %v", again, merged)
 	}
+	// Speculative reduce tasks fold, and the spill tier marshals, the
+	// same blocks at once (the race detector checks they only read).
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := folded(specs, &a.aggBlock, &b.aggBlock); !reflect.DeepEqual(got, merged) {
+				t.Errorf("concurrent fold: %v, want %v", got, merged)
+			}
+			if marshalled(&a.aggBlock) != before[0] {
+				t.Error("concurrent marshal changed a block")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func marshalled(b *aggBlock) string {
+	_, fields := b.MarshalShuffle()
+	return string(row.EncodeBinary(nil, fields))
 }
 
 func TestAggStateMergeAssociativeProperty(t *testing.T) {
 	specs := specAll()
-	fns := argFnsFor(specs)
 	f := func(vals []int8) bool {
 		if len(vals) < 3 {
 			return true
 		}
-		mk := func(xs []int8) *aggState {
-			st := newAggState(row.Row{"g"}, specs)
+		mk := func(xs []int8) *aggBlock {
+			g, id := groupOf(specs)
 			for _, x := range xs {
-				st.update(specs, fns, row.Row{int64(x), float64(x)})
+				feed(g, id, row.Row{int64(x), float64(x)})
 			}
-			return st
+			return &g.aggBlock
+		}
+		// (a ⊕ b) ⊕ c: a table's columns are a block, so a folded table
+		// folds on.
+		merge := func(x, y *aggBlock) *aggBlock {
+			g, _ := groupOf(specs)
+			g.fold(x)
+			g.fold(y)
+			return &g.aggBlock
 		}
 		third := len(vals) / 3
 		a, b, c := mk(vals[:third]), mk(vals[third:2*third]), mk(vals[2*third:])
-		left := a.merge(b, specs).merge(c, specs)
-		right := a.merge(b.merge(c, specs), specs)
-		for i, s := range specs {
-			lv, rv := left.finalize(i, s), right.finalize(i, s)
-			if (lv == nil) != (rv == nil) {
-				return false
-			}
-			if lv != nil && !row.Equal(lv, rv) {
-				return false
-			}
-		}
-		return true
+		left := folded(specs, merge(a, b), c)
+		right := folded(specs, a, merge(b, c))
+		return reflect.DeepEqual(left, right) && reflect.DeepEqual(left, folded(specs, mk(vals)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -121,87 +172,131 @@ func TestAggStateMergeAssociativeProperty(t *testing.T) {
 
 func TestAggStateDiskRoundTrip(t *testing.T) {
 	specs := specAll()
-	fns := argFnsFor(specs)
-	st := newAggState(row.Row{"grp", int64(7)}, specs)
+	agg := &plan.Aggregate{GroupBy: []expr.Expr{&expr.Col{Idx: 2, T: row.TString}, &expr.Col{Idx: 3, T: row.TInt}}, Aggs: specs}
+	g := newGroupTable(agg)
+	keys := []columnar.Vec{{Kind: columnar.VecAny, Anys: []any{nil}}, {Kind: columnar.VecAny, Anys: []any{nil}}}
 	for i := int64(0); i < 10; i++ {
-		st.update(specs, fns, row.Row{i % 4, float64(i)})
+		r := row.Row{i % 4, float64(i), []any{"grp", nil, ""}[i%3], []any{int64(7), nil}[i%2]}
+		keys[0].Anys[0], keys[1].Anys[0] = r[2], r[3]
+		feed(g, g.byKeys(keys, 0), r)
 	}
-	tag, fields := st.MarshalShuffle()
-	back := unmarshalAggState(fields).(*aggState)
-	if tag != aggStateTag {
+	tag, fields := g.MarshalShuffle()
+	if tag != aggBlockTag {
 		t.Errorf("tag = %q", tag)
 	}
-	if len(back.groupVals) != 2 || back.groupVals[0].(string) != "grp" {
-		t.Errorf("groupVals = %v", back.groupVals)
+	back, err := unmarshalAggBlock(fields)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range specs {
-		a, b := st.finalize(i, s), back.finalize(i, s)
-		if (a == nil) != (b == nil) || (a != nil && !row.Equal(a, b)) {
-			t.Errorf("spec %d: %v != %v after round trip", i, b, a)
+	if back.n != g.n || marshalled(back) != marshalled(&g.aggBlock) {
+		t.Fatalf("round trip changed the block:\n%v\n%v", fields, back)
+	}
+	for id := range int32(g.n) {
+		for k := range g.keys {
+			if a, b := g.keys[k].At(id), back.keys[k].At(id); a != b {
+				t.Errorf("group %d key %d: %v != %v after round trip", id, k, b, a)
+			}
 		}
 	}
-	// round-tripped states must still merge
-	merged := back.merge(st, specs)
-	if merged.finalize(0, specs[0]).(int64) != 20 {
-		t.Errorf("merged count = %v", merged.finalize(0, specs[0]))
+	// Round-tripped blocks fold like the originals.
+	again := newGroupTable(agg)
+	again.fold(back)
+	again.fold(&g.aggBlock)
+	for id := range int32(g.n) {
+		want := results(g, id)
+		want[0] = 2 * want[0].(int64)
+		if got := results(again, id); !reflect.DeepEqual(got[0], want[0]) || !reflect.DeepEqual(got[4:], want[4:]) {
+			t.Errorf("group %d folded twice: %v, from %v", id, got, want)
+		}
+	}
+	for _, bad := range []row.Row{
+		nil,
+		{int64(0), int64(0)},                 // no groups
+		{int64(2), int64(0), ""},             // two groups without GROUP BY
+		{int64(1 << 40), int64(1), "\x01"},   // more groups than bytes
+		{int64(1), int64(2), ""},             // a missing key blob
+		{int64(1), int64(0), int64(3)},       // a blob that is not a string
+		{int64(1), int64(0), "\x00"},         // not three blobs per aggregate
+		{int64(1), int64(0), "", "\x20", ""}, // a vector of an unknown kind
+		{int64(1), int64(1), ""},             // an empty key blob
+	} {
+		if _, err := unmarshalAggBlock(bad); err == nil {
+			t.Errorf("unmarshalAggBlock(%q) accepted", bad)
+		}
 	}
 }
 
-// TestGroupKeyForms pins the shuffle keys the group table emits — the
-// reduce side merges partial states on them, so every partial
-// aggregator (and every engine version in one job) must agree.
+// TestGroupKeyForms pins how the group table finds groups: typed and
+// boxed lookups of one key agree, NULL is a group of its own (not a
+// string, not ""), keys of different types stay apart as in map[any],
+// composite keys are their values' row.EncodeBinary — and a group's
+// block lands in the bucket shuffle.HashPartitioner gives its key.
 func TestGroupKeyForms(t *testing.T) {
-	g := newGroupTable(nil)
-	key := func(i int) any { return g.pairs[i].(shuffle.Pair).K }
-	vals := func(i int) row.Row { return g.pairs[i].(shuffle.Pair).V.(*aggState).groupVals }
-
-	five := g.byValue(int64(5))
-	if key(0).(int64) != 5 || vals(0)[0].(int64) != 5 {
-		t.Errorf("single key = %v", key(0))
+	single := func() *groupTable {
+		return newGroupTable(&plan.Aggregate{GroupBy: []expr.Expr{&expr.Col{Idx: 0, T: row.TInt}}})
 	}
-	if g.byInt(5) != five || len(g.pairs) != 1 {
+	g := single()
+	five := g.byValue(int64(5))
+	if byKey(g, &g.ints, int64(5)) != five || g.n != 1 || g.keys[0].At(five) != int64(5) {
 		t.Error("typed and boxed lookups of one key must find one group")
 	}
-	// nil single key distinct from empty-string key
 	null, empty := g.byValue(nil), g.byValue("")
-	if null == empty || key(1) == key(2) || vals(1)[0] != nil {
+	if null == empty || g.keys[0].At(null) != nil || g.keys[0].At(empty) != "" {
 		t.Error("nil key must not collide with empty string")
 	}
-	if g.byString("") != empty || g.byNull() != null {
+	if byKey(g, &g.strs, "") != empty || g.nullGroup() != null {
 		t.Error("typed and boxed lookups of one key must find one group")
+	}
+	marker := g.byValue("\x00null\x00")
+	if marker == null {
+		t.Error("NULL must not be a string")
 	}
 	// int64(1), float64(1) and true are three groups, as in map[any].
 	if g.byValue(int64(1)) == g.byValue(float64(1)) || g.byValue(true) == g.byValue(float64(1)) {
 		t.Error("keys of different types must not collide")
 	}
 
-	g = newGroupTable(nil)
-	var enc row.BinaryEncoder
-	composite := func(r row.Row) *aggState {
-		enc.Reset(len(r))
-		for _, v := range r {
-			enc.Value(v)
+	// Every group goes to its key's HashPartitioner bucket.
+	const n = 7
+	for _, p := range g.blocks(n) {
+		pair := p.(shuffle.Pair)
+		b := pair.V.(*aggBlock)
+		for i := range int32(b.n) {
+			if want := (shuffle.HashPartitioner{N: n}).PartitionFor(b.keys[0].At(i)); int64(want) != pair.K.(int64) {
+				t.Errorf("key %v in bucket %v, want %d", b.keys[0].At(i), pair.K, want)
+			}
 		}
-		if st := g.composite(enc.Bytes()); st != nil {
-			return st
-		}
-		return g.addComposite(enc.Bytes(), r)
-	}
-	a := composite(row.Row{int64(1), "a"})
-	if composite(row.Row{int64(1), "b"}) == a {
-		t.Error("composite keys must differ")
-	}
-	if composite(row.Row{int64(1), "a"}) != a {
-		t.Error("composite keys must be stable")
-	}
-	if want := string(row.EncodeBinary(nil, row.Row{int64(1), "a"})); key(0) != want {
-		t.Errorf("composite key = %q, want row.EncodeBinary's %q", key(0), want)
 	}
 
-	g = newGroupTable(nil)
-	g.global()
-	if key(0).(string) != "" || vals(0) != nil {
-		t.Error("no group-by → constant key")
+	g = newGroupTable(&plan.Aggregate{GroupBy: []expr.Expr{&expr.Col{Idx: 0, T: row.TInt}, &expr.Col{Idx: 1, T: row.TString}}})
+	composite := func(r row.Row) int32 {
+		keys := []columnar.Vec{{Kind: columnar.VecAny, Anys: r[:1]}, {Kind: columnar.VecAny, Anys: r[1:]}}
+		return g.byKeys(keys, 0)
+	}
+	a := composite(row.Row{int64(1), "a"})
+	if composite(row.Row{int64(1), "b"}) == a || composite(row.Row{nil, "a"}) == a {
+		t.Error("composite keys must differ")
+	}
+	if composite(row.Row{int64(1), "a"}) != a || g.keys[0].At(a) != int64(1) || g.keys[1].At(a) != "a" {
+		t.Error("composite keys must be stable")
+	}
+	if _, ok := g.keyed[string(row.EncodeBinary(nil, row.Row{int64(1), "a"}))]; !ok {
+		t.Error("composite key is not row.EncodeBinary's")
+	}
+	for _, p := range g.blocks(n) {
+		pair := p.(shuffle.Pair)
+		b := pair.V.(*aggBlock)
+		for i := range int32(b.n) {
+			key := string(row.EncodeBinary(nil, row.Row{b.keys[0].At(i), b.keys[1].At(i)}))
+			if want := (shuffle.HashPartitioner{N: n}).PartitionFor(key); int64(want) != pair.K.(int64) {
+				t.Errorf("composite key %q in bucket %v, want %d", key, pair.K, want)
+			}
+		}
+	}
+
+	g = newGroupTable(&plan.Aggregate{})
+	if g.nullGroup() != 0 || g.nullGroup() != 0 || g.n != 1 || len(g.blocks(n)) != 1 {
+		t.Error("no group-by → one group")
 	}
 }
 
@@ -244,10 +339,32 @@ func TestJoinBucketSwapPreservesColumnOrder(t *testing.T) {
 	}
 }
 
+// TestJoinBucketNullKeysDropped: a NULL key equals nothing, itself
+// included, so a shuffle join's map side drops the row before any
+// bucket sees it.
 func TestJoinBucketNullKeysDropped(t *testing.T) {
-	build := []shuffle.Pair{{K: nil, V: row.Row{"x"}}}
-	probe := []shuffle.Pair{{K: nil, V: row.Row{"y"}}}
-	if out := joinBucket(nil, build, probe, false); len(out) != 0 {
-		t.Errorf("NULL keys must not join: %v", out)
+	cl := cluster.New(cluster.Config{Workers: 1, Slots: 1})
+	defer cl.Close()
+	ctx := rdd.NewContext(cl, shuffle.NewService(cl, shuffle.Memory, t.TempDir()), rdd.Options{})
+	e := New(ctx, catalog.New(), nil, Options{})
+	side := ctx.Parallelize([]any{row.Row{nil, "x"}, row.Row{int64(1), "y"}, row.Row{nil, "z"}}, 2)
+	key := (&expr.Col{Idx: 0, T: row.TInt}).Eval
+	dep, st, err := e.preShuffle(context.Background(), side, key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TotalRecords != 1 {
+		t.Errorf("%d rows shuffled, want the one non-NULL key", st.TotalRecords)
+	}
+	var pairs []shuffle.Pair
+	for b := range dep.Partitioner.NumPartitions() {
+		got, err := ctx.Shuffle.Fetch(dep.ID, b, ctx.Tracker().Locations(dep.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs = append(pairs, got...)
+	}
+	if out := joinBucket(nil, pairs, pairs, false); len(out) != 1 {
+		t.Errorf("self-join of the shuffled side: %v, want only key 1 with itself", out)
 	}
 }

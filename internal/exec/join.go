@@ -177,11 +177,11 @@ func containsCall(e expr.Expr) bool {
 
 // preShuffle materializes the map side of a shuffle keyed by keyFn and
 // returns the dependency plus observed statistics (the PDE primitive).
+// A row whose key is NULL matches nothing and is not shuffled.
 func (e *Engine) preShuffle(gctx context.Context, r *rdd.RDD, keyFn expr.EvalFn, ns *NodeStats) (*rdd.ShuffleDep, *pde.StageStats, error) {
 	pairs := r.Map(func(v any) any {
-		rr := v.(row.Row)
-		return shuffle.Pair{K: normalizeGroupKey(keyFn(rr)), V: rr}
-	})
+		return shuffle.Pair{K: keyFn(v.(row.Row)), V: v}
+	}).Filter(func(p any) bool { return p.(shuffle.Pair).K != nil })
 	dep := e.Ctx.NewShuffleDep(pairs, shuffle.HashPartitioner{N: e.fineBuckets()}, nil)
 	endSeg := ns.beginSegment(gctx)
 	st, err := e.Ctx.Scheduler().MaterializeShuffleCtx(gctx, dep)
@@ -334,15 +334,13 @@ func fetchBucketMaps(tc *rdd.TaskContext, dep *rdd.ShuffleDep, bucket int, maps 
 
 // joinBucket hash-joins build×probe. swapped means build came from the
 // right side, so output column order must flip back to left++right.
+// Neither side holds a NULL key: preShuffle drops those rows.
 func joinBucket(out []any, build, probe []shuffle.Pair, swapped bool) []any {
 	ht := make(map[any][]row.Row, len(build))
 	for _, p := range build {
 		ht[p.K] = append(ht[p.K], p.V.(row.Row))
 	}
 	for _, p := range probe {
-		if p.K == nil {
-			continue
-		}
 		for _, b := range ht[p.K] {
 			pr := p.V.(row.Row)
 			if swapped {
@@ -363,7 +361,7 @@ func concatRows(a, b row.Row) row.Row {
 
 // broadcastJoin collects the small side (an ordinary job), builds a
 // hash table, and probes it from map tasks over the big side — no
-// shuffle of the big side.
+// shuffle of the big side. A NULL key joins nothing, on either side.
 func (e *Engine) broadcastJoin(gctx context.Context, small, big *rdd.RDD, smallKey, bigKey expr.EvalFn, smallIsLeft bool, ns *NodeStats) (*rdd.RDD, error) {
 	endSeg := ns.beginSegment(gctx)
 	rows, err := small.CollectCtx(gctx)
@@ -374,8 +372,9 @@ func (e *Engine) broadcastJoin(gctx context.Context, small, big *rdd.RDD, smallK
 	ht := make(map[any][]row.Row, len(rows))
 	for _, v := range rows {
 		r := v.(row.Row)
-		k := normalizeGroupKey(smallKey(r))
-		ht[k] = append(ht[k], r)
+		if k := smallKey(r); k != nil {
+			ht[k] = append(ht[k], r)
+		}
 	}
 	return e.probeBroadcast(ht, big, bigKey, smallIsLeft), nil
 }
@@ -406,9 +405,8 @@ func (e *Engine) probeBroadcast(ht map[any][]row.Row, big *rdd.RDD, bigKey expr.
 	bc := e.Ctx.NewBroadcast(ht)
 	return big.FlatMap(func(v any) []any {
 		r := v.(row.Row)
-		k := normalizeGroupKey(bigKey(r))
 		table := bc.Value.(map[any][]row.Row)
-		matches := table[k]
+		matches := table[bigKey(r)] // the table has no NULL key
 		if len(matches) == 0 {
 			return nil
 		}
@@ -463,8 +461,9 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats, p *prof) 
 				break
 			}
 			r := v.(row.Row)
-			k := normalizeGroupKey(lKey(r))
-			ht[k] = append(ht[k], r)
+			if k := lKey(r); k != nil {
+				ht[k] = append(ht[k], r)
+			}
 		}
 		var out []any
 		for {
@@ -473,8 +472,7 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats, p *prof) 
 				break
 			}
 			r := v.(row.Row)
-			k := normalizeGroupKey(rKey(r))
-			for _, m := range ht[k] {
+			for _, m := range ht[rKey(r)] { // the table has no NULL key
 				out = append(out, concatRows(m, r))
 			}
 		}

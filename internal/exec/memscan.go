@@ -20,7 +20,7 @@ import (
 // straight into columns — a batch at a time, narrow a selection vector
 // through the filters, and only then produce output: row.Rows for the
 // surviving rows — the one place a scanned row is born — or
-// partial-aggregation states straight off the vectors (vecagg.go). A
+// partial-aggregation blocks straight off the vectors (vecagg.go). A
 // batch never leaves its task, so the RDD layer sees an ordinary source
 // RDD of rows or shuffle pairs.
 type memScan struct {
@@ -28,6 +28,7 @@ type memScan struct {
 	filters []*plan.Filter // directly above the scan, bottom-up
 	project *plan.Project  // on top, or nil
 	agg     *plan.Aggregate
+	buckets int // with agg: the shuffle buckets its blocks go to
 }
 
 // matchMemScan recognizes the fusable chain ending at n, or returns nil.
@@ -84,7 +85,8 @@ func (e *Engine) prune(s *plan.Scan, stats *QueryStats) []int {
 // compileMemScan lowers the chain: over the cached partitions map
 // pruning keeps, or over every block of an external table. With an
 // Aggregate on top the RDD's elements are the partial aggregation's
-// shuffle pairs; otherwise they are the chain's output rows. Row
+// shuffle pairs (bucket, block); otherwise they are the chain's output
+// rows. Row
 // counts for EXPLAIN ANALYZE come from the kernels — selection-vector
 // lengths per stage, rows emitted — so no counting iterator wraps it.
 func (e *Engine) compileMemScan(m *memScan, stats *QueryStats, p *prof) (*rdd.RDD, error) {
@@ -133,7 +135,7 @@ func (e *Engine) bindChain(m *memScan, p *prof) func(tc *rdd.TaskContext, part *
 		t := e.newScanTask(tc, cols, part)
 		src := t.bindStages(m, stages)
 		if m.agg != nil {
-			return rdd.SliceIter(t.partialAggregate(m.agg, src))
+			return rdd.SliceIter(t.partialAggregate(m.agg, src, m.buckets))
 		}
 		emit := t.bindRows(m.project)
 		return memtable.BatchRows(func() []row.Row {

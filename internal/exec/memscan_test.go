@@ -63,12 +63,15 @@ func fusedChain(tb testing.TB, schema row.Schema, sql string) *memScan {
 }
 
 // runChain executes the chain over part as one task: the partial
-// aggregation's pairs, or the rows emitted.
-func runChain(e *Engine, m *memScan, part *columnar.Partition) (pairs []any, rows []row.Row) {
+// aggregation's blocks (for 16 buckets), or the rows emitted.
+func runChain(e *Engine, m *memScan, part *columnar.Partition) (blocks []*aggBlock, rows []row.Row) {
 	t := e.newScanTask(nil, m.scan.NeededCols, part)
 	src := t.bindStages(m, make([]*NodeStats, 1+len(m.filters)))
 	if m.agg != nil {
-		return t.partialAggregate(m.agg, src), nil
+		for _, p := range t.partialAggregate(m.agg, src, 16) {
+			blocks = append(blocks, p.(shuffle.Pair).V.(*aggBlock))
+		}
+		return blocks, nil
 	}
 	emit := t.bindRows(m.project)
 	for {
@@ -147,8 +150,9 @@ func BenchmarkPartialAggCntf(b *testing.B) {
 // TestPartialAggregateAllocations pins the typed aggregation kernels
 // at O(groups + batches) allocations: nothing is allocated per row.
 // The budget is what binding allocates per task (closures and
-// batch-sized buffers) plus a handful per group; a row's worth of
-// boxing anywhere in the path costs thousands and fails it.
+// batch-sized buffers) plus a handful per group — its block's vectors
+// included; a row's worth of boxing anywhere in the path costs
+// thousands and fails it.
 func TestPartialAggregateAllocations(t *testing.T) {
 	part := userVisitsPartition(t)
 	if enc := part.Cols[5].Encoding(); enc != "dict" {
@@ -166,8 +170,11 @@ func TestPartialAggregateAllocations(t *testing.T) {
 		e := &Engine{}
 		var groups int
 		allocs := testing.AllocsPerRun(10, func() {
-			pairs, _ := runChain(e, m, part)
-			groups = len(pairs)
+			blocks, _ := runChain(e, m, part)
+			groups = 0
+			for _, b := range blocks {
+				groups += b.n
+			}
 		})
 		if budget := float64(60 + 8*groups + batches); allocs > budget {
 			t.Errorf("%s-shaped partial aggregate: %.0f allocations for %d rows, %d groups, %d batches; budget %.0f",
@@ -222,7 +229,7 @@ func mixedPartition(tb testing.TB) *columnar.Partition {
 // kernel twice over one partition — typed, and with DisableExprCompile
 // sending every expression through the row adapter and Expr.Eval — and
 // wants identical output: the same rows in the same order, and partial
-// aggregation states that finalize to the same values bit for bit
+// aggregation blocks that finalize to the same values bit for bit
 // (both accumulate in row order).
 func TestKernelsMatchRowAdapter(t *testing.T) {
 	part := mixedPartition(t)
@@ -268,8 +275,8 @@ func TestKernelsMatchRowAdapter(t *testing.T) {
 		`SELECT allnull, COUNT(*) FROM t WHERE i_pack > 2000 GROUP BY allnull`,
 	} {
 		m := fusedChain(t, mixedSchema, sql)
-		typedPairs, typedRows := runChain(&Engine{}, m, part)
-		adapterPairs, adapterRows := runChain(&Engine{opts: Options{DisableExprCompile: true}}, m, part)
+		typedBlocks, typedRows := runChain(&Engine{}, m, part)
+		adapterBlocks, adapterRows := runChain(&Engine{opts: Options{DisableExprCompile: true}}, m, part)
 		if !reflect.DeepEqual(typedRows, adapterRows) {
 			t.Errorf("%s\n  typed kernels emit %d rows, the row adapter %d; first difference: %s",
 				sql, len(typedRows), len(adapterRows), firstRowDiff(typedRows, adapterRows))
@@ -280,7 +287,7 @@ func TestKernelsMatchRowAdapter(t *testing.T) {
 			}
 			continue
 		}
-		typed, adapter := finalized(m.agg, typedPairs), finalized(m.agg, adapterPairs)
+		typed, adapter := finalized(m.agg, typedBlocks), finalized(m.agg, adapterBlocks)
 		if !reflect.DeepEqual(typed, adapter) {
 			t.Errorf("%s\n  typed kernels: %v\n  row adapter:   %v", sql, typed, adapter)
 		}
@@ -314,8 +321,8 @@ func TestFullDictionaryColumn(t *testing.T) {
 	}
 	for _, e := range []*Engine{{}, {opts: Options{DisableExprCompile: true}}} {
 		m := fusedChain(t, schema, `SELECT s, COUNT(*), SUM(v) FROM t GROUP BY s`)
-		pairs, _ := runChain(e, m, part)
-		groups := finalized(m.agg, pairs)
+		blocks, _ := runChain(e, m, part)
+		groups := finalized(m.agg, blocks)
 		if len(groups) != len(counts) {
 			t.Errorf("%d groups, want %d", len(groups), len(counts))
 		}
@@ -413,24 +420,26 @@ func TestScanOutputOwnsItsStrings(t *testing.T) {
 	} {
 		m := fusedChain(t, data.UserVisitsSchema, sql)
 		for _, e := range []*Engine{{}, {opts: Options{DisableExprCompile: true}}} {
-			pairs, rows := runChain(e, m, part)
+			blocks, rows := runChain(e, m, part)
 			for _, r := range rows {
 				for _, v := range r {
 					owns("row cell", v)
 				}
 			}
-			for _, p := range pairs {
-				pair := p.(shuffle.Pair)
-				owns("group key", pair.K)
-				st := pair.V.(*aggState)
-				for _, v := range st.groupVals {
-					owns("group value", v)
-				}
-				for _, acc := range st.accs {
-					owns("MIN", acc.min)
-					owns("MAX", acc.max)
-					for v := range acc.distinct {
-						owns("distinct value", v)
+			for _, b := range blocks {
+				for i := range int32(b.n) {
+					for k := range b.keys {
+						owns("group key", b.keys[k].At(i))
+					}
+					for _, acc := range b.accs {
+						if used(&acc.val) {
+							owns("MIN or MAX", acc.val.At(i))
+						}
+						if acc.distinct != nil {
+							for v := range acc.distinct[i] {
+								owns("distinct value", v)
+							}
+						}
 					}
 				}
 			}
@@ -450,17 +459,17 @@ func firstRowDiff(a, b []row.Row) string {
 	return "one is a prefix of the other"
 }
 
-// finalized maps each group's shuffle key to its output row.
-func finalized(a *plan.Aggregate, pairs []any) map[any]row.Row {
-	out := make(map[any]row.Row, len(pairs))
-	for _, p := range pairs {
-		pair := p.(shuffle.Pair)
-		st := pair.V.(*aggState)
-		r := append(row.Row(nil), st.groupVals...)
-		for i, spec := range a.Aggs {
-			r = append(r, st.finalize(i, spec))
-		}
-		out[pair.K] = r
+// finalized folds blocks as a reduce task would and maps each group's
+// key values (row.EncodeBinary) to its output row.
+func finalized(a *plan.Aggregate, blocks []*aggBlock) map[string]row.Row {
+	g := newGroupTable(a)
+	for _, b := range blocks {
+		g.fold(b)
+	}
+	out := make(map[string]row.Row, g.n)
+	for _, v := range g.rows() {
+		r := v.(row.Row)
+		out[string(row.EncodeBinary(nil, r[:len(a.GroupBy)]))] = r
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"cmp"
+	"hash/maphash"
 	"strings"
 
 	"shark/internal/columnar"
@@ -10,235 +12,570 @@ import (
 	"shark/internal/shuffle"
 )
 
-// groupTable is the map side of a hash aggregation: one aggState per
-// group seen in a partition, found by typed key — map[int64] and
-// map[string] for the common key types, so a lookup hashes a machine
-// word or a string instead of an interface. Both partial aggregators
-// (rows, and column batches) resolve groups here and emit its pairs,
-// whose keys the reduce side merges on: a single scalar key is itself
-// (NULL is normalizeGroupKey's marker), a composite key is the
-// row.EncodeBinary string of the group values, the global group is "".
+// groupTable is one task's groups of a hash aggregation: a map task's
+// partial aggregate, or a reduce task folding the blocks it fetched.
+// Groups are dense int32 ids, slots in the columns of the embedded
+// block. A single int64 or string key is found through an index over
+// the key column itself, another single key through map[any], and a
+// composite key through its row.EncodeBinary bytes. NULL is a key's
+// null bit, never a value. A map task's table copies the strings it
+// keeps out of the batch; a reduce task's keeps its blocks' strings.
 type groupTable struct {
+	aggBlock
 	specs  []plan.AggSpec
-	ints   map[int64]*aggState
-	strs   map[string]*aggState // string keys, and composite keys
-	others map[any]*aggState    // float64 and bool keys
-	null   *aggState
-	pairs  []any // one shuffle.Pair per group, in first-seen order
+	ints   index            // int64 keys
+	strs   index            // string keys
+	keyed  map[string]int32 // composite keys
+	others map[any]int32    // float64 and bool keys
+	null   int32            // the NULL key's group (without GROUP BY, the one group); -1 until made
+	borrow bool             // folding blocks: their strings are immutable and need no copy
+	enc    row.BinaryEncoder
+	sel    []int32 // 0, 1, 2, …: every row of a block being folded
+	ids    []int32 // the table's group of each of those rows
 }
 
-func newGroupTable(specs []plan.AggSpec) *groupTable {
-	return &groupTable{
-		specs:  specs,
-		ints:   make(map[int64]*aggState),
-		strs:   make(map[string]*aggState),
-		others: make(map[any]*aggState),
+func newGroupTable(a *plan.Aggregate) *groupTable {
+	g := &groupTable{specs: a.Aggs, null: -1}
+	g.keys = make([]columnar.Vec, len(a.GroupBy))
+	for k, x := range a.GroupBy {
+		g.keys[k] = slotsFor(x.Type())
 	}
+	g.accs = make([]accum, len(a.Aggs))
+	for k, s := range a.Aggs {
+		g.accs[k].val = slotsFor(s.Out)
+	}
+	return g
 }
 
-func (g *groupTable) add(key any, groupVals row.Row) *aggState {
-	st := newAggState(groupVals, g.specs)
-	g.pairs = append(g.pairs, shuffle.Pair{K: key, V: st})
-	return st
+// newGroup makes a group: NULL keys, empty accumulators.
+func (g *groupTable) newGroup() int32 {
+	for k := range g.keys {
+		grow(&g.keys[k], g.n)
+	}
+	for k, s := range g.specs {
+		g.accs[k].grow(s, g.n)
+	}
+	g.n++
+	return int32(g.n - 1)
 }
 
-// global returns the one state of an aggregation without GROUP BY.
-func (g *groupTable) global() *aggState {
-	if g.null == nil {
-		g.null = g.add("", nil)
+// nullGroup is the group of the NULL key — and, without GROUP BY, the
+// one group.
+func (g *groupTable) nullGroup() int32 {
+	if g.null < 0 {
+		g.null = g.newGroup()
 	}
 	return g.null
 }
 
-func (g *groupTable) byNull() *aggState {
-	if g.null == nil {
-		g.null = g.add(normalizeGroupKey(nil), row.Row{nil})
+var indexSeed = maphash.MakeSeed()
+
+// byKey finds or makes the group of a single int64 or string key.
+func byKey[T int64 | string](g *groupTable, x *index, key T) int32 {
+	col := &g.keys[0]
+	id, slot := x.lookup(maphash.Comparable(indexSeed, key), func(id int32) bool { return at[T](col, id) == key })
+	if id < 0 {
+		id = g.newGroup()
+		put(g, col, id, key)
+		x.add(slot, id, func(id int32) uint64 { return maphash.Comparable(indexSeed, at[T](col, id)) })
 	}
-	return g.null
+	return id
 }
 
-func (g *groupTable) byInt(x int64) *aggState { return groupOf(g, g.ints, x) }
-
-// byString copies the key when it creates a group: s may be a
-// sub-string of a cached partition's column data, and the group
-// outlives the scan.
-func (g *groupTable) byString(s string) *aggState {
-	if st := g.strs[s]; st != nil {
-		return st
-	}
-	return groupOf(g, g.strs, strings.Clone(s))
+// index finds a group from the hash of its key: open addressing over
+// slots holding a group id + 1 (0: empty), at most half full. It keeps
+// no keys, so a group costs it 8 to 16 bytes, a third of a map entry.
+type index struct {
+	slots []int32
+	n     int
 }
 
-// byValue resolves a single boxed group value of any type.
-func (g *groupTable) byValue(v any) *aggState {
+// lookup returns the group whose key hashes to h and is the one sought,
+// or -1 and the empty slot where its probe ended.
+func (x *index) lookup(h uint64, is func(id int32) bool) (int32, int) {
+	if x.slots == nil {
+		x.slots = make([]int32, 8)
+	}
+	mask := uint64(len(x.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if id := x.slots[i] - 1; id < 0 || is(id) {
+			return id, int(i)
+		}
+	}
+}
+
+// add puts group id in slot (where its lookup ended), doubling the
+// slots once they are half full; hash rehashes a group's key.
+func (x *index) add(slot int, id int32, hash func(id int32) uint64) {
+	x.slots[slot] = id + 1
+	if x.n++; 2*x.n <= len(x.slots) {
+		return
+	}
+	old := x.slots
+	x.slots = make([]int32, 2*len(old))
+	for _, s := range old {
+		if s != 0 {
+			_, slot := x.lookup(hash(s-1), func(int32) bool { return false })
+			x.slots[slot] = s
+		}
+	}
+}
+
+// byValue resolves a single boxed key of any type.
+func (g *groupTable) byValue(v any) int32 {
 	switch x := v.(type) {
 	case nil:
-		return g.byNull()
+		return g.nullGroup()
 	case int64:
-		return g.byInt(x)
+		return byKey(g, &g.ints, x)
 	case string:
-		return g.byString(x)
+		return byKey(g, &g.strs, x)
 	}
-	return groupOf(g, g.others, v)
+	if id, ok := g.others[v]; ok {
+		return id
+	}
+	id := g.newGroup()
+	g.set(&g.keys[0], id, v)
+	return insert(&g.others, v, id)
 }
 
-// groupOf finds or creates the single-key group k in the map for k's
-// type; the key is boxed only for a new group.
-func groupOf[K comparable](g *groupTable, m map[K]*aggState, k K) *aggState {
-	st := m[k]
-	if st == nil {
-		key := any(k)
-		st = g.add(key, row.Row{key})
-		m[k] = st
+// byKeys resolves a composite key: the key vectors' values at window
+// position i.
+func (g *groupTable) byKeys(keys []columnar.Vec, i int32) int32 {
+	g.enc.Reset(len(keys))
+	for k := range keys {
+		g.enc.Value(keys[k].At(i))
 	}
-	return st
+	key := g.enc.Bytes()
+	if id, ok := g.keyed[string(key)]; ok {
+		return id
+	}
+	id := g.newGroup()
+	for k := range keys {
+		if x := keys[k].At(i); x != nil {
+			g.set(&g.keys[k], id, x)
+		}
+	}
+	return insert(&g.keyed, string(key), id)
 }
 
-// composite finds a multi-column group by its encoded key
-// (row.EncodeBinary of the group values); nil when the group is new,
-// and addComposite then creates it.
-func (g *groupTable) composite(key []byte) *aggState { return g.strs[string(key)] }
+func insert[K comparable](m *map[K]int32, k K, id int32) int32 {
+	if *m == nil {
+		*m = make(map[K]int32)
+	}
+	(*m)[k] = id
+	return id
+}
 
-func (g *groupTable) addComposite(key []byte, groupVals row.Row) *aggState {
-	k := string(key)
-	st := g.add(k, groupVals)
-	g.strs[k] = st
-	return st
+// resolve sets ids[j] to the group of the key vectors' values at window
+// position sel[j], making a group for each new key.
+func (g *groupTable) resolve(keys []columnar.Vec, sel, ids []int32) {
+	switch len(keys) {
+	case 0:
+		id := g.nullGroup()
+		for j := range sel {
+			ids[j] = id
+		}
+	case 1:
+		switch v := &keys[0]; v.Kind {
+		case columnar.VecInt:
+			resolveKeys(g, &g.ints, sel, v.Ints, v.Mask, v.Nulls, ids)
+		case columnar.VecStr:
+			resolveKeys(g, &g.strs, sel, v.Strs, v.Mask, v.Nulls, ids)
+		default:
+			for j, i := range sel {
+				ids[j] = g.byValue(v.At(i))
+			}
+		}
+	default:
+		for j, i := range sel {
+			ids[j] = g.byKeys(keys, i)
+		}
+	}
+}
+
+// resolveKeys resolves a typed single-column key through its index.
+// Clustered data repeats its key, so the last group is remembered and
+// most rows never reach the index.
+func resolveKeys[T int64 | string](g *groupTable, x *index, sel []int32, keys []T, mask int32, nulls columnar.Bitmap, ids []int32) {
+	last := int32(-1)
+	var lastKey T
+	for j, i := range sel {
+		switch k := keys[i&mask]; {
+		case nulls.Has(int(i)):
+			ids[j] = g.nullGroup()
+		case last >= 0 && k == lastKey:
+			ids[j] = last
+		default:
+			last, lastKey = byKey(g, x, k), k
+			ids[j] = last
+		}
+	}
+}
+
+// accumulate folds aggregate k's argument (nil for COUNT(*)) at window
+// positions sel into groups ids, ignoring NULL.
+func (g *groupTable) accumulate(k int, arg *columnar.Vec, sel, ids []int32) {
+	a, kind := &g.accs[k], g.specs[k].Kind
+	switch {
+	case arg == nil:
+		for j := range sel {
+			a.count[ids[j]]++
+		}
+	case arg.Kind == columnar.VecInt:
+		addAll(g, k, sel, ids, arg.Ints, arg.Mask, arg.Nulls)
+	case arg.Kind == columnar.VecFloat && a.val.Kind == columnar.VecFloat && (kind == plan.AggSum || kind == plan.AggAvg): // the hot loop
+		for j, i := range sel {
+			if !arg.Nulls.Has(int(i)) {
+				a.val.Floats[ids[j]] += arg.Floats[i&arg.Mask]
+				valid(&a.val, ids[j])
+				if a.count != nil {
+					a.count[ids[j]]++
+				}
+			}
+		}
+	case arg.Kind == columnar.VecFloat:
+		addAll(g, k, sel, ids, arg.Floats, arg.Mask, arg.Nulls)
+	case arg.Kind == columnar.VecStr:
+		addAll(g, k, sel, ids, arg.Strs, arg.Mask, arg.Nulls)
+	default:
+		for j, i := range sel {
+			if x := arg.Anys[i]; x != nil {
+				g.addAny(k, ids[j], x)
+			}
+		}
+	}
+}
+
+func addAll[T int64 | float64 | string](g *groupTable, k int, sel, ids []int32, xs []T, mask int32, nulls columnar.Bitmap) {
+	for j, i := range sel {
+		if !nulls.Has(int(i)) {
+			add(g, k, ids[j], xs[i&mask])
+		}
+	}
+}
+
+// add folds a non-NULL value of aggregate k into group id.
+func add[T int64 | float64 | string](g *groupTable, k int, id int32, x T) {
+	a, kind := &g.accs[k], g.specs[k].Kind
+	switch kind {
+	case plan.AggMin, plan.AggMax:
+		if cur := slots[T](&a.val); cur == nil {
+			g.keep(k, id, x)
+		} else if a.val.Nulls.Has(int(id)) || better(x, (*cur)[id], kind == plan.AggMax) {
+			put(g, &a.val, id, x)
+		}
+	case plan.AggCountDistinct:
+		if _, seen := a.distinct[id][x]; !seen {
+			a.note(id, own(g, x))
+		}
+	case plan.AggSum, plan.AggAvg:
+		switch x := any(x).(type) {
+		case int64:
+			if a.val.Kind == columnar.VecInt {
+				a.val.Ints[id] += x
+			} else {
+				a.val.Floats[id] += float64(x)
+			}
+		case float64:
+			if a.val.Kind == columnar.VecFloat {
+				a.val.Floats[id] += x
+			}
+		}
+		valid(&a.val, id)
+		fallthrough
+	default:
+		if a.count != nil {
+			a.count[id]++
+		}
+	}
+}
+
+// addAny is add for a boxed value.
+func (g *groupTable) addAny(k int, id int32, x any) {
+	switch x := x.(type) {
+	case int64:
+		add(g, k, id, x)
+	case float64:
+		add(g, k, id, x)
+	case string:
+		add(g, k, id, x)
+	default: // a bool
+		switch a, kind := &g.accs[k], g.specs[k].Kind; kind {
+		case plan.AggMin, plan.AggMax:
+			g.keep(k, id, x)
+		case plan.AggCountDistinct:
+			a.note(id, x)
+		case plan.AggCount:
+			a.count[id]++
+		}
+	}
+}
+
+func (a *accum) note(id int32, x any) {
+	if a.distinct[id] == nil {
+		a.distinct[id] = make(map[any]struct{})
+	}
+	a.distinct[id][x] = struct{}{}
+}
+
+// keep is add's MIN and MAX for a value of another type than the kept.
+func (g *groupTable) keep(k int, id int32, x any) {
+	v, max := &g.accs[k].val, g.specs[k].Kind == plan.AggMax
+	if cur := v.At(id); cur == nil || better(row.Compare(x, cur), 0, max) {
+		g.set(v, id, x)
+	}
+}
+
+func better[T cmp.Ordered](x, cur T, max bool) bool {
+	if max {
+		return x > cur
+	}
+	return x < cur
+}
+
+// put stores non-NULL x in slot i of v, boxing v if x is of another type.
+func put[T int64 | float64 | string](g *groupTable, v *columnar.Vec, i int32, x T) {
+	x = own(g, x)
+	if xs := slots[T](v); xs != nil {
+		(*xs)[i] = x
+	} else {
+		box(v, g.n)
+		v.Anys[i] = x
+	}
+	valid(v, i)
+}
+
+// set is put for a boxed value.
+func (g *groupTable) set(v *columnar.Vec, i int32, x any) {
+	switch x := x.(type) {
+	case int64:
+		put(g, v, i, x)
+	case float64:
+		put(g, v, i, x)
+	case string:
+		put(g, v, i, x)
+	default:
+		box(v, g.n)
+		v.Anys[i] = x
+		valid(v, i)
+	}
+}
+
+// own returns x as the table may keep it.
+func own[T int64 | float64 | string](g *groupTable, x T) T {
+	if s, ok := any(x).(string); ok && !g.borrow {
+		return any(strings.Clone(s)).(T)
+	}
+	return x
+}
+
+// fold adds a block's groups into the table, a column at a time, and
+// only reads the block. Blocks are folded in fetch order — bucket, then
+// map partition — so a float sum is the same from run to run.
+func (g *groupTable) fold(b *aggBlock) {
+	for len(g.sel) < b.n {
+		g.sel = append(g.sel, int32(len(g.sel)))
+	}
+	if cap(g.ids) < b.n {
+		g.ids = make([]int32, b.n)
+	}
+	sel, ids := g.sel[:b.n], g.ids[:b.n]
+	g.resolve(b.keys, sel, ids)
+	for k, s := range g.specs {
+		a, x := &g.accs[k], &b.accs[k]
+		switch s.Kind {
+		case plan.AggCountDistinct:
+			for r, set := range x.distinct {
+				for m := range set {
+					g.addAny(k, ids[r], m)
+				}
+			}
+		case plan.AggAvg:
+			addInto(a.count, x.count, ids)
+			addInto(a.val.Floats, x.val.Floats, ids)
+		case plan.AggCount:
+			addInto(a.count, x.count, ids)
+		default: // SUM, MIN, MAX: the block's values fold in as arguments
+			g.accumulate(k, &x.val, sel, ids)
+		}
+	}
+}
+
+func addInto[T int64 | float64](dst, src []T, ids []int32) {
+	for r, x := range src {
+		dst[ids[r]] += x
+	}
+}
+
+// result is aggregate k's value for group i.
+func (g *groupTable) result(k int, i int32) any {
+	switch a, s := &g.accs[k], g.specs[k]; s.Kind {
+	case plan.AggCount:
+		return a.count[i]
+	case plan.AggCountDistinct:
+		return int64(len(a.distinct[i]))
+	case plan.AggAvg:
+		if a.count[i] == 0 {
+			return nil
+		}
+		return a.val.Floats[i] / float64(a.count[i])
+	default:
+		return a.val.At(i)
+	}
+}
+
+// rows returns the groups as result rows — key values, then aggregate
+// values — carved from one slab.
+func (g *groupTable) rows() []any {
+	nk, w := len(g.keys), len(g.keys)+len(g.specs)
+	slab := make([]any, g.n*w)
+	out := make([]any, g.n)
+	for i := range out {
+		r := row.Row(slab[i*w : (i+1)*w : (i+1)*w])
+		for k := range g.keys {
+			r[k] = g.keys[k].At(int32(i))
+		}
+		for k := range g.specs {
+			r[nk+k] = g.result(k, int32(i))
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// blocks cuts the table into one block per non-empty bucket of n, a
+// shuffle pair keyed by bucket. A key goes where
+// shuffle.HashPartitioner{N: n} sends it, hashed unboxed.
+func (g *groupTable) blocks(n int) []any {
+	bucket := make([]int32, g.n) // without GROUP BY, the one group goes to bucket 0
+	if len(g.keys) == 1 {
+		for id := range int32(g.n) {
+			bucket[id] = int32(hashAt(&g.keys[0], id) % uint64(n))
+		}
+	}
+	for k, id := range g.keyed {
+		bucket[id] = int32(row.HashString(k) % uint64(n))
+	}
+	// A counting sort by bucket: bucket b's groups are order[start[b]:start[b+1]].
+	start := make([]int32, n+1)
+	for _, b := range bucket {
+		start[b+1]++
+	}
+	for b := range n {
+		start[b+1] += start[b]
+	}
+	order, next := make([]int32, g.n), append([]int32(nil), start[:n]...)
+	for id, b := range bucket {
+		order[next[b]] = int32(id)
+		next[b]++
+	}
+	var out []any
+	for b := range n {
+		switch ids := order[start[b]:start[b+1]]; {
+		case len(ids) == 0:
+		case len(ids) == g.n: // the one bucket: the table's columns are the block
+			out = append(out, shuffle.Pair{K: int64(b), V: &g.aggBlock})
+		default:
+			out = append(out, shuffle.Pair{K: int64(b), V: g.gather(ids)})
+		}
+	}
+	return out
+}
+
+// hashAt is row.Hash of v's value at i, hashed unboxed where v is typed.
+func hashAt(v *columnar.Vec, i int32) uint64 {
+	switch {
+	case v.Kind == columnar.VecAny:
+		return row.Hash(v.Anys[i])
+	case v.Nulls.Has(int(i)):
+		return row.Hash(nil)
+	case v.Kind == columnar.VecInt:
+		return row.HashInt(v.Ints[i])
+	case v.Kind == columnar.VecFloat:
+		return row.HashFloat(v.Floats[i])
+	}
+	return row.HashString(v.Strs[i])
 }
 
 // ---------------------------------------------------------------------------
 // Partial aggregation over column batches
 
-// partialAggregate runs the map side of a over the task's batches and
-// returns the group table's pairs. Group keys and aggregate arguments
-// are read as typed vectors wherever they have kernels; within the
-// partition every accumulator sees its rows in row order, so float
-// sums are bit-identical to the row aggregator's.
-func (t *scanTask) partialAggregate(a *plan.Aggregate, src *selSource) []any {
-	g := newGroupTable(a.Aggs)
-	resolve := t.bindGroups(a.GroupBy, g)
-	accumulate := make([]func(sel []int32, states []*aggState), len(a.Aggs))
-	for k, spec := range a.Aggs {
-		accumulate[k] = t.bindAccumulate(k, spec)
+// partialAggregate runs the map side of a over the task's batches,
+// reading keys and arguments as typed vectors wherever they have
+// kernels.
+func (t *scanTask) partialAggregate(a *plan.Aggregate, src *selSource, buckets int) []any {
+	g := newGroupTable(a)
+	resolve := t.bindDictGroups(a.GroupBy, g)
+	if resolve == nil {
+		resolve = g.resolver(a.GroupBy, t.bindValue)
 	}
-	// states[j] is the group of the batch's j-th selected row.
-	states := make([]*aggState, columnar.BatchSize)
-	for {
-		sel, ok := src.next()
-		if !ok {
-			break
+	return g.partial(src.next, resolve, t.bindValue, buckets)
+}
+
+// partial is a map task's side of the aggregation over the windows next
+// yields: resolve finds their groups, then every aggregate folds in its
+// argument as bind binds it, in row order. It returns the blocks for
+// buckets shuffle buckets.
+func (g *groupTable) partial(next func() ([]int32, bool), resolve func(sel, ids []int32), bind func(expr.Expr) valFn, buckets int) []any {
+	args := make([]valFn, len(g.specs))
+	for k, s := range g.specs {
+		if s.Arg != nil {
+			args[k] = bind(s.Arg)
 		}
+	}
+	var ids []int32 // ids[j]: the group of the window's j-th selected row
+	for sel, ok := next(); ok; sel, ok = next() {
 		if len(sel) == 0 {
 			continue
 		}
-		resolve(sel, states)
-		for _, acc := range accumulate {
-			acc(sel, states)
+		if cap(ids) < len(sel) {
+			ids = make([]int32, len(sel))
+		}
+		ids = ids[:len(sel)]
+		resolve(sel, ids)
+		for k, arg := range args {
+			if arg == nil {
+				g.accumulate(k, nil, sel, ids)
+			} else {
+				v := arg(sel)
+				g.accumulate(k, &v, sel, ids)
+			}
 		}
 	}
 	// Global aggregation must produce a row even over empty input
-	// (COUNT(*) = 0, SUM = NULL), so emit an identity state.
-	if len(a.GroupBy) == 0 {
-		g.global()
+	// (COUNT(*) = 0, SUM = NULL), so make its group regardless.
+	if len(g.keys) == 0 {
+		g.nullGroup()
 	}
-	return g.pairs
+	return g.blocks(buckets)
 }
 
-// bindGroups binds GROUP BY to a resolver filling states[j] with the
-// group of row sel[j].
-func (t *scanTask) bindGroups(groupBy []expr.Expr, g *groupTable) func(sel []int32, states []*aggState) {
-	switch len(groupBy) {
-	case 0:
-		return func(sel []int32, states []*aggState) {
-			st := g.global()
-			for j := range sel {
-				states[j] = st
-			}
-		}
-	case 1:
-		if f := t.bindDictGroups(groupBy[0], g); f != nil {
-			return f
-		}
-		key := t.bindValue(groupBy[0])
-		return func(sel []int32, states []*aggState) {
-			switch v := key(sel); v.Kind {
-			case columnar.VecInt:
-				resolveKeys(g, g.byInt, sel, v.Ints, v.Mask, v.Nulls, states)
-			case columnar.VecStr:
-				resolveKeys(g, g.byString, sel, v.Strs, v.Mask, v.Nulls, states)
-			default:
-				for j, i := range sel {
-					states[j] = g.byValue(v.At(i))
-				}
-			}
-		}
-	}
+// resolver binds GROUP BY to a function filling ids[j] with the group
+// of row sel[j].
+func (g *groupTable) resolver(groupBy []expr.Expr, bind func(expr.Expr) valFn) func(sel, ids []int32) {
 	keys := make([]valFn, len(groupBy))
 	for k, x := range groupBy {
-		keys[k] = t.bindValue(x)
+		keys[k] = bind(x)
 	}
 	vecs := make([]columnar.Vec, len(keys))
-	var enc row.BinaryEncoder
-	return func(sel []int32, states []*aggState) {
+	return func(sel, ids []int32) {
 		for k, key := range keys {
 			vecs[k] = key(sel)
 		}
-		for j, i := range sel {
-			enc.Reset(len(vecs))
-			for k := range vecs {
-				v := &vecs[k]
-				switch {
-				case v.Kind == columnar.VecAny:
-					enc.Value(v.Anys[i])
-				case v.Nulls.Has(int(i)):
-					enc.Null()
-				case v.Kind == columnar.VecInt:
-					enc.Int(v.Ints[i&v.Mask])
-				case v.Kind == columnar.VecFloat:
-					enc.Float(v.Floats[i&v.Mask])
-				default:
-					enc.String(v.Strs[i&v.Mask])
-				}
-			}
-			key := enc.Bytes()
-			st := g.composite(key)
-			if st == nil {
-				vals := make(row.Row, len(vecs))
-				for k := range vecs {
-					vals[k] = row.OwnString(vecs[k].At(i))
-				}
-				st = g.addComposite(key, vals)
-			}
-			states[j] = st
-		}
-	}
-}
-
-// resolveKeys resolves a typed single-column key through by (the group
-// table's lookup for T). Clustered data repeats its key, so the last
-// group is remembered and most rows never reach the map.
-func resolveKeys[T int64 | string](g *groupTable, by func(T) *aggState, sel []int32, keys []T, mask int32, nulls columnar.Bitmap, states []*aggState) {
-	var last *aggState
-	var lastKey T
-	for j, i := range sel {
-		switch x := keys[i&mask]; {
-		case nulls.Has(int(i)):
-			states[j] = g.byNull()
-		case last != nil && x == lastKey:
-			states[j] = last
-		default:
-			last, lastKey = by(x), x
-			states[j] = last
-		}
+		g.resolve(vecs, sel, ids)
 	}
 }
 
 // bindDictGroups resolves a single dictionary-encoded group column
-// through a code-indexed table: no hashing at all. Nil when x is not a
-// bare reference to a column this partition dictionary-encoded.
-func (t *scanTask) bindDictGroups(x expr.Expr, g *groupTable) func(sel []int32, states []*aggState) {
-	col, ok := x.(*expr.Col)
-	if !ok || t.interpret() {
+// through a code-indexed table: no hashing at all. Nil unless groupBy
+// is a bare reference to a column this partition dictionary-encoded.
+func (t *scanTask) bindDictGroups(groupBy []expr.Expr, g *groupTable) func(sel, ids []int32) {
+	if len(groupBy) != 1 || t.interpret() {
+		return nil
+	}
+	col, ok := groupBy[0].(*expr.Col)
+	if !ok {
 		return nil
 	}
 	c := t.cols[col.Idx]
@@ -246,66 +583,19 @@ func (t *scanTask) bindDictGroups(x expr.Expr, g *groupTable) func(sel []int32, 
 	if d == nil {
 		return nil
 	}
-	byCode := make([]*aggState, d.DictLen())
-	return func(sel []int32, states []*aggState) {
+	byCode := make([]int32, d.DictLen()) // a code's group id + 1; 0 until met
+	return func(sel, ids []int32) {
 		codes, nulls := t.b.Codes(c), t.b.Nulls(c)
 		for j, i := range sel {
 			if nulls.Has(int(i)) {
-				states[j] = g.byNull()
+				ids[j] = g.nullGroup()
 				continue
 			}
 			code := codes[i]
-			if byCode[code] == nil {
-				byCode[code] = g.byValue(d.DictValue(int(code)))
+			if byCode[code] == 0 {
+				byCode[code] = g.byValue(d.DictValue(int(code))) + 1
 			}
-			states[j] = byCode[code]
-		}
-	}
-}
-
-// bindAccumulate binds aggregate k to a function folding one batch
-// into its rows' group states.
-func (t *scanTask) bindAccumulate(k int, spec plan.AggSpec) func(sel []int32, states []*aggState) {
-	if spec.Arg == nil { // COUNT(*)
-		return func(sel []int32, states []*aggState) {
-			for j := range sel {
-				states[j].accs[k].count++
-			}
-		}
-	}
-	arg := t.bindValue(spec.Arg)
-	kind := spec.Kind
-	return func(sel []int32, states []*aggState) {
-		v := arg(sel)
-		switch {
-		case v.Kind == columnar.VecInt:
-			for j, i := range sel {
-				if !v.Nulls.Has(int(i)) {
-					states[j].accs[k].addInt(kind, v.Ints[i&v.Mask])
-				}
-			}
-		case v.Kind == columnar.VecFloat:
-			for j, i := range sel {
-				if !v.Nulls.Has(int(i)) {
-					states[j].accs[k].addFloat(kind, v.Floats[i&v.Mask])
-				}
-			}
-		case v.Kind == columnar.VecStr:
-			for j, i := range sel {
-				if !v.Nulls.Has(int(i)) {
-					states[j].accs[k].addString(kind, v.Strs[i&v.Mask])
-				}
-			}
-		default: // the adapter's values: a string may be a column's cell as it is
-			for j, i := range sel {
-				if x := v.At(i); x != nil {
-					if s, ok := x.(string); ok {
-						states[j].accs[k].addString(kind, s)
-					} else {
-						states[j].accs[k].fold(kind, x)
-					}
-				}
-			}
+			ids[j] = byCode[code] - 1
 		}
 	}
 }

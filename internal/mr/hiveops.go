@@ -154,7 +154,9 @@ func totalWidth(ws []int) int {
 	return t
 }
 
-// mrGroupKey mirrors the Shark engine's group-key normalization.
+// mrGroupKey keys a row's group by the row.EncodeBinary bytes of its
+// group values, one or several: NULL is the codec's tag for it, never a
+// string a row could hold as well.
 func mrGroupKey(groupFns []expr.EvalFn, r row.Row) (any, row.Row) {
 	if len(groupFns) == 0 {
 		return "", nil
@@ -163,13 +165,8 @@ func mrGroupKey(groupFns []expr.EvalFn, r row.Row) (any, row.Row) {
 	for i, f := range groupFns {
 		vals[i] = f(r)
 	}
-	if len(vals) == 1 {
-		if vals[0] == nil {
-			return "\x00null\x00", vals
-		}
-		return vals[0], vals
-	}
-	return string(row.EncodeBinary(nil, vals)), vals
+	var buf [64]byte // most keys encode here: the key string is the one allocation
+	return string(row.EncodeBinary(buf[:0], vals)), vals
 }
 
 // appendInitState writes the initial partial state for one row's

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 )
@@ -294,7 +295,7 @@ func appendBinaryValue(buf []byte, v any) []byte {
 		}
 		return append(buf, tagFalse)
 	}
-	panic(fmt.Sprintf("row: cannot encode %T", v))
+	panic(fmt.Sprintf("row: cannot encode %v", reflect.TypeOf(v))) // not v itself: it would escape
 }
 
 func appendBinaryInt(buf []byte, x int64) []byte {
@@ -311,9 +312,10 @@ func appendBinaryString(buf []byte, x string) []byte {
 }
 
 // BinaryEncoder builds the bytes EncodeBinary(nil, r) would, one field
-// at a time from typed values, reusing its buffers: callers that hold
-// columns rather than rows (composite group keys) get the identical
-// encoding without building or boxing r. The zero value is ready.
+// at a time, reusing its buffers: callers that hold columns rather than
+// rows (composite group keys) get the identical encoding without
+// building r. Value keeps no reference to its argument, so a value
+// boxed for it stays on the stack. The zero value is ready.
 type BinaryEncoder struct {
 	body, out []byte
 }
@@ -322,18 +324,6 @@ type BinaryEncoder struct {
 func (e *BinaryEncoder) Reset(n int) {
 	e.body = binary.AppendUvarint(e.body[:0], uint64(n))
 }
-
-// Null appends a NULL field.
-func (e *BinaryEncoder) Null() { e.body = append(e.body, tagNull) }
-
-// Int appends an int64 (or DATE) field.
-func (e *BinaryEncoder) Int(x int64) { e.body = appendBinaryInt(e.body, x) }
-
-// Float appends a float64 field.
-func (e *BinaryEncoder) Float(x float64) { e.body = appendBinaryFloat(e.body, x) }
-
-// String appends a string field.
-func (e *BinaryEncoder) String(x string) { e.body = appendBinaryString(e.body, x) }
 
 // Value appends a field of any type in the value model.
 func (e *BinaryEncoder) Value(v any) { e.body = appendBinaryValue(e.body, v) }

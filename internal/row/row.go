@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
@@ -257,6 +258,13 @@ func HashRow(r Row) uint64 {
 	return h.Sum64()
 }
 
+// HashInt, HashFloat and HashString are Hash of a value held unboxed.
+// Hash keeps no reference to its argument, so the box these make for it
+// stays on the stack.
+func HashInt(x int64) uint64     { return Hash(x) }
+func HashFloat(x float64) uint64 { return Hash(x) }
+func HashString(x string) uint64 { return Hash(x) }
+
 func writeHash(h *maphash.Hash, v any) {
 	switch x := v.(type) {
 	case nil:
@@ -283,7 +291,7 @@ func writeHash(h *maphash.Hash, v any) {
 			h.WriteByte(4)
 		}
 	default:
-		panic(fmt.Sprintf("row: cannot hash %T", v))
+		panic(fmt.Sprintf("row: cannot hash %v", reflect.TypeOf(v))) // not v itself: it would escape
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -338,9 +339,9 @@ func TestTextNullSentinel(t *testing.T) {
 }
 
 // TestBinaryEncoderMatchesEncodeBinary: a row built field by field
-// from typed values has exactly EncodeBinary's bytes (group keys made
-// either way must be equal strings), and the encoder's buffers are
-// reused without leaking one row into the next.
+// has exactly EncodeBinary's bytes (group keys made either way must be
+// equal strings), the encoder's buffers are reused without leaking one
+// row into the next, and a value boxed for it is not moved to the heap.
 func TestBinaryEncoderMatchesEncodeBinary(t *testing.T) {
 	var enc BinaryEncoder
 	for _, r := range []Row{
@@ -351,29 +352,20 @@ func TestBinaryEncoderMatchesEncodeBinary(t *testing.T) {
 	} {
 		enc.Reset(len(r))
 		for _, v := range r {
-			switch x := v.(type) {
-			case nil:
-				enc.Null()
-			case int64:
-				enc.Int(x)
-			case float64:
-				enc.Float(x)
-			case string:
-				enc.String(x)
-			default:
-				enc.Value(v)
-			}
+			enc.Value(v)
 		}
 		if want := EncodeBinary(nil, r); !bytes.Equal(enc.Bytes(), want) {
 			t.Errorf("row %v: encoder = %x, EncodeBinary = %x", r, enc.Bytes(), want)
 		}
-		enc.Reset(len(r))
-		for _, v := range r {
-			enc.Value(v)
-		}
-		if want := EncodeBinary(nil, r); !bytes.Equal(enc.Bytes(), want) {
-			t.Errorf("row %v through Value: encoder = %x, EncodeBinary = %x", r, enc.Bytes(), want)
-		}
+	}
+	ints, strs := []int64{1 << 40, -7}, []string{"a key of some length"}
+	if n := testing.AllocsPerRun(100, func() {
+		enc.Reset(2)
+		enc.Value(ints[0])
+		enc.Value(strs[0])
+		enc.Bytes()
+	}); n != 0 {
+		t.Errorf("encoding unboxed values allocates %.0f times", n)
 	}
 }
 
@@ -423,5 +415,31 @@ func TestEncodeBinaryInPlace(t *testing.T) {
 	wide := Row{int64(1) << 40, 3.5, "a string field", nil, false, int64(-7)}
 	if allocs := testing.AllocsPerRun(100, func() { EncodeBinary(buf[:0], wide) }); allocs != 0 {
 		t.Errorf("EncodeBinary into spare capacity allocated %.0f times per row", allocs)
+	}
+}
+
+// TestHashUnboxed pins HashInt, HashFloat and HashString to Hash of the
+// boxed value: partial aggregates are bucketed by the first three and
+// shuffle.HashPartitioner buckets by the last, so a key must land in
+// one bucket whichever hashed it.
+func TestHashUnboxed(t *testing.T) {
+	for _, x := range []int64{0, 1, -1, 255, 256, 1 << 53, math.MinInt64, math.MaxInt64} {
+		if HashInt(x) != Hash(x) {
+			t.Errorf("HashInt(%d) != Hash", x)
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, x := range []float64{0, negZero, 1, -3, 2.5, 1e300, 4.9e-324, 0x1p63, -0x1p63, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if HashFloat(x) != Hash(x) {
+			t.Errorf("HashFloat(%v) != Hash", x)
+		}
+	}
+	if HashFloat(negZero) != HashInt(0) || HashFloat(-3) != HashInt(-3) {
+		t.Error("an integral float must hash like the equal integer")
+	}
+	for _, s := range []string{"", "a", "\x00null\x00", strings.Repeat("xyz", 100)} {
+		if HashString(s) != Hash(s) {
+			t.Errorf("HashString(%q) != Hash", s)
+		}
 	}
 }

@@ -89,7 +89,7 @@ type Service struct {
 // cluster metrics registry).
 type ServiceMetrics struct {
 	// FetchCalls counts bucket fetches (Fetch + FetchPartial);
-	// FetchedPairs counts the pairs they returned.
+	// FetchedPairs counts the records they returned.
 	FetchCalls   atomic.Int64
 	FetchedPairs atomic.Int64
 	// SpilledReads counts bucket reads served from a producer's disk
@@ -144,8 +144,18 @@ func (s *Service) NewWriter(shuffleID, mapPart, numBuckets int, w *cluster.Worke
 // Write adds a pair to a bucket.
 func (w *Writer) Write(bucket int, p Pair) {
 	w.buckets[bucket] = append(w.buckets[bucket], p)
-	w.stats.Records[bucket]++
+	w.stats.Records[bucket] += records(p.V)
 	w.stats.Bytes[bucket] += EstimateSize(p.K) + EstimateSize(p.V)
+}
+
+// records is how many records a shuffle value stands for: one, or the
+// count a value batching many reports (a block of partial aggregates
+// holds one record per group), the way EstimateSize asks for SizeBytes.
+func records(v any) int64 {
+	if r, ok := v.(interface{ Records() int64 }); ok {
+		return r.Records()
+	}
+	return 1
 }
 
 // Commit persists all buckets to the worker's store (or disk) and
@@ -272,7 +282,11 @@ func (s *Service) fetchParts(shuffleID, bucket int, locations map[int]int, parts
 	if len(missing) > 0 {
 		return nil, &FetchError{ShuffleID: shuffleID, MapParts: missing}
 	}
-	s.metrics.FetchedPairs.Add(int64(len(out)))
+	var n int64
+	for _, p := range out {
+		n += records(p.V)
+	}
+	s.metrics.FetchedPairs.Add(n)
 	return out, nil
 }
 
@@ -323,7 +337,7 @@ func readOneRow(br *bufio.Reader) (row.Row, error) {
 
 // Disk-mode serialization supports scalars, row.Row values, and any
 // engine value implementing DiskMarshaler (e.g. the SQL engine's
-// partial aggregation states).
+// partial-aggregate blocks).
 
 // DiskMarshaler lets engine-level values cross a disk shuffle. The tag
 // selects the decoder registered with RegisterDiskDecoder.

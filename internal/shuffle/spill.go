@@ -2,7 +2,7 @@
 // park block-store values in local files. It reuses the disk-shuffle
 // machinery — row.EncodeBinary framing plus valueToRow / rowToValue
 // (and with them the DiskMarshaler hook engine values like columnar
-// partitions and partial aggregation states already implement) — so
+// partitions and partial-aggregate blocks already implement) — so
 // any value that can cross a disk shuffle can also spill.
 package shuffle
 
