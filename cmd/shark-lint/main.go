@@ -1,21 +1,16 @@
 // Command shark-lint runs the repo's invariant analyzers
-// (internal/lint) over Go packages. It is a multichecker in the
-// go/analysis sense, usable two ways:
+// (internal/lint) over Go packages, go/packages-style:
 //
-//	shark-lint ./...                     # standalone, go/packages-style
-//	go vet -vettool=$(which shark-lint)  # unit-checker protocol
+//	shark-lint ./...
 //
-// Standalone mode exits 1 when any diagnostic survives suppression.
+// It exits 1 when any diagnostic survives suppression.
 // docs/INVARIANTS.md documents every analyzer and the incident that
 // motivated it.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -26,8 +21,6 @@ func main() {
 	var (
 		listFlag = flag.Bool("list", false, "list analyzers and exit")
 		only     = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
-		version  = flag.String("V", "", "print version and exit (go vet protocol; use -V=full)")
-		flags    = flag.Bool("flags", false, "print analyzer flags as JSON (go vet protocol)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: shark-lint [-analyzers a,b] [packages]\n\nAnalyzers:\n")
@@ -37,18 +30,7 @@ func main() {
 	}
 	flag.Parse()
 
-	switch {
-	case *version == "full":
-		// The go command hashes this line into its build cache key, and
-		// requires the unitchecker shape: a trailing buildID= field.
-		// Hashing our own executable means a rebuilt shark-lint (new or
-		// changed analyzers) invalidates cached vet results.
-		fmt.Printf("shark-lint version devel comments-go-here buildID=%s\n", selfID())
-		return
-	case *flags:
-		fmt.Println("[]")
-		return
-	case *listFlag:
+	if *listFlag {
 		for _, a := range lint.All() {
 			fmt.Printf("%-16s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 		}
@@ -61,13 +43,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	args := flag.Args()
-	// go vet hands us a single JSON config file ending in .cfg.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runVetUnit(args[0], analyzers))
-	}
-
-	diags, err := lint.Run(".", analyzers, args...)
+	diags, err := lint.Run(".", analyzers, flag.Args()...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shark-lint: %v\n", err)
 		os.Exit(2)
@@ -79,24 +55,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shark-lint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// selfID hashes this executable into a hex build ID for -V=full.
-func selfID() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "0000"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "0000"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "0000"
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 func splitNonEmpty(s string) []string {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -111,7 +112,7 @@ func main() {
 			return int64(1)
 		}
 		return int64(0)
-	}).Reduce(func(a, b any) any { return a.(int64) + b.(int64) })
+	}).ReduceCtx(context.Background(), func(a, b any) any { return a.(int64) + b.(int64) })
 	if err != nil {
 		log.Fatal(err)
 	}

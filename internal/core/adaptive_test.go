@@ -58,9 +58,10 @@ func sortedRowStrings(rows []row.Row) []string {
 
 // TestAdaptiveJoinMatchesStaticAndCounts drives both runtime
 // adaptations end to end: the skewed join must split its hot bucket
-// (SkewSplits), the UDF-filtered join must convert to a broadcast join
-// (BroadcastConversions), and both must produce exactly the static
-// plan's results.
+// (SkewSplits) with the sliced probe side on the left (fact JOIN dim)
+// and, mirrored, on the right (dim JOIN fact), the UDF-filtered join
+// must convert to a broadcast join (BroadcastConversions), and all must
+// produce exactly the static plan's results.
 func TestAdaptiveJoinMatchesStaticAndCounts(t *testing.T) {
 	// Thresholds scaled to the tiny fixture: both unfiltered sides are
 	// bigger than BroadcastThreshold (shuffle join), the hot bucket far
@@ -70,7 +71,7 @@ func TestAdaptiveJoinMatchesStaticAndCounts(t *testing.T) {
 	staticOpts := exec.Options{BroadcastThreshold: 1024, TargetPerReducerBytes: 8 << 10,
 		DisableAdaptiveExec: true, JoinStrategy: exec.StrategyStatic}
 
-	run := func(opts exec.Options) (joinRows, convRows []string, stats map[string]int64, strategies []string) {
+	run := func(opts exec.Options) (joinRows, mirrorRows, convRows []string, stats map[string]int64, strategies []string) {
 		e := newEnv(t, opts)
 		defer e.s.Close()
 		e.writeDFS(t, "fact", factSchema, genSkewedFact(8000))
@@ -84,6 +85,10 @@ func TestAdaptiveJoinMatchesStaticAndCounts(t *testing.T) {
 		res := e.mustExec(t, `SELECT dim.grp, COUNT(*), SUM(fact.val)
 			FROM fact JOIN dim ON fact.k = dim.k GROUP BY dim.grp`)
 		strategies = res.Stats.JoinStrategies
+		splits := e.s.Stats().SkewSplits
+		mirror := e.mustExec(t, `SELECT dim.grp, COUNT(*), SUM(fact.val)
+			FROM dim JOIN fact ON dim.k = fact.k GROUP BY dim.grp`)
+		mirrorSplits := e.s.Stats().SkewSplits - splits
 		conv := e.mustExec(t, `SELECT COUNT(*) FROM fact JOIN dim ON fact.k = dim.k
 			WHERE ENDS7(dim.grp)`)
 		ss := e.s.Stats()
@@ -91,15 +96,22 @@ func TestAdaptiveJoinMatchesStaticAndCounts(t *testing.T) {
 			"skewSplits":           ss.SkewSplits,
 			"broadcastConversions": ss.BroadcastConversions,
 			"adaptiveCoalesces":    ss.AdaptiveCoalesces,
+			"mirrorSkewSplits":     mirrorSplits,
 		}
-		return sortedRowStrings(res.Rows), sortedRowStrings(conv.Rows), stats, strategies
+		return sortedRowStrings(res.Rows), sortedRowStrings(mirror.Rows), sortedRowStrings(conv.Rows), stats, strategies
 	}
 
-	aJoin, aConv, aStats, aStrategies := run(adaptiveOpts)
-	sJoin, sConv, sStats, _ := run(staticOpts)
+	aJoin, aMirror, aConv, aStats, aStrategies := run(adaptiveOpts)
+	sJoin, sMirror, sConv, sStats, _ := run(staticOpts)
 
 	if fmt.Sprint(aJoin) != fmt.Sprint(sJoin) {
 		t.Errorf("adaptive join rows differ from static:\nadaptive: %v\nstatic:   %v", aJoin, sJoin)
+	}
+	if fmt.Sprint(aMirror) != fmt.Sprint(sMirror) || fmt.Sprint(aMirror) != fmt.Sprint(aJoin) {
+		t.Errorf("adaptive dim JOIN fact rows differ from static or from fact JOIN dim:\nadaptive: %v\nstatic:   %v", aMirror, sMirror)
+	}
+	if aStats["mirrorSkewSplits"] == 0 {
+		t.Errorf("adaptive dim JOIN fact split no hot bucket: %v", aStats)
 	}
 	if fmt.Sprint(aConv) != fmt.Sprint(sConv) {
 		t.Errorf("adaptive UDF-join rows differ from static:\nadaptive: %v\nstatic:   %v", aConv, sConv)

@@ -52,50 +52,57 @@ func hiveRows(t *testing.T, e *testEnv, sql string, tables map[string]row.Schema
 }
 
 // TestJoinNullKeysUnderEveryStrategy: NULL equals no key, itself
-// included, however the join runs — map join or shuffle join, under
-// every strategy mode, and co-partitioned.
+// included, and every pair of rows with equal keys joins, however the
+// join runs — map join or shuffle join, under every strategy mode, and
+// co-partitioned. Both sides hold NULL keys and duplicate non-NULL keys
+// (many-to-many). In one case the left side has more rows under every
+// key, so a shuffle join builds each bucket on the right and a map
+// join broadcasts the right; the other case mirrors it.
 func TestJoinNullKeysUnderEveryStrategy(t *testing.T) {
 	tables := map[string]row.Schema{
 		"l": {{Name: "k", Type: row.TString}, {Name: "v", Type: row.TInt}},
 		"r": {{Name: "k", Type: row.TString}, {Name: "w", Type: row.TInt}},
 	}
-	data := map[string][]row.Row{
-		"l": {{nil, int64(1)}, {"a", int64(3)}, {nil, int64(2)}},
-		"r": {{nil, int64(10)}, {nil, int64(20)}, {"a", int64(30)}},
-	}
+	larger := []row.Row{{nil, int64(1)}, {"a", int64(2)}, {nil, int64(3)}, {"a", int64(4)}, {"a", int64(5)},
+		{"b", int64(6)}, {"b", int64(7)}, {"b", int64(8)}, {"c", int64(9)}}
+	smaller := []row.Row{{nil, int64(10)}, {"a", int64(20)}, {"a", int64(30)}, {"b", int64(40)}, {nil, int64(50)}}
 	const join = `SELECT l.k, l.v, r.w FROM l JOIN r ON l.k = r.k`
-	env := func(opts exec.Options) *testEnv {
-		e := newEnv(t, opts)
-		t.Cleanup(e.s.Close)
-		for name, schema := range tables {
-			e.writeDFS(t, name, schema, data[name])
+	for _, tc := range []struct {
+		name string
+		l, r []row.Row
+	}{{"left larger", larger, smaller}, {"right larger", smaller, larger}} {
+		env := func(opts exec.Options) *testEnv {
+			e := newEnv(t, opts)
+			t.Cleanup(e.s.Close)
+			e.writeDFS(t, "l", tables["l"], tc.l)
+			e.writeDFS(t, "r", tables["r"], tc.r)
+			return e
 		}
-		return e
-	}
-	e := env(exec.Options{})
-	want := diffSorted(hiveRows(t, e, join, tables))
-	if len(want) != 1 {
-		t.Fatalf("hive joins %v, want the one pair of non-NULL keys", want)
-	}
-	check := func(name string, e *testEnv, sql string) {
-		t.Helper()
-		res := e.mustExec(t, sql)
-		if err := diffSameBag(res.Rows, want); err != nil {
-			t.Errorf("%s (%v): %v", name, res.Stats.JoinStrategies, err)
+		e := env(exec.Options{})
+		want := diffSorted(hiveRows(t, e, join, tables))
+		if len(want) != 9 {
+			t.Fatalf("%s: hive joins %v, want the 3×2 + 3×1 pairs of non-NULL keys", tc.name, want)
 		}
-	}
-	for _, mode := range []exec.StrategyMode{exec.StrategyStaticAdaptive, exec.StrategyAdaptive, exec.StrategyStatic} {
-		for _, threshold := range []int64{1, 0} { // 1 byte: always a shuffle join; 0: the default, a map join here
-			e := env(exec.Options{JoinStrategy: mode, BroadcastThreshold: threshold})
-			check(fmt.Sprintf("%s, broadcast threshold %d", mode, threshold), e, join)
-			if n := e.mustExec(t, `SELECT COUNT(*) FROM l JOIN r ON l.k = r.k`).Rows[0][0]; n != int64(1) {
-				t.Errorf("%s, broadcast threshold %d: COUNT(*) = %v, want 1", mode, threshold, n)
+		check := func(name string, e *testEnv, sql string) {
+			t.Helper()
+			res := e.mustExec(t, sql)
+			if err := diffSameBag(res.Rows, want); err != nil {
+				t.Errorf("%s, %s (%v): %v", tc.name, name, res.Stats.JoinStrategies, err)
 			}
 		}
+		for _, mode := range []exec.StrategyMode{exec.StrategyStaticAdaptive, exec.StrategyAdaptive, exec.StrategyStatic} {
+			for _, threshold := range []int64{1, 0} { // 1 byte: always a shuffle join; 0: the default, a map join here
+				e := env(exec.Options{JoinStrategy: mode, BroadcastThreshold: threshold})
+				check(fmt.Sprintf("%s, broadcast threshold %d", mode, threshold), e, join)
+				if n := e.mustExec(t, `SELECT COUNT(*) FROM l JOIN r ON l.k = r.k`).Rows[0][0]; n != int64(len(want)) {
+					t.Errorf("%s, %s, broadcast threshold %d: COUNT(*) = %v, want %d", tc.name, mode, threshold, n, len(want))
+				}
+			}
+		}
+		e.mustExec(t, `CREATE TABLE lc TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM l DISTRIBUTE BY k`)
+		e.mustExec(t, `CREATE TABLE rc TBLPROPERTIES ("shark.cache"="true", "copartition"="lc") AS SELECT * FROM r DISTRIBUTE BY k`)
+		check("co-partitioned", e, `SELECT lc.k, lc.v, rc.w FROM lc JOIN rc ON lc.k = rc.k`)
 	}
-	e.mustExec(t, `CREATE TABLE lc TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM l DISTRIBUTE BY k`)
-	e.mustExec(t, `CREATE TABLE rc TBLPROPERTIES ("shark.cache"="true", "copartition"="lc") AS SELECT * FROM r DISTRIBUTE BY k`)
-	check("co-partitioned", e, `SELECT lc.k, lc.v, rc.w FROM lc JOIN rc ON lc.k = rc.k`)
 }
 
 // TestNullGroupIsNotAString: the NULL group and a group whose string
@@ -191,7 +198,7 @@ func TestAggregateSurvivesWorkerLossBeforeReduce(t *testing.T) {
 	failures := e.s.Ctx.Scheduler().Metrics().FetchFailures.Load()
 	e.s.Ctx.Cluster.Kill(victim)
 	defer e.s.Ctx.Cluster.Restart(victim)
-	got, err := tr.RDD.Collect()
+	got, err := tr.RDD.CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -923,7 +923,7 @@ func checkDiffEncodings(t *testing.T, s *Session) {
 	}
 	parts, err := tbl.Mem.ScanPartitions("encodings", nil, func(_ *rdd.TaskContext, p *columnar.Partition) rdd.Iter {
 		return rdd.SliceIter([]any{p})
-	}).Collect()
+	}).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

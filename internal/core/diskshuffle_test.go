@@ -1,7 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"shark/internal/cluster"
@@ -50,6 +56,84 @@ func TestDiskShuffleQueries(t *testing.T) {
 	res = e.mustExec(t, `SELECT COUNT(*) FROM rankings JOIN uservisits ON rankings.pageURL = uservisits.destURL`)
 	if res.Rows[0][0].(int64) <= 0 {
 		t.Errorf("join count = %v", res.Rows[0][0])
+	}
+}
+
+// TestDiskShuffleMalformedBucketRecomputed: a disk-shuffle bucket file
+// that does not decode — valid rows of the wrong shape, or cut short —
+// is a lost map output. The reduce side's fetch fails, the scheduler
+// re-runs the map tasks that wrote the files, and the query returns
+// what it returns over an intact shuffle.
+func TestDiskShuffleMalformedBucketRecomputed(t *testing.T) {
+	c := cluster.New(cluster.Config{Workers: 2, Slots: 2})
+	t.Cleanup(c.Close)
+	dir := t.TempDir()
+	ctx := rdd.NewContext(c, shuffle.NewService(c, shuffle.Disk, dir), rdd.Options{})
+	fs, err := dfs.New(dfs.Config{Dir: t.TempDir(), BlockSize: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Adaptive mode pre-shuffles the left side before the right side's
+	// map tasks run, and a one-byte broadcast threshold keeps the
+	// shuffle join, so the right side's filter sees the left side's
+	// bucket files on disk and the reduce side reads them back.
+	opts := exec.Options{JoinStrategy: exec.StrategyAdaptive, BroadcastThreshold: 1}
+	e := &testEnv{s: NewSession(ctx, fs, opts), fs: fs}
+	setupVisits(t, e, 2000, true)
+	e.writeDFS(t, "rankings_ext", rankingsSchema, genRankings(300))
+	e.mustExec(t, `CREATE TABLE rankings TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM rankings_ext`)
+
+	wrongShape := append([]byte{'P'}, binary.AppendUvarint(nil, 1)...)
+	wrongShape = row.EncodeBinary(wrongShape, row.Row{int64(1)})
+	wrongShape = row.EncodeBinary(wrongShape, row.Row{int64(2)}) // no value-kind tag
+	var armed atomic.Bool
+	var once sync.Once
+	spoiled := 0
+	spoil := func() {
+		files, err := filepath.Glob(filepath.Join(dir, "bucket-*"))
+		if err != nil {
+			panic(err)
+		}
+		sort.Strings(files)
+		for i, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				panic(err)
+			}
+			if i == 0 {
+				data = wrongShape
+			} else {
+				data = data[:len(data)/2]
+			}
+			if err := os.WriteFile(f, data, 0o644); err != nil {
+				panic(err)
+			}
+			spoiled++
+		}
+	}
+	if err := e.s.RegisterUDF("SPOIL", row.TBool, 1, 1, func([]any) any {
+		if armed.Load() {
+			once.Do(spoil)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT COUNT(*), SUM(rankings.pageRank) FROM rankings JOIN uservisits
+		ON rankings.pageURL = uservisits.destURL WHERE SPOIL(uservisits.destURL)`
+	want := e.mustExec(t, q)
+	m := ctx.Scheduler().Metrics()
+	reruns := m.MapStageReruns.Load()
+	armed.Store(true)
+	got := e.mustExec(t, q)
+	if spoiled < 2 {
+		t.Fatalf("spoiled %d bucket files, want the left side's", spoiled)
+	}
+	if m.MapStageReruns.Load() == reruns {
+		t.Error("no map task re-ran after its bucket files were spoiled")
+	}
+	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || want.Rows[0][0].(int64) == 0 {
+		t.Errorf("over spoiled bucket files: %v, want %v", got.Rows, want.Rows)
 	}
 }
 

@@ -87,7 +87,7 @@ func TestExternalScanKernels(t *testing.T) {
 	}
 	parts, err := tbl.Mem.ScanPartitions("parts", nil, func(_ *rdd.TaskContext, p *columnar.Partition) rdd.Iter {
 		return rdd.SliceIter([]any{p})
-	}).Collect()
+	}).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

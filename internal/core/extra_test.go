@@ -180,7 +180,7 @@ func TestSql2RddOverAggregate(t *testing.T) {
 	}
 	// downstream RDD processing over the aggregate result
 	total, err := tr.RDD.Map(func(v any) any { return v.(row.Row)[1] }).
-		Reduce(func(a, b any) any { return a.(float64) + b.(float64) })
+		ReduceCtx(t.Context(), func(a, b any) any { return a.(float64) + b.(float64) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -510,7 +510,7 @@ func TestSql2RddBridge(t *testing.T) {
 	}
 	// and it composes with further RDD ops (the §4 pipeline)
 	sum, err := tr.RDD.Map(func(v any) any { return v.(row.Row)[0] }).
-		Reduce(func(a, b any) any { return a.(float64) + b.(float64) })
+		ReduceCtx(t.Context(), func(a, b any) any { return a.(float64) + b.(float64) })
 	if err != nil {
 		t.Fatal(err)
 	}

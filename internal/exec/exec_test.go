@@ -323,19 +323,23 @@ func TestEstimateSideUDFBlindness(t *testing.T) {
 }
 
 func TestJoinBucketSwapPreservesColumnOrder(t *testing.T) {
-	build := []shuffle.Pair{{K: int64(1), V: row.Row{"L", int64(1)}}}
-	probe := []shuffle.Pair{{K: int64(1), V: row.Row{"R", 9.5}}}
-	// build side is left
-	out := joinBucket(nil, build, probe, false)
-	r := out[0].(row.Row)
-	if r[0].(string) != "L" || r[2].(string) != "R" {
-		t.Errorf("unswapped order: %v", r)
-	}
-	// build side is right: output must still be left++right
-	out = joinBucket(nil, probe, build, true)
-	r = out[0].(row.Row)
-	if r[0].(string) != "L" || r[2].(string) != "R" {
-		t.Errorf("swapped order: %v", r)
+	left, right := row.Row{"L", int64(1)}, row.Row{"R", 9.5}
+	for _, buildLeft := range []bool{true, false} {
+		build, probe := left, right
+		if !buildLeft {
+			build, probe = right, left
+		}
+		tbl := newJoinTable(1, buildLeft)
+		tbl.add(int64(1), build)
+		// Whichever side built, the output is left++right.
+		out := tbl.probe(nil, int64(1), probe)
+		if r := out[0].(row.Row); len(out) != 1 || r[0].(string) != "L" || r[2].(string) != "R" {
+			t.Errorf("buildLeft=%v: %v", buildLeft, out)
+		}
+		// A NULL key is never added, so it matches nothing.
+		if tbl.add(nil, build); len(tbl.probe(nil, nil, probe)) != 0 {
+			t.Errorf("buildLeft=%v: a NULL key matched", buildLeft)
+		}
 	}
 }
 
@@ -364,7 +368,15 @@ func TestJoinBucketNullKeysDropped(t *testing.T) {
 		}
 		pairs = append(pairs, got...)
 	}
-	if out := joinBucket(nil, pairs, pairs, false); len(out) != 1 {
+	tbl := newJoinTable(len(pairs), true)
+	for _, p := range pairs {
+		tbl.add(p.K, p.V.(row.Row))
+	}
+	var out []any
+	for _, p := range pairs {
+		out = tbl.probe(out, p.K, p.V.(row.Row))
+	}
+	if len(out) != 1 {
 		t.Errorf("self-join of the shuffled side: %v, want only key 1 with itself", out)
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"math"
+	"slices"
 
 	"shark/internal/expr"
 	"shark/internal/obs"
@@ -109,10 +110,7 @@ func (e *Engine) compileJoin(gctx context.Context, j *plan.Join, stats *QuerySta
 		fallthrough
 	case pde.MapJoinLeft:
 		label("map-join(" + small.name + ")")
-		if small.dep != nil {
-			return e.broadcastJoinFromShuffle(gctx, small.dep, big.rdd, big.key, small == l, ns)
-		}
-		return e.broadcastJoin(gctx, small.rdd, big.rdd, small.key, big.key, small == l, ns)
+		return e.broadcastJoin(gctx, small, big, small == l, ns)
 	}
 	label("shuffle-join")
 	if err := shuffled(l, r); err != nil {
@@ -198,9 +196,9 @@ func (e *Engine) preShuffle(gctx context.Context, r *rdd.RDD, keyFn expr.EvalFn,
 // is instead split across several tasks, each fetching the bucket's
 // full build side but only a disjoint subset of the probe side's map
 // outputs — the union of the split tasks' outputs is exactly the
-// bucket's join result. Within each whole bucket the hash table is
-// built over whichever input is locally smaller (run-time choice,
-// §3.1.1).
+// bucket's join result. Within each bucket the hash table is built
+// over whichever input has fewer records (run-time choice, §3.1.1);
+// the other side is the probe side a split slices.
 func (e *Engine) shuffleJoinRead(gctx context.Context, lDep, rDep *rdd.ShuffleDep, lStats, rStats *pde.StageStats, stats *QueryStats, ns *NodeStats) *rdd.RDD {
 	n := lDep.Partitioner.NumPartitions()
 	combined := make([]int64, n)
@@ -214,26 +212,24 @@ func (e *Engine) shuffleJoinRead(gctx context.Context, lDep, rDep *rdd.ShuffleDe
 	stats.ShuffleBytes += total
 	lRecs := append([]int64(nil), lStats.BucketRecords...)
 	rRecs := append([]int64(nil), rStats.BucketRecords...)
-	// The probe side of bucket b (the side a split slices): the one
-	// with more records; the build side is replicated to every slice.
-	probeIsLeft := func(b int) bool { return lRecs[b] > rRecs[b] }
+	buildLeft := func(b int) bool { return lRecs[b] <= rRecs[b] }
 
 	if e.opts.DisableAdaptiveExec {
 		// Static reduce side: one whole-bucket task per fine bucket.
-		tasks := make([][]joinSlice, n)
+		tasks := make([][]pde.BucketSlice, n)
 		for i := range tasks {
-			tasks[i] = []joinSlice{{bucket: i}}
+			tasks[i] = []pde.BucketSlice{{Bucket: i}}
 		}
 		stats.ReducerCounts = append(stats.ReducerCounts, n)
 		ns.Notef("reducers=%d (static)", n)
-		return joinSource(e.Ctx, lDep, rDep, tasks, lRecs, rRecs)
+		return joinSource(e.Ctx, lDep, rDep, tasks, buildLeft)
 	}
 
 	// Adaptive reduce side: coalesce cold buckets, split hot ones.
 	plan := pde.PlanReduce(combined, func(b int) []int64 {
-		probe := rDep
-		if probeIsLeft(b) {
-			probe = lDep
+		probe := lDep
+		if buildLeft(b) {
+			probe = rDep
 		}
 		return e.Ctx.Tracker().PerMapBucketBytes(probe.ID, b)
 	}, pde.SkewConfig{
@@ -243,76 +239,56 @@ func (e *Engine) shuffleJoinRead(gctx context.Context, lDep, rDep *rdd.ShuffleDe
 		SkewFactor:  e.opts.SkewFactor,
 		MaxSplit:    e.Ctx.Cluster.TotalSlots(),
 	})
-	tasks := make([][]joinSlice, len(plan.Tasks))
-	for i, task := range plan.Tasks {
-		tasks[i] = make([]joinSlice, len(task))
-		for j, s := range task {
-			tasks[i][j] = joinSlice{bucket: s.Bucket, probeMaps: s.Maps, probeLeft: probeIsLeft(s.Bucket)}
-		}
-	}
 	e.noteAdaptiveCoalesce(gctx)
 	e.noteSkewSplits(gctx, len(plan.SplitBuckets))
-	stats.ReducerCounts = append(stats.ReducerCounts, len(tasks))
+	stats.ReducerCounts = append(stats.ReducerCounts, len(plan.Tasks))
 	ns.Notef("reducers=%d (adaptive, %d skew splits, %d shuffle bytes)",
-		len(tasks), len(plan.SplitBuckets), total)
-	return joinSource(e.Ctx, lDep, rDep, tasks, lRecs, rRecs)
+		len(plan.Tasks), len(plan.SplitBuckets), total)
+	return joinSource(e.Ctx, lDep, rDep, plan.Tasks, buildLeft)
 }
 
-// joinSlice is one reduce task's view of one fine bucket: the whole
-// bucket, or — for a skew-split hot bucket — the bucket's full build
-// side plus the probe-side contributions of a subset of map partitions.
-type joinSlice struct {
-	bucket    int
-	probeMaps []int // nil = whole bucket
-	probeLeft bool  // the sliced probe side is the LEFT dep (when probeMaps != nil)
-}
-
-// joinSource builds the reduce-side RDD of a shuffle join. The two
-// shuffle dependencies are declared on the RDD even though compute
-// fetches their buckets directly: lineage walks must see that a live
-// join RDD still needs them (shuffle cleanup, recovery). Each slice
-// boundary polls the task's context so a cancelled query aborts the
-// join mid-partition.
-func joinSource(ctx *rdd.Context, lDep, rDep *rdd.ShuffleDep, tasks [][]joinSlice, lRecs, rRecs []int64) *rdd.RDD {
+// joinSource builds the reduce-side RDD of a shuffle join. Each task
+// joins its bucket slices: the whole build side of the bucket against
+// the slice's share of the probe side (all of it unless skew split).
+// The two shuffle dependencies are declared on the RDD even though
+// compute fetches their buckets directly: lineage walks must see that
+// a live join RDD still needs them (shuffle cleanup, recovery). Each
+// slice boundary polls the task's context so a cancelled query aborts
+// the join mid-partition.
+func joinSource(ctx *rdd.Context, lDep, rDep *rdd.ShuffleDep, tasks [][]pde.BucketSlice, buildLeft func(bucket int) bool) *rdd.RDD {
 	deps := []rdd.Dependency{lDep, rDep}
 	return ctx.SourceWithDeps("shuffle-join", len(tasks), deps, func(tc *rdd.TaskContext, part int) rdd.Iter {
 		var out []any
 		for _, s := range tasks[part] {
 			tc.FailIfCancelled()
-			b := s.bucket
-			if s.probeMaps != nil {
-				// Skew split: replicate the whole build side, fetch only
-				// this task's share of the probe side. joinBucket's
-				// swapped flag is true when the build rows came from the
-				// RIGHT dep — i.e. when the probe side is the left.
-				if s.probeLeft {
-					build := fetchBucket(tc, rDep, b)
-					probe := fetchBucketMaps(tc, lDep, b, s.probeMaps)
-					out = joinBucket(out, build, probe, true)
-				} else {
-					build := fetchBucket(tc, lDep, b)
-					probe := fetchBucketMaps(tc, rDep, b, s.probeMaps)
-					out = joinBucket(out, build, probe, false)
-				}
-				continue
+			left := buildLeft(s.Bucket)
+			build, probe := lDep, rDep
+			if !left {
+				build, probe = rDep, lDep
 			}
-			lPairs := fetchBucket(tc, lDep, b)
-			rPairs := fetchBucket(tc, rDep, b)
-			// Run-time local algorithm choice: build on the smaller
-			// side of this bucket.
-			if lRecs[b] <= rRecs[b] {
-				out = joinBucket(out, lPairs, rPairs, false)
-			} else {
-				out = joinBucket(out, rPairs, lPairs, true)
+			pairs := fetchBucket(tc, build, s.Bucket, nil)
+			t := newJoinTable(len(pairs), left)
+			for _, p := range pairs {
+				t.add(p.K, p.V.(row.Row))
+			}
+			for _, p := range fetchBucket(tc, probe, s.Bucket, s.Maps) {
+				out = t.probe(out, p.K, p.V.(row.Row))
 			}
 		}
 		return rdd.SliceIter(out)
 	}, nil)
 }
 
-func fetchBucket(tc *rdd.TaskContext, dep *rdd.ShuffleDep, bucket int) []shuffle.Pair {
-	locs := tc.Ctx.MapOutputLocations(dep)
-	pairs, err := tc.Ctx.Shuffle.Fetch(dep.ID, bucket, locs)
+// fetchBucket fetches one side of a bucket: every map partition's
+// share, or with maps set only theirs — the skew-split read.
+func fetchBucket(tc *rdd.TaskContext, dep *rdd.ShuffleDep, bucket int, maps []int) []shuffle.Pair {
+	var pairs []shuffle.Pair
+	var err error
+	if maps == nil {
+		pairs, err = tc.Ctx.Shuffle.Fetch(dep.ID, bucket, tc.Ctx.MapOutputLocations(dep))
+	} else {
+		pairs, err = tc.Ctx.Shuffle.FetchPartial(dep.ID, bucket, tc.Ctx.Tracker().Locations(dep.ID), maps)
+	}
 	if err != nil {
 		rdd.Fail(err)
 	}
@@ -320,34 +296,36 @@ func fetchBucket(tc *rdd.TaskContext, dep *rdd.ShuffleDep, bucket int) []shuffle
 	return pairs
 }
 
-// fetchBucketMaps fetches only the listed map partitions' share of a
-// bucket — the split-slice read.
-func fetchBucketMaps(tc *rdd.TaskContext, dep *rdd.ShuffleDep, bucket int, maps []int) []shuffle.Pair {
-	locs := tc.Ctx.Tracker().Locations(dep.ID)
-	pairs, err := tc.Ctx.Shuffle.FetchPartial(dep.ID, bucket, locs, maps)
-	if err != nil {
-		rdd.Fail(err)
-	}
-	obs.FromContext(tc.Gctx).AddFetch(int64(len(pairs)))
-	return pairs
+// joinTable is the build side of every local hash join — a shuffle
+// join's bucket, a map join's broadcast small side, a co-partitioned
+// join's left partition: rows by join key, all from one input.
+type joinTable struct {
+	rows      map[any][]row.Row
+	buildLeft bool // the rows are the join's left input
 }
 
-// joinBucket hash-joins build×probe. swapped means build came from the
-// right side, so output column order must flip back to left++right.
-// Neither side holds a NULL key: preShuffle drops those rows.
-func joinBucket(out []any, build, probe []shuffle.Pair, swapped bool) []any {
-	ht := make(map[any][]row.Row, len(build))
-	for _, p := range build {
-		ht[p.K] = append(ht[p.K], p.V.(row.Row))
+func newJoinTable(n int, buildLeft bool) joinTable {
+	return joinTable{rows: make(map[any][]row.Row, n), buildLeft: buildLeft}
+}
+
+// add files r under k. A NULL key equals nothing, itself included, so
+// it is never added.
+func (t joinTable) add(k any, r row.Row) {
+	if k != nil {
+		t.rows[k] = append(t.rows[k], r)
 	}
-	for _, p := range probe {
-		for _, b := range ht[p.K] {
-			pr := p.V.(row.Row)
-			if swapped {
-				out = append(out, concatRows(pr, b))
-			} else {
-				out = append(out, concatRows(b, pr))
-			}
+}
+
+// probe appends r joined with every build row under k, each as
+// left ++ right whichever side built. out grows once, by the matches.
+func (t joinTable) probe(out []any, k any, r row.Row) []any {
+	matches := t.rows[k]
+	out = slices.Grow(out, len(matches))
+	for _, m := range matches {
+		if t.buildLeft {
+			out = append(out, concatRows(m, r))
+		} else {
+			out = append(out, concatRows(r, m))
 		}
 	}
 	return out
@@ -359,67 +337,45 @@ func concatRows(a, b row.Row) row.Row {
 	return append(out, b...)
 }
 
-// broadcastJoin collects the small side (an ordinary job), builds a
-// hash table, and probes it from map tasks over the big side — no
-// shuffle of the big side. A NULL key joins nothing, on either side.
-func (e *Engine) broadcastJoin(gctx context.Context, small, big *rdd.RDD, smallKey, bigKey expr.EvalFn, smallIsLeft bool, ns *NodeStats) (*rdd.RDD, error) {
+// broadcastJoin builds the hash table over the small side and probes
+// it from map tasks over the big side — no shuffle of the big side.
+// The small side's rows are fetched from its buckets when PDE already
+// materialized it as shuffle map output, and collected by an ordinary
+// job otherwise.
+func (e *Engine) broadcastJoin(gctx context.Context, small, big *joinSide, smallIsLeft bool, ns *NodeStats) (*rdd.RDD, error) {
 	endSeg := ns.beginSegment(gctx)
-	rows, err := small.CollectCtx(gctx)
-	if err != nil {
-		return nil, err
-	}
-	endSeg()
-	ht := make(map[any][]row.Row, len(rows))
-	for _, v := range rows {
-		r := v.(row.Row)
-		if k := smallKey(r); k != nil {
-			ht[k] = append(ht[k], r)
-		}
-	}
-	return e.probeBroadcast(ht, big, bigKey, smallIsLeft), nil
-}
-
-// broadcastJoinFromShuffle is broadcastJoin where the small side was
-// already materialized as shuffle map output: its rows are fetched
-// from the buckets instead of recomputed.
-func (e *Engine) broadcastJoinFromShuffle(gctx context.Context, smallDep *rdd.ShuffleDep, big *rdd.RDD, bigKey expr.EvalFn, smallIsLeft bool, ns *NodeStats) (*rdd.RDD, error) {
-	locs := e.Ctx.Tracker().Locations(smallDep.ID)
-	ht := make(map[any][]row.Row)
-	endSeg := ns.beginSegment(gctx)
-	tr := obs.FromContext(gctx)
-	for b := 0; b < smallDep.Partitioner.NumPartitions(); b++ {
-		pairs, err := e.Ctx.Shuffle.Fetch(smallDep.ID, b, locs)
+	var t joinTable
+	if small.dep == nil {
+		rows, err := small.rdd.CollectCtx(gctx)
 		if err != nil {
 			return nil, err
 		}
-		tr.AddFetch(int64(len(pairs)))
-		for _, p := range pairs {
-			ht[p.K] = append(ht[p.K], p.V.(row.Row))
+		t = newJoinTable(len(rows), smallIsLeft)
+		for _, v := range rows {
+			r := v.(row.Row)
+			t.add(small.key(r), r)
+		}
+	} else {
+		t = newJoinTable(0, smallIsLeft)
+		locs := e.Ctx.Tracker().Locations(small.dep.ID)
+		tr := obs.FromContext(gctx)
+		for b := 0; b < small.dep.Partitioner.NumPartitions(); b++ {
+			pairs, err := e.Ctx.Shuffle.Fetch(small.dep.ID, b, locs)
+			if err != nil {
+				return nil, err
+			}
+			tr.AddFetch(int64(len(pairs)))
+			for _, p := range pairs {
+				t.add(p.K, p.V.(row.Row))
+			}
 		}
 	}
 	endSeg()
-	return e.probeBroadcast(ht, big, bigKey, smallIsLeft), nil
-}
-
-func (e *Engine) probeBroadcast(ht map[any][]row.Row, big *rdd.RDD, bigKey expr.EvalFn, buildIsLeft bool) *rdd.RDD {
-	bc := e.Ctx.NewBroadcast(ht)
-	return big.FlatMap(func(v any) []any {
+	bc := e.Ctx.NewBroadcast(t)
+	return big.rdd.FlatMap(func(v any) []any {
 		r := v.(row.Row)
-		table := bc.Value.(map[any][]row.Row)
-		matches := table[bigKey(r)] // the table has no NULL key
-		if len(matches) == 0 {
-			return nil
-		}
-		out := make([]any, 0, len(matches))
-		for _, m := range matches {
-			if buildIsLeft {
-				out = append(out, concatRows(m, r))
-			} else {
-				out = append(out, concatRows(r, m))
-			}
-		}
-		return out
-	})
+		return bc.Value.(joinTable).probe(nil, big.key(r), r)
+	}), nil
 }
 
 // tryCopartitionedJoin detects the §3.4 case: both children are scans
@@ -454,27 +410,15 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats, p *prof) 
 	lKey, rKey := j.LeftKey.Eval, j.RightKey.Eval
 
 	joined := leftScan.ZipPartitions(rightScan, func(part int, a, b rdd.Iter) rdd.Iter {
-		ht := make(map[any][]row.Row)
-		for {
-			v, ok := a.Next()
-			if !ok {
-				break
-			}
+		t := newJoinTable(0, true)
+		for v, ok := a.Next(); ok; v, ok = a.Next() {
 			r := v.(row.Row)
-			if k := lKey(r); k != nil {
-				ht[k] = append(ht[k], r)
-			}
+			t.add(lKey(r), r)
 		}
 		var out []any
-		for {
-			v, ok := b.Next()
-			if !ok {
-				break
-			}
+		for v, ok := b.Next(); ok; v, ok = b.Next() {
 			r := v.(row.Row)
-			for _, m := range ht[rKey(r)] { // the table has no NULL key
-				out = append(out, concatRows(m, r))
-			}
+			out = t.probe(out, rKey(r), r)
 		}
 		return rdd.SliceIter(out)
 	})

@@ -7,8 +7,8 @@ import (
 )
 
 // CtxPath reports calls to the context-free variant of an operation
-// that also ships a ...Ctx variant (RunJob vs RunJobCtx, Collect vs
-// CollectCtx, ...). The context-free wrappers exist
+// that also ships a ...Ctx variant (RunJob vs RunJobCtx, Count vs
+// CountCtx, ...). The context-free wrappers exist
 // for process-owning entry points only; library code calling them
 // silently detaches the work from job cancellation — the class of bug
 // the multi-tenant and serving PRs kept re-fixing.
@@ -52,8 +52,8 @@ func runCtxPath(pass *Pass) error {
 				if !hasCtxSibling(f) {
 					return true
 				}
-				// The wrapper pair itself may delegate freely: Collect
-				// calling CollectCtx is the pattern, and FCtx helpers
+				// The wrapper pair itself may delegate freely: Count
+				// calling CountCtx is the pattern, and FCtx helpers
 				// composing other F* entry points stay exempt only when
 				// they are the declarations being wrapped.
 				if encl == f.Name() || encl == f.Name()+"Ctx" {

@@ -46,12 +46,12 @@ func TestPartialCachingMatchesUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScan, err := refTbl.Scan(nil, nil).Collect()
+	wantScan, err := refTbl.Scan(nil, nil).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	refPruned := refTbl.Prune(preds)
-	wantPruned, err := refTbl.Scan(refPruned, []int{0, 2}).Collect()
+	wantPruned, err := refTbl.Scan(refPruned, []int{0, 2}).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPartialCachingMatchesUnbounded(t *testing.T) {
 		t.Fatalf("bounded load reported %d rows, want %d", tbl.TotalRows(), nRows)
 	}
 
-	gotScan, err := tbl.Scan(nil, nil).Collect()
+	gotScan, err := tbl.Scan(nil, nil).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPartialCachingMatchesUnbounded(t *testing.T) {
 	if !reflect.DeepEqual(pruned, refPruned) {
 		t.Errorf("pruned partitions differ: %v vs %v", pruned, refPruned)
 	}
-	gotPruned, err := tbl.Scan(pruned, []int{0, 2}).Collect()
+	gotPruned, err := tbl.Scan(pruned, []int{0, 2}).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestMemoryAndDiskMatchesUnbounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScan, err := refTbl.Scan(nil, nil).Collect()
+	wantScan, err := refTbl.Scan(nil, nil).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
 	refPruned := refTbl.Prune(preds)
-	wantPruned, err := refTbl.Scan(refPruned, []int{0, 2}).Collect()
+	wantPruned, err := refTbl.Scan(refPruned, []int{0, 2}).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestMemoryAndDiskMatchesUnbounded(t *testing.T) {
 	}
 
 	for rep := 0; rep < 2; rep++ {
-		gotScan, err := tbl.Scan(nil, nil).Collect()
+		gotScan, err := tbl.Scan(nil, nil).CollectCtx(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestMemoryAndDiskMatchesUnbounded(t *testing.T) {
 			t.Fatalf("rep %d: tiered full scan differs from unbounded (%d vs %d rows)",
 				rep, len(gotScan), len(wantScan))
 		}
-		gotPruned, err := tbl.Scan(tbl.Prune(preds), []int{0, 2}).Collect()
+		gotPruned, err := tbl.Scan(tbl.Prune(preds), []int{0, 2}).CollectCtx(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}

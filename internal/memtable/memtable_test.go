@@ -55,7 +55,7 @@ func TestLoadAndScan(t *testing.T) {
 	if tbl.NumPartitions() != 8 {
 		t.Fatalf("parts = %d", tbl.NumPartitions())
 	}
-	got, err := tbl.Scan(nil, nil).Collect()
+	got, err := tbl.Scan(nil, nil).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestProjectionScan(t *testing.T) {
 	ctx := newCtx(t)
 	tbl := loadTable(t, ctx, 100, 4)
 	cols := []int{1, 3} // country, score
-	got, err := tbl.Scan(nil, cols).Collect()
+	got, err := tbl.Scan(nil, cols).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestMapPruningByRange(t *testing.T) {
 		t.Fatalf("surviving = %v (want 2 partitions)", surviving)
 	}
 	// scanning only survivors still yields every matching row
-	got, err := tbl.Scan(surviving, nil).Collect()
+	got, err := tbl.Scan(surviving, nil).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMapPruningByEnum(t *testing.T) {
 	if len(surviving) != 1 {
 		t.Fatalf("surviving = %v", surviving)
 	}
-	got, err := tbl.Scan(surviving, nil).Collect()
+	got, err := tbl.Scan(surviving, nil).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestLoadDistributedCopartition(t *testing.T) {
 	}
 	// every row must be in the partition its key hashes to
 	for p := 0; p < 6; p++ {
-		chunk, err := tbl.Scan([]int{p}, nil).Collect()
+		chunk, err := tbl.Scan([]int{p}, nil).CollectCtx(t.Context())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestStatsPerPartition(t *testing.T) {
 func TestScanSubsetDoesNotTouchOthers(t *testing.T) {
 	ctx := newCtx(t)
 	tbl := loadTable(t, ctx, 1000, 10)
-	got, err := tbl.Scan([]int{3}, nil).Collect()
+	got, err := tbl.Scan([]int{3}, nil).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestLargeValueRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tbl.Scan(nil, []int{1}).Collect()
+	got, err := tbl.Scan(nil, []int{1}).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestScanSpansBatches(t *testing.T) {
 	ctx := newCtx(t)
 	const n = 3*columnar.BatchSize + 17
 	tbl := loadTable(t, ctx, n, 1)
-	got, err := tbl.Scan(nil, []int{2, 0}).Collect()
+	got, err := tbl.Scan(nil, []int{2, 0}).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

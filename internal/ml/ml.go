@@ -184,13 +184,8 @@ func LogisticRegressionCtx(ctx context.Context, points *rdd.RDD, dim, iters int,
 	return w, nil
 }
 
-// KMeans clusters an RDD of Vector into k clusters with Lloyd
+// KMeansCtx clusters an RDD of Vector into k clusters with Lloyd
 // iterations; initial centers are the first k points.
-func KMeans(points *rdd.RDD, k, iters int, timer *IterTimer) ([]Vector, error) {
-	return KMeansCtx(context.Background(), points, k, iters, timer)
-}
-
-// KMeansCtx is KMeans under a caller context.
 func KMeansCtx(ctx context.Context, points *rdd.RDD, k, iters int, timer *IterTimer) ([]Vector, error) {
 	seed, err := points.TakeCtx(ctx, k)
 	if err != nil {
@@ -278,13 +273,8 @@ func NearestCenter(x Vector, centers []Vector) int {
 	return best
 }
 
-// LinearRegression fits w minimizing Σ(w·x − y)² by gradient descent
-// over an RDD of LabeledPoint.
-func LinearRegression(points *rdd.RDD, dim, iters int, lr float64, timer *IterTimer) (Vector, error) {
-	return LinearRegressionCtx(context.Background(), points, dim, iters, lr, timer)
-}
-
-// LinearRegressionCtx is LinearRegression under a caller context.
+// LinearRegressionCtx fits w minimizing Σ(w·x − y)² by gradient
+// descent over an RDD of LabeledPoint.
 func LinearRegressionCtx(ctx context.Context, points *rdd.RDD, dim, iters int, lr float64, timer *IterTimer) (Vector, error) {
 	w := InitWeights(dim, 7)
 	n, err := points.CountCtx(ctx)

@@ -107,7 +107,7 @@ func TestKMeansFindsClusters(t *testing.T) {
 		data = append(data, Vector{c[0] + rng.NormFloat64(), c[1] + rng.NormFloat64()})
 	}
 	rddPts := ctx.Parallelize(data, 6).Cache()
-	centers, err := KMeans(rddPts, 3, 10, nil)
+	centers, err := KMeansCtx(t.Context(), rddPts, 3, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestLinearRegressionFits(t *testing.T) {
 		data = append(data, p)
 	}
 	rddPts := ctx.Parallelize(data, 8).Cache()
-	w, err := LinearRegression(rddPts, 3, 200, 0.5, nil)
+	w, err := LinearRegressionCtx(t.Context(), rddPts, 3, 200, 0.5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

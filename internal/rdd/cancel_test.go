@@ -229,10 +229,10 @@ func TestCancelShuffleLeavesBookkeepingConsistent(t *testing.T) {
 
 	// Finish the same shuffle and read it: every key must have the
 	// exact count, i.e. no duplicated or lost map outputs.
-	if _, err := ctx.Scheduler().MaterializeShuffle(dep); err != nil {
+	if _, err := ctx.Scheduler().MaterializeShuffleCtx(t.Context(), dep); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ctx.Shuffled(dep, nil, ReadCombine).Collect()
+	out, err := ctx.Shuffled(dep, nil, ReadCombine).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

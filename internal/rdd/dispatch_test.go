@@ -169,7 +169,7 @@ func TestReducePlacementFollowsMapOutput(t *testing.T) {
 	}
 	src := ctx.Parallelize(data, 8)
 	dep := ctx.NewShuffleDep(src, shuffle.HashPartitioner{N: 4}, nil)
-	if _, err := ctx.Scheduler().MaterializeShuffle(dep); err != nil {
+	if _, err := ctx.Scheduler().MaterializeShuffleCtx(t.Context(), dep); err != nil {
 		t.Fatal(err)
 	}
 	holders := map[int]bool{}
@@ -219,7 +219,7 @@ func TestKillMidJobRecoversWithRecomputeMetrics(t *testing.T) {
 		ctx.NotifyWorkerLost(2)
 		close(done)
 	}()
-	got, err := agg.Collect()
+	got, err := agg.CollectCtx(t.Context())
 	<-done
 	if err != nil {
 		t.Fatal(err)

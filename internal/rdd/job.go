@@ -10,7 +10,7 @@ import (
 )
 
 // Job is the scheduler's first-class unit of multi-tenant work: every
-// RunJob / MaterializeShuffle executes under exactly one Job, all
+// RunJobCtx / MaterializeShuffleCtx executes under exactly one Job, all
 // cluster tasks it launches carry the Job's ID (the fair-sharing and
 // cancellation handle), and the work it does is metered both on the
 // Job and on the session that started it.

@@ -183,7 +183,7 @@ func TestShuffleOutputsPinnedUnderPressure(t *testing.T) {
 	}
 	src := ctx.Parallelize(data, 8).Cache()
 	agg := src.ReduceByKey(func(a, b any) any { return a.(int64) + b.(int64) }, 4)
-	got, err := agg.Collect()
+	got, err := agg.CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -314,13 +314,9 @@ func (r *RDD) PartitionBy(p shuffle.Partitioner) *RDD {
 // ---------------------------------------------------------------------------
 // Actions
 
-// Collect gathers every element, in partition order.
-func (r *RDD) Collect() ([]any, error) {
-	return r.CollectCtx(context.Background())
-}
-
-// CollectCtx is Collect under a context: the attached job owns the
-// tasks and cancellation aborts the collection.
+// CollectCtx gathers every element, in partition order. The job
+// attached to gctx owns the tasks and cancellation aborts the
+// collection.
 func (r *RDD) CollectCtx(gctx context.Context) ([]any, error) {
 	res, err := r.ctx.sched.RunJobCtx(gctx, r, nil, func(tc *TaskContext, part int, it Iter) (any, error) {
 		return Drain(it), nil
@@ -376,14 +372,9 @@ func (r *RDD) CountCtx(gctx context.Context) (int64, error) {
 	return total, nil
 }
 
-// Reduce folds all elements with f (which must be associative and
-// commutative). Returns an error when the RDD is empty.
-func (r *RDD) Reduce(f func(a, b any) any) (any, error) {
-	return r.ReduceCtx(context.Background(), f)
-}
-
-// ReduceCtx is Reduce under a context: cancellation aborts the fold's
-// job.
+// ReduceCtx folds all elements with f (which must be associative and
+// commutative). Returns an error when the RDD is empty; cancellation
+// aborts the fold's job.
 func (r *RDD) ReduceCtx(gctx context.Context, f func(a, b any) any) (any, error) {
 	res, err := r.ctx.sched.RunJobCtx(gctx, r, nil, func(tc *TaskContext, part int, it Iter) (any, error) {
 		var acc any
@@ -426,12 +417,7 @@ func (r *RDD) ReduceCtx(gctx context.Context, f func(a, b any) any) (any, error)
 	return acc, nil
 }
 
-// Take returns up to n elements, reading partitions left to right.
-func (r *RDD) Take(n int) ([]any, error) {
-	return r.TakeCtx(context.Background(), n)
-}
-
-// TakeCtx is Take under a context.
+// TakeCtx returns up to n elements, reading partitions left to right.
 func (r *RDD) TakeCtx(gctx context.Context, n int) ([]any, error) {
 	var out []any
 	for part := 0; part < r.numParts && len(out) < n; part++ {
@@ -449,13 +435,8 @@ func (r *RDD) TakeCtx(gctx context.Context, n int) ([]any, error) {
 	return out, nil
 }
 
-// SortedCollect collects all elements and sorts them with less — used
-// for deterministic assertions in tests.
-func (r *RDD) SortedCollect(less func(a, b any) bool) ([]any, error) {
-	return r.SortedCollectCtx(context.Background(), less)
-}
-
-// SortedCollectCtx is SortedCollect under a context.
+// SortedCollectCtx collects all elements and sorts them with less —
+// used for deterministic assertions in tests.
 func (r *RDD) SortedCollectCtx(gctx context.Context, less func(a, b any) bool) ([]any, error) {
 	out, err := r.CollectCtx(gctx)
 	if err != nil {

@@ -35,7 +35,7 @@ func TestParallelizeCollect(t *testing.T) {
 	if r.NumPartitions() != 8 {
 		t.Fatalf("parts = %d", r.NumPartitions())
 	}
-	got, err := r.Collect()
+	got, err := r.CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestMapFilterFlatMapChain(t *testing.T) {
 func TestReduceAction(t *testing.T) {
 	ctx := newTestCtx(t, 4, Options{})
 	r := ctx.Parallelize(ints(101), 7)
-	got, err := r.Reduce(func(a, b any) any { return a.(int64) + b.(int64) })
+	got, err := r.ReduceCtx(t.Context(), func(a, b any) any { return a.(int64) + b.(int64) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestReduceAction(t *testing.T) {
 		t.Errorf("sum = %v", got)
 	}
 	empty := ctx.Parallelize(nil, 3)
-	if _, err := empty.Reduce(func(a, b any) any { return a }); err == nil {
+	if _, err := empty.ReduceCtx(t.Context(), func(a, b any) any { return a }); err == nil {
 		t.Error("reduce of empty must error")
 	}
 }
@@ -88,7 +88,7 @@ func TestReduceByKey(t *testing.T) {
 	}
 	r := ctx.Parallelize(data, 8).
 		ReduceByKey(func(a, b any) any { return a.(int64) + b.(int64) }, 4)
-	got, err := r.Collect()
+	got, err := r.CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestGroupByKey(t *testing.T) {
 		shuffle.Pair{K: int64(1), V: "b"},
 		shuffle.Pair{K: int64(2), V: "c"},
 	}
-	got, err := ctx.Parallelize(data, 2).GroupByKey(3).Collect()
+	got, err := ctx.Parallelize(data, 2).GroupByKey(3).CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestZipPartitions(t *testing.T) {
 		}
 		return SliceIter(out)
 	})
-	got, err := zipped.Collect()
+	got, err := zipped.CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestZipPartitions(t *testing.T) {
 func TestTake(t *testing.T) {
 	ctx := newTestCtx(t, 4, Options{})
 	r := ctx.Parallelize(ints(100), 10)
-	got, err := r.Take(7)
+	got, err := r.TakeCtx(t.Context(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestShuffleFetchFailureRecovery(t *testing.T) {
 	src := ctx.Parallelize(data, 8)
 	dep := ctx.NewShuffleDep(src, shuffle.HashPartitioner{N: 4}, func(a, b any) any { return a.(int64) + b.(int64) })
 	// Materialize the map side first (as PDE would).
-	if _, err := ctx.Scheduler().MaterializeShuffle(dep); err != nil {
+	if _, err := ctx.Scheduler().MaterializeShuffleCtx(t.Context(), dep); err != nil {
 		t.Fatal(err)
 	}
 	// Kill a worker holding some map outputs.
@@ -255,7 +255,7 @@ func TestShuffleFetchFailureRecovery(t *testing.T) {
 	ctx.Cluster.Restart(2)
 
 	reduced := ctx.Shuffled(dep, nil, ReadCombine)
-	got, err := reduced.Collect()
+	got, err := reduced.CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestFetchRecoveryStaysInItsContext(t *testing.T) {
 	// Lose some of A's map outputs behind the tracker's back, so the
 	// reduce hits a fetch failure and recovers by shuffle ID.
 	a.Cluster.Kill(a.Tracker().Locations(LineageShuffleIDs(reducedA)[0])[0])
-	got, err := reducedA.Collect()
+	got, err := reducedA.CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestKillDuringQueryStillCompletes(t *testing.T) {
 		ctx.NotifyWorkerLost(3)
 		close(done)
 	}()
-	got, err := agg.Collect()
+	got, err := agg.CollectCtx(t.Context())
 	<-done
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +424,7 @@ func TestMaterializeShuffleStats(t *testing.T) {
 	dep := ctx.NewShuffleDep(src, shuffle.HashPartitioner{N: 16}, nil, func(d *ShuffleDep) {
 		d.Stats = pde.CollectorConfig{HeavyHitterK: 4}
 	})
-	stats, err := ctx.Scheduler().MaterializeShuffle(dep)
+	stats, err := ctx.Scheduler().MaterializeShuffleCtx(t.Context(), dep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestMaterializeShuffleStats(t *testing.T) {
 	}
 	// Second materialization is free (stage skipping).
 	launched := ctx.Scheduler().Metrics().TasksLaunched.Load()
-	if _, err := ctx.Scheduler().MaterializeShuffle(dep); err != nil {
+	if _, err := ctx.Scheduler().MaterializeShuffleCtx(t.Context(), dep); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Scheduler().Metrics().TasksLaunched.Load(); got != launched {
@@ -457,7 +457,7 @@ func TestCoalescedShuffleRead(t *testing.T) {
 	}
 	src := ctx.Parallelize(data, 4)
 	dep := ctx.NewShuffleDep(src, shuffle.HashPartitioner{N: 16}, nil)
-	stats, err := ctx.Scheduler().MaterializeShuffle(dep)
+	stats, err := ctx.Scheduler().MaterializeShuffleCtx(t.Context(), dep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +466,7 @@ func TestCoalescedShuffleRead(t *testing.T) {
 	if reduced.NumPartitions() != len(groups) {
 		t.Fatalf("parts = %d", reduced.NumPartitions())
 	}
-	got, err := reduced.Collect()
+	got, err := reduced.CollectCtx(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		}
 		return ctx.Parallelize(data, 6).
 			ReduceByKey(func(a, b any) any { return a.(int64) + b.(int64) }, 4).
-			SortedCollect(func(a, b any) bool {
+			SortedCollectCtx(t.Context(), func(a, b any) bool {
 				return a.(shuffle.Pair).K.(int64) < b.(shuffle.Pair).K.(int64)
 			})
 	}
@@ -536,7 +536,7 @@ func TestPreferredLocationsFollowCache(t *testing.T) {
 func TestSortedCollect(t *testing.T) {
 	ctx := newTestCtx(t, 4, Options{})
 	r := ctx.Parallelize([]any{int64(3), int64(1), int64(2)}, 2)
-	got, err := r.SortedCollect(func(a, b any) bool { return a.(int64) < b.(int64) })
+	got, err := r.SortedCollectCtx(t.Context(), func(a, b any) bool { return a.(int64) < b.(int64) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,15 +150,10 @@ func (s *Scheduler) jobFor(gctx context.Context) (job *Job, owned bool) {
 	return s.ctx.StartJob(""), true
 }
 
-// MaterializeShuffle runs (only) the map stage of dep — the partial
+// MaterializeShuffleCtx runs (only) the map stage of dep — the partial
 // DAG execution primitive: callers inspect the returned statistics and
-// then decide how to consume the shuffle.
-func (s *Scheduler) MaterializeShuffle(dep *ShuffleDep) (*pde.StageStats, error) {
-	return s.MaterializeShuffleCtx(context.Background(), dep)
-}
-
-// MaterializeShuffleCtx is MaterializeShuffle under a context, with
-// the same job attribution and cancellation semantics as RunJobCtx.
+// then decide how to consume the shuffle. Job attribution and
+// cancellation are RunJobCtx's.
 func (s *Scheduler) MaterializeShuffleCtx(gctx context.Context, dep *ShuffleDep) (*pde.StageStats, error) {
 	job, owned := s.jobFor(gctx)
 	if owned {

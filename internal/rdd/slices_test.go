@@ -17,7 +17,7 @@ func materializeTestShuffle(t *testing.T, ctx *Context, n, buckets int) (*Shuffl
 	}
 	src := ctx.Parallelize(data, 6)
 	dep := ctx.NewShuffleDep(src, shuffle.HashPartitioner{N: buckets}, nil)
-	stats, err := ctx.Scheduler().MaterializeShuffle(dep)
+	stats, err := ctx.Scheduler().MaterializeShuffleCtx(t.Context(), dep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,7 @@
 package shuffle
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -176,7 +173,13 @@ func (w *Writer) Commit() (BucketStats, error) {
 	return w.stats, nil
 }
 
+// writeDiskBucket writes a disk-mode bucket file in the spill codec's
+// []Pair layout: a shuffle bucket on disk is the memory bucket spilled.
 func (s *Service) writeDiskBucket(key string, pairs []Pair) (string, error) {
+	data, err := sparkSpillCodec{}.EncodeSpill(pairs)
+	if err != nil {
+		return "", err
+	}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return "", err
 	}
@@ -184,21 +187,7 @@ func (s *Service) writeDiskBucket(key string, pairs []Pair) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	var buf []byte
-	for _, p := range pairs {
-		buf = row.EncodeBinary(buf[:0], row.Row{p.K})
-		if _, err := bw.Write(buf); err != nil {
-			f.Close()
-			return "", err
-		}
-		buf = row.EncodeBinary(buf[:0], valueToRow(p.V))
-		if _, err := bw.Write(buf); err != nil {
-			f.Close()
-			return "", err
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return "", err
 	}
@@ -290,54 +279,28 @@ func (s *Service) fetchParts(shuffleID, bucket int, locations map[int]int, parts
 	return out, nil
 }
 
+// readDiskBucket reads a bucket file back. A file that is not a
+// well-formed []Pair block — truncated, or valid rows in the wrong
+// shape — is an error, which the fetch reports as a lost map output.
 func readDiskBucket(path string) ([]Pair, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var out []Pair
-	for {
-		kRow, err := readOneRow(br)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		vRow, err := readOneRow(br)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Pair{K: kRow[0], V: rowToValue(vRow)})
-	}
-}
-
-func readOneRow(br *bufio.Reader) (row.Row, error) {
-	n, err := binary.ReadUvarint(br)
+	v, err := sparkSpillCodec{}.DecodeSpill(data)
 	if err != nil {
 		return nil, err
 	}
-	// Shuffle streams cross the (simulated) network: bound the row
-	// length before allocating, same rule as row.BinaryReader.
-	if n > row.MaxBinaryRowBytes {
-		return nil, fmt.Errorf("shuffle: row length %d exceeds limit %d", n, int64(row.MaxBinaryRowBytes))
+	pairs, ok := v.([]Pair)
+	if !ok {
+		return nil, fmt.Errorf("shuffle: bucket file %s holds %T, not pairs", path, v)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
-	}
-	var full []byte
-	full = binary.AppendUvarint(full, n)
-	full = append(full, buf...)
-	r, _, err := row.DecodeBinary(full)
-	return r, err
+	return pairs, nil
 }
 
-// Disk-mode serialization supports scalars, row.Row values, and any
-// engine value implementing DiskMarshaler (e.g. the SQL engine's
-// partial-aggregate blocks).
+// The spill codec writes a value as one binary row: scalars, row.Row
+// values, and any engine value implementing DiskMarshaler (e.g. the SQL
+// engine's partial-aggregate blocks).
 
 // DiskMarshaler lets engine-level values cross a disk shuffle. The tag
 // selects the decoder registered with RegisterDiskDecoder.

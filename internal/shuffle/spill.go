@@ -1,9 +1,10 @@
-// Spill codec: the serialization the cluster's disk tier uses to
-// park block-store values in local files. It reuses the disk-shuffle
-// machinery — row.EncodeBinary framing plus valueToRow / rowToValue
-// (and with them the DiskMarshaler hook engine values like columnar
-// partitions and partial-aggregate blocks already implement) — so
-// any value that can cross a disk shuffle can also spill.
+// Spill codec: the one byte format for a value that leaves memory.
+// The cluster's disk tier parks block-store values in local files
+// with it, and a disk-mode shuffle writes each bucket file as the
+// []Pair block the memory bucket would spill as. Values are framed by
+// row.EncodeBinary through valueToRow / rowToValue, and with them the
+// DiskMarshaler hook that engine values like columnar partitions and
+// partial-aggregate blocks implement.
 package shuffle
 
 import (
@@ -19,7 +20,7 @@ func init() { cluster.RegisterSpillCodec(sparkSpillCodec{}) }
 
 // Spill block layouts, selected by the first byte:
 //
-//	'P' — a []Pair (memory-mode shuffle bucket): varint count, then
+//	'P' — a []Pair (a shuffle bucket, spilled or disk-mode): varint count, then
 //	      per pair the key as a one-field binary row and the value
 //	      through valueToRow.
 //	'S' — a []any (a materialized RDD cache partition): varint count,

@@ -43,7 +43,7 @@ func LogisticRegressionCtx(ctx context.Context, points *rdd.RDD, dim, iters int,
 
 // KMeans clusters an RDD of Vector with Lloyd iterations.
 func KMeans(points *rdd.RDD, k, iters int, timer *IterTimer) ([]Vector, error) {
-	return ml.KMeans(points, k, iters, timer)
+	return ml.KMeansCtx(context.Background(), points, k, iters, timer)
 }
 
 // KMeansCtx is KMeans under a caller context.
@@ -54,7 +54,7 @@ func KMeansCtx(ctx context.Context, points *rdd.RDD, k, iters int, timer *IterTi
 // LinearRegression fits least squares by gradient descent over an RDD
 // of LabeledPoint.
 func LinearRegression(points *rdd.RDD, dim, iters int, lr float64, timer *IterTimer) (Vector, error) {
-	return ml.LinearRegression(points, dim, iters, lr, timer)
+	return ml.LinearRegressionCtx(context.Background(), points, dim, iters, lr, timer)
 }
 
 // LinearRegressionCtx is LinearRegression under a caller context.
