@@ -37,10 +37,10 @@ func (b Bitmap) cover(n int) Bitmap {
 // window returns the words covering rows [lo, hi); lo is a multiple of
 // 64, so position i of the window is row lo+i.
 func (b Bitmap) window(lo, hi int) Bitmap {
-	if b == nil {
+	if lo>>6 >= len(b) {
 		return nil
 	}
-	return b[lo>>6 : (hi+63)>>6]
+	return b[lo>>6 : min((hi+63)>>6, len(b))]
 }
 
 // Dict is implemented by dictionary-encoded columns: their cells are
@@ -142,27 +142,37 @@ func unpackCodes(words []uint64, width uint, lo, hi int, buf []uint8) []uint8 {
 
 // ---------------------------------------------------------------------------
 
-// Batch is a window of at most BatchSize consecutive rows of one
-// partition, read as typed vectors: the unit a scan works in. Columns
-// are decoded on first use and only for the current window; the
-// returned slices are indexed by position within the window and are
-// valid until the next call to Next. A Batch owns its decode buffers
-// and reuses them from window to window, so reading a partition
-// allocates per column touched, not per row. Not safe for concurrent
-// use: one Batch per task.
+// Batch is a window of at most BatchSize consecutive rows read as typed
+// vectors, plus a selection: the unit a scan works in and the element
+// every operator above a scan hands on. Its rows are a sealed
+// partition's — columns are decoded on first use and only for the
+// current window — or vectors' (VecBatch: a join's output, an
+// aggregate's groups). The returned slices are indexed by position
+// within the window and are valid until the next call to Next. A Batch
+// owns its decode buffers and reuses them from window to window, so
+// reading a partition allocates per column touched, not per row. Not
+// safe for concurrent use: one Batch per task. Whoever is handed a
+// batch only reads it, and only until it asks its producer for the
+// next.
 type Batch struct {
-	p      *Partition
+	p      *Partition // nil for a batch of vectors
+	n      int        // rows: the windows cover [0, n)
 	lo, hi int
-	cols   []batchCol
+	cols   []*batchCol
+	// Sel is the batch's selection: the ascending window positions of
+	// the rows it holds. Next sets it to every row of the window.
+	Sel []int32
 }
 
 // batchCol is one column's decoder state: what the column is, and its
 // vectors for the current window.
 type batchCol struct {
-	col      Column
+	col      Column // nil for a column of vectors
 	typ      row.Type
 	dict     Dict   // non-nil for a dictionary-encoded column
 	allNulls Bitmap // the whole column's NULL bitmap
+	vec      *Vec   // a column of vectors: all of its rows
+	owned    bool   // its strings share no partition's bytes
 
 	nulls Bitmap // allNulls' words for the window
 	// One value vector per column, by type; a dictionary column may
@@ -172,6 +182,7 @@ type batchCol struct {
 	ints      []int64
 	floats    []float64
 	strs      []string
+	anys      []any // a boxed column of vectors
 	codes     []uint8
 	haveVals  bool
 	haveCodes bool
@@ -182,36 +193,115 @@ type batchCol struct {
 }
 
 // NewBatch returns a Batch positioned before the partition's first
-// row; call Next to load each window.
+// row; call Next to load each window. A column's decoder state is made
+// when the column is first read, so a task pays only for the columns it
+// reads.
 func NewBatch(p *Partition) *Batch {
-	b := &Batch{p: p, cols: make([]batchCol, len(p.Cols))}
-	for i, col := range p.Cols {
-		bc := &b.cols[i]
-		bc.col, bc.typ = col, col.Type()
+	return &Batch{p: p, n: p.N, cols: make([]*batchCol, len(p.Cols))}
+}
+
+// col returns column c's state, making a partition column's on first
+// use.
+func (b *Batch) col(c int) *batchCol {
+	if b.cols[c] == nil {
+		col := b.p.Cols[c]
+		bc := &batchCol{col: col, typ: col.Type(), allNulls: *col.(encoded).nullMap()}
 		bc.dict, _ = col.(Dict)
-		bc.allNulls = *col.(encoded).nullMap()
+		bc.load(b.lo, b.hi)
+		b.cols[c] = bc
+	}
+	return b.cols[c]
+}
+
+// VecBatch returns a Batch over n rows held in vectors (Mask -1, a slot
+// per row), positioned before its first window like NewBatch. The batch
+// reads the vectors where they are. A boxed vector's column has type
+// TNull: no typed reader applies to it.
+func VecBatch(n int, vecs []Vec) *Batch {
+	b := &Batch{n: n, cols: make([]*batchCol, len(vecs))}
+	for c := range vecs {
+		b.cols[c] = vecCol(&vecs[c])
 	}
 	return b
 }
 
-// Next advances to the following window and reports whether it holds
-// any rows.
+func vecCol(v *Vec) *batchCol {
+	bc := &batchCol{vec: v, owned: v.Owned, allNulls: v.Nulls}
+	switch v.Kind {
+	case VecInt:
+		bc.typ = row.TInt
+	case VecFloat:
+		bc.typ = row.TFloat
+	case VecStr:
+		bc.typ = row.TString
+	default:
+		bc.allNulls = nil // nil is NULL
+	}
+	return bc
+}
+
+// load points the column at its rows [lo, hi): a partition's column
+// is decoded when first read, a column of vectors sliced now.
+func (bc *batchCol) load(lo, hi int) {
+	bc.nulls = bc.allNulls.window(lo, hi)
+	bc.haveVals, bc.haveCodes = bc.col == nil, false
+	switch v := bc.vec; {
+	case bc.col != nil:
+	case v.Kind == VecInt:
+		bc.ints = v.Ints[lo:hi]
+	case v.Kind == VecFloat:
+		bc.floats = v.Floats[lo:hi]
+	case v.Kind == VecStr:
+		bc.strs = v.Strs[lo:hi]
+	default:
+		bc.anys = v.Anys[lo:hi]
+	}
+}
+
+// boxed reports whether the column is a boxed column of vectors.
+func (bc *batchCol) boxed() bool { return bc.vec != nil && bc.vec.Kind == VecAny }
+
+// Next advances to the following window, selecting all of it, and
+// reports whether it holds any rows.
 func (b *Batch) Next() bool {
-	if b.hi >= b.p.N {
+	if b.hi >= b.n {
 		return false
 	}
 	b.lo = b.hi
-	b.hi = min(b.lo+BatchSize, b.p.N)
-	for i := range b.cols {
-		bc := &b.cols[i]
-		bc.nulls = bc.allNulls.window(b.lo, b.hi)
-		bc.haveVals, bc.haveCodes = false, false
+	b.hi = min(b.lo+BatchSize, b.n)
+	for _, bc := range b.cols {
+		if bc != nil {
+			bc.load(b.lo, b.hi)
+		}
 	}
+	b.Sel = b.All()
 	return true
+}
+
+// Project returns a batch over b's window, selecting sel, whose column
+// j is b's column cols[j] when that is ≥ 0 and vecs[j], a vector over
+// the window (Mask -1), otherwise. It shares b's columns and decode
+// buffers, and reads vecs where they are, so it is valid while b stays
+// at this window and vecs are unchanged, and it has no window after
+// this one.
+func (b *Batch) Project(cols []int, vecs []Vec, sel []int32) *Batch {
+	out := &Batch{p: b.p, n: b.hi, lo: b.lo, hi: b.hi, cols: make([]*batchCol, len(cols)), Sel: sel}
+	for j, c := range cols {
+		if c >= 0 {
+			out.cols[j] = b.col(c)
+			continue
+		}
+		out.cols[j] = vecCol(&vecs[j])
+		out.cols[j].load(0, b.Len())
+	}
+	return out
 }
 
 // Len is the number of rows in the current window.
 func (b *Batch) Len() int { return b.hi - b.lo }
+
+// Width is the number of columns.
+func (b *Batch) Width() int { return len(b.cols) }
 
 // identity is the selection of every row of a full window.
 var identity = func() []int32 {
@@ -228,25 +318,27 @@ func (b *Batch) All() []int32 { return identity[:b.Len()] }
 
 // Dict returns column c as a dictionary column, or nil when this
 // partition did not dictionary-encode it.
-func (b *Batch) Dict(c int) Dict { return b.cols[c].dict }
+func (b *Batch) Dict(c int) Dict { return b.col(c).dict }
 
-// Type returns column c's logical type.
-func (b *Batch) Type(c int) row.Type { return b.cols[c].typ }
+// Type returns column c's logical type (TNull for a boxed column of
+// vectors).
+func (b *Batch) Type(c int) row.Type { return b.col(c).typ }
 
 // Nulls returns column c's NULL positions in the window (nil when the
-// column has none anywhere).
-func (b *Batch) Nulls(c int) Bitmap { return b.cols[c].nulls }
+// column has none anywhere; always nil for a boxed column, whose NULLs
+// are nil values).
+func (b *Batch) Nulls(c int) Bitmap { return b.col(c).nulls }
 
 // Ints returns a TInt or TDate column's values (whatever its
 // encoding). NULL positions hold a placeholder.
 func (b *Batch) Ints(c int) []int64 {
-	bc := &b.cols[c]
+	bc := b.col(c)
 	if !bc.haveVals {
 		col := bc.col.(interface {
 			ints(lo, hi int, buf []int64) []int64
 		})
 		if _, raw := col.(*rawInt64); !raw && bc.intBuf == nil {
-			bc.intBuf = make([]int64, min(BatchSize, b.p.N))
+			bc.intBuf = make([]int64, min(BatchSize, b.n))
 		}
 		bc.ints, bc.haveVals = col.ints(b.lo, b.hi, bc.intBuf), true
 	}
@@ -255,31 +347,32 @@ func (b *Batch) Ints(c int) []int64 {
 
 // Floats returns a TFloat column's values.
 func (b *Batch) Floats(c int) []float64 {
-	bc := &b.cols[c]
+	bc := b.col(c)
 	if !bc.haveVals {
 		col := bc.col.(interface {
 			floats(lo, hi int, buf []float64) []float64
 		})
 		if _, raw := col.(*rawFloat64); !raw && bc.floatBuf == nil {
-			bc.floatBuf = make([]float64, min(BatchSize, b.p.N))
+			bc.floatBuf = make([]float64, min(BatchSize, b.n))
 		}
 		bc.floats, bc.haveVals = col.floats(b.lo, b.hi, bc.floatBuf), true
 	}
 	return bc.floats
 }
 
-// Strings returns a TString column's values. The strings share the
-// column's memory (sub-strings of a raw column's data, a dictionary's
-// entries): reading them is free, and a caller that keeps one past the
-// scan copies it (strings.Clone) so as not to keep the column alive.
+// Strings returns a TString column's values. A partition's strings
+// share the column's memory (sub-strings of a raw column's data, a
+// dictionary's entries): reading them is free, and a caller that keeps
+// one past the scan copies it (strings.Clone) so as not to keep the
+// column alive.
 func (b *Batch) Strings(c int) []string {
-	bc := &b.cols[c]
+	bc := b.col(c)
 	if !bc.haveVals {
 		col := bc.col.(interface {
 			strings(lo, hi int, buf []string) []string
 		})
 		if bc.strBuf == nil {
-			bc.strBuf = make([]string, min(BatchSize, b.p.N))
+			bc.strBuf = make([]string, min(BatchSize, b.n))
 		}
 		bc.strs, bc.haveVals = col.strings(b.lo, b.hi, bc.strBuf), true
 	}
@@ -288,16 +381,16 @@ func (b *Batch) Strings(c int) []string {
 
 // Bools returns a TBool column's values as a bitmap over the window.
 func (b *Batch) Bools(c int) Bitmap {
-	return b.cols[c].col.(*boolColumn).bitsv.window(b.lo, b.hi)
+	return b.col(c).col.(*boolColumn).bitsv.window(b.lo, b.hi)
 }
 
 // Codes returns a dictionary column's codes (see Dict). NULL positions
 // hold a placeholder code.
 func (b *Batch) Codes(c int) []uint8 {
-	bc := &b.cols[c]
+	bc := b.col(c)
 	if !bc.haveCodes {
 		if bc.codeBuf == nil {
-			bc.codeBuf = make([]uint8, min(BatchSize, b.p.N))
+			bc.codeBuf = make([]uint8, min(BatchSize, b.n))
 		}
 		switch col := bc.col.(type) {
 		case *dictInt64:
@@ -312,13 +405,38 @@ func (b *Batch) Codes(c int) []uint8 {
 	return bc.codes
 }
 
+// Vec returns column c's window as a vector: typed where the column
+// is, a bool or NULL-typed column's values boxed.
+func (b *Batch) Vec(c int) Vec {
+	bc := b.col(c)
+	v := Vec{Mask: -1, Nulls: bc.nulls, Owned: bc.owned}
+	switch {
+	case bc.boxed():
+		v.Kind, v.Anys = VecAny, bc.anys
+	case bc.typ == row.TInt || bc.typ == row.TDate:
+		v.Kind, v.Ints = VecInt, b.Ints(c)
+	case bc.typ == row.TFloat:
+		v.Kind, v.Floats = VecFloat, b.Floats(c)
+	case bc.typ == row.TString:
+		v.Kind, v.Strs = VecStr, b.Strings(c)
+	default:
+		v.Kind, v.Nulls, v.Anys = VecAny, nil, make([]any, b.Len())
+		for i := range v.Anys {
+			v.Anys[i] = b.Value(c, i)
+		}
+	}
+	return v
+}
+
 // Value returns column c's value at window position i as a boxed row
 // value (nil for NULL), for callers that assemble a scratch row to
 // hand to row-at-a-time code. Unlike Box it does not copy a string out
 // of the column: the value is for use within the batch.
 func (b *Batch) Value(c, i int) any {
-	bc := &b.cols[c]
+	bc := b.col(c)
 	switch {
+	case bc.boxed():
+		return bc.anys[i]
 	case bc.nulls.Has(i):
 		return nil
 	case bc.dict != nil:
@@ -340,15 +458,17 @@ func (b *Batch) Value(c, i int) any {
 // NULL): where typed vectors turn back into `any`, a column at a time.
 // Dictionary cells reuse the values boxed at seal time, so they cost
 // nothing; other cells cost what Go's interface conversion does. A
-// boxed cell outlives the batch, in a row someone keeps, so a raw
-// string cell is copied out of the column rather than left a
-// sub-string holding the whole column's bytes reachable — read
-// directly, since the copy makes decoding the window's vector
-// pointless for a sparse selection.
+// boxed cell outlives the batch, in a row someone keeps, so a string
+// that shares a partition's bytes is copied out rather than left a
+// sub-string holding the whole column's bytes reachable — a raw
+// column's read directly, since the copy makes decoding the window's
+// vector pointless for a sparse selection.
 func (b *Batch) Box(c int, sel []int32, dst []any, stride int) {
-	bc := &b.cols[c]
+	bc := b.col(c)
 	var cell func(i int) any
 	switch {
+	case bc.boxed():
+		cell = func(i int) any { return own(bc.anys[i], bc.owned) }
 	case bc.dict != nil:
 		codes := b.Codes(c)
 		cell = func(i int) any { return bc.dict.DictValue(int(codes[i])) }
@@ -356,8 +476,12 @@ func (b *Batch) Box(c int, sel []int32, dst []any, stride int) {
 		vals := b.Floats(c)
 		cell = func(i int) any { return vals[i] }
 	case bc.typ == row.TString:
-		raw := bc.col.(*rawString)
-		cell = func(i int) any { return strings.Clone(raw.at(b.lo + i)) }
+		if raw, ok := bc.col.(*rawString); ok {
+			cell = func(i int) any { return strings.Clone(raw.at(b.lo + i)) }
+		} else {
+			strs := b.Strings(c)
+			cell = func(i int) any { return own(strs[i], bc.owned) }
+		}
 	case bc.typ == row.TBool:
 		vals := b.Bools(c)
 		cell = func(i int) any { return vals.Has(i) }
@@ -374,28 +498,30 @@ func (b *Batch) Box(c int, sel []int32, dst []any, stride int) {
 	}
 }
 
+// own boxes v, copying a string that may share a partition's bytes.
+func own[T any](v T, owned bool) any {
+	if s, ok := any(v).(string); ok && !owned {
+		return strings.Clone(s)
+	}
+	return v
+}
+
 // Rows materializes the selected window rows, projected to cols. The
 // rows are carved from one slab sized to the selection — a result that
-// keeps 1 % of a window retains 1 % of a window's cells.
+// keeps 1 % of a window retains 1 % of a window's cells — each capped
+// at its own length, so appending to one cannot write into its
+// neighbour.
 func (b *Batch) Rows(cols []int, sel []int32) []row.Row {
 	if len(sel) == 0 {
 		return []row.Row{}
 	}
 	n := len(cols)
-	slab := make([]any, len(sel)*n)
+	slab, rows := make([]any, len(sel)*n), make([]row.Row, len(sel))
 	for j, c := range cols {
 		b.Box(c, sel, slab[j:], n)
 	}
-	return CarveRows(slab, n, len(sel))
-}
-
-// CarveRows cuts a slab of count*width cells into count rows. Each row
-// is capped at its own length, so appending to one cannot write into
-// its neighbour.
-func CarveRows(slab []any, width, count int) []row.Row {
-	rows := make([]row.Row, count)
 	for i := range rows {
-		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+		rows[i] = slab[i*n : (i+1)*n : (i+1)*n]
 	}
 	return rows
 }
@@ -418,10 +544,13 @@ const (
 // positions of the selection it was computed for are meaningful. A
 // literal is a one-element vector with Mask 0: kernels index values as
 // v[i&Mask], which reads a full vector (Mask -1) at i and a literal at
-// 0. Strings may share the partition's bytes; whatever keeps one past
-// the batch copies it.
+// 0. Strings may share the partition's bytes, unless Owned says they
+// do not; whatever keeps one past the batch copies it then. A vector
+// over more rows than a window (a group table's, a join block's) is
+// the column of a VecBatch.
 type Vec struct {
 	Kind   VecKind
+	Owned  bool // its strings share no partition's bytes
 	Mask   int32
 	Ints   []int64
 	Floats []float64

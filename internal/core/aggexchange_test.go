@@ -105,6 +105,49 @@ func TestJoinNullKeysUnderEveryStrategy(t *testing.T) {
 	}
 }
 
+// TestJoinMixedNumericKeys: a BIGINT key joins a DOUBLE key of equal
+// value, as a WHERE compares them — in the ON and the implicit form,
+// under every strategy mode as a map join and as a shuffle join, over
+// cached and DFS tables, and in the Hive baseline.
+func TestJoinMixedNumericKeys(t *testing.T) {
+	tables := map[string]row.Schema{
+		"a": {{Name: "i", Type: row.TInt}},
+		"b": {{Name: "f", Type: row.TFloat}},
+	}
+	want := []row.Row{{int64(3), 3.0}}
+	env := func(opts exec.Options) *testEnv {
+		e := newEnv(t, opts)
+		t.Cleanup(e.s.Close)
+		e.writeDFS(t, "a", tables["a"], []row.Row{{int64(3)}, {int64(4)}, {nil}})
+		e.writeDFS(t, "b", tables["b"], []row.Row{{3.0}, {4.5}, {nil}})
+		e.mustExec(t, `CREATE TABLE a_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM a`)
+		e.mustExec(t, `CREATE TABLE b_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM b`)
+		return e
+	}
+	const (
+		on       = `SELECT a.i, b.f FROM a JOIN b ON a.i = b.f`
+		implicit = `SELECT a.i, b.f FROM a, b WHERE b.f = a.i`
+		cached   = `SELECT a_mem.i, b_mem.f FROM a_mem JOIN b_mem ON a_mem.i = b_mem.f`
+	)
+	e := env(exec.Options{})
+	for _, sql := range []string{on, implicit} {
+		if err := diffSameBag(hiveRows(t, e, sql, tables), want); err != nil {
+			t.Errorf("hive: %v\n%s", err, sql)
+		}
+	}
+	for _, mode := range []exec.StrategyMode{exec.StrategyStaticAdaptive, exec.StrategyAdaptive, exec.StrategyStatic} {
+		for _, threshold := range []int64{1, 0} { // 1 byte: always a shuffle join; 0: the default, a map join here
+			e := env(exec.Options{JoinStrategy: mode, BroadcastThreshold: threshold})
+			for _, sql := range []string{on, implicit, cached} {
+				res := e.mustExec(t, sql)
+				if err := diffSameBag(res.Rows, want); err != nil {
+					t.Errorf("%s, broadcast threshold %d (%v): %v\n%s", mode, threshold, res.Stats.JoinStrategies, err, sql)
+				}
+			}
+		}
+	}
+}
+
 // TestNullGroupIsNotAString: the NULL group and a group whose string
 // key happens to spell a NULL marker are two groups, in a cached table,
 // a DFS table and the Hive baseline alike.

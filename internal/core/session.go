@@ -626,7 +626,7 @@ func (s *Session) ctasToDFS(gctx context.Context, ct *sqlparse.CreateTableStmt, 
 // partitioning (e.g. one partition per DFS block) does not match the
 // session's requested cache parallelism.
 func repartitionRows(src *rdd.RDD, n int) *rdd.RDD {
-	pairs := src.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
+	pairs := src.MapPartitions(func(_ *rdd.TaskContext, part int, in rdd.Iter) rdd.Iter {
 		i := int64(0)
 		base := int64(part) << 32
 		return rdd.FuncIter(func() (any, bool) {

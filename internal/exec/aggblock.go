@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"shark/internal/columnar"
 	"shark/internal/plan"
@@ -12,22 +13,26 @@ import (
 	"shark/internal/shuffle"
 )
 
-// aggBlock is a hash aggregate's partial state as it crosses the
-// shuffle: groups as columns, a slot per group in a vector per GROUP BY
-// column and in each aggregate's accumulators. A group table
-// (vecagg.go) is a block that grows; a map task cuts its table into a
-// block per shuffle bucket, and a reduce task folds the blocks it
-// fetches into a fresh table, only reading them, so a retried or
-// speculative reduce re-reads them safely.
+// block is rows as columns, the form in which an operator's rows
+// cross the shuffle: a slot per row in a vector per column (cols),
+// and for a hash aggregate's partial state, in each aggregate's
+// accumulators. A partial aggregate's rows are its groups, its columns
+// the GROUP BY keys: a group table (vecagg.go) is a block that grows;
+// a map task cuts its table into a block per shuffle bucket, and a
+// reduce task folds the blocks it fetches into a fresh table, only
+// reading them, so a retried or speculative reduce re-reads them
+// safely. A join side's block (add) holds its rows: the join key's
+// vector, then one per column of the side; a join's build side is the
+// blocks it reads (join.go).
 //
-// A key column, and an aggregate's values, are a columnar.Vec over
-// slots (Mask -1), typed by the plan's type for the column, boxed for
-// any other type or once a value of another type arrives (an
-// adapter's). A set bit of Nulls is a NULL key, or an aggregate that
-// has seen no value yet.
-type aggBlock struct {
-	n    int // groups
-	keys []columnar.Vec
+// A column, and an aggregate's values, are a columnar.Vec over slots
+// (Mask -1), typed by the plan's type for the column, boxed for any
+// other type or once a value of another type arrives (an adapter's). A
+// set bit of Nulls is a NULL, or an aggregate that has seen no value
+// yet. A block's strings are its own.
+type block struct {
+	n    int // rows
+	cols []columnar.Vec
 	accs []accum
 }
 
@@ -131,14 +136,14 @@ func (a *accum) grow(s plan.AggSpec, n int) {
 	}
 }
 
-// Records implements the shuffle's record count: a group is a record.
-func (b *aggBlock) Records() int64 { return int64(b.n) }
+// Records implements the shuffle's record count: a row is a record.
+func (b *block) Records() int64 { return int64(b.n) }
 
 // SizeBytes is the block's footprint: PDE's bucket sizes are exact.
-func (b *aggBlock) SizeBytes() int64 {
+func (b *block) SizeBytes() int64 {
 	var n int64
-	for k := range b.keys {
-		n += vecBytes(&b.keys[k])
+	for k := range b.cols {
+		n += vecBytes(&b.cols[k])
 	}
 	for _, a := range b.accs {
 		n += 8*int64(len(a.count)) + vecBytes(&a.val)
@@ -160,21 +165,23 @@ func vecBytes(v *columnar.Vec) int64 {
 	return n
 }
 
-// gather returns groups ids of b, in that order, as a block of their own.
-func (b *aggBlock) gather(ids []int32) *aggBlock {
-	out := &aggBlock{n: len(ids), keys: make([]columnar.Vec, len(b.keys)), accs: make([]accum, len(b.accs))}
-	for k := range b.keys {
-		out.keys[k] = gatherVec(&b.keys[k], ids)
+// gather makes out rows ids of b, in that order, as a block of their
+// own; out's cols and accs are b's lengths.
+func (b *block) gather(out *block, ids []int32) {
+	out.n = len(ids)
+	for k := range b.cols {
+		out.cols[k] = gatherVec(&b.cols[k], ids)
 	}
 	for k, a := range b.accs {
 		out.accs[k] = accum{gather(a.count, ids), gatherVec(&a.val, ids), gather(a.distinct, ids)}
 	}
-	return out
 }
 
+// gatherVec returns v's slots ids, in that order, as a vector of their
+// own (whose strings are v's).
 func gatherVec(v *columnar.Vec, ids []int32) columnar.Vec {
 	out := columnar.Vec{Kind: v.Kind, Mask: -1, Ints: gather(v.Ints, ids), Floats: gather(v.Floats, ids),
-		Strs: gather(v.Strs, ids), Anys: gather(v.Anys, ids)}
+		Strs: gather(v.Strs, ids), Anys: gather(v.Anys, ids), Owned: v.Owned}
 	for j, id := range ids {
 		if v.Nulls.Has(int(id)) {
 			if out.Nulls == nil {
@@ -202,14 +209,82 @@ func gather[T any](xs []T, ids []int32) []T {
 	return out
 }
 
+// add appends the rows at positions pos of a join input — its key's
+// vector, then its columns' — copying strings that are not their
+// vectors' own.
+func (b *block) add(key *columnar.Vec, cols []columnar.Vec, pos []int32) {
+	if b.cols == nil {
+		b.cols = make([]columnar.Vec, 1+len(cols))
+	}
+	appendVec(&b.cols[0], key, pos, b.n)
+	for c := range cols {
+		appendVec(&b.cols[1+c], &cols[c], pos, b.n)
+	}
+	b.n += len(pos)
+}
+
+// appendVec appends src's values at pos to dst, which holds n slots: a
+// typed vector while every value is of its kind, boxed from the first
+// that is not. Its NULL bitmap, when it has one, covers every slot.
+func appendVec(dst, src *columnar.Vec, pos []int32, n int) {
+	if n == 0 {
+		*dst = columnar.Vec{Kind: src.Kind, Mask: -1, Owned: true}
+	} else if dst.Kind != src.Kind {
+		box(dst, n)
+	}
+	for j, i := range pos {
+		if isNull(src, i) {
+			for len(dst.Nulls) <= (n+j)>>6 {
+				dst.Nulls = append(dst.Nulls, 0)
+			}
+			dst.Nulls.Set(n + j)
+		}
+		switch dst.Kind {
+		case columnar.VecInt:
+			dst.Ints = append(dst.Ints, src.Ints[i&src.Mask])
+		case columnar.VecFloat:
+			dst.Floats = append(dst.Floats, src.Floats[i&src.Mask])
+		case columnar.VecStr:
+			dst.Strs = append(dst.Strs, ownStr(src.Strs[i&src.Mask], src.Owned))
+		default:
+			x := src.At(i)
+			if s, ok := x.(string); ok {
+				x = ownStr(s, src.Owned)
+			}
+			dst.Anys = append(dst.Anys, x)
+		}
+	}
+	if dst.Nulls != nil {
+		for len(dst.Nulls) < (n+len(pos)+63)/64 {
+			dst.Nulls = append(dst.Nulls, 0)
+		}
+	}
+}
+
+// isNull reports whether v's value at i is NULL.
+func isNull(v *columnar.Vec, i int32) bool {
+	if v.Kind == columnar.VecAny {
+		return v.Anys[i] == nil
+	}
+	return v.Nulls.Has(int(i))
+}
+
+// ownStr returns s in memory of its own.
+func ownStr(s string, owned bool) string {
+	if owned {
+		return s
+	}
+	return strings.Clone(s)
+}
+
 // ---------------------------------------------------------------------------
 // Spill and disk-shuffle form
 
-const aggBlockTag = "exec.aggBlock"
+const blockTag = "exec.block"
 
 func init() {
-	shuffle.RegisterDiskDecoder(aggBlockTag, func(fields row.Row) any {
-		b, err := unmarshalAggBlock(fields)
+	shuffle.RegisterDiskDecoder(blockTag, func(fields row.Row) any {
+		b, err := unmarshalBlock(fields)
 		if err != nil {
 			panic(err) // the spill codec and the disk shuffle fail the read
 		}
@@ -226,10 +301,10 @@ type blob struct {
 
 // blobs lists the block's blobs: one per key column, then three per
 // aggregate, one per accumulator vector.
-func (b *aggBlock) blobs() []blob {
+func (b *block) blobs() []blob {
 	var out []blob
-	for k := range b.keys {
-		out = append(out, blob{true, func(x *columnar.BlobCodec) { vecBlob(x, &b.keys[k], b.n) }})
+	for k := range b.cols {
+		out = append(out, blob{true, func(x *columnar.BlobCodec) { vecBlob(x, &b.cols[k], b.n) }})
 	}
 	for k := range b.accs {
 		a := &b.accs[k]
@@ -243,8 +318,8 @@ func (b *aggBlock) blobs() []blob {
 
 // MarshalShuffle implements shuffle.DiskMarshaler: the group count, the
 // number of key columns, then the blobs, "" for one the block has not.
-func (b *aggBlock) MarshalShuffle() (string, row.Row) {
-	fields := row.Row{int64(b.n), int64(len(b.keys))}
+func (b *block) MarshalShuffle() (string, row.Row) {
+	fields := row.Row{int64(b.n), int64(len(b.cols))}
 	for _, blob := range b.blobs() {
 		x := columnar.NewBlobWriter(b.n)
 		if blob.has {
@@ -252,13 +327,13 @@ func (b *aggBlock) MarshalShuffle() (string, row.Row) {
 		}
 		fields = append(fields, x.Blob())
 	}
-	return aggBlockTag, fields
+	return blockTag, fields
 }
 
-// unmarshalAggBlock inverts MarshalShuffle. Every count is checked
+// unmarshalBlock inverts MarshalShuffle. Every count is checked
 // against the bytes left before it sizes an allocation, and a block
 // that would marshal back to other bytes is an error.
-func unmarshalAggBlock(fields row.Row) (*aggBlock, error) {
+func unmarshalBlock(fields row.Row) (*block, error) {
 	bad := fmt.Errorf("exec: malformed partial-aggregate block (%d fields)", len(fields))
 	if len(fields) < 2 {
 		return nil, bad
@@ -270,10 +345,10 @@ func unmarshalAggBlock(fields row.Row) (*aggBlock, error) {
 	if !ok || !ok2 || n < 1 || n > math.MaxInt32 || nk < 0 || nk > int64(len(blobs)) || nk == 0 && n != 1 || (int64(len(blobs))-nk)%3 != 0 {
 		return nil, bad
 	}
-	b := &aggBlock{n: int(n), keys: make([]columnar.Vec, nk), accs: make([]accum, (len(blobs)-int(nk))/3)}
+	b := &block{n: int(n), cols: make([]columnar.Vec, nk), accs: make([]accum, (len(blobs)-int(nk))/3)}
 	for i, blob := range b.blobs() {
 		s, ok := blobs[i].(string)
-		if !ok || s == "" && i < len(b.keys) {
+		if !ok || s == "" && i < len(b.cols) {
 			return nil, bad
 		}
 		x := columnar.NewBlobReader(b.n, s)
@@ -297,7 +372,7 @@ func vecBlob(x *columnar.BlobCodec, v *columnar.Vec, n int) {
 		return
 	}
 	if x.Reading() { // a block being written may be folded meanwhile: only read it
-		v.Kind, v.Mask = columnar.VecKind(kind), -1
+		v.Kind, v.Mask, v.Owned = columnar.VecKind(kind), -1, true
 	}
 	x.Bitmap(&v.Nulls)
 	switch v.Kind {

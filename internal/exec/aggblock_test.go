@@ -8,12 +8,14 @@ import (
 	"shark/internal/expr"
 	"shark/internal/plan"
 	"shark/internal/row"
-	"shark/internal/shuffle"
 )
 
 // aggBlockSeeds marshals blocks holding every vector kind: typed and
 // boxed keys with NULLs, composite keys, and every accumulator, MIN and
-// MAX over strings and floats and COUNT(DISTINCT) sets among them.
+// MAX over strings and floats and COUNT(DISTINCT) sets among them. The
+// blocks are fixed subsets of each table's groups and the whole table,
+// so every process adds the same seeds (which groups share a shuffle
+// bucket depends on the per-process hash seed).
 func aggBlockSeeds() [][]byte {
 	specs := append(specAll(),
 		plan.AggSpec{Kind: plan.AggMin, Arg: &expr.Col{Idx: 2, T: row.TString}, Out: row.TString},
@@ -41,16 +43,57 @@ func aggBlockSeeds() [][]byte {
 			g.resolve(keys, []int32{0}, ids)
 			feed(g, ids[0], r)
 		}
-		for _, p := range g.blocks(3) {
-			out = append(out, []byte(marshalled(p.(shuffle.Pair).V.(*aggBlock))))
+		evens := make([]int32, 0, g.n)
+		for id := int32(0); id < int32(g.n); id += 2 {
+			evens = append(evens, id)
 		}
+		sub := func(ids []int32) *block {
+			out := &block{cols: make([]columnar.Vec, len(g.cols)), accs: make([]accum, len(g.accs))}
+			g.gather(out, ids)
+			return out
+		}
+		for _, b := range []*block{sub([]int32{0}), sub(evens), &g.block} {
+			out = append(out, []byte(marshalled(b)))
+		}
+	}
+	return append(out, joinBlockSeeds()...)
+}
+
+// joinBlockSeeds marshals join sides' blocks: typed int, float and
+// string columns with and without NULLs, a bool column (boxed), and a
+// column boxed when a value of another type arrived, under int, string
+// and boxed keys.
+func joinBlockSeeds() [][]byte {
+	var out [][]byte
+	for _, key := range []int{0, 2, 4} {
+		b := &block{}
+		for i := range 12 {
+			r := row.Row{int64(i % 5), float64(i) / 4, []any{"a", "bc", nil}[i%3], []any{true, false, nil}[i%3], []any{int64(i), "s", nil}[i%3]}
+			cols := make([]columnar.Vec, len(r))
+			for c, v := range r {
+				cols[c] = columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: []any{v}}
+				switch v := v.(type) {
+				case int64:
+					cols[c] = columnar.Vec{Kind: columnar.VecInt, Mask: -1, Ints: []int64{v}}
+				case float64:
+					cols[c] = columnar.Vec{Kind: columnar.VecFloat, Mask: -1, Floats: []float64{v}}
+				case string:
+					cols[c] = columnar.Vec{Kind: columnar.VecStr, Mask: -1, Strs: []string{v}}
+				}
+			}
+			if r[key] != nil {
+				b.add(&cols[key], cols, []int32{0})
+			}
+		}
+		out = append(out, []byte(marshalled(b)))
 	}
 	return out
 }
 
-// FuzzAggBlock: the block decoder never panics, allocates within a small
-// multiple of its input, and whatever it accepts marshals back to the
-// same bytes and reads back slot by slot.
+// FuzzAggBlock: the block decoder — of a partial aggregate's blocks and
+// of a join side's — never panics, allocates within a small multiple
+// of its input, and whatever it accepts marshals back to the same bytes
+// and reads back slot by slot.
 func FuzzAggBlock(f *testing.F) {
 	for _, seed := range aggBlockSeeds() {
 		f.Add(seed)
@@ -64,7 +107,7 @@ func FuzzAggBlock(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		b, err := unmarshalAggBlock(fields)
+		b, err := unmarshalBlock(fields)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 48*uint64(len(data))+8<<10 {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
@@ -76,8 +119,8 @@ func FuzzAggBlock(f *testing.F) {
 			t.Fatalf("re-marshalling changed the fields:\n%q\n%q", row.EncodeBinary(nil, fields), again)
 		}
 		for i := range int32(b.n) {
-			for k := range b.keys {
-				b.keys[k].At(i)
+			for k := range b.cols {
+				b.cols[k].At(i)
 			}
 			for _, a := range b.accs {
 				if used(&a.val) {

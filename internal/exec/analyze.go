@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"shark/internal/columnar"
 	"shark/internal/plan"
 	"shark/internal/rdd"
 )
@@ -18,10 +19,10 @@ import (
 // data land on a node:
 //
 //   - rows: a counting iterator wrapped around every compiled
-//     operator counts the rows it emits, inside whatever task
-//     executes the pipeline; operators fused onto a cached-table scan
-//     have no iterator between them and add their selection-vector
-//     lengths per batch instead (memscan.go);
+//     operator counts the rows of the batches it emits, inside
+//     whatever task executes the pipeline; operators fused into a
+//     chain have no iterator between them and add their
+//     selection-vector lengths per batch instead (memscan.go);
 //   - wall time: the master blocks at well-defined points — PDE
 //     pre-shuffle materializations, aggregate map stages, mid-plan
 //     Sort/Limit collects, the final collect — and each blocking
@@ -177,14 +178,14 @@ func (p *prof) of(n plan.Node) *NodeStats {
 	return p.m[n]
 }
 
-// profileRows wraps a compiled operator so every row it emits is
-// counted on its NodeStats (analyze mode only).
+// profileRows wraps a compiled operator so every row of the batches it
+// emits is counted on its NodeStats (analyze mode only).
 func profileRows(r *rdd.RDD, ns *NodeStats) *rdd.RDD {
-	return r.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
+	return r.MapPartitions(func(_ *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
 		return rdd.FuncIter(func() (any, bool) {
 			v, ok := in.Next()
 			if ok {
-				ns.AddRows(1)
+				ns.AddRows(int64(len(v.(*columnar.Batch).Sel)))
 			}
 			return v, ok
 		})

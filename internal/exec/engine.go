@@ -15,7 +15,7 @@ import (
 	"shark/internal/catalog"
 	"shark/internal/columnar"
 	"shark/internal/dfs"
-	"shark/internal/expr"
+	"shark/internal/memtable"
 	"shark/internal/obs"
 	"shark/internal/pde"
 	"shark/internal/plan"
@@ -130,13 +130,26 @@ type Result struct {
 }
 
 // CompileToRDDCtx lowers a plan to a row RDD without running the final
-// collect — the sql2rdd path. Top-level Sort/Limit nodes are not
-// supported here (the session materializes those). PDE pre-shuffles
-// run during compilation execute under the attached job and honor
-// cancellation.
+// collect — the sql2rdd path. Its tasks carve each batch into rows, one
+// slab a batch. Top-level Sort/Limit nodes are not supported here (the
+// session materializes those). PDE pre-shuffles run during compilation
+// execute under the attached job and honor cancellation.
 func (e *Engine) CompileToRDDCtx(gctx context.Context, n plan.Node) (*rdd.RDD, error) {
-	stats := &QueryStats{}
-	return e.compile(gctx, n, stats, nil)
+	r, err := e.compile(gctx, n, &QueryStats{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	cols := upTo[int](len(n.Schema()))
+	return r.MapPartitions(func(_ *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
+		return memtable.BatchRows(func() []row.Row {
+			v, ok := in.Next()
+			if !ok {
+				return nil
+			}
+			b := v.(*columnar.Batch)
+			return b.Rows(cols, b.Sel)
+		})
+	}), nil
 }
 
 // RunCtx executes a logical plan to completion under a context: every
@@ -179,28 +192,13 @@ func (e *Engine) runCtx(gctx context.Context, n plan.Node, p *prof) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-
 	// LIMIT pushdown: with no sort, each partition needs at most N rows.
 	if limit >= 0 && sortKeys == nil {
-		lim := limit
-		r = r.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
-			var taken int64
-			return rdd.FuncIter(func() (any, bool) {
-				if taken >= lim {
-					return nil, false
-				}
-				v, ok := in.Next()
-				if !ok {
-					return nil, false
-				}
-				taken++
-				return v, true
-			})
-		})
+		r = limitBatches(r, limit)
 	}
 
 	endCollect := p.of(n).beginSegment(gctx)
-	raw, err := r.CollectCtx(gctx)
+	rows, err := e.collectRows(gctx, r, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -208,13 +206,9 @@ func (e *Engine) runCtx(gctx context.Context, n plan.Node, p *prof) (*Result, er
 
 	if sortKeys != nil {
 		endSort := sortNS.beginSegment(gctx)
-		sortRows(raw, sortKeys)
+		sortRows(rows, sortKeys)
 		endSort()
-		sortNS.AddRows(int64(len(raw)))
-	}
-	rows := make([]row.Row, len(raw))
-	for i, v := range raw {
-		rows[i] = v.(row.Row)
+		sortNS.AddRows(int64(len(rows)))
 	}
 	if limit >= 0 && int64(len(rows)) > limit {
 		rows = rows[:limit]
@@ -223,13 +217,122 @@ func (e *Engine) runCtx(gctx context.Context, n plan.Node, p *prof) (*Result, er
 	return &Result{Schema: schema, Rows: rows, Stats: *stats}, nil
 }
 
-// sortRows orders collected rows (each a row.Row) by keys: stable, NULLs
-// first, and last under DESC. Both places a plan can sort — the root
-// of a statement and a Sort below it — collect to the master and come
-// here.
-func sortRows(rows []any, keys []plan.SortKey) {
+// collectRows runs r's final stage over parts (nil: all): each task
+// carves its batches into one chunk of rows, and the chunks are joined
+// into rows sized once.
+func (e *Engine) collectRows(gctx context.Context, r *rdd.RDD, parts []int) ([]row.Row, error) {
+	chunks, err := e.Ctx.Scheduler().RunJobCtx(gctx, r, parts, func(_ *rdd.TaskContext, _ int, it rdd.Iter) (any, error) {
+		return carve(it), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(chunks) == 1 {
+		return chunks[0].([]row.Row), nil
+	}
+	total := 0
+	for _, c := range chunks {
+		total += len(c.([]row.Row))
+	}
+	rows := make([]row.Row, 0, total) // never nil: an empty result has no rows, not none
+	for _, c := range chunks {
+		rows = append(rows, c.([]row.Row)...)
+	}
+	return rows, nil
+}
+
+// carve boxes a final task's batches into its chunk of rows, each
+// batch's cells in one slab. Here, and in sql2rdd's rows, a
+// statement's rows are born, and a string still sharing a partition's
+// bytes is copied out of it — once.
+func carve(it rdd.Iter) []row.Row {
+	type slab struct {
+		cells    []any
+		width, n int
+	}
+	var slabs []slab
+	total := 0
+	for v, ok := it.Next(); ok; v, ok = it.Next() {
+		b := v.(*columnar.Batch)
+		n, w := len(b.Sel), b.Width()
+		if n == 0 {
+			continue
+		}
+		cells := make([]any, n*w)
+		for c := range w {
+			b.Box(c, b.Sel, cells[c:], w)
+		}
+		slabs = append(slabs, slab{cells, w, n})
+		total += n
+	}
+	rows := make([]row.Row, 0, total)
+	for _, s := range slabs {
+		for i := range s.n {
+			rows = append(rows, s.cells[i*s.width:(i+1)*s.width:(i+1)*s.width])
+		}
+	}
+	return rows
+}
+
+// limitBatches cuts each partition of r to its first n rows.
+func limitBatches(r *rdd.RDD, n int64) *rdd.RDD {
+	return r.MapPartitions(func(_ *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
+		var taken int64
+		return rdd.FuncIter(func() (any, bool) {
+			if taken >= n {
+				return nil, false
+			}
+			v, ok := in.Next()
+			if !ok {
+				return nil, false
+			}
+			b := v.(*columnar.Batch)
+			if left := n - taken; int64(len(b.Sel)) > left {
+				b = b.Project(upTo[int](b.Width()), nil, b.Sel[:left])
+			}
+			taken += int64(len(b.Sel))
+			return b, true
+		})
+	})
+}
+
+// rowBatches turns rows collected at the master back into batches, of
+// boxed columns, over parts partitions: what a Sort or Limit below the
+// root hands the operators above it.
+func (e *Engine) rowBatches(rows []row.Row, width, parts int) *rdd.RDD {
+	var batches []any
+	for lo := 0; lo < len(rows); lo += columnar.BatchSize {
+		chunk := rows[lo:min(lo+columnar.BatchSize, len(rows))]
+		vecs := make([]columnar.Vec, width)
+		for c := range vecs {
+			vecs[c] = columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: make([]any, len(chunk)), Owned: true}
+			for i, r := range chunk {
+				vecs[c].Anys[i] = r[c]
+			}
+		}
+		b := columnar.VecBatch(len(chunk), vecs)
+		b.Next()
+		batches = append(batches, b)
+	}
+	return e.Ctx.Parallelize(batches, parts)
+}
+
+// windows yields b's windows, b itself each time.
+func windows(b *columnar.Batch) rdd.Iter {
+	return rdd.FuncIter(func() (any, bool) {
+		if b.Next() {
+			return b, true
+		}
+		return nil, false
+	})
+}
+
+// sortRows orders rows by keys: stable, NULLs first, and last under
+// DESC. Both places a plan can sort — the root of a statement and a
+// Sort below it — carve their rows at the master and come here.
+func sortRows(rows []row.Row, keys []plan.SortKey) {
 	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i].(row.Row), rows[j].(row.Row)
+		a, b := rows[i], rows[j]
 		for _, k := range keys {
 			c := compareNullable(k.Expr.Eval(a), k.Expr.Eval(b))
 			if c == 0 {
@@ -290,16 +393,23 @@ func (e *Engine) noteAdaptiveCoalesce(gctx context.Context) {
 	obs.FromContext(gctx).Decision("adaptive-coalesce")
 }
 
-// compile lowers a plan node to an RDD of row.Row. gctx scopes the
-// scheduler jobs some nodes run while compiling (PDE pre-shuffles,
+// compile lowers a plan node to an RDD of column batches. gctx scopes
+// the scheduler jobs some nodes run while compiling (PDE pre-shuffles,
 // subquery materializations). p is the EXPLAIN ANALYZE profile being
 // filled in, or nil (the untraced path: no wrapping, no counting).
 func (e *Engine) compile(gctx context.Context, n plan.Node, stats *QueryStats, p *prof) (*rdd.RDD, error) {
-	// A row-producing chain over a table scan runs fused and counts its
-	// own rows. (An Aggregate on such a chain fuses its map side in
-	// compileAggregate; what it returns is an ordinary row RDD.)
-	if m := matchMemScan(n); m != nil && m.agg == nil {
+	// A chain of filters and a projection runs fused over its source's
+	// batches and counts its own rows.
+	switch m := matchChain(n); {
+	case m.agg != nil: // compiled below, its map side fused in compileAggregate
+	case m.scan != nil:
 		return e.compileMemScan(m, stats, p)
+	case m.project != nil || m.filters != nil:
+		src, err := e.compile(gctx, m.source, stats, p)
+		if err != nil {
+			return nil, err
+		}
+		return e.chainOver(src, m, p), nil
 	}
 	r, err := e.compileNode(gctx, n, stats, p)
 	if err != nil {
@@ -313,33 +423,6 @@ func (e *Engine) compile(gctx context.Context, n plan.Node, stats *QueryStats, p
 
 func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStats, p *prof) (*rdd.RDD, error) {
 	switch t := n.(type) {
-	case *plan.Filter:
-		child, err := e.compile(gctx, t.Child, stats, p)
-		if err != nil {
-			return nil, err
-		}
-		pred := t.Cond.Eval
-		return child.Filter(func(v any) bool { return row.Truth(pred(v.(row.Row))) }), nil
-	case *plan.Project:
-		child, err := e.compile(gctx, t.Child, stats, p)
-		if err != nil || isIdentityProject(t) {
-			// An identity projection (SELECT *, the projection over an
-			// Aggregate) only renames: the result schema is the
-			// Project's, the rows are the child's.
-			return child, err
-		}
-		fns := make([]expr.EvalFn, len(t.Exprs))
-		for i, x := range t.Exprs {
-			fns[i] = x.Eval
-		}
-		return child.Map(func(v any) any {
-			in := v.(row.Row)
-			out := make(row.Row, len(fns))
-			for i, f := range fns {
-				out[i] = f(in)
-			}
-			return out
-		}), nil
 	case *plan.Aggregate:
 		return e.compileAggregate(gctx, t, stats, p)
 	case *plan.Join:
@@ -353,27 +436,33 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 			return nil, err
 		}
 		endSeg := p.of(n).beginSegment(gctx)
-		raw, err := child.CollectCtx(gctx)
+		rows, err := e.collectRows(gctx, child, nil)
 		if err != nil {
 			return nil, err
 		}
-		sortRows(raw, t.Keys)
+		sortRows(rows, t.Keys)
 		endSeg()
-		return e.Ctx.Parallelize(raw, e.Ctx.Cluster.TotalSlots()), nil
+		return e.rowBatches(rows, len(t.Schema()), e.Ctx.Cluster.TotalSlots()), nil
 	case *plan.Limit:
 		child, err := e.compile(gctx, t.Child, stats, p)
 		if err != nil {
 			return nil, err
 		}
 		endSeg := p.of(n).beginSegment(gctx)
-		raw, err := child.TakeCtx(gctx, int(t.N))
-		if err != nil {
-			return nil, err
+		// Partitions left to right, each cut to the rows still wanted.
+		var rows []row.Row
+		child = limitBatches(child, t.N)
+		for part := 0; part < child.NumPartitions() && int64(len(rows)) < t.N; part++ {
+			chunk, err := e.collectRows(gctx, child, []int{part})
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, chunk[:min(len(chunk), int(t.N)-len(rows))]...)
 		}
 		endSeg()
-		return e.Ctx.Parallelize(raw, 1), nil
+		return e.rowBatches(rows, len(t.Schema()), 1), nil
 	case plan.OneRow:
-		return e.Ctx.Parallelize([]any{row.Row{}}, 1), nil
+		return e.rowBatches([]row.Row{{}}, 0, 1), nil
 	}
 	return nil, fmt.Errorf("exec: cannot compile %T", n)
 }
@@ -389,18 +478,19 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 	ns := p.of(a)
 	nBuckets := e.fineBuckets()
 	var partial *rdd.RDD
-	if m := matchMemScan(a); m != nil {
-		m.buckets = nBuckets
+	m := matchChain(a)
+	m.buckets = nBuckets
+	if m.scan != nil {
 		var err error
 		if partial, err = e.compileMemScan(m, stats, p); err != nil {
 			return nil, err
 		}
 	} else {
-		child, err := e.compile(gctx, a.Child, stats, p)
+		src, err := e.compile(gctx, m.source, stats, p)
 		if err != nil {
 			return nil, err
 		}
-		partial = e.partialAggregateRows(a, child, nBuckets)
+		partial = e.chainOver(src, m, p)
 	}
 	dep := e.Ctx.NewShuffleDep(partial, blockBuckets(nBuckets), nil)
 
@@ -435,47 +525,26 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 	}
 
 	merged := e.Ctx.Shuffled(dep, groups, rdd.ReadRaw)
-	return merged.MapPartitions(func(_ int, in rdd.Iter) rdd.Iter {
+	return merged.MapPartitions(func(_ *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
 		g := newGroupTable(a)
 		g.borrow = true
 		for {
 			v, ok := in.Next()
 			if !ok {
-				return rdd.SliceIter(g.rows())
+				if g.n == 0 {
+					return rdd.EmptyIter()
+				}
+				return windows(g.batch())
 			}
-			g.fold(v.(shuffle.Pair).V.(*aggBlock))
+			g.fold(v.(shuffle.Pair).V.(*block))
 		}
 	}), nil
 }
 
-// blockBuckets partitions a partial aggregate's shuffle: its map tasks
-// have already cut their groups into one block per bucket, and a
-// pair's key is its block's bucket.
+// blockBuckets partitions a shuffle of blocks — a partial aggregate's
+// or a join side's: its map tasks have already cut their rows into one
+// block per bucket, and a pair's key is its block's bucket.
 type blockBuckets int
 
 func (n blockBuckets) NumPartitions() int     { return int(n) }
 func (blockBuckets) PartitionFor(key any) int { return int(key.(int64)) }
-
-// partialAggregateRows is the map side over a row RDD (joins,
-// subqueries): the batch kernels' group table, fed one row at a time
-// as one-slot boxed vectors.
-func (e *Engine) partialAggregateRows(a *plan.Aggregate, child *rdd.RDD, buckets int) *rdd.RDD {
-	return child.MapPartitions(func(_ int, in rdd.Iter) rdd.Iter {
-		var r row.Row
-		one := []int32{0}
-		next := func() ([]int32, bool) {
-			v, ok := in.Next()
-			r, _ = v.(row.Row)
-			return one, ok
-		}
-		eval := func(x expr.Expr) valFn {
-			cell := make([]any, 1)
-			return func([]int32) columnar.Vec {
-				cell[0] = x.Eval(r)
-				return columnar.Vec{Kind: columnar.VecAny, Anys: cell}
-			}
-		}
-		g := newGroupTable(a)
-		return rdd.SliceIter(g.partial(next, g.resolver(a.GroupBy, eval), eval, buckets))
-	})
-}

@@ -53,14 +53,15 @@ func feed(g *groupTable, id int32, r row.Row) {
 func results(g *groupTable, id int32) row.Row {
 	out := make(row.Row, len(g.specs))
 	for k := range g.specs {
-		out[k] = g.result(k, id)
+		v := g.results(k)
+		out[k] = v.At(id)
 	}
 	return out
 }
 
 // folded folds blocks into a fresh table over specs and returns the
 // results of its one group.
-func folded(specs []plan.AggSpec, blocks ...*aggBlock) row.Row {
+func folded(specs []plan.AggSpec, blocks ...*block) row.Row {
 	g, _ := groupOf(specs)
 	for _, b := range blocks {
 		g.fold(b)
@@ -103,16 +104,16 @@ func TestAggStateMergeDoesNotMutate(t *testing.T) {
 	b, idb := groupOf(specs)
 	feed(a, ida, row.Row{int64(1), 1.0})
 	feed(b, idb, row.Row{int64(2), 2.0})
-	before := [2]string{marshalled(&a.aggBlock), marshalled(&b.aggBlock)}
+	before := [2]string{marshalled(&a.block), marshalled(&b.block)}
 
-	merged := folded(specs, &a.aggBlock, &b.aggBlock)
-	if after := [2]string{marshalled(&a.aggBlock), marshalled(&b.aggBlock)}; after != before {
+	merged := folded(specs, &a.block, &b.block)
+	if after := [2]string{marshalled(&a.block), marshalled(&b.block)}; after != before {
 		t.Fatal("fold mutated a block")
 	}
 	if merged[0].(int64) != 2 {
 		t.Errorf("merged count = %v", merged[0])
 	}
-	if again := folded(specs, &a.aggBlock, &b.aggBlock); !reflect.DeepEqual(again, merged) {
+	if again := folded(specs, &a.block, &b.block); !reflect.DeepEqual(again, merged) {
 		t.Errorf("re-fold differs: %v vs %v", again, merged)
 	}
 	// Speculative reduce tasks fold, and the spill tier marshals, the
@@ -122,10 +123,10 @@ func TestAggStateMergeDoesNotMutate(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := folded(specs, &a.aggBlock, &b.aggBlock); !reflect.DeepEqual(got, merged) {
+			if got := folded(specs, &a.block, &b.block); !reflect.DeepEqual(got, merged) {
 				t.Errorf("concurrent fold: %v, want %v", got, merged)
 			}
-			if marshalled(&a.aggBlock) != before[0] {
+			if marshalled(&a.block) != before[0] {
 				t.Error("concurrent marshal changed a block")
 			}
 		}()
@@ -133,7 +134,7 @@ func TestAggStateMergeDoesNotMutate(t *testing.T) {
 	wg.Wait()
 }
 
-func marshalled(b *aggBlock) string {
+func marshalled(b *block) string {
 	_, fields := b.MarshalShuffle()
 	return string(row.EncodeBinary(nil, fields))
 }
@@ -144,20 +145,20 @@ func TestAggStateMergeAssociativeProperty(t *testing.T) {
 		if len(vals) < 3 {
 			return true
 		}
-		mk := func(xs []int8) *aggBlock {
+		mk := func(xs []int8) *block {
 			g, id := groupOf(specs)
 			for _, x := range xs {
 				feed(g, id, row.Row{int64(x), float64(x)})
 			}
-			return &g.aggBlock
+			return &g.block
 		}
 		// (a ⊕ b) ⊕ c: a table's columns are a block, so a folded table
 		// folds on.
-		merge := func(x, y *aggBlock) *aggBlock {
+		merge := func(x, y *block) *block {
 			g, _ := groupOf(specs)
 			g.fold(x)
 			g.fold(y)
-			return &g.aggBlock
+			return &g.block
 		}
 		third := len(vals) / 3
 		a, b, c := mk(vals[:third]), mk(vals[third:2*third]), mk(vals[2*third:])
@@ -181,19 +182,19 @@ func TestAggStateDiskRoundTrip(t *testing.T) {
 		feed(g, g.byKeys(keys, 0), r)
 	}
 	tag, fields := g.MarshalShuffle()
-	if tag != aggBlockTag {
+	if tag != blockTag {
 		t.Errorf("tag = %q", tag)
 	}
-	back, err := unmarshalAggBlock(fields)
+	back, err := unmarshalBlock(fields)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.n != g.n || marshalled(back) != marshalled(&g.aggBlock) {
+	if back.n != g.n || marshalled(back) != marshalled(&g.block) {
 		t.Fatalf("round trip changed the block:\n%v\n%v", fields, back)
 	}
 	for id := range int32(g.n) {
-		for k := range g.keys {
-			if a, b := g.keys[k].At(id), back.keys[k].At(id); a != b {
+		for k := range g.cols {
+			if a, b := g.cols[k].At(id), back.cols[k].At(id); a != b {
 				t.Errorf("group %d key %d: %v != %v after round trip", id, k, b, a)
 			}
 		}
@@ -201,7 +202,7 @@ func TestAggStateDiskRoundTrip(t *testing.T) {
 	// Round-tripped blocks fold like the originals.
 	again := newGroupTable(agg)
 	again.fold(back)
-	again.fold(&g.aggBlock)
+	again.fold(&g.block)
 	for id := range int32(g.n) {
 		want := results(g, id)
 		want[0] = 2 * want[0].(int64)
@@ -220,8 +221,8 @@ func TestAggStateDiskRoundTrip(t *testing.T) {
 		{int64(1), int64(0), "", "\x20", ""}, // a vector of an unknown kind
 		{int64(1), int64(1), ""},             // an empty key blob
 	} {
-		if _, err := unmarshalAggBlock(bad); err == nil {
-			t.Errorf("unmarshalAggBlock(%q) accepted", bad)
+		if _, err := unmarshalBlock(bad); err == nil {
+			t.Errorf("unmarshalBlock(%q) accepted", bad)
 		}
 	}
 }
@@ -237,11 +238,11 @@ func TestGroupKeyForms(t *testing.T) {
 	}
 	g := single()
 	five := g.byValue(int64(5))
-	if byKey(g, &g.ints, int64(5)) != five || g.n != 1 || g.keys[0].At(five) != int64(5) {
+	if byKey(g, &g.ints, int64(5)) != five || g.n != 1 || g.cols[0].At(five) != int64(5) {
 		t.Error("typed and boxed lookups of one key must find one group")
 	}
 	null, empty := g.byValue(nil), g.byValue("")
-	if null == empty || g.keys[0].At(null) != nil || g.keys[0].At(empty) != "" {
+	if null == empty || g.cols[0].At(null) != nil || g.cols[0].At(empty) != "" {
 		t.Error("nil key must not collide with empty string")
 	}
 	if byKey(g, &g.strs, "") != empty || g.nullGroup() != null {
@@ -260,10 +261,10 @@ func TestGroupKeyForms(t *testing.T) {
 	const n = 7
 	for _, p := range g.blocks(n) {
 		pair := p.(shuffle.Pair)
-		b := pair.V.(*aggBlock)
+		b := pair.V.(*block)
 		for i := range int32(b.n) {
-			if want := (shuffle.HashPartitioner{N: n}).PartitionFor(b.keys[0].At(i)); int64(want) != pair.K.(int64) {
-				t.Errorf("key %v in bucket %v, want %d", b.keys[0].At(i), pair.K, want)
+			if want := (shuffle.HashPartitioner{N: n}).PartitionFor(b.cols[0].At(i)); int64(want) != pair.K.(int64) {
+				t.Errorf("key %v in bucket %v, want %d", b.cols[0].At(i), pair.K, want)
 			}
 		}
 	}
@@ -277,7 +278,7 @@ func TestGroupKeyForms(t *testing.T) {
 	if composite(row.Row{int64(1), "b"}) == a || composite(row.Row{nil, "a"}) == a {
 		t.Error("composite keys must differ")
 	}
-	if composite(row.Row{int64(1), "a"}) != a || g.keys[0].At(a) != int64(1) || g.keys[1].At(a) != "a" {
+	if composite(row.Row{int64(1), "a"}) != a || g.cols[0].At(a) != int64(1) || g.cols[1].At(a) != "a" {
 		t.Error("composite keys must be stable")
 	}
 	if _, ok := g.keyed[string(row.EncodeBinary(nil, row.Row{int64(1), "a"}))]; !ok {
@@ -285,9 +286,9 @@ func TestGroupKeyForms(t *testing.T) {
 	}
 	for _, p := range g.blocks(n) {
 		pair := p.(shuffle.Pair)
-		b := pair.V.(*aggBlock)
+		b := pair.V.(*block)
 		for i := range int32(b.n) {
-			key := string(row.EncodeBinary(nil, row.Row{b.keys[0].At(i), b.keys[1].At(i)}))
+			key := string(row.EncodeBinary(nil, row.Row{b.cols[0].At(i), b.cols[1].At(i)}))
 			if want := (shuffle.HashPartitioner{N: n}).PartitionFor(key); int64(want) != pair.K.(int64) {
 				t.Errorf("composite key %q in bucket %v, want %d", key, pair.K, want)
 			}
@@ -322,22 +323,34 @@ func TestEstimateSideUDFBlindness(t *testing.T) {
 	}
 }
 
+// boxedCols returns r's values as one-slot boxed vectors.
+func boxedCols(r row.Row) []columnar.Vec {
+	vecs := make([]columnar.Vec, len(r))
+	for c, v := range r {
+		vecs[c] = columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: []any{v}}
+	}
+	return vecs
+}
+
 func TestJoinBucketSwapPreservesColumnOrder(t *testing.T) {
 	left, right := row.Row{"L", int64(1)}, row.Row{"R", 9.5}
+	one := []int32{0}
 	for _, buildLeft := range []bool{true, false} {
 		build, probe := left, right
 		if !buildLeft {
 			build, probe = right, left
 		}
-		tbl := newJoinTable(1, buildLeft)
-		tbl.add(int64(1), build)
+		blk := &block{}
+		blk.add(&boxedCols(row.Row{int64(1)})[0], boxedCols(build), one)
+		tbl := newJoinTable([]*block{blk}, buildLeft)
 		// Whichever side built, the output is left++right.
-		out := tbl.probe(nil, int64(1), probe)
-		if r := out[0].(row.Row); len(out) != 1 || r[0].(string) != "L" || r[2].(string) != "R" {
+		out := carve(rdd.SliceIter(tbl.probe(nil, &boxedCols(row.Row{int64(1)})[0], one,
+			func() []columnar.Vec { return boxedCols(probe) })))
+		if len(out) != 1 || out[0][0] != "L" || out[0][2] != "R" {
 			t.Errorf("buildLeft=%v: %v", buildLeft, out)
 		}
-		// A NULL key is never added, so it matches nothing.
-		if tbl.add(nil, build); len(tbl.probe(nil, nil, probe)) != 0 {
+		// A NULL key is in no group, so it matches nothing.
+		if out := tbl.probe(nil, &boxedCols(row.Row{nil})[0], one, nil); len(out) != 0 {
 			t.Errorf("buildLeft=%v: a NULL key matched", buildLeft)
 		}
 	}
@@ -351,32 +364,34 @@ func TestJoinBucketNullKeysDropped(t *testing.T) {
 	defer cl.Close()
 	ctx := rdd.NewContext(cl, shuffle.NewService(cl, shuffle.Memory, t.TempDir()), rdd.Options{})
 	e := New(ctx, catalog.New(), nil, Options{})
-	side := ctx.Parallelize([]any{row.Row{nil, "x"}, row.Row{int64(1), "y"}, row.Row{nil, "z"}}, 2)
-	key := (&expr.Col{Idx: 0, T: row.TInt}).Eval
-	dep, st, err := e.preShuffle(context.Background(), side, key, nil)
+	side := &joinSide{
+		rdd:   e.rowBatches([]row.Row{{nil, "x"}, {int64(1), "y"}, {nil, "z"}}, 2, 2),
+		key:   &expr.Col{Idx: 0, T: row.TInt},
+		width: 2,
+	}
+	dep, st, err := e.preShuffle(context.Background(), side, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.TotalRecords != 1 {
 		t.Errorf("%d rows shuffled, want the one non-NULL key", st.TotalRecords)
 	}
-	var pairs []shuffle.Pair
+	var blocks []*block
 	for b := range dep.Partitioner.NumPartitions() {
 		got, err := ctx.Shuffle.Fetch(dep.ID, b, ctx.Tracker().Locations(dep.ID))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs = append(pairs, got...)
+		blocks = append(blocks, blocksOf(got)...)
 	}
-	tbl := newJoinTable(len(pairs), true)
-	for _, p := range pairs {
-		tbl.add(p.K, p.V.(row.Row))
-	}
+	// A map join's small side is one block per task, empty for a task
+	// whose rows all had NULL keys.
+	tbl := newJoinTable(append(blocks, &block{}), true)
 	var out []any
-	for _, p := range pairs {
-		out = tbl.probe(out, p.K, p.V.(row.Row))
+	for _, b := range blocks {
+		out = tbl.probe(out, &b.cols[0], upTo[int32](b.n), func() []columnar.Vec { return b.cols[1:] })
 	}
-	if len(out) != 1 {
-		t.Errorf("self-join of the shuffled side: %v, want only key 1 with itself", out)
+	if rows := carve(rdd.SliceIter(out)); len(rows) != 1 {
+		t.Errorf("self-join of the shuffled side: %v, want only key 1 with itself", rows)
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"math"
 	"slices"
 
+	"shark/internal/columnar"
 	"shark/internal/expr"
 	"shark/internal/obs"
 	"shark/internal/pde"
 	"shark/internal/plan"
 	"shark/internal/rdd"
-	"shark/internal/row"
 	"shark/internal/shuffle"
 )
 
@@ -48,8 +48,8 @@ func (e *Engine) compileJoin(gctx context.Context, j *plan.Join, stats *QuerySta
 		// every join is planned purely from static estimates.
 		mode = StrategyStatic
 	}
-	l := &joinSide{name: "left", rdd: left, key: j.LeftKey.Eval, est: estimateSide(j.Left)}
-	r := &joinSide{name: "right", rdd: right, key: j.RightKey.Eval, est: estimateSide(j.Right)}
+	l := &joinSide{name: "left", rdd: left, key: j.LeftKey, width: len(j.Left.Schema()), est: estimateSide(j.Left)}
+	r := &joinSide{name: "right", rdd: right, key: j.RightKey, width: len(j.Right.Schema()), est: estimateSide(j.Right)}
 	ns := p.of(j)
 
 	// The mode says which sides are pre-shuffled before deciding: none
@@ -62,7 +62,7 @@ func (e *Engine) compileJoin(gctx context.Context, j *plan.Join, stats *QuerySta
 	shuffled := func(sides ...*joinSide) (err error) {
 		for _, s := range sides {
 			if s.dep == nil {
-				if s.dep, s.stats, err = e.preShuffle(gctx, s.rdd, s.key, ns); err != nil {
+				if s.dep, s.stats, err = e.preShuffle(gctx, s, ns); err != nil {
 					return err
 				}
 			}
@@ -119,16 +119,75 @@ func (e *Engine) compileJoin(gctx context.Context, j *plan.Join, stats *QuerySta
 	return e.shuffleJoinRead(gctx, l.dep, r.dep, l.stats, r.stats, stats, ns), nil
 }
 
-// joinSide is one input of a join being planned: its rows and key, its
-// static size estimate, and — once pre-shuffled — its map output and
-// the statistics PDE observed on it.
+// joinSide is one input of a join being planned: its batches, its key
+// and width, its static size estimate, and — once pre-shuffled — its
+// map output and the statistics PDE observed on it.
 type joinSide struct {
 	name  string
 	rdd   *rdd.RDD
-	key   expr.EvalFn
+	key   expr.Expr
+	width int
 	est   int64
 	dep   *rdd.ShuffleDep
 	stats *pde.StageStats
+}
+
+// keyOf returns one task's evaluator of s's key over a batch's
+// selection, through the kernels.
+func (e *Engine) keyOf(tc *rdd.TaskContext, s *joinSide) func(*columnar.Batch) columnar.Vec {
+	t := e.newScanTask(tc, upTo[int](s.width))
+	var fn valFn
+	return func(b *columnar.Batch) columnar.Vec {
+		tc.FailIfCancelled()
+		if t.load(b) {
+			fn = t.bindValue(s.key)
+		}
+		return fn(b.Sel)
+	}
+}
+
+// sideBlock gathers the rows of s's batches in one task, but those
+// whose key is NULL, into one block.
+func (e *Engine) sideBlock(tc *rdd.TaskContext, s *joinSide, in rdd.Iter) *block {
+	key, blk := e.keyOf(tc, s), &block{}
+	for v, ok := in.Next(); ok; v, ok = in.Next() {
+		b := v.(*columnar.Batch)
+		k := key(b)
+		if pos := keepIf(slices.Clone(b.Sel), func(i int) bool { return !isNull(&k, int32(i)) }); len(pos) > 0 {
+			blk.add(&k, vecsOf(b), pos)
+		}
+	}
+	return blk
+}
+
+// probeSide probes t with s's batches in one task, yielding the joined
+// batches of one input batch at a time.
+func (e *Engine) probeSide(tc *rdd.TaskContext, t *joinTable, s *joinSide, in rdd.Iter) rdd.Iter {
+	key := e.keyOf(tc, s)
+	var pending []any
+	return rdd.FuncIter(func() (any, bool) {
+		for len(pending) == 0 {
+			v, ok := in.Next()
+			if !ok {
+				return nil, false
+			}
+			b := v.(*columnar.Batch)
+			k := key(b)
+			pending = t.probe(pending[:0], &k, b.Sel, func() []columnar.Vec { return vecsOf(b) })
+		}
+		v := pending[0]
+		pending = pending[1:]
+		return v, true
+	})
+}
+
+// vecsOf returns b's columns as vectors over its window.
+func vecsOf(b *columnar.Batch) []columnar.Vec {
+	vecs := make([]columnar.Vec, b.Width())
+	for c := range vecs {
+		vecs[c] = b.Vec(c)
+	}
+	return vecs
 }
 
 // estimateSide statically estimates a child's output bytes: catalog
@@ -173,14 +232,22 @@ func containsCall(e expr.Expr) bool {
 	return found
 }
 
-// preShuffle materializes the map side of a shuffle keyed by keyFn and
+// preShuffle materializes the map side of a join input's shuffle and
 // returns the dependency plus observed statistics (the PDE primitive).
-// A row whose key is NULL matches nothing and is not shuffled.
-func (e *Engine) preShuffle(gctx context.Context, r *rdd.RDD, keyFn expr.EvalFn, ns *NodeStats) (*rdd.ShuffleDep, *pde.StageStats, error) {
-	pairs := r.Map(func(v any) any {
-		return shuffle.Pair{K: keyFn(v.(row.Row)), V: v}
-	}).Filter(func(p any) bool { return p.(shuffle.Pair).K != nil })
-	dep := e.Ctx.NewShuffleDep(pairs, shuffle.HashPartitioner{N: e.fineBuckets()}, nil)
+// A map task cuts its rows into one block per non-empty bucket, a row
+// going to the bucket shuffle.HashPartitioner would send its key to. A
+// row whose key is NULL matches nothing and is not shuffled.
+func (e *Engine) preShuffle(gctx context.Context, s *joinSide, ns *NodeStats) (*rdd.ShuffleDep, *pde.StageStats, error) {
+	n := e.fineBuckets()
+	blocks := s.rdd.MapPartitions(func(tc *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
+		blk := e.sideBlock(tc, s, in)
+		bucket := make([]int32, blk.n)
+		for i := range bucket {
+			bucket[i] = int32(hashAt(&blk.cols[0], int32(i)) % uint64(n))
+		}
+		return rdd.SliceIter(blk.cut(bucket, n))
+	})
+	dep := e.Ctx.NewShuffleDep(blocks, blockBuckets(n), nil)
 	endSeg := ns.beginSegment(gctx)
 	st, err := e.Ctx.Scheduler().MaterializeShuffleCtx(gctx, dep)
 	if err != nil {
@@ -266,13 +333,10 @@ func joinSource(ctx *rdd.Context, lDep, rDep *rdd.ShuffleDep, tasks [][]pde.Buck
 			if !left {
 				build, probe = rDep, lDep
 			}
-			pairs := fetchBucket(tc, build, s.Bucket, nil)
-			t := newJoinTable(len(pairs), left)
-			for _, p := range pairs {
-				t.add(p.K, p.V.(row.Row))
-			}
+			t := newJoinTable(blocksOf(fetchBucket(tc, build, s.Bucket, nil)), left)
 			for _, p := range fetchBucket(tc, probe, s.Bucket, s.Maps) {
-				out = t.probe(out, p.K, p.V.(row.Row))
+				b := p.V.(*block)
+				out = t.probe(out, &b.cols[0], upTo[int32](b.n), func() []columnar.Vec { return b.cols[1:] })
 			}
 		}
 		return rdd.SliceIter(out)
@@ -298,65 +362,134 @@ func fetchBucket(tc *rdd.TaskContext, dep *rdd.ShuffleDep, bucket int, maps []in
 
 // joinTable is the build side of every local hash join — a shuffle
 // join's bucket, a map join's broadcast small side, a co-partitioned
-// join's left partition: rows by join key, all from one input.
+// join's left partition: its rows, as a block (the key's vector, then
+// the columns'), and an index from key to the rows holding it. The
+// index is a group table without aggregates (vecagg.go): an int64 or
+// string key is found through an index over the key column itself, any
+// other through a map. A row whose key is NULL matches nothing, so no
+// block holds one.
 type joinTable struct {
-	rows      map[any][]row.Row
+	build     *block
 	buildLeft bool // the rows are the join's left input
+	groups    *groupTable
+	first     []int32 // the first row of group k, + 1 (0: none)
+	next      []int32 // the row after row r in its group, + 1
 }
 
-func newJoinTable(n int, buildLeft bool) joinTable {
-	return joinTable{rows: make(map[any][]row.Row, n), buildLeft: buildLeft}
-}
-
-// add files r under k. A NULL key equals nothing, itself included, so
-// it is never added.
-func (t joinTable) add(k any, r row.Row) {
-	if k != nil {
-		t.rows[k] = append(t.rows[k], r)
-	}
-}
-
-// probe appends r joined with every build row under k, each as
-// left ++ right whichever side built. out grows once, by the matches.
-func (t joinTable) probe(out []any, k any, r row.Row) []any {
-	matches := t.rows[k]
-	out = slices.Grow(out, len(matches))
-	for _, m := range matches {
-		if t.buildLeft {
-			out = append(out, concatRows(m, r))
-		} else {
-			out = append(out, concatRows(r, m))
+// newJoinTable builds the table over the rows of blocks, all from one
+// input.
+func newJoinTable(blocks []*block, buildLeft bool) *joinTable {
+	build := &block{}
+	if len(blocks) == 1 {
+		build = blocks[0] // only read: a fetched block may be another task's too
+	} else {
+		for _, b := range blocks {
+			if b.n > 0 {
+				build.add(&b.cols[0], b.cols[1:], upTo[int32](b.n))
+			}
 		}
+	}
+	t := &joinTable{build: build, buildLeft: buildLeft, groups: &groupTable{null: -1, borrow: true}}
+	if build.n == 0 {
+		return t
+	}
+	key := build.cols[0]
+	t.groups.cols = []columnar.Vec{{Kind: key.Kind, Mask: -1}}
+	ids := make([]int32, build.n)
+	t.groups.resolve([]columnar.Vec{key}, upTo[int32](build.n), ids)
+	// Linked backwards, so that a group lists its rows in build order.
+	t.first, t.next = make([]int32, t.groups.n), make([]int32, build.n)
+	for r := build.n - 1; r >= 0; r-- {
+		t.next[r], t.first[ids[r]] = t.first[ids[r]], int32(r)+1
+	}
+	return t
+}
+
+// blocksOf returns the blocks a bucket's fetched pairs hold.
+func blocksOf(pairs []shuffle.Pair) []*block {
+	out := make([]*block, len(pairs))
+	for i, p := range pairs {
+		out[i] = p.V.(*block)
 	}
 	return out
 }
 
-func concatRows(a, b row.Row) row.Row {
-	out := make(row.Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
+// upTo returns 0, 1, …, n-1: every position of n, or every column.
+func upTo[T int | int32](n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = T(i)
+	}
+	return out
+}
+
+// probe joins the rows at positions sel of a probe input — key is its
+// key's vector, cols returns its columns' — with the build rows under
+// their keys, and appends the matches to out as batches of left ++
+// right columns, whichever side built. It reads cols only once a row
+// matches.
+func (t *joinTable) probe(out []any, key *columnar.Vec, sel []int32, cols func() []columnar.Vec) []any {
+	var probed, built []int32 // a match's probe position and build row
+	var pcols []columnar.Vec
+	flush := func() {
+		if pcols == nil {
+			pcols = cols()
+		}
+		vecs := make([]columnar.Vec, 0, len(pcols)+len(t.build.cols)-1)
+		gatherAll := func(cols []columnar.Vec, at []int32) {
+			for c := range cols {
+				vecs = append(vecs, gatherVec(&cols[c], at))
+			}
+		}
+		if t.buildLeft {
+			gatherAll(t.build.cols[1:], built)
+			gatherAll(pcols, probed)
+		} else {
+			gatherAll(pcols, probed)
+			gatherAll(t.build.cols[1:], built)
+		}
+		b := columnar.VecBatch(len(probed), vecs)
+		b.Next()
+		out = append(out, b)
+		probed, built = probed[:0], built[:0]
+	}
+	for _, i := range sel {
+		k := t.groups.find(key, i)
+		if k < 0 {
+			continue
+		}
+		for r := t.first[k]; r > 0; r = t.next[r-1] {
+			probed, built = append(probed, i), append(built, r-1)
+			if len(probed) == columnar.BatchSize {
+				flush()
+			}
+		}
+	}
+	if len(probed) > 0 {
+		flush()
+	}
+	return out
 }
 
 // broadcastJoin builds the hash table over the small side and probes
 // it from map tasks over the big side — no shuffle of the big side.
-// The small side's rows are fetched from its buckets when PDE already
-// materialized it as shuffle map output, and collected by an ordinary
-// job otherwise.
+// The small side's blocks are fetched from its buckets when PDE already
+// materialized it as shuffle map output, and cut by an ordinary job,
+// one block a task, otherwise.
 func (e *Engine) broadcastJoin(gctx context.Context, small, big *joinSide, smallIsLeft bool, ns *NodeStats) (*rdd.RDD, error) {
 	endSeg := ns.beginSegment(gctx)
-	var t joinTable
+	var blocks []*block
 	if small.dep == nil {
-		rows, err := small.rdd.CollectCtx(gctx)
+		res, err := e.Ctx.Scheduler().RunJobCtx(gctx, small.rdd, nil, func(tc *rdd.TaskContext, _ int, it rdd.Iter) (any, error) {
+			return e.sideBlock(tc, small, it), nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		t = newJoinTable(len(rows), smallIsLeft)
-		for _, v := range rows {
-			r := v.(row.Row)
-			t.add(small.key(r), r)
+		for _, v := range res {
+			blocks = append(blocks, v.(*block))
 		}
 	} else {
-		t = newJoinTable(0, smallIsLeft)
 		locs := e.Ctx.Tracker().Locations(small.dep.ID)
 		tr := obs.FromContext(gctx)
 		for b := 0; b < small.dep.Partitioner.NumPartitions(); b++ {
@@ -365,16 +498,13 @@ func (e *Engine) broadcastJoin(gctx context.Context, small, big *joinSide, small
 				return nil, err
 			}
 			tr.AddFetch(int64(len(pairs)))
-			for _, p := range pairs {
-				t.add(p.K, p.V.(row.Row))
-			}
+			blocks = append(blocks, blocksOf(pairs)...)
 		}
 	}
+	bc := e.Ctx.NewBroadcast(newJoinTable(blocks, smallIsLeft))
 	endSeg()
-	bc := e.Ctx.NewBroadcast(t)
-	return big.rdd.FlatMap(func(v any) []any {
-		r := v.(row.Row)
-		return bc.Value.(joinTable).probe(nil, big.key(r), r)
+	return big.rdd.MapPartitions(func(tc *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
+		return e.probeSide(tc, bc.Value.(*joinTable), big, in)
 	}), nil
 }
 
@@ -405,22 +535,11 @@ func (e *Engine) tryCopartitionedJoin(j *plan.Join, stats *QueryStats, p *prof) 
 
 	// Both sides scan every partition — pruning one would misalign the
 	// zip — with their pushed-down filters applied by the scan itself.
-	leftScan := e.memScanParts(&memScan{scan: ls}, nil, p)
-	rightScan := e.memScanParts(&memScan{scan: rs}, nil, p)
-	lKey, rKey := j.LeftKey.Eval, j.RightKey.Eval
-
-	joined := leftScan.ZipPartitions(rightScan, func(part int, a, b rdd.Iter) rdd.Iter {
-		t := newJoinTable(0, true)
-		for v, ok := a.Next(); ok; v, ok = a.Next() {
-			r := v.(row.Row)
-			t.add(lKey(r), r)
-		}
-		var out []any
-		for v, ok := b.Next(); ok; v, ok = b.Next() {
-			r := v.(row.Row)
-			out = t.probe(out, rKey(r), r)
-		}
-		return rdd.SliceIter(out)
+	left := &joinSide{rdd: e.memScanParts(&chain{scan: ls}, nil, p), key: j.LeftKey, width: len(ls.Schema())}
+	right := &joinSide{rdd: e.memScanParts(&chain{scan: rs}, nil, p), key: j.RightKey, width: len(rs.Schema())}
+	joined := left.rdd.ZipPartitions(right.rdd, func(_ int, a, b rdd.Iter) rdd.Iter {
+		t := newJoinTable([]*block{e.sideBlock(nil, left, a)}, true)
+		return e.probeSide(nil, t, right, b)
 	})
 	return joined, true, nil
 }

@@ -11,7 +11,7 @@ import (
 
 // Expression kernels over a column batch (paper §3.2: a scan reads the
 // memstore as primitive arrays). A scanTask binds each expression of a
-// fused scan to the partition it reads — encodings are chosen per
+// fused chain to the batches it reads — encodings are chosen per
 // partition, so binding is too — into one of two forms:
 //
 //   - a filter (selFn) narrows a selection vector: the ascending window
@@ -44,15 +44,18 @@ type selFn func(sel []int32) []int32
 // valFn evaluates a value expression at the selected positions.
 type valFn func(sel []int32) columnar.Vec
 
-// scanTask is one task's state for reading one cached partition in
-// batches: the batch, the scan's column mapping, and the row adapter's
+// scanTask is one task's state for reading batches — a cached
+// partition's windows, or the batches an operator below hands on: the
+// current batch, the source's column mapping, and the row adapter's
 // scratch. Everything a task binds hangs off it, so kernels may keep
-// per-task buffers without synchronization.
+// per-task buffers without synchronization. Kernels read the current
+// batch when they run; what they decide when bound (a column's type,
+// its dictionary) holds until load says otherwise.
 type scanTask struct {
 	e    *Engine
 	tc   *rdd.TaskContext
 	b    *columnar.Batch
-	cols []int // scan output position → partition column
+	cols []int // source position → batch column
 	// scratch is the row the adapter evaluates against. Only the
 	// positions an expression reads are filled before it runs.
 	scratch row.Row
@@ -60,6 +63,25 @@ type scanTask struct {
 	// poll: a per-row UDF may be arbitrarily slow, so the adapter polls
 	// every rdd.CancelCheckRows rows where typed kernels poll per batch.
 	untilPoll int
+}
+
+// load makes b the batch the kernels read and reports whether they
+// must be bound (again): b is the task's first batch, or a column's
+// type or dictionary differs from the batch they were bound to.
+func (t *scanTask) load(b *columnar.Batch) bool {
+	prev := t.b
+	if t.b = b; prev == nil {
+		return true
+	}
+	if prev == b {
+		return false
+	}
+	for c := range b.Width() {
+		if b.Type(c) != prev.Type(c) || b.Dict(c) != prev.Dict(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // interpret is DisableExprCompile: no typed kernels at all, every
@@ -105,7 +127,7 @@ func (t *scanTask) bindRowValue(x expr.Expr) valFn {
 		for _, i := range sel {
 			out[i] = t.evalAt(rx, i)
 		}
-		return columnar.Vec{Kind: columnar.VecAny, Anys: out}
+		return columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: out}
 	}
 }
 
@@ -315,7 +337,7 @@ func asFloat(f valFn, kind columnar.VecKind) valFn {
 	var buf []float64
 	return func(sel []int32) columnar.Vec {
 		v := f(sel)
-		if buf == nil {
+		if len(buf) < len(v.Ints) { // a literal's one value, or a window's
 			buf = make([]float64, len(v.Ints))
 		}
 		if v.Mask == 0 {
@@ -362,7 +384,7 @@ func (t *scanTask) bindFilter(x expr.Expr) selFn {
 			return without(sel[:0], sel, in(append(buf[:0], sel...)))
 		}
 	case *expr.IsNull:
-		if col, ok := n.E.(*expr.Col); ok {
+		if col, ok := n.E.(*expr.Col); ok && t.b.Type(t.cols[col.Idx]) != row.TNull {
 			c, wantNull := t.cols[col.Idx], !n.Invert
 			f = func(sel []int32) []int32 {
 				nulls := t.b.Nulls(c)

@@ -13,27 +13,30 @@ import (
 	"shark/internal/row"
 )
 
-// memScan is a table scan with the operators fused onto it: the plan
-// chain Scan → Filter* → (Project | Aggregate)?, run as one pass over
-// typed column batches (kernels.go). Its tasks read a columnar
-// partition — a cached one, or an external table's DFS block parsed
-// straight into columns — a batch at a time, narrow a selection vector
-// through the filters, and only then produce output: row.Rows for the
-// surviving rows — the one place a scanned row is born — or
-// partial-aggregation blocks straight off the vectors (vecagg.go). A
-// batch never leaves its task, so the RDD layer sees an ordinary source
-// RDD of rows or shuffle pairs.
-type memScan struct {
-	scan    *plan.Scan
-	filters []*plan.Filter // directly above the scan, bottom-up
+// chain is a run of operators fused into one pass over column batches
+// (kernels.go): Source → Filter* → (Project | Aggregate)?. The source
+// is a table scan — a cached partition, or an external table's DFS
+// block parsed straight into columns, read a batch at a time — or any
+// other operator, whose batches arrive through its RDD: a join's
+// output, an aggregate's groups. A task narrows each batch's selection
+// through the filters and only then produces output: the batch again,
+// projected, for the operator above — batches are the RDD element
+// above every scan, and rows are carved only at a statement's root
+// (engine.go) — or partial-aggregation blocks straight off the vectors
+// (vecagg.go).
+type chain struct {
+	scan    *plan.Scan     // the source, when it is a table scan
+	source  plan.Node      // the source otherwise
+	filters []*plan.Filter // directly above the source, bottom-up
 	project *plan.Project  // on top, or nil
 	agg     *plan.Aggregate
 	buckets int // with agg: the shuffle buckets its blocks go to
 }
 
-// matchMemScan recognizes the fusable chain ending at n, or returns nil.
-func matchMemScan(n plan.Node) *memScan {
-	m := &memScan{}
+// matchChain splits the chain ending at n off the plan. With nothing
+// fused and no scan, its source is n itself.
+func matchChain(n plan.Node) *chain {
+	m := &chain{}
 	switch t := n.(type) {
 	case *plan.Project:
 		m.project, n = t, t.Child
@@ -48,11 +51,11 @@ func matchMemScan(n plan.Node) *memScan {
 		m.filters = append([]*plan.Filter{f}, m.filters...)
 		n = f.Child
 	}
-	s, ok := n.(*plan.Scan)
-	if !ok {
-		return nil
+	if s, ok := n.(*plan.Scan); ok {
+		m.scan = s
+	} else {
+		m.source = n
 	}
-	m.scan = s
 	return m
 }
 
@@ -82,14 +85,14 @@ func (e *Engine) prune(s *plan.Scan, stats *QueryStats) []int {
 	return parts
 }
 
-// compileMemScan lowers the chain: over the cached partitions map
-// pruning keeps, or over every block of an external table. With an
-// Aggregate on top the RDD's elements are the partial aggregation's
-// shuffle pairs (bucket, block); otherwise they are the chain's output
-// rows. Row
-// counts for EXPLAIN ANALYZE come from the kernels — selection-vector
-// lengths per stage, rows emitted — so no counting iterator wraps it.
-func (e *Engine) compileMemScan(m *memScan, stats *QueryStats, p *prof) (*rdd.RDD, error) {
+// compileMemScan lowers a chain over a table scan: over the cached
+// partitions map pruning keeps, or over every block of an external
+// table. With an Aggregate on top the RDD's elements are the partial
+// aggregation's shuffle pairs (bucket, block); otherwise they are the
+// chain's output batches. Row counts for EXPLAIN ANALYZE come from the
+// kernels — selection-vector lengths per stage — so no counting
+// iterator wraps it.
+func (e *Engine) compileMemScan(m *chain, stats *QueryStats, p *prof) (*rdd.RDD, error) {
 	s := m.scan
 	if s.Table.Cached() {
 		return e.memScanParts(m, e.prune(s, stats), p), nil
@@ -100,29 +103,33 @@ func (e *Engine) compileMemScan(m *memScan, stats *QueryStats, p *prof) (*rdd.RD
 	}
 	stats.ScannedPartitions += len(meta.Blocks)
 	// A block's partition holds just the scan's columns, in scan order.
-	cols := make([]int, len(s.NeededCols))
-	for i := range cols {
-		cols[i] = i
-	}
-	run := e.bindChain(m, p)
+	cols, run := upTo[int](len(s.NeededCols)), e.bindChain(m, p)
 	return e.blockScan(s, meta, func(tc *rdd.TaskContext, part *columnar.Partition) rdd.Iter {
-		return run(tc, part, cols)
+		return run(tc, cols, windows(columnar.NewBatch(part)))
 	}), nil
 }
 
-// memScanParts lowers the chain over the listed partitions of a cached
+// memScanParts lowers a chain over the listed partitions of a cached
 // table (nil: all of them).
-func (e *Engine) memScanParts(m *memScan, parts []int, p *prof) *rdd.RDD {
+func (e *Engine) memScanParts(m *chain, parts []int, p *prof) *rdd.RDD {
 	s, run := m.scan, e.bindChain(m, p)
 	return s.Table.Mem.ScanPartitions(fmt.Sprintf("memscan(%s)", s.Table.Name), parts,
 		func(tc *rdd.TaskContext, part *columnar.Partition) rdd.Iter {
-			return run(tc, part, s.NeededCols)
+			return run(tc, s.NeededCols, windows(columnar.NewBatch(part)))
 		})
 }
 
-// bindChain returns the chain as a task body: it reads one partition,
-// whose columns cols are the scan's (by scan position).
-func (e *Engine) bindChain(m *memScan, p *prof) func(tc *rdd.TaskContext, part *columnar.Partition, cols []int) rdd.Iter {
+// chainOver lowers a chain over its source's batches.
+func (e *Engine) chainOver(src *rdd.RDD, m *chain, p *prof) *rdd.RDD {
+	run, cols := e.bindChain(m, p), upTo[int](len(m.source.Schema()))
+	return src.MapPartitions(func(tc *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
+		return run(tc, cols, in)
+	})
+}
+
+// bindChain returns the chain as a task body: it reads the batches in
+// yields, whose columns cols are the source's (by source position).
+func (e *Engine) bindChain(m *chain, p *prof) func(tc *rdd.TaskContext, cols []int, in rdd.Iter) rdd.Iter {
 	stages := []*NodeStats{p.of(m.scan)}
 	for _, f := range m.filters {
 		stages = append(stages, p.of(f))
@@ -131,20 +138,24 @@ func (e *Engine) bindChain(m *memScan, p *prof) func(tc *rdd.TaskContext, part *
 	if m.project != nil {
 		projectNS = p.of(m.project)
 	}
-	return func(tc *rdd.TaskContext, part *columnar.Partition, cols []int) rdd.Iter {
-		t := e.newScanTask(tc, cols, part)
-		src := t.bindStages(m, stages)
+	return func(tc *rdd.TaskContext, cols []int, in rdd.Iter) rdd.Iter {
+		t := e.newScanTask(tc, cols)
+		src := t.bindStages(m, stages, in)
 		if m.agg != nil {
 			return rdd.SliceIter(t.partialAggregate(m.agg, src, m.buckets))
 		}
-		emit := t.bindRows(m.project)
-		return memtable.BatchRows(func() []row.Row {
-			sel, ok := src.next()
-			if !ok {
-				return nil
+		emit := t.bindProject(m.project, src)
+		return rdd.FuncIter(func() (any, bool) {
+			for {
+				sel, ok := src.next()
+				if !ok {
+					return nil, false
+				}
+				if len(sel) > 0 {
+					projectNS.AddRows(int64(len(sel)))
+					return emit(sel), true
+				}
 			}
-			projectNS.AddRows(int64(len(sel)))
-			return emit(sel)
 		})
 	}
 }
@@ -234,22 +245,22 @@ func readBlock(fs *dfs.FS, meta *dfs.FileMeta, i int, cols []int) (*columnar.Par
 	}
 }
 
-func (e *Engine) newScanTask(tc *rdd.TaskContext, cols []int, part *columnar.Partition) *scanTask {
-	return &scanTask{
-		e:       e,
-		tc:      tc,
-		b:       columnar.NewBatch(part),
-		cols:    cols,
-		scratch: make(row.Row, len(cols)),
-	}
+func (e *Engine) newScanTask(tc *rdd.TaskContext, cols []int) *scanTask {
+	return &scanTask{e: e, tc: tc, cols: cols, scratch: make(row.Row, len(cols))}
 }
 
 // selSource yields, batch by batch, the selection that survives the
 // chain's filters.
 type selSource struct {
 	t      *scanTask
+	m      *chain
+	in     rdd.Iter     // the batches
+	rows   []*NodeStats // what each stage passes: the scan's, each Filter's
 	stages []filterStage
 	buf    []int32 // the selection's own memory, when any stage narrows it
+	// bind (re)binds what reads the batches above the filters: called
+	// whenever the filters are.
+	bind func()
 }
 
 // filterStage is one plan node's filtering: the scan's pushed-down
@@ -259,37 +270,49 @@ type filterStage struct {
 	rows  *NodeStats
 }
 
-func (t *scanTask) bindStages(m *memScan, rows []*NodeStats) *selSource {
-	src := &selSource{t: t, stages: make([]filterStage, len(rows))}
+func (t *scanTask) bindStages(m *chain, rows []*NodeStats, in rdd.Iter) *selSource {
+	return &selSource{t: t, m: m, in: in, rows: rows, bind: func() {}}
+}
+
+// bindFilters binds the filter stages to the task's current batch.
+func (s *selSource) bindFilters() {
+	s.stages = make([]filterStage, len(s.rows))
 	narrows := false
 	bind := func(stage int, conds ...expr.Expr) {
-		st := &src.stages[stage]
-		st.rows = rows[stage]
+		st := &s.stages[stage]
+		st.rows = s.rows[stage]
 		for _, c := range conds {
-			st.preds = append(st.preds, t.bindFilter(c))
+			st.preds = append(st.preds, s.t.bindFilter(c))
 			narrows = true
 		}
 	}
-	bind(0, m.scan.Filters...)
-	for i, f := range m.filters {
+	if s.m.scan != nil {
+		bind(0, s.m.scan.Filters...)
+	}
+	for i, f := range s.m.filters {
 		bind(i+1, f.Cond)
 	}
-	if narrows {
-		src.buf = make([]int32, columnar.BatchSize)
+	if narrows && s.buf == nil {
+		s.buf = make([]int32, columnar.BatchSize)
 	}
-	return src
+	s.bind()
 }
 
 // next loads the following batch and returns its surviving selection
-// (possibly empty); false at the end of the partition. Typed kernels
-// do a bounded amount of work per batch, so this is where they poll
-// for cancellation.
+// (possibly empty); false at the end of the source. Typed kernels do a
+// bounded amount of work per batch, so this is where they poll for
+// cancellation.
 func (s *selSource) next() ([]int32, bool) {
-	if !s.t.b.Next() {
+	v, ok := s.in.Next()
+	if !ok {
 		return nil, false
 	}
+	b := v.(*columnar.Batch)
 	s.t.tc.FailIfCancelled()
-	sel := s.t.b.All()
+	if s.t.load(b) {
+		s.bindFilters()
+	}
+	sel := b.Sel
 	if s.buf != nil {
 		sel = append(s.buf[:0], sel...)
 	}
@@ -305,42 +328,36 @@ func (s *selSource) next() ([]int32, bool) {
 	return sel, true
 }
 
-// bindRows binds row materialization: the scan's columns as they are,
-// or a Project's expressions. The rows of a batch share one slab sized
-// to the selection, filled a column at a time.
-func (t *scanTask) bindRows(p *plan.Project) func(sel []int32) []row.Row {
+// bindProject binds the chain's output: the source's columns as they
+// are, or a Project's expressions — a bare column passes the batch's
+// own column on, anything else its vector.
+func (t *scanTask) bindProject(p *plan.Project, src *selSource) func(sel []int32) *columnar.Batch {
 	if p == nil || isIdentityProject(p) {
-		return func(sel []int32) []row.Row { return t.b.Rows(t.cols, sel) }
+		return func(sel []int32) *columnar.Batch { return t.b.Project(t.cols, nil, sel) }
 	}
-	type output struct {
-		col int   // ≥ 0: this partition column, boxed by the batch
-		val valFn // otherwise
-	}
-	outs := make([]output, len(p.Exprs))
-	for j, x := range p.Exprs {
-		if c, ok := x.(*expr.Col); ok && !t.interpret() {
-			outs[j] = output{col: t.cols[c.Idx]}
-		} else {
-			outs[j] = output{col: -1, val: t.bindValue(x)}
+	cols := make([]int, len(p.Exprs))
+	vals := make([]valFn, len(p.Exprs))
+	vecs := make([]columnar.Vec, len(p.Exprs))
+	zeros := make([]int32, columnar.BatchSize)
+	src.bind = func() {
+		for j, x := range p.Exprs {
+			if c, ok := x.(*expr.Col); ok && !t.interpret() {
+				cols[j] = t.cols[c.Idx]
+			} else {
+				cols[j], vals[j] = -1, t.bindValue(x)
+			}
 		}
 	}
-	return func(sel []int32) []row.Row {
-		if len(sel) == 0 {
-			return []row.Row{}
-		}
-		n := len(outs)
-		slab := make([]any, len(sel)*n)
-		for j, o := range outs {
-			if o.col >= 0 {
-				t.b.Box(o.col, sel, slab[j:], n)
+	return func(sel []int32) *columnar.Batch {
+		for j, val := range vals {
+			if cols[j] >= 0 {
 				continue
 			}
-			v := o.val(sel)
-			for k, i := range sel {
-				slab[k*n+j] = row.OwnString(v.At(i))
+			if vecs[j] = val(sel); vecs[j].Mask == 0 { // a literal: spread over the window
+				vecs[j] = gatherVec(&vecs[j], zeros[:t.b.Len()])
 			}
 		}
-		return columnar.CarveRows(slab, n, len(sel))
+		return t.b.Project(cols, vecs, sel)
 	}
 }
 

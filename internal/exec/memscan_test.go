@@ -12,6 +12,7 @@ import (
 	"shark/internal/data"
 	"shark/internal/memtable"
 	"shark/internal/plan"
+	"shark/internal/rdd"
 	"shark/internal/row"
 	"shark/internal/shuffle"
 	"shark/internal/sqlparse"
@@ -37,7 +38,7 @@ func sealPartition(tb testing.TB, schema row.Schema, rows []row.Row) *columnar.P
 
 // fusedChain plans sql against a cached table named t with the given
 // schema and returns the chain the engine would fuse for it.
-func fusedChain(tb testing.TB, schema row.Schema, sql string) *memScan {
+func fusedChain(tb testing.TB, schema row.Schema, sql string) *chain {
 	tb.Helper()
 	cat := catalog.New()
 	err := cat.Register(&catalog.Table{Name: "t", Schema: schema, Mem: &memtable.Table{Name: "t", Schema: schema}})
@@ -53,7 +54,7 @@ func fusedChain(tb testing.TB, schema row.Schema, sql string) *memScan {
 		tb.Fatal(err)
 	}
 	for n := p; ; n = n.Children()[0] {
-		if m := matchMemScan(n); m != nil {
+		if m := matchChain(n); m.scan != nil {
 			return m
 		}
 		if len(n.Children()) != 1 {
@@ -63,24 +64,25 @@ func fusedChain(tb testing.TB, schema row.Schema, sql string) *memScan {
 }
 
 // runChain executes the chain over part as one task: the partial
-// aggregation's blocks (for 16 buckets), or the rows emitted.
-func runChain(e *Engine, m *memScan, part *columnar.Partition) (blocks []*aggBlock, rows []row.Row) {
-	t := e.newScanTask(nil, m.scan.NeededCols, part)
-	src := t.bindStages(m, make([]*NodeStats, 1+len(m.filters)))
+// aggregation's blocks (for 16 buckets), or the rows of the batches
+// emitted, carved as a final task carves them.
+func runChain(e *Engine, m *chain, part *columnar.Partition) (blocks []*block, rows []row.Row) {
+	t := e.newScanTask(nil, m.scan.NeededCols)
+	src := t.bindStages(m, make([]*NodeStats, 1+len(m.filters)), windows(columnar.NewBatch(part)))
 	if m.agg != nil {
 		for _, p := range t.partialAggregate(m.agg, src, 16) {
-			blocks = append(blocks, p.(shuffle.Pair).V.(*aggBlock))
+			blocks = append(blocks, p.(shuffle.Pair).V.(*block))
 		}
 		return blocks, nil
 	}
-	emit := t.bindRows(m.project)
-	for {
+	emit := t.bindProject(m.project, src)
+	return nil, carve(rdd.FuncIter(func() (any, bool) {
 		sel, ok := src.next()
 		if !ok {
-			return nil, rows
+			return nil, false
 		}
-		rows = append(rows, emit(sel)...)
-	}
+		return emit(sel), true
+	}))
 }
 
 func userVisitsPartition(tb testing.TB) *columnar.Partition {
@@ -362,11 +364,13 @@ func TestCallBinding(t *testing.T) {
 	} {
 		m := fusedChain(t, mixedSchema, "SELECT "+item+" FROM t")
 		x := m.project.Exprs[0]
-		task := (&Engine{}).newScanTask(nil, m.scan.NeededCols, part)
+		task := (&Engine{}).newScanTask(nil, m.scan.NeededCols)
+		task.load(columnar.NewBatch(part))
 		if f, kind := task.bindTyped(x); kind != want || (f == nil) != (want == columnar.VecAny) {
 			t.Errorf("%s binds as kind %v (typed: %v), want %v", item, kind, f != nil, want)
 		}
-		task = (&Engine{opts: Options{DisableExprCompile: true}}).newScanTask(nil, m.scan.NeededCols, part)
+		task = (&Engine{opts: Options{DisableExprCompile: true}}).newScanTask(nil, m.scan.NeededCols)
+		task.load(columnar.NewBatch(part))
 		if f, _ := task.bindTyped(x); f != nil {
 			t.Errorf("%s binds a typed kernel under DisableExprCompile", item)
 		}
@@ -428,8 +432,8 @@ func TestScanOutputOwnsItsStrings(t *testing.T) {
 			}
 			for _, b := range blocks {
 				for i := range int32(b.n) {
-					for k := range b.keys {
-						owns("group key", b.keys[k].At(i))
+					for k := range b.cols {
+						owns("group key", b.cols[k].At(i))
 					}
 					for _, acc := range b.accs {
 						if used(&acc.val) {
@@ -461,14 +465,13 @@ func firstRowDiff(a, b []row.Row) string {
 
 // finalized folds blocks as a reduce task would and maps each group's
 // key values (row.EncodeBinary) to its output row.
-func finalized(a *plan.Aggregate, blocks []*aggBlock) map[string]row.Row {
+func finalized(a *plan.Aggregate, blocks []*block) map[string]row.Row {
 	g := newGroupTable(a)
 	for _, b := range blocks {
 		g.fold(b)
 	}
 	out := make(map[string]row.Row, g.n)
-	for _, v := range g.rows() {
-		r := v.(row.Row)
+	for _, r := range carve(windows(g.batch())) {
 		out[string(row.EncodeBinary(nil, r[:len(a.GroupBy)]))] = r
 	}
 	return out

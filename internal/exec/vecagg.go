@@ -21,7 +21,7 @@ import (
 // null bit, never a value. A map task's table copies the strings it
 // keeps out of the batch; a reduce task's keeps its blocks' strings.
 type groupTable struct {
-	aggBlock
+	block
 	specs  []plan.AggSpec
 	ints   index            // int64 keys
 	strs   index            // string keys
@@ -36,9 +36,9 @@ type groupTable struct {
 
 func newGroupTable(a *plan.Aggregate) *groupTable {
 	g := &groupTable{specs: a.Aggs, null: -1}
-	g.keys = make([]columnar.Vec, len(a.GroupBy))
+	g.cols = make([]columnar.Vec, len(a.GroupBy))
 	for k, x := range a.GroupBy {
-		g.keys[k] = slotsFor(x.Type())
+		g.cols[k] = slotsFor(x.Type())
 	}
 	g.accs = make([]accum, len(a.Aggs))
 	for k, s := range a.Aggs {
@@ -49,8 +49,8 @@ func newGroupTable(a *plan.Aggregate) *groupTable {
 
 // newGroup makes a group: NULL keys, empty accumulators.
 func (g *groupTable) newGroup() int32 {
-	for k := range g.keys {
-		grow(&g.keys[k], g.n)
+	for k := range g.cols {
+		grow(&g.cols[k], g.n)
 	}
 	for k, s := range g.specs {
 		g.accs[k].grow(s, g.n)
@@ -72,13 +72,53 @@ var indexSeed = maphash.MakeSeed()
 
 // byKey finds or makes the group of a single int64 or string key.
 func byKey[T int64 | string](g *groupTable, x *index, key T) int32 {
-	col := &g.keys[0]
+	col := &g.cols[0]
 	id, slot := x.lookup(maphash.Comparable(indexSeed, key), func(id int32) bool { return at[T](col, id) == key })
 	if id < 0 {
 		id = g.newGroup()
 		put(g, col, id, key)
 		x.add(slot, id, func(id int32) uint64 { return maphash.Comparable(indexSeed, at[T](col, id)) })
 	}
+	return id
+}
+
+// find returns the group of v's value at window position i, or -1: a
+// join's probe, which makes no group. NULL is in no group it finds.
+func (g *groupTable) find(v *columnar.Vec, i int32) int32 {
+	switch {
+	case v.Kind == columnar.VecAny:
+		return g.findValue(v.Anys[i])
+	case v.Nulls.Has(int(i)):
+		return -1
+	case v.Kind == columnar.VecInt:
+		return findKey(g, &g.ints, v.Ints[i&v.Mask])
+	case v.Kind == columnar.VecStr:
+		return findKey(g, &g.strs, v.Strs[i&v.Mask])
+	}
+	return g.findValue(v.Floats[i&v.Mask])
+}
+
+func (g *groupTable) findValue(x any) int32 {
+	switch x := x.(type) {
+	case nil:
+		return -1
+	case int64:
+		return findKey(g, &g.ints, x)
+	case string:
+		return findKey(g, &g.strs, x)
+	}
+	if id, ok := g.others[x]; ok {
+		return id
+	}
+	return -1
+}
+
+func findKey[T int64 | string](g *groupTable, x *index, key T) int32 {
+	if x.slots == nil {
+		return -1
+	}
+	col := &g.cols[0]
+	id, _ := x.lookup(maphash.Comparable(indexSeed, key), func(id int32) bool { return at[T](col, id) == key })
 	return id
 }
 
@@ -135,7 +175,7 @@ func (g *groupTable) byValue(v any) int32 {
 		return id
 	}
 	id := g.newGroup()
-	g.set(&g.keys[0], id, v)
+	g.set(&g.cols[0], id, v)
 	return insert(&g.others, v, id)
 }
 
@@ -153,7 +193,7 @@ func (g *groupTable) byKeys(keys []columnar.Vec, i int32) int32 {
 	id := g.newGroup()
 	for k := range keys {
 		if x := keys[k].At(i); x != nil {
-			g.set(&g.keys[k], id, x)
+			g.set(&g.cols[k], id, x)
 		}
 	}
 	return insert(&g.keyed, string(key), id)
@@ -373,7 +413,7 @@ func own[T int64 | float64 | string](g *groupTable, x T) T {
 // fold adds a block's groups into the table, a column at a time, and
 // only reads the block. Blocks are folded in fetch order — bucket, then
 // map partition — so a float sum is the same from run to run.
-func (g *groupTable) fold(b *aggBlock) {
+func (g *groupTable) fold(b *block) {
 	for len(g.sel) < b.n {
 		g.sel = append(g.sel, int32(len(g.sel)))
 	}
@@ -381,7 +421,7 @@ func (g *groupTable) fold(b *aggBlock) {
 		g.ids = make([]int32, b.n)
 	}
 	sel, ids := g.sel[:b.n], g.ids[:b.n]
-	g.resolve(b.keys, sel, ids)
+	g.resolve(b.cols, sel, ids)
 	for k, s := range g.specs {
 		a, x := &g.accs[k], &b.accs[k]
 		switch s.Kind {
@@ -408,38 +448,45 @@ func addInto[T int64 | float64](dst, src []T, ids []int32) {
 	}
 }
 
-// result is aggregate k's value for group i.
-func (g *groupTable) result(k int, i int32) any {
-	switch a, s := &g.accs[k], g.specs[k]; s.Kind {
-	case plan.AggCount:
-		return a.count[i]
-	case plan.AggCountDistinct:
-		return int64(len(a.distinct[i]))
-	case plan.AggAvg:
-		if a.count[i] == 0 {
-			return nil
-		}
-		return a.val.Floats[i] / float64(a.count[i])
-	default:
-		return a.val.At(i)
+// batch returns the groups as a batch of vectors: the key columns,
+// then each aggregate's results. Its strings are the table's own.
+func (g *groupTable) batch() *columnar.Batch {
+	vecs := make([]columnar.Vec, 0, len(g.cols)+len(g.specs))
+	vecs = append(vecs, g.cols...)
+	for k := range g.specs {
+		vecs = append(vecs, g.results(k))
 	}
+	for k := range vecs {
+		vecs[k].Owned = true
+	}
+	return columnar.VecBatch(g.n, vecs)
 }
 
-// rows returns the groups as result rows — key values, then aggregate
-// values — carved from one slab.
-func (g *groupTable) rows() []any {
-	nk, w := len(g.keys), len(g.keys)+len(g.specs)
-	slab := make([]any, g.n*w)
-	out := make([]any, g.n)
-	for i := range out {
-		r := row.Row(slab[i*w : (i+1)*w : (i+1)*w])
-		for k := range g.keys {
-			r[k] = g.keys[k].At(int32(i))
+// results is aggregate k's value for every group.
+func (g *groupTable) results(k int) columnar.Vec {
+	out := columnar.Vec{Kind: columnar.VecInt, Mask: -1}
+	switch a, s := &g.accs[k], g.specs[k]; s.Kind {
+	case plan.AggCount:
+		out.Ints = a.count
+	case plan.AggCountDistinct:
+		out.Ints = make([]int64, g.n)
+		for i, set := range a.distinct {
+			out.Ints[i] = int64(len(set))
 		}
-		for k := range g.specs {
-			r[nk+k] = g.result(k, int32(i))
+	case plan.AggAvg:
+		out.Kind, out.Floats = columnar.VecFloat, make([]float64, g.n)
+		for i, n := range a.count {
+			if n == 0 {
+				if out.Nulls == nil {
+					out.Nulls = make(columnar.Bitmap, (g.n+63)/64)
+				}
+				out.Nulls.Set(i)
+			} else {
+				out.Floats[i] = a.val.Floats[i] / float64(n)
+			}
 		}
-		out[i] = r
+	default:
+		return a.val
 	}
 	return out
 }
@@ -449,35 +496,54 @@ func (g *groupTable) rows() []any {
 // shuffle.HashPartitioner{N: n} sends it, hashed unboxed.
 func (g *groupTable) blocks(n int) []any {
 	bucket := make([]int32, g.n) // without GROUP BY, the one group goes to bucket 0
-	if len(g.keys) == 1 {
+	if len(g.cols) == 1 {
 		for id := range int32(g.n) {
-			bucket[id] = int32(hashAt(&g.keys[0], id) % uint64(n))
+			bucket[id] = int32(hashAt(&g.cols[0], id) % uint64(n))
 		}
 	}
 	for k, id := range g.keyed {
 		bucket[id] = int32(row.HashString(k) % uint64(n))
 	}
-	// A counting sort by bucket: bucket b's groups are order[start[b]:start[b+1]].
+	return g.block.cut(bucket, n)
+}
+
+// cut returns b's rows as one block per non-empty bucket of n, each a
+// shuffle pair keyed by its bucket; row i goes to bucket[i].
+func (b *block) cut(bucket []int32, n int) []any {
+	// A counting sort by bucket: bucket k's rows are order[start[k]:start[k+1]].
 	start := make([]int32, n+1)
-	for _, b := range bucket {
-		start[b+1]++
+	for _, k := range bucket {
+		start[k+1]++
 	}
-	for b := range n {
-		start[b+1] += start[b]
+	for k := range n {
+		start[k+1] += start[k]
 	}
-	order, next := make([]int32, g.n), append([]int32(nil), start[:n]...)
-	for id, b := range bucket {
-		order[next[b]] = int32(id)
-		next[b]++
+	order, next := make([]int32, b.n), append([]int32(nil), start[:n]...)
+	for i, k := range bucket {
+		order[next[k]] = int32(i)
+		next[k]++
 	}
-	var out []any
-	for b := range n {
-		switch ids := order[start[b]:start[b+1]]; {
-		case len(ids) == 0:
-		case len(ids) == g.n: // the one bucket: the table's columns are the block
-			out = append(out, shuffle.Pair{K: int64(b), V: &g.aggBlock})
-		default:
-			out = append(out, shuffle.Pair{K: int64(b), V: g.gather(ids)})
+	live := 0
+	for k := range n {
+		if start[k+1] > start[k] {
+			live++
+		}
+	}
+	if live == 1 { // the one bucket: b is the block
+		return []any{shuffle.Pair{K: int64(bucket[0]), V: b}}
+	}
+	// The blocks, and their column and accumulator slices, come from
+	// one allocation each.
+	nc, na := len(b.cols), len(b.accs)
+	blocks, cols, accs := make([]block, live), make([]columnar.Vec, live*nc), make([]accum, live*na)
+	out := make([]any, 0, live)
+	for k := range n {
+		if rows := order[start[k]:start[k+1]]; len(rows) > 0 {
+			i := len(out)
+			blk := &blocks[i]
+			blk.cols, blk.accs = cols[i*nc:(i+1)*nc:(i+1)*nc], accs[i*na:(i+1)*na:(i+1)*na]
+			b.gather(blk, rows)
+			out = append(out, shuffle.Pair{K: int64(k), V: blk})
 		}
 	}
 	return out
@@ -491,11 +557,11 @@ func hashAt(v *columnar.Vec, i int32) uint64 {
 	case v.Nulls.Has(int(i)):
 		return row.Hash(nil)
 	case v.Kind == columnar.VecInt:
-		return row.HashInt(v.Ints[i])
+		return row.HashInt(v.Ints[i&v.Mask])
 	case v.Kind == columnar.VecFloat:
-		return row.HashFloat(v.Floats[i])
+		return row.HashFloat(v.Floats[i&v.Mask])
 	}
-	return row.HashString(v.Strs[i])
+	return row.HashString(v.Strs[i&v.Mask])
 }
 
 // ---------------------------------------------------------------------------
@@ -503,29 +569,25 @@ func hashAt(v *columnar.Vec, i int32) uint64 {
 
 // partialAggregate runs the map side of a over the task's batches,
 // reading keys and arguments as typed vectors wherever they have
-// kernels.
+// kernels: resolve finds each window's groups, then every aggregate
+// folds in its argument, in row order. It returns the blocks for
+// buckets shuffle buckets.
 func (t *scanTask) partialAggregate(a *plan.Aggregate, src *selSource, buckets int) []any {
 	g := newGroupTable(a)
-	resolve := t.bindDictGroups(a.GroupBy, g)
-	if resolve == nil {
-		resolve = g.resolver(a.GroupBy, t.bindValue)
-	}
-	return g.partial(src.next, resolve, t.bindValue, buckets)
-}
-
-// partial is a map task's side of the aggregation over the windows next
-// yields: resolve finds their groups, then every aggregate folds in its
-// argument as bind binds it, in row order. It returns the blocks for
-// buckets shuffle buckets.
-func (g *groupTable) partial(next func() ([]int32, bool), resolve func(sel, ids []int32), bind func(expr.Expr) valFn, buckets int) []any {
+	var resolve func(sel, ids []int32)
 	args := make([]valFn, len(g.specs))
-	for k, s := range g.specs {
-		if s.Arg != nil {
-			args[k] = bind(s.Arg)
+	src.bind = func() {
+		if resolve = t.bindDictGroups(a.GroupBy, g); resolve == nil {
+			resolve = g.resolver(a.GroupBy, t.bindValue)
+		}
+		for k, s := range g.specs {
+			if s.Arg != nil {
+				args[k] = t.bindValue(s.Arg)
+			}
 		}
 	}
 	var ids []int32 // ids[j]: the group of the window's j-th selected row
-	for sel, ok := next(); ok; sel, ok = next() {
+	for sel, ok := src.next(); ok; sel, ok = src.next() {
 		if len(sel) == 0 {
 			continue
 		}
@@ -545,7 +607,7 @@ func (g *groupTable) partial(next func() ([]int32, bool), resolve func(sel, ids 
 	}
 	// Global aggregation must produce a row even over empty input
 	// (COUNT(*) = 0, SUM = NULL), so make its group regardless.
-	if len(g.keys) == 0 {
+	if len(g.cols) == 0 {
 		g.nullGroup()
 	}
 	return g.blocks(buckets)

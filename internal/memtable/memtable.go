@@ -85,7 +85,7 @@ type loadResult struct {
 
 // columnarize converts a row RDD into a columnar-partition RDD.
 func columnarize(src *rdd.RDD, schema row.Schema) *rdd.RDD {
-	return src.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
+	return src.MapPartitions(func(_ *rdd.TaskContext, part int, in rdd.Iter) rdd.Iter {
 		b := columnar.NewBuilder(schema)
 		for {
 			v, ok := in.Next()

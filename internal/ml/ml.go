@@ -150,7 +150,7 @@ func LogisticRegressionCtx(ctx context.Context, points *rdd.RDD, dim, iters int,
 	for it := 0; it < iters; it++ {
 		step := func() error {
 			wCur := w.Clone() // closure-captured, read-only in tasks
-			partials, err := points.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
+			partials, err := points.MapPartitions(func(_ *rdd.TaskContext, part int, in rdd.Iter) rdd.Iter {
 				grad := Zeros(dim)
 				for {
 					v, ok := in.Next()
@@ -204,7 +204,7 @@ func KMeansCtx(ctx context.Context, points *rdd.RDD, k, iters int, timer *IterTi
 			for i := range centers {
 				cur[i] = centers[i].Clone()
 			}
-			partials, err := points.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
+			partials, err := points.MapPartitions(func(_ *rdd.TaskContext, part int, in rdd.Iter) rdd.Iter {
 				sums, counts := newKMeansAcc(k, len(cur[0]))
 				for {
 					v, ok := in.Next()
@@ -287,7 +287,7 @@ func LinearRegressionCtx(ctx context.Context, points *rdd.RDD, dim, iters int, l
 	for it := 0; it < iters; it++ {
 		step := func() error {
 			wCur := w.Clone()
-			partials, err := points.MapPartitions(func(part int, in rdd.Iter) rdd.Iter {
+			partials, err := points.MapPartitions(func(_ *rdd.TaskContext, part int, in rdd.Iter) rdd.Iter {
 				grad := Zeros(dim)
 				for {
 					v, ok := in.Next()

@@ -73,6 +73,7 @@ func analyzeSelect(cat *catalog.Catalog, sel *sqlparse.SelectStmt) (Node, error)
 			if rk, err = rightScope.resolve(rAST); err != nil {
 				return nil, err
 			}
+			lk, rk = unifyJoinKeys(lk, rk)
 		}
 		if lk == nil {
 			return nil, fmt.Errorf("plan: join with %q requires an equality condition", rightBinding)
@@ -465,6 +466,20 @@ func splitASTConjuncts(e sqlparse.Expr) []sqlparse.Expr {
 func linksScopes(e sqlparse.Expr, left, right *scope) bool {
 	_, _, ok := equiSides(e, left, right)
 	return ok
+}
+
+// unifyJoinKeys makes a BIGINT key joined to a DOUBLE one a DOUBLE as
+// well. Join executors match keys as values of one type — a hash
+// table's key, the hash that picks a shuffle bucket — so 3 = 3.0 must
+// reach them as two DOUBLEs to match, as it does in a WHERE.
+func unifyJoinKeys(l, r expr.Expr) (expr.Expr, expr.Expr) {
+	switch {
+	case l.Type() == row.TInt && r.Type() == row.TFloat:
+		l = &expr.Cast{E: l, To: row.TFloat}
+	case l.Type() == row.TFloat && r.Type() == row.TInt:
+		r = &expr.Cast{E: r, To: row.TFloat}
+	}
+	return l, r
 }
 
 // equiSides splits an equality conjunct into (left-scope side,

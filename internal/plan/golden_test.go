@@ -28,7 +28,8 @@ type goldenStmt struct {
 // statement analysed in plan_test.go (the failing ones pin their error
 // text), the statements of the six bench/ workloads (copied here as
 // strings: bench/ is not importable and must not be), and the fixed
-// statements of core.TestDifferentialCachedScan.
+// statements of core.TestDifferentialCachedScan and one of
+// core.TestDifferentialJoin.
 var goldenGroups = []struct {
 	name  string
 	cat   func(*testing.T) *catalog.Catalog
@@ -108,6 +109,8 @@ GROUP BY uservisits_mem.sourceIP`},
 		{sql: `SELECT SUBSTR(s_raw, 1, 2), COUNT(*), SUM(f_raw), MIN(SUBSTR(s_raw, 3)), MAX(LENGTH(s_dict)) FROM t GROUP BY SUBSTR(s_raw, 1, 2)`},
 		{sql: `SELECT MONTH(d + id), COUNT(*), COUNT(DISTINCT DAY(d + id)) FROM t WHERE LENGTH(s_raw) > 9 OR ABS(i_dict) = 3 GROUP BY MONTH(d + id)`},
 		{sql: `SELECT i_pack, COUNT(*) FROM t WHERE i_pack < 0 OR i_pack > 900 GROUP BY i_pack`},
+		// core.TestDifferentialJoin: a BIGINT key joined to a DOUBLE one
+		{sql: `SELECT t.id, u.uid FROM t JOIN u ON t.i_pack = u.k_f`},
 	}},
 }
 
@@ -145,6 +148,9 @@ func diffCatalog(t *testing.T) *catalog.Catalog {
 		{Name: "i_pack", Type: row.TInt}, {Name: "i_dict", Type: row.TInt}, {Name: "f_raw", Type: row.TFloat},
 		{Name: "f_rle", Type: row.TFloat}, {Name: "s_raw", Type: row.TString}, {Name: "s_dict", Type: row.TString},
 		{Name: "b", Type: row.TBool}, {Name: "d", Type: row.TDate}, {Name: "allnull", Type: row.TInt},
+	}), cachedTable("u", row.Schema{
+		{Name: "uid", Type: row.TInt}, {Name: "k_int", Type: row.TInt}, {Name: "k_str", Type: row.TString},
+		{Name: "k_f", Type: row.TFloat}, {Name: "w", Type: row.TFloat}, {Name: "tag", Type: row.TString},
 	}))
 }
 

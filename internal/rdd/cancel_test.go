@@ -208,7 +208,7 @@ func TestCancelShuffleLeavesBookkeepingConsistent(t *testing.T) {
 		pairs[i] = shuffle.Pair{K: int64(i % 8), V: int64(1)}
 	}
 	var started atomic.Int64
-	base := ctx.Parallelize(pairs, 16).MapPartitions(func(part int, in Iter) Iter {
+	base := ctx.Parallelize(pairs, 16).MapPartitions(func(_ *TaskContext, part int, in Iter) Iter {
 		started.Add(1)
 		time.Sleep(3 * time.Millisecond)
 		return in

@@ -95,10 +95,10 @@ func (r *RDD) FlatMap(f func(any) []any) *RDD {
 }
 
 // MapPartitions transforms a whole partition's iterator; f receives
-// the partition index.
-func (r *RDD) MapPartitions(f func(part int, in Iter) Iter) *RDD {
+// the context of the task computing it and the partition index.
+func (r *RDD) MapPartitions(f func(tc *TaskContext, part int, in Iter) Iter) *RDD {
 	return r.derive("mapPartitions", func(tc *TaskContext, part int) Iter {
-		return f(part, r.Iterator(tc, part))
+		return f(tc, part, r.Iterator(tc, part))
 	})
 }
 

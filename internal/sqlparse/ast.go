@@ -8,6 +8,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"shark/internal/row"
@@ -120,8 +121,13 @@ func (*Literal) exprNode() {}
 
 // String renders the literal.
 func (l *Literal) String() string {
-	if s, ok := l.Value.(string); ok {
-		return "'" + s + "'"
+	switch v := l.Value.(type) {
+	case string:
+		return quoteSQLString(v)
+	case float64:
+		if v == 0 && math.Signbit(v) {
+			return "-0.0" // "-0" reads back as the BIGINT 0
+		}
 	}
 	return row.FormatValue(l.Value)
 }
@@ -205,7 +211,13 @@ type NegExpr struct{ E Expr }
 func (*NegExpr) exprNode() {}
 
 // String renders the expression.
-func (n *NegExpr) String() string { return "-" + n.E.String() }
+func (n *NegExpr) String() string {
+	s := n.E.String()
+	if strings.HasPrefix(s, "-") {
+		return "- " + s // "--" would open a comment
+	}
+	return "-" + s
+}
 
 // FuncCall is a scalar function, aggregate, or UDF call.
 type FuncCall struct {
@@ -287,7 +299,7 @@ func (l *LikeExpr) String() string {
 	if l.Not {
 		n = "NOT "
 	}
-	return fmt.Sprintf("(%s %sLIKE '%s')", l.E, n, l.Pattern)
+	return fmt.Sprintf("(%s %sLIKE %s)", l.E, n, quoteSQLString(l.Pattern))
 }
 
 // IsNullExpr is e IS [NOT] NULL.

@@ -3,7 +3,7 @@ package sqlparse
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 type tokenKind int
@@ -42,7 +42,7 @@ func lex(src string) ([]token, error) {
 		start := l.pos
 		c := l.src[l.pos]
 		switch {
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			l.lexIdent(start)
 		case c >= '0' && c <= '9':
 			l.lexNumber(start)
@@ -74,16 +74,20 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+// isIdentStart reports whether byte c starts an identifier: an ASCII
+// letter, '_', or any byte of a multi-byte UTF-8 sequence, so that an
+// identifier is a run of whole characters — which Normalize's upper
+// casing keeps an identifier.
+func isIdentStart(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' || c >= utf8.RuneSelf
 }
 
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || c >= '0' && c <= '9'
 }
 
 func (l *lexer) lexIdent(start int) {
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 		l.pos++
 	}
 	l.tokens = append(l.tokens, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})

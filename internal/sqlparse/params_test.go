@@ -32,7 +32,14 @@ func TestBindSubstitutesTypedValues(t *testing.T) {
 		t.Fatalf("bind: %v", err)
 	}
 	where := bound.(*SelectStmt).Where.String()
-	if !strings.Contains(where, "it's -- not\\a comment") {
+	verbatim := false
+	WalkExpr(bound.(*SelectStmt).Where, func(x Expr) bool {
+		if l, ok := x.(*Literal); ok && l.Value == args[0] {
+			verbatim = true
+		}
+		return true
+	})
+	if !verbatim || !strings.Contains(where, quoteSQLString(args[0].(string))) {
 		t.Fatalf("string arg not carried verbatim: %s", where)
 	}
 	if !strings.Contains(where, "7") || !strings.Contains(where, "true") {
