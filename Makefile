@@ -36,7 +36,7 @@ LOC_FILES = git ls-files '*.go' | grep -v -e _test.go -e '^bench/' -e /testdata/
 # The line ceiling loc-check holds the tree to. A deletion PR lowers
 # it to its own count; a PR that must raise it says by how much and
 # why in CHANGES.md.
-LOC_CEILING = 29923
+LOC_CEILING = 29953
 
 # The deletion-pass line count: LOC_FILES as total lines and as code
 # lines (non-blank, not a // comment line), for the tree and for its
@@ -80,10 +80,12 @@ bench:
 # concurrent driver connections against an in-process shark-server,
 # gating statement-tracing overhead at p95 +5%, and gating the
 # plan/result caches: abl_qps fails unless cached QPS strictly beats
-# uncached with byte-identical results. With
+# uncached with byte-identical results. fig13 prints the Spark- vs
+# Hadoop-mode job time over 1–64 reduce tasks (the §7.1 task-launch
+# cost curve). With
 # SHARK_OBS_ARTIFACT_DIR set, a live /metrics scrape, the /queries
 # trace log and an EXPLAIN ANALYZE plan land there for upload.
 bench-smoke:
-	$(GO) run ./cmd/shark-bench -run abl_dispatch,abl_memory,abl_storage,abl_concurrency,abl_priority,abl_pde,abl_serving,abl_obs,abl_qps -scale small -markdown bench-report.md
+	$(GO) run ./cmd/shark-bench -run abl_dispatch,abl_memory,abl_storage,abl_concurrency,abl_priority,abl_pde,abl_serving,abl_obs,abl_qps,fig13 -scale small -markdown bench-report.md
 
 ci: build vet fmt lint loc-check test race

@@ -5,6 +5,11 @@
 // event-driven task assignment, worker failures that wipe local state,
 // and injected stragglers.
 //
+// Simulated delays (launch overhead, stragglers) are charged to a
+// per-slot debt that is slept off in steps of at least a millisecond,
+// so a 50µs launch costs 50µs per task, not the timer's floor, while
+// Hadoop's launch and injected stragglers still sleep on every task.
+//
 // Task dispatch is locality- and load-aware. Each worker owns a
 // bounded queue; the dispatcher places unconstrained tasks on the
 // least-loaded live worker, holds locality-preferred tasks for a short
@@ -84,8 +89,9 @@ const (
 type Profile struct {
 	// Mode is the task-assignment discipline.
 	Mode Mode
-	// TaskLaunchOverhead is slept before each task body (process /
-	// JVM start cost).
+	// TaskLaunchOverhead is charged to the slot before each task body
+	// (process / JVM start cost): added to the slot's debt, which is
+	// slept off whenever it reaches a millisecond (see charge).
 	TaskLaunchOverhead time.Duration
 	// HeartbeatInterval is the assignment poll period in Heartbeat
 	// mode.
@@ -237,6 +243,10 @@ type Result struct {
 	Worker int
 	Value  any
 	Err    error
+	// SlotTime is the task's time on its slot: the launch overhead
+	// charged, the body, and any straggler delay. Queue wait and
+	// heartbeat waits are not in it.
+	SlotTime time.Duration
 }
 
 // Worker is one simulated node.
@@ -734,6 +744,7 @@ func contains(xs []int, v int) bool {
 func (c *Cluster) slotLoop(w *Worker) {
 	defer c.wg.Done()
 	var idleSince time.Time // zero while the slot is running tasks
+	var debt time.Duration  // unslept simulated delay: the slot's, shared by jobs
 	c.mu.Lock()
 	for {
 		if c.closed {
@@ -761,7 +772,7 @@ func (c *Cluster) slotLoop(w *Worker) {
 		w.busy++
 		c.jobRunning[t.JobID]++
 		c.mu.Unlock()
-		c.runTask(w, t)
+		c.runTask(w, t, &debt)
 		c.mu.Lock()
 		w.busy--
 		if c.jobRunning[t.JobID]--; c.jobRunning[t.JobID] <= 0 {
@@ -908,7 +919,24 @@ func (c *Cluster) RunningTasks(jobID int64) int {
 	return c.jobRunning[jobID]
 }
 
-func (c *Cluster) runTask(w *Worker, t *Task) {
+// sleepQuantum is the smallest debt a slot sleeps off: a timer sleep
+// takes about a millisecond however short the request.
+const sleepQuantum = time.Millisecond
+
+// charge adds a simulated delay d to a slot's debt and sleeps the debt
+// off once it reaches sleepQuantum, subtracting the time actually
+// slept, so overshoot is credit and N charges of d cost N·d in total.
+func charge(debt *time.Duration, d time.Duration) {
+	*debt += d
+	if *debt >= sleepQuantum {
+		start := time.Now()
+		time.Sleep(*debt)
+		*debt -= time.Since(start)
+	}
+}
+
+// runTask runs t on a slot of w whose unslept delay is *debt.
+func (c *Cluster) runTask(w *Worker, t *Task, debt *time.Duration) {
 	// Scheduling overheads.
 	if c.cfg.Profile.Mode == Heartbeat {
 		if !c.waitTick() {
@@ -918,9 +946,8 @@ func (c *Cluster) runTask(w *Worker, t *Task) {
 			return
 		}
 	}
-	if d := c.cfg.Profile.TaskLaunchOverhead; d > 0 {
-		time.Sleep(d)
-	}
+	launch := c.cfg.Profile.TaskLaunchOverhead
+	charge(debt, launch)
 	c.tasksLaunched.Add(1)
 	w.tasksRun.Add(1)
 	t.runningOn.Store(int32(w.ID) + 1)
@@ -934,13 +961,12 @@ func (c *Cluster) runTask(w *Worker, t *Task) {
 	start := time.Now()
 	value, err := runSafely(t.Fn, w)
 	elapsed := time.Since(start)
-	if extra := w.slowBy.Load(); extra > 0 {
-		time.Sleep(time.Duration(extra))
-	} else if extra < 0 {
+	delay := time.Duration(w.slowBy.Load())
+	if delay < 0 {
 		// negative means "multiply elapsed": straggler factor
-		factor := float64(-extra) / 1000
-		time.Sleep(time.Duration(float64(elapsed) * (factor - 1)))
+		delay = time.Duration(float64(elapsed) * (float64(-delay)/1000 - 1))
 	}
+	charge(debt, delay)
 	if !w.Alive() {
 		// The worker died while the task ran: its output (local
 		// state) is gone, so the task did not really complete.
@@ -948,7 +974,7 @@ func (c *Cluster) runTask(w *Worker, t *Task) {
 		value = nil
 	}
 	select {
-	case t.result <- Result{Worker: w.ID, Value: value, Err: err}:
+	case t.result <- Result{Worker: w.ID, Value: value, Err: err, SlotTime: launch + elapsed + delay}:
 	default:
 	}
 }

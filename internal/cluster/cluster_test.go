@@ -180,6 +180,49 @@ func TestHeartbeatModeSlower(t *testing.T) {
 	}
 }
 
+// TestLaunchOverheadAmortized: a sub-millisecond launch overhead is
+// charged at its modelled cost, N·d per slot, not once per task at the
+// timer's millisecond floor; a launch above the floor (Hadoop's) is
+// still slept in full before every task.
+func TestLaunchOverheadAmortized(t *testing.T) {
+	const tasks, workers = 400, 4
+	c := newTest(t, Config{Workers: workers, Slots: 1, Profile: SparkProfile()})
+	start := time.Now()
+	var chans []<-chan Result
+	for i := 0; i < tasks; i++ {
+		chans = append(chans, c.Submit(&Task{Fn: func(*Worker) (any, error) { return nil, nil }}))
+	}
+	for _, ch := range chans {
+		<-ch
+	}
+	// Some slot ran at least tasks/workers tasks and slept all of
+	// their charge but the under-a-quantum debt it may still owe. A
+	// sleep per task would take the timer's ~1ms floor each, over
+	// tasks/workers ms; the upper bound is a quarter of that, or half
+	// under -race, which slows dispatch several-fold.
+	d := SparkProfile().TaskLaunchOverhead
+	lo, hi := tasks*d/workers-sleepQuantum, tasks/workers*sleepQuantum/4
+	if raceDetector {
+		hi *= 2
+	}
+	if el := time.Since(start); el < lo || el > hi {
+		t.Errorf("%d tasks of %v launch on %d slots took %v, want between %v and %v", tasks, d, workers, el, lo, hi)
+	}
+
+	h := newTest(t, Config{Workers: 1, Slots: 1, Profile: HadoopProfile()})
+	launch := HadoopProfile().TaskLaunchOverhead
+	start = time.Now()
+	for k := 1; k <= 3; k++ {
+		r := <-h.Submit(&Task{Fn: func(*Worker) (any, error) { return nil, nil }})
+		if el := time.Since(start); el < time.Duration(k)*launch {
+			t.Errorf("Hadoop task %d done after %v, want at least %v", k, el, time.Duration(k)*launch)
+		}
+		if r.SlotTime < launch {
+			t.Errorf("Hadoop task %d slot time %v, want at least its %v launch", k, r.SlotTime, launch)
+		}
+	}
+}
+
 func TestStragglerDelay(t *testing.T) {
 	c := newTest(t, Config{Workers: 1, Slots: 1})
 	c.SetStragglerDelay(0, 30*time.Millisecond)

@@ -226,7 +226,7 @@ func (c *boolColumn) blob(x *BlobCodec) byte {
 func (c *packedInt64) blob(x *BlobCodec) byte {
 	base := []int64{c.base}
 	Fixed(x, &base, 1)
-	if !x.bad {
+	if x.read && !x.bad {
 		c.base = base[0]
 	}
 	x.packed(&c.words, &c.width, 0)
@@ -352,7 +352,9 @@ func (x *BlobCodec) packed(words *[]uint64, width *uint, d int) {
 		x.bad = true
 		return
 	}
-	*width = uint(w)
+	if x.read {
+		*width = uint(w)
+	}
 	Fixed(x, words, (x.n*int(w)+63)/64)
 	for i := 0; x.read && d > 0 && !x.bad && i < x.n; i++ {
 		x.bad = unpack(*words, uint(i), *width) >= uint64(d)

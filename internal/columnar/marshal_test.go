@@ -76,6 +76,30 @@ func oneColumn(t row.Type, n int64, blob string) row.Row {
 	return row.Row{int64(1), "c", int64(t), n, nil, nil, int64(0), int64(-1), blob}
 }
 
+// TestMarshalWhileScanning: the spill tier marshals a cached partition
+// while other tasks scan it, so writing a blob must only read the
+// columns (run it with -race).
+func TestMarshalWhileScanning(t *testing.T) {
+	b := NewBuilder(row.Schema{{Name: "packed", Type: row.TInt}, {Name: "dict", Type: row.TInt}})
+	for i := 0; i < 1000; i++ {
+		b.Append(row.Row{int64(1000 + i%500), int64(i % 3 * 1000003)})
+	}
+	p := b.Seal()
+	if p.Cols[0].Encoding() != "bitpack" || p.Cols[1].Encoding() != "dict" {
+		t.Fatalf("encodings %s, %s; want bitpack, dict", p.Cols[0].Encoding(), p.Cols[1].Encoding())
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.MarshalShuffle()
+	}()
+	for i := 0; i < p.N; i++ {
+		p.Cols[0].Get(i)
+		p.Cols[1].Get(i)
+	}
+	<-done
+}
+
 func TestUnmarshalPartitionRejectsGarbage(t *testing.T) {
 	// Four rows: a three-entry dictionary with codes 0 1 2 1 in 2-bit
 	// lanes, and two runs ending at rows 2 and 4.

@@ -34,7 +34,7 @@ type Job struct {
 	Weight int
 
 	tasks            atomic.Int64
-	taskTime         atomic.Int64 // ns of completed task bodies
+	taskTime         atomic.Int64 // ns of completed tasks' slot time
 	cacheHits        atomic.Int64
 	remoteCacheHits  atomic.Int64
 	diskHits         atomic.Int64
@@ -64,8 +64,8 @@ type JobStats struct {
 	// Tasks counts task launches (including retries and speculative
 	// copies).
 	Tasks int64
-	// TaskTime sums the wall-clock duration of completed task
-	// attempts.
+	// TaskTime sums the slot time (cluster.Result.SlotTime) of
+	// completed task attempts.
 	TaskTime time.Duration
 	// CacheHits / RemoteCacheHits / DiskHits / CacheRecomputes
 	// attribute the cache traffic of the job's tasks.
@@ -240,7 +240,7 @@ type SessionStats struct {
 	// Jobs counts statements (scheduler jobs) the session started.
 	Jobs int64
 	// Tasks counts task launches across those jobs; TaskTime sums
-	// completed task-body durations.
+	// completed tasks' slot times.
 	Tasks    int64
 	TaskTime time.Duration
 	// Cache traffic of the session's tasks (DiskHits: partitions read

@@ -33,9 +33,9 @@ type Scheduler struct {
 	taskObs atomic.Value
 }
 
-// SetTaskObserver installs fn to receive the wall-clock duration of
-// every successfully completed task attempt. Pass nil-op behaviour by
-// never calling this; there is no way to detach.
+// SetTaskObserver installs fn to receive the slot time
+// (cluster.Result.SlotTime) of every successfully completed task
+// attempt. A nil fn detaches the observer.
 func (s *Scheduler) SetTaskObserver(fn func(time.Duration)) {
 	s.taskObs.Store(fn)
 }
@@ -387,10 +387,11 @@ func (s *Scheduler) runTaskSet(gctx context.Context, job *Job, stage string, par
 			if ev.res.Err == nil {
 				done[ev.part] = true
 				delete(running, ev.part)
-				d := time.Since(ev.started)
-				durations = append(durations, d)
-				job.noteTaskDone(d)
-				s.observeTask(d)
+				// Speculation compares since-submit times; the job
+				// and the observer get the task's time on its slot.
+				durations = append(durations, time.Since(ev.started))
+				job.noteTaskDone(ev.res.SlotTime)
+				s.observeTask(ev.res.SlotTime)
 				onSuccess(ev.part, ev.res.Value)
 				remaining--
 				continue

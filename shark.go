@@ -144,7 +144,8 @@ type ClusterConfig struct {
 	// directory is created when empty.
 	DataDir string
 	// TaskLaunchOverhead overrides the per-task scheduling cost
-	// (default: Spark profile, 50µs).
+	// (default: Spark profile, 50µs), charged to each task's slot and
+	// slept off in steps of at least a millisecond.
 	TaskLaunchOverhead time.Duration
 	// DiskShuffle stores shuffle map outputs on disk instead of in
 	// worker memory (ablation; default memory).
