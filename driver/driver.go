@@ -340,7 +340,7 @@ func (c *conn) query(ctx context.Context, handle uint64, text string, args []sql
 	if err != nil {
 		return nil, err
 	}
-	return &rows{conn: c, ctx: ctx, cursor: cursor, schema: rs.Schema, remaining: rs.NumRows}, nil
+	return &rows{conn: c, ctx: ctx, cursor: cursor, schema: rs.Schema}, nil
 }
 
 // execDiscard is exec for callers that want only the row count.
@@ -431,10 +431,9 @@ type rows struct {
 	// ctx is the query's context: fetches for this cursor belong to
 	// the statement that opened it, so its cancellation must unblock
 	// an in-flight Fetch roundtrip.
-	ctx       context.Context
-	cursor    uint64
-	schema    row.Schema
-	remaining uint64
+	ctx    context.Context
+	cursor uint64
+	schema row.Schema
 
 	mu     sync.Mutex
 	batch  wire.Columns

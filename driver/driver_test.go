@@ -527,9 +527,16 @@ func encRows(n int) []shark.Row {
 	return out
 }
 
-// bag renders rows as a sorted multiset of exact cell renderings
-// (floats by bits), DATEs as epoch days whichever side they came from.
+// bag renders rows as a sorted multiset of their cells' renderings.
 func bag(rows [][]any) []string {
+	out := cells(rows)
+	sort.Strings(out)
+	return out
+}
+
+// cells renders each row's cells exactly (floats by bits), DATEs as
+// epoch days whichever side they came from.
+func cells(rows [][]any) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
 		var b strings.Builder
@@ -544,16 +551,19 @@ func bag(rows [][]any) []string {
 		}
 		out[i] = b.String()
 	}
-	sort.Strings(out)
 	return out
 }
 
 // TestDriverMatchesEmbedded sets the wire against the engine: over a
 // table of every column encoding, SELECT *, a filter, a projection, an
-// aggregate and LIMIT ? read through database/sql are bag-equal to
-// Session.Exec on the same cluster — every value kind, NULL, the empty
-// string, DATE and BOOL — at row counts that leave the last frame with
-// one row, exactly full, one over, and many frames deep.
+// aggregate, LIMIT ?, ORDER BY (on a unique key, and on keys with ties
+// and NULLs), an empty result and EXPLAIN read through database/sql
+// equal Session.Exec on the same cluster — in order where the
+// statement orders, as bags where it does not — every value kind,
+// NULL, the empty string, DATE and BOOL, at row counts that leave the
+// last frame with one row, exactly full, one over, and many frames
+// deep. An ordered statement read twice on a result-cached connection
+// matches too, the second time served from the cache.
 func TestDriverMatchesEmbedded(t *testing.T) {
 	srv, addr := startServer(t, server.Config{}, 1)
 	loader, err := srv.Cluster().NewSession(shark.SessionConfig{Name: "enc", SharedCatalog: true})
@@ -565,6 +575,12 @@ func TestDriverMatchesEmbedded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	cached, err := sql.Open("shark", "shark://"+addr+"?catalog=shared&rescache=67108864")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+	cached.SetMaxOpenConns(1) // one connection, one session: one result cache
 
 	for _, n := range []int{1, 512, 513, 5000} {
 		base, mem := fmt.Sprintf("enc%d", n), fmt.Sprintf("enc%d_mem", n)
@@ -575,14 +591,18 @@ func TestDriverMatchesEmbedded(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range []struct {
-			sql  string
-			args []any
+			sql   string
+			args  []any
+			empty bool
 		}{
-			{`SELECT * FROM ` + mem, nil},
-			{`SELECT * FROM ` + mem + ` WHERE i_pack > 400 OR s_dict = 'alpha' OR b`, nil},
-			{`SELECT d, s_raw, allnull, b, f_rle, id FROM ` + mem + ` WHERE id >= ?`, []any{int64(n / 3)}},
-			{`SELECT s_dict, b, COUNT(*), SUM(i_raw), SUM(f_rle), MIN(d), MAX(s_raw), MAX(allnull) FROM ` + mem + ` GROUP BY s_dict, b`, nil},
-			{`SELECT * FROM ` + mem + ` ORDER BY id LIMIT ?`, []any{int64(n/2 + 1)}},
+			{`SELECT * FROM ` + mem, nil, false},
+			{`SELECT * FROM ` + mem + ` WHERE i_pack > 400 OR s_dict = 'alpha' OR b`, nil, false},
+			{`SELECT d, s_raw, allnull, b, f_rle, id FROM ` + mem + ` WHERE id >= ?`, []any{int64(n / 3)}, false},
+			{`SELECT s_dict, b, COUNT(*), SUM(i_raw), SUM(f_rle), MIN(d), MAX(s_raw), MAX(allnull) FROM ` + mem + ` GROUP BY s_dict, b`, nil, false},
+			{`SELECT * FROM ` + mem + ` ORDER BY id LIMIT ?`, []any{int64(n/2 + 1)}, false},
+			{`SELECT id, i_dict, s_dict, f_rle, b FROM ` + mem + ` ORDER BY i_dict DESC, s_dict, f_rle`, nil, false},
+			{`SELECT * FROM ` + mem + ` WHERE id < 0`, nil, true},
+			{`EXPLAIN SELECT s_dict, COUNT(*) FROM ` + mem + ` GROUP BY s_dict ORDER BY s_dict`, nil, false},
 		} {
 			embedded, err := loader.ExecArgsCtx(context.Background(), q.sql, q.args)
 			if err != nil {
@@ -592,41 +612,67 @@ func TestDriverMatchesEmbedded(t *testing.T) {
 			for i, r := range embedded.Rows {
 				want[i] = r
 			}
+			if (len(want) == 0) != q.empty {
+				t.Fatalf("%d rows, %s: the embedded result has %d rows", n, q.sql, len(want))
+			}
+			ordered := strings.Contains(q.sql, "ORDER BY")
+			sameRows(t, fmt.Sprintf("%d rows, %s", n, q.sql), want, queryAll(t, db, q.sql, q.args), ordered)
+			if !ordered {
+				continue
+			}
+			for round := range 2 {
+				before := srv.Cluster().TasksLaunched()
+				sameRows(t, fmt.Sprintf("%d rows, cached round %d, %s", n, round, q.sql), want, queryAll(t, cached, q.sql, q.args), true)
+				if hit := srv.Cluster().TasksLaunched() == before; round == 1 && !hit && !strings.HasPrefix(q.sql, "EXPLAIN") {
+					t.Fatalf("%d rows, %s: the repeat ran tasks, so it did not come from the result cache", n, q.sql)
+				}
+			}
+		}
+	}
+}
 
-			rows, err := db.Query(q.sql, q.args...)
-			if err != nil {
-				t.Fatalf("%d rows, driver %s: %v", n, q.sql, err)
-			}
-			cols, _ := rows.Columns()
-			var got [][]any
-			for rows.Next() {
-				vals := make([]any, len(cols))
-				ptrs := make([]any, len(cols))
-				for i := range vals {
-					ptrs[i] = &vals[i]
-				}
-				if err := rows.Scan(ptrs...); err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, vals)
-			}
-			if err := rows.Err(); err != nil {
-				t.Fatalf("%d rows, driver %s: %v", n, q.sql, err)
-			}
-			rows.Close()
+// queryAll reads a statement's every row through database/sql.
+func queryAll(t *testing.T, db *sql.DB, query string, args []any) [][]any {
+	t.Helper()
+	rows, err := db.Query(query, args...)
+	if err != nil {
+		t.Fatalf("driver %s: %v", query, err)
+	}
+	defer rows.Close()
+	cols, _ := rows.Columns()
+	var got [][]any
+	for rows.Next() {
+		vals := make([]any, len(cols))
+		ptrs := make([]any, len(cols))
+		for i := range vals {
+			ptrs[i] = &vals[i]
+		}
+		if err := rows.Scan(ptrs...); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, vals)
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("driver %s: %v", query, err)
+	}
+	return got
+}
 
-			if len(want) == 0 {
-				t.Fatalf("%d rows, %s: the embedded result is empty, so the comparison says nothing", n, q.sql)
-			}
-			wb, gb := bag(want), bag(got)
-			if len(wb) != len(gb) {
-				t.Fatalf("%d rows, %s: driver returned %d rows, embedded %d", n, q.sql, len(gb), len(wb))
-			}
-			for i := range wb {
-				if wb[i] != gb[i] {
-					t.Fatalf("%d rows, %s: results differ, first at sorted row %d:\n driver   %s\n embedded %s", n, q.sql, i, gb[i], wb[i])
-				}
-			}
+// sameRows fails unless got holds want's rows: row by row when
+// ordered, as bags otherwise.
+func sameRows(t *testing.T, what string, want, got [][]any, ordered bool) {
+	t.Helper()
+	render := bag
+	if ordered {
+		render = cells
+	}
+	wb, gb := render(want), render(got)
+	if len(wb) != len(gb) {
+		t.Fatalf("%s: driver returned %d rows, embedded %d", what, len(gb), len(wb))
+	}
+	for i := range wb {
+		if wb[i] != gb[i] {
+			t.Fatalf("%s: results differ, first at row %d (ordered %v):\n driver   %s\n embedded %s", what, i, ordered, gb[i], wb[i])
 		}
 	}
 }

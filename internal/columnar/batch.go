@@ -26,6 +26,21 @@ func (b Bitmap) Has(i int) bool {
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
+// gather returns the bits at ids as a bitmap over 0..len(ids) (nil
+// when none is set).
+func (b Bitmap) gather(ids []int32) Bitmap {
+	var out Bitmap
+	for j, id := range ids {
+		if b.Has(int(id)) {
+			if out == nil {
+				out = make(Bitmap, (len(ids)+63)/64)
+			}
+			out.Set(j)
+		}
+	}
+	return out
+}
+
 // cover returns b grown with zero words to cover rows [0, n).
 func (b Bitmap) cover(n int) Bitmap {
 	for len(b) < (n+63)/64 {
@@ -173,6 +188,7 @@ type batchCol struct {
 	allNulls Bitmap // the whole column's NULL bitmap
 	vec      *Vec   // a column of vectors: all of its rows
 	owned    bool   // its strings share no partition's bytes
+	frozen   bool   // a VecBatch's: nothing overwrites its vectors
 
 	nulls Bitmap // allNulls' words for the window
 	// One value vector per column, by type; a dictionary column may
@@ -215,18 +231,30 @@ func (b *Batch) col(c int) *batchCol {
 
 // VecBatch returns a Batch over n rows held in vectors (Mask -1, a slot
 // per row), positioned before its first window like NewBatch. The batch
-// reads the vectors where they are. A boxed vector's column has type
-// TNull: no typed reader applies to it.
+// reads the vectors where they are, and nothing may write to them after:
+// a result keeps them as they are (Keep). A boxed vector's column has
+// type TNull: no typed reader applies to it.
 func VecBatch(n int, vecs []Vec) *Batch {
-	b := &Batch{n: n, cols: make([]*batchCol, len(vecs))}
-	for c := range vecs {
-		b.cols[c] = vecCol(&vecs[c])
-	}
+	b := &Batch{}
+	b.reset(n, vecs)
 	return b
 }
 
-func vecCol(v *Vec) *batchCol {
-	bc := &batchCol{vec: v, owned: v.Owned, allNulls: v.Nulls}
+// reset points a VecBatch at vectors of its width, positioned before
+// their first window.
+func (b *Batch) reset(n int, vecs []Vec) {
+	b.n, b.lo, b.hi = n, 0, 0
+	for len(b.cols) < len(vecs) {
+		b.cols = append(b.cols, new(batchCol))
+	}
+	b.cols = b.cols[:len(vecs)]
+	for c := range vecs {
+		b.cols[c].setVec(&vecs[c]).frozen = true
+	}
+}
+
+func (bc *batchCol) setVec(v *Vec) *batchCol {
+	*bc = batchCol{vec: v, owned: v.Owned, allNulls: v.Nulls, dict: v.Dict}
 	switch v.Kind {
 	case VecInt:
 		bc.typ = row.TInt
@@ -247,6 +275,8 @@ func (bc *batchCol) load(lo, hi int) {
 	bc.haveVals, bc.haveCodes = bc.col == nil, false
 	switch v := bc.vec; {
 	case bc.col != nil:
+	case v.Dict != nil:
+		bc.codes, bc.haveVals, bc.haveCodes = v.Codes[lo:hi], false, true
 	case v.Kind == VecInt:
 		bc.ints = v.Ints[lo:hi]
 	case v.Kind == VecFloat:
@@ -291,7 +321,7 @@ func (b *Batch) Project(cols []int, vecs []Vec, sel []int32) *Batch {
 			out.cols[j] = b.col(c)
 			continue
 		}
-		out.cols[j] = vecCol(&vecs[j])
+		out.cols[j] = new(batchCol).setVec(&vecs[j])
 		out.cols[j].load(0, b.Len())
 	}
 	return out
@@ -368,13 +398,20 @@ func (b *Batch) Floats(c int) []float64 {
 func (b *Batch) Strings(c int) []string {
 	bc := b.col(c)
 	if !bc.haveVals {
-		col := bc.col.(interface {
-			strings(lo, hi int, buf []string) []string
-		})
 		if bc.strBuf == nil {
 			bc.strBuf = make([]string, min(BatchSize, b.n))
 		}
-		bc.strs, bc.haveVals = col.strings(b.lo, b.hi, bc.strBuf), true
+		if bc.col == nil { // a dictionary vector's codes
+			bc.strs = bc.strBuf[:len(bc.codes)]
+			for i := range bc.strs {
+				bc.strs[i] = bc.vec.Str(int32(b.lo + i))
+			}
+		} else {
+			bc.strs = bc.col.(interface {
+				strings(lo, hi int, buf []string) []string
+			}).strings(b.lo, b.hi, bc.strBuf)
+		}
+		bc.haveVals = true
 	}
 	return bc.strs
 }
@@ -388,7 +425,7 @@ func (b *Batch) Bools(c int) Bitmap {
 // hold a placeholder code.
 func (b *Batch) Codes(c int) []uint8 {
 	bc := b.col(c)
-	if !bc.haveCodes {
+	if !bc.haveCodes { // a dictionary vector's are loaded with its window
 		if bc.codeBuf == nil {
 			bc.codeBuf = make([]uint8, min(BatchSize, b.n))
 		}
@@ -428,6 +465,38 @@ func (b *Batch) Vec(c int) Vec {
 	return v
 }
 
+// window is Vec, but a dictionary string column's as its codes.
+func (b *Batch) window(c int) Vec {
+	if bc := b.col(c); bc.dict != nil && bc.typ == row.TString {
+		return Vec{Kind: VecStr, Mask: -1, Owned: bc.owned, Nulls: bc.nulls, Codes: b.Codes(c), Dict: bc.dict}
+	}
+	return b.Vec(c)
+}
+
+// Keep returns column c's rows at sel as a vector a result can keep:
+// slot j is row sel[j]. A VecBatch's column over its whole window is
+// adopted as it is, since nothing overwrites it, unless its strings
+// share a partition's bytes (a join's probe side). Anything else is
+// gathered into vectors the selection's size, a string still sharing
+// a partition's bytes copied out (a raw column's read directly), and a
+// dictionary string column kept as its codes: the dictionary is the
+// partition's, and immutable.
+func (b *Batch) Keep(c int, sel []int32) Vec {
+	if raw, ok := b.col(c).col.(*rawString); ok {
+		v := Vec{Kind: VecStr, Mask: -1, Owned: true, Strs: make([]string, len(sel))}
+		for j, i := range sel {
+			v.Strs[j] = strings.Clone(raw.at(b.lo + int(i)))
+		}
+		v.Nulls = b.col(c).nulls.gather(sel)
+		return v
+	}
+	v := b.window(c)
+	if b.col(c).frozen && len(sel) == b.Len() && (v.Owned || v.Kind == VecInt || v.Kind == VecFloat) {
+		return v
+	}
+	return v.Gather(sel, true)
+}
+
 // Value returns column c's value at window position i as a boxed row
 // value (nil for NULL), for callers that assemble a scratch row to
 // hand to row-at-a-time code. Unlike Box it does not copy a string out
@@ -460,50 +529,16 @@ func (b *Batch) Value(c, i int) any {
 // nothing; other cells cost what Go's interface conversion does. A
 // boxed cell outlives the batch, in a row someone keeps, so a string
 // that shares a partition's bytes is copied out rather than left a
-// sub-string holding the whole column's bytes reachable — a raw
-// column's read directly, since the copy makes decoding the window's
-// vector pointless for a sparse selection.
+// sub-string holding the whole column's bytes reachable.
 func (b *Batch) Box(c int, sel []int32, dst []any, stride int) {
-	bc := b.col(c)
-	var cell func(i int) any
-	switch {
-	case bc.boxed():
-		cell = func(i int) any { return own(bc.anys[i], bc.owned) }
-	case bc.dict != nil:
-		codes := b.Codes(c)
-		cell = func(i int) any { return bc.dict.DictValue(int(codes[i])) }
-	case bc.typ == row.TFloat:
-		vals := b.Floats(c)
-		cell = func(i int) any { return vals[i] }
-	case bc.typ == row.TString:
-		if raw, ok := bc.col.(*rawString); ok {
-			cell = func(i int) any { return strings.Clone(raw.at(b.lo + i)) }
-		} else {
-			strs := b.Strings(c)
-			cell = func(i int) any { return own(strs[i], bc.owned) }
-		}
-	case bc.typ == row.TBool:
-		vals := b.Bools(c)
-		cell = func(i int) any { return vals.Has(i) }
-	default:
-		vals := b.Ints(c)
-		cell = func(i int) any { return vals[i] }
-	}
+	v := b.window(c)
 	for j, i := range sel {
-		if bc.nulls.Has(int(i)) {
-			dst[j*stride] = nil
-		} else {
-			dst[j*stride] = cell(int(i))
+		x := v.At(i)
+		if s, ok := x.(string); ok && !v.Owned && v.Dict == nil {
+			x = strings.Clone(s)
 		}
+		dst[j*stride] = x
 	}
-}
-
-// own boxes v, copying a string that may share a partition's bytes.
-func own[T any](v T, owned bool) any {
-	if s, ok := any(v).(string); ok && !owned {
-		return strings.Clone(s)
-	}
-	return v
 }
 
 // Rows materializes the selected window rows, projected to cols. The
@@ -512,16 +547,20 @@ func own[T any](v T, owned bool) any {
 // at its own length, so appending to one cannot write into its
 // neighbour.
 func (b *Batch) Rows(cols []int, sel []int32) []row.Row {
+	return b.appendRows(make([]row.Row, 0, len(sel)), cols, sel)
+}
+
+func (b *Batch) appendRows(rows []row.Row, cols []int, sel []int32) []row.Row {
 	if len(sel) == 0 {
-		return []row.Row{}
+		return rows
 	}
 	n := len(cols)
-	slab, rows := make([]any, len(sel)*n), make([]row.Row, len(sel))
+	slab := make([]any, len(sel)*n)
 	for j, c := range cols {
 		b.Box(c, sel, slab[j:], n)
 	}
-	for i := range rows {
-		rows[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	for i := range sel {
+		rows = append(rows, slab[i*n:(i+1)*n:(i+1)*n])
 	}
 	return rows
 }
@@ -557,6 +596,10 @@ type Vec struct {
 	Strs   []string
 	Anys   []any  // VecAny: nil is NULL
 	Nulls  Bitmap // typed kinds: NULL positions (nil = none)
+	// A VecStr a result keeps of a dictionary column is its codes: slot
+	// i is entry Codes[i] of Dict, and Strs is unused.
+	Codes []uint8
+	Dict  Dict
 }
 
 // At boxes the value at window position i (nil for NULL).
@@ -572,6 +615,57 @@ func (v *Vec) At(i int32) any {
 		return v.Ints[i&v.Mask]
 	case VecFloat:
 		return v.Floats[i&v.Mask]
+	}
+	if v.Dict != nil {
+		return v.Dict.DictValue(int(v.Codes[i&v.Mask]))
+	}
+	return v.Strs[i&v.Mask]
+}
+
+// Gather returns v's slots ids, in that order, as a vector of its own.
+// Its strings are v's unless own is set and v does not own them: then
+// they are copied.
+func (v *Vec) Gather(ids []int32, own bool) Vec {
+	out := Vec{Kind: v.Kind, Mask: -1, Owned: v.Owned || own, Dict: v.Dict, Ints: Gather(v.Ints, ids),
+		Floats: Gather(v.Floats, ids), Strs: Gather(v.Strs, ids), Anys: Gather(v.Anys, ids), Codes: Gather(v.Codes, ids),
+		Nulls: v.Nulls.gather(ids)}
+	for i := range out.Strs {
+		if own && !v.Owned {
+			out.Strs[i] = strings.Clone(out.Strs[i])
+		}
+	}
+	for i, x := range out.Anys {
+		if s, ok := x.(string); ok && own && !v.Owned {
+			out.Anys[i] = strings.Clone(s)
+		}
+	}
+	return out
+}
+
+// Gather returns xs at ids, in that order (nil for nil).
+func Gather[T any](xs []T, ids []int32) []T {
+	if xs == nil {
+		return nil
+	}
+	out := make([]T, len(ids))
+	for j, id := range ids {
+		out[j] = xs[id]
+	}
+	return out
+}
+
+// Null reports whether the value at window position i is NULL.
+func (v *Vec) Null(i int32) bool {
+	if v.Kind == VecAny {
+		return v.Anys[i] == nil
+	}
+	return v.Nulls.Has(int(i))
+}
+
+// Str returns a VecStr's string at window position i.
+func (v *Vec) Str(i int32) string {
+	if v.Dict != nil {
+		return v.Dict.DictValue(int(v.Codes[i&v.Mask])).(string)
 	}
 	return v.Strs[i&v.Mask]
 }

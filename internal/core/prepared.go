@@ -75,23 +75,41 @@ func (s *Session) ExecPrepared(p *Prepared, args row.Row) (*Result, error) {
 // never re-lexed, so argument bytes can never be read as SQL syntax.
 // Cancellation semantics match ExecContext.
 func (s *Session) ExecPreparedCtx(gctx context.Context, p *Prepared, args row.Row) (*Result, error) {
-	if err := s.checkOpen(); err != nil {
-		return nil, err
-	}
-	return s.execPrepared(gctx, p, args)
+	return boxed(s.ExecBodyCtx(gctx, p, "", args))
 }
 
 // ExecArgsCtx is the one-shot prepare-bind-execute path: parse via
 // the plan cache, bind args, run. Cancellation semantics match
 // ExecContext.
 func (s *Session) ExecArgsCtx(gctx context.Context, sql string, args row.Row) (*Result, error) {
-	psp := obs.FromContext(gctx).StartSpan("parse")
-	p, err := s.Prepare(sql)
-	psp.End()
-	if err != nil {
+	return boxed(s.ExecBodyCtx(gctx, nil, sql, args))
+}
+
+// ExecBodyCtx executes a prepared statement, or when p is nil the
+// text sql one-shot, with args bound, and returns the result column-
+// major: Body set, Rows nil. It is the server's path — a cursor frames
+// the body as it is — where Exec* box the body for embedded callers.
+func (s *Session) ExecBodyCtx(gctx context.Context, p *Prepared, sql string, args row.Row) (*Result, error) {
+	if p == nil {
+		psp := obs.FromContext(gctx).StartSpan("parse")
+		var err error
+		p, err = s.Prepare(sql)
+		psp.End()
+		if err != nil {
+			return nil, err
+		}
+	} else if err := s.checkOpen(); err != nil {
 		return nil, err
 	}
 	return s.execPrepared(gctx, p, args)
+}
+
+// boxed fills a result's Rows from its body for an embedded caller.
+func boxed(res *Result, err error) (*Result, error) {
+	if err == nil && res.Body != nil {
+		res.Rows = res.Body.Rows()
+	}
+	return res, err
 }
 
 // execPrepared binds, consults the result cache, and executes. A

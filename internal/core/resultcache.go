@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"shark/internal/cluster"
+	"shark/internal/columnar"
 	"shark/internal/expr"
 	"shark/internal/plan"
 	"shark/internal/row"
@@ -48,13 +49,13 @@ type resultEntry struct {
 	size     int64
 }
 
-// cachedResult is the block-store value: the materialized rows plus
-// the full key, re-checked on read so a hash collision in the block
-// key can never serve the wrong statement's rows.
+// cachedResult is the block-store value: the result's body plus the
+// full key, re-checked on read so a hash collision in the block key can
+// never serve the wrong statement's rows.
 type cachedResult struct {
 	key    string
 	schema row.Schema
-	rows   []row.Row
+	body   *columnar.Body
 }
 
 const resultKeyPrefix = "rescache/"
@@ -113,20 +114,20 @@ func (c *ResultCache) get(key string) *Result {
 		return nil
 	}
 	c.hits.Add(1)
-	return &Result{Schema: cr.schema, Rows: cr.rows}
+	return &Result{Schema: cr.schema, Body: cr.body}
 }
 
-// put stores a result, then enforces the quota by evicting this
-// session's least-recently-used results. Results larger than the
-// quota are not cached.
+// put stores a result's body, charged at its size (Body.Bytes), then
+// enforces the quota by evicting this session's least-recently-used
+// results. Results larger than the quota are not cached.
 func (c *ResultCache) put(key string, res *Result) {
-	size := estimateResultSize(res)
+	size := res.Body.Bytes()
 	if size > c.quota {
 		return
 	}
 	worker := int(fnvHash(key) % uint64(c.cl.NumWorkers()))
 	blockKey := c.BlockKeyPrefix() + fmt.Sprintf("%016x", fnvHash(key))
-	if !c.cl.Worker(worker).Store().Put(blockKey, &cachedResult{key: key, schema: res.Schema, rows: res.Rows}, size, cluster.Class{}) {
+	if !c.cl.Worker(worker).Store().Put(blockKey, &cachedResult{key: key, schema: res.Schema, body: res.Body}, size, cluster.Class{}) {
 		return
 	}
 
@@ -207,25 +208,6 @@ func fnvHash(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
-}
-
-// estimateResultSize approximates a result's memory footprint for
-// quota accounting, mirroring the server's batch budgeting.
-func estimateResultSize(res *Result) int64 {
-	size := int64(64)
-	for _, f := range res.Schema {
-		size += int64(len(f.Name)) + 16
-	}
-	for _, r := range res.Rows {
-		size += 24
-		for _, v := range r {
-			size += 16
-			if s, ok := v.(string); ok {
-				size += int64(len(s))
-			}
-		}
-	}
-	return size
 }
 
 // cacheableSelect reports whether a bound statement is eligible for

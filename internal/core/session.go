@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"shark/internal/catalog"
+	"shark/internal/columnar"
 	"shark/internal/dfs"
 	"shark/internal/exec"
 	"shark/internal/expr"
@@ -248,11 +249,15 @@ func (s *Session) cacheParts() int {
 	return 4 * s.Ctx.Cluster.TotalSlots()
 }
 
-// Result is a materialized statement result. DDL statements return a
-// Result with an informational message and no rows.
+// Result is a materialized statement result. Body holds a query's
+// result column-major, as the engine's final stage left it; Rows is the
+// body boxed, filled only for embedded callers (Exec*, not
+// ExecBodyCtx). DDL statements return a Result with an informational
+// message and neither.
 type Result struct {
 	Schema  row.Schema
 	Rows    []row.Row
+	Body    *columnar.Body
 	Stats   exec.QueryStats
 	Message string
 }
@@ -339,13 +344,20 @@ func (s *Session) runSelect(gctx context.Context, sel *sqlparse.SelectStmt, prep
 
 func (s *Session) runPlan(gctx context.Context, tr *obs.Trace, p plan.Node) (*Result, error) {
 	esp := tr.StartSpan("execute")
-	res, err := s.Engine.RunCtx(gctx, p)
+	res, err := s.Engine.RunBodyCtx(gctx, p)
 	esp.End()
 	if err != nil {
 		return nil, err
 	}
-	esp.AddRows(int64(len(res.Rows)))
-	return &Result{Schema: res.Schema, Rows: res.Rows, Stats: res.Stats}, nil
+	esp.AddRows(int64(res.Body.Len))
+	return &Result{Schema: res.Schema, Body: res.Body, Stats: res.Stats}, nil
+}
+
+// planResult is a plan's text as a one-column result, a line a row.
+func planResult(lines []string) *Result {
+	body := &columnar.Body{}
+	body.Add(columnar.Window{N: len(lines), Vecs: []columnar.Vec{{Kind: columnar.VecStr, Mask: -1, Strs: lines, Owned: true}}})
+	return &Result{Schema: row.Schema{{Name: "plan", Type: row.TString}}, Body: body}
 }
 
 // runExplainAnalyze executes the wrapped SELECT with per-node
@@ -380,11 +392,8 @@ func (s *Session) runExplainAnalyze(gctx context.Context, e *sqlparse.ExplainStm
 	}
 	after := tr.Snapshot()
 
-	out := &Result{Schema: row.Schema{{Name: "plan", Type: row.TString}}}
-	add := func(line string) { out.Rows = append(out.Rows, row.Row{line}) }
-	for _, line := range ns.Render() {
-		add(line)
-	}
+	lines := ns.Render()
+	add := func(line string) { lines = append(lines, line) }
 	attributed := ns.TotalWall()
 	pct := 0.0
 	if wall > 0 {
@@ -404,7 +413,7 @@ func (s *Session) runExplainAnalyze(gctx context.Context, e *sqlparse.ExplainStm
 	} else {
 		add("-- pde: " + strings.Join(decisions, ", "))
 	}
-	return out, nil
+	return planResult(lines), nil
 }
 
 func (s *Session) runExplain(e *sqlparse.ExplainStmt) (*Result, error) {
@@ -416,12 +425,7 @@ func (s *Session) runExplain(e *sqlparse.ExplainStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	text := plan.Explain(p)
-	out := &Result{Schema: row.Schema{{Name: "plan", Type: row.TString}}}
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		out.Rows = append(out.Rows, row.Row{line})
-	}
-	return out, nil
+	return planResult(strings.Split(strings.TrimRight(plan.Explain(p), "\n"), "\n")), nil
 }
 
 func (s *Session) runCreate(gctx context.Context, ct *sqlparse.CreateTableStmt) (*Result, error) {

@@ -170,43 +170,16 @@ func vecBytes(v *columnar.Vec) int64 {
 func (b *block) gather(out *block, ids []int32) {
 	out.n = len(ids)
 	for k := range b.cols {
-		out.cols[k] = gatherVec(&b.cols[k], ids)
+		out.cols[k] = b.cols[k].Gather(ids, false)
 	}
 	for k, a := range b.accs {
-		out.accs[k] = accum{gather(a.count, ids), gatherVec(&a.val, ids), gather(a.distinct, ids)}
+		out.accs[k] = accum{columnar.Gather(a.count, ids), a.val.Gather(ids, false), columnar.Gather(a.distinct, ids)}
 	}
-}
-
-// gatherVec returns v's slots ids, in that order, as a vector of their
-// own (whose strings are v's).
-func gatherVec(v *columnar.Vec, ids []int32) columnar.Vec {
-	out := columnar.Vec{Kind: v.Kind, Mask: -1, Ints: gather(v.Ints, ids), Floats: gather(v.Floats, ids),
-		Strs: gather(v.Strs, ids), Anys: gather(v.Anys, ids), Owned: v.Owned}
-	for j, id := range ids {
-		if v.Nulls.Has(int(id)) {
-			if out.Nulls == nil {
-				out.Nulls = make(columnar.Bitmap, (len(ids)+63)/64)
-			}
-			out.Nulls.Set(j)
-		}
-	}
-	return out
 }
 
 // used reports whether v has slots.
 func used(v *columnar.Vec) bool {
 	return v.Ints != nil || v.Floats != nil || v.Strs != nil || v.Anys != nil
-}
-
-func gather[T any](xs []T, ids []int32) []T {
-	if xs == nil {
-		return nil
-	}
-	out := make([]T, len(ids))
-	for j, id := range ids {
-		out[j] = xs[id]
-	}
-	return out
 }
 
 // add appends the rows at positions pos of a join input — its key's
@@ -225,15 +198,24 @@ func (b *block) add(key *columnar.Vec, cols []columnar.Vec, pos []int32) {
 
 // appendVec appends src's values at pos to dst, which holds n slots: a
 // typed vector while every value is of its kind, boxed from the first
-// that is not. Its NULL bitmap, when it has one, covers every slot.
+// that is not; a dictionary's codes while every value comes from one
+// dictionary, its strings from the first that does not. Its NULL
+// bitmap, when it has one, covers every slot.
 func appendVec(dst, src *columnar.Vec, pos []int32, n int) {
-	if n == 0 {
-		*dst = columnar.Vec{Kind: src.Kind, Mask: -1, Owned: true}
-	} else if dst.Kind != src.Kind {
+	switch {
+	case n == 0:
+		*dst = columnar.Vec{Kind: src.Kind, Mask: -1, Owned: true, Dict: src.Dict}
+	case dst.Kind != src.Kind:
 		box(dst, n)
+	case dst.Dict != nil && dst.Dict != src.Dict:
+		dst.Strs = make([]string, n, n+len(pos))
+		for i := range dst.Strs {
+			dst.Strs[i] = dst.Str(int32(i))
+		}
+		dst.Codes, dst.Dict = nil, nil
 	}
 	for j, i := range pos {
-		if isNull(src, i) {
+		if src.Null(i) {
 			for len(dst.Nulls) <= (n+j)>>6 {
 				dst.Nulls = append(dst.Nulls, 0)
 			}
@@ -245,7 +227,11 @@ func appendVec(dst, src *columnar.Vec, pos []int32, n int) {
 		case columnar.VecFloat:
 			dst.Floats = append(dst.Floats, src.Floats[i&src.Mask])
 		case columnar.VecStr:
-			dst.Strs = append(dst.Strs, ownStr(src.Strs[i&src.Mask], src.Owned))
+			if dst.Dict != nil {
+				dst.Codes = append(dst.Codes, src.Codes[i&src.Mask])
+			} else {
+				dst.Strs = append(dst.Strs, ownStr(src.Str(i), src.Owned))
+			}
 		default:
 			x := src.At(i)
 			if s, ok := x.(string); ok {
@@ -259,14 +245,6 @@ func appendVec(dst, src *columnar.Vec, pos []int32, n int) {
 			dst.Nulls = append(dst.Nulls, 0)
 		}
 	}
-}
-
-// isNull reports whether v's value at i is NULL.
-func isNull(v *columnar.Vec, i int32) bool {
-	if v.Kind == columnar.VecAny {
-		return v.Anys[i] == nil
-	}
-	return v.Nulls.Has(int(i))
 }
 
 // ownStr returns s in memory of its own.

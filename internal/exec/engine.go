@@ -15,6 +15,7 @@ import (
 	"shark/internal/catalog"
 	"shark/internal/columnar"
 	"shark/internal/dfs"
+	"shark/internal/expr"
 	"shark/internal/memtable"
 	"shark/internal/obs"
 	"shark/internal/pde"
@@ -122,10 +123,13 @@ func New(ctx *rdd.Context, cat *catalog.Catalog, fs *dfs.FS, opts Options) *Engi
 // Options returns the engine's effective options.
 func (e *Engine) Options() Options { return e.opts }
 
-// Result is a fully materialized query result.
+// Result is a fully materialized query result: Body column-major, as
+// the final stage left it, and Rows, the body boxed by RunCtx and
+// RunAnalyzeCtx (nil from RunBodyCtx).
 type Result struct {
 	Schema row.Schema
 	Rows   []row.Row
+	Body   *columnar.Body
 	Stats  QueryStats
 }
 
@@ -157,7 +161,20 @@ func (e *Engine) CompileToRDDCtx(gctx context.Context, n plan.Node) (*rdd.RDD, e
 // under the job attached by rdd.WithJob, and cancelling gctx aborts
 // the query with an error wrapping context.Canceled.
 func (e *Engine) RunCtx(gctx context.Context, n plan.Node) (*Result, error) {
+	return boxRows(e.runCtx(gctx, n, nil))
+}
+
+// RunBodyCtx is RunCtx leaving the result column-major: Body only,
+// for a caller that never needs rows (the server's cursor).
+func (e *Engine) RunBodyCtx(gctx context.Context, n plan.Node) (*Result, error) {
 	return e.runCtx(gctx, n, nil)
+}
+
+func boxRows(res *Result, err error) (*Result, error) {
+	if err == nil {
+		res.Rows = res.Body.Rows()
+	}
+	return res, err
 }
 
 // RunAnalyzeCtx is RunCtx with EXPLAIN ANALYZE profiling: it returns
@@ -166,7 +183,7 @@ func (e *Engine) RunCtx(gctx context.Context, n plan.Node) (*Result, error) {
 // master-side time, so their sum tracks the statement's wall time.
 func (e *Engine) RunAnalyzeCtx(gctx context.Context, n plan.Node) (*Result, *NodeStats, error) {
 	p := newProf(n)
-	res, err := e.runCtx(gctx, n, p)
+	res, err := boxRows(e.runCtx(gctx, n, p))
 	return res, p.root, err
 }
 
@@ -198,7 +215,7 @@ func (e *Engine) runCtx(gctx context.Context, n plan.Node, p *prof) (*Result, er
 	}
 
 	endCollect := p.of(n).beginSegment(gctx)
-	rows, err := e.collectRows(gctx, r, nil)
+	body, err := e.collect(gctx, r, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -206,72 +223,50 @@ func (e *Engine) runCtx(gctx context.Context, n plan.Node, p *prof) (*Result, er
 
 	if sortKeys != nil {
 		endSort := sortNS.beginSegment(gctx)
-		sortRows(rows, sortKeys)
+		sortNS.AddRows(int64(body.Len))
+		body = sortBody(body, sortKeys, limit)
 		endSort()
-		sortNS.AddRows(int64(len(rows)))
 	}
-	if limit >= 0 && int64(len(rows)) > limit {
-		rows = rows[:limit]
+	if limit >= 0 {
+		body.Limit(int(limit))
 	}
-	limNS.AddRows(int64(len(rows)))
-	return &Result{Schema: schema, Rows: rows, Stats: *stats}, nil
+	limNS.AddRows(int64(body.Len))
+	return &Result{Schema: schema, Body: body, Stats: *stats}, nil
 }
 
-// collectRows runs r's final stage over parts (nil: all): each task
-// carves its batches into one chunk of rows, and the chunks are joined
-// into rows sized once.
-func (e *Engine) collectRows(gctx context.Context, r *rdd.RDD, parts []int) ([]row.Row, error) {
-	chunks, err := e.Ctx.Scheduler().RunJobCtx(gctx, r, parts, func(_ *rdd.TaskContext, _ int, it rdd.Iter) (any, error) {
-		return carve(it), nil
+// collect runs r's final stage over parts (nil: all): each task turns
+// its batches into windows of the result (bodyOf), strung together in
+// partition order.
+func (e *Engine) collect(gctx context.Context, r *rdd.RDD, parts []int) (*columnar.Body, error) {
+	outs, err := e.Ctx.Scheduler().RunJobCtx(gctx, r, parts, func(_ *rdd.TaskContext, _ int, it rdd.Iter) (any, error) {
+		return bodyOf(it), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if len(chunks) == 1 {
-		return chunks[0].([]row.Row), nil
+	body := &columnar.Body{}
+	for _, o := range outs {
+		body.Append(o.(*columnar.Body))
 	}
-	total := 0
-	for _, c := range chunks {
-		total += len(c.([]row.Row))
-	}
-	rows := make([]row.Row, 0, total) // never nil: an empty result has no rows, not none
-	for _, c := range chunks {
-		rows = append(rows, c.([]row.Row)...)
-	}
-	return rows, nil
+	return body, nil
 }
 
-// carve boxes a final task's batches into its chunk of rows, each
-// batch's cells in one slab. Here, and in sql2rdd's rows, a
-// statement's rows are born, and a string still sharing a partition's
-// bytes is copied out of it — once.
-func carve(it rdd.Iter) []row.Row {
-	type slab struct {
-		cells    []any
-		width, n int
-	}
-	var slabs []slab
-	total := 0
-	for v, ok := it.Next(); ok; v, ok = it.Next() {
-		b := v.(*columnar.Batch)
-		n, w := len(b.Sel), b.Width()
-		if n == 0 {
-			continue
-		}
-		cells := make([]any, n*w)
-		for c := range w {
-			b.Box(c, b.Sel, cells[c:], w)
-		}
-		slabs = append(slabs, slab{cells, w, n})
-		total += n
-	}
-	rows := make([]row.Row, 0, total)
-	for _, s := range slabs {
-		for i := range s.n {
-			rows = append(rows, s.cells[i*s.width:(i+1)*s.width:(i+1)*s.width])
+// bodyOf turns a final task's batches into its windows of the result,
+// a window a batch, each the batch's selection kept (Batch.Keep): here
+// a statement's result is born, and a string still sharing a
+// partition's bytes is copied out of it — once.
+func bodyOf(it rdd.Iter) *columnar.Body {
+	body := &columnar.Body{}
+	for x, ok := it.Next(); ok; x, ok = it.Next() {
+		if b := x.(*columnar.Batch); len(b.Sel) > 0 {
+			w := columnar.Window{N: len(b.Sel), Vecs: make([]columnar.Vec, b.Width())}
+			for c := range w.Vecs {
+				w.Vecs[c] = b.Keep(c, b.Sel)
+			}
+			body.Add(w)
 		}
 	}
-	return rows
+	return body
 }
 
 // limitBatches cuts each partition of r to its first n rows.
@@ -296,25 +291,21 @@ func limitBatches(r *rdd.RDD, n int64) *rdd.RDD {
 	})
 }
 
-// rowBatches turns rows collected at the master back into batches, of
-// boxed columns, over parts partitions: what a Sort or Limit below the
-// root hands the operators above it.
-func (e *Engine) rowBatches(rows []row.Row, width, parts int) *rdd.RDD {
-	var batches []any
-	for lo := 0; lo < len(rows); lo += columnar.BatchSize {
-		chunk := rows[lo:min(lo+columnar.BatchSize, len(rows))]
-		vecs := make([]columnar.Vec, width)
-		for c := range vecs {
-			vecs[c] = columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: make([]any, len(chunk)), Owned: true}
-			for i, r := range chunk {
-				vecs[c].Anys[i] = r[c]
-			}
-		}
-		b := columnar.VecBatch(len(chunk), vecs)
-		b.Next()
-		batches = append(batches, b)
+// bodyBatches hands a body collected at the master to the operators
+// above it, over parts partitions: what a Sort or Limit below the root
+// does. Each window (none over BatchSize rows) becomes a VecBatch in
+// the task that reads it.
+func (e *Engine) bodyBatches(body *columnar.Body, parts int) *rdd.RDD {
+	ws := make([]any, len(body.Windows))
+	for i := range ws {
+		ws[i] = &body.Windows[i]
 	}
-	return e.Ctx.Parallelize(batches, parts)
+	return e.Ctx.Parallelize(ws, parts).Map(func(v any) any {
+		w := v.(*columnar.Window)
+		b := columnar.VecBatch(w.N, w.Vecs)
+		b.Next()
+		return b
+	})
 }
 
 // windows yields b's windows, b itself each time.
@@ -327,38 +318,78 @@ func windows(b *columnar.Batch) rdd.Iter {
 	})
 }
 
-// sortRows orders rows by keys: stable, NULLs first, and last under
-// DESC. Both places a plan can sort — the root of a statement and a
-// Sort below it — carve their rows at the master and come here.
-func sortRows(rows []row.Row, keys []plan.SortKey) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
+// sortBody orders a body's rows by keys — stable, NULLs first and last
+// under DESC, numbers by value whatever their vectors' kinds — and
+// keeps the first limit (all when limit < 0). Both places a plan can
+// sort, the root of a statement and a Sort below it, come here: one
+// permutation over the key vectors, then each column gathered once.
+func sortBody(body *columnar.Body, keys []plan.SortKey, limit int64) *columnar.Body {
+	type at struct{ w, i int32 }
+	perm := make([]at, 0, body.Len)
+	for w := range body.Windows {
+		for i := range body.Windows[w].N {
+			perm = append(perm, at{int32(w), int32(i)})
+		}
+	}
+	sort.SliceStable(perm, func(x, y int) bool {
+		a, b := perm[x], perm[y]
 		for _, k := range keys {
-			c := compareNullable(k.Expr.Eval(a), k.Expr.Eval(b))
-			if c == 0 {
-				continue
+			c := k.Expr.(*expr.Col).Idx
+			if o := compareAt(&body.Windows[a.w].Vecs[c], a.i, &body.Windows[b.w].Vecs[c], b.i); o != 0 {
+				return (o < 0) != k.Desc
 			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
 		}
 		return false
 	})
+	if limit >= 0 && int64(len(perm)) > limit {
+		perm = perm[:limit]
+	}
+	out := &columnar.Body{}
+	for lo := 0; lo < len(perm); lo += columnar.BatchSize {
+		chunk := perm[lo:min(lo+columnar.BatchSize, len(perm))]
+		w := columnar.Window{N: len(chunk), Vecs: make([]columnar.Vec, len(body.Windows[0].Vecs))}
+		for j, p := range chunk {
+			for c := range w.Vecs {
+				appendVec(&w.Vecs[c], &body.Windows[p.w].Vecs[c], []int32{p.i}, j)
+			}
+		}
+		out.Add(w)
+	}
+	return out
 }
 
-func compareNullable(a, b any) int {
-	if a == nil || b == nil {
-		switch {
-		case a == nil && b == nil:
+// compareAt compares a's value at i with b's at j as row.Compare does
+// (NULL first), reading the vectors typed where their kinds agree.
+func compareAt(a *columnar.Vec, i int32, b *columnar.Vec, j int32) int {
+	if an, bn := a.Null(i), b.Null(j); an || bn {
+		if an == bn {
 			return 0
-		case a == nil:
+		} else if an {
 			return -1
-		default:
-			return 1
 		}
+		return 1
 	}
-	return row.Compare(a, b)
+	switch {
+	case a.Kind != b.Kind:
+	case a.Kind == columnar.VecInt:
+		return order(a.Ints[i], b.Ints[j])
+	case a.Kind == columnar.VecFloat:
+		return order(a.Floats[i], b.Floats[j])
+	case a.Kind == columnar.VecStr:
+		return order(a.Str(i), b.Str(j))
+	}
+	return row.Compare(a.At(i), b.At(j))
+}
+
+// order is row.Compare's order within one type: a NaN equals anything.
+func order[T int64 | float64 | string](x, y T) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }
 
 // fineBuckets returns the shuffle bucket count (finer than the reduce
@@ -436,33 +467,34 @@ func (e *Engine) compileNode(gctx context.Context, n plan.Node, stats *QueryStat
 			return nil, err
 		}
 		endSeg := p.of(n).beginSegment(gctx)
-		rows, err := e.collectRows(gctx, child, nil)
+		body, err := e.collect(gctx, child, nil)
 		if err != nil {
 			return nil, err
 		}
-		sortRows(rows, t.Keys)
+		body = sortBody(body, t.Keys, -1)
 		endSeg()
-		return e.rowBatches(rows, len(t.Schema()), e.Ctx.Cluster.TotalSlots()), nil
+		return e.bodyBatches(body, e.Ctx.Cluster.TotalSlots()), nil
 	case *plan.Limit:
 		child, err := e.compile(gctx, t.Child, stats, p)
 		if err != nil {
 			return nil, err
 		}
 		endSeg := p.of(n).beginSegment(gctx)
-		// Partitions left to right, each cut to the rows still wanted.
-		var rows []row.Row
+		// Partitions left to right, until the rows wanted are in.
+		body := &columnar.Body{}
 		child = limitBatches(child, t.N)
-		for part := 0; part < child.NumPartitions() && int64(len(rows)) < t.N; part++ {
-			chunk, err := e.collectRows(gctx, child, []int{part})
+		for part := 0; part < child.NumPartitions() && int64(body.Len) < t.N; part++ {
+			chunk, err := e.collect(gctx, child, []int{part})
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, chunk[:min(len(chunk), int(t.N)-len(rows))]...)
+			body.Append(chunk)
 		}
+		body.Limit(int(t.N))
 		endSeg()
-		return e.rowBatches(rows, len(t.Schema()), 1), nil
+		return e.bodyBatches(body, 1), nil
 	case plan.OneRow:
-		return e.rowBatches([]row.Row{{}}, 0, 1), nil
+		return e.bodyBatches(&columnar.Body{Windows: []columnar.Window{{N: 1}}, Len: 1}, 1), nil
 	}
 	return nil, fmt.Errorf("exec: cannot compile %T", n)
 }

@@ -332,6 +332,18 @@ func boxedCols(r row.Row) []columnar.Vec {
 	return vecs
 }
 
+// rowBody is rows as a body of one window of boxed columns.
+func rowBody(rows []row.Row, width int) *columnar.Body {
+	vecs := make([]columnar.Vec, width)
+	for c := range vecs {
+		vecs[c] = columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: make([]any, len(rows)), Owned: true}
+		for i, r := range rows {
+			vecs[c].Anys[i] = r[c]
+		}
+	}
+	return &columnar.Body{Windows: []columnar.Window{{N: len(rows), Vecs: vecs}}, Len: len(rows)}
+}
+
 func TestJoinBucketSwapPreservesColumnOrder(t *testing.T) {
 	left, right := row.Row{"L", int64(1)}, row.Row{"R", 9.5}
 	one := []int32{0}
@@ -344,8 +356,8 @@ func TestJoinBucketSwapPreservesColumnOrder(t *testing.T) {
 		blk.add(&boxedCols(row.Row{int64(1)})[0], boxedCols(build), one)
 		tbl := newJoinTable([]*block{blk}, buildLeft)
 		// Whichever side built, the output is left++right.
-		out := carve(rdd.SliceIter(tbl.probe(nil, &boxedCols(row.Row{int64(1)})[0], one,
-			func() []columnar.Vec { return boxedCols(probe) })))
+		out := bodyOf(rdd.SliceIter(tbl.probe(nil, &boxedCols(row.Row{int64(1)})[0], one,
+			func() []columnar.Vec { return boxedCols(probe) }))).Rows()
 		if len(out) != 1 || out[0][0] != "L" || out[0][2] != "R" {
 			t.Errorf("buildLeft=%v: %v", buildLeft, out)
 		}
@@ -365,7 +377,7 @@ func TestJoinBucketNullKeysDropped(t *testing.T) {
 	ctx := rdd.NewContext(cl, shuffle.NewService(cl, shuffle.Memory, t.TempDir()), rdd.Options{})
 	e := New(ctx, catalog.New(), nil, Options{})
 	side := &joinSide{
-		rdd:   e.rowBatches([]row.Row{{nil, "x"}, {int64(1), "y"}, {nil, "z"}}, 2, 2),
+		rdd:   e.bodyBatches(rowBody([]row.Row{{nil, "x"}, {int64(1), "y"}, {nil, "z"}}, 2), 2),
 		key:   &expr.Col{Idx: 0, T: row.TInt},
 		width: 2,
 	}
@@ -391,7 +403,7 @@ func TestJoinBucketNullKeysDropped(t *testing.T) {
 	for _, b := range blocks {
 		out = tbl.probe(out, &b.cols[0], upTo[int32](b.n), func() []columnar.Vec { return b.cols[1:] })
 	}
-	if rows := carve(rdd.SliceIter(out)); len(rows) != 1 {
+	if rows := bodyOf(rdd.SliceIter(out)).Rows(); len(rows) != 1 {
 		t.Errorf("self-join of the shuffled side: %v, want only key 1 with itself", rows)
 	}
 }

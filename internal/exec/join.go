@@ -153,7 +153,7 @@ func (e *Engine) sideBlock(tc *rdd.TaskContext, s *joinSide, in rdd.Iter) *block
 	for v, ok := in.Next(); ok; v, ok = in.Next() {
 		b := v.(*columnar.Batch)
 		k := key(b)
-		if pos := keepIf(slices.Clone(b.Sel), func(i int) bool { return !isNull(&k, int32(i)) }); len(pos) > 0 {
+		if pos := keepIf(slices.Clone(b.Sel), func(i int) bool { return !k.Null(int32(i)) }); len(pos) > 0 {
 			blk.add(&k, vecsOf(b), pos)
 		}
 	}
@@ -438,7 +438,7 @@ func (t *joinTable) probe(out []any, key *columnar.Vec, sel []int32, cols func()
 		vecs := make([]columnar.Vec, 0, len(pcols)+len(t.build.cols)-1)
 		gatherAll := func(cols []columnar.Vec, at []int32) {
 			for c := range cols {
-				vecs = append(vecs, gatherVec(&cols[c], at))
+				vecs = append(vecs, cols[c].Gather(at, false))
 			}
 		}
 		if t.buildLeft {

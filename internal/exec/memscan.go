@@ -354,7 +354,7 @@ func (t *scanTask) bindProject(p *plan.Project, src *selSource) func(sel []int32
 				continue
 			}
 			if vecs[j] = val(sel); vecs[j].Mask == 0 { // a literal: spread over the window
-				vecs[j] = gatherVec(&vecs[j], zeros[:t.b.Len()])
+				vecs[j] = vecs[j].Gather(zeros[:t.b.Len()], false)
 			}
 		}
 		return t.b.Project(cols, vecs, sel)

@@ -65,7 +65,7 @@ func fusedChain(tb testing.TB, schema row.Schema, sql string) *chain {
 
 // runChain executes the chain over part as one task: the partial
 // aggregation's blocks (for 16 buckets), or the rows of the batches
-// emitted, carved as a final task carves them.
+// emitted, boxed from the body a final task makes of them.
 func runChain(e *Engine, m *chain, part *columnar.Partition) (blocks []*block, rows []row.Row) {
 	t := e.newScanTask(nil, m.scan.NeededCols)
 	src := t.bindStages(m, make([]*NodeStats, 1+len(m.filters)), windows(columnar.NewBatch(part)))
@@ -76,13 +76,13 @@ func runChain(e *Engine, m *chain, part *columnar.Partition) (blocks []*block, r
 		return blocks, nil
 	}
 	emit := t.bindProject(m.project, src)
-	return nil, carve(rdd.FuncIter(func() (any, bool) {
+	return nil, bodyOf(rdd.FuncIter(func() (any, bool) {
 		sel, ok := src.next()
 		if !ok {
 			return nil, false
 		}
 		return emit(sel), true
-	}))
+	})).Rows()
 }
 
 func userVisitsPartition(tb testing.TB) *columnar.Partition {
@@ -471,7 +471,7 @@ func finalized(a *plan.Aggregate, blocks []*block) map[string]row.Row {
 		g.fold(b)
 	}
 	out := make(map[string]row.Row, g.n)
-	for _, r := range carve(windows(g.batch())) {
+	for _, r := range bodyOf(windows(g.batch())).Rows() {
 		out[string(row.EncodeBinary(nil, r[:len(a.GroupBy)]))] = r
 	}
 	return out

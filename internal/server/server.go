@@ -21,6 +21,7 @@ import (
 
 	"shark"
 	"shark/internal/cluster"
+	"shark/internal/columnar"
 	"shark/internal/core"
 	"shark/internal/obs"
 	"shark/internal/rdd"
@@ -479,8 +480,11 @@ func (h *conn) runStatement(id uint64, sqlText string, run func(context.Context)
 			h.send(id, wire.Error{Code: errCode(err), Msg: err.Error()})
 			return
 		}
+		if res.Body == nil { // DDL: a cursor of no rows
+			res.Body = &columnar.Body{}
+		}
 		h.registerCursor(id, res)
-		h.send(id, wire.ResultSet{Schema: res.Schema, Message: res.Message, NumRows: uint64(len(res.Rows))})
+		h.send(id, wire.ResultSet{Schema: res.Schema, Message: res.Message, NumRows: uint64(res.Body.Len)})
 	}()
 }
 
@@ -533,10 +537,7 @@ func (h *conn) onExecPrepared(id uint64, m wire.ExecPrepared) {
 	}
 	args := nativeArgs(m.Args)
 	h.runStatement(id, sqlText, func(ctx context.Context) (*core.Result, error) {
-		if p != nil {
-			return h.sess.ExecPreparedCtx(ctx, p, args)
-		}
-		return h.sess.ExecArgsCtx(ctx, m.SQL, args)
+		return h.sess.ExecBodyCtx(ctx, p, m.SQL, args)
 	})
 }
 
@@ -597,8 +598,8 @@ func (h *conn) pruneCursorsLocked(now time.Time) {
 
 // onFetch streams the next window of a cursor, bounded by row count
 // and a soft byte budget so one frame stays well under MaxFrame. The
-// window is a slice of the result — send transposes it straight into
-// the connection's encode buffer.
+// window is a range of the result's body — send encodes its vectors
+// straight into the connection's encode buffer.
 func (h *conn) onFetch(id uint64, m wire.Fetch) {
 	now := time.Now()
 	h.mu.Lock()
@@ -619,19 +620,34 @@ func (h *conn) onFetch(id uint64, m wire.Fetch) {
 	if m.MaxRows > 0 && m.MaxRows < maxRows {
 		maxRows = m.MaxRows
 	}
-	rows := cur.res.Rows[cur.off:]
-	n, budget := 0, wire.MaxFrame/4
-	for n < len(rows) && uint64(n) < maxRows && budget > 0 {
-		budget -= approxRowBytes(rows[n])
-		n++
-	}
+	body, lo := cur.res.Body, cur.off
+	n := frameRows(body, lo, int(maxRows))
 	cur.off += n
-	done := n == len(rows)
+	done := cur.off == body.Len
 	if done {
 		delete(h.cursors, m.Cursor)
 	}
 	h.mu.Unlock()
-	h.send(id, wire.Rows{Rows: rows[:n], Done: done})
+	h.send(id, wire.Rows{Body: body, Lo: lo, N: n, Done: done})
+}
+
+// frameRows is how many of a body's rows from off one frame carries:
+// at most most, and no more than a quarter of MaxFrame by the rows'
+// sizes in their vectors (a string's its length), past the first.
+func frameRows(body *columnar.Body, off, most int) int {
+	n, budget := 0, wire.MaxFrame/4
+	for _, w := range body.Windows {
+		for i := off; i < w.N && n < most && budget > 0; i, n = i+1, n+1 {
+			budget -= 9 * len(w.Vecs)
+			for c := range w.Vecs {
+				if v := &w.Vecs[c]; v.Kind == columnar.VecStr && !v.Null(int32(i)) {
+					budget -= len(v.Str(int32(i)))
+				}
+			}
+		}
+		off = max(off-w.N, 0)
+	}
+	return n
 }
 
 // beginDrain is the per-connection half of Shutdown: refuse new
@@ -646,18 +662,6 @@ func (h *conn) beginDrain() {
 		h.execWG.Wait()
 		h.nc.Close()
 	}()
-}
-
-// approxRowBytes estimates a row's encoded size for batch budgeting.
-func approxRowBytes(r row.Row) int {
-	n := 8
-	for _, v := range r {
-		n += 10
-		if s, ok := v.(string); ok {
-			n += len(s)
-		}
-	}
-	return n
 }
 
 // errCode classifies a statement or attach error for the wire.

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -887,6 +888,61 @@ func TestFetchMaxRowsBounds(t *testing.T) {
 		}
 		if _, err := c.Roundtrip(wire.Ping{}); err != nil {
 			t.Fatalf("connection dead after Fetch{MaxRows: %d}: %v", maxRows, err)
+		}
+	}
+}
+
+// TestFetchWalksBodyWindows: a cursor read one row per Fetch across
+// the boundary between two windows of its result's body, then in
+// frames that start mid-window and span the next, returns exactly the
+// embedded session's rows, in the order the statement sorts them.
+func TestFetchWalksBodyWindows(t *testing.T) {
+	srv, addr := start(t, server.Config{}, 3000)
+	loader, err := srv.Cluster().NewSession(shark.SessionConfig{Name: "walk", SharedCatalog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `SELECT url, status, bytes FROM logs_mem ORDER BY bytes DESC, url`
+	want, err := loader.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := attach(t, addr)
+	defer c.Close()
+	id, resp, err := c.RoundtripID(context.Background(), wire.ExecPrepared{SQL: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs, ok := resp.(wire.ResultSet); !ok || rs.NumRows != uint64(len(want.Rows)) {
+		t.Fatalf("result set %#v, want %d rows", resp, len(want.Rows))
+	}
+	// The sorted body's windows hold 1024 rows each: rows 1000..1047
+	// come one per frame across the first boundary.
+	var got []shark.Row
+	for done := false; !done; {
+		maxRows := uint64(0)
+		switch {
+		case len(got) < 1000:
+			maxRows = uint64(1000 - len(got))
+		case len(got) < 1048:
+			maxRows = 1
+		}
+		resp, err := c.Roundtrip(wire.Fetch{Cursor: id, MaxRows: maxRows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := resp.(wire.Rows)
+		if maxRows == 1 && batch.Cols.Len() != 1 {
+			t.Fatalf("Fetch{MaxRows: 1} at row %d returned %d rows", len(got), batch.Cols.Len())
+		}
+		got, done = append(got, rowsOf(batch)...), batch.Done
+	}
+	if len(got) != len(want.Rows) {
+		t.Fatalf("fetched %d rows, want %d", len(got), len(want.Rows))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want.Rows[i]) {
+			t.Fatalf("row %d: fetched %v, embedded %v", i, got[i], want.Rows[i])
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -105,8 +106,15 @@ func NewService(c *cluster.Cluster, mode Mode, dir string) *Service {
 // NewShuffleID allocates a fresh shuffle ID.
 func (s *Service) NewShuffleID() int { return int(s.nextID.Add(1)) }
 
+// blockKey names one map task's bucket in the block stores:
+// shuf/<shuffle>/<map partition>/<bucket>. Every bucket written,
+// fetched and unregistered builds one, so it is appended, not formatted.
 func blockKey(shuffleID, mapPart, bucket int) string {
-	return fmt.Sprintf("shuf/%d/%d/%d", shuffleID, mapPart, bucket)
+	b := make([]byte, 0, 32)
+	b = strconv.AppendInt(append(b, "shuf/"...), int64(shuffleID), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(mapPart), 10)
+	b = strconv.AppendInt(append(b, '/'), int64(bucket), 10)
+	return string(b)
 }
 
 // BucketStats summarizes one map task's output, fed to PDE.

@@ -3,6 +3,7 @@ package shuffle
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -235,5 +236,20 @@ func TestEstimateSize(t *testing.T) {
 	}
 	if EstimateSize(Pair{K: int64(1), V: int64(2)}) != 16 {
 		t.Error("pair estimate wrong")
+	}
+}
+
+// TestBlockKeyFormat: the appended key is byte for byte what
+// fmt.Sprintf("shuf/%d/%d/%d") gives, on the extremes of each field.
+func TestBlockKeyFormat(t *testing.T) {
+	for _, tc := range [][3]int{
+		{0, 0, 0}, {1, 2, 3}, {7, 0, 63}, {12345, 678, 9},
+		{-1, -20, -300}, {1 << 40, 1 << 31, 1<<31 - 1},
+		{math.MaxInt, math.MinInt, 10},
+	} {
+		want := fmt.Sprintf("shuf/%d/%d/%d", tc[0], tc[1], tc[2])
+		if got := blockKey(tc[0], tc[1], tc[2]); got != want {
+			t.Errorf("blockKey%v = %q, want %q", tc, got, want)
+		}
 	}
 }

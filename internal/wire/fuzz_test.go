@@ -2,8 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+
+	"shark/internal/columnar"
+	"shark/internal/row"
 )
 
 // checkParse is the property every payload must satisfy: ParseMessage
@@ -37,7 +43,8 @@ func checkParse(t *testing.T, payload []byte) {
 // FuzzParseMessage: no payload may panic the decoder, make it allocate
 // beyond its size, or slip through as a message that does not
 // re-encode canonically. The corpus holds every message type, one Rows
-// window per column kind, and the hostile column-major shapes.
+// window per column kind, the hostile column-major shapes, and frames
+// encoded from a result body's typed vectors.
 func FuzzParseMessage(f *testing.F) {
 	for i, m := range sampleMessages() {
 		f.Add(AppendMessage(nil, uint64(i), m))
@@ -51,6 +58,9 @@ func FuzzParseMessage(f *testing.F) {
 	f.Add([]byte{5, 0x01}) // the retired Exec type byte
 	f.Add([]byte{TypeRows, 0x01, 0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{TypeResultSet, 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
+	for _, payload := range bodyFrames(f) {
+		f.Add(payload)
+	}
 	f.Fuzz(checkParse)
 }
 
@@ -145,4 +155,113 @@ func FuzzPreparedMessages(f *testing.F) {
 		}
 		checkParse(t, payload)
 	})
+}
+
+// testBody is a result body of two windows, each a partition's rows
+// kept as a final task keeps them: a dictionary and a raw string
+// column (the dictionaries differ between the windows), a float, a
+// bool, a DATE and an all-NULL column, with NULLs.
+func testBody(tb testing.TB) *columnar.Body {
+	schema := row.Schema{
+		{Name: "dict", Type: row.TString}, {Name: "raw", Type: row.TString}, {Name: "f", Type: row.TFloat},
+		{Name: "b", Type: row.TBool}, {Name: "d", Type: row.TDate}, {Name: "none", Type: row.TInt},
+	}
+	body := &columnar.Body{}
+	for part, n := range []int{70, 90} {
+		bld := columnar.NewBuilder(schema)
+		for i := range n {
+			r := row.Row{fmt.Sprintf("k%d-%d", part, i%3), fmt.Sprintf("raw-%d-%d", part, i), float64(i) / 4, i%3 == 0, int64(20000 + i), nil}
+			if i%7 == 0 {
+				r[0], r[1], r[2], r[3], r[4] = nil, nil, nil, nil, nil
+			}
+			if err := bld.Append(r); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		b := columnar.NewBatch(bld.Seal())
+		b.Next()
+		w := columnar.Window{N: len(b.Sel), Vecs: make([]columnar.Vec, b.Width())}
+		for c := range w.Vecs {
+			w.Vecs[c] = b.Keep(c, b.Sel)
+		}
+		body.Add(w)
+	}
+	return body
+}
+
+// bodyFrames encodes testBody as Rows frames: one of the whole body,
+// one inside the first window, and one across the window boundary.
+func bodyFrames(tb testing.TB) [][]byte {
+	body := testBody(tb)
+	var out [][]byte
+	for i, r := range [][2]int{{0, body.Len}, {5, 20}, {60, 30}} {
+		out = append(out, AppendMessage(nil, uint64(i), Rows{Body: body, Lo: r[0], N: r[1]}))
+	}
+	return out
+}
+
+// TestBodyFramesMatchRows: a frame encoded from a body's typed
+// vectors decodes to the body's rows, boxed, in order: dictionary
+// codes remapped per window, strings, floats, bools, DATEs as ints and
+// NULLs, whichever window a row comes from.
+func TestBodyFramesMatchRows(t *testing.T) {
+	body := testBody(t)
+	want := body.Rows()
+	for _, r := range [][2]int{{0, body.Len}, {5, 20}, {60, 30}, {69, 1}, {70, 1}, {0, 0}} {
+		_, m, err := ParseMessage(AppendMessage(nil, 1, Rows{Body: body, Lo: r[0], N: r[1]}))
+		if err != nil {
+			t.Fatalf("rows [%d, +%d): %v", r[0], r[1], err)
+		}
+		cols := m.(Rows).Cols
+		if cols.Len() != r[1] {
+			t.Fatalf("rows [%d, +%d): decoded %d", r[0], r[1], cols.Len())
+		}
+		for i := range r[1] {
+			if got := cols.Row(i); !reflect.DeepEqual(got, want[r[0]+i]) {
+				t.Fatalf("row %d: decoded %v, body has %v", r[0]+i, got, want[r[0]+i])
+			}
+		}
+		if r[1] >= 20 { // a one-row window is no dictionary, and its NULLs travel as ints
+			for c, kind := range []byte{KindDict, KindString, KindFloat, KindBool, KindInt, KindInt} {
+				if got := cols.Col(c).Kind; got != kind {
+					t.Errorf("rows [%d, +%d): column %d kind %d, want %d", r[0], r[1], c, got, kind)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeConcurrently: encoders on several goroutines share one
+// transposition scratch when it is free and make their own when it is
+// not; every frame still decodes to its own rows.
+func TestEncodeConcurrently(t *testing.T) {
+	body := testBody(t)
+	want := body.Rows()
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				rows := []row.Row{{int64(g), true, "x"}, {int64(i), nil, fmt.Sprint(g, i)}}
+				var m Msg = Rows{Rows: rows}
+				if i%2 == 1 {
+					m = Rows{Body: body, Lo: i, N: 40}
+					rows = want[i : i+40]
+				}
+				_, got, err := ParseMessage(AppendMessage(nil, 1, m))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j, r := range rows {
+					if back := got.(Rows).Cols.Row(j); !reflect.DeepEqual(back, r) {
+						t.Errorf("goroutine %d frame %d row %d: decoded %v, want %v", g, i, j, back, r)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

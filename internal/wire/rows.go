@@ -5,20 +5,26 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"sync"
 
+	"shark/internal/columnar"
 	"shark/internal/row"
 )
 
 // Rows carries one window of a result, column-major (the package
 // comment gives the body byte for byte). Done marks the cursor
-// exhausted (and discarded server-side). A sender fills Rows;
-// ParseMessage leaves Rows nil and fills Cols — the window as typed
-// column slices, decoded once, which the driver indexes without ever
-// building a row.
+// exhausted (and discarded server-side). A sender fills Body, and the
+// frame is the body's rows [Lo, Lo+N), encoded from its typed vectors
+// as they are; or Rows, which the encoder transposes into vectors a
+// column at a time, so both take the one typed path. ParseMessage
+// leaves both nil and fills Cols — the window as typed column slices,
+// decoded once, which the driver indexes without ever building a row.
 type Rows struct {
-	Rows []row.Row
-	Done bool
-	Cols Columns
+	Body  *columnar.Body
+	Lo, N int
+	Rows  []row.Row
+	Done  bool
+	Cols  Columns
 }
 
 // MaxFrameRows bounds the rows of one Rows frame. A column of NULLs
@@ -103,123 +109,265 @@ func (c *Column) Value(i int) any {
 
 // --- encode ---
 
+// seg is rows [lo, hi) of one vector: a frame's column is a run of
+// them, one per body window the frame spans.
+type seg struct {
+	v      *columnar.Vec
+	lo, hi int
+}
+
+// encoder is one frame's scratch, on the encoder's stack: a dictionary
+// table (5 KB a string column resets) and room for a column's segments.
+type encoder struct {
+	dict dictTable
+	segs [4]seg
+}
+
 func (m Rows) appendBody(buf []byte) []byte {
-	rows := m.Rows
-	if rows == nil {
-		// A decoded window re-encodes from its columns (tests and
-		// fuzzing do; nothing on the serving path re-sends a frame).
-		rows = make([]row.Row, m.Cols.Len())
-		for i := range rows {
-			rows[i] = m.Cols.Row(i)
+	rows, n, width := m.Rows, m.N, 0
+	ws, lo := []columnar.Window(nil), m.Lo
+	if m.Body != nil {
+		for ws = m.Body.Windows; len(ws) > 0 && lo >= ws[0].N; ws = ws[1:] {
+			lo -= ws[0].N
 		}
+		if n > 0 {
+			width = len(ws[0].Vecs)
+		}
+	} else {
+		if rows == nil {
+			// A decoded window re-encodes from its columns (tests and
+			// fuzzing do; nothing on the serving path re-sends a frame).
+			rows = make([]row.Row, m.Cols.Len())
+			for i := range rows {
+				rows[i] = m.Cols.Row(i)
+			}
+		}
+		for _, r := range rows {
+			width = max(width, len(r))
+		}
+		n = len(rows)
 	}
-	width := 0
-	for _, r := range rows {
-		width = max(width, len(r))
-	}
-	buf = appendBool(buf, m.Done)
-	buf = appendUvarint(buf, uint64(len(rows)))
-	buf = appendUvarint(buf, uint64(width))
-	var dict dictTable // one for the frame: 5 KB of stack a string column resets
-	for c := 0; c < width; c++ {
-		buf = appendColumn(buf, rows, c, &dict)
+	buf = appendUvarint(appendUvarint(appendBool(buf, m.Done), uint64(n)), uint64(width))
+	var e encoder
+	var t *scratch
+	defer func() {
+		if t == &shared.scratch {
+			t.release()
+		}
+	}()
+	for c := range width {
+		segs, typed := e.segs[:0], ws != nil
+		for i, left, from := 0, n, lo; typed && left > 0; i, from = i+1, 0 {
+			to := min(ws[i].N, from+left)
+			segs = append(segs, seg{&ws[i].Vecs[c], from, to})
+			left -= to - from
+			typed = segs[0].v.Kind != columnar.VecAny && segs[0].v.Kind == segs[len(segs)-1].v.Kind
+		}
+		if !typed {
+			// Rows, and a body's bools or cells that disagree, are
+			// transposed into a vector first.
+			if t == nil { // the shared scratch, unless another encoder holds it
+				if t = &shared.scratch; !shared.TryLock() {
+					t = new(scratch)
+				}
+			}
+			t.anys = t.anys[:0]
+			for _, r := range rows {
+				var x any
+				if c < len(r) {
+					x = r[c]
+				}
+				t.anys = append(t.anys, x)
+			}
+			for i, left, from := 0, n, lo; ws != nil && left > 0; i, from = i+1, 0 {
+				to := min(ws[i].N, from+left)
+				for j := from; j < to; j++ {
+					t.anys = append(t.anys, ws[i].Vecs[c].At(int32(j)))
+				}
+				left -= to - from
+			}
+			segs = append(segs[:0], seg{t.narrow(), 0, n})
+		}
+		buf = e.column(buf, segs, n)
 	}
 	return buf
 }
 
-func cell(r row.Row, c int) any {
-	if c < len(r) {
-		return r[c]
-	}
-	return nil
+// kinds lists, by vector kind, the column kinds the encoder tries in
+// order: a string column is a dictionary when the frame's distinct
+// values fit one (at most 255, and fewer than half as many as rows), a
+// boxed column bools when every cell is one.
+var kinds = [...][]byte{
+	columnar.VecAny:   {KindBool, KindAny},
+	columnar.VecInt:   {KindInt},
+	columnar.VecFloat: {KindFloat},
+	columnar.VecStr:   {KindDict, KindString},
 }
 
-// appendColumn transposes column c of rows into buf as the first kind
-// that can carry every cell: each attempt stops at the first cell it
-// cannot (a string when the dictionary is full — more than 255 distinct
-// values, or not fewer than half as many as rows — or a cell of another
-// type), rewinds, and the next kind tries. KindAny carries anything; an
-// all-NULL column travels as ints.
-func appendColumn(buf []byte, rows []row.Row, c int, dict *dictTable) []byte {
-	for start, kind := len(buf), KindInt; ; kind++ {
-		var zeros [64]byte
-		if kind == KindDict {
-			*dict = dictTable{limit: min(255, (len(rows)-1)/2)}
-		}
+// column encodes one column of n rows, held by segs of one kind, as
+// the first of its kinds that carries every cell.
+func (e *encoder) column(buf []byte, segs []seg, n int) []byte {
+	start := len(buf)
+	for _, kind := range kinds[segs[0].v.Kind] {
 		buf = append(buf[:start], kind)
 		nulls := len(buf)
-		for n := (len(rows) + 7) / 8; n > 0; n -= min(n, len(zeros)) {
-			buf = append(buf, zeros[:min(n, len(zeros))]...)
+		for range (n + 7) / 8 {
+			buf = append(buf, 0)
+		}
+		if kind == KindDict {
+			e.dict = dictTable{limit: min(255, (n-1)/2)}
 		}
 		var ok bool
-		if buf, ok = appendCells(buf, nulls, rows, c, kind, dict); !ok {
-			continue
+		if buf, ok = e.cells(buf, nulls, segs, kind); ok {
+			return buf
 		}
-		switch kind {
-		case KindDict:
-			buf = appendUvarint(buf, uint64(dict.n))
-			for _, s := range dict.entries[:dict.n] {
-				buf = appendString(buf, s)
-			}
-		case KindString:
-			for _, r := range rows {
-				if s, ok := cell(r, c).(string); ok {
-					buf = append(buf, s...)
-				}
-			}
-		}
-		return buf
 	}
+	panic("wire: no column kind carries the cells") // the last kind of each carries any
 }
 
-// appendCells appends one payload entry of the given kind per row,
-// setting the null bit (at buf[nulls:]) and a zero entry for a NULL. It
-// stops with false at a cell the kind cannot carry, or a string the
-// dictionary has no room for.
-func appendCells(buf []byte, nulls int, rows []row.Row, c int, kind byte, dict *dictTable) ([]byte, bool) {
-	for i, r := range rows {
-		v := cell(r, c)
-		switch v := v.(type) {
-		case nil:
-			buf[nulls+i/8] |= 1 << (i % 8)
-			if kind == KindFloat {
-				buf = append(buf, 0, 0, 0, 0, 0, 0, 0)
-			}
-			buf = append(buf, 0) // argNull too
-			continue
-		case int64:
-			if kind == KindInt {
-				buf = binary.AppendVarint(buf, v)
+// cells appends one payload entry of kind per row — a NULL's zero,
+// its bit set at buf[nulls:] — then what follows them: a dictionary's
+// entries, a string column's bytes. It stops with false at a cell the
+// kind cannot carry: a non-bool cell, a string the dictionary has no
+// room for, or a dictionary left empty (an all-NULL column).
+func (e *encoder) cells(buf []byte, nulls int, segs []seg, kind byte) ([]byte, bool) {
+	j := 0
+	for _, s := range segs {
+		v := s.v
+		var codes [256]uint16 // a dictionary vector's code + 1 in the frame's dictionary
+		for i := s.lo; i < s.hi; i, j = i+1, j+1 {
+			if v.Null(int32(i)) {
+				buf[nulls+j/8] |= 1 << (j % 8)
+				if kind == KindFloat {
+					buf = append(buf, 0, 0, 0, 0, 0, 0, 0)
+				}
+				buf = append(buf, 0) // argNull too
 				continue
 			}
-		case float64:
-			if kind == KindFloat {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-				continue
+			switch kind {
+			case KindInt:
+				buf = binary.AppendVarint(buf, v.Ints[i])
+			case KindFloat:
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Floats[i]))
+			case KindString:
+				buf = appendUvarint(buf, uint64(len(v.Str(int32(i)))))
+			case KindDict:
+				if v.Dict != nil && codes[v.Codes[i]] > 0 {
+					buf = append(buf, byte(codes[v.Codes[i]]-1))
+					break
+				}
+				code, ok := e.dict.code(v.Str(int32(i)))
+				if !ok {
+					return buf, false
+				}
+				if v.Dict != nil {
+					codes[v.Codes[i]] = uint16(code) + 1
+				}
+				buf = append(buf, code)
+			case KindBool:
+				b, ok := v.Anys[i].(bool)
+				if !ok {
+					return buf, false
+				}
+				buf = appendBool(buf, b)
+			default:
+				buf = appendValue(buf, v.Anys[i])
 			}
-		case bool:
-			if kind == KindBool {
-				buf = appendBool(buf, v)
-				continue
-			}
-		case string:
-			if kind == KindString {
-				buf = appendUvarint(buf, uint64(len(v)))
-				continue
-			}
-			if kind == KindDict {
-				if code, ok := dict.code(v); ok {
-					buf = append(buf, code)
-					continue
+		}
+	}
+	switch kind {
+	case KindDict:
+		if e.dict.n == 0 {
+			return buf, false
+		}
+		buf = appendUvarint(buf, uint64(e.dict.n))
+		for _, s := range e.dict.entries[:e.dict.n] {
+			buf = appendString(buf, s)
+		}
+	case KindString:
+		for _, s := range segs {
+			for i := s.lo; i < s.hi; i++ {
+				if !s.v.Null(int32(i)) {
+					buf = append(buf, s.v.Str(int32(i))...)
 				}
 			}
 		}
-		if kind != KindAny {
-			return buf, false
-		}
-		buf = appendValue(buf, v)
 	}
 	return buf, true
+}
+
+// scratch transposes one column of boxed cells into a vector.
+type scratch struct {
+	anys []any
+	vec  columnar.Vec
+}
+
+// shared is the scratch an encoder reuses when no other holds it, so
+// that encoding rows into a buffer with room allocates nothing once
+// warm. (A sync.Pool drops items at random under the race detector.)
+var shared struct {
+	sync.Mutex
+	scratch
+}
+
+// release drops the shared scratch's references to cells and gives it
+// back.
+func (t *scratch) release() {
+	clear(t.anys)
+	clear(t.vec.Strs)
+	t.vec.Anys = nil
+	shared.Unlock()
+}
+
+// narrow returns the cells as a vector: VecInt, VecFloat or VecStr when
+// every non-NULL cell is an int64, a float64 or a string (an all-NULL
+// column reads as ints), VecAny over the cells themselves otherwise.
+// Only here does the encoder look at a cell's type.
+func (t *scratch) narrow() *columnar.Vec {
+	v := &t.vec
+	v.Kind, v.Mask, v.Nulls = columnar.VecInt, -1, v.Nulls[:0]
+	for range (len(t.anys) + 63) / 64 {
+		v.Nulls = append(v.Nulls, 0)
+	}
+	ok, x := true, any(nil)
+	for _, x = range t.anys {
+		if x != nil { // the first non-NULL cell picks the kind to try
+			break
+		}
+	}
+	switch x.(type) {
+	case nil, int64:
+		v.Ints, ok = fill(v.Ints, t.anys, v.Nulls)
+	case float64:
+		v.Kind = columnar.VecFloat
+		v.Floats, ok = fill(v.Floats, t.anys, v.Nulls)
+	case string:
+		v.Kind = columnar.VecStr
+		v.Strs, ok = fill(v.Strs, t.anys, v.Nulls)
+	default:
+		ok = false
+	}
+	if !ok {
+		v.Kind, v.Anys = columnar.VecAny, t.anys
+	}
+	return v
+}
+
+// fill unboxes cells into dst, marking the NULLs; false at the first
+// cell that is neither NULL nor a T.
+func fill[T any](dst []T, cells []any, nulls columnar.Bitmap) ([]T, bool) {
+	dst = dst[:0]
+	for i, x := range cells {
+		v, ok := x.(T)
+		if !ok {
+			if x != nil {
+				return dst, false
+			}
+			nulls.Set(i)
+		}
+		dst = append(dst, v)
+	}
+	return dst, true
 }
 
 // dictTable assigns byte codes to the distinct strings of one column

@@ -23,9 +23,11 @@
 // typed payload per column — so a result window crosses the socket
 // without a per-cell type tag and decodes once into typed column
 // slices. Protocol version 3 retired the row-major body (one
-// length-prefixed, per-cell tagged row after another). The body, for n
-// rows by c columns (a row shorter than the widest is padded with
-// NULLs; the server never sends one):
+// length-prefixed, per-cell tagged row after another). The encoder
+// takes a row range of a result's body and writes its typed vectors as
+// they are; boxed rows it first transposes into vectors, a column at a
+// time. The body, for n rows by c columns (a row shorter than the
+// widest is padded with NULLs; the server never sends one):
 //
 //	1 byte   Done
 //	uvarint  n, at most MaxFrameRows

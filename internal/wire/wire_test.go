@@ -211,6 +211,14 @@ func sameCell(a, b any) bool {
 	return a == b
 }
 
+// cell is row r's column c: NULL past the end of a short row.
+func cell(r row.Row, c int) any {
+	if c < len(r) {
+		return r[c]
+	}
+	return nil
+}
+
 // roundTripRows encodes a window, parses it, and checks every cell
 // came back exactly; it returns the decoded columns.
 func roundTripRows(t *testing.T, rows []row.Row, done bool) Columns {

@@ -266,3 +266,48 @@ func TestResultOutlivesDroppedTable(t *testing.T) {
 		}
 	}
 }
+
+// TestResultCacheBytesPerStatement: the result cache charges a
+// statement what its result holds. An integer cell costs its eight
+// bytes, a string its header and bytes, plus each window's vector
+// headers — not a flat per-cell estimate that misses every boxed int
+// above 255 and every float. The bytes per cached statement are
+// logged (go test -v) to compare across changes.
+func TestResultCacheBytesPerStatement(t *testing.T) {
+	cl := newTestCluster(t, shark.ClusterConfig{})
+	s, err := cl.NewSession(shark.SessionConfig{Name: "rcb", ResultCacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4000
+	loadTiny(t, s, "ev", n)
+	if _, err := s.Exec(`CREATE TABLE ev_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM ev`); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		sql       string
+		rows      int
+		cellBytes int // what the result's cells hold, at the least
+	}{
+		{`SELECT bytes, day FROM ev_mem`, n, 2 * 8 * n},
+		{`SELECT url FROM ev_mem`, n, 16*n + 4*n},
+		{`SELECT status, COUNT(*), AVG(bytes) FROM ev_mem GROUP BY status`, 2, 2 * 3 * 8},
+	} {
+		before := s.Results.Bytes()
+		res, err := s.Exec(q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != q.rows {
+			t.Fatalf("%s: %d rows, want %d", q.sql, len(res.Rows), q.rows)
+		}
+		got := s.Results.Bytes() - before
+		t.Logf("%s: %d bytes cached for %d rows", q.sql, got, q.rows)
+		// Per window: its vector headers; the scan's windows hold
+		// 1024 rows or fewer, one per partition tail.
+		slack := int64(4096 + 512*(q.rows/256+1))
+		if got < int64(q.cellBytes) || got > int64(q.cellBytes)+int64(q.cellBytes)/4+slack {
+			t.Errorf("%s: charged %d bytes, want about the %d its cells hold", q.sql, got, q.cellBytes)
+		}
+	}
+}
