@@ -3,7 +3,7 @@
 //
 //	shark-lint ./...
 //
-// It exits 1 when any diagnostic survives suppression.
+// It exits 1 when any analyzer reports a diagnostic.
 // docs/INVARIANTS.md documents every analyzer and the incident that
 // motivated it.
 package main

@@ -269,12 +269,11 @@ func TestSubmitAfterClose(t *testing.T) {
 }
 
 // TestCloseFailsQueuedTasks: every Submit delivers exactly one Result,
-// Close included — tasks sitting in a worker queue or on the pending
-// list behind a blocked slot all receive ErrClosed promptly. A
-// scheduler blocked on such a task with no deadline would otherwise
-// hang forever.
+// Close included — tasks queued behind a blocked slot all receive
+// ErrClosed promptly. A scheduler blocked on such a task with no
+// deadline would otherwise hang forever.
 func TestCloseFailsQueuedTasks(t *testing.T) {
-	c := New(Config{Workers: 1, Slots: 1, QueueDepth: 2})
+	c := New(Config{Workers: 1, Slots: 1})
 	started, release := make(chan struct{}), make(chan struct{})
 	blocker := c.Submit(&Task{Fn: func(*Worker) (any, error) {
 		close(started)
@@ -282,8 +281,6 @@ func TestCloseFailsQueuedTasks(t *testing.T) {
 		return "done", nil
 	}})
 	<-started
-	// QueueDepth 2: two land in the worker queue, the rest on the
-	// pending list.
 	var queued []<-chan Result
 	for i := 0; i < 6; i++ {
 		queued = append(queued, c.Submit(&Task{Fn: func(*Worker) (any, error) { return nil, nil }}))

@@ -72,62 +72,125 @@ func TestLocalityPreferredWhenIdle(t *testing.T) {
 	}
 }
 
-// TestStealingRelievesSlowWorker: tasks queued behind a straggling
-// preferred worker are stolen by idle slots once the locality window
-// expires, instead of waiting forever.
+// TestStealingRelievesSlowWorker: tasks homed on a busy preferred
+// worker are run by an idle slot once their job's locality wait
+// expires, instead of waiting forever — whether the worker straggles
+// or launches its own short tasks back to back, which must not keep
+// restarting the wait.
 func TestStealingRelievesSlowWorker(t *testing.T) {
-	c := newTest(t, Config{
-		Workers: 2, Slots: 1,
-		LocalityWait: time.Millisecond,
-		StealDelay:   500 * time.Microsecond,
-	})
-	c.SetStragglerDelay(0, 5*time.Millisecond)
-	var chans []<-chan Result
-	for i := 0; i < 20; i++ {
-		chans = append(chans, c.Submit(&Task{
-			Preferred: []int{0},
-			Fn:        func(w *Worker) (any, error) { return w.ID, nil },
-		}))
-	}
-	for _, r := range drainAll(t, chans) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	if got := c.Worker(1).TasksRun(); got == 0 {
-		t.Error("idle worker stole nothing from the straggler's queue")
-	}
-	if c.Metrics().Steals.Load() == 0 {
-		t.Error("no steals recorded")
+	for _, tc := range []struct {
+		name           string
+		straggle, body time.Duration
+	}{
+		{"straggler", 5 * time.Millisecond, 0},
+		{"busy", 0, 500 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTest(t, Config{Workers: 2, Slots: 1})
+			c.SetStragglerDelay(0, tc.straggle)
+			var chans []<-chan Result
+			for i := 0; i < 20; i++ {
+				chans = append(chans, c.Submit(&Task{
+					Preferred: []int{0},
+					Fn: func(w *Worker) (any, error) {
+						time.Sleep(tc.body)
+						return w.ID, nil
+					},
+				}))
+			}
+			for _, r := range drainAll(t, chans) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+			}
+			if got := c.Worker(1).TasksRun(); got == 0 {
+				t.Error("idle worker stole nothing from the busy worker's tasks")
+			}
+			if c.Metrics().Steals.Load() == 0 {
+				t.Error("no steals recorded")
+			}
+		})
 	}
 }
 
-// TestPendingOverflowBeyondQueueDepth: a burst larger than the bounded
-// queues spills to the pending list and still completes fully.
-func TestPendingOverflowBeyondQueueDepth(t *testing.T) {
-	c := newTest(t, Config{Workers: 2, Slots: 1, QueueDepth: 2})
-	var chans []<-chan Result
-	for i := 0; i < 40; i++ {
-		chans = append(chans, c.Submit(&Task{Fn: func(w *Worker) (any, error) {
-			time.Sleep(50 * time.Microsecond)
-			return nil, nil
+// TestLocalityWaitRestartsAfterBusyLaunch: a launch that finds every
+// other slot busy ends the job's locality wait, so a slot that frees up
+// later waits a full localityWait again before running the job's tasks
+// away from home — however long ago the job's previous wait ran out.
+func TestLocalityWaitRestartsAfterBusyLaunch(t *testing.T) {
+	c := newTest(t, Config{Workers: 2, Slots: 1})
+	// Another job's task holds worker 0 until the end.
+	free0 := make(chan struct{})
+	blocker := c.Submit(&Task{JobID: 2, Excluded: []int{1}, Fn: func(w *Worker) (any, error) {
+		<-free0
+		return w.ID, nil
+	}})
+	// The job's five tasks are homed on busy worker 0. Its oldest runs
+	// on worker 1 once the job's wait runs out, and holds it; worker 0
+	// is busy at that launch.
+	free1 := make(chan struct{})
+	started := make(chan int, 1)
+	first := c.Submit(&Task{JobID: 1, Preferred: []int{0}, Fn: func(w *Worker) (any, error) {
+		started <- w.ID
+		<-free1
+		return w.ID, nil
+	}})
+	type launch struct {
+		worker int
+		at     time.Time
+	}
+	launches := make(chan launch, 4)
+	var rest []<-chan Result
+	for i := 0; i < 4; i++ {
+		rest = append(rest, c.Submit(&Task{JobID: 1, Preferred: []int{0}, Fn: func(w *Worker) (any, error) {
+			launches <- launch{w.ID, time.Now()}
+			return w.ID, nil
 		}}))
 	}
+	if w := <-started; w != 1 {
+		t.Fatalf("first task ran on worker %d, want 1", w)
+	}
+	freed := time.Now()
+	close(free1)
+	if l := <-launches; l.worker != 1 || l.at.Sub(freed) < localityWait {
+		t.Errorf("next task ran on worker %d %v after worker 1 freed up, want worker 1 after ≥ %v",
+			l.worker, l.at.Sub(freed), localityWait)
+	}
+	close(free0)
+	drainAll(t, append(rest, first, blocker))
+}
+
+// TestLocalityUnderLongWave: a wave of 64 preferred tasks spread over
+// four single-slot workers keeps at least 95% locality while a second
+// job contends for the same slots: every worker holds home tasks of
+// both jobs until the wave's tail, so no slot idles long enough for
+// either job's locality wait to run out.
+func TestLocalityUnderLongWave(t *testing.T) {
+	c := newTest(t, Config{Workers: 4, Slots: 1})
+	body := func(w *Worker) (any, error) {
+		time.Sleep(200 * time.Microsecond)
+		return w.ID, nil
+	}
+	var chans []<-chan Result
+	for i := 0; i < 64; i++ {
+		chans = append(chans, c.Submit(&Task{JobID: 1, Preferred: []int{i % 4}, Fn: body}))
+		if i%4 == 0 {
+			chans = append(chans, c.Submit(&Task{JobID: 2, Fn: body}))
+		}
+	}
 	for _, r := range drainAll(t, chans) {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
 	}
-	if c.TasksLaunched() != 40 {
-		t.Errorf("TasksLaunched = %d", c.TasksLaunched())
-	}
-	if c.Metrics().PendingOverflows.Load() == 0 {
-		t.Error("expected queue-depth overflow into the pending list")
+	hits, misses := c.Metrics().LocalityHits.Load(), c.Metrics().LocalityMisses.Load()
+	if hits+misses != 64 || hits*100 < 95*64 {
+		t.Errorf("locality hits = %d, misses = %d of 64 preferred tasks, want ≥ 95%% hits", hits, misses)
 	}
 }
 
-// TestKillRedistributesQueuedTasks: killing a worker re-places its
-// queued tasks on live workers; only the in-flight task is lost.
+// TestKillRedistributesQueuedTasks: tasks homed on a killed worker run
+// on live workers; only the in-flight task is lost.
 func TestKillRedistributesQueuedTasks(t *testing.T) {
 	c := newTest(t, Config{Workers: 2, Slots: 1})
 	release := make(chan struct{})

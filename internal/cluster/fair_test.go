@@ -129,52 +129,6 @@ func TestFIFOStarvesShortJob(t *testing.T) {
 	}
 }
 
-// TestFairShareAcrossPendingOverflow: when the long job saturates the
-// bounded queues into the pending list, aged pending long tasks must
-// not outrank a short job's queued tasks — fairness compares the two
-// pools by running-task counts.
-func TestFairShareAcrossPendingOverflow(t *testing.T) {
-	c := newTest(t, Config{
-		Workers: 1, Slots: 2, QueueDepth: 4,
-		LocalityWait: 500 * time.Microsecond,
-		Policy:       FairShare,
-	})
-	const longJob, shortJob = 1, 2
-	release := make(chan struct{})
-	blockers := blockSlots(t, c, longJob, release)
-
-	var mu sync.Mutex
-	var order []int64
-	// 12 long tasks: 4 fill the queue, 8 overflow to pending.
-	longChans := submitJobTasks(c, longJob, 12, &mu, &order)
-	if c.Metrics().PendingOverflows.Load() == 0 {
-		t.Fatal("scenario broken: no pending overflow")
-	}
-	// Short tasks land in pending too (queue is full).
-	shortChans := submitJobTasks(c, shortJob, 2, &mu, &order)
-	// Let every pending task age past its locality window.
-	time.Sleep(2 * time.Millisecond)
-
-	close(release)
-	for _, ch := range append(append(blockers, longChans...), shortChans...) {
-		if r := <-ch; r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	lastShort := -1
-	for i, j := range order {
-		if j == shortJob {
-			lastShort = i
-		}
-	}
-	if lastShort > 5 {
-		t.Errorf("short job finished at position %d of %d despite fair sharing over pending overflow: %v",
-			lastShort, len(order), order)
-	}
-}
-
 // TestCancelJobDropsQueuedTasks: cancelling a job fails its queued
 // tasks with ErrJobCancelled, leaves other jobs' tasks untouched, and
 // the cluster keeps serving new work.
@@ -230,38 +184,6 @@ func TestCancelJobZeroIsNoop(t *testing.T) {
 	}
 	for _, b := range blockers {
 		<-b
-	}
-}
-
-// TestBatchStealingFewerEvents: rebalancing a straggler's queue takes
-// batches (half the queue per event), so steal events stay well below
-// stolen tasks.
-func TestBatchStealingFewerEvents(t *testing.T) {
-	c := newTest(t, Config{
-		Workers: 2, Slots: 1,
-		LocalityWait: time.Millisecond,
-		StealDelay:   500 * time.Microsecond,
-	})
-	c.SetStragglerDelay(0, 10*time.Millisecond)
-	var chans []<-chan Result
-	for i := 0; i < 24; i++ {
-		chans = append(chans, c.Submit(&Task{
-			Preferred: []int{0},
-			Fn:        func(w *Worker) (any, error) { return w.ID, nil },
-		}))
-	}
-	for _, ch := range chans {
-		if r := <-ch; r.Err != nil {
-			t.Fatal(r.Err)
-		}
-	}
-	events := c.Metrics().Steals.Load()
-	tasks := c.Metrics().StolenTasks.Load()
-	if tasks == 0 {
-		t.Fatal("nothing was stolen from the straggler")
-	}
-	if events >= tasks {
-		t.Errorf("steal events = %d for %d stolen tasks; batching should need fewer events", events, tasks)
 	}
 }
 
@@ -393,8 +315,8 @@ func TestWeightedShareConvergence(t *testing.T) {
 	for i, w := range weights {
 		share := float64(counts[i].Load()) / float64(total)
 		want := float64(w) / float64(weightSum)
-		if share < want*0.55 || share > want*1.65 {
-			t.Errorf("weight-%d job share = %.3f (count %d), want ~%.3f (±45%%); all counts: %d/%d/%d",
+		if share < want*0.75 || share > want*1.25 {
+			t.Errorf("weight-%d job share = %.3f (count %d), want ~%.3f (±25%%); all counts: %d/%d/%d",
 				w, share, counts[i].Load(), want,
 				counts[0].Load(), counts[1].Load(), counts[2].Load())
 		}

@@ -45,8 +45,8 @@ type Session struct {
 
 	// Priority is the session's fair-share weight (<=0 reads as 1):
 	// every statement's cluster tasks carry it, and under weighted
-	// fair scheduling a priority-4 session sustains 4x the running
-	// tasks of a priority-1 session when both are backlogged.
+	// fair scheduling backlogged sessions hold slots in proportion to
+	// their priorities.
 	Priority int
 
 	// MaxConcurrentJobs caps how many of the session's statements may

@@ -52,9 +52,9 @@ func runConcurrency(ctx context.Context, sc Scale, r *Report) error {
 // session floods the shared cluster with long-scan task waves while
 // three light sessions at priorities 1, 2 and 4 issue the same short
 // query stream. Under weighted fair sharing a freed slot runs the job
-// with the smallest running/weight ratio, so the priority-4 session
-// should sustain ~4x the in-flight tasks of the priority-1 session and
-// see strictly lower tail latency. The experiment fails if the
+// with the smallest (running+1)/weight ratio, so the priority-4 session
+// should sustain several times the in-flight tasks of the priority-1
+// session and see strictly lower tail latency. The experiment fails if the
 // weight-4 p95 is not strictly below the weight-1 p95 — the acceptance
 // signal for per-tenant priorities.
 func runPriority(ctx context.Context, sc Scale, r *Report) error {
@@ -66,7 +66,7 @@ func runPriority(ctx context.Context, sc Scale, r *Report) error {
 	}
 	// Identical multi-task tables: each light query carries 3x-slots
 	// tasks — more than the cluster can hold at once — so with the
-	// three query streams overlapping, the weighted running/weight
+	// three query streams overlapping, the weighted (running+1)/weight
 	// ratio (how many slots a session sustains), not first-task FIFO
 	// order, decides each query's drain rate. Barrier rounds keep every
 	// measured latency contending against the other two weights.

@@ -85,8 +85,7 @@ func contend(sc Scale, spec contendSpec) (lats [][]float64, heavyPasses int, err
 	}
 
 	// The heavy session scans a big cached table split into 12 × slots
-	// partitions: every pass floods each worker queue with a full task
-	// wave.
+	// partitions: every pass floods the cluster with a full task wave.
 	heavy, err := session(spec.heavy, "big", cl.TotalSlots()*12, sc.UserVisits,
 		`SELECT grp, SUM(val), COUNT(*) FROM big_mem GROUP BY grp`)
 	if err != nil {

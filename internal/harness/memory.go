@@ -55,8 +55,8 @@ func runMemory(ctx context.Context, sc Scale, r *Report) error {
 			return n, err
 		},
 		finish: func(ctx context.Context, w *world, tbl *memtable.Table, pt sweepPoint) (string, error) {
-			// Straggler phase: slow one worker so work stealing pushes
-			// its tasks off-holder — stolen tasks then fetch the
+			// Straggler phase: slow one worker so delay scheduling runs
+			// its tasks off-holder — those tasks then fetch the
 			// partitions the straggler still caches instead of
 			// recomputing them (the remote-cache-read path).
 			w.cl.SetStragglerDelay(0, 5*time.Millisecond)

@@ -73,12 +73,11 @@ func noteClusterMetrics(label string, ctx *rdd.Context) {
 	sm := ctx.Scheduler().Metrics()
 	ds := ctx.Cluster.DiskTierStats()
 	r.AddClusterNote(exp, label, fmt.Sprintf(
-		"steals %d events/%d tasks, locality %d/%d hits/misses, pending overflows %d, "+
+		"steals %d, locality %d/%d hits/misses, "+
 			"cache hits %d, remote hits %d, disk hits %d, recomputes %d, evictions %d (%d KB), "+
 			"spilled %d (%d KB), disk evictions %d, cancelled tasks %d",
-		cm.Steals.Load(), cm.StolenTasks.Load(),
+		cm.Steals.Load(),
 		cm.LocalityHits.Load(), cm.LocalityMisses.Load(),
-		cm.PendingOverflows.Load(),
 		sm.CacheHits.Load(), sm.RemoteCacheHits.Load(), sm.DiskHits.Load(), sm.CacheRecomputes.Load(),
 		cm.CacheEvictions.Load(), cm.BytesEvicted.Load()/1024,
 		ds.SpilledBlocks, ds.BytesSpilled/1024, ds.DiskEvictions,

@@ -25,8 +25,8 @@ import (
 // mirrors golang.org/x/tools/go/analysis.Analyzer so the analyzers
 // could migrate to the real framework if the dependency ever lands.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //shark:lint-allow suppression comments. Lower-case, no spaces.
+	// Name identifies the analyzer in diagnostics. Lower-case, no
+	// spaces.
 	Name string
 	// Doc is a one-paragraph description; the first line is the
 	// summary shown by `shark-lint -list`.

@@ -9,10 +9,7 @@
 //
 // Multiple backquoted regexps on one line expect multiple
 // diagnostics. Every diagnostic must be wanted and every want must
-// fire, or the test fails. Suppression comments are honored, so
-// fixtures can also assert the //shark:lint-allow machinery
-// (including the "unused allow" report, which arrives as the
-// pseudo-analyzer lint-allow).
+// fire, or the test fails.
 package linttest
 
 import (
@@ -36,15 +33,6 @@ import (
 // the // want expectations.
 func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	t.Helper()
-	files, diags := Diagnostics(t, a, dir)
-	checkWants(t, files, diags)
-}
-
-// Diagnostics analyzes the fixture directory and returns the raw
-// (suppression-filtered) findings, for tests that assert on them
-// directly instead of via want comments.
-func Diagnostics(t *testing.T, a *lint.Analyzer, dir string) ([]string, []lint.Diagnostic) {
-	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no fixture files in %s (%v)", dir, err)
@@ -58,7 +46,7 @@ func Diagnostics(t *testing.T, a *lint.Analyzer, dir string) ([]string, []lint.D
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
-	return files, diags
+	checkWants(t, files, diags)
 }
 
 var wantRE = regexp.MustCompile("`([^`]+)`")

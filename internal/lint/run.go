@@ -4,11 +4,10 @@ import (
 	"fmt"
 )
 
-// RunPackage runs the analyzers over one type-checked package,
-// applies //shark:lint-allow suppressions, and reports malformed or
-// unused allows. Diagnostics come back sorted by position.
+// RunPackage runs the analyzers over one type-checked package.
+// Diagnostics come back sorted by position.
 func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var raw []Diagnostic
+	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -16,23 +15,15 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:     pkg.Files,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			report:    func(d Diagnostic) { raw = append(raw, d) },
+			report:    func(d Diagnostic) { out = append(out, d) },
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("lint: %s on %s: %v", a.Name, pkg.PkgPath, err)
 		}
 	}
-	for i := range raw {
-		raw[i].position = pkg.Fset.Position(raw[i].Pos)
+	for i := range out {
+		out[i].position = pkg.Fset.Position(out[i].Pos)
 	}
-	allows := collectAllows(pkg.Fset, pkg.Files)
-	var out []Diagnostic
-	for _, d := range raw {
-		if !suppressed(d, allows) {
-			out = append(out, d)
-		}
-	}
-	out = append(out, allowDiagnostics(pkg.Fset, allows)...)
 	sortDiagnostics(out)
 	return out, nil
 }

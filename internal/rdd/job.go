@@ -29,8 +29,8 @@ type Job struct {
 	Session string
 	// Weight is the job's fair-share weight (set at start, immutable;
 	// always >= 1). Every cluster task the job launches carries it:
-	// under weighted fair sharing a weight-4 job sustains 4x the
-	// running tasks of a weight-1 job before losing dequeue priority.
+	// under weighted fair sharing backlogged jobs hold slots in
+	// proportion to their weights.
 	Weight int
 
 	tasks            atomic.Int64
@@ -401,8 +401,8 @@ func (r *jobRegistry) aggFor(session string) *sessionAgg {
 // JobConfig shapes one job's scheduling behaviour.
 type JobConfig struct {
 	// Weight is the fair-share weight the job's cluster tasks carry
-	// (<=0 reads as 1): under weighted fair sharing a weight-4 job
-	// sustains 4x the running tasks of a weight-1 job.
+	// (<=0 reads as 1): under weighted fair sharing backlogged jobs
+	// hold slots in proportion to their weights.
 	Weight int
 	// MaxConcurrentJobs caps how many of the session's jobs may be
 	// in flight at once (0 = unlimited). A job past the cap waits in

@@ -461,8 +461,8 @@ func (s *Scheduler) runTaskSet(gctx context.Context, job *Job, stage string, par
 					// A backup copy on the straggler's own node would
 					// straggle identically: exclude the worker running
 					// the original — or, if the original is still
-					// queued, the worker whose queue holds it — so
-					// placement picks a distinct one.
+					// queued, its home worker — so placement picks a
+					// distinct one.
 					excl := excludedByPart[part]
 					if orig := inflight[part]; orig != nil {
 						wid := orig.RunningOn()

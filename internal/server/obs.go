@@ -68,8 +68,7 @@ func newObserver(cl *shark.Cluster, cfg Config) *observer {
 
 	// Dispatcher.
 	dm := cl.Metrics()
-	counter("shark_dispatch_steals_total", "work-steal events", dm.Steals.Load)
-	counter("shark_dispatch_stolen_tasks_total", "tasks moved by steals", dm.StolenTasks.Load)
+	counter("shark_dispatch_steals_total", "tasks run away from their live home worker", dm.Steals.Load)
 	counter("shark_dispatch_cancelled_tasks_total", "queued tasks dropped by job cancellation", dm.CancelledTasks.Load)
 	counter("shark_dispatch_locality_hits_total", "tasks run on a preferred worker", dm.LocalityHits.Load)
 	counter("shark_dispatch_locality_misses_total", "preferred-location tasks run elsewhere", dm.LocalityMisses.Load)
@@ -85,7 +84,7 @@ func newObserver(cl *shark.Cluster, cfg Config) *observer {
 	counter("shark_shuffle_spilled_reads_total", "bucket fetches served from spilled storage", sh.SpilledReads.Load)
 
 	// Instantaneous cluster state.
-	o.reg.Gauge("shark_cluster_backlog_tasks", "tasks queued or pending, not yet running",
+	o.reg.Gauge("shark_cluster_backlog_tasks", "tasks queued, not yet running",
 		func() float64 { return float64(cl.Backlog()) })
 	o.reg.Gauge("shark_cluster_workers_alive", "live workers",
 		func() float64 { return float64(len(cl.AliveWorkers())) })

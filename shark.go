@@ -295,10 +295,11 @@ type SessionConfig struct {
 	SharedCatalog bool
 	// Priority is the session's fair-share weight (<=0 reads as 1).
 	// Under the default FairScheduling policy a freed slot runs the
-	// queued task whose job has the smallest running/weight ratio, so
-	// a Priority-4 session sustains 4x the running tasks of a
-	// Priority-1 session when both are backlogged — and achieves
-	// correspondingly lower latency on a contended cluster.
+	// queued task whose job has the smallest (running+1)/weight ratio,
+	// so backlogged sessions hold slots in proportion to their
+	// priorities (on 8 slots, jobs at 1:2:4 settle at 1:2:5 running
+	// tasks) — and a higher priority gets correspondingly lower
+	// latency on a contended cluster.
 	Priority int
 	// MaxConcurrentJobs caps how many of the session's statements may
 	// execute at once (0 = unlimited). Excess ExecContext/QueryContext
