@@ -20,13 +20,13 @@
 // rotation is what makes "many small tasks" actually balance (§7.1)
 // instead of one slot draining the queue.
 //
-// Tasks carry a JobID and a Weight. Under the default FairShare policy
-// a freed slot runs the task of the job with the smallest
-// (running+1)/weight ratio cluster-wide (weighted fair sharing, after
-// the Spark fair scheduler's pool weights), so concurrent sessions
-// sharing the cluster each make progress in proportion to their
-// priority instead of queueing behind the largest job's task wave;
-// CancelJob drops a job's queued tasks without touching other jobs.
+// Tasks carry a JobID and a Weight. A freed slot runs the task of the
+// job with the smallest (running+1)/weight ratio cluster-wide
+// (weighted fair sharing, after the Spark fair scheduler's pool
+// weights), so concurrent sessions sharing the cluster each make
+// progress in proportion to their priority instead of queueing behind
+// the largest job's task wave; CancelJob drops a job's queued tasks
+// without touching other jobs.
 //
 // The cluster runs tasks for both the Spark-like engine (internal/rdd)
 // and the Hadoop-like engine (internal/mr); the two differ only in the
@@ -66,25 +66,6 @@ var ErrClosed = errors.New("cluster: closed")
 // ErrJobCancelled marks a queued task dropped by CancelJob before any
 // worker ran it.
 var ErrJobCancelled = errors.New("cluster: job cancelled")
-
-// Policy selects how a freed slot picks among queued tasks.
-type Policy int
-
-const (
-	// FairShare (default) picks the eligible task whose job has the
-	// smallest (running+1)/weight ratio cluster-wide — the ratio the
-	// job would have after taking the slot — breaking ties in
-	// submission order. With a single active job this degenerates to
-	// FIFO; with a short interactive job queued behind a long scan's
-	// task wave it is what keeps the short job's latency bounded by
-	// task duration instead of queue depth, and backlogged jobs hold
-	// slots in proportion to their weights.
-	FairShare Policy = iota
-	// FIFO always takes the oldest eligible queued task, regardless of
-	// which job it belongs to (the pre-multi-tenant behavior; kept for
-	// the abl_concurrency ablation).
-	FIFO
-)
 
 // Profile holds the simulated overhead constants. SimScale documents
 // the wall-clock compression relative to the paper's deployment.
@@ -145,9 +126,6 @@ type Config struct {
 	// temp dir when empty) only when WorkerDiskBytes != 0; the spill
 	// files are removed on Close.
 	SpillDir string
-	// Policy selects the dequeue discipline for freed slots. Default
-	// FairShare (min-running-tasks-first across jobs).
-	Policy Policy
 	// Profile sets scheduling overheads. Default SparkProfile.
 	Profile Profile
 }
@@ -185,11 +163,10 @@ type Task struct {
 	// CancelJob drops queued tasks by it. 0 = untagged (legacy
 	// submitters), which fair-shares as one shared bucket.
 	JobID int64
-	// Weight is the job's fair-share weight (<=0 reads as 1): under
-	// FairShare a freed slot picks the task whose job has the smallest
-	// (running+1)/weight ratio, so backlogged jobs hold slots in
-	// proportion to their weights. Every task of one job must carry the
-	// same weight.
+	// Weight is the job's fair-share weight (<=0 reads as 1): a freed
+	// slot picks the task whose job has the smallest (running+1)/weight
+	// ratio, so backlogged jobs hold slots in proportion to their
+	// weights. Every task of one job must carry the same weight.
 	Weight int
 
 	result chan Result
@@ -609,16 +586,19 @@ func (c *Cluster) local(t *Task, w *Worker) bool {
 }
 
 // before reports whether a freed slot should prefer task a to task b:
-// under FairShare the task whose job has the smaller (running+1)/weight
-// ratio — cross-multiplied to stay in integers — and otherwise, or on a
-// tie, the older one. Caller holds the cluster mutex.
+// the task whose job has the smaller (running+1)/weight ratio — the
+// ratio the job would have after taking the slot, cross-multiplied to
+// stay in integers — and on a tie the older one. With a single active
+// job this is submission order; with a short interactive job queued
+// behind a long scan's task wave it is what keeps the short job's
+// latency bounded by task duration instead of queue depth, and
+// backlogged jobs hold slots in proportion to their weights. Caller
+// holds the cluster mutex.
 func (c *Cluster) before(a, b *Task) bool {
-	if c.cfg.Policy == FairShare {
-		ra := (c.jobRunning[a.JobID] + 1) * b.weight()
-		rb := (c.jobRunning[b.JobID] + 1) * a.weight()
-		if ra != rb {
-			return ra < rb
-		}
+	ra := (c.jobRunning[a.JobID] + 1) * b.weight()
+	rb := (c.jobRunning[b.JobID] + 1) * a.weight()
+	if ra != rb {
+		return ra < rb
 	}
 	return a.seq < b.seq
 }

@@ -63,9 +63,9 @@ func blockSlots(t *testing.T, c *Cluster, jobID int64, release chan struct{}) []
 // long-job tasks, queues a long-job wave and then a few short-job
 // tasks behind it, releases one slot, and returns the order in which
 // queued tasks executed.
-func runFairnessScenario(t *testing.T, policy Policy) []int64 {
+func runFairnessScenario(t *testing.T) []int64 {
 	t.Helper()
-	c := newTest(t, Config{Workers: 1, Slots: 2, Policy: policy})
+	c := newTest(t, Config{Workers: 1, Slots: 2})
 	const longJob, shortJob = 1, 2
 	release := make(chan struct{})
 	blockers := blockSlots(t, c, longJob, release)
@@ -90,7 +90,7 @@ func runFairnessScenario(t *testing.T, policy Policy) []int64 {
 // holding a slot, a freed slot must drain the short job's tasks before
 // the long job's queued wave (min-running-tasks-first).
 func TestFairShareUnstarvesShortJob(t *testing.T) {
-	order := runFairnessScenario(t, FairShare)
+	order := runFairnessScenario(t)
 	// The three short-job tasks must all run before the last long-job
 	// task; under fairness they should in fact be among the first few
 	// queued executions. Find the position of the last short task.
@@ -106,26 +106,6 @@ func TestFairShareUnstarvesShortJob(t *testing.T) {
 	if lastShort > 5 {
 		t.Errorf("short job finished at queued position %d of %d under fair sharing: %v",
 			lastShort, len(order), order)
-	}
-}
-
-// TestFIFOStarvesShortJob documents the baseline the fairness policy
-// fixes: FIFO runs the long job's earlier-queued wave first.
-func TestFIFOStarvesShortJob(t *testing.T) {
-	order := runFairnessScenario(t, FIFO)
-	firstShort := -1
-	for i, j := range order {
-		if j == 2 {
-			firstShort = i
-			break
-		}
-	}
-	if firstShort < 0 {
-		t.Fatal("short job never ran")
-	}
-	if firstShort < 10 {
-		t.Errorf("FIFO ran a short task at position %d, before the 10-task long wave: %v",
-			firstShort, order)
 	}
 }
 
@@ -222,7 +202,7 @@ func blockN(t *testing.T, c *Cluster, jobID int64, weight, n int, release chan s
 // Under the old unweighted policy this tie (1 running vs 1 running)
 // went to queue order.
 func TestWeightedFairShareDequeue(t *testing.T) {
-	c := newTest(t, Config{Workers: 1, Slots: 3, Policy: FairShare})
+	c := newTest(t, Config{Workers: 1, Slots: 3})
 	const hJob, lJob = 1, 2
 	relH := make(chan struct{}, 2)
 	relL := make(chan struct{}, 1)
@@ -271,7 +251,7 @@ func TestWeightedFairShareDequeue(t *testing.T) {
 // backlog of equal-duration tasks, so completed-task counts are a
 // direct proxy for slot-time share.
 func TestWeightedShareConvergence(t *testing.T) {
-	c := newTest(t, Config{Workers: 2, Slots: 4, Policy: FairShare})
+	c := newTest(t, Config{Workers: 2, Slots: 4})
 	weights := []int{1, 2, 4}
 	const taskDur = 2 * time.Millisecond
 	const window = 900 * time.Millisecond
@@ -334,7 +314,7 @@ func TestSchedulerTortureRandomized(t *testing.T) {
 	t.Logf("torture seed %d", seed)
 	rng := rand.New(rand.NewSource(seed))
 
-	c := newTest(t, Config{Workers: 3, Slots: 2, Policy: FairShare})
+	c := newTest(t, Config{Workers: 3, Slots: 2})
 	const jobs = 12
 	type jobState struct {
 		id    int64

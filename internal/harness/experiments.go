@@ -24,32 +24,26 @@ import (
 // on shark-bench) aborts the in-flight distributed job rather than
 // running it to completion.
 var experiments = map[string]func(context.Context, Scale, *Report) error{
-	"fig1":            runFig1,
-	"fig5_selection":  runFig5Selection,
-	"fig5_agg":        runFig5Agg,
-	"fig6_join":       runFig6Join,
-	"loading":         runLoading,
-	"fig7":            runFig7,
-	"fig8":            runFig8,
-	"fig9":            runFig9,
-	"fig10":           runFig10,
-	"fig11":           runFig11,
-	"fig12":           runFig12,
-	"fig13":           runFig13,
-	"tbl_columnar":    runColumnarFootprint,
-	"abl_shuffle":     runShuffleAblation,
-	"abl_compile":     runExprCompileAblation,
-	"abl_binpack":     runSkewAblation,
-	"abl_dispatch":    runDispatch,
-	"abl_memory":      runMemory,
-	"abl_storage":     runStorage,
-	"abl_concurrency": runConcurrency,
-	"abl_priority":    runPriority,
-	"abl_obs":         runObs,
-	"abl_pde":         runPDE,
-	"abl_serving":     runServing,
-	"abl_qps":         runQPS,
-	"pruning":         runPruning,
+	"fig1":           runFig1,
+	"fig5_selection": runFig5Selection,
+	"fig5_agg":       runFig5Agg,
+	"fig6_join":      runFig6Join,
+	"loading":        runLoading,
+	"fig7":           runFig7,
+	"fig8":           runFig8,
+	"fig9":           runFig9,
+	"fig10":          runFig10,
+	"fig11":          runFig11,
+	"fig12":          runFig12,
+	"fig13":          runFig13,
+	"tbl_columnar":   runColumnarFootprint,
+	"abl_shuffle":    runShuffleAblation,
+	"abl_compile":    runExprCompileAblation,
+	"abl_binpack":    runSkewAblation,
+	"abl_memory":     runMemory,
+	"abl_storage":    runStorage,
+	"abl_pde":        runPDE,
+	"pruning":        runPruning,
 }
 
 // system is one series of a cross-system comparison: the engine that

@@ -6,10 +6,8 @@ import (
 	"errors"
 	"os"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"shark"
 	"shark/internal/exec"
 	"shark/internal/memtable"
 	"shark/internal/shuffle"
@@ -42,8 +40,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"fig1", "fig5_selection", "fig5_agg", "fig6_join", "loading",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 		"tbl_columnar", "abl_shuffle", "abl_compile", "abl_binpack",
-		"abl_dispatch", "abl_memory", "abl_storage", "abl_concurrency",
-		"abl_priority", "abl_obs", "abl_pde", "abl_serving", "abl_qps", "pruning",
+		"abl_memory", "abl_storage", "abl_pde", "pruning",
 	}
 	have := map[string]bool{}
 	for _, id := range ExperimentIDs() {
@@ -190,21 +187,6 @@ func TestLoadingThroughput(t *testing.T) {
 	}
 }
 
-func TestDispatchExperiment(t *testing.T) {
-	r := runOne(t, "abl_dispatch")
-	if len(r.Entries) != 3 {
-		t.Fatalf("entries = %d, want 3", len(r.Entries))
-	}
-	for _, e := range r.Entries {
-		if e.Seconds <= 0 {
-			t.Errorf("series %q has no timing", e.Series)
-		}
-		if e.Notes == "" {
-			t.Errorf("series %q missing metrics notes", e.Series)
-		}
-	}
-}
-
 func TestReportRendering(t *testing.T) {
 	r := &Report{}
 	r.Add("exp1", "A", 1.5, "note")
@@ -244,44 +226,6 @@ func TestClusterMetricsInEveryReport(t *testing.T) {
 	}
 }
 
-// TestConcurrencyExperiment: the multi-tenant ablation reports both
-// policies, and fair sharing keeps short-query latency strictly below
-// FIFO while a long scan floods the cluster (the redesign's headline
-// claim). The comparison is wall-clock, so a noisy CI machine gets up
-// to three attempts before the shape assertion fails; the typical
-// margin is several-fold.
-func TestConcurrencyExperiment(t *testing.T) {
-	var fifo, fair float64
-	for attempt := 0; attempt < 3; attempt++ {
-		r := runOne(t, "abl_concurrency")
-		if len(r.Entries) != 2 {
-			t.Fatalf("entries = %d, want 2 (FIFO + fair)", len(r.Entries))
-		}
-		fifo, fair = 0, 0
-		for _, e := range r.Entries {
-			if e.Seconds <= 0 {
-				t.Fatalf("series %q has no timing", e.Series)
-			}
-			if e.Notes == "" {
-				t.Fatalf("series %q missing p50/session notes", e.Series)
-			}
-			if strings.Contains(e.Series, "FIFO") {
-				fifo = e.Seconds
-			} else {
-				fair = e.Seconds
-			}
-		}
-		if fifo == 0 || fair == 0 {
-			t.Fatalf("missing a policy series: %+v", r.Entries)
-		}
-		if fair < fifo {
-			return
-		}
-		t.Logf("attempt %d: fair p95 %.4fs not below FIFO %.4fs; retrying", attempt+1, fair, fifo)
-	}
-	t.Errorf("short-query p95 under fair sharing (%.4fs) should be strictly below FIFO (%.4fs) in at least one of 3 attempts", fair, fifo)
-}
-
 // TestNewEnvFailureLeavesNothingBehind: an unknown dataset name is an
 // error, reported after earlier tables were already built, and the
 // half-built environment removes its temp directory.
@@ -298,73 +242,6 @@ func TestNewEnvFailureLeavesNothingBehind(t *testing.T) {
 	}
 	if len(left) != 0 {
 		t.Errorf("failed newEnv left %d entries in the temp dir, first %q", len(left), left[0].Name())
-	}
-}
-
-// TestContendModes: free-running and barrier-synchronised runs both
-// return rounds samples for each of the K light sessions (returning at
-// all means the heavy loop was stopped and waited for).
-func TestContendModes(t *testing.T) {
-	sc := tinyScale()
-	for _, barrier := range []bool{false, true} {
-		lats, _, err := contend(sc, contendSpec{
-			heavy:      shark.SessionConfig{Name: "heavy"},
-			lights:     []shark.SessionConfig{{Name: "a"}, {Name: "b", Priority: 2}},
-			lightParts: 2,
-			lightRows:  500,
-			lightSQL:   `SELECT COUNT(*) FROM lookup_mem`,
-			rounds:     4,
-			barrier:    barrier,
-		})
-		if err != nil {
-			t.Fatalf("barrier=%v: %v", barrier, err)
-		}
-		if len(lats) != 2 || len(lats[0]) != 4 || len(lats[1]) != 4 {
-			t.Errorf("barrier=%v: samples = %v, want 2 sessions x 4 rounds", barrier, lats)
-		}
-	}
-}
-
-// TestContendLoopLightFailure: a light statement that starts failing
-// mid-run surfaces as the error in both modes, no further barrier
-// round starts, and the heavy loop has exited by the time the loop
-// returns (its call count is final).
-func TestContendLoopLightFailure(t *testing.T) {
-	boom := errors.New("light statement failed")
-	for _, barrier := range []bool{false, true} {
-		var heavyCalls atomic.Int64
-		heavy := func() error { heavyCalls.Add(1); return nil }
-		var bCalls int
-		lights := []func() error{
-			func() error { return nil },
-			func() error {
-				if bCalls++; bCalls > 2 {
-					return boom
-				}
-				return nil
-			},
-		}
-		lats, passes, err := contendLoop(heavy, lights, 10, barrier)
-		if !errors.Is(err, boom) {
-			t.Fatalf("barrier=%v: err = %v, want the light failure", barrier, err)
-		}
-		if int64(passes) != heavyCalls.Load() {
-			t.Errorf("barrier=%v: %d passes reported, %d heavy calls made", barrier, passes, heavyCalls.Load())
-		}
-		if len(lats[1]) != 2 {
-			t.Errorf("barrier=%v: failing session kept %d samples, want 2", barrier, len(lats[1]))
-		}
-		if barrier && len(lats[0]) != 3 {
-			t.Errorf("healthy session ran %d barrier rounds, want 3 (none after the failure)", len(lats[0]))
-		}
-	}
-	// A failing heavy scan is reported too, after the lights finish.
-	heavyRan := make(chan struct{})
-	_, _, err := contendLoop(
-		func() error { close(heavyRan); return boom },
-		[]func() error{func() error { <-heavyRan; return nil }}, 3, true)
-	if !errors.Is(err, boom) {
-		t.Errorf("heavy failure: err = %v", err)
 	}
 }
 
@@ -428,52 +305,5 @@ func TestSweepChecksRowCount(t *testing.T) {
 	err := sweep(context.Background(), tinyScale(), &Report{}, spec)
 	if err == nil || !strings.Contains(err.Error(), "scan returned") {
 		t.Fatalf("err = %v, want a row-count mismatch", err)
-	}
-}
-
-// TestFleet: both fleet modes return conns x rounds samples checked
-// against the embedded references, and a failing statement comes back
-// as the error with every connection goroutine finished.
-func TestFleet(t *testing.T) {
-	ctx := context.Background()
-	fs, err := newFleetServer(tinyScale(), "fleet-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.close()
-	params := []int64{0, 100}
-	refs, err := fs.references(ctx, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := fleetSpec{
-		dsn: fs.addr + "?catalog=shared&session=ft", conns: 4, rounds: 3,
-		query: fleetQuery, params: params, refs: refs,
-	}
-	for _, prepared := range []bool{false, true} {
-		spec.prepared = prepared
-		lats, elapsed, db, err := fleet(ctx, spec)
-		if err != nil {
-			t.Fatalf("prepared=%v: %v", prepared, err)
-		}
-		db.Close()
-		if len(lats) != 12 || elapsed <= 0 {
-			t.Errorf("prepared=%v: %d samples in %.3fs, want 12", prepared, len(lats), elapsed)
-		}
-		spec.dsn += "x" // session names are per cluster; take a fresh one
-	}
-	for _, prepared := range []bool{false, true} {
-		spec.prepared = prepared
-		spec.query = `SELECT grp, COUNT(*), SUM(val) FROM no_such_table WHERE val >= ? GROUP BY grp`
-		if _, _, db, err := fleet(ctx, spec); err == nil || db != nil {
-			t.Errorf("prepared=%v: err = %v, db = %v; want the statement error and no pool", prepared, err, db)
-		}
-		spec.dsn += "x"
-	}
-	// A result that differs from the reference is an error as well.
-	spec.query, spec.prepared = fleetQuery, false
-	spec.refs = map[int64][]string{0: refs[100], 100: refs[0]}
-	if _, _, _, err := fleet(ctx, spec); err == nil {
-		t.Error("mismatching reference accepted")
 	}
 }

@@ -179,7 +179,18 @@ func pdeDim(sc Scale, emit emitFunc) error {
 // sortedRows renders a result's rows as a sorted string multiset so
 // two runs can be compared independent of row order.
 func sortedRows(res *core.Result) []string {
-	out := rowsToTuples(res)
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		out[i] = fmt.Sprint(r)
+	}
 	sort.Strings(out)
 	return out
+}
+
+// quantiles returns the median and 95th-percentile samples; samples
+// itself is left in measurement order.
+func quantiles(samples []float64) (p50, p95 float64) {
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	return s[len(s)/2], s[(len(s)-1)*95/100]
 }

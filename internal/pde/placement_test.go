@@ -2,9 +2,9 @@ package pde
 
 import "testing"
 
-// TestMapReportBucketBytes: the per-bucket size accessor feeding
-// reduce-task placement must decode lossy codes within the 10% bound
-// and return exact values when encoding is disabled.
+// TestMapReportBucketBytes: the per-bucket size accessor feeding the
+// join planner's per-map bucket sizes must decode lossy codes within
+// the 10% bound and return exact values when encoding is disabled.
 func TestMapReportBucketBytes(t *testing.T) {
 	bytes := []int64{0, 100, 50000, 1 << 30}
 	records := []int64{0, 10, 500, 1 << 20}

@@ -158,42 +158,6 @@ func TestStaleCacheEpochNotReported(t *testing.T) {
 	}
 }
 
-// TestReducePlacementFollowsMapOutput: the shuffled RDD's preferred
-// locations must point at workers actually holding map output for its
-// buckets (PDE size reports feeding reduce placement).
-func TestReducePlacementFollowsMapOutput(t *testing.T) {
-	ctx := newTestCtx(t, 4, Options{})
-	var data []any
-	for i := 0; i < 400; i++ {
-		data = append(data, shuffle.Pair{K: int64(i), V: int64(i)})
-	}
-	src := ctx.Parallelize(data, 8)
-	dep := ctx.NewShuffleDep(src, shuffle.HashPartitioner{N: 4}, nil)
-	if _, err := ctx.Scheduler().MaterializeShuffleCtx(t.Context(), dep); err != nil {
-		t.Fatal(err)
-	}
-	holders := map[int]bool{}
-	for _, w := range ctx.Tracker().Locations(dep.ID) {
-		holders[w] = true
-	}
-	reduced := ctx.Shuffled(dep, nil, ReadRaw)
-	anyPref := false
-	for p := 0; p < reduced.NumPartitions(); p++ {
-		prefs := reduced.PreferredLocations(p)
-		if len(prefs) > 0 {
-			anyPref = true
-		}
-		for _, w := range prefs {
-			if !holders[w] {
-				t.Errorf("partition %d prefers worker %d which holds no map output", p, w)
-			}
-		}
-	}
-	if !anyPref {
-		t.Error("no reduce partition reported preferred locations")
-	}
-}
-
 // TestKillMidJobRecoversWithRecomputeMetrics: the end-to-end
 // acceptance path — kill a worker while a job over cached data runs;
 // results stay correct and the recovery is visible in metrics.

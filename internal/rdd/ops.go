@@ -195,13 +195,6 @@ func (c *Context) Shuffled(dep *ShuffleDep, groups [][]int, kind ReadKind) *RDD 
 		numParts:    len(groups),
 		deps:        []Dependency{dep},
 		partitioner: keyPart,
-		// Reduce tasks fetch cheapest where the map-output bytes for
-		// their buckets already sit; the PDE per-bucket size reports
-		// rank the holders (evaluated at schedule time, after the map
-		// stage has materialized).
-		prefLocs: func(part int) []int {
-			return c.tracker.PreferredReduceWorkers(dep.ID, groups[part], 2)
-		},
 		compute: func(tc *TaskContext, part int) Iter {
 			return c.readShuffle(tc, dep, groups[part], kind)
 		},

@@ -1,7 +1,6 @@
 package rdd
 
 import (
-	"sort"
 	"sync"
 
 	"shark/internal/pde"
@@ -170,55 +169,6 @@ func (t *MapOutputTracker) NumBuckets(id int) int {
 		return 0
 	}
 	return st.numBuckets
-}
-
-// PreferredReduceWorkers returns up to topK workers holding the most
-// map-output bytes for the given reduce buckets, best first — the PDE
-// per-bucket size reports feeding reduce-task placement: a reduce
-// task fetches cheapest from the worker that already holds the bulk
-// of its input.
-func (t *MapOutputTracker) PreferredReduceWorkers(id int, buckets []int, topK int) []int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, ok := t.shuffles[id]
-	if !ok || topK <= 0 {
-		return nil
-	}
-	byWorker := make(map[int]int64)
-	for p, done := range st.done {
-		if !done || st.workerByMap[p] < 0 {
-			continue
-		}
-		var b int64
-		for _, bk := range buckets {
-			b += st.reports[p].BucketBytes(bk)
-		}
-		byWorker[st.workerByMap[p]] += b
-	}
-	type workerBytes struct {
-		worker int
-		bytes  int64
-	}
-	ranked := make([]workerBytes, 0, len(byWorker))
-	for w, b := range byWorker {
-		if b > 0 {
-			ranked = append(ranked, workerBytes{worker: w, bytes: b})
-		}
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].bytes != ranked[j].bytes {
-			return ranked[i].bytes > ranked[j].bytes
-		}
-		return ranked[i].worker < ranked[j].worker
-	})
-	if len(ranked) > topK {
-		ranked = ranked[:topK]
-	}
-	out := make([]int, len(ranked))
-	for i, wb := range ranked {
-		out[i] = wb.worker
-	}
-	return out
 }
 
 // PerMapBucketBytes returns each map partition's (approximate) bytes

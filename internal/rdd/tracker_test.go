@@ -56,7 +56,6 @@ func TestTrackerUnregisterRace(t *testing.T) {
 				tr.MissingParts(id)
 				tr.NumBuckets(id)
 				tr.Stats(id)
-				tr.PreferredReduceWorkers(id, []int{0}, 2)
 				tr.PerMapBucketBytes(id, 0)
 			}
 		}(i)

@@ -469,6 +469,99 @@ func TestMetricsUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
+// TestHundredConcurrentConnections: 100 wire clients, each on its own
+// connection and session, prepare and run one parameterized statement
+// at once; every result matches the embedded session's, and the
+// server counts 100 finished statements and no errors.
+func TestHundredConcurrentConnections(t *testing.T) {
+	srv, addr := start(t, server.Config{}, 2000)
+	web := httptest.NewServer(srv.ObsHandler())
+	defer web.Close()
+
+	const query = `SELECT status, COUNT(*), SUM(bytes) FROM logs_mem WHERE bytes >= ? GROUP BY status ORDER BY status`
+	params := []int64{0, 250, 500, 750}
+	ref, err := srv.Cluster().NewSession(shark.SessionConfig{Name: "ref", SharedCatalog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]string{}
+	for _, p := range params {
+		res, err := ref.ExecArgsCtx(context.Background(), query, shark.Row{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = fmt.Sprint(res.Rows)
+	}
+
+	before := scrapeMetrics(t, web.URL)
+	const clients = 100
+	// No client runs its statement before all of them are attached, so
+	// the server holds 100 connections and sessions at once.
+	var wg, attached sync.WaitGroup
+	ready := make(chan struct{})
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		attached.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := wire.Dial(addr, 5*time.Second)
+			if err == nil {
+				defer c.Close()
+				if _, err = c.Roundtrip(wire.Hello{Version: wire.Version}); err == nil {
+					_, err = c.Roundtrip(wire.Attach{SharedCatalog: true})
+				}
+			}
+			attached.Done()
+			if err != nil {
+				t.Errorf("client %d: attach: %v", i, err)
+				return
+			}
+			<-ready
+			resp, err := c.Roundtrip(wire.Prepare{SQL: query})
+			if err != nil {
+				t.Errorf("client %d: prepare: %v", i, err)
+				return
+			}
+			p := params[i%len(params)]
+			id, _, err := c.RoundtripID(context.Background(),
+				wire.ExecPrepared{Handle: resp.(wire.PrepareOK).Handle, Args: []any{p}})
+			if err != nil {
+				t.Errorf("client %d: exec: %v", i, err)
+				return
+			}
+			var got []shark.Row
+			for done := false; !done; {
+				resp, err := c.Roundtrip(wire.Fetch{Cursor: id})
+				if err != nil {
+					t.Errorf("client %d: fetch: %v", i, err)
+					return
+				}
+				batch := resp.(wire.Rows)
+				got, done = append(got, rowsOf(batch)...), batch.Done
+			}
+			if fmt.Sprint(got) != want[p] {
+				t.Errorf("client %d (bytes >= %d): wire rows %v, embedded %s", i, p, got, want[p])
+			}
+		}()
+	}
+	attached.Wait()
+	close(ready)
+	wg.Wait()
+
+	after := scrapeMetrics(t, web.URL)
+	for _, c := range []struct {
+		name  string
+		delta float64
+	}{
+		{"shark_server_statements_finished_total", clients},
+		{"shark_server_statement_errors_total", 0},
+	} {
+		if got := after[c.name] - before[c.name]; got != c.delta {
+			t.Errorf("%s rose by %v, want %v", c.name, got, c.delta)
+		}
+	}
+}
+
 // TestGracefulDrain checks the SIGTERM story: sessions leak nothing on
 // disconnect, every statement a client saw complete is correct, and
 // Shutdown settles the whole server within its deadline.

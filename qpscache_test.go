@@ -87,55 +87,82 @@ func TestPlanCacheSharedInvalidation(t *testing.T) {
 // TestResultCacheHitAndInvalidation: an opted-in session serves
 // repeated deterministic SELECTs from the result cache with
 // byte-identical rows, and an invalidating write makes the next
-// execution recompute.
+// execution recompute — whether the session rebuilds the input table
+// itself or a second session on the shared catalog does.
 func TestResultCacheHitAndInvalidation(t *testing.T) {
-	cl := newTestCluster(t, shark.ClusterConfig{})
-	s, err := cl.NewSession(shark.SessionConfig{Name: "rc", ResultCacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadTiny(t, s, "ev", 30)
-	if _, err := s.Exec(`CREATE TABLE ev_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM ev`); err != nil {
-		t.Fatal(err)
-	}
-	const q = `SELECT status, COUNT(*) AS n, SUM(bytes) AS b FROM ev_mem GROUP BY status ORDER BY status`
-	first, err := s.Exec(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := s.Exec(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := s.Results.Stats(); hits != 1 {
-		t.Fatalf("second execution should hit the result cache, hits=%d", hits)
-	}
-	if !reflect.DeepEqual(first.Schema, second.Schema) || !reflect.DeepEqual(first.Rows, second.Rows) {
-		t.Fatal("cached result differs from computed result")
-	}
+	for _, tc := range []struct {
+		name string
+		peer bool // the input is rebuilt by a second shared-catalog session
+	}{{"own write", false}, {"peer write", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := newTestCluster(t, shark.ClusterConfig{})
+			s, err := cl.NewSession(shark.SessionConfig{Name: "rc", SharedCatalog: tc.peer, ResultCacheBytes: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			writer := s
+			if tc.peer {
+				if writer, err = cl.NewSession(shark.SessionConfig{Name: "rc-peer", SharedCatalog: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			loadTiny(t, writer, "ev", 30)
+			if _, err := writer.Exec(`CREATE TABLE ev_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM ev`); err != nil {
+				t.Fatal(err)
+			}
+			const q = `SELECT status, COUNT(*) AS n, SUM(bytes) AS b FROM ev_mem GROUP BY status ORDER BY status`
+			first, err := s.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := s.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits, _ := s.Results.Stats(); hits != 1 {
+				t.Fatalf("second execution should hit the result cache, hits=%d", hits)
+			}
+			if !reflect.DeepEqual(first.Schema, second.Schema) || !reflect.DeepEqual(first.Rows, second.Rows) {
+				t.Fatal("cached result differs from computed result")
+			}
 
-	// Rebuilding the input bumps its table version: the cached entry
-	// must not serve, and the recomputed result reflects the new data.
-	if _, err := s.Exec(`DROP TABLE ev_mem`); err != nil {
-		t.Fatal(err)
-	}
-	loadTiny(t, s, "ev2", 31)
-	if _, err := s.Exec(`CREATE TABLE ev_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM ev2`); err != nil {
-		t.Fatal(err)
-	}
-	third, err := s.Exec(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(third.Rows, second.Rows) {
-		t.Fatal("result cache served stale rows after an invalidating write")
-	}
-	fourth, err := s.Exec(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(third.Rows, fourth.Rows) {
-		t.Fatal("post-invalidation result did not re-cache consistently")
+			// Rebuilding the input bumps its table version: the cached
+			// entry must not serve, and the recomputed result reflects
+			// the new data.
+			if _, err := writer.Exec(`DROP TABLE ev_mem`); err != nil {
+				t.Fatal(err)
+			}
+			loadTiny(t, writer, "ev2", 31)
+			if _, err := writer.Exec(`CREATE TABLE ev_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM ev2`); err != nil {
+				t.Fatal(err)
+			}
+			third, err := s.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits, _ := s.Results.Stats(); hits != 1 {
+				t.Fatalf("execution after an invalidating write hit the result cache, hits=%d", hits)
+			}
+			if reflect.DeepEqual(third.Rows, second.Rows) {
+				t.Fatal("result cache served stale rows after an invalidating write")
+			}
+			if tc.peer {
+				want, err := writer.Exec(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(third.Rows, want.Rows) {
+					t.Fatalf("recomputed rows %v, the writer reads %v", third.Rows, want.Rows)
+				}
+			}
+			fourth, err := s.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(third.Rows, fourth.Rows) {
+				t.Fatal("post-invalidation result did not re-cache consistently")
+			}
+		})
 	}
 }
 

@@ -75,9 +75,6 @@ type (
 	// tasks, task-time, cache hits / remote hits / disk hits /
 	// recomputes, and the evictions of partitions the session cached.
 	SessionStats = rdd.SessionStats
-	// SchedulingPolicy selects how freed slots pick among queued
-	// tasks of concurrent jobs.
-	SchedulingPolicy = cluster.Policy
 	// StorageLevel selects which tiers (memory / local disk) a cached
 	// table's partitions may occupy.
 	StorageLevel = cluster.StorageLevel
@@ -123,17 +120,6 @@ const (
 	StrategyStatic         = exec.StrategyStatic
 )
 
-// Scheduling policies.
-const (
-	// FairScheduling (default) runs the queued task whose job has the
-	// fewest tasks executing — short interactive queries are not
-	// starved behind a long scan's task wave.
-	FairScheduling = cluster.FairShare
-	// FIFOScheduling always runs the oldest queued task (the
-	// single-tenant behavior; kept for the abl_concurrency ablation).
-	FIFOScheduling = cluster.FIFO
-)
-
 // ClusterConfig sizes a shared simulated cluster.
 type ClusterConfig struct {
 	// Workers is the number of simulated nodes (default 8).
@@ -143,10 +129,6 @@ type ClusterConfig struct {
 	// DataDir backs the simulated DFS and shuffle spills; a temp
 	// directory is created when empty.
 	DataDir string
-	// TaskLaunchOverhead overrides the per-task scheduling cost
-	// (default: Spark profile, 50µs), charged to each task's slot and
-	// slept off in steps of at least a millisecond.
-	TaskLaunchOverhead time.Duration
 	// DiskShuffle stores shuffle map outputs on disk instead of in
 	// worker memory (ablation; default memory).
 	DiskShuffle bool
@@ -171,9 +153,6 @@ type ClusterConfig struct {
 	// buckets spill to disk when the budget overflows. 0 keeps the
 	// shared accounting.
 	WorkerShuffleBytes int64
-	// Scheduling selects the cross-job dequeue policy (default
-	// FairScheduling).
-	Scheduling SchedulingPolicy
 }
 
 // Cluster is a shared Shark compute substrate: simulated workers with
@@ -213,10 +192,6 @@ type Cluster struct {
 
 // NewCluster boots a shared simulated cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	profile := cluster.SparkProfile()
-	if cfg.TaskLaunchOverhead > 0 {
-		profile.TaskLaunchOverhead = cfg.TaskLaunchOverhead
-	}
 	dir := cfg.DataDir
 	tmp := ""
 	if dir == "" {
@@ -230,12 +205,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	cl := cluster.New(cluster.Config{
 		Workers:            cfg.Workers,
 		Slots:              cfg.SlotsPerWorker,
-		Profile:            profile,
+		Profile:            cluster.SparkProfile(),
 		WorkerMemoryBytes:  cfg.WorkerMemoryBytes,
 		WorkerDiskBytes:    cfg.WorkerDiskBytes,
 		WorkerShuffleBytes: cfg.WorkerShuffleBytes,
 		SpillDir:           dir + "/spill",
-		Policy:             cfg.Scheduling,
 	})
 	fs, err := dfs.New(dfs.Config{Dir: dir + "/dfs"})
 	if err != nil {
@@ -293,10 +267,9 @@ type SessionConfig struct {
 	// metastore (tables visible across all shared-catalog sessions)
 	// instead of a private catalog.
 	SharedCatalog bool
-	// Priority is the session's fair-share weight (<=0 reads as 1).
-	// Under the default FairScheduling policy a freed slot runs the
-	// queued task whose job has the smallest (running+1)/weight ratio,
-	// so backlogged sessions hold slots in proportion to their
+	// Priority is the session's fair-share weight (<=0 reads as 1). A
+	// freed slot runs the queued task whose job has the smallest
+	// (running+1)/weight ratio, so backlogged sessions hold slots in proportion to their
 	// priorities (on 8 slots, jobs at 1:2:4 settle at 1:2:5 running
 	// tasks) — and a higher priority gets correspondingly lower
 	// latency on a contended cluster.
