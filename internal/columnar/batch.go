@@ -533,12 +533,36 @@ func (b *Batch) Value(c, i int) any {
 func (b *Batch) Box(c int, sel []int32, dst []any, stride int) {
 	v := b.window(c)
 	for j, i := range sel {
-		x := v.At(i)
-		if s, ok := x.(string); ok && !v.Owned && v.Dict == nil {
-			x = strings.Clone(s)
-		}
-		dst[j*stride] = x
+		dst[j*stride] = own(v.At(i), v.Owned || v.Dict != nil)
 	}
+}
+
+// Windows appends the window vectors of the first n columns to dst, as
+// Box reads them: for BoxRow, once a window.
+func (b *Batch) Windows(n int, dst []Vec) []Vec {
+	for c := range n {
+		dst = append(dst, b.window(c))
+	}
+	return dst
+}
+
+// BoxRow fills dst with position i of each window vector (Windows),
+// boxed as Box boxes it: the one-row form, for a scratch row refilled
+// at each selected position.
+func BoxRow(wins []Vec, i int32, dst row.Row) {
+	for j := range wins {
+		v := &wins[j]
+		dst[j] = own(v.At(i), v.Owned || v.Dict != nil)
+	}
+}
+
+// own returns a boxed cell fit to outlive its batch: a string that
+// shares a partition's bytes (not owned) is copied out.
+func own(x any, owned bool) any {
+	if s, ok := x.(string); ok && !owned {
+		return strings.Clone(s)
+	}
+	return x
 }
 
 // Rows materializes the selected window rows, projected to cols. The

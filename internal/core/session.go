@@ -362,10 +362,10 @@ func planResult(lines []string) *Result {
 
 // runExplainAnalyze executes the wrapped SELECT with per-node
 // profiling and returns the plan tree annotated with measured wall
-// time, row counts, cache traffic and PDE decisions. The per-node
-// wall times are the master's sequential blocking segments, so their
-// sum tracks the statement's wall time; the summary footer reports
-// both so the attribution quality is visible.
+// time, row counts, cache traffic and PDE decisions. Each instant of
+// the master's wall clock is charged to one node, so the per-node wall
+// times sum to the statement's; the summary footer reports both so the
+// attribution quality is visible.
 func (s *Session) runExplainAnalyze(gctx context.Context, e *sqlparse.ExplainStmt) (*Result, error) {
 	sel, ok := e.Stmt.(*sqlparse.SelectStmt)
 	if !ok {
@@ -559,7 +559,7 @@ func (s *Session) loadCached(gctx context.Context, ct *sqlparse.CreateTableStmt,
 	}
 	// Build the row RDD for loading. Sort/Limit at the top of a CTAS
 	// is unusual; run through the engine and parallelize when present.
-	srcRDD, err := s.planToRDD(gctx, p)
+	srcRDD, _, err := s.planToRDD(gctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -647,34 +647,40 @@ func repartitionRows(src *rdd.RDD, n int) *rdd.RDD {
 		Map(func(v any) any { return v.(shuffle.Pair).V })
 }
 
-// planToRDD lowers a plan to a row RDD without materializing at the
-// master, for CTAS loads and sql2rdd. Top-level Sort/Limit still
-// require materialization.
-func (s *Session) planToRDD(gctx context.Context, p plan.Node) (*rdd.RDD, error) {
+// planToRDD lowers a plan to a row RDD and the batch RDD it derives
+// from, without materializing at the master, for CTAS loads and
+// sql2rdd. A top-level Sort/Limit is materialized: no batch RDD.
+func (s *Session) planToRDD(gctx context.Context, p plan.Node) (rows, batches *rdd.RDD, err error) {
 	switch p.(type) {
 	case *plan.Limit, *plan.Sort:
 		res, err := s.Engine.RunCtx(gctx, p)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		data := make([]any, len(res.Rows))
 		for i, r := range res.Rows {
 			data[i] = r
 		}
-		return s.Ctx.Parallelize(data, s.Ctx.Cluster.TotalSlots()), nil
+		return s.Ctx.Parallelize(data, s.Ctx.Cluster.TotalSlots()), nil, nil
 	}
 	return s.Engine.CompileToRDDCtx(gctx, p)
 }
 
 // TableRDD is a query result as a live RDD plus its schema — the
-// sql2rdd bridge of §4.1.
+// sql2rdd bridge of §4.1. RDD's elements are row.Row values; MapRows
+// reads the compiled plan's column batches instead, where it has them.
 type TableRDD struct {
 	RDD    *rdd.RDD
 	Schema row.Schema
+	// batches is the plan RDD derives from (*columnar.Batch elements);
+	// nil for a materialized Sort/Limit root, or once RDD is cached.
+	batches *rdd.RDD
 }
 
 // RowView wraps a row with its schema for by-name access (Listing 1's
-// row.getInt("age") style).
+// row.getInt("age") style). Inside MapRows, Row is a scratch row that
+// is refilled for the next row after the call returns: read it during
+// the call, and Clone it to keep it.
 type RowView struct {
 	Row    row.Row
 	Schema row.Schema
@@ -712,17 +718,61 @@ func (v RowView) GetStr(name string) string {
 
 // MapRows transforms each result row through f with schema-aware
 // access, returning a new RDD — the feature-extraction step of the §4
-// SQL-to-ML pipeline.
+// SQL-to-ML pipeline. Each task reads the query's batches in place,
+// refilling one scratch row at every selected position, so f's RowView
+// is valid only during the call (as a Spark InternalRow in
+// mapPartitions is). f's results are yielded as the consumer pulls
+// them; the scratch row itself, or its RowView, is cloned first.
 func (t *TableRDD) MapRows(f func(RowView) any) *rdd.RDD {
 	schema := t.Schema.Clone()
-	return t.RDD.Map(func(v any) any {
-		return f(RowView{Row: v.(row.Row), Schema: schema})
+	if t.batches == nil {
+		return t.RDD.Map(func(v any) any {
+			return f(RowView{Row: v.(row.Row), Schema: schema})
+		})
+	}
+	return t.batches.MapPartitions(func(_ *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
+		scratch := make(row.Row, len(schema))
+		var wins []columnar.Vec
+		var sel []int32
+		return rdd.FuncIter(func() (any, bool) {
+			for len(sel) == 0 {
+				v, ok := in.Next()
+				if !ok {
+					return nil, false
+				}
+				b := v.(*columnar.Batch)
+				if sel = b.Sel; len(sel) > 0 {
+					wins = b.Windows(len(schema), wins[:0])
+				}
+			}
+			columnar.BoxRow(wins, sel[0], scratch)
+			sel = sel[1:]
+			return detach(f(RowView{Row: scratch, Schema: schema}), scratch), true
+		})
 	})
 }
 
-// Cache marks the underlying RDD for in-memory caching.
+// detach returns out, cloned when it is the scratch row or its view
+// (a SELECT has at least one column).
+func detach(out any, scratch row.Row) any {
+	switch x := out.(type) {
+	case row.Row:
+		if len(x) > 0 && &x[0] == &scratch[0] {
+			return x.Clone()
+		}
+	case RowView:
+		if len(x.Row) > 0 && &x.Row[0] == &scratch[0] {
+			return RowView{Row: x.Row.Clone(), Schema: x.Schema}
+		}
+	}
+	return out
+}
+
+// Cache marks the underlying RDD for in-memory caching; MapRows then
+// reads the cached rows.
 func (t *TableRDD) Cache() *TableRDD {
 	t.RDD.Cache()
+	t.batches = nil
 	return t
 }
 
@@ -766,12 +816,12 @@ func (s *Session) QueryContext(gctx context.Context, sql string) (*TableRDD, err
 		s.Ctx.FinishJob(job)
 		s.releaseStatementShuffles(job, retained)
 	}()
-	r, err := s.planToRDD(rdd.WithJob(gctx, job), p)
+	r, batches, err := s.planToRDD(rdd.WithJob(gctx, job), p)
 	if err != nil {
 		return nil, err
 	}
-	retained = r
-	return &TableRDD{RDD: r, Schema: p.Schema()}, nil
+	retained = r // derived from batches: its lineage covers theirs
+	return &TableRDD{RDD: r, Schema: p.Schema(), batches: batches}, nil
 }
 
 // RegisterUDF installs a scalar UDF usable from SQL.

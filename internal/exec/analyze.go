@@ -23,13 +23,12 @@ import (
 //     whatever task executes the pipeline; operators fused into a
 //     chain have no iterator between them and add their
 //     selection-vector lengths per batch instead (memscan.go);
-//   - wall time: the master blocks at well-defined points — PDE
-//     pre-shuffle materializations, aggregate map stages, mid-plan
-//     Sort/Limit collects, the final collect — and each blocking
-//     segment is attributed to the operator that caused it. The
-//     segments are sequential master-side wall clock, so their sum
-//     tracks the statement's measured wall time (the property the
-//     EXPLAIN ANALYZE output reports and tests assert).
+//   - wall time: the master's wall clock is charged to one operator
+//     at a time (timeline): the one it is compiling, or blocked on in
+//     a segment it caused (PDE pre-shuffles, aggregate map stages,
+//     mid-plan Sort/Limit collects, the final collect); the rest is
+//     the root's. So the nodes' wall times sum to the statement's (the
+//     property the EXPLAIN ANALYZE output reports and tests assert).
 //
 // Cache traffic per node comes from diffing the statement job's
 // counters around each blocking segment.
@@ -41,6 +40,7 @@ type NodeStats struct {
 	Label    string
 	Children []*NodeStats
 
+	tl     *timeline
 	rows   atomic.Int64
 	wallNS atomic.Int64
 	// Cache traffic attributed to this node's blocking segments.
@@ -92,23 +92,55 @@ func (ns *NodeStats) TotalWall() time.Duration {
 	return total
 }
 
-// beginSegment starts attributing a master-blocking segment (a stage
-// materialization or collect) to the node; the returned func ends it,
-// adding the elapsed wall time and the statement job's cache-traffic
-// deltas. Safe on a nil node.
+// beginSegment enters the node for a master-blocking segment (a stage
+// materialization or collect); the returned func ends it, adding the
+// statement job's cache-traffic deltas. Safe on a nil node.
 func (ns *NodeStats) beginSegment(gctx context.Context) func() {
 	if ns == nil {
 		return func() {}
 	}
-	start := time.Now()
+	exit := ns.enter()
 	before := jobStatsFrom(gctx)
 	return func() {
-		ns.wallNS.Add(int64(time.Since(start)))
+		exit()
 		after := jobStatsFrom(gctx)
 		ns.cacheHits.Add(after.CacheHits - before.CacheHits)
 		ns.remoteHits.Add(after.RemoteCacheHits - before.RemoteCacheHits)
 		ns.diskHits.Add(after.DiskHits - before.DiskHits)
 	}
+}
+
+// enter charges the master's wall clock to the node until the returned
+// func is called, but for nodes entered meanwhile. Safe on a nil node.
+func (ns *NodeStats) enter() func() {
+	if ns == nil {
+		return func() {}
+	}
+	tl := ns.tl
+	tl.charge()
+	tl.on = append(tl.on, ns)
+	return func() {
+		tl.charge()
+		tl.on = tl.on[:len(tl.on)-1]
+	}
+}
+
+// timeline is the master's wall clock over one statement, charged to
+// the innermost node entered: every instant is some node's, so a GC
+// pause or a wait for a CPU lands on the node it interrupted, never
+// between nodes. Only the master goroutine enters nodes.
+type timeline struct {
+	on    []*NodeStats // innermost last
+	since time.Time    // when on's last node was last charged
+}
+
+// charge adds the time since the last charge to the innermost node.
+func (tl *timeline) charge() {
+	now := time.Now()
+	if n := len(tl.on); n > 0 {
+		tl.on[n-1].wallNS.Add(int64(now.Sub(tl.since)))
+	}
+	tl.since = now
 }
 
 func jobStatsFrom(gctx context.Context) rdd.JobStats {
@@ -156,11 +188,14 @@ type prof struct {
 	m    map[plan.Node]*NodeStats
 }
 
+// newProf builds the profile of a statement about to run. Its timeline
+// starts now, charged to the root: the set-up is the statement's.
 func newProf(root plan.Node) *prof {
 	p := &prof{m: make(map[plan.Node]*NodeStats)}
+	tl := &timeline{since: time.Now()}
 	var walk func(plan.Node) *NodeStats
 	walk = func(n plan.Node) *NodeStats {
-		ns := &NodeStats{Label: n.String()}
+		ns := &NodeStats{Label: n.String(), tl: tl}
 		p.m[n] = ns
 		for _, c := range n.Children() {
 			ns.Children = append(ns.Children, walk(c))
@@ -168,6 +203,7 @@ func newProf(root plan.Node) *prof {
 		return ns
 	}
 	p.root = walk(root)
+	tl.on = []*NodeStats{p.root}
 	return p
 }
 

@@ -133,18 +133,20 @@ type Result struct {
 	Stats  QueryStats
 }
 
-// CompileToRDDCtx lowers a plan to a row RDD without running the final
-// collect — the sql2rdd path. Its tasks carve each batch into rows, one
-// slab a batch. Top-level Sort/Limit nodes are not supported here (the
-// session materializes those). PDE pre-shuffles run during compilation
-// execute under the attached job and honor cancellation.
-func (e *Engine) CompileToRDDCtx(gctx context.Context, n plan.Node) (*rdd.RDD, error) {
-	r, err := e.compile(gctx, n, &QueryStats{}, nil)
+// CompileToRDDCtx lowers a plan without running the final collect —
+// the sql2rdd and CTAS path. batches is the compiled plan, one
+// *columnar.Batch a window (TableRDD.MapRows reads them in place); rows
+// carves each batch into rows, one slab a batch, for TableRDD.RDD and
+// CTAS. Top-level Sort/Limit nodes are not supported here (the session
+// materializes those). PDE pre-shuffles run during compilation execute
+// under the attached job and honor cancellation.
+func (e *Engine) CompileToRDDCtx(gctx context.Context, n plan.Node) (rows, batches *rdd.RDD, err error) {
+	batches, err = e.compile(gctx, n, &QueryStats{}, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cols := upTo[int](len(n.Schema()))
-	return r.MapPartitions(func(_ *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
+	return batches.MapPartitions(func(_ *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
 		return memtable.BatchRows(func() []row.Row {
 			v, ok := in.Next()
 			if !ok {
@@ -153,7 +155,7 @@ func (e *Engine) CompileToRDDCtx(gctx context.Context, n plan.Node) (*rdd.RDD, e
 			b := v.(*columnar.Batch)
 			return b.Rows(cols, b.Sel)
 		})
-	}), nil
+	}), batches, nil
 }
 
 // RunCtx executes a logical plan to completion under a context: every
@@ -178,12 +180,13 @@ func boxRows(res *Result, err error) (*Result, error) {
 }
 
 // RunAnalyzeCtx is RunCtx with EXPLAIN ANALYZE profiling: it returns
-// the result plus the annotated per-node statistics tree. The
-// blocking-segment wall times recorded on the tree are sequential
-// master-side time, so their sum tracks the statement's wall time.
+// the result plus the annotated per-node statistics tree. Every instant
+// of the master's wall clock is charged to one node, so the nodes'
+// wall times sum to the statement's.
 func (e *Engine) RunAnalyzeCtx(gctx context.Context, n plan.Node) (*Result, *NodeStats, error) {
 	p := newProf(n)
 	res, err := boxRows(e.runCtx(gctx, n, p))
+	p.root.tl.charge() // boxing the result is the root's
 	return res, p.root, err
 }
 
@@ -429,6 +432,7 @@ func (e *Engine) noteAdaptiveCoalesce(gctx context.Context) {
 // subquery materializations). p is the EXPLAIN ANALYZE profile being
 // filled in, or nil (the untraced path: no wrapping, no counting).
 func (e *Engine) compile(gctx context.Context, n plan.Node, stats *QueryStats, p *prof) (*rdd.RDD, error) {
+	defer p.of(n).enter()()
 	// A chain of filters and a projection runs fused over its source's
 	// batches and counts its own rows.
 	switch m := matchChain(n); {

@@ -38,7 +38,7 @@ type Expr interface {
 	Eval(r row.Row) any
 	// Compile returns Eval. Nothing in the engine calls it; every node
 	// keeps the method only because bench/layers.go:457 does, and bench/
-	// is frozen (ROADMAP item 10).
+	// changes only under ROADMAP 2(c)'s rule (its removal is item 14).
 	Compile() EvalFn
 	// String renders for EXPLAIN output.
 	String() string

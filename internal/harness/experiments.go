@@ -405,8 +405,8 @@ func mlEnv(sc Scale) (*Env, *rdd.RDD, error) {
 		e.Close()
 		return nil, nil, err
 	}
-	pointsRDD := tr.RDD.Map(func(v any) any {
-		p, err := ml.RowToLabeledPoint(v.(row.Row))
+	pointsRDD := tr.MapRows(func(v core.RowView) any {
+		p, err := ml.RowToLabeledPoint(v.Row)
 		if err != nil {
 			rdd.Fail(err)
 		}

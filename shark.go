@@ -60,7 +60,9 @@ type (
 	// TableRDD is a query result as a live distributed dataset
 	// (the sql2rdd bridge).
 	TableRDD = core.TableRDD
-	// RowView is schema-aware row access for TableRDD.MapRows.
+	// RowView is schema-aware row access for TableRDD.MapRows. Its Row
+	// is a scratch row, refilled after each call: read it in the call,
+	// Clone it to keep it.
 	RowView = core.RowView
 	// RDD is a resilient distributed dataset.
 	RDD = rdd.RDD
