@@ -46,6 +46,7 @@ import (
 	"sync"
 	"time"
 
+	"shark/internal/columnar"
 	"shark/internal/rdd"
 	"shark/internal/row"
 	"shark/internal/wire"
@@ -436,8 +437,8 @@ type rows struct {
 	schema row.Schema
 
 	mu     sync.Mutex
-	batch  wire.Columns
-	pos    int
+	wins   []columnar.Window // what is left of the fetched frame
+	pos    int               // the next row of wins[0]
 	done   bool
 	closed bool
 }
@@ -494,7 +495,11 @@ func (r *rows) Next(dest []sqldriver.Value) error {
 	if r.closed {
 		return io.EOF
 	}
-	for r.pos >= r.batch.Len() {
+	for len(r.wins) == 0 || r.pos == r.wins[0].N {
+		if len(r.wins) > 0 {
+			r.wins, r.pos = r.wins[1:], 0
+			continue
+		}
 		if r.done {
 			return io.EOF
 		}
@@ -506,20 +511,24 @@ func (r *rows) Next(dest []sqldriver.Value) error {
 		if !ok {
 			return fmt.Errorf("shark driver: unexpected fetch response %T", resp)
 		}
-		r.batch, r.pos, r.done = batch.Cols, 0, batch.Done
+		r.wins, r.pos, r.done = nil, 0, batch.Done
+		if batch.Body != nil {
+			r.wins = batch.Body.Windows
+		}
 	}
-	if r.batch.Width() != len(dest) {
-		return fmt.Errorf("shark driver: row has %d columns, want %d", r.batch.Width(), len(dest))
+	vecs := r.wins[0].Vecs
+	if len(vecs) != len(dest) {
+		return fmt.Errorf("shark driver: row has %d columns, want %d", len(vecs), len(dest))
 	}
-	// The frame decoded into typed columns once; a row is an index into
-	// them, and the only allocations left are the boxes database/sql's
-	// Value demands.
+	// The frame decoded into typed vectors once, a window's worth at a
+	// time; a row is an index into them, and the only allocations left
+	// are the boxes database/sql's Value demands.
 	for i := range dest {
-		col := r.batch.Col(i)
-		if r.schema[i].Type == row.TDate && col.Kind == wire.KindInt && !col.Null(r.pos) {
-			dest[i] = time.Unix(col.Int(r.pos)*86400, 0).UTC()
+		v := &vecs[i]
+		if r.schema[i].Type == row.TDate && v.Kind == columnar.VecInt && !v.Null(int32(r.pos)) {
+			dest[i] = time.Unix(v.Ints[r.pos]*86400, 0).UTC()
 		} else {
-			dest[i] = col.Value(r.pos)
+			dest[i] = v.At(int32(r.pos))
 		}
 	}
 	r.pos++

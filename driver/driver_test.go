@@ -565,7 +565,22 @@ func cells(rows [][]any) []string {
 // deep. An ordered statement read twice on a result-cached connection
 // matches too, the second time served from the cache.
 func TestDriverMatchesEmbedded(t *testing.T) {
-	srv, addr := startServer(t, server.Config{}, 1)
+	matchesEmbedded(t, server.Config{})
+}
+
+// TestDriverMatchesEmbeddedSpilled is TestDriverMatchesEmbedded on a
+// cluster whose shuffle outputs spill to disk: the aggregate's blocks
+// cross the column-blob codec on their way to the reduce side, and the
+// result crosses it again in Rows frames.
+func TestDriverMatchesEmbeddedSpilled(t *testing.T) {
+	srv := matchesEmbedded(t, server.Config{Cluster: shark.ClusterConfig{WorkerShuffleBytes: 1, WorkerDiskBytes: -1}})
+	if srv.Cluster().ShuffleMetrics().SpilledReads.Load() == 0 {
+		t.Fatal("no shuffle bucket was read back from disk")
+	}
+}
+
+func matchesEmbedded(t *testing.T, cfg server.Config) *server.Server {
+	srv, addr := startServer(t, cfg, 1)
 	loader, err := srv.Cluster().NewSession(shark.SessionConfig{Name: "enc", SharedCatalog: true})
 	if err != nil {
 		t.Fatal(err)
@@ -629,6 +644,7 @@ func TestDriverMatchesEmbedded(t *testing.T) {
 			}
 		}
 	}
+	return srv
 }
 
 // queryAll reads a statement's every row through database/sql.

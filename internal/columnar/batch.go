@@ -74,7 +74,7 @@ type Dict interface {
 func (c *dictInt64) DictLen() int           { return len(c.dict) }
 func (c *dictInt64) DictValue(code int) any { return c.boxed[code] }
 
-func (c *dictString) DictLen() int           { return len(c.dict) }
+func (c *dictString) DictLen() int           { return len(c.boxed) }
 func (c *dictString) DictValue(code int) any { return c.boxed[code] }
 
 // Codes fit a byte because a column is dictionary-encoded only with at
@@ -87,6 +87,15 @@ const _ = uint8(dictionaryThreshold - 1)
 // Typed bulk decode: rows [lo, hi) of a column into a primitive slice.
 // Raw encodings return a sub-slice of their own storage; the others
 // fill buf, which must hold hi-lo values.
+
+type (
+	intsReader interface {
+		ints(lo, hi int, buf []int64) []int64
+	}
+	floatsReader interface {
+		floats(lo, hi int, buf []float64) []float64
+	}
+)
 
 func (c *rawInt64) ints(lo, hi int, _ []int64) []int64 { return c.v[lo:hi] }
 
@@ -364,9 +373,7 @@ func (b *Batch) Nulls(c int) Bitmap { return b.col(c).nulls }
 func (b *Batch) Ints(c int) []int64 {
 	bc := b.col(c)
 	if !bc.haveVals {
-		col := bc.col.(interface {
-			ints(lo, hi int, buf []int64) []int64
-		})
+		col := bc.col.(intsReader)
 		if _, raw := col.(*rawInt64); !raw && bc.intBuf == nil {
 			bc.intBuf = make([]int64, min(BatchSize, b.n))
 		}
@@ -379,9 +386,7 @@ func (b *Batch) Ints(c int) []int64 {
 func (b *Batch) Floats(c int) []float64 {
 	bc := b.col(c)
 	if !bc.haveVals {
-		col := bc.col.(interface {
-			floats(lo, hi int, buf []float64) []float64
-		})
+		col := bc.col.(floatsReader)
 		if _, raw := col.(*rawFloat64); !raw && bc.floatBuf == nil {
 			bc.floatBuf = make([]float64, min(BatchSize, b.n))
 		}
@@ -474,20 +479,16 @@ func (b *Batch) window(c int) Vec {
 }
 
 // Keep returns column c's rows at sel as a vector a result can keep:
-// slot j is row sel[j]. A VecBatch's column over its whole window is
-// adopted as it is, since nothing overwrites it, unless its strings
-// share a partition's bytes (a join's probe side). Anything else is
-// gathered into vectors the selection's size, a string still sharing
-// a partition's bytes copied out (a raw column's read directly), and a
-// dictionary string column kept as its codes: the dictionary is the
-// partition's, and immutable.
+// slot j is row sel[j]. A partition's column is read straight from its
+// encoding into vectors the selection's size (decodeKept), a
+// dictionary string column kept as its codes (the dictionary is the
+// partition's, and immutable). A VecBatch's column over its whole
+// window is adopted as it is, since nothing overwrites it, unless its
+// strings share a partition's bytes (a join's probe side). Anything
+// else is gathered, a string still sharing a partition's bytes copied
+// out.
 func (b *Batch) Keep(c int, sel []int32) Vec {
-	if raw, ok := b.col(c).col.(*rawString); ok {
-		v := Vec{Kind: VecStr, Mask: -1, Owned: true, Strs: make([]string, len(sel))}
-		for j, i := range sel {
-			v.Strs[j] = strings.Clone(raw.at(b.lo + int(i)))
-		}
-		v.Nulls = b.col(c).nulls.gather(sel)
+	if v, ok := b.decodeKept(c, sel); ok {
 		return v
 	}
 	v := b.window(c)
@@ -495,6 +496,52 @@ func (b *Batch) Keep(c int, sel []int32) Vec {
 		return v
 	}
 	return v.Gather(sel, true)
+}
+
+// decodeKept decodes rows sel of partition column c's window straight
+// into vectors of their own: no decode buffer, and no copy out of one;
+// a raw string column's strings are copied out of the partition's
+// bytes. false for a column it does not decode: a bool column (boxed),
+// a column of vectors.
+func (b *Batch) decodeKept(c int, sel []int32) (Vec, bool) {
+	bc := b.col(c)
+	var v Vec
+	switch col := bc.col.(type) {
+	case *rawString:
+		v.Kind, v.Strs = VecStr, make([]string, len(sel))
+		for j, i := range sel {
+			v.Strs[j] = strings.Clone(col.at(b.lo + int(i)))
+		}
+	case *dictString:
+		codes := func(lo, hi int, buf []uint8) []uint8 { return unpackCodes(col.words, col.width, lo, hi, buf) }
+		v.Kind, v.Dict, v.Codes = VecStr, col, keepRuns(sel, b.lo, codes)
+	case intsReader:
+		v.Kind, v.Ints = VecInt, keepRuns(sel, b.lo, col.ints)
+	case floatsReader:
+		v.Kind, v.Floats = VecFloat, keepRuns(sel, b.lo, col.floats)
+	default:
+		return v, false
+	}
+	v.Mask, v.Owned, v.Nulls = -1, true, bc.nulls.gather(sel)
+	return v, true
+}
+
+// keepRuns reads rows sel (window positions from row lo) into a slice
+// of their own, a run of consecutive rows at a time: read decodes into
+// the slice, or returns the rows where a raw encoding holds them, to
+// be copied.
+func keepRuns[T int64 | float64 | uint8](sel []int32, lo int, read func(lo, hi int, buf []T) []T) []T {
+	out := make([]T, len(sel))
+	for j := 0; j < len(sel); {
+		k := j + 1
+		for k < len(sel) && sel[k] == sel[k-1]+1 {
+			k++
+		}
+		from := lo + int(sel[j])
+		copy(out[j:k], read(from, from+k-j, out[j:k]))
+		j = k
+	}
+	return out
 }
 
 // Value returns column c's value at window position i as a boxed row

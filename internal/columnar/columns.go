@@ -33,12 +33,27 @@
 //	7 raw string   N+1 u32 offsets rising from 0; offsets[N] bytes
 //	8 dict string  u32 d; d+1 u32 offsets; bytes; u8 w; packed codes < d
 //	9 bool bitmap  ⌈N/64⌉ u64 words
+//	10 values      N cells as one binary row (row.EncodeBinary)
 //
 // BIGINT, DATE (epoch days) and a NULL-typed column take the int
 // encodings. A NULL row holds a placeholder value or code 0. Every
 // count is checked against the bytes or fields left before anything is
 // allocated for it, every code, offset and run end against what it
 // indexes, and a blob must be used up exactly.
+//
+// A row range of a Vec travels as a blob of the same layout
+// (BlobCodec.Vec, AppendVec, ReadVec): aggregate and join blocks
+// spill and cross a disk shuffle as such blobs, and a wire Rows frame
+// carries one per column and body window. Its tag follows from the
+// vector: 1 for ints, 5 for floats, 8 for a dictionary's codes when a
+// row is not NULL (the entries the range uses, numbered in order of
+// first use, w the fewest bits that hold d-1), 7 for other strings,
+// and 10 for boxed cells (bools among them: a boxed cell costs sixteen
+// bytes once read, so a bit a row would let a blob of a few bytes claim
+// an allocation a hundred times its size). The NULL bitmap is present
+// exactly when a row of the range is NULL. The reader refuses a blob
+// the writer would have written otherwise, so what it reads writes back
+// to the same bytes.
 package columnar
 
 import (
@@ -242,7 +257,7 @@ func (c *rawString) Encoding() string { return "raw" }
 type dictString struct {
 	nullable
 	dict  []string
-	boxed []any // dict, boxed once at seal
+	boxed []any // dict, boxed once at seal; all a read vector's dictionary holds
 	words []uint64
 	width uint
 	n     int

@@ -1,10 +1,10 @@
 package columnar
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strings"
 
 	"shark/internal/row"
 )
@@ -167,6 +167,7 @@ const (
 	encRawString
 	encDictString
 	encBitmap
+	encValues // a boxed vector's cells: vector blobs only
 )
 
 // encodings lists, by blob tag, the value type each encoding stores and
@@ -198,7 +199,7 @@ type encoded interface {
 
 // decodeColumn rebuilds one n-row column of type t from its blob.
 func decodeColumn(t row.Type, n int, blob string) (Column, error) {
-	x := &BlobCodec{n: n, read: true, in: blob}
+	x := &BlobCodec{n: n, read: true, in: bytesOf(blob)}
 	var tag byte
 	x.U8(&tag)
 	if int(tag) >= len(encodings) || encodings[tag].empty == nil || encodings[tag].stores != storedAs(t) {
@@ -245,8 +246,9 @@ func (c *dictInt64) blob(x *BlobCodec) byte {
 
 func (c *dictString) blob(x *BlobCodec) byte {
 	d := x.entries(len(c.dict))
-	x.Strings(&c.dict, d)
-	if x.read && !x.bad {
+	if !x.read {
+		x.putStrs(d, func(i int) string { return c.dict[i] })
+	} else if c.dict = strs(x, d, str); !x.bad {
 		c.boxed = boxAll(c.dict)
 	}
 	x.packed(&c.words, &c.width, d)
@@ -263,7 +265,7 @@ func (c *dictString) blob(x *BlobCodec) byte {
 type BlobCodec struct {
 	n    int // the column's rows
 	read bool
-	in   string
+	in   []byte
 	out  []byte
 	bad  bool
 }
@@ -272,7 +274,9 @@ type BlobCodec struct {
 func NewBlobWriter(n int) *BlobCodec { return &BlobCodec{n: n} }
 
 // NewBlobReader reads back a blob of vectors of n rows.
-func NewBlobReader(n int, blob string) *BlobCodec { return &BlobCodec{n: n, read: true, in: blob} }
+func NewBlobReader(n int, blob string) *BlobCodec {
+	return &BlobCodec{n: n, read: true, in: bytesOf(blob)}
+}
 
 // Reading reports whether x reads a blob (rather than writing one).
 func (x *BlobCodec) Reading() bool { return x.read }
@@ -302,7 +306,7 @@ func Fixed[T int64 | uint64 | uint32 | float64](x *BlobCodec, v *[]T, n int) {
 		return
 	}
 	*v = make([]T, n)
-	binary.Decode([]byte(x.in[:n*size]), binary.LittleEndian, *v)
+	binary.Decode(x.in[:n*size], binary.LittleEndian, *v)
 	x.in = x.in[n*size:]
 }
 
@@ -392,23 +396,7 @@ func (x *BlobCodec) texts(offsets *[]uint32, data *string, k int) {
 	case !x.read:
 		x.out = append(x.out, *data...)
 	case !x.bad:
-		*data, x.in = strings.Clone(x.in[:o[k]]), x.in[o[k]:]
-	}
-}
-
-// Strings moves k strings, as texts does: read back, they share one
-// copy of the blob's bytes.
-func (x *BlobCodec) Strings(v *[]string, k int) {
-	offsets, data := []uint32{0}, strings.Join(*v, "")
-	for _, s := range *v {
-		offsets = append(offsets, offsets[len(offsets)-1]+uint32(len(s)))
-	}
-	x.texts(&offsets, &data, k)
-	if x.read && !x.bad {
-		*v = make([]string, k)
-		for i := range *v {
-			(*v)[i] = data[offsets[i]:offsets[i+1]]
-		}
+		*data, x.in = string(x.in[:o[k]]), x.in[o[k]:]
 	}
 }
 
@@ -422,9 +410,8 @@ func (x *BlobCodec) Values(v *[]any, k int) {
 	if x.bad {
 		return
 	}
-	in := []byte(x.in)
-	r, used, err := row.DecodeBinary(in)
-	if err != nil || len(r) != k || string(row.EncodeBinary(nil, r)) != x.in[:used] {
+	r, used, err := row.DecodeBinary(x.in)
+	if err != nil || len(r) != k || !bytes.Equal(row.EncodeBinary(nil, r), x.in[:used]) {
 		x.bad = true
 		return
 	}

@@ -282,13 +282,13 @@ type blob struct {
 func (b *block) blobs() []blob {
 	var out []blob
 	for k := range b.cols {
-		out = append(out, blob{true, func(x *columnar.BlobCodec) { vecBlob(x, &b.cols[k], b.n) }})
+		out = append(out, blob{true, func(x *columnar.BlobCodec) { x.Vec(&b.cols[k], 0) }})
 	}
 	for k := range b.accs {
 		a := &b.accs[k]
 		out = append(out,
 			blob{a.count != nil, func(x *columnar.BlobCodec) { columnar.Fixed(x, &a.count, b.n) }},
-			blob{used(&a.val), func(x *columnar.BlobCodec) { vecBlob(x, &a.val, b.n) }},
+			blob{used(&a.val), func(x *columnar.BlobCodec) { x.Vec(&a.val, 0) }},
 			blob{a.distinct != nil, func(x *columnar.BlobCodec) { sets(x, &a.distinct, b.n) }})
 	}
 	return out
@@ -338,34 +338,6 @@ func unmarshalBlock(fields row.Row) (*block, error) {
 		}
 	}
 	return b, nil
-}
-
-// vecBlob moves v's n slots through x: the kind, the NULL bitmap, then
-// the values (a boxed column's as one binary row, NULL exactly where
-// the bitmap says).
-func vecBlob(x *columnar.BlobCodec, v *columnar.Vec, n int) {
-	kind := byte(v.Kind)
-	x.U8(&kind)
-	if !x.Check(kind <= byte(columnar.VecStr)) {
-		return
-	}
-	if x.Reading() { // a block being written may be folded meanwhile: only read it
-		v.Kind, v.Mask, v.Owned = columnar.VecKind(kind), -1, true
-	}
-	x.Bitmap(&v.Nulls)
-	switch v.Kind {
-	case columnar.VecInt:
-		columnar.Fixed(x, &v.Ints, n)
-	case columnar.VecFloat:
-		columnar.Fixed(x, &v.Floats, n)
-	case columnar.VecStr:
-		x.Strings(&v.Strs, n)
-	default:
-		x.Values(&v.Anys, n)
-		for i, a := range v.Anys {
-			x.Check((a == nil) == v.Nulls.Has(i))
-		}
-	}
 }
 
 // sets moves n COUNT(DISTINCT) sets: their sizes, then their members as

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -132,4 +134,58 @@ func FuzzAggBlock(f *testing.F) {
 			t.Fatalf("a block of %d groups reports %d records, %d bytes", b.n, b.Records(), b.SizeBytes())
 		}
 	})
+}
+
+// TestBlockSpillEveryVectorForm: a join side's block holding every
+// vector form — a dictionary's codes, raw strings, ints, floats, bools
+// (boxed) and boxed cells that disagree on type — with no NULL, a NULL
+// every seventh row and NULL everywhere, spills through the column-blob
+// codec and reads back cell for cell, marshalling back to its bytes.
+func TestBlockSpillEveryVectorForm(t *testing.T) {
+	schema := row.Schema{{Name: "dict", Type: row.TString}, {Name: "raw", Type: row.TString},
+		{Name: "i", Type: row.TInt}, {Name: "f", Type: row.TFloat}, {Name: "b", Type: row.TBool}}
+	for _, nullEvery := range []int{0, 7, 1} {
+		bld := columnar.NewBuilder(schema)
+		for i := range 150 {
+			r := row.Row{[]string{"x", "yy", ""}[i%3], fmt.Sprint("raw", i), int64(i) - 70, float64(i) / float64(i%4), i%2 == 0}
+			if nullEvery > 0 && i%nullEvery == 0 {
+				r = make(row.Row, len(schema))
+			}
+			if err := bld.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b := columnar.NewBatch(bld.Seal())
+		b.Next()
+		cols := make([]columnar.Vec, b.Width(), b.Width()+1)
+		for c := range cols {
+			cols[c] = b.Keep(c, b.Sel)
+		}
+		mixed := columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: make([]any, b.Len())}
+		for i := range mixed.Anys {
+			if nullEvery == 0 || i%nullEvery != 0 {
+				mixed.Anys[i] = []any{int64(i), "s", 0.5, true}[i%4]
+			}
+		}
+		blk := &block{}
+		blk.add(&cols[2], append(cols, mixed), b.Sel)
+		back, err := unmarshalBlock(func() row.Row { _, f := blk.MarshalShuffle(); return f }())
+		if err != nil {
+			t.Fatalf("NULL every %d: %v", nullEvery, err)
+		}
+		if marshalled(back) != marshalled(blk) {
+			t.Fatalf("NULL every %d: read back, the block marshals to other bytes", nullEvery)
+		}
+		for k := range blk.cols {
+			for i := range int32(blk.n) {
+				want, got := blk.cols[k].At(i), back.cols[k].At(i)
+				if f, ok := want.(float64); ok && math.IsNaN(f) {
+					want, got = fmt.Sprint(want), fmt.Sprint(got)
+				}
+				if want != got {
+					t.Fatalf("NULL every %d: column %d row %d reads %#v, want %#v", nullEvery, k, i, got, want)
+				}
+			}
+		}
+	}
 }

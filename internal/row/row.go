@@ -13,7 +13,6 @@ package row
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"reflect"
 	"strconv"
@@ -225,26 +224,23 @@ func Equal(a, b any) bool {
 	return Compare(a, b) == 0
 }
 
-var hashSeed = maphash.MakeSeed()
+// hashSeed starts every hash: fixed, so that which shuffle bucket a
+// key lands in, and every decision made from bucket sizes, is the same
+// in every process (skew is PDE's to handle, not the seed's).
+const hashSeed = 0x9e3779b97f4a7c15
 
-// Hash returns a stable-for-the-process hash of a value. Integral
+// Hash returns a hash of a value, the same in every process. Integral
 // floats hash like the equal int64 so cross-numeric equality is
 // consistent with Compare.
-func Hash(v any) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	writeHash(&h, v)
-	return h.Sum64()
-}
+func Hash(v any) uint64 { return hashValue(hashSeed, v) }
 
 // HashRow hashes all values of a row together.
 func HashRow(r Row) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
+	h := uint64(hashSeed)
 	for _, v := range r {
-		writeHash(&h, v)
+		h = hashValue(h, v)
 	}
-	return h.Sum64()
+	return h
 }
 
 // HashInt, HashFloat and HashString are Hash of a value held unboxed.
@@ -254,42 +250,48 @@ func HashInt(x int64) uint64     { return Hash(x) }
 func HashFloat(x float64) uint64 { return Hash(x) }
 func HashString(x string) uint64 { return Hash(x) }
 
-func writeHash(h *maphash.Hash, v any) {
+// hashValue folds v into the running hash h: its type's tag, then its
+// value as 64-bit words (a string's length, then its bytes eight at a
+// time).
+func hashValue(h uint64, v any) uint64 {
 	switch x := v.(type) {
 	case nil:
-		h.WriteByte(0)
+		return mix(h)
 	case int64:
-		h.WriteByte(1)
-		writeUint64(h, uint64(x))
+		return mix(mix(h^1) ^ uint64(x))
 	case float64:
 		if x == math.Trunc(x) && x >= math.MinInt64 && x <= math.MaxInt64 {
-			// hash like the equal integer
-			h.WriteByte(1)
-			writeUint64(h, uint64(int64(x)))
-			return
+			return mix(mix(h^1) ^ uint64(int64(x))) // hash like the equal integer
 		}
-		h.WriteByte(2)
-		writeUint64(h, math.Float64bits(x))
+		return mix(mix(h^2) ^ math.Float64bits(x))
 	case string:
-		h.WriteByte(3)
-		h.WriteString(x)
+		h = mix(mix(h^3) ^ uint64(len(x)))
+		for ; len(x) >= 8; x = x[8:] {
+			h = mix(h ^ (uint64(x[0]) | uint64(x[1])<<8 | uint64(x[2])<<16 | uint64(x[3])<<24 |
+				uint64(x[4])<<32 | uint64(x[5])<<40 | uint64(x[6])<<48 | uint64(x[7])<<56))
+		}
+		var tail uint64
+		for i := range len(x) {
+			tail |= uint64(x[i]) << (8 * i)
+		}
+		return mix(h ^ tail)
 	case bool:
 		if x {
-			h.WriteByte(5)
-		} else {
-			h.WriteByte(4)
+			return mix(h ^ 5)
 		}
-	default:
-		panic(fmt.Sprintf("row: cannot hash %v", reflect.TypeOf(v))) // not v itself: it would escape
+		return mix(h ^ 4)
 	}
+	panic(fmt.Sprintf("row: cannot hash %v", reflect.TypeOf(v))) // not v itself: it would escape
 }
 
-func writeUint64(h *maphash.Hash, u uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(u >> (8 * i))
-	}
-	h.Write(buf[:])
+// mix is MurmurHash3's 64-bit finalizer: every input bit reaches every
+// output bit.
+func mix(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }
 
 // Truth converts a value to a boolean predicate result. NULL is false.

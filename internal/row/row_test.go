@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,39 @@ func TestHashEqualValuesAgree(t *testing.T) {
 	f := func(x int64) bool { return int64(float64(x)) != x || Hash(x) == Hash(float64(x)) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHashIsFixed pins Hash to values written down once: placement,
+// and every decision made from bucket sizes, is the same in every
+// process and every run. It also checks that the fixed hash spreads
+// sequential ints and strings over buckets evenly.
+func TestHashIsFixed(t *testing.T) {
+	for v, want := range map[any]uint64{
+		nil: 0x9ca066f1a4ab2eea, int64(0): 0x3a3c7f8ad167625a, int64(-1): 0x4369e3027c126aaa,
+		2.5: 0xe81cc290b5676f8c, "": 0xfe76791922985f21, "shark": 0x43211a62d99e5bdc,
+		"a string past eight bytes": 0xfb85482a95e6ff21, true: 0xf9a60599c02adcdd, false: 0xa2607fea647db02b,
+	} {
+		if got := Hash(v); got != want {
+			t.Errorf("Hash(%#v) = %#x, want %#x", v, got, want)
+		}
+	}
+	if got := HashRow(Row{int64(1), "x", nil}); got != 0xb5236bf08f7c3bc2 {
+		t.Errorf("HashRow = %#x", got)
+	}
+	for name, key := range map[string]func(i int) any{
+		"ints":    func(i int) any { return int64(i) },
+		"strings": func(i int) any { return "key-" + strconv.Itoa(i) },
+	} {
+		var buckets [8]int
+		for i := range 8000 {
+			buckets[Hash(key(i))%8]++
+		}
+		for b, n := range buckets {
+			if n < 900 || n > 1100 {
+				t.Errorf("%s: bucket %d of 8 holds %d of 8000", name, b, n)
+			}
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func fetchAll(c *wire.Client, cursor uint64) (int, error) {
 		if !ok {
 			return total, fmt.Errorf("unexpected fetch response %T", resp)
 		}
-		total += batch.Cols.Len()
+		total += batch.N
 		if batch.Done {
 			return total, nil
 		}
@@ -106,11 +106,10 @@ func fetchAll(c *wire.Client, cursor uint64) (int, error) {
 
 // rowsOf boxes a decoded Rows frame back into rows.
 func rowsOf(batch wire.Rows) []shark.Row {
-	rows := make([]shark.Row, batch.Cols.Len())
-	for i := range rows {
-		rows[i] = batch.Cols.Row(i)
+	if batch.Body == nil {
+		return nil
 	}
-	return rows
+	return batch.Body.Rows()
 }
 
 // TestMalformedFramesDoNotKillServer throws hostile bytes at the
@@ -879,7 +878,8 @@ func TestLimitParamWire(t *testing.T) {
 }
 
 // TestRetiredExecAndStaleVersion: a client of any other protocol
-// version — 1, 2 (row-major Rows frames) or one not written yet — is
+// version — 1, 2 (row-major Rows frames), 3 (the wire's own column
+// kinds and dictionaries) or one not written yet — is
 // refused at Hello with CodeAuth and a message naming its version,
 // nothing is negotiated; the retired Exec type byte (5) in a well-formed
 // frame mid-session is answered with CodeProtocol on its request id,
@@ -887,7 +887,7 @@ func TestLimitParamWire(t *testing.T) {
 func TestRetiredExecAndStaleVersion(t *testing.T) {
 	_, addr := start(t, server.Config{}, 20)
 
-	for _, v := range []uint64{1, 2, wire.Version + 1} {
+	for _, v := range []uint64{1, 2, 3, wire.Version + 1} {
 		old, err := wire.Dial(addr, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -969,10 +969,10 @@ func TestFetchMaxRowsBounds(t *testing.T) {
 			if maxRows == 1 {
 				want = 1
 			}
-			if n := batch.Cols.Len(); n == 0 || n > want {
+			if n := batch.N; n == 0 || n > want {
 				t.Fatalf("Fetch{MaxRows: %d} returned %d rows, want 1..%d", maxRows, n, want)
 			}
-			total += batch.Cols.Len()
+			total += batch.N
 			frames++
 			done = batch.Done
 		}
@@ -1025,8 +1025,8 @@ func TestFetchWalksBodyWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		batch := resp.(wire.Rows)
-		if maxRows == 1 && batch.Cols.Len() != 1 {
-			t.Fatalf("Fetch{MaxRows: 1} at row %d returned %d rows", len(got), batch.Cols.Len())
+		if maxRows == 1 && batch.N != 1 {
+			t.Fatalf("Fetch{MaxRows: 1} at row %d returned %d rows", len(got), batch.N)
 		}
 		got, done = append(got, rowsOf(batch)...), batch.Done
 	}

@@ -15,7 +15,7 @@ import (
 // checkParse is the property every payload must satisfy: ParseMessage
 // never panics; refusing or accepting, it allocates no more than a
 // small multiple of the payload (the worst case is a window one row
-// tall, where a three-byte column decodes into a Column struct); and
+// tall, where a nine-byte column decodes into a vector's header); and
 // whatever it accepts re-encodes to a payload that parses to the same
 // message — compared as bytes, so NaN cells and arguments count as
 // equal to themselves.
@@ -42,9 +42,11 @@ func checkParse(t *testing.T, payload []byte) {
 
 // FuzzParseMessage: no payload may panic the decoder, make it allocate
 // beyond its size, or slip through as a message that does not
-// re-encode canonically. The corpus holds every message type, one Rows
-// window per column kind, the hostile column-major shapes, and frames
-// encoded from a result body's typed vectors.
+// re-encode canonically. The corpus holds every message type, Rows
+// frames of boxed rows of every column form, the hostile frame shapes
+// and column blobs, and frames encoded from a result body's typed
+// vectors: through Rows frames it reaches columnar's column-blob
+// reader.
 func FuzzParseMessage(f *testing.F) {
 	for i, m := range sampleMessages() {
 		f.Add(AppendMessage(nil, uint64(i), m))
@@ -157,17 +159,20 @@ func FuzzPreparedMessages(f *testing.F) {
 	})
 }
 
-// testBody is a result body of two windows, each a partition's rows
-// kept as a final task keeps them: a dictionary and a raw string
-// column (the dictionaries differ between the windows), a float, a
-// bool, a DATE and an all-NULL column, with NULLs.
+// testBody is a result body of three windows, each a partition's rows
+// kept as a final task keeps them, and one column of boxed cells that
+// disagree on type: every vector form a body holds. A dictionary and a
+// raw string column (the dictionaries differ between the windows), a
+// float, a bool, a DATE, an all-NULL column and the boxed one, with
+// NULLs; the windows are 70, 90 and 130 rows, so frames start and end
+// off the bitmaps' 64-row words.
 func testBody(tb testing.TB) *columnar.Body {
 	schema := row.Schema{
 		{Name: "dict", Type: row.TString}, {Name: "raw", Type: row.TString}, {Name: "f", Type: row.TFloat},
 		{Name: "b", Type: row.TBool}, {Name: "d", Type: row.TDate}, {Name: "none", Type: row.TInt},
 	}
 	body := &columnar.Body{}
-	for part, n := range []int{70, 90} {
+	for part, n := range []int{70, 90, 130} {
 		bld := columnar.NewBuilder(schema)
 		for i := range n {
 			r := row.Row{fmt.Sprintf("k%d-%d", part, i%3), fmt.Sprintf("raw-%d-%d", part, i), float64(i) / 4, i%3 == 0, int64(20000 + i), nil}
@@ -180,10 +185,15 @@ func testBody(tb testing.TB) *columnar.Body {
 		}
 		b := columnar.NewBatch(bld.Seal())
 		b.Next()
-		w := columnar.Window{N: len(b.Sel), Vecs: make([]columnar.Vec, b.Width())}
+		w := columnar.Window{N: len(b.Sel), Vecs: make([]columnar.Vec, b.Width(), b.Width()+1)}
 		for c := range w.Vecs {
 			w.Vecs[c] = b.Keep(c, b.Sel)
 		}
+		mixed := columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: make([]any, n)}
+		for i := range mixed.Anys {
+			mixed.Anys[i] = []any{int64(i), "s", nil, 0.5, false}[(i+part)%5]
+		}
+		w.Vecs = append(w.Vecs, mixed)
 		body.Add(w)
 	}
 	return body
@@ -200,31 +210,36 @@ func bodyFrames(tb testing.TB) [][]byte {
 	return out
 }
 
-// TestBodyFramesMatchRows: a frame encoded from a body's typed
-// vectors decodes to the body's rows, boxed, in order: dictionary
-// codes remapped per window, strings, floats, bools, DATEs as ints and
-// NULLs, whichever window a row comes from.
+// TestBodyFramesMatchRows: a frame encoded from a body's typed vectors
+// decodes, window by window, to the body's rows, boxed, in order:
+// dictionary codes renumbered per window, strings, floats, bools,
+// DATEs as ints, boxed cells and NULLs, whichever window a row comes
+// from and wherever in a bitmap word the frame starts.
 func TestBodyFramesMatchRows(t *testing.T) {
 	body := testBody(t)
 	want := body.Rows()
-	for _, r := range [][2]int{{0, body.Len}, {5, 20}, {60, 30}, {69, 1}, {70, 1}, {0, 0}} {
+	for _, r := range [][2]int{{0, body.Len}, {5, 20}, {60, 30}, {69, 1}, {70, 1}, {0, 0}, {65, 100}, {131, 159}, {1, body.Len - 1}} {
 		_, m, err := ParseMessage(AppendMessage(nil, 1, Rows{Body: body, Lo: r[0], N: r[1]}))
 		if err != nil {
 			t.Fatalf("rows [%d, +%d): %v", r[0], r[1], err)
 		}
-		cols := m.(Rows).Cols
-		if cols.Len() != r[1] {
-			t.Fatalf("rows [%d, +%d): decoded %d", r[0], r[1], cols.Len())
+		got := m.(Rows)
+		if got.N != r[1] || got.Body == nil && r[1] > 0 {
+			t.Fatalf("rows [%d, +%d): decoded %d", r[0], r[1], got.N)
 		}
-		for i := range r[1] {
-			if got := cols.Row(i); !reflect.DeepEqual(got, want[r[0]+i]) {
-				t.Fatalf("row %d: decoded %v, body has %v", r[0]+i, got, want[r[0]+i])
-			}
+		if r[1] == 0 {
+			continue
 		}
-		if r[1] >= 20 { // a one-row window is no dictionary, and its NULLs travel as ints
-			for c, kind := range []byte{KindDict, KindString, KindFloat, KindBool, KindInt, KindInt} {
-				if got := cols.Col(c).Kind; got != kind {
-					t.Errorf("rows [%d, +%d): column %d kind %d, want %d", r[0], r[1], c, got, kind)
+		if rows := got.Body.Rows(); !reflect.DeepEqual(rows, want[r[0]:r[0]+r[1]]) {
+			t.Fatalf("rows [%d, +%d): decoded %v, body has %v", r[0], r[1], rows, want[r[0]:r[0]+r[1]])
+		}
+		if r[1] < 20 { // a short range may hold only the dictionary's NULLs
+			continue
+		}
+		for _, w := range got.Body.Windows {
+			for c, kind := range []columnar.VecKind{columnar.VecStr, columnar.VecStr, columnar.VecFloat, columnar.VecAny, columnar.VecInt, columnar.VecInt, columnar.VecAny} {
+				if v := &w.Vecs[c]; v.Kind != kind || (v.Dict != nil) != (c == 0) {
+					t.Errorf("rows [%d, +%d): column %d kind %d (dictionary %v), want %d", r[0], r[1], c, v.Kind, v.Dict != nil, kind)
 				}
 			}
 		}
@@ -254,11 +269,9 @@ func TestEncodeConcurrently(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for j, r := range rows {
-					if back := got.(Rows).Cols.Row(j); !reflect.DeepEqual(back, r) {
-						t.Errorf("goroutine %d frame %d row %d: decoded %v, want %v", g, i, j, back, r)
-						return
-					}
+				if back := got.(Rows).Body.Rows(); !reflect.DeepEqual(back, rows) {
+					t.Errorf("goroutine %d frame %d: decoded %v, want %v", g, i, back, rows)
+					return
 				}
 			}
 		}()

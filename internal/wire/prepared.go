@@ -96,8 +96,7 @@ func appendArgs(buf []byte, args []any) []byte {
 	return buf
 }
 
-// appendValue encodes one tagged value — an argument, or a cell of a
-// Rows column whose cells disagree on type. An unsupported Go type
+// appendValue encodes one tagged argument. An unsupported Go type
 // encodes as an explicit poison tag that fails decode — callers are
 // expected to have validated types, and a silent coercion here would
 // defeat the whole point of the typed path.
@@ -126,18 +125,13 @@ func appendValue(buf []byte, a any) []byte {
 }
 
 // args decodes a typed argument list, bounding the count by the
-// remaining bytes (each argument costs at least its tag byte).
+// remaining bytes (each argument costs at least its tag byte) before
+// allocating.
 func (d *decoder) args() []any {
 	n := d.uvarint()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	return d.values(n)
-}
-
-// values decodes n tagged values, bounding n by the remaining bytes
-// (each value costs at least its tag byte) before allocating.
-func (d *decoder) values(n uint64) []any {
 	if n > uint64(len(d.b)) {
 		d.fail()
 		return nil

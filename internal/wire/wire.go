@@ -19,35 +19,31 @@
 // prefixes above MaxFrame are rejected before any allocation — a
 // malformed or hostile peer cannot make the server reserve memory.
 //
-// A Rows body is column-major — one kind byte, one null bitmap and one
-// typed payload per column — so a result window crosses the socket
-// without a per-cell type tag and decodes once into typed column
-// slices. Protocol version 3 retired the row-major body (one
-// length-prefixed, per-cell tagged row after another). The encoder
-// takes a row range of a result's body and writes its typed vectors as
-// they are; boxed rows it first transposes into vectors, a column at a
-// time. The body, for n rows by c columns (a row shorter than the
-// widest is padded with NULLs; the server never sends one):
+// A Rows body is column-major, in the column blobs a cached partition
+// spills as (package columnar: one writer and one reader for a row
+// range of a typed vector), so a result window crosses the socket as
+// the vectors its final stage kept, a blob per body window and column,
+// and decodes once into vectors again. Protocol version 4 replaced the
+// wire's own column kinds, varints and per-frame dictionaries with
+// them. The body, for c columns over w windows:
 //
 //	1 byte   Done
-//	uvarint  n, at most MaxFrameRows
-//	uvarint  c, zero when n is zero
-//	c times:
-//	  1 byte      kind
-//	  ⌈n/8⌉ bytes null bitmap: bit i%8 of byte i/8 set = row i is NULL
-//	  payload     n entries; a NULL row's entry is present and zero
+//	uvarint  c, zero when the frame has no rows
+//	uvarint  w, zero when the frame has no rows
+//	w times, the body windows the frame's rows cover, in order:
+//	  uvarint  n, the window's rows: at least 1, and at most
+//	           MaxFrameRows over the frame
+//	  c times:
+//	    u32      the blob's length, little-endian
+//	    blob     n rows of one column (columnar.BlobCodec.Vec): a tag,
+//	             a NULL bitmap, then raw ints (BIGINT and DATE), raw
+//	             floats, raw strings, a dictionary of the entries the
+//	             rows use with their packed codes, or a boxed column's
+//	             cells as one binary row (bools, and cells that
+//	             disagree on type)
 //
-// Payload by kind:
-//
-//	KindInt     n zig-zag varints (BIGINT and DATE; an all-NULL column too)
-//	KindFloat   n × 8 bytes, little-endian IEEE-754 bits
-//	KindBool    n bytes, 1 = true
-//	KindString  n uvarint lengths, then the cells' bytes back to back
-//	KindDict    n one-byte codes, uvarint d, then d × (uvarint length,
-//	            bytes): chosen over KindString when the window's d
-//	            distinct values number at most 255 and fewer than n/2
-//	KindAny     n tagged values in ExecPrepared's argument encoding: the
-//	            fallback for a column whose cells disagree on type
+// Boxed rows (Rows.Rows) travel as one window, each column turned into
+// a vector first.
 package wire
 
 import (
@@ -64,8 +60,9 @@ import (
 // rejects a Hello carrying any other version: server and driver ship
 // from one tree, so nothing is negotiated. Version 2 retired the Exec
 // message (type 5): ExecPrepared with Handle 0 is the one-shot form.
-// Version 3 made the Rows body column-major (rows.go).
-const Version = 3
+// Version 3 made the Rows body column-major (rows.go); version 4 made
+// its columns the partitions' column blobs.
+const Version = 4
 
 // MaxFrame bounds one frame's payload. ReadFrame rejects larger
 // length prefixes without allocating; writers must batch rows to stay
@@ -397,7 +394,9 @@ func ParseMessage(payload []byte) (id uint64, m Msg, err error) {
 		m = msg
 	case TypeRows:
 		msg := Rows{Done: d.bool()}
-		msg.Cols = d.columns()
+		if msg.Body = d.body(); msg.Body != nil {
+			msg.N = msg.Body.Len
+		}
 		m = msg
 	case TypeCancel:
 		m = Cancel{Target: d.uvarint()}

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"shark/internal/columnar"
 	"shark/internal/row"
 )
 
@@ -37,10 +38,10 @@ func sampleMessages() []Msg {
 		Rows{Rows: []row.Row{{int64(1), "a"}, {int64(2), nil}}, Done: true},
 		Rows{Done: true},
 		Rows{Rows: []row.Row{{}, {}, {}}}, // rows of no columns
-		// One window per column kind: ints (and an all-NULL column, which
-		// travels as ints), floats, bools, plain strings, a dictionary
-		// (one distinct value in three rows), and a column whose cells
-		// disagree on type.
+		// One window per column form: ints (and an all-NULL column, which
+		// travels as ints), floats, bools (boxed), strings (repeated
+		// ones too: boxed rows hold no dictionary), and a column whose
+		// cells disagree on type.
 		Rows{Rows: []row.Row{{int64(math.MinInt64), nil}, {nil, nil}, {int64(math.MaxInt64), nil}}},
 		Rows{Rows: []row.Row{{1.5}, {nil}, {math.Inf(-1)}}},
 		Rows{Rows: []row.Row{{true}, {false}, {nil}, {true}, {true}, {false}, {false}, {true}, {true}}},
@@ -66,17 +67,15 @@ func sampleMessages() []Msg {
 }
 
 // canon puts a Rows message in the form both ends can be compared in:
-// a decoded window carries typed columns, a window to send carries
+// a decoded frame carries a body of vectors, a frame to send carries
 // rows, and both box to the same rows.
 func canon(m Msg) Msg {
 	r, ok := m.(Rows)
 	if !ok {
 		return m
 	}
-	if r.Rows == nil {
-		for i := 0; i < r.Cols.Len(); i++ {
-			r.Rows = append(r.Rows, r.Cols.Row(i))
-		}
+	if r.Body != nil {
+		r.Rows = r.Body.Rows()
 	}
 	if len(r.Rows) == 0 {
 		r.Rows = nil
@@ -175,12 +174,12 @@ func (f failReader) Read([]byte) (int, error) {
 // caught by the remaining-bytes bound (or, for rows, the cap).
 func TestMalformedPayloads(t *testing.T) {
 	cases := map[string][]byte{
-		"empty":                {},
-		"unknown type":         {0xEE, 0x01},
-		"hello no id":          {TypeHello},
-		"attach truncated":     AppendMessage(nil, 1, Attach{Name: "x"})[:4],
-		"huge string length":   append([]byte{TypeError, 0x01, 0x01}, binary.AppendUvarint(nil, 1<<40)...),
-		"huge row batch count": append([]byte{TypeRows, 0x01, 0x00}, binary.AppendUvarint(nil, 1<<40)...),
+		"empty":              {},
+		"unknown type":       {0xEE, 0x01},
+		"hello no id":        {TypeHello},
+		"attach truncated":   AppendMessage(nil, 1, Attach{Name: "x"})[:4],
+		"huge string length": append([]byte{TypeError, 0x01, 0x01}, binary.AppendUvarint(nil, 1<<40)...),
+		"huge column count":  append([]byte{TypeRows, 0x01, 0x00}, binary.AppendUvarint(nil, 1<<40)...),
 		"huge schema field count": append([]byte{TypeResultSet, 0x01},
 			binary.AppendUvarint(nil, 1<<40)...),
 		"trailing garbage": append(AppendMessage(nil, 1, Ping{}), 0xFF),
@@ -220,33 +219,39 @@ func cell(r row.Row, c int) any {
 }
 
 // roundTripRows encodes a window, parses it, and checks every cell
-// came back exactly; it returns the decoded columns.
-func roundTripRows(t *testing.T, rows []row.Row, done bool) Columns {
+// came back exactly; it returns the decoded window's vectors.
+func roundTripRows(t *testing.T, rows []row.Row, done bool) []columnar.Vec {
 	t.Helper()
 	id, m, err := ParseMessage(AppendMessage(nil, 77, Rows{Rows: rows, Done: done}))
 	if err != nil {
 		t.Fatalf("%d rows: %v", len(rows), err)
 	}
 	got, ok := m.(Rows)
-	if !ok || id != 77 || got.Done != done || got.Rows != nil {
+	if !ok || id != 77 || got.Done != done || got.Rows != nil || got.N != len(rows) {
 		t.Fatalf("decoded id=%d %#v", id, m)
 	}
 	width := 0
 	for _, r := range rows {
 		width = max(width, len(r))
 	}
-	if got.Cols.Len() != len(rows) || got.Cols.Width() != width {
-		t.Fatalf("decoded %d×%d, want %d×%d", got.Cols.Len(), got.Cols.Width(), len(rows), width)
+	if len(rows) == 0 {
+		if got.Body != nil {
+			t.Fatalf("an empty window decoded to %d windows", len(got.Body.Windows))
+		}
+		return nil
 	}
+	if len(got.Body.Windows) != 1 || len(got.Body.Windows[0].Vecs) != width {
+		t.Fatalf("decoded %d windows of %d columns, want one of %d", len(got.Body.Windows), len(got.Body.Windows[0].Vecs), width)
+	}
+	vecs := got.Body.Windows[0].Vecs
 	for i, r := range rows {
-		back := got.Cols.Row(i)
 		for c := 0; c < width; c++ {
-			if !sameCell(back[c], cell(r, c)) {
-				t.Fatalf("row %d col %d (kind %d): got %#v, want %#v", i, c, got.Cols.Col(c).Kind, back[c], cell(r, c))
+			if back := vecs[c].At(int32(i)); !sameCell(back, cell(r, c)) {
+				t.Fatalf("row %d col %d (kind %d): got %#v, want %#v", i, c, vecs[c].Kind, back, cell(r, c))
 			}
 		}
 	}
-	return got.Cols
+	return vecs
 }
 
 // TestRowsRoundTripProperty: seeded random windows on the codec's
@@ -268,9 +273,9 @@ func TestRowsRoundTripProperty(t *testing.T) {
 		func(rng *rand.Rand) any { return rng.Int63() - rng.Int63() },
 		func(rng *rand.Rand) any { return floats[rng.Intn(len(floats))] },
 		func(rng *rand.Rand) any { return rng.Intn(2) == 0 },
-		func(rng *rand.Rand) any { return strs[rng.Intn(len(strs))] },                    // few distinct: a dictionary
-		func(rng *rand.Rand) any { return strconv.FormatInt(rng.Int63(), 36) },           // all distinct: plain
-		func(rng *rand.Rand) any { return []any{int64(7), 7.0, "7", true}[rng.Intn(4)] }, // cells disagree: tagged
+		func(rng *rand.Rand) any { return strs[rng.Intn(len(strs))] },                    // few distinct
+		func(rng *rand.Rand) any { return strconv.FormatInt(rng.Int63(), 36) },           // all distinct
+		func(rng *rand.Rand) any { return []any{int64(7), 7.0, "7", true}[rng.Intn(4)] }, // cells disagree: boxed
 		func(rng *rand.Rand) any { return nil },
 	}
 	rng := rand.New(rand.NewSource(24))
@@ -293,71 +298,49 @@ func TestRowsRoundTripProperty(t *testing.T) {
 					}
 				}
 			}
-			cols := roundTripRows(t, rows, trial%2 == 0)
-			if n == 0 && cols.Width() != 0 {
-				t.Fatalf("empty window decoded %d columns", cols.Width())
-			}
+			roundTripRows(t, rows, trial%2 == 0)
 		}
 	}
 }
 
-// TestRowsColumnKinds: the encoder's choices on their boundaries. A
-// string column becomes a dictionary at 1, 254 and 255 distinct values
-// and stays plain at 256 and 257 (a code is one byte), and only below
-// half as many distinct values as rows; ints mixed with floats fall
-// back to tagged values; an all-NULL column travels as ints; ragged
-// rows pad with NULLs.
+// TestRowsColumnKinds: the vector each column of boxed rows travels
+// as, on its boundaries. Ints, floats and strings are typed from their
+// first non-NULL cell, and NULLs before it read as that kind; an
+// all-NULL column travels as ints; bools, and cells that disagree on
+// type wherever the disagreement starts, travel boxed; ragged rows pad
+// with NULLs. A string column of boxed rows is raw strings however
+// few its distinct values: only a body's dictionary vector travels as
+// a dictionary (TestBodyFramesMatchRows).
 func TestRowsColumnKinds(t *testing.T) {
-	distinct := func(n, d int, nullEvery int) []row.Row {
-		rows := make([]row.Row, n)
-		for i := range rows {
-			rows[i] = row.Row{"v" + strconv.Itoa(i%d)}
-			if nullEvery > 0 && i >= d && i%nullEvery == 0 {
-				rows[i][0] = nil
-			}
-		}
-		return rows
-	}
-	for _, tc := range []struct {
-		n, d int
-		want byte
-	}{
-		{511, 1, KindDict}, {511, 254, KindDict}, {511, 255, KindDict}, {511, 256, KindString}, {511, 257, KindString},
-		{512, 1, KindDict}, {512, 254, KindDict}, {512, 255, KindDict}, {512, 256, KindString}, {512, 257, KindString},
-		{1024, 255, KindDict}, {1024, 256, KindString},
-		{9, 4, KindDict}, {9, 5, KindString}, {8, 3, KindDict}, {8, 4, KindString},
-		{3, 1, KindDict}, {2, 1, KindString}, {1, 1, KindString},
-	} {
-		for _, nullEvery := range []int{0, 3} {
-			cols := roundTripRows(t, distinct(tc.n, tc.d, nullEvery), false)
-			if got := cols.Col(0).Kind; got != tc.want {
-				t.Errorf("%d rows, %d distinct, NULL every %d: kind %d, want %d", tc.n, tc.d, nullEvery, got, tc.want)
-			}
-		}
-	}
+	const I, F, S, A = columnar.VecInt, columnar.VecFloat, columnar.VecStr, columnar.VecAny
 	for name, tc := range map[string]struct {
 		rows []row.Row
-		want []byte
+		want []columnar.VecKind
 	}{
-		"int then float":  {[]row.Row{{int64(1)}, {1.0}, {nil}, {int64(math.MinInt64)}}, []byte{KindAny}},
-		"float then int":  {[]row.Row{{math.NaN()}, {int64(1)}}, []byte{KindAny}},
-		"string then int": {[]row.Row{{"a"}, {"a"}, {"a"}, {int64(1)}}, []byte{KindAny}},
-		"bool then nil":   {[]row.Row{{true}, {nil}}, []byte{KindBool}},
-		"all NULL":        {[]row.Row{{nil}, {nil}, {nil}}, []byte{KindInt}},
-		"ragged":          {[]row.Row{{int64(1)}, {int64(2), "x", 2.5}, {}}, []byte{KindInt, KindDict, KindFloat}},
+		"int then float":     {[]row.Row{{int64(1)}, {1.0}, {nil}, {int64(math.MinInt64)}}, []columnar.VecKind{A}},
+		"float then int":     {[]row.Row{{math.NaN()}, {int64(1)}}, []columnar.VecKind{A}},
+		"string then int":    {[]row.Row{{"a"}, {"a"}, {"a"}, {int64(1)}}, []columnar.VecKind{A}},
+		"NULLs then strings": {[]row.Row{{nil}, {nil}, {"a"}, {"b"}}, []columnar.VecKind{S}},
+		"NULLs then floats":  {[]row.Row{{nil}, {2.5}}, []columnar.VecKind{F}},
+		"NULL then bool":     {[]row.Row{{nil}, {true}, {false}}, []columnar.VecKind{A}},
+		"bool then nil":      {[]row.Row{{true}, {nil}}, []columnar.VecKind{A}},
+		"bool then int":      {[]row.Row{{true}, {int64(3)}}, []columnar.VecKind{A}},
+		"all NULL":           {[]row.Row{{nil}, {nil}, {nil}}, []columnar.VecKind{I}},
+		"repeated strings":   {[]row.Row{{"us"}, {"us"}, {"us"}, {"ca"}}, []columnar.VecKind{S}},
+		"ragged":             {[]row.Row{{int64(1)}, {int64(2), "x", 2.5}, {}}, []columnar.VecKind{I, S, F}},
 	} {
-		cols := roundTripRows(t, tc.rows, true)
+		vecs := roundTripRows(t, tc.rows, true)
 		for c, want := range tc.want {
-			if got := cols.Col(c).Kind; got != want {
-				t.Errorf("%s: column %d kind %d, want %d", name, c, got, want)
+			if got := vecs[c]; got.Kind != want || got.Dict != nil {
+				t.Errorf("%s: column %d kind %d (dictionary %v), want %d", name, c, got.Kind, got.Dict != nil, want)
 			}
 		}
 	}
 }
 
 // TestRowsEncodeAllocatesNothing: transposing a window into a buffer
-// with capacity allocates nothing — dictionaries included, which live
-// on the encoder's stack.
+// with capacity allocates nothing: the scratch vector is reused, and
+// the blob writer writes straight into the buffer.
 func TestRowsEncodeAllocatesNothing(t *testing.T) {
 	rows := make([]row.Row, 512)
 	for i := range rows {
@@ -469,43 +452,65 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // hostileRowsFrames are malformed Rows payloads, shared with the fuzz
-// seed corpus.
+// seed corpus: the frame's counts, and column blobs the reader must
+// refuse, either because they do not fit or because the writer would
+// not have written them so.
 func hostileRowsFrames() map[string][]byte {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
-	frame := func(parts ...[]byte) []byte {
-		out := []byte{TypeRows, 0x01, 0x00} // type, id, Done
-		for _, p := range parts {
-			out = append(out, p...)
+	word := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	u32s := func(vs ...uint32) (out []byte) {
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint32(out, v)
 		}
 		return out
 	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	frame := func(parts ...[]byte) []byte { return cat(append([][]byte{{TypeRows, 0x01, 0x00}}, parts...)...) } // type, id, Done
+	// window is a one-column, one-window frame of n rows holding blob.
+	window := func(n uint64, blob ...[]byte) []byte {
+		b := cat(blob...)
+		return frame(uv(1), uv(1), uv(n), u32s(uint32(len(b))), b)
+	}
+	const rawInt, rleInt, rawFloat, rawString, dict, values = 1, 2, 5, 7, 8, 10
 	valid := AppendMessage(nil, 1, Rows{Rows: []row.Row{{int64(1), "a"}, {int64(2), "b"}}})
 	return map[string][]byte{
-		// A row of no columns costs no bytes: only the cap bounds it.
-		"2^40 rows of no columns":         frame(uv(1<<40), uv(0)),
-		"one row over the cap":            frame(uv(MaxFrameRows+1), uv(0)),
-		"columns above remaining bytes":   frame(uv(1), uv(1000), []byte{KindInt, 0, 0}),
-		"2^40 columns":                    frame(uv(1), uv(1<<40)),
-		"columns without rows":            frame(uv(0), uv(3), []byte{KindInt, KindInt, KindInt}),
-		"null bitmap shorter than rows":   frame(uv(100), uv(1), []byte{KindInt, 0, 0, 0}),
-		"ints shorter than rows":          frame(uv(9), uv(1), []byte{KindInt, 0, 0}, []byte{2, 4, 6}),
-		"varint running off the end":      frame(uv(1), uv(1), []byte{KindInt, 0}, []byte{0x80, 0x80}),
-		"varint overflowing 64 bits":      frame(uv(1), uv(1), []byte{KindInt, 0}, bytes.Repeat([]byte{0xFF}, 11)),
-		"floats shorter than rows":        frame(uv(2), uv(1), []byte{KindFloat, 0}, make([]byte, 15)),
-		"bools shorter than rows":         frame(uv(9), uv(1), []byte{KindBool, 0, 0}, []byte{0xFF}),
-		"string lengths past the blob":    frame(uv(2), uv(1), []byte{KindString, 0}, []byte{5, 5}, []byte("abc")),
-		"string length 2^63":              frame(uv(2), uv(1), []byte{KindString, 0}, uv(1<<63), uv(1<<63)),
-		"dictionary code out of range":    frame(uv(4), uv(1), []byte{KindDict, 0}, []byte{0, 1, 2, 0}, uv(2), []byte{1, 'a', 1, 'b'}),
-		"empty dictionary":                frame(uv(3), uv(1), []byte{KindDict, 0}, []byte{0, 0, 0}, uv(0)),
-		"dictionary larger than rows":     frame(uv(1), uv(1), []byte{KindDict, 0}, []byte{0}, uv(2), []byte{0, 0}),
-		"dictionary of 256 entries":       frame(uv(300), uv(1), []byte{KindDict}, make([]byte, 38), make([]byte, 300), uv(256), make([]byte, 256)),
-		"dictionary entries missing":      frame(uv(3), uv(1), []byte{KindDict, 0}, []byte{0, 0, 0}, uv(2), []byte{1, 'a'}),
-		"tagged value with a bad tag":     frame(uv(1), uv(1), []byte{KindAny, 0}, []byte{0x63}),
-		"tagged values shorter than rows": frame(uv(3), uv(1), []byte{KindAny, 0}, []byte{argTrue}),
-		"unknown column kind":             frame(uv(1), uv(1), []byte{0, 0, 0}),
-		"column kind 7":                   frame(uv(1), uv(1), []byte{7, 0, 0}),
-		"second column missing":           frame(uv(1), uv(2), []byte{KindInt, 0, 2}, []byte{KindInt}),
-		"trailing bytes":                  append(bytes.Clone(valid), 0xFF),
-		"truncated":                       valid[:len(valid)-1],
+		// A window of no columns costs a byte: only the cap bounds its rows.
+		"2^40 rows of no columns":            frame(uv(0), uv(1), uv(1<<40)),
+		"one row over the cap":               frame(uv(0), uv(1), uv(MaxFrameRows+1)),
+		"the cap passed over two windows":    frame(uv(0), uv(2), uv(MaxFrameRows), uv(1)),
+		"a window of no rows":                frame(uv(0), uv(1), uv(0)),
+		"windows above remaining bytes":      frame(uv(0), uv(1000), uv(1), uv(1)),
+		"2^40 windows":                       frame(uv(1), uv(1<<40)),
+		"2^40 columns":                       frame(uv(1<<40), uv(1)),
+		"columns without windows":            frame(uv(3), uv(0)),
+		"blob length past the payload":       frame(uv(1), uv(1), uv(1), u32s(100), []byte{rawInt, 0}),
+		"blob length cut short":              frame(uv(1), uv(1), uv(1), []byte{9, 0}),
+		"second column missing":              frame(uv(2), uv(1), uv(1), u32s(10), []byte{rawInt, 0}, word(7)),
+		"unknown tag":                        window(1, []byte{0, 0}, word(1)),
+		"a partition-only tag":               window(1, []byte{rleInt, 0}, u32s(1), word(1), u32s(1)),
+		"ints shorter than rows":             window(2, []byte{rawInt, 0}, word(1)),
+		"floats shorter than rows":           window(2, []byte{rawFloat, 0}, make([]byte, 15)),
+		"bytes left in the blob":             window(1, []byte{rawInt, 0}, word(1), []byte{0}),
+		"null bitmap shorter than rows":      window(100, []byte{rawInt, 1}, word(1)),
+		"null bitmap flag 2":                 window(1, []byte{rawInt, 2}, word(1), word(1)),
+		"null bitmap of no NULL":             window(1, []byte{rawInt, 1}, word(0), word(1)),
+		"null bit past the rows":             window(1, []byte{rawInt, 1}, word(3), word(1)),
+		"string offsets past the bytes":      window(2, []byte{rawString, 0}, u32s(0, 5, 5), []byte("abc")),
+		"string offsets falling":             window(2, []byte{rawString, 0}, u32s(0, 3, 2), []byte("abc")),
+		"string offsets not from 0":          window(1, []byte{rawString, 0}, u32s(1, 3), []byte("abc")),
+		"string offset 2^32-1":               window(1, []byte{rawString, 0}, u32s(0, 1<<32-1), []byte("abc")),
+		"dictionary of no entries":           window(1, []byte{dict, 0}, u32s(0, 0), []byte{1}, word(0)),
+		"dictionary of 257 entries":          window(1, []byte{dict, 0}, u32s(257), make([]byte, 4*258), []byte{9}, word(0)),
+		"dictionary code out of range":       window(2, []byte{dict, 0}, u32s(1, 0, 1), []byte("a"), []byte{1}, word(0b10)),
+		"dictionary entry no row uses":       window(2, []byte{dict, 0}, u32s(2, 0, 1, 2), []byte("ab"), []byte{1}, word(0)),
+		"dictionary out of order of use":     window(2, []byte{dict, 0}, u32s(2, 0, 1, 2), []byte("ab"), []byte{1}, word(0b01)),
+		"dictionary codes wider than needed": window(1, []byte{dict, 0}, u32s(1, 0, 1), []byte("a"), []byte{2}, word(0)),
+		"dictionary code of a NULL not 0":    window(3, []byte{dict, 1}, word(0b001), u32s(2, 0, 1, 2), []byte("ab"), []byte{1}, word(0b101)),
+		"boxed cells fewer than rows":        window(3, []byte{values, 0}, row.EncodeBinary(nil, row.Row{true})),
+		"boxed cell with a bad tag":          window(1, []byte{values, 0}, []byte{2, 1, 0x63}),
+		"boxed NULL without its bit":         window(1, []byte{values, 0}, row.EncodeBinary(nil, row.Row{nil})),
+		"boxed cells not as written":         window(1, []byte{values, 0}, []byte{0x82, 0x00, 1, 4}),
+		"trailing bytes":                     append(bytes.Clone(valid), 0xFF),
+		"truncated":                          valid[:len(valid)-1],
 	}
 }
