@@ -36,7 +36,7 @@ LOC_FILES = git ls-files '*.go' | grep -v -e _test.go -e '^bench/' -e /testdata/
 # The line ceiling loc-check holds the tree to. A deletion PR lowers
 # it to its own count; a PR that must raise it says by how much and
 # why in CHANGES.md.
-LOC_CEILING = 28937
+LOC_CEILING = 29078
 
 # The deletion-pass line count: LOC_FILES as total lines and as code
 # lines (non-blank, not a // comment line), for the tree and for its

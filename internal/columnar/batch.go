@@ -26,9 +26,9 @@ func (b Bitmap) Has(i int) bool {
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 
-// gather returns the bits at ids as a bitmap over 0..len(ids) (nil
+// Gather returns the bits at ids as a bitmap over 0..len(ids) (nil
 // when none is set).
-func (b Bitmap) gather(ids []int32) Bitmap {
+func (b Bitmap) Gather(ids []int32) Bitmap {
 	var out Bitmap
 	for j, id := range ids {
 		if b.Has(int(id)) {
@@ -522,7 +522,7 @@ func (b *Batch) decodeKept(c int, sel []int32) (Vec, bool) {
 	default:
 		return v, false
 	}
-	v.Mask, v.Owned, v.Nulls = -1, true, bc.nulls.gather(sel)
+	v.Mask, v.Owned, v.Nulls = -1, true, bc.nulls.Gather(sel)
 	return v, true
 }
 
@@ -699,7 +699,7 @@ func (v *Vec) At(i int32) any {
 func (v *Vec) Gather(ids []int32, own bool) Vec {
 	out := Vec{Kind: v.Kind, Mask: -1, Owned: v.Owned || own, Dict: v.Dict, Ints: Gather(v.Ints, ids),
 		Floats: Gather(v.Floats, ids), Strs: Gather(v.Strs, ids), Anys: Gather(v.Anys, ids), Codes: Gather(v.Codes, ids),
-		Nulls: v.Nulls.gather(ids)}
+		Nulls: v.Nulls.Gather(ids)}
 	for i := range out.Strs {
 		if own && !v.Owned {
 			out.Strs[i] = strings.Clone(out.Strs[i])

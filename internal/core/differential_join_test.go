@@ -25,9 +25,9 @@ import (
 // int/float keys — NULL keys, a hot key and keys that never match among
 // them — with filters reading both sides, projected expressions and
 // GROUP BY above the join. Each runs under every join strategy as a map
-// join and as a shuffle join, with adaptive execution off, and on a
-// cluster whose join blocks spill, and must bag-equal the Hive/MapReduce
-// baseline.
+// join and as a shuffle join, with adaptive execution off, over a disk
+// shuffle, and on a cluster whose join blocks spill, and must bag-equal
+// the Hive/MapReduce baseline.
 
 const (
 	joinSeed    = 20132
@@ -84,6 +84,14 @@ func joinURowsData() []row.Row {
 		out[i] = row.Row{int64(i), kInt, kStr, kF, w, []string{"alpha", "ab", "z", ""}[rng.Intn(4)]}
 	}
 	return out
+}
+
+// joinFixed are statements run ahead of the generated ones: t joined
+// to itself, the filtered side building from blocks of each of t's map
+// tasks, dictionary-coded strings among their columns.
+var joinFixed = []string{
+	`SELECT a.id, b.id, a.s_dict, b.s_raw, a.f_raw FROM t a JOIN t b ON a.i_pack = b.i_pack WHERE a.id % 2 = 0`,
+	`SELECT a.s_dict, COUNT(*), SUM(b.f_raw), MIN(a.s_raw) FROM t a JOIN t b ON a.i_pack = b.i_pack WHERE a.id % 3 = 0 GROUP BY a.s_dict`,
 }
 
 func (g *diffGen) joinKey() string {
@@ -222,7 +230,11 @@ func joinExecutors(t *testing.T) []diffExecutor {
 				exec.Options{JoinStrategy: mode, BroadcastThreshold: threshold}))
 		}
 	}
-	execs = append(execs, on(ctx, "static", exec.Options{DisableAdaptiveExec: true}))
+	execs = append(execs, on(ctx, "static", exec.Options{DisableAdaptiveExec: true}),
+		on(ctx, "static/shuffle-join", exec.Options{DisableAdaptiveExec: true, BroadcastThreshold: 1}))
+	diskCtx := diskShuffleCtx(t)
+	execs = append(execs, on(diskCtx, "disk-shuffle", exec.Options{BroadcastThreshold: 1}),
+		on(diskCtx, "disk-shuffle/static", exec.Options{DisableAdaptiveExec: true, BroadcastThreshold: 1}))
 	spilled := on(spillCtx, "spilled-shuffle", exec.Options{BroadcastThreshold: 1})
 	spilled.done = func() error {
 		if spillCtx.Shuffle.Metrics().SpilledReads.Load() == 0 {
@@ -236,11 +248,13 @@ func joinExecutors(t *testing.T) []diffExecutor {
 func TestDifferentialJoin(t *testing.T) {
 	execs := joinExecutors(t)
 	g := &diffGen{rng: rand.New(rand.NewSource(joinSeed))}
-	queries := make([]string, joinQueries)
-	want := make([][]row.Row, joinQueries)
+	queries := append([]string(nil), joinFixed...)
+	for range joinQueries {
+		queries = append(queries, g.joinStatement())
+	}
+	want := make([][]row.Row, len(queries))
 	matched := 0
 	for i := range queries {
-		queries[i] = g.joinStatement()
 		rows, err := execs[0].run(queries[i])
 		if err != nil {
 			t.Fatalf("seed %d query %d on %s: %v\n%s", joinSeed, i, execs[0].name, err, queries[i])
@@ -250,8 +264,8 @@ func TestDifferentialJoin(t *testing.T) {
 		}
 		want[i] = diffSorted(rows)
 	}
-	if matched < joinQueries*3/4 {
-		t.Errorf("only %d of %d statements return rows: the generator proves little", matched, joinQueries)
+	if matched < len(queries)*3/4 {
+		t.Errorf("only %d of %d statements return rows: the generator proves little", matched, len(queries))
 	}
 	var wg sync.WaitGroup
 	for _, ex := range execs[1:] {

@@ -18,12 +18,13 @@ import (
 // and for a hash aggregate's partial state, in each aggregate's
 // accumulators. A partial aggregate's rows are its groups, its columns
 // the GROUP BY keys: a group table (vecagg.go) is a block that grows;
-// a map task cuts its table into a block per shuffle bucket, and a
-// reduce task folds the blocks it fetches into a fresh table, only
-// reading them, so a retried or speculative reduce re-reads them
-// safely. A join side's block (add) holds its rows: the join key's
-// vector, then one per column of the side; a join's build side is the
-// blocks it reads (join.go).
+// a map task cuts its table into a block per shuffle bucket, each a
+// view of the table's vectors (cut), and a reduce task folds the
+// blocks it fetches into a fresh table, only reading them, so a
+// retried or speculative reduce re-reads them safely. A join side's
+// block (add) holds its rows: the join key's vector, then one per
+// column of the side; a join's build side is the blocks it reads
+// (join.go).
 //
 // A column, and an aggregate's values, are a columnar.Vec over slots
 // (Mask -1), typed by the plan's type for the column, boxed for any
@@ -100,6 +101,29 @@ func grow(v *columnar.Vec, n int) {
 	}
 }
 
+// reserve makes room in v for n slots of its kind, and in its NULL
+// bitmap, when it has one, for their bits.
+func reserve(v *columnar.Vec, n int) {
+	if v.Nulls != nil {
+		v.Nulls = room(v.Nulls, (n+63)/64)
+	}
+	switch {
+	case v.Dict != nil:
+		v.Codes = room(v.Codes, n)
+	case v.Kind == columnar.VecInt:
+		v.Ints = room(v.Ints, n)
+	case v.Kind == columnar.VecFloat:
+		v.Floats = room(v.Floats, n)
+	case v.Kind == columnar.VecStr:
+		v.Strs = room(v.Strs, n)
+	default:
+		v.Anys = room(v.Anys, n)
+	}
+}
+
+// room returns s with capacity for at least n elements.
+func room[T any](s []T, n int) []T { return slices.Grow(s, max(0, n-len(s))) }
+
 // push appends a zero slot, doubling a full slice: append's 1.25×
 // growth of a large slice allocates several times its final size.
 func push[T any](s []T) []T {
@@ -165,18 +189,6 @@ func vecBytes(v *columnar.Vec) int64 {
 	return n
 }
 
-// gather makes out rows ids of b, in that order, as a block of their
-// own; out's cols and accs are b's lengths.
-func (b *block) gather(out *block, ids []int32) {
-	out.n = len(ids)
-	for k := range b.cols {
-		out.cols[k] = b.cols[k].Gather(ids, false)
-	}
-	for k, a := range b.accs {
-		out.accs[k] = accum{columnar.Gather(a.count, ids), a.val.Gather(ids, false), columnar.Gather(a.distinct, ids)}
-	}
-}
-
 // used reports whether v has slots.
 func used(v *columnar.Vec) bool {
 	return v.Ints != nil || v.Floats != nil || v.Strs != nil || v.Anys != nil
@@ -184,31 +196,32 @@ func used(v *columnar.Vec) bool {
 
 // add appends the rows at positions pos of a join input — its key's
 // vector, then its columns' — copying strings that are not their
-// vectors' own.
-func (b *block) add(key *columnar.Vec, cols []columnar.Vec, pos []int32) {
+// vectors' own; an empty block makes room for rows rows.
+func (b *block) add(key *columnar.Vec, cols []columnar.Vec, pos []int32, rows int) {
 	if b.cols == nil {
 		b.cols = make([]columnar.Vec, 1+len(cols))
 	}
-	appendVec(&b.cols[0], key, pos, b.n)
+	appendVec(&b.cols[0], key, pos, b.n, rows)
 	for c := range cols {
-		appendVec(&b.cols[1+c], &cols[c], pos, b.n)
+		appendVec(&b.cols[1+c], &cols[c], pos, b.n, rows)
 	}
 	b.n += len(pos)
 }
 
-// appendVec appends src's values at pos to dst, which holds n slots: a
-// typed vector while every value is of its kind, boxed from the first
-// that is not; a dictionary's codes while every value comes from one
-// dictionary, its strings from the first that does not. Its NULL
-// bitmap, when it has one, covers every slot.
-func appendVec(dst, src *columnar.Vec, pos []int32, n int) {
+// appendVec appends src's values at pos to dst, which holds n slots (a
+// new one makes room for rows): a typed vector while every value is of
+// its kind, boxed from the first that is not; a dictionary's codes
+// while every value comes from one dictionary, its strings from the
+// first that does not. Its NULL bitmap, if any, covers every slot.
+func appendVec(dst, src *columnar.Vec, pos []int32, n, rows int) {
 	switch {
 	case n == 0:
 		*dst = columnar.Vec{Kind: src.Kind, Mask: -1, Owned: true, Dict: src.Dict}
+		reserve(dst, rows)
 	case dst.Kind != src.Kind:
 		box(dst, n)
 	case dst.Dict != nil && dst.Dict != src.Dict:
-		dst.Strs = make([]string, n, n+len(pos))
+		dst.Strs = make([]string, n, max(rows, n+len(pos)))
 		for i := range dst.Strs {
 			dst.Strs[i] = dst.Str(int32(i))
 		}

@@ -84,7 +84,7 @@ func joinBlockSeeds() [][]byte {
 				}
 			}
 			if r[key] != nil {
-				b.add(&cols[key], cols, []int32{0})
+				b.add(&cols[key], cols, []int32{0}, 0)
 			}
 		}
 		out = append(out, []byte(marshalled(b)))
@@ -168,7 +168,7 @@ func TestBlockSpillEveryVectorForm(t *testing.T) {
 			}
 		}
 		blk := &block{}
-		blk.add(&cols[2], append(cols, mixed), b.Sel)
+		blk.add(&cols[2], append(cols, mixed), b.Sel, 0)
 		back, err := unmarshalBlock(func() row.Row { _, f := blk.MarshalShuffle(); return f }())
 		if err != nil {
 			t.Fatalf("NULL every %d: %v", nullEvery, err)

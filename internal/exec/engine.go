@@ -22,7 +22,6 @@ import (
 	"shark/internal/plan"
 	"shark/internal/rdd"
 	"shark/internal/row"
-	"shark/internal/shuffle"
 )
 
 // StrategyMode selects how joins are planned.
@@ -353,7 +352,7 @@ func sortBody(body *columnar.Body, keys []plan.SortKey, limit int64) *columnar.B
 		w := columnar.Window{N: len(chunk), Vecs: make([]columnar.Vec, len(body.Windows[0].Vecs))}
 		for j, p := range chunk {
 			for c := range w.Vecs {
-				appendVec(&w.Vecs[c], &body.Windows[p.w].Vecs[c], []int32{p.i}, j)
+				appendVec(&w.Vecs[c], &body.Windows[p.w].Vecs[c], []int32{p.i}, j, 0)
 			}
 		}
 		out.Add(w)
@@ -561,19 +560,17 @@ func (e *Engine) compileAggregate(gctx context.Context, a *plan.Aggregate, stats
 	}
 
 	merged := e.Ctx.Shuffled(dep, groups, rdd.ReadRaw)
-	return merged.MapPartitions(func(_ *rdd.TaskContext, _ int, in rdd.Iter) rdd.Iter {
-		g := newGroupTable(a)
-		g.borrow = true
-		for {
-			v, ok := in.Next()
-			if !ok {
-				if g.n == 0 {
-					return rdd.EmptyIter()
-				}
-				return windows(g.batch())
+	return merged.MapPartitions(func(_ *rdd.TaskContext, part int, in rdd.Iter) rdd.Iter {
+		var records int64 // PDE's count for the task's buckets; one bucket (groups nil) sizes nothing
+		if groups != nil {
+			for _, b := range groups[part] {
+				records += shufStats.BucketRecords[b]
 			}
-			g.fold(v.(shuffle.Pair).V.(*block))
 		}
+		if g := reduce(a, in, records); g.n > 0 {
+			return windows(g.batch())
+		}
+		return rdd.EmptyIter()
 	}), nil
 }
 

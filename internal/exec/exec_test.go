@@ -353,7 +353,7 @@ func TestJoinBucketSwapPreservesColumnOrder(t *testing.T) {
 			build, probe = right, left
 		}
 		blk := &block{}
-		blk.add(&boxedCols(row.Row{int64(1)})[0], boxedCols(build), one)
+		blk.add(&boxedCols(row.Row{int64(1)})[0], boxedCols(build), one, 0)
 		tbl := newJoinTable([]*block{blk}, buildLeft)
 		// Whichever side built, the output is left++right.
 		out := bodyOf(rdd.SliceIter(tbl.probe(nil, &boxedCols(row.Row{int64(1)})[0], one,

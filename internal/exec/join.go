@@ -154,7 +154,7 @@ func (e *Engine) sideBlock(tc *rdd.TaskContext, s *joinSide, in rdd.Iter) *block
 		b := v.(*columnar.Batch)
 		k := key(b)
 		if pos := keepIf(slices.Clone(b.Sel), func(i int) bool { return !k.Null(int32(i)) }); len(pos) > 0 {
-			blk.add(&k, vecsOf(b), pos)
+			blk.add(&k, vecsOf(b), pos, 0)
 		}
 	}
 	return blk
@@ -377,15 +377,19 @@ type joinTable struct {
 }
 
 // newJoinTable builds the table over the rows of blocks, all from one
-// input.
+// input, several blocks' rows concatenated into vectors made for all.
 func newJoinTable(blocks []*block, buildLeft bool) *joinTable {
 	build := &block{}
 	if len(blocks) == 1 {
 		build = blocks[0] // only read: a fetched block may be another task's too
 	} else {
+		rows := 0
+		for _, b := range blocks {
+			rows += b.n
+		}
 		for _, b := range blocks {
 			if b.n > 0 {
-				build.add(&b.cols[0], b.cols[1:], upTo[int32](b.n))
+				build.add(&b.cols[0], b.cols[1:], upTo[int32](b.n), rows)
 			}
 		}
 	}
@@ -395,6 +399,7 @@ func newJoinTable(blocks []*block, buildLeft bool) *joinTable {
 	}
 	key := build.cols[0]
 	t.groups.cols = []columnar.Vec{{Kind: key.Kind, Mask: -1}}
+	t.groups.reserve(build.n)
 	ids := make([]int32, build.n)
 	t.groups.resolve([]columnar.Vec{key}, upTo[int32](build.n), ids)
 	// Linked backwards, so that a group lists its rows in build order.

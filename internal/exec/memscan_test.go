@@ -154,7 +154,10 @@ func BenchmarkPartialAggCntf(b *testing.B) {
 // The budget is what binding allocates per task (closures and
 // batch-sized buffers) plus a handful per group — its block's vectors
 // included; a row's worth of boxing anywhere in the path costs
-// thousands and fails it.
+// thousands and fails it. One group per row also has a byte budget:
+// without a count of its groups ahead, the table's vectors and index
+// grow by doubling, which alone allocates two to three times their
+// final bytes, and cutting it into blocks must add no copy of it.
 func TestPartialAggregateAllocations(t *testing.T) {
 	part := userVisitsPartition(t)
 	if enc := part.Cols[5].Encoding(); enc != "dict" {
@@ -164,9 +167,13 @@ func TestPartialAggregateAllocations(t *testing.T) {
 		t.Fatalf("sourceIP is %s-encoded; the test wants sub-strings of a raw column as group keys", enc)
 	}
 	batches := (part.N + columnar.BatchSize - 1) / columnar.BatchSize
-	for _, c := range []struct{ name, sql string }{
-		{"cntf", sqlCntf},   // raw-float filter, dictionary group key, COUNT + AVG
-		{"agg1k", sqlAgg1k}, // SUBSTR(col, 1, 7) group key through its vector form, SUM of a float column
+	for _, c := range []struct {
+		name, sql string
+		bytes     float64 // the bytes a run may allocate, as a multiple of its blocks' (0: unchecked)
+	}{
+		{"cntf", sqlCntf, 0},   // raw-float filter, dictionary group key, COUNT + AVG
+		{"agg1k", sqlAgg1k, 0}, // SUBSTR(col, 1, 7) group key through its vector form, SUM of a float column
+		{"sourceIP", `SELECT sourceIP, SUM(adRevenue) FROM t GROUP BY sourceIP`, 3.25}, // a raw string key, one group per row
 	} {
 		m := fusedChain(t, data.UserVisitsSchema, c.sql)
 		e := &Engine{}
@@ -181,6 +188,18 @@ func TestPartialAggregateAllocations(t *testing.T) {
 		if budget := float64(60 + 8*groups + batches); allocs > budget {
 			t.Errorf("%s-shaped partial aggregate: %.0f allocations for %d rows, %d groups, %d batches; budget %.0f",
 				c.name, allocs, part.N, groups, batches, budget)
+		}
+		if c.bytes == 0 || raceDetector {
+			continue
+		}
+		var blocks []*block
+		grew := allocated(func() { blocks, _ = runChain(e, m, part) })
+		var size int64
+		for _, b := range blocks {
+			size += b.SizeBytes()
+		}
+		if float64(grew) > c.bytes*float64(size) {
+			t.Errorf("%s-shaped partial aggregate: %d bytes allocated for blocks of %d bytes; budget %.2f×", c.name, grew, size, c.bytes)
 		}
 	}
 }

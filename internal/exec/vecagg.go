@@ -8,6 +8,7 @@ import (
 	"shark/internal/columnar"
 	"shark/internal/expr"
 	"shark/internal/plan"
+	"shark/internal/rdd"
 	"shark/internal/row"
 	"shark/internal/shuffle"
 )
@@ -148,11 +149,22 @@ func (x *index) lookup(h uint64, is func(id int32) bool) (int32, int) {
 // slots once they are half full; hash rehashes a group's key.
 func (x *index) add(slot int, id int32, hash func(id int32) uint64) {
 	x.slots[slot] = id + 1
-	if x.n++; 2*x.n <= len(x.slots) {
+	if x.n++; 2*x.n > len(x.slots) {
+		x.reserve(x.n, hash)
+	}
+}
+
+// reserve doubles the slots until n groups fill at most half of them.
+func (x *index) reserve(n int, hash func(id int32) uint64) {
+	size := max(len(x.slots), 8)
+	for size < 2*n {
+		size *= 2
+	}
+	if size == len(x.slots) {
 		return
 	}
 	old := x.slots
-	x.slots = make([]int32, 2*len(old))
+	x.slots = make([]int32, size)
 	for _, s := range old {
 		if s != 0 {
 			_, slot := x.lookup(hash(s-1), func(int32) bool { return false })
@@ -410,6 +422,54 @@ func own[T int64 | float64 | string](g *groupTable, x T) T {
 	return x
 }
 
+// reserve makes room for n groups in the table's vectors and in the
+// index of its key column's kind.
+func (g *groupTable) reserve(n int) {
+	for k := range g.cols {
+		reserve(&g.cols[k], n)
+	}
+	for k, s := range g.specs {
+		a := &g.accs[k]
+		if s.Kind == plan.AggCount || s.Kind == plan.AggAvg {
+			a.count = room(a.count, n)
+		}
+		if s.Kind == plan.AggCountDistinct {
+			a.distinct = room(a.distinct, n)
+		} else if s.Kind != plan.AggCount {
+			reserve(&a.val, n)
+		}
+	}
+	if col := g.cols; len(col) == 1 && col[0].Kind == columnar.VecInt {
+		g.ints.reserve(n, func(id int32) uint64 { return maphash.Comparable(indexSeed, col[0].Ints[id]) })
+	} else if len(col) == 1 && col[0].Kind == columnar.VecStr {
+		g.strs.reserve(n, func(id int32) uint64 { return maphash.Comparable(indexSeed, col[0].Strs[id]) })
+	}
+}
+
+// reduce folds a reduce task's blocks, fetched bucket by bucket, into a
+// table of its own; records is the rows PDE counted in its buckets.
+// Fixed-seed hashing spreads groups evenly over buckets, so once the
+// first bucket is in, the table makes room for as many groups per
+// record as it had, over every record; past that it doubles.
+func reduce(a *plan.Aggregate, in rdd.Iter, records int64) *groupTable {
+	g := newGroupTable(a)
+	g.borrow = true
+	var first any
+	var rows int64 // the first bucket's
+	for v, ok := in.Next(); ok; v, ok = in.Next() {
+		p := v.(shuffle.Pair)
+		switch {
+		case first == nil || p.K == first:
+			first, rows = p.K, rows+p.V.(*block).Records()
+		case rows > 0:
+			g.reserve(int(int64(g.n) * records / rows))
+			rows = 0
+		}
+		g.fold(p.V.(*block))
+	}
+	return g
+}
+
 // fold adds a block's groups into the table, a column at a time, and
 // only reads the block. Blocks are folded in fetch order — bucket, then
 // map partition — so a float sum is the same from run to run.
@@ -508,7 +568,10 @@ func (g *groupTable) blocks(n int) []any {
 }
 
 // cut returns b's rows as one block per non-empty bucket of n, each a
-// shuffle pair keyed by its bucket; row i goes to bucket[i].
+// shuffle pair keyed by its bucket; row i goes to bucket[i]. b is
+// sorted by bucket in place, stably, and a block is a view of its rows,
+// capped at its last so that no append reaches its neighbour's; only
+// NULL bitmaps, which cannot be sliced at a row, are copied.
 func (b *block) cut(bucket []int32, n int) []any {
 	// A counting sort by bucket: bucket k's rows are order[start[k]:start[k+1]].
 	start := make([]int32, n+1)
@@ -532,21 +595,84 @@ func (b *block) cut(bucket []int32, n int) []any {
 	if live == 1 { // the one bucket: b is the block
 		return []any{shuffle.Pair{K: int64(bucket[0]), V: b}}
 	}
+	// Position p takes row order[p]: each cycle of order is followed
+	// from its first position, once per vector.
+	var leads []int32
+	seen := make(columnar.Bitmap, (b.n+63)/64)
+	for p, q := range order {
+		if q != int32(p) && !seen.Has(p) {
+			leads = append(leads, int32(p))
+			for ; q != int32(p); q = order[q] {
+				seen.Set(int(q))
+			}
+		}
+	}
+	arrange := func(v *columnar.Vec) {
+		permute(v.Ints, order, leads)
+		permute(v.Floats, order, leads)
+		permute(v.Strs, order, leads)
+		permute(v.Anys, order, leads)
+		permute(v.Codes, order, leads)
+	}
+	for k := range b.cols {
+		arrange(&b.cols[k])
+	}
+	for k := range b.accs {
+		permute(b.accs[k].count, order, leads)
+		arrange(&b.accs[k].val)
+		permute(b.accs[k].distinct, order, leads)
+	}
 	// The blocks, and their column and accumulator slices, come from
 	// one allocation each.
 	nc, na := len(b.cols), len(b.accs)
 	blocks, cols, accs := make([]block, live), make([]columnar.Vec, live*nc), make([]accum, live*na)
 	out := make([]any, 0, live)
 	for k := range n {
-		if rows := order[start[k]:start[k+1]]; len(rows) > 0 {
+		if lo, hi := start[k], start[k+1]; hi > lo {
 			i := len(out)
 			blk := &blocks[i]
-			blk.cols, blk.accs = cols[i*nc:(i+1)*nc:(i+1)*nc], accs[i*na:(i+1)*na:(i+1)*na]
-			b.gather(blk, rows)
+			blk.n, blk.cols, blk.accs = int(hi-lo), cols[i*nc:(i+1)*nc:(i+1)*nc], accs[i*na:(i+1)*na:(i+1)*na]
+			rows := order[lo:hi]
+			for c := range b.cols {
+				blk.cols[c] = view(&b.cols[c], lo, hi, rows)
+			}
+			for c, a := range b.accs {
+				blk.accs[c] = accum{part(a.count, lo, hi), view(&a.val, lo, hi, rows), part(a.distinct, lo, hi)}
+			}
 			out = append(out, shuffle.Pair{K: int64(k), V: blk})
 		}
 	}
 	return out
+}
+
+// permute moves xs[order[p]] to xs[p] for every p, following each cycle
+// of order from its lead.
+func permute[T any](xs []T, order, leads []int32) {
+	if xs == nil {
+		return
+	}
+	for _, p := range leads {
+		x, q := xs[p], p
+		for r := order[q]; r != p; q, r = r, order[r] {
+			xs[q] = xs[r]
+		}
+		xs[q] = x
+	}
+}
+
+// view is slots [lo, hi) of v, once sorted, as a vector: its NULL bits,
+// those of v's rows before the sort, are a bitmap of its own.
+func view(v *columnar.Vec, lo, hi int32, rows []int32) columnar.Vec {
+	return columnar.Vec{Kind: v.Kind, Mask: -1, Owned: v.Owned, Dict: v.Dict, Nulls: v.Nulls.Gather(rows), Ints: part(v.Ints, lo, hi),
+		Floats: part(v.Floats, lo, hi), Strs: part(v.Strs, lo, hi), Anys: part(v.Anys, lo, hi), Codes: part(v.Codes, lo, hi)}
+}
+
+// part is xs[lo:hi], capped at hi (nil for nil).
+func part[T any](xs []T, lo, hi int32) []T {
+	if xs == nil {
+		return nil
+	}
+	return xs[lo:hi:hi]
 }
 
 // hashAt is row.Hash of v's value at i, hashed unboxed where v is typed.
