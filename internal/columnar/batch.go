@@ -1,6 +1,7 @@
 package columnar
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -56,6 +57,16 @@ func (b Bitmap) window(lo, hi int) Bitmap {
 		return nil
 	}
 	return b[lo>>6 : min((hi+63)>>6, len(b))]
+}
+
+// count is the number of bits set among rows [lo, hi), for lo a
+// multiple of 64 and no bit set at or past hi.
+func (b Bitmap) count(lo, hi int) int64 {
+	n := 0
+	for _, w := range b.window(lo, hi) {
+		n += bits.OnesCount64(w)
+	}
+	return int64(n)
 }
 
 // Dict is implemented by dictionary-encoded columns: their cells are
@@ -324,7 +335,7 @@ func (b *Batch) Next() bool {
 // at this window and vecs are unchanged, and it has no window after
 // this one.
 func (b *Batch) Project(cols []int, vecs []Vec, sel []int32) *Batch {
-	out := &Batch{p: b.p, n: b.hi, lo: b.lo, hi: b.hi, cols: make([]*batchCol, len(cols)), Sel: sel}
+	out := &Batch{n: b.hi, lo: b.lo, hi: b.hi, cols: make([]*batchCol, len(cols)), Sel: sel}
 	for j, c := range cols {
 		if c >= 0 {
 			out.cols[j] = b.col(c)
@@ -334,6 +345,16 @@ func (b *Batch) Project(cols []int, vecs []Vec, sel []int32) *Batch {
 		out.cols[j].load(0, b.Len())
 	}
 	return out
+}
+
+// Stats returns the statistics of the current window of a partition's
+// batch, one per column (Partition.Windows): nil for a batch of
+// vectors, a projection, and a partition read back from disk.
+func (b *Batch) Stats() []ColumnStats {
+	if b.p == nil || b.p.Windows == nil {
+		return nil
+	}
+	return b.p.Windows[b.lo/BatchSize]
 }
 
 // Len is the number of rows in the current window.

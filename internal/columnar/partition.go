@@ -2,6 +2,7 @@ package columnar
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -21,14 +22,16 @@ const dictionaryThreshold = 256
 // this long.
 const minAvgRunForRLE = 4
 
-// ColumnStats are the per-partition statistics collected while loading
-// (paper §3.5): the range of each column, and the distinct values when
-// there are few (enum columns). The master keeps these for pruning.
+// ColumnStats are the statistics collected while loading (paper §3.5):
+// the range of each column, and the distinct values when there are few
+// (enum columns). The master keeps a partition's for pruning, and the
+// partition its windows' (Partition.Windows) for its scans.
 type ColumnStats struct {
-	Min, Max  any   // nil when the column is all-NULL or non-comparable
+	Min, Max  any   // nil: all NULL or non-comparable; NaN: a row is NaN
 	NullCount int64 // number of NULLs
 	// Distinct holds the exact distinct non-null values when their
-	// count never exceeded maxDistinctTracked, else nil.
+	// count never exceeded maxDistinctTracked, else nil (and for a
+	// window).
 	Distinct []any
 }
 
@@ -72,7 +75,11 @@ type Partition struct {
 	Schema row.Schema
 	Cols   []Column
 	Stats  []ColumnStats
-	N      int
+	// Windows[w][c] are column c's Min, Max and NullCount over the rows
+	// of window w, [w*BatchSize, (w+1)*BatchSize); Stats is their fold.
+	// Nil for a partition read back from disk.
+	Windows [][]ColumnStats
+	N       int
 }
 
 // SizeBytes approximates the partition's memory footprint.
@@ -194,12 +201,17 @@ func (b *Builder) Len() int { return b.n }
 
 // Seal freezes the builder into an immutable Partition.
 func (b *Builder) Seal() *Partition {
-	p := &Partition{Schema: b.schema, N: b.n, Cols: make([]Column, len(b.cols)), Stats: make([]ColumnStats, len(b.cols))}
+	nc, nw := len(b.cols), (b.n+BatchSize-1)/BatchSize
+	p := &Partition{Schema: b.schema, N: b.n, Cols: make([]Column, nc), Stats: make([]ColumnStats, nc), Windows: make([][]ColumnStats, nw)}
+	wins := make([]ColumnStats, nw*nc)
+	for w := range p.Windows {
+		p.Windows[w] = wins[w*nc : (w+1)*nc : (w+1)*nc]
+	}
 	for i := range b.cols {
 		if cb := &b.cols[i]; cb.n != b.n {
 			panic(fmt.Sprintf("columnar: column %d has %d values for %d rows", i, cb.n, b.n))
 		}
-		p.Cols[i], p.Stats[i] = b.cols[i].seal()
+		p.Cols[i], p.Stats[i] = b.cols[i].seal(p.Windows, i)
 	}
 	return p
 }
@@ -386,7 +398,10 @@ func (cb *colBuilder) spell() {
 	t.vals, t.codes = nil, nil
 }
 
-func (cb *colBuilder) seal() (Column, ColumnStats) {
+// seal builds the column and its statistics: wins[w][c] for each
+// window w, and their fold for the partition, in one pass over the
+// values (over the codes, for a string dictionary's).
+func (cb *colBuilder) seal(wins [][]ColumnStats, c int) (Column, ColumnStats) {
 	n := cb.n
 	stats := ColumnStats{NullCount: cb.nullCount}
 	var nulls nullable
@@ -397,7 +412,7 @@ func (cb *colBuilder) seal() (Column, ColumnStats) {
 	avgRunOK := cb.runs > 0 && n/cb.runs >= minAvgRunForRLE
 	switch cb.typ {
 	case row.TFloat:
-		stats.Min, stats.Max = bounds(n, cb.nulls, func(i int) float64 { return cb.floats[i] })
+		stats.Min, stats.Max = bounds(cb, func(i int) float64 { return cb.floats[i] }, box, wins, c)
 		stats.Distinct = cb.floatCodes.distinct()
 		if avgRunOK {
 			vals, ends := rleEncode(cb.floats)
@@ -405,48 +420,71 @@ func (cb *colBuilder) seal() (Column, ColumnStats) {
 		}
 		return &rawFloat64{nullable: nulls, v: cb.floats}, stats
 	case row.TString:
-		return cb.sealString(nulls, &stats), stats
+		return cb.sealString(nulls, &stats, wins, c), stats
 	case row.TBool:
+		bools := cb.bools.cover(n)
+		at := func(i int) int64 { return int64(b2i(bools.Has(i))) }
+		stats.Min, stats.Max = bounds(cb, at, func(v int64) any { return v == 1 }, wins, c)
 		stats.Distinct = []any{}
 		for v, saw := range cb.sawBool {
 			if saw {
 				stats.Distinct = append(stats.Distinct, v == 1)
 			}
 		}
-		if len(stats.Distinct) > 0 {
-			stats.Min, stats.Max = stats.Distinct[0], stats.Distinct[len(stats.Distinct)-1]
-		}
-		return &boolColumn{nullable: nulls, bitsv: cb.bools.cover(n), n: n}, stats
+		return &boolColumn{nullable: nulls, bitsv: bools, n: n}, stats
 	}
-	stats.Min, stats.Max = bounds(n, cb.nulls, func(i int) int64 { return cb.ints[i] })
+	stats.Min, stats.Max = bounds(cb, func(i int) int64 { return cb.ints[i] }, box, wins, c)
 	return cb.sealInt(nulls, avgRunOK, &stats), stats
 }
 
-// bounds returns the least and the greatest of the n values at(i) that
-// are not NULL, boxed (nil, nil for none). They are taken in row order,
-// as row.Compare would: a NaN met first stays both, nothing being below
-// or above it.
-func bounds[T int64 | float64 | string](n int, nulls Bitmap, at func(i int) T) (any, any) {
-	var lo, hi T
-	seen := false
-	for i := range n {
-		if nulls.Has(i) {
+// bounds sets each window's Min, Max (boxed by box) and NullCount,
+// wins[w][c], from the values at(i) of cb's rows that are not NULL,
+// and returns their fold: the partition's least and greatest value,
+// boxed as its window's (nil, nil for none). Both are taken in row
+// order with < and >, as row.Compare orders; a NaN, which row.Compare
+// finds equal to everything, makes its window's bounds and the fold
+// NaN, so that no range prunes it.
+func bounds[T int64 | float64 | string](cb *colBuilder, at func(i int) T, box func(T) any, wins [][]ColumnStats, c int) (lo, hi any) {
+	var tlo, thi T
+	nulls, floats := cb.nulls, cb.typ == row.TFloat
+	for w := range wins {
+		from, to := w*BatchSize, min((w+1)*BatchSize, cb.n)
+		s := &wins[w][c]
+		s.NullCount = nulls.count(from, to)
+		var wlo, whi T
+		wseen := false
+		for i := from; i < to; i++ {
+			if nulls.Has(i) {
+				continue
+			}
+			v := at(i)
+			if floats && v != v { // NaN
+				wlo, whi, wseen = v, v, true
+				break
+			}
+			if !wseen || v < wlo {
+				wlo = v
+			}
+			if !wseen || v > whi {
+				whi = v
+			}
+			wseen = true
+		}
+		if !wseen {
 			continue
 		}
-		v := at(i)
-		if !seen || v < lo {
-			lo = v
+		s.Min, s.Max = box(wlo), box(whi)
+		if lo == nil || wlo < tlo || wlo != wlo {
+			tlo, lo = wlo, s.Min
 		}
-		if !seen || v > hi {
-			hi = v
+		if hi == nil || whi > thi || whi != whi {
+			thi, hi = whi, s.Max
 		}
-		seen = true
-	}
-	if !seen {
-		return nil, nil
 	}
 	return lo, hi
 }
+
+func box[T any](v T) any { return v }
 
 func (cb *colBuilder) sealInt(nulls nullable, avgRunOK bool, stats *ColumnStats) Column {
 	n, kind, t := cb.n, intKind{cb.typ}, &cb.intCodes
@@ -488,22 +526,51 @@ func (cb *colBuilder) sealInt(nulls nullable, avgRunOK bool, stats *ColumnStats)
 // from the non-NULL cells only (a NULL row takes code 0, not an entry
 // of its own: the dictionary never outgrows the column's distinct
 // values, which keeps every code inside a byte).
-func (cb *colBuilder) sealString(nulls nullable, stats *ColumnStats) Column {
+func (cb *colBuilder) sealString(nulls nullable, stats *ColumnStats, wins [][]ColumnStats, c int) Column {
 	if t := &cb.strCodes; !t.full {
 		stats.Distinct = t.distinct()
 		if d := len(t.vals); d > 0 && cb.n >= 2*d {
-			stats.Min, stats.Max = bounds(d, nil, func(i int) string { return t.vals[i] })
+			stats.Min, stats.Max = dictBounds(t, cb.nulls, stats.Distinct, wins, c)
 			width := widthFor(uint64(d - 1))
 			return &dictString{nullable: nulls, dict: t.vals, boxed: stats.Distinct, words: pack(t.codes, 0, width), width: width, n: cb.n}
 		}
 		cb.spell()
 	}
-	c := &rawString{nullable: nulls, offsets: cb.offsets, data: string(cb.data)}
-	// Statistics outlive the column's bytes in memory: copy them out.
-	if lo, hi := bounds(cb.n, cb.nulls, c.at); lo != nil {
+	col := &rawString{nullable: nulls, offsets: cb.offsets, data: string(cb.data)}
+	// A window's bounds share the column's bytes; the partition's
+	// outlive them in memory: copy them out.
+	if lo, hi := bounds(cb, col.at, box, wins, c); lo != nil {
 		stats.Min, stats.Max = strings.Clone(lo.(string)), strings.Clone(hi.(string))
 	}
-	return c
+	return col
+}
+
+// dictBounds is bounds over a string dictionary's codes, by the
+// entries' order, boxed as the dictionary's entries are. A window stops
+// reading once it has met the least and the greatest entry, which for
+// an enum column is within its first rows. Every entry is some row's.
+func dictBounds(t *codeTable[string], nulls Bitmap, boxed []any, wins [][]ColumnStats, c int) (any, any) {
+	var rank, byValue [maxDistinctTracked]uint8
+	for r, v := range slices.Sorted(maps.Keys(t.index)) {
+		byValue[r], rank[t.index[v]] = t.index[v], uint8(r)
+	}
+	top := len(t.vals) - 1
+	for w := range wins {
+		from, to := w*BatchSize, min((w+1)*BatchSize, len(t.codes))
+		s := &wins[w][c]
+		s.NullCount = nulls.count(from, to)
+		lo, hi := top, -1
+		for i := from; i < to && (lo > 0 || hi < top); i++ {
+			if !nulls.Has(i) {
+				r := int(rank[t.codes[i]])
+				lo, hi = min(lo, r), max(hi, r)
+			}
+		}
+		if hi >= 0 {
+			s.Min, s.Max = boxed[byValue[lo]], boxed[byValue[hi]]
+		}
+	}
+	return boxed[byValue[0]], boxed[byValue[top]]
 }
 
 func boxAll[T any](vals []T) []any {

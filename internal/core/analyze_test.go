@@ -218,3 +218,55 @@ func TestExplainAnalyzeRowsUnderFusion(t *testing.T) {
 	}
 	check("Project(Filter(Scan))", rowsOf(ns.Render()), map[string]int64{"Scan": 1500, "Filter": 500, "Project": 500})
 }
+
+// TestExplainAnalyzeWindowSkips: on a table clustered on k, a scan
+// skips the windows whose statistics rule its filter out, inside the
+// one partition map pruning keeps, and its EXPLAIN ANALYZE line says
+// how many of the windows it reached it skipped. DisablePruning
+// reaches the same windows and skips none; the rows are the same.
+func TestExplainAnalyzeWindowSkips(t *testing.T) {
+	w := newSharedWorld(t)
+	s := w.session("pruned", true)
+	defer s.Close()
+	s.DefaultCacheParts = 1
+	loadTenantTable(t, s, "clus", 5000, 0) // k = 0..4999 in one partition: five windows
+	off := NewSessionNamed(w.ctx, w.fs, w.cat, "unpruned", exec.Options{DisablePruning: true})
+	defer off.Close()
+
+	for _, c := range []struct {
+		s     *Session
+		sql   string
+		count int64
+		want  string
+	}{
+		{s, `SELECT COUNT(*) FROM clus_mem WHERE k BETWEEN 1100 AND 1200`, 101, "windows skipped=4/5"},
+		{s, `SELECT COUNT(*) FROM clus_mem WHERE k IN (5, 4990) AND grp = 'b'`, 1, "windows skipped=3/5"},
+		{s, `SELECT COUNT(*) FROM clus_mem WHERE k >= 4096`, 904, "windows skipped=4/5"},
+		{s, `SELECT COUNT(*) FROM clus_mem WHERE grp = 'a'`, 1250, "windows skipped=0/5"},
+		{off, `SELECT COUNT(*) FROM clus_mem WHERE k BETWEEN 1100 AND 1200`, 101, "windows skipped=0/5"},
+	} {
+		res, err := c.s.Exec(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0]; got != c.count {
+			t.Errorf("%s: count %v, want %d", c.sql, got, c.count)
+		}
+		if res.Stats.ScannedPartitions != 1 {
+			t.Errorf("%s: scanned %d partitions, want 1", c.sql, res.Stats.ScannedPartitions)
+		}
+		plan, err := c.s.Exec("EXPLAIN ANALYZE " + c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var scan string
+		for _, r := range plan.Rows {
+			if l := strings.TrimSpace(r[0].(string)); strings.HasPrefix(l, "Scan") {
+				scan = l
+			}
+		}
+		if !strings.Contains(scan, c.want) {
+			t.Errorf("%s (%s): Scan line %q lacks %q", c.sql, c.s.Tag, scan, c.want)
+		}
+	}
+}

@@ -42,10 +42,12 @@ const (
 	diffQueries = 340 // generated, after diffFixed
 	diffPostAgg = 90  // post-aggregation statements, generated after those
 	diffGroupBy = 60  // exchange-heavy group-bys, generated after those
+	diffClus    = 40  // filtered on the clustered column, generated after those
 )
 
 // diffSchema: one column per encoding the builder can choose, named
-// for it. Every column but the dense key is ≥ 20 % NULL.
+// for it. Every column but the dense key and the clustered one is
+// ≥ 20 % NULL.
 var diffSchema = row.Schema{
 	{Name: "id", Type: row.TInt},       // dense, unique: bit-packed
 	{Name: "i_raw", Type: row.TInt},    // wide range: raw
@@ -59,6 +61,7 @@ var diffSchema = row.Schema{
 	{Name: "b", Type: row.TBool},
 	{Name: "d", Type: row.TDate},
 	{Name: "allnull", Type: row.TInt},
+	{Name: "clus", Type: row.TInt}, // ascending: its windows hold disjoint ranges
 }
 
 var diffEncodings = map[string]string{
@@ -105,9 +108,19 @@ func diffRowsData() []row.Row {
 			maybe(rng.Intn(2) == 0),
 			maybe(diffBaseDay + int64(rng.Intn(30))),
 			nil,
+			clusAt(i),
 		}
 	}
 	return out
+}
+
+// clusAt is the clustered column's value at row i: ascending, three
+// rows a value, every seventeenth row NULL.
+func clusAt(i int) any {
+	if i%17 == 5 {
+		return nil
+	}
+	return int64(i / 3)
 }
 
 // diffHostile are suffixes of s_raw values the text format must
@@ -334,6 +347,31 @@ func (g *diffGen) pred(depth int) string {
 			fmt.Sprintf("(%s IS %sNULL)", call, g.pick("", "NOT ")))
 	}
 	return fmt.Sprintf("(%s %s %s)", g.numExpr(1), cmp, g.numExpr(1))
+}
+
+// clustered yields a statement filtered on the clustered column with
+// =, <, >=, BETWEEN or IN, perhaps AND another predicate: the filters
+// whose window statistics let a scan skip windows.
+func (g *diffGen) clustered() string {
+	v := g.rng.Intn(diffRows/3+20) - 10
+	conds := []string{
+		fmt.Sprintf("clus = %d", v),
+		fmt.Sprintf("clus < %d", v),
+		fmt.Sprintf("clus >= %d", v),
+		fmt.Sprintf("clus BETWEEN %d AND %d", v, v+g.rng.Intn(120)),
+		fmt.Sprintf("clus IN (%d, %d, %d)", v, g.rng.Intn(diffRows/3), v+g.rng.Intn(9)),
+	}
+	cond := conds[g.rng.Intn(len(conds))]
+	if g.rng.Intn(3) == 0 {
+		cond += " AND " + g.pred(1)
+	}
+	switch g.rng.Intn(3) {
+	case 0:
+		return "SELECT id, clus, s_dict, f_rle FROM t WHERE " + cond
+	case 1:
+		return "SELECT COUNT(*), SUM(i_pack), MIN(clus), MAX(s_raw) FROM t WHERE " + cond
+	}
+	return "SELECT s_dict, COUNT(*), AVG(clus) FROM t WHERE " + cond + " GROUP BY s_dict"
 }
 
 func (g *diffGen) where() string {
@@ -789,6 +827,7 @@ var diffFixed = []string{
 // statements: they differ from the rest only in how they shuffle.
 type diffExecutor struct {
 	name    string
+	s       *Session // nil for the oracle
 	run     func(sql string) ([]row.Row, error)
 	done    func() error
 	grouped bool
@@ -860,7 +899,7 @@ func diffExecutors(t *testing.T) []diffExecutor {
 		if name == "default" {
 			checkDiffEncodings(t, s)
 		}
-		return diffExecutor{name: name, run: func(sql string) ([]row.Row, error) {
+		return diffExecutor{name: name, s: s, run: func(sql string) ([]row.Row, error) {
 			res, err := s.Exec(sql)
 			if err != nil {
 				return nil, err
@@ -961,6 +1000,43 @@ func checkDiffEncodings(t *testing.T, s *Session) {
 	}
 	if largest <= columnar.BatchSize {
 		t.Errorf("the largest partition has %d rows: none spans two batches of %d", largest, columnar.BatchSize)
+	}
+}
+
+// checkDiffWindowSkips asserts that the clustered statements exercise
+// window pruning: some skips a window under default, and none does
+// under unpruned (DisablePruning) or disk-only (whose partitions come
+// back from disk without window statistics). The executors then check
+// each other's rows.
+func checkDiffWindowSkips(t *testing.T, execs []diffExecutor, sqls []string) {
+	t.Helper()
+	skipped := map[string]int64{}
+	for _, ex := range execs {
+		if ex.name != "default" && ex.name != "unpruned" && ex.name != "disk-only" {
+			continue
+		}
+		for _, sql := range sqls {
+			res, err := ex.s.Exec("EXPLAIN ANALYZE " + sql)
+			if err != nil {
+				t.Fatalf("%s: %v\n%s", ex.name, err, sql)
+			}
+			for _, r := range res.Rows {
+				if _, rest, ok := strings.Cut(r[0].(string), " windows skipped="); ok {
+					var k, n int64
+					if _, err := fmt.Sscanf(rest, "%d/%d", &k, &n); err != nil {
+						t.Fatalf("bad windows skipped= in %q: %v", r[0], err)
+					}
+					skipped[ex.name] += k
+				}
+			}
+		}
+	}
+	t.Logf("windows skipped by %d clustered statements: %v", len(sqls), skipped)
+	if skipped["default"] == 0 {
+		t.Error("no clustered statement skipped a window under default")
+	}
+	if n := skipped["unpruned"] + skipped["disk-only"]; n != 0 {
+		t.Errorf("windows skipped without window pruning: %v", skipped)
 	}
 }
 
@@ -1099,6 +1175,12 @@ func TestDifferentialCachedScan(t *testing.T) {
 		sql := g.groupBy()
 		queries = append(queries, query{sql: sql, unlimited: sql})
 	}
+	clustered := make([]string, diffClus)
+	for i := range clustered {
+		clustered[i] = g.clustered()
+		queries = append(queries, query{sql: clustered[i], unlimited: clustered[i]})
+	}
+	checkDiffWindowSkips(t, execs, clustered)
 
 	// Reference results: the default configuration, without LIMIT.
 	want := make([][]row.Row, len(queries))
@@ -1140,4 +1222,45 @@ func TestDifferentialCachedScan(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestDifferentialMixedTypeIn: an IN list whose literals the column's
+// values cannot be ordered against matches none of them. Map pruning
+// leaves such literals out rather than compare them (which panicked);
+// every executor, the oracle included, must agree.
+func TestDifferentialMixedTypeIn(t *testing.T) {
+	execs := diffExecutors(t)
+	for _, c := range []struct {
+		sql  string
+		none bool // no row can match
+	}{
+		{`SELECT COUNT(*) FROM t WHERE s_raw IN (1, 2)`, true},
+		{`SELECT COUNT(*) FROM t WHERE f_raw IN ('a')`, true},
+		{`SELECT COUNT(*) FROM t WHERE clus IN ('7', 'x')`, true},
+		{`SELECT COUNT(*), MIN(id) FROM t WHERE s_dict IN (7, 'alpha')`, false},
+		{`SELECT COUNT(*), MAX(id) FROM t WHERE i_dict IN ('x', 7, 42)`, false},
+		{`SELECT id, s_dict FROM t WHERE clus IN ('5', 5, 700.0)`, false},
+	} {
+		var want []row.Row
+		for _, ex := range execs {
+			got, err := ex.run(c.sql)
+			if err != nil {
+				t.Errorf("%s: %v\n%s", ex.name, err, c.sql)
+				continue
+			}
+			switch {
+			case c.none && (len(got) != 1 || got[0][0] != int64(0)):
+				t.Errorf("%s: %v, want a count of 0\n%s", ex.name, got, c.sql)
+			case want == nil:
+				want = diffSorted(got)
+			default:
+				if err := diffSameBag(got, want); err != nil {
+					t.Errorf("%s disagrees with %s: %v\n%s", ex.name, execs[0].name, err, c.sql)
+				}
+			}
+		}
+		if !c.none && (len(want) == 0 || want[0][0] == int64(0)) {
+			t.Errorf("%s matched nothing; it should match some rows", c.sql)
+		}
+	}
 }

@@ -47,6 +47,8 @@ type NodeStats struct {
 	cacheHits  atomic.Int64
 	remoteHits atomic.Int64
 	diskHits   atomic.Int64
+	// A scan's windows: reached, and skipped by their statistics.
+	windows, skipped atomic.Int64
 
 	// mu guards notes.
 	mu    sync.Mutex
@@ -59,6 +61,17 @@ func (ns *NodeStats) AddRows(n int64) {
 		return
 	}
 	ns.rows.Add(n)
+}
+
+// AddWindow counts a window a scan reached, and whether map pruning
+// skipped it.
+func (ns *NodeStats) AddWindow(skipped bool) {
+	if ns != nil {
+		ns.windows.Add(1)
+		if skipped {
+			ns.skipped.Add(1)
+		}
+	}
 }
 
 // Wall returns the master-blocking wall time attributed to the node.
@@ -160,6 +173,9 @@ func (ns *NodeStats) Render() []string {
 			fmtWall(cur.Wall()), cur.rows.Load())
 		if c, r, d := cur.cacheHits.Load(), cur.remoteHits.Load(), cur.diskHits.Load(); c+r+d > 0 {
 			line += fmt.Sprintf(" cache=%d/%d/%d", c, r, d)
+		}
+		if n := cur.windows.Load(); n > 0 {
+			line += fmt.Sprintf(" windows skipped=%d/%d", cur.skipped.Load(), n)
 		}
 		line += "]"
 		cur.mu.Lock()

@@ -30,7 +30,8 @@ type chain struct {
 	filters []*plan.Filter // directly above the source, bottom-up
 	project *plan.Project  // on top, or nil
 	agg     *plan.Aggregate
-	buckets int // with agg: the shuffle buckets its blocks go to
+	buckets int                     // with agg: the shuffle buckets its blocks go to
+	prune   []memtable.ColPredicate // a cached scan's (Engine.prune), tested per window
 }
 
 // matchChain splits the chain ending at n off the plan. With nothing
@@ -60,8 +61,10 @@ func matchChain(n plan.Node) *chain {
 }
 
 // prune applies map pruning (§3.5) and returns the partitions to scan.
-func (e *Engine) prune(s *plan.Scan, stats *QueryStats) []int {
-	mem := s.Table.Mem
+// It keeps the predicates, over the table's columns, in the chain: its
+// tasks test each window's statistics against them too.
+func (e *Engine) prune(m *chain, stats *QueryStats) []int {
+	s, mem := m.scan, m.scan.Table.Mem
 	parts := make([]int, mem.NumPartitions())
 	for i := range parts {
 		parts[i] = i
@@ -69,15 +72,14 @@ func (e *Engine) prune(s *plan.Scan, stats *QueryStats) []int {
 	if !e.opts.DisablePruning && len(s.Pruning) > 0 {
 		// Pruning predicates use scan-projected column positions;
 		// the table statistics use full-schema positions. Remap.
-		preds := make([]memtable.ColPredicate, 0, len(s.Pruning))
 		for _, p := range s.Pruning {
 			if p.Col < 0 || p.Col >= len(s.NeededCols) {
 				continue
 			}
 			p.Col = s.NeededCols[p.Col]
-			preds = append(preds, p)
+			m.prune = append(m.prune, p)
 		}
-		surviving := mem.Prune(preds)
+		surviving := mem.Prune(m.prune)
 		stats.PrunedPartitions += len(parts) - len(surviving)
 		parts = surviving
 	}
@@ -95,7 +97,7 @@ func (e *Engine) prune(s *plan.Scan, stats *QueryStats) []int {
 func (e *Engine) compileMemScan(m *chain, stats *QueryStats, p *prof) (*rdd.RDD, error) {
 	s := m.scan
 	if s.Table.Cached() {
-		return e.memScanParts(m, e.prune(s, stats), p), nil
+		return e.memScanParts(m, e.prune(m, stats), p), nil
 	}
 	meta, err := e.FS.Stat(s.Table.File)
 	if err != nil {
@@ -313,6 +315,13 @@ func (s *selSource) next() ([]int32, bool) {
 		s.bindFilters()
 	}
 	sel := b.Sel
+	if s.m.scan != nil {
+		skip := s.m.prune != nil && !memtable.MayMatch(b.Stats(), s.m.prune)
+		s.rows[0].AddWindow(skip)
+		if skip {
+			sel = sel[:0]
+		}
+	}
 	if s.buf != nil {
 		sel = append(s.buf[:0], sel...)
 	}

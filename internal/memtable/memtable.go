@@ -12,6 +12,7 @@ package memtable
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"shark/internal/columnar"
 	"shark/internal/rdd"
@@ -207,16 +208,18 @@ type ColPredicate struct {
 // matching rows (§3.5 map pruning).
 func (t *Table) Prune(preds []ColPredicate) []int {
 	var out []int
-	for p := range t.Stats {
-		if t.partitionMayMatch(p, preds) {
+	for p, stats := range t.Stats {
+		if MayMatch(stats, preds) {
 			out = append(out, p)
 		}
 	}
 	return out
 }
 
-func (t *Table) partitionMayMatch(p int, preds []ColPredicate) bool {
-	stats := t.Stats[p]
+// MayMatch reports whether rows with the statistics stats (one per
+// column) may satisfy every predicate: map pruning's one test, of a
+// partition's stats by the master and a window's by a scan task.
+func MayMatch(stats []columnar.ColumnStats, preds []ColPredicate) bool {
 	if stats == nil {
 		return true
 	}
@@ -225,17 +228,8 @@ func (t *Table) partitionMayMatch(p int, preds []ColPredicate) bool {
 			continue
 		}
 		s := &stats[pred.Col]
-		if pred.Eq != nil {
-			any := false
-			for _, v := range pred.Eq {
-				if s.MayEqual(v) {
-					any = true
-					break
-				}
-			}
-			if !any {
-				return false
-			}
+		if pred.Eq != nil && !slices.ContainsFunc(pred.Eq, s.MayEqual) {
+			return false
 		}
 		if (pred.Lo != nil || pred.Hi != nil) && !s.MayContain(pred.Lo, pred.Hi) {
 			return false

@@ -3,6 +3,7 @@ package plan
 import (
 	"shark/internal/expr"
 	"shark/internal/memtable"
+	"shark/internal/row"
 )
 
 // Optimize applies the rule-based passes: predicate pushdown into
@@ -110,7 +111,8 @@ func extractAllPruning(n Node) {
 // extractPruning converts scan-level conjuncts of the forms
 // col⊕const, const⊕col, and col IN (literals) into partition
 // predicates. Inequalities are relaxed to inclusive bounds, which is
-// conservative (never prunes a partition that could match).
+// conservative (never prunes a partition that could match). A literal
+// the column's values cannot be ordered against matches none: left out.
 func extractPruning(filters []expr.Expr) []memtable.ColPredicate {
 	var out []memtable.ColPredicate
 	for _, f := range filters {
@@ -127,7 +129,7 @@ func pruningOf(c expr.Expr) (memtable.ColPredicate, bool) {
 	switch e := c.(type) {
 	case *expr.Cmp:
 		col, konst, flipped := colConstSides(e.L, e.R)
-		if col == nil {
+		if col == nil || !orderable(col.T, konst) {
 			return memtable.ColPredicate{}, false
 		}
 		op := e.Op
@@ -154,11 +156,20 @@ func pruningOf(c expr.Expr) (memtable.ColPredicate, bool) {
 		}
 		p := memtable.ColPredicate{Col: col.Idx}
 		for v := range e.Set {
-			p.Eq = append(p.Eq, v)
+			if orderable(col.T, v) {
+				p.Eq = append(p.Eq, v)
+			}
 		}
-		return p, true
+		return p, p.Eq != nil
 	}
 	return memtable.ColPredicate{}, false
+}
+
+// orderable reports whether row.Compare orders v against the values of
+// a column of type t.
+func orderable(t row.Type, v any) bool {
+	vt := row.TypeOf(v)
+	return vt == row.TNull || vt == t || vt.Numeric() && t.Numeric()
 }
 
 func colConstSides(l, r expr.Expr) (col *expr.Col, konst any, flipped bool) {

@@ -268,6 +268,18 @@ func TestPruningExtraction(t *testing.T) {
 	if len(preds[2].Eq) != 2 {
 		t.Errorf("in pred: %+v", preds[2])
 	}
+
+	// Literals row.Compare cannot order against the column's values
+	// match none of them: an IN keeps the others, or prunes nothing.
+	str := &expr.Col{Idx: 1, Name: "s", T: row.TString}
+	preds = extractPruning([]expr.Expr{
+		&expr.In{E: str, Set: expr.NewInSet([]any{int64(1), int64(2)})},
+		&expr.In{E: col, Set: expr.NewInSet([]any{"a", int64(7), 2.5})},
+		&expr.Cmp{Op: expr.Eq, L: str, R: expr.NewConst(int64(3))},
+	})
+	if len(preds) != 1 || preds[0].Col != 0 || len(preds[0].Eq) != 2 {
+		t.Errorf("mixed-type preds = %+v, want one IN over ts keeping 7 and 2.5", preds)
+	}
 }
 
 func TestErrorCases(t *testing.T) {
