@@ -24,7 +24,7 @@ import (
 var benchExperiments = []string{
 	"fig1", "fig5_selection", "fig5_agg", "fig6_join", "loading",
 	"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-	"tbl_columnar", "abl_shuffle", "abl_compile", "abl_binpack", "pruning",
+	"tbl_columnar", "abl_shuffle", "abl_binpack", "pruning",
 }
 
 // BenchmarkExperiments runs each harness experiment once per iteration

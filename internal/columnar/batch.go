@@ -485,7 +485,9 @@ func (b *Batch) Vec(c int) Vec {
 	default:
 		v.Kind, v.Nulls, v.Anys = VecAny, nil, make([]any, b.Len())
 		for i := range v.Anys {
-			v.Anys[i] = b.Value(c, i)
+			if bc.typ == row.TBool && !bc.nulls.Has(i) {
+				v.Anys[i] = b.Bools(c).Has(i)
+			}
 		}
 	}
 	return v
@@ -563,31 +565,6 @@ func keepRuns[T int64 | float64 | uint8](sel []int32, lo int, read func(lo, hi i
 		j = k
 	}
 	return out
-}
-
-// Value returns column c's value at window position i as a boxed row
-// value (nil for NULL), for callers that assemble a scratch row to
-// hand to row-at-a-time code. Unlike Box it does not copy a string out
-// of the column: the value is for use within the batch.
-func (b *Batch) Value(c, i int) any {
-	bc := b.col(c)
-	switch {
-	case bc.boxed():
-		return bc.anys[i]
-	case bc.nulls.Has(i):
-		return nil
-	case bc.dict != nil:
-		return bc.dict.DictValue(int(b.Codes(c)[i]))
-	}
-	switch bc.typ {
-	case row.TInt, row.TDate:
-		return b.Ints(c)[i]
-	case row.TFloat:
-		return b.Floats(c)[i]
-	case row.TString:
-		return b.Strings(c)[i]
-	}
-	return b.Bools(c).Has(i)
 }
 
 // Box writes column c's values at the selected window positions into

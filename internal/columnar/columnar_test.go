@@ -253,6 +253,38 @@ func TestFloatRLERoundTrip(t *testing.T) {
 	checkRoundTrip(t, p, rows)
 }
 
+// TestFloatRLEKeepsSignedZeros: runs of 0 and -0 compare equal but
+// are different values. A run-encoded column, and the partition read
+// back through its codec, give each row its own sign.
+func TestFloatRLEKeepsSignedZeros(t *testing.T) {
+	schema := row.Schema{{Name: "f", Type: row.TFloat}}
+	negZero := math.Copysign(0, -1)
+	var rows []row.Row
+	for i := range 1000 {
+		rows = append(rows, row.Row{[]float64{0, negZero}[i/10%2]})
+	}
+	p := buildPartition(t, schema, rows)
+	if p.Cols[0].Encoding() != "rle" {
+		t.Fatalf("expected rle, got %s", p.Cols[0].Encoding())
+	}
+	_, fields := p.MarshalShuffle()
+	q, err := UnmarshalPartition(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, part := range []*Partition{p, q} {
+		b, base := NewBatch(part), 0
+		for b.Next() {
+			for i, f := range b.Floats(0) {
+				if want := rows[base+i][0].(float64); math.Signbit(f) != math.Signbit(want) {
+					t.Fatalf("row %d reads %v, want %v", base+i, f, want)
+				}
+			}
+			base += b.Len()
+		}
+	}
+}
+
 func TestSchemaMismatch(t *testing.T) {
 	b := NewBuilder(row.Schema{{Name: "a", Type: row.TInt}})
 	if err := b.Append(row.Row{"notanint"}); err == nil {
@@ -378,14 +410,14 @@ func TestBatchDecodeMatchesGet(t *testing.T) {
 			}
 		}
 		for c, col := range p.Cols {
-			nulls := b.Nulls(c)
+			nulls, vec := b.Nulls(c), b.Vec(c)
 			for _, i := range b.All() {
 				want := rows[base+int(i)][c]
 				if nulls.Has(int(i)) != (want == nil) {
 					t.Fatalf("col %d row %d: null bit %v, value %v", c, base+int(i), nulls.Has(int(i)), want)
 				}
-				if got := b.Value(c, int(i)); got != want {
-					t.Fatalf("col %d row %d: Value = %v, want %v", c, base+int(i), got, want)
+				if got := vec.At(i); got != want {
+					t.Fatalf("col %d row %d: Vec = %v, want %v", c, base+int(i), got, want)
 				}
 				if want == nil {
 					continue
@@ -474,8 +506,8 @@ func TestFullDictionaryCodesFitAByte(t *testing.T) {
 				if v := b.Dict(c).DictValue(int(b.Codes(c)[i])); v != want[c] {
 					t.Fatalf("col %d row %d: code decodes to %v, want %v", c, base+int(i), v, want[c])
 				}
-				if v := b.Value(c, int(i)); v != want[c] {
-					t.Fatalf("col %d row %d: Value = %v, want %v", c, base+int(i), v, want[c])
+				if vec := b.Vec(c); vec.At(i) != want[c] {
+					t.Fatalf("col %d row %d: Vec = %v, want %v", c, base+int(i), vec.At(i), want[c])
 				}
 			}
 		}

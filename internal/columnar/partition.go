@@ -3,6 +3,7 @@ package columnar
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 
@@ -585,7 +586,7 @@ func rleEncode[T int64 | float64](v []T) ([]T, []uint32) {
 	var vals []T
 	var ends []uint32
 	for i := 0; i < len(v); i++ {
-		if len(vals) == 0 || vals[len(vals)-1] != v[i] {
+		if last := len(vals) - 1; last < 0 || vals[last] != v[i] || v[i] == 0 && !sameBits(vals[last], v[i]) {
 			vals = append(vals, v[i])
 			ends = append(ends, uint32(i+1))
 		} else {
@@ -593,4 +594,14 @@ func rleEncode[T int64 | float64](v []T) ([]T, []uint32) {
 		}
 	}
 	return vals, ends
+}
+
+// sameBits reports whether a and b are one value bit for bit: a run
+// of zeros breaks where a -0 follows a 0, or the other way round, so
+// each reads back with its own sign.
+func sameBits[T int64 | float64](a, b T) bool {
+	if x, ok := any(a).(float64); ok {
+		return math.Float64bits(x) == math.Float64bits(any(b).(float64))
+	}
+	return a == b
 }

@@ -129,8 +129,9 @@ func FuzzPartitionStats(f *testing.F) {
 			st := b.Stats()[0]
 			var nullCount int64
 			minSeen, maxSeen := false, false
-			for i := range b.Len() {
-				v := b.Value(0, i)
+			vec := b.Vec(0)
+			for i := range int32(b.Len()) {
+				v := vec.At(i)
 				if v == nil {
 					nullCount++
 					continue

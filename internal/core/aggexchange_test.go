@@ -256,3 +256,49 @@ func TestAggregateSurvivesWorkerLossBeforeReduce(t *testing.T) {
 		t.Error("no fetch failed: the killed worker held no map output, and the test proves nothing")
 	}
 }
+
+// TestCachedKernelsMatchHive: each statement over a cached table
+// returns what the Hive baseline returns reading its text file. The
+// 16 KB DFS blocks cut the table into partitions of a few hundred rows,
+// shorter than a batch, so the kernels' buffers are too; the NULLs of a
+// built-in's result, of a failed CAST and of a NULL literal meet them in
+// arithmetic. f holds alternating runs of 0 and -0, which run-length
+// encoding must keep apart (row.FormatValue prints -0).
+func TestCachedKernelsMatchHive(t *testing.T) {
+	e := newEnv(t, exec.Options{})
+	schema := row.Schema{{Name: "id", Type: row.TInt}, {Name: "f", Type: row.TFloat}, {Name: "s", Type: row.TString}}
+	rows := make([]row.Row, 1000)
+	for i := range rows {
+		s := any(fmt.Sprintf("%d", i))
+		if i%3 == 1 {
+			s = fmt.Sprintf("not a number, row %d of a long enough line", i)
+		} else if i%7 == 0 {
+			s = nil
+		}
+		rows[i] = row.Row{int64(i), []float64{0, math.Copysign(0, -1)}[i/10%2], s}
+	}
+	e.writeDFS(t, "z", schema, rows)
+	e.mustExec(t, `CREATE TABLE z_mem TBLPROPERTIES ("shark.cache"="true") AS SELECT * FROM z`)
+	for _, q := range []string{
+		`SELECT id, CAST(f AS STRING) FROM %s ORDER BY id`,
+		`SELECT id, LENGTH(s) + 1 FROM %s ORDER BY id`,
+		`SELECT id, CAST(s AS BIGINT) * 2 FROM %s ORDER BY id`,
+		`SELECT id, YEAR(NULL) + 1 FROM %s ORDER BY id`,
+	} {
+		got := e.mustExec(t, fmt.Sprintf(q, "z_mem")).Rows
+		want := hiveRows(t, e, fmt.Sprintf(q, "z"), map[string]row.Schema{"z": schema})
+		if len(got) != len(want) || len(got) != len(rows) {
+			t.Fatalf("%s: %d rows, Hive %d, want %d", q, len(got), len(want), len(rows))
+		}
+		for i := range got {
+			if got[i][1] != want[i][1] {
+				t.Fatalf("%s: row %d: %#v, Hive %#v", q, i, got[i][1], want[i][1])
+			}
+		}
+	}
+	for i, r := range e.mustExec(t, `SELECT id, CAST(f AS STRING) FROM z_mem ORDER BY id`).Rows {
+		if r[1] != row.FormatValue(rows[i][1]) {
+			t.Fatalf("row %d: %v, stored %v", i, r[1], rows[i][1])
+		}
+	}
+}

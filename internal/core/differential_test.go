@@ -29,12 +29,12 @@ import (
 // statements over one table whose columns cover every column encoding, each
 // statement executed under every configuration that changes how a
 // cached scan runs and against the Hive/MapReduce baseline, and the
-// results bag-compared. The typed batch kernels, the row adapter
-// (DisableExprCompile sends every expression through it), the external
-// table's text blocks parsed straight into columns (the DFS twin; the
-// file's cells are text-hostile, see diffTextRow) and an independent
-// executor (internal/mr, which boxes every line through DecodeText)
-// must agree on every statement. A failure prints the seed and the SQL.
+// results bag-compared. The batch kernels, over partitions and over
+// the external table's text blocks parsed straight into columns (the
+// DFS twin; the file's cells are text-hostile, see diffTextRow), and an
+// independent executor (internal/mr, which boxes every line through
+// DecodeText and evaluates with expr's Eval) must agree on every
+// statement. A failure prints the seed and the SQL.
 
 const (
 	diffSeed    = 20131
@@ -195,10 +195,10 @@ func (g *diffGen) dateLit() string {
 	return fmt.Sprintf("Date('2000-01-%02d')", 1+g.rng.Intn(30))
 }
 
-// The built-ins that have a vector form (expr.UDF.Vec), called with
-// column, computed, literal and NULL arguments. The default executor
-// runs them as kernels over typed vectors; every other executor runs
-// their Fn row by row.
+// The built-ins, called with column, computed, literal and NULL
+// arguments. The engine's executors run them as kernels over typed
+// vectors (expr.UDF.Vec, or CASE's kernel for IF and COALESCE); the
+// Hive baseline runs their Fn row by row.
 
 // substrCall covers SUBSTR's edge cases: start 0, negative, before the
 // beginning and past the end; length absent, 0, negative and past the
@@ -279,9 +279,29 @@ func (g *diffGen) strExpr() string {
 	return g.strCol()
 }
 
+// funcCall yields a call of a built-in the other generators do not
+// reach: string, numeric and conditional.
+func (g *diffGen) funcCall() string {
+	switch g.rng.Intn(6) {
+	case 0:
+		return fmt.Sprintf("CONCAT(%s, %s, %s)", g.strCol(), g.pick("'-'", "NULL", g.intCol()), g.pick(g.floatCol(), "s_dict"))
+	case 1:
+		return fmt.Sprintf("%s(%s)", g.pick("LOWER", "UPPER"), g.strExpr())
+	case 2:
+		return fmt.Sprintf("%s(%s)", g.pick("ROUND", "FLOOR", "CEIL", "SQRT"), g.numExpr(1))
+	case 3:
+		return fmt.Sprintf("%s(%s, %s)", g.pick("ROUND", "POW"), g.numExpr(1), g.pick("1", "-1", "i_dict", "0.5", "NULL"))
+	case 4:
+		return fmt.Sprintf("IF(%s, %s, %s)", g.pred(1), g.pick(g.intExpr(1), g.strCol()), g.pick(g.intExpr(1), "NULL", g.strCol()))
+	}
+	return fmt.Sprintf("COALESCE(%s, %s, %s)", g.pick("allnull", "i_raw", "f_raw", "s_raw"), g.pick("i_raw", "i_pack", "f_rle", "s_dict"), g.pick("NULL", "-1", "2.5", "'none'"))
+}
+
 // projExpr yields any SELECT-list expression.
 func (g *diffGen) projExpr() string {
-	switch g.rng.Intn(8) {
+	switch g.rng.Intn(9) {
+	case 5:
+		return g.funcCall()
 	case 0:
 		return g.strExpr()
 	case 1:
@@ -805,6 +825,10 @@ var diffFixed = []string{
 	`SELECT SUBSTR(s_raw, 1, 2), COUNT(*), SUM(f_raw), MIN(SUBSTR(s_raw, 3)), MAX(LENGTH(s_dict)) FROM t GROUP BY SUBSTR(s_raw, 1, 2)`,
 	`SELECT MONTH(d + id), COUNT(*), COUNT(DISTINCT DAY(d + id)) FROM t WHERE LENGTH(s_raw) > 9 OR ABS(i_dict) = 3 GROUP BY MONTH(d + id)`,
 	`SELECT i_pack, COUNT(*) FROM t WHERE i_pack < 0 OR i_pack > 900 GROUP BY i_pack`,
+	`SELECT id, COALESCE(allnull, i_raw, i_pack), COALESCE(s_raw, s_dict), COALESCE(f_raw, i_dict), IF(i_pack > 500, s_raw, s_dict), IF(b, i_raw, NULL) FROM t`,
+	`SELECT id, CONCAT(s_dict, '-', i_pack, f_raw), LOWER(s_raw), UPPER(s_dict), ROUND(f_raw, 1), ROUND(i_pack), FLOOR(f_raw / 3), CEIL(f_rle), POW(f_raw, 0.5), SQRT(i_pack - 100) FROM t`,
+	`SELECT id, CAST(s_raw AS BIGINT), CAST(f_raw AS STRING), CAST(i_pack AS DOUBLE), CAST(d AS STRING), CASE WHEN i_pack > 500 THEN f_raw WHEN b THEN NULL ELSE i_dict END FROM t`,
+	`SELECT COALESCE(i_raw, i_pack) % 10, COUNT(*), SUM(COALESCE(f_raw, 0.0)), MAX(IF(b, s_raw, s_dict)) FROM t GROUP BY COALESCE(i_raw, i_pack) % 10`,
 	// Post-aggregation shapes the planner used to refuse.
 	`SELECT i_dict, SUM(f_raw) FROM t GROUP BY i_dict HAVING SUM(f_raw) IS NOT NULL`,
 	`SELECT i_dict, COUNT(*) FROM t GROUP BY i_dict HAVING i_dict IN (7, 42)`,
@@ -935,7 +959,6 @@ func diffExecutors(t *testing.T) []diffExecutor {
 
 	return []diffExecutor{
 		on("default", "MEMORY_ONLY", exec.Options{}),
-		on("interpreted", "MEMORY_ONLY", exec.Options{DisableExprCompile: true}),
 		on("unpruned", "MEMORY_ONLY", exec.Options{DisablePruning: true}),
 		on("disk-only", "DISK_ONLY", exec.Options{}),
 		on("dfs-twin", "", exec.Options{}),

@@ -519,25 +519,6 @@ func TestSql2RddBridge(t *testing.T) {
 	}
 }
 
-func TestInterpreterModeAgrees(t *testing.T) {
-	q := `SELECT countryCode, COUNT(*) AS c FROM uservisits
-		WHERE adRevenue > 5.0 GROUP BY countryCode ORDER BY countryCode`
-	run := func(disable bool) []row.Row {
-		e := newEnv(t, exec.Options{DisableExprCompile: disable})
-		setupVisits(t, e, 1500, true)
-		return e.mustExec(t, q).Rows
-	}
-	a, b := run(false), run(true)
-	if len(a) != len(b) {
-		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i][0] != b[i][0] || a[i][1] != b[i][1] {
-			t.Errorf("row %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestCTASToDFS(t *testing.T) {
 	e := newEnv(t, exec.Options{})
 	setupVisits(t, e, 500, false)

@@ -63,11 +63,6 @@ type Options struct {
 	BroadcastThreshold int64
 	// JoinStrategy selects join planning. Default StrategyStaticAdaptive.
 	JoinStrategy StrategyMode
-	// DisableExprCompile binds no typed column kernel and no vector
-	// form on scans of cached tables: every expression runs row by row
-	// through expr's Eval (the row adapter). It is the ablation knob
-	// for the paper's compiled evaluators (§5) and the kernels' oracle.
-	DisableExprCompile bool
 	// DisablePruning turns off map pruning (ablation).
 	DisablePruning bool
 	// DisableAdaptiveExec turns off every runtime re-planning decision

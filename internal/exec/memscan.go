@@ -350,7 +350,7 @@ func (t *scanTask) bindProject(p *plan.Project, src *selSource) func(sel []int32
 	zeros := make([]int32, columnar.BatchSize)
 	src.bind = func() {
 		for j, x := range p.Exprs {
-			if c, ok := x.(*expr.Col); ok && !t.interpret() {
+			if c, ok := x.(*expr.Col); ok {
 				cols[j] = t.cols[c.Idx]
 			} else {
 				cols[j], vals[j] = -1, t.bindValue(x)

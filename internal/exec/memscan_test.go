@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"shark/internal/catalog"
 	"shark/internal/columnar"
 	"shark/internal/data"
+	"shark/internal/expr"
 	"shark/internal/memtable"
 	"shark/internal/plan"
 	"shark/internal/rdd"
@@ -42,6 +44,9 @@ func fusedChain(tb testing.TB, schema row.Schema, sql string) *chain {
 	tb.Helper()
 	cat := catalog.New()
 	err := cat.Register(&catalog.Table{Name: "t", Schema: schema, Mem: &memtable.Table{Name: "t", Schema: schema}})
+	if err == nil {
+		err = cat.RegisterUDF(evenish)
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -63,6 +68,12 @@ func fusedChain(tb testing.TB, schema row.Schema, sql string) *chain {
 	}
 }
 
+// evenish is a user UDF without a vector form.
+var evenish = &expr.UDF{Name: "EVENISH", Ret: row.TBool, MinArgs: 1, MaxArgs: 1, RetFromArg: -1, Fn: func(args []any) any {
+	n, ok := args[0].(int64)
+	return ok && n%2 == 0
+}}
+
 // runChain executes the chain over part as one task: the partial
 // aggregation's blocks (for 16 buckets), or the rows of the batches
 // emitted, boxed from the body a final task makes of them.
@@ -83,6 +94,77 @@ func runChain(e *Engine, m *chain, part *columnar.Partition) (blocks []*block, r
 		}
 		return emit(sel), true
 	})).Rows()
+}
+
+// evalChain is runChain's oracle: the chain evaluated with expr's Eval
+// over the partition's boxed rows. Partial aggregation folds each
+// window's keys and arguments, boxed, into the same group table.
+func evalChain(m *chain, part *columnar.Partition) (blocks []*block, rows []row.Row) {
+	var g *groupTable
+	if m.agg != nil {
+		g = newGroupTable(m.agg)
+	}
+	cols := m.scan.NeededCols
+	for b := columnar.NewBatch(part); b.Next(); {
+		var kept []row.Row
+	next:
+		for _, r := range b.Rows(cols, b.Sel) {
+			conds := slices.Clone(m.scan.Filters)
+			for _, f := range m.filters {
+				conds = append(conds, f.Cond)
+			}
+			for _, c := range conds {
+				if !row.Truth(c.Eval(r)) {
+					continue next
+				}
+			}
+			kept = append(kept, r)
+		}
+		switch {
+		case g != nil:
+			boxed := func(x expr.Expr) columnar.Vec {
+				v := columnar.Vec{Kind: columnar.VecAny, Mask: -1, Anys: make([]any, len(kept))}
+				for j, r := range kept {
+					v.Anys[j] = x.Eval(r)
+				}
+				return v
+			}
+			sel, ids := b.All()[:len(kept)], make([]int32, len(kept))
+			keys := make([]columnar.Vec, len(m.agg.GroupBy))
+			for k, x := range m.agg.GroupBy {
+				keys[k] = boxed(x)
+			}
+			g.resolve(keys, sel, ids)
+			for k, s := range g.specs {
+				if s.Arg == nil {
+					g.accumulate(k, nil, sel, ids)
+				} else {
+					v := boxed(s.Arg)
+					g.accumulate(k, &v, sel, ids)
+				}
+			}
+		case m.project == nil || isIdentityProject(m.project):
+			rows = append(rows, kept...)
+		default:
+			for _, r := range kept {
+				out := make(row.Row, len(m.project.Exprs))
+				for j, x := range m.project.Exprs {
+					out[j] = x.Eval(r)
+				}
+				rows = append(rows, out)
+			}
+		}
+	}
+	if g == nil {
+		return nil, rows
+	}
+	if len(g.cols) == 0 {
+		g.nullGroup()
+	}
+	for _, p := range g.blocks(16) {
+		blocks = append(blocks, p.(shuffle.Pair).V.(*block))
+	}
+	return blocks, nil
 }
 
 func userVisitsPartition(tb testing.TB) *columnar.Partition {
@@ -216,14 +298,26 @@ var mixedSchema = row.Schema{
 // mixedPartition covers every encoding, one-fifth NULL, over three
 // batches with a short last one.
 func mixedPartition(tb testing.TB) *columnar.Partition {
-	rng := rand.New(rand.NewSource(5))
+	p := sealPartition(tb, mixedSchema, mixedRows(5, 2*columnar.BatchSize+200))
+	for c, want := range []string{"raw", "rle", "bitpack", "dict", "raw", "rle", "raw", "dict", "bitmap"} {
+		if got := p.Cols[c].Encoding(); got != want {
+			tb.Fatalf("column %s is %s-encoded, want %s", mixedSchema[c].Name, got, want)
+		}
+	}
+	return p
+}
+
+// mixedRows generates n rows of mixedSchema, one-fifth NULL, each
+// column shaped for the encoding mixedPartition wants of it.
+func mixedRows(seed int64, n int) []row.Row {
+	rng := rand.New(rand.NewSource(seed))
 	maybe := func(v any) any {
 		if rng.Intn(5) == 0 {
 			return nil
 		}
 		return v
 	}
-	rows := make([]row.Row, 2*columnar.BatchSize+200)
+	rows := make([]row.Row, n)
 	for i := range rows {
 		var runI, runF any
 		if run := i / 50; run%5 != 0 {
@@ -237,19 +331,12 @@ func mixedPartition(tb testing.TB) *columnar.Partition {
 			nil,
 		}
 	}
-	p := sealPartition(tb, mixedSchema, rows)
-	for c, want := range []string{"raw", "rle", "bitpack", "dict", "raw", "rle", "raw", "dict", "bitmap"} {
-		if got := p.Cols[c].Encoding(); got != want {
-			tb.Fatalf("column %s is %s-encoded, want %s", mixedSchema[c].Name, got, want)
-		}
-	}
-	return p
+	return rows
 }
 
-// TestKernelsMatchRowAdapter runs statements aimed at each typed
-// kernel twice over one partition — typed, and with DisableExprCompile
-// sending every expression through the row adapter and Expr.Eval — and
-// wants identical output: the same rows in the same order, and partial
+// TestKernelsMatchRowAdapter runs statements aimed at each kernel over
+// one partition and wants the output expr's Eval gives row by row
+// (evalChain): the same rows in the same order, and partial
 // aggregation blocks that finalize to the same values bit for bit
 // (both accumulate in row order).
 func TestKernelsMatchRowAdapter(t *testing.T) {
@@ -281,7 +368,7 @@ func TestKernelsMatchRowAdapter(t *testing.T) {
 		`SELECT YEAR(d), MONTH(d + i_pack), DAY(d - 45), YEAR(Date('1999-12-31')), MONTH(i_rle * 30) FROM t`,
 		`SELECT s_raw, d FROM t WHERE SUBSTR(s_raw, 2, 1) = '1' AND LENGTH(s_dict) > 4 OR ABS(i_dict) = 3 OR DAY(d) IN (1, 15, 30)`,
 		`SELECT SUBSTR(s_raw, NULL, 2), LENGTH(NULL), SUBSTR(s_dict, 1.5, 2) FROM t WHERE i_pack < 100`,
-		// expressions without kernels, through the adapter inside typed trees
+		// the other built-ins, CASE and CAST inside typed trees
 		`SELECT UPPER(s_raw), CASE WHEN i_pack > 500 THEN 'hi' ELSE s_dict END, CAST(f_raw AS BIGINT), LENGTH(CONCAT(s_dict, 'x')) FROM t WHERE LOWER(s_dict) = 'gamma' OR i_pack < 50`,
 		// aggregation: no key, dictionary key, int and string keys, computed and composite keys
 		`SELECT COUNT(*), COUNT(i_raw), SUM(i_pack), SUM(f_raw), AVG(i_pack), AVG(f_raw), MIN(i_raw), MAX(f_rle), MIN(s_raw), MAX(s_dict), COUNT(DISTINCT i_dict), COUNT(DISTINCT s_raw), SUM(allnull) FROM t`,
@@ -297,9 +384,9 @@ func TestKernelsMatchRowAdapter(t *testing.T) {
 	} {
 		m := fusedChain(t, mixedSchema, sql)
 		typedBlocks, typedRows := runChain(&Engine{}, m, part)
-		adapterBlocks, adapterRows := runChain(&Engine{opts: Options{DisableExprCompile: true}}, m, part)
+		adapterBlocks, adapterRows := evalChain(m, part)
 		if !reflect.DeepEqual(typedRows, adapterRows) {
-			t.Errorf("%s\n  typed kernels emit %d rows, the row adapter %d; first difference: %s",
+			t.Errorf("%s\n  kernels emit %d rows, Eval %d; first difference: %s",
 				sql, len(typedRows), len(adapterRows), firstRowDiff(typedRows, adapterRows))
 		}
 		if m.agg == nil {
@@ -310,15 +397,14 @@ func TestKernelsMatchRowAdapter(t *testing.T) {
 		}
 		typed, adapter := finalized(m.agg, typedBlocks), finalized(m.agg, adapterBlocks)
 		if !reflect.DeepEqual(typed, adapter) {
-			t.Errorf("%s\n  typed kernels: %v\n  row adapter:   %v", sql, typed, adapter)
+			t.Errorf("%s\n  kernels: %v\n  Eval:    %v", sql, typed, adapter)
 		}
 	}
 }
 
 // TestFullDictionaryColumn: a dictionary column at the encoder's
 // threshold (256 distinct values) that also holds NULLs groups, filters
-// and materializes exactly — checked against the source rows, not the
-// row adapter, because both read the same byte-wide code vector.
+// and materializes exactly — checked against the source rows.
 func TestFullDictionaryColumn(t *testing.T) {
 	schema := row.Schema{{Name: "s", Type: row.TString}, {Name: "v", Type: row.TInt}}
 	rows := make([]row.Row, 5*256)
@@ -340,58 +426,70 @@ func TestFullDictionaryColumn(t *testing.T) {
 	if enc := part.Cols[0].Encoding(); enc != "dict" || len(counts) != 257 {
 		t.Fatalf("s is %s-encoded with %d groups, want dict and 256 + NULL", enc, len(counts))
 	}
-	for _, e := range []*Engine{{}, {opts: Options{DisableExprCompile: true}}} {
-		m := fusedChain(t, schema, `SELECT s, COUNT(*), SUM(v) FROM t GROUP BY s`)
-		blocks, _ := runChain(e, m, part)
-		groups := finalized(m.agg, blocks)
-		if len(groups) != len(counts) {
-			t.Errorf("%d groups, want %d", len(groups), len(counts))
+	e := &Engine{}
+	m := fusedChain(t, schema, `SELECT s, COUNT(*), SUM(v) FROM t GROUP BY s`)
+	blocks, _ := runChain(e, m, part)
+	groups := finalized(m.agg, blocks)
+	if len(groups) != len(counts) {
+		t.Errorf("%d groups, want %d", len(groups), len(counts))
+	}
+	for _, r := range groups {
+		if r[1] != counts[r[0]] || r[2] != sums[r[0]] {
+			t.Errorf("group %v: COUNT %v SUM %v, want %d and %d", r[0], r[1], r[2], counts[r[0]], sums[r[0]])
 		}
-		for _, r := range groups {
-			if r[1] != counts[r[0]] || r[2] != sums[r[0]] {
-				t.Errorf("group %v: COUNT %v SUM %v, want %d and %d", r[0], r[1], r[2], counts[r[0]], sums[r[0]])
-			}
-		}
-		_, got := runChain(e, fusedChain(t, schema, `SELECT s, v FROM t WHERE s >= 'v250'`), part)
-		if !reflect.DeepEqual(got, kept) {
-			t.Errorf("filter on the dictionary column: %d rows, want %d; first difference: %s", len(got), len(kept), firstRowDiff(got, kept))
-		}
+	}
+	_, got := runChain(e, fusedChain(t, schema, `SELECT s, v FROM t WHERE s >= 'v250'`), part)
+	if !reflect.DeepEqual(got, kept) {
+		t.Errorf("filter on the dictionary column: %d rows, want %d; first difference: %s", len(got), len(kept), firstRowDiff(got, kept))
 	}
 }
 
-// TestCallBinding: a call binds to its function's vector form exactly
-// when the function has one and every argument is a typed vector or a
-// literal; under DisableExprCompile nothing binds typed.
+// TestCallBinding: every built-in, CASE and CAST binds a typed kernel
+// for the kinds of argument its row form takes, a NULL literal
+// included; conditionals over branches of several kinds, booleans and a
+// user UDF without a vector form yield boxed values.
 func TestCallBinding(t *testing.T) {
 	part := mixedPartition(t)
 	for item, want := range map[string]columnar.VecKind{
-		"SUBSTR(s_raw, 1, 7)":            columnar.VecStr,
-		"SUBSTR(s_dict, i_dict)":         columnar.VecStr,
-		"LENGTH(SUBSTR(s_raw, 2))":       columnar.VecInt,
-		"YEAR(d)":                        columnar.VecInt,
-		"MONTH(d + 40)":                  columnar.VecInt,
-		"MONTH(d + 0.5)":                 columnar.VecAny, // a DOUBLE day number: Fn truncates it, the kernel declines
-		"DAY(i_pack)":                    columnar.VecInt,
-		"ABS(i_raw)":                     columnar.VecInt,
-		"ABS(f_raw * 2)":                 columnar.VecFloat,
-		"ABS(i_pack) + LENGTH(s_dict)":   columnar.VecInt,
-		"UPPER(s_raw)":                   columnar.VecAny, // no vector form
-		"LENGTH(UPPER(s_raw))":           columnar.VecAny, // an argument needs the adapter
-		"SUBSTR(s_raw, NULL, 2)":         columnar.VecAny, // a NULL literal is not a typed vector
-		"SUBSTR(s_raw, 1.5)":             columnar.VecAny, // Fn truncates a float start; the kernel declines
-		"LENGTH(CAST(i_pack AS STRING))": columnar.VecAny,
+		"SUBSTR(s_raw, 1, 7)":                              columnar.VecStr,
+		"SUBSTR(s_dict, i_dict)":                           columnar.VecStr,
+		"LENGTH(SUBSTR(s_raw, 2))":                         columnar.VecInt,
+		"YEAR(d)":                                          columnar.VecInt,
+		"MONTH(d + 40)":                                    columnar.VecInt,
+		"MONTH(d + 0.5)":                                   columnar.VecInt, // a DOUBLE day number truncates, as in Fn
+		"DAY(i_pack)":                                      columnar.VecInt,
+		"ABS(i_raw)":                                       columnar.VecInt,
+		"ABS(f_raw * 2)":                                   columnar.VecFloat,
+		"ABS(i_pack) + LENGTH(s_dict)":                     columnar.VecInt,
+		"UPPER(s_raw)":                                     columnar.VecStr,
+		"LENGTH(UPPER(s_raw))":                             columnar.VecInt,
+		"SUBSTR(s_raw, NULL, 2)":                           columnar.VecStr,
+		"SUBSTR(s_raw, 1.5)":                               columnar.VecStr,
+		"LENGTH(CAST(i_pack AS STRING))":                   columnar.VecInt,
+		"CONCAT(s_dict, i_pack, f_raw)":                    columnar.VecStr,
+		"LOWER(s_dict)":                                    columnar.VecStr,
+		"ROUND(f_raw, 1)":                                  columnar.VecFloat,
+		"ROUND(i_pack)":                                    columnar.VecFloat,
+		"FLOOR(f_raw) + CEIL(i_pack)":                      columnar.VecInt,
+		"POW(f_raw, 2) + SQRT(i_pack)":                     columnar.VecFloat,
+		"IF(i_pack > 5, s_raw, s_dict)":                    columnar.VecStr,
+		"IF(b, i_raw, NULL)":                               columnar.VecInt,
+		"COALESCE(i_raw, i_pack, 0)":                       columnar.VecInt,
+		"COALESCE(f_raw, i_pack)":                          columnar.VecAny, // a DOUBLE or a BIGINT, as Fn returns either
+		"CASE WHEN i_pack > 500 THEN 'hi' ELSE s_dict END": columnar.VecStr,
+		"CASE WHEN b THEN 1.5 END":                         columnar.VecFloat,
+		"CAST(f_raw AS BIGINT)":                            columnar.VecInt,
+		"CAST(s_raw AS DOUBLE)":                            columnar.VecFloat,
+		"CAST(i_pack AS BOOLEAN)":                          columnar.VecAny,
+		"i_pack > 5":                                       columnar.VecAny,
+		"EVENISH(i_pack)":                                  columnar.VecAny, // a user UDF: the row adapter
 	} {
 		m := fusedChain(t, mixedSchema, "SELECT "+item+" FROM t")
 		x := m.project.Exprs[0]
 		task := (&Engine{}).newScanTask(nil, m.scan.NeededCols)
 		task.load(columnar.NewBatch(part))
-		if f, kind := task.bindTyped(x); kind != want || (f == nil) != (want == columnar.VecAny) {
-			t.Errorf("%s binds as kind %v (typed: %v), want %v", item, kind, f != nil, want)
-		}
-		task = (&Engine{opts: Options{DisableExprCompile: true}}).newScanTask(nil, m.scan.NeededCols)
-		task.load(columnar.NewBatch(part))
-		if f, _ := task.bindTyped(x); f != nil {
-			t.Errorf("%s binds a typed kernel under DisableExprCompile", item)
+		if f, kind := task.bind(x); kind != want || f == nil {
+			t.Errorf("%s binds as kind %v, want %v", item, kind, want)
 		}
 	}
 }
@@ -442,26 +540,24 @@ func TestScanOutputOwnsItsStrings(t *testing.T) {
 		`SELECT LOWER(sourceIP), MAX(IF(duration > 300, destURL, sourceIP)) FROM t WHERE adRevenue > 990 GROUP BY LOWER(sourceIP)`,
 	} {
 		m := fusedChain(t, data.UserVisitsSchema, sql)
-		for _, e := range []*Engine{{}, {opts: Options{DisableExprCompile: true}}} {
-			blocks, rows := runChain(e, m, part)
-			for _, r := range rows {
-				for _, v := range r {
-					owns("row cell", v)
-				}
+		blocks, rows := runChain(&Engine{}, m, part)
+		for _, r := range rows {
+			for _, v := range r {
+				owns("row cell", v)
 			}
-			for _, b := range blocks {
-				for i := range int32(b.n) {
-					for k := range b.cols {
-						owns("group key", b.cols[k].At(i))
+		}
+		for _, b := range blocks {
+			for i := range int32(b.n) {
+				for k := range b.cols {
+					owns("group key", b.cols[k].At(i))
+				}
+				for _, acc := range b.accs {
+					if used(&acc.val) {
+						owns("MIN or MAX", acc.val.At(i))
 					}
-					for _, acc := range b.accs {
-						if used(&acc.val) {
-							owns("MIN or MAX", acc.val.At(i))
-						}
-						if acc.distinct != nil {
-							for v := range acc.distinct[i] {
-								owns("distinct value", v)
-							}
+					if acc.distinct != nil {
+						for v := range acc.distinct[i] {
+							owns("distinct value", v)
 						}
 					}
 				}

@@ -759,7 +759,7 @@ func (g *groupTable) resolver(groupBy []expr.Expr, bind func(expr.Expr) valFn) f
 // through a code-indexed table: no hashing at all. Nil unless groupBy
 // is a bare reference to a column this partition dictionary-encoded.
 func (t *scanTask) bindDictGroups(groupBy []expr.Expr, g *groupTable) func(sel, ids []int32) {
-	if len(groupBy) != 1 || t.interpret() {
+	if len(groupBy) != 1 {
 		return nil
 	}
 	col, ok := groupBy[0].(*expr.Col)

@@ -1,12 +1,11 @@
-// Package expr implements typed, analyzed expressions and the engine's
-// one row-at-a-time evaluator, Eval: it serves every operator that
-// works on row.Row (joins, external scans, sorts, the Hive baseline in
-// internal/mr, constant folding in the planner) and, on scans of cached
-// tables, the expressions that have no typed kernel (exec's row
-// adapter), where it is also the kernels' oracle. The compiled
-// evaluators the paper plans (§5) are, in this engine, those typed
-// column kernels and the vector forms of built-ins (UDF.Vec) — not a
-// second way to run a row.
+// Package expr implements typed, analyzed expressions and the
+// row-at-a-time evaluator, Eval: the Hive baseline in internal/mr and
+// constant folding in the planner run it, and it is the oracle of the
+// engine's column kernels (exec/kernels.go). The compiled evaluators
+// the paper plans (§5) are, in this engine, those kernels and the
+// vector forms of built-ins (UDF.Vec), each derived with its row form
+// from one definition over typed values — not a second way to run a
+// row.
 //
 // The shape of an expression tree is written down once, in
 // mapChildren; Walk, Rewrite and Cols are derived from it.
@@ -23,6 +22,7 @@ import (
 	"slices"
 	"strings"
 
+	"shark/internal/columnar"
 	"shark/internal/row"
 )
 
@@ -36,9 +36,9 @@ type Expr interface {
 	Type() row.Type
 	// Eval evaluates the node against a row.
 	Eval(r row.Row) any
-	// Compile returns Eval. Nothing in the engine calls it; every node
-	// keeps the method only because bench/layers.go:457 does, and bench/
-	// changes only under ROADMAP 2(c)'s rule (its removal is item 14).
+	// Compile returns Eval. Every node keeps it only because
+	// bench/layers.go:457 calls it; it goes when that file may change
+	// (ROADMAP 2(c)).
 	Compile() EvalFn
 	// String renders for EXPLAIN output.
 	String() string
@@ -130,6 +130,19 @@ func mapList(es []Expr, f func(Expr) Expr) (out []Expr, changed bool) {
 		}
 	}
 	return out, changed
+}
+
+// Boxed returns x's operands and x as a function of their values:
+// the row form a column kernel applies where it has no typed one.
+func Boxed(x Expr) (operands []Expr, eval func(vals []any) any) {
+	if c, ok := x.(*Call); ok {
+		return c.Args, c.F.Fn
+	}
+	y := mapChildren(x, func(c Expr) Expr {
+		operands = append(operands, c)
+		return &Col{Idx: len(operands) - 1, T: c.Type()}
+	})
+	return operands, func(vals []any) any { return y.Eval(vals) }
 }
 
 // Walk calls visit on e and every expression below it, parents first,
@@ -246,58 +259,31 @@ func (a *Arith) Eval(r row.Row) any {
 		return nil
 	}
 	if a.T == row.TInt {
-		return intArith(a.Op, lv.(int64), rv.(int64))
+		return arith(a.Op, lv.(int64), rv.(int64), func(x, y int64) int64 { return x % y })
 	}
 	lf, _ := row.AsFloat(lv)
 	rf, _ := row.AsFloat(rv)
-	return floatArith(a.Op, lf, rf)
+	return arith(a.Op, lf, rf, math.Mod)
 }
 
 // Compile implements Expr: it is Eval, kept for bench/layers.go:457.
 func (a *Arith) Compile() EvalFn { return a.Eval }
 
-func intArith(op ArithOp, a, b int64) any {
-	switch op {
-	case Add:
-		return a + b
-	case Sub:
-		return a - b
-	case Mul:
-		return a * b
-	case Div:
-		if b == 0 {
-			return nil
-		}
-		return a / b
-	case Mod:
-		if b == 0 {
-			return nil
-		}
-		return a % b
+// arith is x op y; / and % by zero are NULL.
+func arith[T int64 | float64](op ArithOp, x, y T, mod func(x, y T) T) any {
+	switch {
+	case op == Add:
+		return x + y
+	case op == Sub:
+		return x - y
+	case op == Mul:
+		return x * y
+	case y == 0:
+		return nil
+	case op == Div:
+		return x / y
 	}
-	panic("expr: bad arith op")
-}
-
-func floatArith(op ArithOp, a, b float64) any {
-	switch op {
-	case Add:
-		return a + b
-	case Sub:
-		return a - b
-	case Mul:
-		return a * b
-	case Div:
-		if b == 0 {
-			return nil
-		}
-		return a / b
-	case Mod:
-		if b == 0 {
-			return nil
-		}
-		return math.Mod(a, b)
-	}
-	panic("expr: bad arith op")
+	return mod(x, y)
 }
 
 // Neg is arithmetic negation.
@@ -313,22 +299,17 @@ func (n *Neg) Type() row.Type { return n.T }
 func (n *Neg) String() string { return "-" + n.E.String() }
 
 // Eval implements Expr.
-func (n *Neg) Eval(r row.Row) any { return negate(n.E.Eval(r)) }
+func (n *Neg) Eval(r row.Row) any { return negation.fn([]any{n.E.Eval(r)}) }
 
 // Compile implements Expr: it is Eval, kept for bench/layers.go:457.
 func (n *Neg) Compile() EvalFn { return n.Eval }
 
-func negate(v any) any {
-	switch x := v.(type) {
-	case nil:
-		return nil
-	case int64:
-		return -x
-	case float64:
-		return -x
-	}
-	panic(fmt.Sprintf("expr: cannot negate %T", v))
+// Vec is the operator's vector form, as UDF.Vec is a function's.
+func (*Neg) Vec(kinds []columnar.VecKind) (columnar.VecFn, columnar.VecKind) {
+	return negation.vec(kinds)
 }
+
+var negation = overload(fn(un(func(x int64) int64 { return -x })), fn(un(func(x float64) float64 { return -x })), def{})
 
 // ---------------------------------------------------------------------------
 
@@ -364,25 +345,14 @@ func (c *Cmp) String() string {
 // Eval implements Expr.
 func (c *Cmp) Eval(r row.Row) any {
 	lv, rv := c.L.Eval(r), c.R.Eval(r)
-	if lv == nil || rv == nil {
-		return false
-	}
-	d := row.Compare(lv, rv)
-	switch c.Op {
-	case Eq:
-		return d == 0
-	case Ne:
-		return d != 0
-	case Lt:
-		return d < 0
-	case Le:
-		return d <= 0
-	case Gt:
-		return d > 0
-	case Ge:
-		return d >= 0
-	}
-	panic("expr: bad cmp op")
+	return lv != nil && rv != nil && c.Op.Keep()[min(max(row.Compare(lv, rv), -1), 1)+1]
+}
+
+// Keep says, for each outcome of a three-way comparison (less, equal,
+// greater), whether op accepts it.
+func (op CmpOp) Keep() [3]bool {
+	return [...][3]bool{Eq: {false, true, false}, Ne: {true, false, true}, Lt: {true, false, false},
+		Le: {true, true, false}, Gt: {false, false, true}, Ge: {false, true, true}}[op]
 }
 
 // Compile implements Expr: it is Eval, kept for bench/layers.go:457.
@@ -633,49 +603,45 @@ func (c *Cast) Eval(r row.Row) any { return castValue(c.E.Eval(r), c.To) }
 // Compile implements Expr: it is Eval, kept for bench/layers.go:457.
 func (c *Cast) Compile() EvalFn { return c.Eval }
 
-func castValue(v any, to row.Type) any {
-	if v == nil {
-		return nil
+// Vec is CAST's vector form, as UDF.Vec is a function's, derived from
+// the definition castValue uses: none for a boolean operand or target,
+// which only the row form handles.
+func (c *Cast) Vec(kinds []columnar.VecKind) (columnar.VecFn, columnar.VecKind) {
+	if d, ok := castTo[c.To]; ok {
+		return d.vec(kinds)
 	}
-	switch to {
-	case row.TInt, row.TDate:
-		switch x := v.(type) {
-		case int64:
-			return x
-		case float64:
-			return int64(x)
-		case bool:
+	return nil, columnar.VecAny
+}
+
+// castValue is CAST's row form: castTo's definitions, plus a boolean
+// operand (1 or 0, "true" or "false") and a BOOLEAN target (a BIGINT's
+// truth).
+func castValue(v any, to row.Type) any {
+	switch x := v.(type) {
+	case nil:
+		return nil
+	case bool:
+		switch to {
+		case row.TInt, row.TDate:
 			if x {
 				return int64(1)
 			}
 			return int64(0)
-		case string:
-			if iv, err := row.ParseValue(strings.TrimSpace(x), row.TInt); err == nil {
-				return iv
-			}
-			return nil
-		}
-	case row.TFloat:
-		switch x := v.(type) {
-		case int64:
-			return float64(x)
-		case float64:
+		case row.TString:
+			return row.FormatValue(x)
+		case row.TBool:
 			return x
-		case string:
-			if fv, err := row.ParseValue(strings.TrimSpace(x), row.TFloat); err == nil {
-				return fv
-			}
-			return nil
 		}
-	case row.TString:
-		return row.FormatValue(v)
-	case row.TBool:
-		switch x := v.(type) {
-		case bool:
-			return x
-		case int64:
+		return nil
+	}
+	if to == row.TBool {
+		if x, ok := v.(int64); ok {
 			return x != 0
 		}
+		return nil
+	}
+	if d, ok := castTo[to]; ok {
+		return d.fn([]any{v})
 	}
 	return nil
 }

@@ -201,9 +201,9 @@ func TestBuiltins(t *testing.T) {
 	if got := call("SUBSTR", "hi", int64(10)); got.(string) != "" {
 		t.Errorf("SUBSTR past end = %v", got)
 	}
-	// SUBSTR's edges, pinned by value: Fn and the vector form share the
-	// scalar code, so comparing them with each other cannot see a bug in
-	// it. 1-based, 0 ≡ 1, negatives from the end, clamped at both ends.
+	// SUBSTR's edges, pinned by value: Fn and the vector form derive from
+	// one definition, so comparing them with each other cannot see a bug
+	// in it. 1-based, 0 ≡ 1, negatives from the end, clamped at both ends.
 	for _, c := range []struct {
 		args []any
 		want any
@@ -223,7 +223,7 @@ func TestBuiltins(t *testing.T) {
 		{[]any{nil, int64(1)}, nil},
 		{[]any{"hello", nil}, nil},
 		{[]any{"hello", int64(2), nil}, nil},
-		{[]any{"hello", int64(9), nil}, ""}, // past the end wins over a NULL length
+		{[]any{"hello", int64(9), nil}, nil}, // a NULL length is NULL wherever the start is, as in Hive
 	} {
 		if got := call("SUBSTR", c.args...); got != c.want {
 			t.Errorf("SUBSTR%v = %#v, want %#v", c.args, got, c.want)

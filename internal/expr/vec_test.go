@@ -37,11 +37,12 @@ func vecOf(kind columnar.VecKind, vals []any) columnar.Vec {
 	return v
 }
 
-// TestVecFormsMatchFn: every built-in's vector form returns, at every
-// selected row, exactly what Fn returns on that row's boxed arguments —
-// NULLs, literal (Mask 0) arguments and SUBSTR's edge cases (start 0,
-// negative, before the beginning, past the end; length 0, negative,
-// huge, NULL) included.
+// TestVecFormsMatchFn: every scalar built-in's vector form returns, at
+// every selected row, exactly what Fn returns on that row's boxed
+// arguments, Go type included — NULLs, literal (Mask 0) arguments,
+// BIGINT and DOUBLE arguments of either kind, and SUBSTR's edge cases
+// (start 0, negative, before the beginning, past the end; length 0,
+// negative, huge, NULL) included.
 func TestVecFormsMatchFn(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 700
@@ -64,6 +65,9 @@ func TestVecFormsMatchFn(t *testing.T) {
 		return column(func() any { return []string{"", "a", "héllo", "10.20.30.40", "shark"}[rng.Intn(5)] })
 	}
 	smallInts := func() []any { return column(func() any { return int64(rng.Intn(31) - 15) }) }
+	floats := func() []any { return column(func() any { return rng.NormFloat64() * 100 }) }
+	vs := func(kinds ...columnar.VecKind) []columnar.VecKind { return kinds }
+	I, F, S := columnar.VecInt, columnar.VecFloat, columnar.VecStr
 	cases := []struct {
 		fn    string
 		kinds []columnar.VecKind
@@ -81,6 +85,19 @@ func TestVecFormsMatchFn(t *testing.T) {
 		{"ABS", []columnar.VecKind{columnar.VecInt}, [][]any{{int64(math.MinInt64)}}},
 		{"ABS", []columnar.VecKind{columnar.VecFloat}, [][]any{column(func() any { return rng.NormFloat64() })}},
 		{"ABS", []columnar.VecKind{columnar.VecFloat}, [][]any{{math.Inf(-1)}}},
+		{"SUBSTR", vs(S, F, F), [][]any{strs(), floats(), {2.9}}}, // a DOUBLE truncates, as in Fn
+		{"CONCAT", vs(S, I, F, S), [][]any{strs(), smallInts(), floats(), {"x"}}},
+		{"LOWER", vs(S), [][]any{strs()}},
+		{"UPPER", vs(S), [][]any{strs()}},
+		{"ROUND", vs(F), [][]any{floats()}},
+		{"ROUND", vs(F, I), [][]any{floats(), smallInts()}},
+		{"ROUND", vs(I, I), [][]any{smallInts(), {int64(-1)}}},
+		{"FLOOR", vs(F), [][]any{floats()}},
+		{"CEIL", vs(I), [][]any{smallInts()}},
+		{"POW", vs(F, I), [][]any{floats(), smallInts()}},
+		{"SQRT", vs(F), [][]any{floats()}},
+		{"SQRT", vs(F), [][]any{{math.NaN()}}},
+		{"YEAR", vs(F), [][]any{{12345.9}}},
 	}
 	for _, f := range []string{"YEAR", "MONTH", "DAY"} {
 		cases = append(cases, struct {
@@ -117,9 +134,11 @@ func TestVecFormsMatchFn(t *testing.T) {
 		}
 	}
 
-	// Kinds Fn handles only by converting are left to the row adapter.
+	// Kinds whose values Fn turns to NULL, and boxed arguments, are left
+	// to the row adapter.
 	for fn, kinds := range map[string][]columnar.VecKind{
-		"SUBSTR": {columnar.VecStr, columnar.VecFloat}, "LENGTH": {columnar.VecInt}, "ABS": {columnar.VecStr}, "YEAR": {columnar.VecFloat},
+		"SUBSTR": {columnar.VecStr, columnar.VecAny}, "LENGTH": {columnar.VecInt}, "ABS": {columnar.VecStr}, "YEAR": {columnar.VecStr},
+		"CONCAT": {columnar.VecStr, columnar.VecAny},
 	} {
 		f, _ := LookupBuiltin(fn)
 		if kernel, _ := f.Vec(kinds); kernel != nil {

@@ -38,7 +38,6 @@ var experiments = map[string]func(context.Context, Scale, *Report) error{
 	"fig13":          runFig13,
 	"tbl_columnar":   runColumnarFootprint,
 	"abl_shuffle":    runShuffleAblation,
-	"abl_compile":    runExprCompileAblation,
 	"abl_binpack":    runSkewAblation,
 	"abl_memory":     runMemory,
 	"abl_storage":    runStorage,
@@ -626,30 +625,6 @@ func runShuffleAblation(ctx context.Context, sc Scale, r *Report) error {
 			{label: "memory shuffle (Shark default)", mode: shuffle.Memory},
 			{label: "disk shuffle (Hadoop-style)", mode: shuffle.Disk},
 		}, "", "uservisits_mem")
-}
-
-func runExprCompileAblation(ctx context.Context, sc Scale, r *Report) error {
-	// Deliberately expression-heavy (dozens of operator nodes per
-	// row) so expression evaluation, not scanning, dominates — the §5
-	// profile of memstore-served queries. What §5 plans to win by
-	// compiling evaluators to bytecode, this engine wins with typed
-	// column kernels; the ablation runs the same scan through the row
-	// adapter (expr's Eval on a scratch row) instead.
-	const query = `SELECT
-	SUM(L_EXTENDEDPRICE * (1.0 - L_DISCOUNT) * (1.0 + L_DISCOUNT * 0.5) - L_QUANTITY * 1.5),
-	AVG((L_QUANTITY * 2 + 1) * (L_QUANTITY * 3 + 2) - (L_QUANTITY * 5 - 4) * 1.01),
-	SUM(L_EXTENDEDPRICE / (L_QUANTITY + 1) + L_EXTENDEDPRICE / (L_QUANTITY + 2) + L_EXTENDEDPRICE / (L_QUANTITY + 3)),
-	MAX(L_EXTENDEDPRICE * L_DISCOUNT * 0.25 + L_QUANTITY * 7 - 3)
-	FROM lineitem_mem
-	WHERE L_QUANTITY * 3 + L_QUANTITY * 2 > 25 AND L_DISCOUNT * 10.0 < 0.9
-	AND L_EXTENDEDPRICE * 1.0001 > L_QUANTITY * 2.0`
-	big := sc
-	big.Lineitem = sc.LineitemBig
-	return ablate(big, r, "abl_compile: typed kernels vs row adapter", query,
-		[]variant{
-			{label: "typed kernels (default)"},
-			{label: "row adapter (DisableExprCompile)", opts: exec.Options{DisableExprCompile: true}},
-		}, "", "lineitem_mem")
 }
 
 func runSkewAblation(ctx context.Context, sc Scale, r *Report) error {

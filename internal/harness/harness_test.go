@@ -39,7 +39,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig5_selection", "fig5_agg", "fig6_join", "loading",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-		"tbl_columnar", "abl_shuffle", "abl_compile", "abl_binpack",
+		"tbl_columnar", "abl_shuffle", "abl_binpack",
 		"abl_memory", "abl_storage", "abl_pde", "pruning",
 	}
 	have := map[string]bool{}
